@@ -46,8 +46,15 @@ def wht_rows_numpy(mat: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along the last axis.
 
     mat is (rows, cols) with cols a power of two.  Works for int64 and for
-    object dtype (arbitrary-precision numerators).
+    object dtype (arbitrary-precision numerators).  The stages run on
+    reshaped views, so a non-contiguous mat is transformed as a contiguous
+    copy that is then written back.
     """
+    if not mat.flags.c_contiguous:
+        work = np.ascontiguousarray(mat)
+        wht_rows_numpy(work)
+        mat[...] = work
+        return mat
     _, cols = mat.shape
     h = 1
     if mat.dtype == np.int64 and cols >= 8:

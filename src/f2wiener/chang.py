@@ -10,6 +10,7 @@ exercises the hypercontractive inequality behind its proof.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,8 +19,8 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (FunctionTable, Spectrum, fwht, inverse_fwht, l1_norm,
-                      l2_norm_sq, lp_norm, spectrum_l2_sq)
+from .fourier import (FunctionTable, Spectrum, exact_sum, fwht, inverse_fwht,
+                      l1_norm, l2_norm_sq, lp_norm, spectrum_l2_sq)
 from .groups import DualSubspace, as_dim, subspace_insert
 
 __all__ = [
@@ -70,21 +71,28 @@ def level_sets(fv_hat: Spectrum, chi_hat: Spectrum,
         raise ValueError("spectra live on different groups")
     if base.num <= 0:
         raise ZeroMass("level sets need a positive base norm")
-    buckets: dict = {}
-    for g in np.flatnonzero(fv_hat.nums):
-        g = int(g)
-        coeff = DyadicScalar(abs(int(fv_hat.nums[g])), fv_hat.exp)
-        if coeff > base:
-            raise ArithmeticError(
-                f"coefficient {coeff} above the l1 base {base}"
-            )
-        s = floor_log2_ratio(base, coeff)
-        members, mass = buckets.get(s, ((), 0))
-        buckets[s] = (members + (g,), mass + abs(int(chi_hat.nums[g])))
-    return [
-        LevelSet(s, members, DyadicScalar(mass, chi_hat.exp))
-        for s, (members, mass) in sorted(buckets.items())
-    ]
+    support = np.flatnonzero(fv_hat.nums)
+    mags = np.abs(fv_hat.nums[support])
+    if mags.dtype != object and mags.size and mags.min() < 0:
+        # abs(-2**63) wraps in int64; keep that magnitude exact.
+        mags = np.abs(fv_hat.nums[support].astype(object))
+    # Distinct magnitudes, largest first: the band index only grows along
+    # them, so each level is one run of them, decided with one exact
+    # floor_log2_ratio per value and selected with one range mask.
+    values = np.unique(mags)[::-1].tolist()
+    top = DyadicScalar(values[0] if values else 0, fv_hat.exp)
+    if top > base:
+        raise ArithmeticError(f"coefficient {top} above the l1 base {base}")
+    out = []
+    for s, run in itertools.groupby(
+            values,
+            key=lambda v: floor_log2_ratio(base, DyadicScalar(v, fv_hat.exp))):
+        run = list(run)
+        members = support[(mags >= run[-1]) & (mags <= run[0])]
+        mass = exact_sum(chi_hat.nums[members], absolute=True)
+        out.append(LevelSet(s, tuple(members.tolist()),
+                            DyadicScalar(mass, chi_hat.exp)))
+    return out
 
 
 def level_qualifies(level: LevelSet) -> bool:

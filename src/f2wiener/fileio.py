@@ -9,6 +9,7 @@ the same inputs reproduces files byte for byte.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -17,6 +18,7 @@ from typing import List, Optional
 
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
+from .groups import get_dim_cap
 from .iteration import HypothesisReport, IterationTrace, Termination
 from .setfuncs import PointSet, set_a_norm
 
@@ -53,7 +55,13 @@ def read_set_file(path: str) -> PointSet:
     m = _N_RE.match(lines[0])
     if not m:
         raise SetFileError(f"first line must be n=<int>, got {lines[0]!r}")
-    n = int(m.group(1))
+    digits = m.group(1).lstrip("0") or "0"
+    # Check the cap before anything is sized by n (1 << n below).
+    cap = get_dim_cap()
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        shown = digits if len(digits) <= 20 else digits[:20] + "..."
+        raise SetFileError(f"n={shown} is above the dimension cap {cap}")
+    n = int(digits)
     if n < 1:
         raise SetFileError("n must be >= 1")
     body = lines[1:]
@@ -262,7 +270,13 @@ def witness_payload(witness: CosetUnionWitness,
     }
 
 
+@functools.cache
 def tool_commit() -> str:
+    """git HEAD of the package checkout, or "unknown"; asked once a process.
+
+    The modules a process has imported cannot change under it, so the
+    first answer stays the right one.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -8,7 +8,7 @@ forward transform adds n to the exponent and the inverse adds nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "l2_norm_sq",
     "spectrum_l2_sq",
     "inner_product",
+    "exact_sum",
     "lp_norm",
     "convolve",
 ]
@@ -179,13 +180,40 @@ def inverse_fwht(s: Spectrum) -> FunctionTable:
     return FunctionTable(s.dim, _butterfly_copy(s.nums, s.dim.n), s.exp)
 
 
+def exact_sum(x: np.ndarray, y: Optional[np.ndarray] = None,
+              absolute: bool = False) -> int:
+    """Exact sum of x, of |x| (absolute) or of x * y, as a Python int.
+
+    int64 reduces only when max|x| * max|y| * size <= 2**63 - 1, which
+    bounds every term and every partial sum; otherwise, and always for
+    object dtype, the terms are summed as Python ints.
+    """
+    x = x.ravel()
+    if y is not None:
+        y = y.ravel()
+        if y.shape != x.shape:
+            raise ValueError("exact_sum needs arrays of one length")
+    if not x.size:
+        return 0
+    if x.dtype == np.int64 and (y is None or y.dtype == np.int64):
+        peak = _int_minmax(x) * (1 if y is None else _int_minmax(y))
+        if peak * x.size <= _I64_MAX:
+            if y is not None:
+                return int(np.dot(x, y))
+            return int((np.abs(x) if absolute else x).sum())
+    if y is not None:
+        return sum(int(a) * int(b) for a, b in zip(x.flat, y.flat))
+    if absolute:
+        return sum(abs(int(v)) for v in x.flat)
+    return sum(int(v) for v in x.flat)
+
+
 def _abs_sum(nums: np.ndarray) -> int:
-    # Python-int accumulation; int64 row sums can overflow silently.
-    return int(sum(abs(int(v)) for v in nums.flat))
+    return exact_sum(nums, absolute=True)
 
 
 def _sq_sum(nums: np.ndarray) -> int:
-    return int(sum(int(v) * int(v) for v in nums.flat))
+    return exact_sum(nums, nums)
 
 
 def a_norm(s: Spectrum) -> DyadicScalar:
@@ -194,8 +222,7 @@ def a_norm(s: Spectrum) -> DyadicScalar:
 
 
 def linf_norm(s: Spectrum) -> DyadicScalar:
-    return DyadicScalar(max((abs(int(v)) for v in s.nums.flat), default=0),
-                        s.exp)
+    return DyadicScalar(_int_minmax(s.nums), s.exp)
 
 
 def l1_norm(f: FunctionTable) -> DyadicScalar:
@@ -215,8 +242,7 @@ def spectrum_l2_sq(s: Spectrum) -> DyadicScalar:
 def inner_product(f: FunctionTable, g: FunctionTable) -> DyadicScalar:
     if f.dim != g.dim:
         raise ValueError("tables live on different groups")
-    total = sum(int(a) * int(b) for a, b in zip(f.nums.flat, g.nums.flat))
-    return DyadicScalar(int(total), f.exp + g.exp + f.dim.n)
+    return DyadicScalar(exact_sum(f.nums, g.nums), f.exp + g.exp + f.dim.n)
 
 
 def lp_norm(f: FunctionTable, p: float) -> float:

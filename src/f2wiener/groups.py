@@ -156,10 +156,21 @@ class DualSubspace:
 
     def elements(self) -> List[int]:
         """All 2**dim members, by doubling over the basis."""
-        elems = [0]
+        return self.element_array().tolist()
+
+    def element_array(self) -> np.ndarray:
+        """elements() as an int64 array, in the same order."""
+        elems = np.zeros(1, dtype=np.int64)
         for r in self.basis:
-            elems += [e ^ r for e in elems]
+            elems = np.concatenate((elems, elems ^ np.int64(r)))
         return elems
+
+    def reduce_array(self, gammas: np.ndarray) -> np.ndarray:
+        """reduce() applied to every entry of an int64 array of masks."""
+        out = gammas.copy()
+        for r in self.basis:
+            out ^= ((out >> _pivot(r)) & 1) * np.int64(r)
+        return out
 
 
 def subspace_insert(v: DualSubspace, gamma: int) -> DualSubspace:

@@ -10,14 +10,15 @@ lower bound.  The loop runs while |V| <= max_order.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chang import level_sets, select_level
+import numpy as np
+
+from .chang import _chang_bound_from_norms, level_sets, select_level
 from .dyadic import DyadicScalar, ZERO
-from .fourier import Spectrum, a_norm, fwht, l2_norm_sq
+from .fourier import Spectrum, a_norm, exact_sum, fwht, l2_norm_sq
 from .groups import DualSubspace, subspace_insert
 from .setfuncs import PointSet, residual, residual_l1
 
@@ -45,8 +46,9 @@ class Termination(str, enum.Enum):
 
 
 def _mass_over(chi_hat: Spectrum, v: DualSubspace) -> DyadicScalar:
-    total = sum(abs(int(chi_hat.nums[g])) for g in v.elements())
-    return DyadicScalar(int(total), chi_hat.exp)
+    return DyadicScalar(
+        exact_sum(chi_hat.nums[v.element_array()], absolute=True),
+        chi_hat.exp)
 
 
 @dataclass(frozen=True)
@@ -75,24 +77,33 @@ def iterate_step(a: PointSet, v: DualSubspace,
     if base.num == 0:
         raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
     fv_hat = fwht(fv.table)
-    for g in v.elements():
-        # The physical-space residual must vanish on v in frequency; this
-        # cross-checks the coset counting against the transform.
-        if int(fv_hat.nums[g]) != 0:
-            raise ArithmeticError(f"residual spectrum nonzero on v at {g}")
+    # The physical-space residual must vanish on v in frequency; this
+    # cross-checks the coset counting against the transform.
+    elems = v.element_array()
+    bad = np.flatnonzero(fv_hat.nums[elems])
+    if bad.size:
+        raise ArithmeticError(
+            f"residual spectrum nonzero on v at {int(elems[bad[0]])}")
     if chi_hat is None:
         chi_hat = fwht(a.indicator())
     levels = level_sets(fv_hat, chi_hat, base)
     level = select_level(levels, strategy)
+    # Reduce every member against the basis at once; only a survivor is
+    # inserted, so subspace_insert runs once per added dimension.  The
+    # basis is canonical, so v_new equals inserting the members one by one.
     v_new = v
-    for g in level.members:
-        v_new = subspace_insert(v_new, g)
+    rest = v.reduce_array(np.array(level.members, dtype=np.int64))
+    while True:
+        rest = rest[rest != 0]
+        if not rest.size:
+            break
+        v_new = subspace_insert(v_new, int(rest[0]))
+        rest = v_new.reduce_array(rest)
     l_old = _mass_over(chi_hat, v)
     l_new = _mass_over(chi_hat, v_new)
-    ratio = l2_norm_sq(fv.table).as_fraction() / (base.as_fraction() ** 2)
     # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.
-    ceiling = math.e * (4 ** (level.s + 1)) * max(
-        math.log(ratio.numerator) - math.log(ratio.denominator), 1.0)
+    ceiling = _chang_bound_from_norms(base, l2_norm_sq(fv.table),
+                                      Fraction(1, 2 ** (level.s + 1)))
     return StepResult(
         s=level.s,
         v_new=v_new,

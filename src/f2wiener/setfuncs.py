@@ -15,7 +15,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .dyadic import DyadicScalar, ONE
-from .fourier import FunctionTable, Spectrum, a_norm, fwht
+from .fourier import FunctionTable, Spectrum, a_norm, exact_sum, fwht
 from .groups import DualSubspace, GroupDim, as_dim, coset_index_table, parity
 
 __all__ = [
@@ -189,9 +189,8 @@ def residual_l1(fv: ResidualTable) -> DyadicScalar:
     """
     t = fv.table
     shift = t.exp + t.dim.n
-    direct = DyadicScalar(sum(abs(int(v)) for v in t.nums.flat), shift)
-    mask = fv.source.bool_mask()
-    doubled = DyadicScalar(2 * int(sum(int(v) for v in t.nums[mask].flat)),
+    direct = DyadicScalar(exact_sum(t.nums, absolute=True), shift)
+    doubled = DyadicScalar(2 * exact_sum(t.nums[fv.source.bool_mask()]),
                            shift)
     if direct != doubled:
         raise ArithmeticError(

@@ -87,3 +87,28 @@ def brute_min_norm(n: int, size: int) -> Tuple[Fraction, List[Tuple[int, ...]]]:
         elif norm == best:
             witnesses.append(pts)
     return best, witnesses
+
+
+def brute_level_sets(coeffs: Sequence[Fraction], chi: Sequence[Fraction],
+                     base: Fraction) -> List[Tuple[int, Tuple[int, ...],
+                                                   Fraction]]:
+    """(s, members, mass) per band, by one scan over the coefficients.
+
+    Band s holds the g with base / 2^(s+1) < |coeffs[g]| <= base / 2^s;
+    members ascend and mass sums |chi[g]| over them.  A coefficient above
+    base raises ArithmeticError.
+    """
+    buckets = {}
+    for g, c in enumerate(coeffs):
+        c = abs(Fraction(c))
+        if c == 0:
+            continue
+        if c > base:
+            raise ArithmeticError(f"coefficient {c} above the base {base}")
+        s = 0
+        while c <= base / (1 << (s + 1)):
+            s += 1
+        members, mass = buckets.get(s, ((), Fraction(0)))
+        buckets[s] = (members + (g,), mass + abs(Fraction(chi[g])))
+    return [(s, members, mass)
+            for s, (members, mass) in sorted(buckets.items())]

@@ -16,7 +16,7 @@ from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_spectrum)
 from f2wiener.verify import (random_independent_chars, random_point_set,
                              random_table)
 
-from _reference import annihilator_points
+from _reference import annihilator_points, brute_level_sets
 
 
 def _halfspace_residual(n: int):
@@ -74,6 +74,79 @@ def test_level_sets_errors():
         level_sets(fv, fv, DyadicScalar(1, 1))  # 3/4 above base 1/2
     with pytest.raises(ValueError):
         level_sets(fv, Spectrum.zeros(2), DyadicScalar(1, 1))
+
+
+def _levels_as_fractions(levels):
+    return [(lv.s, lv.members, lv.mass.as_fraction()) for lv in levels]
+
+
+def _check_against_reference(fv_hat, chi_hat, base):
+    got = _levels_as_fractions(level_sets(fv_hat, chi_hat, base))
+    want = brute_level_sets(fv_hat.to_fractions(), chi_hat.to_fractions(),
+                            base.as_fraction())
+    assert got == want
+    for _, members, _ in got:
+        assert all(type(g) is int for g in members)
+
+
+def test_level_sets_match_reference_on_residuals():
+    rng = np.random.default_rng(44)
+    done = 0
+    while done < 80:
+        n = int(rng.integers(1, 11))
+        a = random_point_set(rng, n)
+        v = random_subspace(rng, n, max_dim=n - 1)
+        r = residual(a, v)
+        base = residual_l1(r)
+        if base.num == 0:
+            continue
+        done += 1
+        _check_against_reference(fwht(r.table), set_spectrum(a), base)
+
+
+def test_level_sets_match_reference_on_arbitrary_spectra():
+    # Many distinct magnitudes, several sharing a band, and bands skipped.
+    rng = np.random.default_rng(45)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        nums = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
+        nums[rng.random(1 << n) < 0.3] = 0
+        fv = Spectrum(n, nums, int(rng.integers(0, 30)))
+        chi = Spectrum(n, rng.integers(-99, 100, size=1 << n), 5)
+        base = DyadicScalar(int(np.abs(fv.nums).max()) or 1, fv.exp)
+        _check_against_reference(fv, chi, base.mul_pow2(int(rng.integers(0, 3))))
+
+
+def test_level_sets_object_dtype_above_int64():
+    big = 1 << 70
+    fv = Spectrum(3, [0, big, -big, 3 * (big >> 2), big >> 5, 7, -(big >> 1),
+                      big + 1], 4)
+    chi = Spectrum(3, [5, -(1 << 65), 1 << 66, 3, (1 << 64) + 1, 0, -1,
+                       1 << 80], 2)
+    assert fv.nums.dtype == object and chi.nums.dtype == object
+    _check_against_reference(fv, chi, DyadicScalar(big + 1, 4))
+    with pytest.raises(ArithmeticError):
+        level_sets(fv, chi, DyadicScalar(big, 4))
+    # -2^63 fits int64, but its magnitude does not.
+    low = Spectrum(2, np.array([0, -(1 << 63), 1 << 62, -1], dtype=np.int64),
+                   0)
+    assert low.nums.dtype == np.int64
+    _check_against_reference(low, low, DyadicScalar(1 << 63))
+
+
+def test_level_sets_mass_at_int64_bound():
+    # One band of 7 members; the mass sum max|x| * 7 sits exactly at
+    # 2^63 - 1, then one step past it, where an int64 sum would wrap.
+    n = 3
+    fv = Spectrum(n, [0, 1, 1, 1, -1, 1, 1, -1], 0)
+    peak = ((1 << 63) - 1) // 7
+    for top in (peak, peak + 1):
+        chi = Spectrum(n, [0] + [top] * 3 + [-top] * 4, 0)
+        assert chi.nums.dtype == np.int64
+        levels = level_sets(fv, chi, DyadicScalar(1))
+        assert [lv.members for lv in levels] == [tuple(range(1, 8))]
+        assert levels[0].mass == DyadicScalar(7 * top)
+        _check_against_reference(fv, chi, DyadicScalar(1))
 
 
 def test_level_mass_averaging_identity():

@@ -6,6 +6,7 @@ import pytest
 
 from f2wiener.cli import main
 from f2wiener.fileio import write_set_file
+from f2wiener.groups import get_dim_cap
 from f2wiener.setfuncs import PointSet
 
 
@@ -150,6 +151,19 @@ def test_bad_inputs(workdir, capsys):
     assert main(["norm", "junk.set"]) == 2
     (workdir / "dup.set").write_text("n=2\n1\n1\n")
     assert main(["norm", "dup.set"]) == 2
+
+
+def test_set_file_above_dimension_cap(tmp_path, package_env):
+    path = tmp_path / "big.set"
+    path.write_text(f"n={get_dim_cap() + 1}\nhexbits=1\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "f2wiener", "norm", str(path)],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert "dimension cap" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_config_defaults(workdir, capsys):

@@ -1,9 +1,11 @@
 import json
 import math
 import re
+import subprocess
 
 import pytest
 
+from f2wiener import fileio
 from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fileio import (SetFileError, certificate_payload,
@@ -11,6 +13,7 @@ from f2wiener.fileio import (SetFileError, certificate_payload,
                              load_certificate, read_set_file, tool_commit,
                              witness_payload, write_certificate,
                              write_set_file)
+from f2wiener.groups import get_dim_cap
 from f2wiener.iteration import hypothesis_check, run_iteration
 from f2wiener.setfuncs import PointSet, set_a_norm
 
@@ -50,6 +53,21 @@ def test_set_file_errors(tmp_path):
     bad("n=2\n1\n1\n")       # duplicate
     bad("n=2\nhexbits=1ff\n")  # bitmap wider than 2^2 bits
     bad("n=2\nhexbits=\n")
+
+
+def test_set_file_dimension_cap_checked_first(tmp_path):
+    # The cap is checked before anything is sized by n: a bitmap too wide
+    # even for n = cap + 1 is reported as a cap violation, and an n too
+    # long for int() is rejected as a SetFileError too.
+    cap = get_dim_cap()
+    wide = "f" * ((1 << (cap + 1)) // 4 + 1)
+    for head in (str(cap + 1), "0" + str(cap + 1), str(10 ** 6), "9" * 5000):
+        p = tmp_path / "big.set"
+        p.write_text(f"n={head}\nhexbits={wide}\n")
+        with pytest.raises(SetFileError, match="dimension cap"):
+            read_set_file(str(p))
+    p.write_text(f"n={cap}\nhexbits=1\n")
+    assert read_set_file(str(p)).dim.n == cap
 
 
 def test_dumps_deterministic():
@@ -173,3 +191,19 @@ def test_witness_payload():
 def test_tool_commit():
     c = tool_commit()
     assert c == "unknown" or re.fullmatch(r"[0-9a-f]{40}", c)
+
+
+def test_tool_commit_spawns_git_once(monkeypatch):
+    spawned = []
+
+    def fake_run(argv, **kwargs):
+        spawned.append(argv)
+        return subprocess.CompletedProcess(argv, 0, stdout="ab" * 20 + "\n")
+
+    monkeypatch.setattr(fileio.subprocess, "run", fake_run)
+    tool_commit.cache_clear()
+    try:
+        assert tool_commit() == tool_commit() == "ab" * 20
+    finally:
+        tool_commit.cache_clear()
+    assert spawned == [["git", "rev-parse", "HEAD"]]

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import (FunctionTable, Spectrum, a_norm, convolve,
-                              fwht, inner_product, inverse_fwht, l1_norm,
+from f2wiener.fourier import (FunctionTable, Spectrum, _abs_sum, _sq_sum,
+                              a_norm, convolve, exact_sum, fwht,
+                              inner_product, inverse_fwht, l1_norm,
                               l2_norm_sq, linf_norm, lp_norm, spectrum_l2_sq)
 from f2wiener.groups import DualSubspace, random_subspace
 from f2wiener.setfuncs import PointSet, set_a_norm, set_spectrum
@@ -154,6 +155,76 @@ def test_inner_product_exact():
             (a * b for a, b in zip(f.to_fractions(), g.to_fractions())),
             Fraction(0)) / (1 << n)
         assert inner_product(f, g).as_fraction() == expected
+
+
+_I64_MAX = (1 << 63) - 1
+
+
+def _py_sums(vals, other):
+    vals = [int(v) for v in vals]
+    other = [int(v) for v in other]
+    return (sum(abs(v) for v in vals), sum(v * v for v in vals),
+            sum(a * b for a, b in zip(vals, other)), sum(vals))
+
+
+def _fast_sums(x, y):
+    return (_abs_sum(x), _sq_sum(x), exact_sum(x, y), exact_sum(x))
+
+
+def test_exact_sums_at_int64_bound():
+    # 2^63 - 1 = 7 * 1317624576693539401, so seven entries of that size sum
+    # to exactly 2^63 - 1; one more unit per entry would wrap an int64 sum.
+    size = 7
+    lin = _I64_MAX // size
+    sq = math.isqrt(_I64_MAX // size)
+    assert lin * size == _I64_MAX and sq * sq * size <= _I64_MAX
+    for peak in (lin, sq):
+        for top in (peak, peak + 1):
+            x = np.array([top, -top, top, top, -top, top, top],
+                         dtype=np.int64)
+            y = np.array([top, top, -top, top, -top, top, top],
+                         dtype=np.int64)
+            assert _fast_sums(x, y) == _py_sums(x, y)
+            assert _fast_sums(x.astype(object), y) == _py_sums(x, y)
+    # x * y: max|x| * max|y| * size against the bound.
+    x = np.full(size, lin, dtype=np.int64)
+    for top in (1, 2):
+        y = np.full(size, top, dtype=np.int64)
+        assert exact_sum(x, y) == lin * top * size
+        assert exact_sum(-x, y) == -lin * top * size
+    assert exact_sum(np.zeros(0, dtype=np.int64), absolute=True) == 0
+    with pytest.raises(ValueError):
+        exact_sum(x, x[:3])
+
+
+def test_exact_sums_random():
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        size = int(rng.integers(1, 300))
+        bits = int(rng.integers(1, 63))
+        x = rng.integers(-(1 << bits) + 1, 1 << bits, size=size)
+        y = rng.integers(-(1 << bits) + 1, 1 << bits, size=size)
+        assert _fast_sums(x, y) == _py_sums(x, y)
+    big = np.array([(1 << 90) + 3, -(1 << 64), 5], dtype=object)
+    assert _fast_sums(big, big[::-1]) == _py_sums(big, big[::-1])
+
+
+def test_norms_at_int64_bound():
+    # Whole tables of 2^n entries: inner_product and the norms stay exact on
+    # both sides of max|x| * max|y| * 2^n = 2^63 - 1.
+    n = 3
+    for top in (_I64_MAX >> n, (_I64_MAX >> n) + 1):
+        vals = [top, -top, top, top, -top, top, top, -top]
+        f = FunctionTable(n, np.array(vals, dtype=np.int64), 0)
+        g = FunctionTable(n, np.array([1] * 7 + [-1], dtype=np.int64), 0)
+        assert f.nums.dtype == np.int64
+        assert inner_product(f, g).as_fraction() == Fraction(
+            sum(a * b for a, b in zip(vals, [1] * 7 + [-1])), 1 << n)
+        assert l1_norm(f) == DyadicScalar(8 * top, n)
+        assert l2_norm_sq(f) == DyadicScalar(8 * top * top, n)
+        s = Spectrum(n, f.nums, 0)
+        assert a_norm(s) == DyadicScalar(8 * top)
+        assert linf_norm(s) == DyadicScalar(top)
 
 
 def test_convolve_matches_brute_force():

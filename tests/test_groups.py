@@ -79,6 +79,24 @@ def test_elements_and_contains():
     assert DualSubspace.trivial().elements() == [0]
 
 
+def test_element_and_reduce_arrays():
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        n = int(rng.integers(1, 11))
+        v = random_subspace(rng, n)
+        elems = v.element_array()
+        assert elems.dtype == np.int64
+        doubled = [0]
+        for r in v.basis:
+            doubled += [e ^ r for e in doubled]
+        assert elems.tolist() == v.elements() == doubled
+        assert sorted(elems.tolist()) == sorted(
+            {x for x in range(1 << n) if v.contains(x)})
+        gammas = rng.integers(0, 1 << n, size=50)
+        assert v.reduce_array(gammas).tolist() == [
+            v.reduce(int(g)) for g in gammas]
+
+
 def test_annihilator_examples():
     v = DualSubspace.span([0b01])
     assert annihilator_basis(v, 2) == [0b10]

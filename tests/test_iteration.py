@@ -8,6 +8,7 @@ from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, random_subspace
+from f2wiener import iteration
 from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
                                 hypothesis_check, iterate_step, run_iteration)
 from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_a_norm,
@@ -107,6 +108,36 @@ def test_step_contract_random():
         assert members.isdisjoint(v.elements())
         assert all(st.v_new.contains(g) for g in members)
         assert st.gain >= chosen[0].mass
+
+
+def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
+    # v_new is the span of v and every chosen member, reached with one
+    # subspace_insert per added dimension.
+    inserted = []
+    real_insert = iteration.subspace_insert
+
+    def counting_insert(v, gamma):
+        inserted.append(gamma)
+        return real_insert(v, gamma)
+
+    monkeypatch.setattr(iteration, "subspace_insert", counting_insert)
+    rng = np.random.default_rng(53)
+    for strategy in ("smallest-s", "best-ratio"):
+        for _ in range(30):
+            n = int(rng.integers(2, 10))
+            a = random_point_set(rng, n)
+            v = random_subspace(rng, n, max_dim=n - 1)
+            inserted.clear()
+            try:
+                st = iterate_step(a, v, strategy)
+            except ZeroResidual:
+                continue
+            assert len(inserted) == st.dim_after - st.dim_before
+            r = residual(a, v)
+            levels = level_sets(fwht(r.table), set_spectrum(a),
+                                residual_l1(r))
+            (chosen,) = [lv for lv in levels if lv.s == st.s]
+            assert st.v_new == DualSubspace.span(v.basis + chosen.members)
 
 
 def test_strategies_agree_on_soundness():

@@ -53,6 +53,26 @@ def test_wht_object_dtype():
     assert out[0].tolist() == _brute_unnormalized(row)
 
 
+def test_wht_rows_numpy_column_slices():
+    # A column slice is not contiguous, so the stages' reshapes would copy;
+    # the transform must still land in the slice and leave the rest alone.
+    rng = np.random.default_rng(73)
+    for cols in (8, 16):
+        ones = np.ones((2, 2 * cols), dtype=np.int64)
+        _kernels.wht_rows_numpy(ones[:, :cols])
+        assert ones[0].tolist() == [cols] + [0] * (cols - 1) + [1] * cols
+        for dtype in (np.int64, object):
+            mat = rng.integers(-50, 50, size=(3, 3 * cols)).astype(dtype)
+            want = mat.copy()
+            view = mat[:, cols:2 * cols]
+            assert not view.flags.c_contiguous
+            assert _kernels.wht_rows_numpy(view) is view
+            for r in range(3):
+                want[r, cols:2 * cols] = _brute_unnormalized(
+                    want[r, cols:2 * cols])
+            assert np.array_equal(mat, want)
+
+
 def test_wht_involution():
     rng = np.random.default_rng(72)
     mat = rng.integers(-9, 10, size=(2, 16)).astype(np.int64)
