@@ -19,8 +19,9 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (FunctionTable, Spectrum, exact_sum, fwht, inverse_fwht,
-                      l1_norm, l2_norm_sq, lp_norm, spectrum_l2_sq)
+from .fourier import (FunctionTable, Spectrum, exact_product, exact_sum, fwht,
+                      inverse_fwht, l1_norm, l2_norm_sq, lp_norm,
+                      spectrum_l2_sq)
 from .groups import DualSubspace, as_dim, subspace_insert
 
 __all__ = [
@@ -168,11 +169,20 @@ def chang_span(spec: Spectrum, threshold: DyadicScalar,
         raise ValueError("threshold must be positive")
     f = inverse_fwht(spec)
     l1 = l1_norm(f)
+    # |num| / 2^spec.exp >= threshold  <=>  |num| >= cut, for integer num.
+    cut = -((-threshold.num << spec.exp) >> threshold.exp)
+    # Two one-sided tests, because np.abs wraps on int64 -2^63; numpy >= 2
+    # compares int64 with an out-of-range Python int exactly, so a cut of
+    # 2^63 still selects -2^63 and a larger one selects nothing.
+    nums = spec.nums
+    large = np.flatnonzero((nums >= cut) | (nums <= -cut))
+    # Reduce the rest against the span so far and insert one survivor at a
+    # time; the RREF basis is canonical, so the order does not matter.
     w = DualSubspace.trivial()
-    for g in np.flatnonzero(spec.nums):
-        g = int(g)
-        if DyadicScalar(abs(int(spec.nums[g])), spec.exp) >= threshold:
-            w = subspace_insert(w, g)
+    while large.size:
+        w = subspace_insert(w, int(large[0]))
+        large = w.reduce_array(large)
+        large = large[large != 0]
     if l1.num == 0:
         return w, 0.0
     eps = threshold.as_fraction() / l1.as_fraction()
@@ -240,9 +250,7 @@ def beckner_verify(f: FunctionTable, lambdas: Sequence[int],
     p = riesz_product(f.dim, lambdas, e)
     sf = fwht(f)
     sp = fwht(p.table)
-    prod = np.array([int(a) * int(b)
-                     for a, b in zip(sf.nums.flat, sp.nums.flat)],
-                    dtype=object)
+    prod = exact_product(sf.nums, sp.nums)
     conv_sq = spectrum_l2_sq(Spectrum(f.dim, prod, sf.exp + sp.exp))
     lhs = math.sqrt(float(conv_sq.as_fraction()))
     rhs = lp_norm(f, 1.0 + eta * eta)

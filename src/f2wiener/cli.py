@@ -7,6 +7,7 @@ command line reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import List, Optional
@@ -302,9 +303,14 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on first use and shared by every main() call."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
         if "max_n" in cfg:

@@ -28,11 +28,14 @@ __all__ = [
     "spectrum_l2_sq",
     "inner_product",
     "exact_sum",
+    "exact_product",
     "lp_norm",
     "convolve",
 ]
 
 _I64_MAX = (1 << 63) - 1
+# |v| * 2^-exp stays a normal float64 for 1 <= |v| <= 2^63 up to this exp.
+_LP_MAX_EXP = 1000
 
 
 def _int_minmax(nums: np.ndarray) -> int:
@@ -208,6 +211,17 @@ def exact_sum(x: np.ndarray, y: Optional[np.ndarray] = None,
     return sum(int(v) for v in x.flat)
 
 
+def exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact elementwise x * y: int64 when the bit lengths of max|x| and
+    max|y| sum below 63 (so every product fits), object dtype otherwise."""
+    if (x.dtype == np.int64 and y.dtype == np.int64
+            and _int_minmax(x).bit_length()
+            + _int_minmax(y).bit_length() < 63):
+        return x * y
+    return np.array([int(a) * int(b) for a, b in zip(x.flat, y.flat)],
+                    dtype=object)
+
+
 def _abs_sum(nums: np.ndarray) -> int:
     return exact_sum(nums, absolute=True)
 
@@ -249,8 +263,13 @@ def lp_norm(f: FunctionTable, p: float) -> float:
     """Float L^p mean norm; p in {1, 2} agrees with the exact routes."""
     if p < 1:
         raise ValueError("lp_norm requires p >= 1")
-    vals = np.array([abs(float(Fraction(int(v), 1 << f.exp)))
-                     for v in f.nums.flat], dtype=np.float64)
+    if f.nums.dtype == np.int64 and f.exp <= _LP_MAX_EXP:
+        # Rounding v to float64 and then scaling by the normal power of two
+        # 2^-exp is exact, so each entry equals float(Fraction(v, 2^exp)).
+        vals = np.abs(f.nums.astype(np.float64)) * 2.0 ** -f.exp
+    else:
+        vals = np.array([abs(float(Fraction(int(v), 1 << f.exp)))
+                         for v in f.nums.flat], dtype=np.float64)
     return float(np.mean(vals ** p) ** (1.0 / p))
 
 
@@ -260,13 +279,6 @@ def convolve(f: FunctionTable, g: FunctionTable) -> FunctionTable:
         raise ValueError("tables live on different groups")
     sf = fwht(f)
     sg = fwht(g)
-    if (sf.nums.dtype == np.int64 and sg.nums.dtype == np.int64
-            and _int_minmax(sf.nums).bit_length()
-            + _int_minmax(sg.nums).bit_length() < 63):
-        prod = sf.nums * sg.nums
-    else:
-        prod = np.array([int(a) * int(b)
-                         for a, b in zip(sf.nums.flat, sg.nums.flat)],
-                        dtype=object)
-    spectrum = Spectrum(f.dim, prod, sf.exp + sg.exp)
+    spectrum = Spectrum(f.dim, exact_product(sf.nums, sg.nums),
+                        sf.exp + sg.exp)
     return inverse_fwht(spectrum)

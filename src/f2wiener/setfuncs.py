@@ -8,6 +8,7 @@ off V, and satisfies the exact identity ||f_V||_1 = 2 <chi_A, f_V>.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -61,11 +62,8 @@ class PointSet:
     def from_indicator(cls, dim: Union[GroupDim, int],
                        arr: Sequence[int]) -> "PointSet":
         d = as_dim(dim)
-        bits = 0
-        for i, v in enumerate(arr):
-            if v:
-                bits |= 1 << i
-        return cls(d, bits)
+        packed = np.packbits(np.asarray(arr) != 0, bitorder="little")
+        return cls(d, int.from_bytes(packed.tobytes(), "little"))
 
     @classmethod
     def full(cls, dim: Union[GroupDim, int]) -> "PointSet":
@@ -222,9 +220,13 @@ def frac_quadratic_gap(deltas: Sequence[Union[Fraction, int]],
     """
     ds = [Fraction(d) for d in deltas]
     for d in ds:
-        if not 0 <= d <= 1:
+        if not 0 <= d.numerator <= d.denominator:
             raise ValueError(f"delta {d} outside [0, 1]")
-    total = sum(ds, Fraction(0))
-    g = total - (total.numerator // total.denominator)
-    lhs = sum((d - d * d for d in ds), Fraction(0))
-    return lhs, g * (1 - g)
+    # Integers over the least common denominator L: d_i = a_i / L, so
+    # sum(d - d^2) = sum a(L - a) / L^2 and g = (sum a mod L) / L.
+    lcd = math.lcm(*(d.denominator for d in ds))
+    nums = [d.numerator * (lcd // d.denominator) for d in ds]
+    g = sum(nums) % lcd
+    den = lcd * lcd
+    return (Fraction(sum(a * (lcd - a) for a in nums), den),
+            Fraction(g * (lcd - g), den))

@@ -16,8 +16,9 @@ import numpy as np
 
 from .chang import chang_cardinality_bound, chang_span, riesz_product, beckner_verify
 from .dyadic import DyadicScalar
-from .fourier import FunctionTable, fwht, l1_norm
-from .groups import DualSubspace, GroupDim, random_subspace, subspace_insert
+from .fourier import FunctionTable, exact_sum, fwht, l1_norm
+from .groups import (DualSubspace, GroupDim, coset_index_table,
+                     random_subspace, subspace_insert)
 from .setfuncs import (PointSet, frac_quadratic_gap, physical_lower_bound,
                        residual, residual_l1)
 
@@ -79,18 +80,21 @@ def _trial_ta(rng: np.random.Generator) -> Optional[str]:
     a = random_point_set(rng, n)
     v = random_subspace(rng, n)
     fv = residual(a, v)
-    t = fv.table
-    direct = DyadicScalar(sum(abs(int(x)) for x in t.nums.flat),
-                          t.exp + n)
-    doubled = DyadicScalar(
-        2 * int(sum(int(x) for x in t.nums[a.bool_mask()].flat)),
-        t.exp + n)
-    if direct != doubled:
-        return (f"l1 {direct} != doubled inner product {doubled} "
-                f"(n={n}, |A|={a.size}, dimV={v.dim})")
-    # residual_l1 runs the same dual check internally; keep both honest.
-    if residual_l1(fv) != direct:
-        return f"residual_l1 disagrees with the direct sum (n={n})"
+    try:
+        got = residual_l1(fv)
+    except ArithmeticError as exc:
+        return f"{exc} (|A|={a.size})"
+    # Closed form, independent of the residual table: a coset of m points
+    # holding c points of A contributes c(1 - c/m) + (m - c)c/m to the sum
+    # of |f_V|, so ||f_V||_1 = sum 2c(m - c) / 2^(2n - d).
+    d = v.dim
+    m = 1 << (n - d)
+    counts = np.bincount(coset_index_table(v, n)[a.bool_mask()],
+                         minlength=1 << d)
+    closed = DyadicScalar(2 * exact_sum(counts, m - counts), 2 * n - d)
+    if got != closed:
+        return (f"residual_l1 {got} != coset closed form {closed} "
+                f"(n={n}, |A|={a.size}, dimV={d})")
     return None
 
 
@@ -146,10 +150,20 @@ def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     threshold = base * eps
     spec = fwht(f)
     w, bound = chang_span(spec, threshold)
-    for g in range(1 << n):
-        if DyadicScalar(abs(int(spec.nums[g])), spec.exp) >= threshold:
-            if not w.contains(g):
-                return f"large character {g} outside the span (n={n}, eps={eps})"
+    # Walk magnitudes from the largest down with exact comparisons; every
+    # character above the first one below the threshold is large.
+    mags = np.abs(spec.nums)
+    order = np.argsort(mags, kind="stable")[::-1]
+    count = 0
+    for g in order.tolist():
+        if DyadicScalar(int(mags[g]), spec.exp) < threshold:
+            break
+        count += 1
+    large = order[:count]
+    outside = large[w.reduce_array(large) != 0]
+    if outside.size:
+        g = int(outside.min())
+        return f"large character {g} outside the span (n={n}, eps={eps})"
     if w.dim > bound:
         return (f"span dimension {w.dim} above the Chang bound {bound!r} "
                 f"(n={n}, eps={eps})")

@@ -6,6 +6,7 @@ checked against.  No code is shared with the package's numeric paths.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Sequence, Tuple
@@ -112,3 +113,67 @@ def brute_level_sets(coeffs: Sequence[Fraction], chi: Sequence[Fraction],
         buckets[s] = (members + (g,), mass + abs(Fraction(chi[g])))
     return [(s, members, mass)
             for s, (members, mass) in sorted(buckets.items())]
+
+
+def brute_indicator_bits(arr: Sequence[int]) -> int:
+    """Bitmap with bit i set for every truthy arr[i], one bit at a time."""
+    bits = 0
+    for i, v in enumerate(arr):
+        if v:
+            bits |= 1 << i
+    return bits
+
+
+def brute_frac_quadratic_gap(deltas) -> Tuple[Fraction, Fraction]:
+    """(sum(d - d^2), g(1 - g)), g = frac(sum d), in Fraction arithmetic."""
+    ds = [Fraction(d) for d in deltas]
+    for d in ds:
+        if not 0 <= d <= 1:
+            raise ValueError(f"delta {d} outside [0, 1]")
+    total = sum(ds, Fraction(0))
+    g = total - (total.numerator // total.denominator)
+    lhs = sum((d - d * d for d in ds), Fraction(0))
+    return lhs, g * (1 - g)
+
+
+def brute_abs_floats(nums: Sequence[int], exp: int) -> List[float]:
+    """|v| / 2^exp for each numerator, each rounded once through Fraction."""
+    return [abs(float(Fraction(int(v), 1 << exp))) for v in nums]
+
+
+def _rref_insert(basis: List[int], gamma: int) -> List[int]:
+    """Insert gamma into a basis kept sorted by lowest set bit, with each
+    row's lowest bit cleared from every other row."""
+    for r in basis:
+        low = r & -r
+        if gamma & low:
+            gamma ^= r
+    if not gamma:
+        return basis
+    low = gamma & -gamma
+    rows = [r ^ gamma if r & low else r for r in basis] + [gamma]
+    return sorted(rows, key=lambda r: r & -r)
+
+
+def brute_chang_span(coeffs: Sequence[Fraction], threshold: Fraction,
+                     n: int) -> Tuple[Tuple[int, ...], float]:
+    """(RREF basis of the span of {g : |coeffs[g]| >= threshold}, cap).
+
+    One scan over every coefficient; the cap is the Chang bound
+    e * eps^-2 * max(ln(||f||_2^2 / ||f||_1^2), 1) at eps = threshold /
+    ||f||_1 with f the inverse transform, 0 when f is zero or eps > 1.
+    """
+    basis: List[int] = []
+    for g, c in enumerate(coeffs):
+        if c != 0 and abs(Fraction(c)) >= threshold:
+            basis = _rref_insert(basis, g)
+    f = brute_inverse(coeffs, n)
+    l1 = sum((abs(v) for v in f), Fraction(0)) / (1 << n)
+    if l1 == 0:
+        return tuple(basis), 0.0
+    eps = threshold / l1
+    if eps > 1:
+        return tuple(basis), 0.0
+    ratio = (sum((v * v for v in f), Fraction(0)) / (1 << n)) / l1 ** 2
+    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+    return tuple(basis), math.e * float(1 / eps ** 2) * max(log_ratio, 1.0)

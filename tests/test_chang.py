@@ -16,7 +16,7 @@ from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_spectrum)
 from f2wiener.verify import (random_independent_chars, random_point_set,
                              random_table)
 
-from _reference import annihilator_points, brute_level_sets
+from _reference import annihilator_points, brute_chang_span, brute_level_sets
 
 
 def _halfspace_residual(n: int):
@@ -243,6 +243,45 @@ def test_chang_span_contains_large_spectrum():
             if abs(spec[g]) >= thr:
                 assert w.contains(g)
         assert w.dim <= bound or bound == 0.0
+
+
+def _check_chang_span(spec, thr):
+    w, bound = chang_span(spec, thr)
+    basis, cap = brute_chang_span(spec.to_fractions(), thr.as_fraction(),
+                                  spec.dim.n)
+    assert w.basis == basis
+    assert bound == cap
+
+
+def test_chang_span_matches_reference():
+    rng = np.random.default_rng(47)
+    top = (1 << 63) - 1
+    for _ in range(80):
+        n = int(rng.integers(1, 7))
+        spec = Spectrum(n, rng.integers(-40, 41, size=1 << n), int(
+            rng.integers(0, 6)))
+        if not spec.nums.any():
+            continue
+        # Thresholds with exp above, at and below the spectrum's.
+        for exp in (spec.exp + 3, spec.exp, max(spec.exp - 2, 0)):
+            thr = DyadicScalar(int(rng.integers(1, 50)), exp)
+            _check_chang_span(spec, thr)
+    # object spectra above 2^63, thresholds on both sides of the entries
+    big = Spectrum(3, np.array([(1 << 70) + 1, -(1 << 64), 3, 0, 1 << 65,
+                                -5, -(1 << 70) - 1, 7], dtype=object), 4)
+    assert big.nums.dtype == object
+    for thr in (DyadicScalar(1, 1), DyadicScalar(1 << 60), DyadicScalar(1 << 66),
+                DyadicScalar((1 << 70) + 1, 4), DyadicScalar((1 << 70) + 3, 4)):
+        _check_chang_span(big, thr)
+    # int64 spectrum holding -2^63: np.abs would wrap it to a negative
+    edge = Spectrum(2, np.array([1, -(1 << 63), top, -1], dtype=np.int64), 2)
+    assert edge.nums.dtype == np.int64
+    for thr in (DyadicScalar(1 << 61), DyadicScalar(top, 2), DyadicScalar(1, 2),
+                DyadicScalar(1 << 62, 1), DyadicScalar(1 << 63, 2),
+                DyadicScalar(1 << 64)):
+        _check_chang_span(edge, thr)
+    w, _ = chang_span(edge, DyadicScalar(1 << 61))
+    assert w.basis == (1,)
 
 
 def test_chang_cardinality_bound_constant():

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from f2wiener.cli import main
+from f2wiener import cli
+from f2wiener.cli import build_parser, main
 from f2wiener.fileio import write_set_file
 from f2wiener.groups import get_dim_cap
 from f2wiener.setfuncs import PointSet
@@ -173,6 +174,44 @@ def test_config_defaults(workdir, capsys):
     out = capsys.readouterr().out
     assert "trials=7" in out
     assert main(["--config", "nope.toml", "verify", "--suite", "lem1"]) == 2
+
+
+def _outcome(argv, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = ("exit", exc.code)
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_main_reuses_one_parser(workdir, capsys, monkeypatch):
+    path = _set_file(workdir)
+    runs = [
+        ["norm", path],
+        ["verify", "--suite", "techlem", "--trials", "5", "--seed", "1"],
+        ["norm", path, "--bogus"],
+        ["profile", "--alpha", "5/2^3", "--max-dim", "1"],
+        ["verify", "--suite", "lem1", "--trials", "3"],
+        ["verify", "--no-such-flag"],
+        ["norm", path],
+    ]
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    shared = [_outcome(argv, capsys) for argv in runs]
+    assert len(built) == 1
+    assert shared[2][0] == shared[5][0] == ("exit", 2)
+    assert shared[0] == shared[6]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [_outcome(argv, capsys) for argv in runs]
+    assert shared == fresh
+    assert build_parser() is not build_parser()
 
 
 def test_module_entry_point(tmp_path, package_env):

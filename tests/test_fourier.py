@@ -6,15 +6,15 @@ import pytest
 
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import (FunctionTable, Spectrum, _abs_sum, _sq_sum,
-                              a_norm, convolve, exact_sum, fwht,
+                              a_norm, convolve, exact_product, exact_sum, fwht,
                               inner_product, inverse_fwht, l1_norm,
                               l2_norm_sq, linf_norm, lp_norm, spectrum_l2_sq)
 from f2wiener.groups import DualSubspace, random_subspace
 from f2wiener.setfuncs import PointSet, set_a_norm, set_spectrum
 from f2wiener.verify import random_point_set, random_table
 
-from _reference import (annihilator_points, brute_a_norm, brute_convolve,
-                        brute_fwht)
+from _reference import (annihilator_points, brute_a_norm, brute_abs_floats,
+                        brute_convolve, brute_fwht)
 
 
 def test_point_mass_spectrum():
@@ -143,6 +143,46 @@ def test_lp_norm_agrees_with_exact():
         assert lp_norm(f, 2.0) == pytest.approx(exact2, rel=1e-12, abs=1e-300)
     with pytest.raises(ValueError):
         lp_norm(random_table(rng, 2), 0.5)
+
+
+def _brute_lp(f, p):
+    vals = np.array(brute_abs_floats(f.nums.tolist(), f.exp), dtype=np.float64)
+    return float(np.mean(vals ** p) ** (1.0 / p))
+
+
+def test_lp_norm_matches_reference():
+    rng = np.random.default_rng(41)
+    top = (1 << 63) - 1
+    tables = []
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        # Odd numerators keep exp as drawn; |v| > 2^53 needs rounding.
+        nums = rng.integers(-top, top, size=1 << n, dtype=np.int64) | 1
+        tables.append(FunctionTable(n, nums, int(rng.integers(0, 61))))
+    tables.append(FunctionTable(2, [-(1 << 63), (1 << 63) - 1, 1, 0], 60))
+    tables.append(FunctionTable(2, [(1 << 53) + 1, -(1 << 54) - 1, 3, 0], 5))
+    tables.append(FunctionTable(1, [1, -3], 1100))
+    tables.append(FunctionTable(2, [(1 << 70) + 1, -5, 0, 1 << 64], 7))
+    tables.append(FunctionTable(3, np.array([1, 2, 3, 4, 5, 6, 7, 9],
+                                            dtype=object), 3))
+    assert tables[-1].nums.dtype == np.int64
+    assert tables[-2].nums.dtype == object
+    for f in tables:
+        for p in (1.0, 1.0625, 1.5625, 2.0):
+            assert lp_norm(f, p) == _brute_lp(f, p)
+
+
+def test_exact_product():
+    rng = np.random.default_rng(43)
+    for bits in (10, 31, 32, 40):
+        x = rng.integers(-(1 << bits), 1 << bits, size=64, dtype=np.int64)
+        y = rng.integers(-(1 << bits), 1 << bits, size=64, dtype=np.int64)
+        got = exact_product(x, y)
+        assert got.tolist() == [int(a) * int(b) for a, b in zip(x, y)]
+        assert got.dtype == (np.int64 if 2 * bits < 63 else object)
+    x = np.array([-(1 << 62), 3], dtype=np.int64)
+    y = np.array([2, -(1 << 62)], dtype=object)
+    assert exact_product(x, y).tolist() == [-(1 << 63), -3 << 62]
 
 
 def test_inner_product_exact():

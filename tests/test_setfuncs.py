@@ -11,7 +11,8 @@ from f2wiener.setfuncs import (PointSet, coset_average, frac_quadratic_gap,
                                set_a_norm, set_spectrum)
 from f2wiener.verify import random_point_set
 
-from _reference import brute_coset_average, brute_set_a_norm
+from _reference import (brute_coset_average, brute_frac_quadratic_gap,
+                        brute_indicator_bits, brute_set_a_norm)
 
 
 def test_point_set_basics():
@@ -189,3 +190,39 @@ def test_frac_quadratic_gap_random():
         gamma = total - (total.numerator // total.denominator)
         assert rhs == gamma * (1 - gamma)
         assert lhs >= rhs
+
+
+def test_from_indicator_matches_reference():
+    rng = np.random.default_rng(31)
+    for n in range(13):
+        dim = GroupDim(max(n, 1))
+        for density in (0.0, 0.3, 1.0):
+            mask = rng.random(1 << n) < density
+            ints = np.where(mask, rng.integers(-3, 4, size=1 << n), 0)
+            for arr in (mask, mask.tolist(), ints.astype(np.int64),
+                        ints.tolist()):
+                want = brute_indicator_bits(arr)
+                assert PointSet.from_indicator(dim, arr).bits == want
+    assert PointSet.from_indicator(GroupDim(2), []).bits == 0
+    with pytest.raises(ValueError):
+        PointSet.from_indicator(GroupDim(2), [0, 0, 0, 0, 1])
+
+
+def test_frac_quadratic_gap_matches_reference():
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        m = int(rng.integers(0, 9))
+        deltas = []
+        for _ in range(m):
+            den = int(rng.integers(1, 10 ** 6 + 1))
+            deltas.append(Fraction(int(rng.integers(0, den + 1)), den))
+        assert frac_quadratic_gap(deltas) == brute_frac_quadratic_gap(deltas)
+    for deltas in ([0, 1, 1], [1], [0], [], [Fraction(1, 3), 1, 0]):
+        got = frac_quadratic_gap(deltas)
+        assert got == brute_frac_quadratic_gap(deltas)
+        assert all(type(x) is Fraction for x in got)
+    for bad in ([Fraction(1, 2), Fraction(-1, 10**6)], [2], [Fraction(3, 2)]):
+        with pytest.raises(ValueError, match="outside"):
+            frac_quadratic_gap(bad)
+        with pytest.raises(ValueError, match="outside"):
+            brute_frac_quadratic_gap(bad)

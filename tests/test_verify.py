@@ -1,5 +1,8 @@
 import pytest
 
+from f2wiener import verify
+from f2wiener.dyadic import DyadicScalar
+from f2wiener.groups import DualSubspace
 from f2wiener.verify import SUITE_NAMES, run_suite
 
 
@@ -19,10 +22,11 @@ def test_suite_deterministic():
 
 
 def test_suite_parallel_matches_serial():
-    serial = run_suite("lem1", trials=24, seed=9, jobs=1)
-    parallel = run_suite("lem1", trials=24, seed=9, jobs=2)
-    assert serial.violations == parallel.violations
-    assert parallel.ok
+    for name in SUITE_NAMES:
+        serial = run_suite(name, trials=8, seed=9, jobs=1)
+        parallel = run_suite(name, trials=8, seed=9, jobs=2)
+        assert serial.violations == parallel.violations
+        assert parallel.ok, name
 
 
 def test_suite_validation():
@@ -30,3 +34,36 @@ def test_suite_validation():
         run_suite("nosuch", trials=5, seed=0)
     with pytest.raises(ValueError):
         run_suite("tA", trials=0, seed=0)
+
+
+def _drop_last_row(original):
+    def chang_span(spec, threshold):
+        w, bound = original(spec, threshold)
+        return DualSubspace(w.basis[:-1]), bound
+    return chang_span
+
+
+def _one_unit_up(original):
+    def residual_l1(fv):
+        got = original(fv)
+        return DyadicScalar(got.num + 1, got.exp)
+    return residual_l1
+
+
+def _rhs_minus_one(original):
+    def frac_quadratic_gap(deltas):
+        _, rhs = original(deltas)
+        return rhs - 1, rhs
+    return frac_quadratic_gap
+
+
+@pytest.mark.parametrize("suite, attr, mutate", [
+    ("chang", "chang_span", _drop_last_row),
+    ("tA", "residual_l1", _one_unit_up),
+    ("techlem", "frac_quadratic_gap", _rhs_minus_one),
+])
+def test_suite_catches_mutant(monkeypatch, suite, attr, mutate):
+    monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
+    res = run_suite(suite, trials=30, seed=11)
+    assert res.violations
+    assert all(msg.startswith("trial ") for msg in res.violations)
