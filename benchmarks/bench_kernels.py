@@ -1,8 +1,9 @@
-"""Timing comparison of the jitted kernels against the pure-numpy path.
+"""Kernel timings: the row-wise WHT per backend, and the annealing sweep.
 
-Both paths must produce identical output (checked here before timing);
-the numbers only show what F2WIENER_NO_NUMBA costs.  Run from the repo
-root as python3 benchmarks/bench_kernels.py.
+wht_rows is checked against wht_rows_numpy before it is timed; without
+numba both columns run numpy and the ratio is near 1.  The annealing sweep
+has one implementation; its rows give the time per sweep and per proposal.  Run from the repo root as
+PYTHONPATH=src python3 benchmarks/bench_kernels.py.
 """
 import argparse
 import time
@@ -49,22 +50,16 @@ def _anneal_inputs(n, size, steps):
 
 
 def bench_anneal(n, steps, repeats):
+    """Best seconds per sweep at size 2^n / 3 + 1."""
     size = (1 << n) // 3 + 1
     base = _anneal_inputs(n, size, steps)
-    scale = float(1 << n)
 
-    def run(fn):
+    def run():
         ins = tuple(x.copy() for x in base)
         best = np.empty(size, dtype=np.int64)
-        return fn(*ins, 1.0, 0.995, scale, best), best
+        _kernels.anneal_sweep(*ins, 1.0, 0.995, float(1 << n), best)
 
-    tot_a, best_a = run(_kernels.anneal_sweep)
-    tot_b, best_b = run(_kernels.anneal_sweep_numpy)
-    if tot_a != tot_b or not np.array_equal(best_a, best_b):
-        raise AssertionError(f"backend mismatch in anneal_sweep at n={n}")
-    t_dispatch = best_of(lambda: run(_kernels.anneal_sweep), repeats)
-    t_numpy = best_of(lambda: run(_kernels.anneal_sweep_numpy), repeats)
-    return t_dispatch, t_numpy
+    return best_of(run, repeats)
 
 
 def main():
@@ -80,17 +75,18 @@ def main():
     if not _kernels.HAVE_NUMBA:
         print("note: dispatch falls through to numpy, expect ratios near 1")
     print()
-    print(f"{'kernel':<22}{'size':<16}{_kernels.BACKEND:>12}{'numpy':>12}{'speedup':>10}")
+    print(f"{'kernel':<14}{'size':<12}{_kernels.BACKEND:>12}{'numpy':>12}{'speedup':>10}")
     for n in (8, 12, 16):
         td, tn = bench_wht(n, args.rows, args.repeats)
         label = f"{args.rows}x2^{n}"
-        print(f"{'wht_rows':<22}{label:<16}{td * 1e3:>10.2f}ms{tn * 1e3:>10.2f}ms"
+        print(f"{'wht_rows':<14}{label:<12}{td * 1e3:>10.2f}ms{tn * 1e3:>10.2f}ms"
               f"{tn / td:>9.1f}x")
-    for n in (6, 8, 10):
-        td, tn = bench_anneal(n, args.steps, args.repeats)
-        label = f"2^{n}, {args.steps} steps"
-        print(f"{'anneal_sweep':<22}{label:<16}{td * 1e3:>10.2f}ms{tn * 1e3:>10.2f}ms"
-              f"{tn / td:>9.1f}x")
+    print()
+    print(f"{'kernel':<14}{'size':<12}{'steps':>8}{'sweep':>12}{'per step':>12}")
+    for n in (6, 8, 10, 12):
+        t = bench_anneal(n, args.steps, args.repeats)
+        print(f"{'anneal_sweep':<14}{f'2^{n}':<12}{args.steps:>8}"
+              f"{t * 1e3:>10.2f}ms{t / args.steps * 1e6:>10.2f}us")
 
 
 if __name__ == "__main__":

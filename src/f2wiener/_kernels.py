@@ -1,10 +1,12 @@
 """Hot integer kernels: Walsh-Hadamard butterflies and the annealing sweep.
 
-Jitted with numba when it is importable; setting F2WIENER_NO_NUMBA=1 (or
-true/yes/on) forces the pure-numpy path.  Both paths run the same integer
-arithmetic and consume the same pregenerated random streams, so results are
-bit-identical; the flag only trades speed.  benchmarks/bench_kernels.py
-compares the two.
+wht_rows is jitted with numba when it is importable; setting
+F2WIENER_NO_NUMBA=1 (or true/yes/on) forces its pure-numpy path.  Both paths
+run the same integer arithmetic, so results are bit-identical; the flag only
+trades speed.  The annealing sweep has one implementation: a Python loop
+that prices a proposal with four lookups in two transformed tables
+(swap_delta) while those match the current set, and rebuilds them with one
+2-row transform once accepted moves thin out.
 """
 from __future__ import annotations
 
@@ -18,8 +20,9 @@ __all__ = [
     "BACKEND",
     "wht_rows",
     "wht_rows_numpy",
+    "swap_tables",
+    "swap_delta",
     "anneal_sweep",
-    "anneal_sweep_numpy",
 ]
 
 _flag = os.environ.get("F2WIENER_NO_NUMBA", "").strip().lower()
@@ -35,6 +38,16 @@ except ImportError:
     HAVE_NUMBA = False
 
 BACKEND = "numba" if HAVE_NUMBA else "numpy"
+
+# anneal_sweep converts its pregenerated streams to Python values this many
+# proposals at a time, so it never holds them all as Python objects.
+_BLOCK = 4096
+
+# Rejections in a row after which anneal_sweep rebuilds its swap tables.  A
+# rebuild (one 2-row transform) costs about as much as pricing 5-10
+# proposals whole, and in the hot phase most proposals are accepted, so the
+# tables are rebuilt only once acceptances thin out.
+_REBUILD_AFTER = 8
 
 
 # Sylvester Hadamard matrix of order 8: entry (i, j) is (-1)^<i, j>.
@@ -76,66 +89,7 @@ def wht_rows_numpy(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _parity_vec(v: np.ndarray) -> np.ndarray:
-    # XOR-fold parity of int64 values; v must be non-negative.
-    v = v ^ (v >> 32)
-    v = v ^ (v >> 16)
-    v = v ^ (v >> 8)
-    v = v ^ (v >> 4)
-    v = v ^ (v >> 2)
-    v = v ^ (v >> 1)
-    return v & 1
-
-
-def anneal_sweep_numpy(wht, members, nonmembers, pick_out, pick_in, accept,
-                       t0, cooling, scale, best_members):
-    """Single-swap annealing on the unnormalized spectrum of an indicator.
-
-    wht holds sum_{x in A} (-1)^<g,x> for every character g; a swap replaces
-    one member with one non-member and shifts each entry by -2, 0 or +2.
-    Mutates wht/members/nonmembers, fills best_members, returns the best
-    unnormalized l1 spectrum sum seen (an int).
-    """
-    m = wht.shape[0]
-    gammas = np.arange(m, dtype=np.int64)
-    cur = int(np.abs(wht).sum())
-    best = cur
-    best_members[:] = members
-    temp = t0
-    steps = pick_out.shape[0]
-    for t in range(steps):
-        io = int(pick_out[t])
-        ii = int(pick_in[t])
-        x_out = int(members[io])
-        x_in = int(nonmembers[ii])
-        sign_in = 1 - 2 * _parity_vec(gammas & x_in)
-        sign_out = 1 - 2 * _parity_vec(gammas & x_out)
-        cand = wht + sign_in - sign_out
-        new = int(np.abs(cand).sum())
-        delta = new - cur
-        if delta <= 0 or accept[t] < math.exp(-(delta / scale) / temp):
-            wht[:] = cand
-            members[io] = x_in
-            nonmembers[ii] = x_out
-            cur = new
-            if cur < best:
-                best = cur
-                best_members[:] = members
-        temp *= cooling
-    return best
-
-
 if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _parity_jit(v):
-        v ^= v >> 32
-        v ^= v >> 16
-        v ^= v >> 8
-        v ^= v >> 4
-        v ^= v >> 2
-        v ^= v >> 1
-        return v & 1
 
     @njit(cache=True)
     def _wht_rows_jit(mat):
@@ -154,44 +108,6 @@ if HAVE_NUMBA:
                 h *= 2
         return mat
 
-    @njit(cache=True)
-    def _anneal_jit(wht, members, nonmembers, pick_out, pick_in, accept,
-                    t0, cooling, scale, best_members):
-        m = wht.shape[0]
-        size = members.shape[0]
-        cur = np.int64(0)
-        for g in range(m):
-            cur += wht[g] if wht[g] >= 0 else -wht[g]
-        best = cur
-        for i in range(size):
-            best_members[i] = members[i]
-        temp = t0
-        cand = np.empty(m, np.int64)
-        for t in range(pick_out.shape[0]):
-            io = pick_out[t]
-            ii = pick_in[t]
-            x_out = members[io]
-            x_in = nonmembers[ii]
-            new = np.int64(0)
-            for g in range(m):
-                d = (1 - 2 * _parity_jit(g & x_in)) - (1 - 2 * _parity_jit(g & x_out))
-                v = wht[g] + d
-                cand[g] = v
-                new += v if v >= 0 else -v
-            delta = new - cur
-            if delta <= 0 or accept[t] < math.exp(-(delta / scale) / temp):
-                for g in range(m):
-                    wht[g] = cand[g]
-                members[io] = x_in
-                nonmembers[ii] = x_out
-                cur = new
-                if cur < best:
-                    best = cur
-                    for i in range(size):
-                        best_members[i] = members[i]
-            temp *= cooling
-        return best
-
 
 def wht_rows(mat: np.ndarray) -> np.ndarray:
     """Dispatching in-place row-wise WHT; numba only handles int64."""
@@ -200,10 +116,104 @@ def wht_rows(mat: np.ndarray) -> np.ndarray:
     return wht_rows_numpy(mat)
 
 
+def swap_tables(wht: np.ndarray) -> np.ndarray:
+    """Rows C and A of the swap identity for the spectrum wht.
+
+    C is the transform of clip(wht, -2, 2) and A that of min(|wht|, 2); both
+    come from one 2-row wht_rows call.  Entries are at most 2m in absolute
+    value, so int64 is exact.
+    """
+    tables = np.empty((2, wht.shape[0]), dtype=np.int64)
+    np.clip(wht, -2, 2, out=tables[0])
+    np.abs(tables[0], out=tables[1])
+    return wht_rows(tables)
+
+
+def swap_delta(tables: np.ndarray, x_in: int, x_out: int) -> int:
+    """Exact change of sum |wht| when x_out leaves the set and x_in joins.
+
+    The swap adds d = chi_g(x_in) - chi_g(x_out) in {-2, 0, 2} to each wht[g];
+    for an integer w, |w + 2s| - |w| = 2 + s*clip(w, -2, 2) - min(|w|, 2) for
+    s = +-1.  Summing over the g with d != 0 (s = chi_g(x_in) there), with
+    chi_g(x_in) * chi_g(x_out) = chi_g(x_in ^ x_out) and sum_g chi_g(y) = 0
+    for y != 0, gives m + (C[x_in] - C[x_out] + A[x_in ^ x_out] - A[0]) / 2.
+    """
+    m = tables.shape[1]
+    return m + ((tables.item(0, x_in) - tables.item(0, x_out)
+                 + tables.item(1, x_in ^ x_out) - tables.item(1, 0)) >> 1)
+
+
+def _swap_change(gammas: np.ndarray, x_in: int, x_out: int) -> np.ndarray:
+    # chi_g(x_in) - chi_g(x_out) = 2 * (parity(g & x_out) - parity(g & x_in)).
+    p_in = (np.bitwise_count(gammas & x_in) & 1).view(np.int8)
+    p_out = (np.bitwise_count(gammas & x_out) & 1).view(np.int8)
+    return 2 * (p_out - p_in)
+
+
 def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
                  t0, cooling, scale, best_members):
-    if HAVE_NUMBA:
-        return int(_anneal_jit(wht, members, nonmembers, pick_out, pick_in,
-                               accept, t0, cooling, scale, best_members))
-    return int(anneal_sweep_numpy(wht, members, nonmembers, pick_out, pick_in,
-                                  accept, t0, cooling, scale, best_members))
+    """Single-swap annealing on the unnormalized spectrum of an indicator.
+
+    wht holds sum_{x in A} (-1)^<g,x> for every character g.  Step t proposes
+    swapping members[pick_out[t]] for nonmembers[pick_in[t]] and accepts when
+    the l1 change delta is <= 0 or accept[t] < exp(-(delta / scale) / temp);
+    temp starts at t0 and is multiplied by cooling after every step.
+
+    While the swap tables match wht a proposal costs four lookups
+    (swap_delta), and an accepted one is rechecked against sum |wht|
+    recomputed from scratch.  An acceptance leaves the tables stale; the
+    proposals after it are priced whole, in O(m), until _REBUILD_AFTER
+    rejections in a row pay for rebuilding the tables.
+    Mutates wht/members/nonmembers, fills best_members, returns the best
+    unnormalized l1 spectrum sum seen (an int).
+    """
+    m = wht.shape[0]
+    gammas = np.arange(m, dtype=np.int64)
+    cur = int(np.abs(wht).sum())
+    best = cur
+    best_members[:] = members
+    mem = members.tolist()
+    non = nonmembers.tolist()
+    tables = swap_tables(wht)
+    rejected = 0
+    temp = t0
+    exp = math.exp
+    for lo in range(0, pick_out.shape[0], _BLOCK):
+        hi = lo + _BLOCK
+        for io, ii, u in zip(pick_out[lo:hi].tolist(), pick_in[lo:hi].tolist(),
+                             accept[lo:hi].tolist()):
+            x_out = mem[io]
+            x_in = non[ii]
+            if tables is None:
+                change = _swap_change(gammas, x_in, x_out)
+                delta = int(np.abs(wht + change).sum()) - cur
+            else:
+                change = None
+                delta = swap_delta(tables, x_in, x_out)
+            # A temperature that underflows to 0.0 acts as its limit: every
+            # uphill move is rejected instead of dividing by zero.
+            if delta <= 0 or (temp > 0.0
+                              and u < exp(-(delta / scale) / temp)):
+                cur += delta
+                if change is None:
+                    wht += _swap_change(gammas, x_in, x_out)
+                    check = int(np.abs(wht).sum())
+                    if check != cur:
+                        raise ArithmeticError(
+                            f"swap identity drifted: sum |wht| = {check}, "
+                            f"expected {cur}")
+                else:
+                    wht += change
+                mem[io] = members[io] = x_in
+                non[ii] = nonmembers[ii] = x_out
+                if cur < best:
+                    best = cur
+                    best_members[:] = members
+                tables = None
+                rejected = 0
+            elif tables is None:
+                rejected += 1
+                if rejected == _REBUILD_AFTER:
+                    tables = swap_tables(wht)
+            temp *= cooling
+    return best

@@ -71,6 +71,22 @@ def _load_config(path: str) -> dict:
     return flat
 
 
+def _setting(flag, cfg: dict, key: str, default, kind: type):
+    """The flag if given, else cfg[key] checked against kind, else default.
+
+    kind is int or float; a float setting also takes an int, and neither
+    takes a bool (TOML `true` is not a count).
+    """
+    if flag is not None:
+        return flag
+    value = cfg.get(key, default)
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"config value {key} must be {noun}, not {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f2wiener",
@@ -189,8 +205,7 @@ def _cmd_construct(args, cfg) -> int:
 def _cmd_lowerbound(args, cfg) -> int:
     a = read_set_file(args.setfile)
     strategy = args.strategy or cfg.get("strategy", "smallest-s")
-    step_cap = args.step_cap if args.step_cap is not None else cfg.get(
-        "step_cap", 64)
+    step_cap = _setting(args.step_cap, cfg, "step_cap", 64, int)
     trace = run_iteration(a, args.max_order, strategy, step_cap)
     hypothesis = None
     if not args.no_hypothesis:
@@ -235,9 +250,9 @@ def _cmd_profile(args, cfg) -> int:
 
 
 def _cmd_verify(args, cfg) -> int:
-    trials = args.trials if args.trials is not None else cfg.get("trials", 500)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    jobs = args.jobs if args.jobs is not None else cfg.get("jobs", 1)
+    trials = _setting(args.trials, cfg, "trials", 500, int)
+    seed = _setting(args.seed, cfg, "seed", 0, int)
+    jobs = _setting(args.jobs, cfg, "jobs", 1, int)
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
@@ -252,18 +267,16 @@ def _cmd_verify(args, cfg) -> int:
 
 
 def _cmd_explore(args, cfg) -> int:
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    seed = _setting(args.seed, cfg, "seed", 0, int)
     if args.method == "exhaustive":
-        budget = args.budget if args.budget is not None else cfg.get(
-            "budget", DEFAULT_BUDGET)
+        budget = _setting(args.budget, cfg, "budget", DEFAULT_BUDGET, int)
         rec = min_norm_exhaustive(args.n, args.size, budget)
     else:
         params = AnnealParams(
-            t0=args.t0 if args.t0 is not None else cfg.get("anneal_t0", 1.0),
-            cooling=(args.cooling if args.cooling is not None
-                     else cfg.get("anneal_cooling", 0.995)),
-            steps=(args.steps if args.steps is not None
-                   else cfg.get("anneal_steps", 10_000)),
+            t0=_setting(args.t0, cfg, "anneal_t0", 1.0, float),
+            cooling=_setting(args.cooling, cfg, "anneal_cooling", 0.995,
+                             float),
+            steps=_setting(args.steps, cfg, "anneal_steps", 10_000, int),
         )
         rec = min_norm_anneal(args.n, args.size, params, seed)
     if args.ledger:
@@ -314,7 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = _load_config(args.config) if args.config else {}
         if "max_n" in cfg:
-            set_dim_cap(int(cfg["max_n"]))
+            set_dim_cap(_setting(None, cfg, "max_n", None, int))
         return _COMMANDS[args.command](args, cfg)
     except (BudgetExceeded, ExponentOverflow, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

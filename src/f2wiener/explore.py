@@ -3,10 +3,12 @@
 The exhaustive search prunes by affine invariance: the norm is unchanged
 by translations and by invertible linear maps, so for size >= 1 only sets
 containing 0 are scanned, and for size >= 2 only sets containing {0, 1}.
-The annealing search keeps the unnormalized integer spectrum of the
-current set and updates it exactly under single-point swaps; all
-randomness is drawn up front so the numba and numpy sweeps consume the
-same stream and return bit-identical results.
+The exhaustive scan transforms its candidates in chunks of rows and keeps
+the first minimum in enumeration order.  The annealing search keeps the
+unnormalized integer spectrum of the current set and prices each
+single-point swap exactly, mostly by four lookups in two transformed tables
+(`_kernels.swap_delta`); all randomness is drawn up front, so a seed fixes
+the result.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Union
 
 import numpy as np
@@ -27,6 +29,7 @@ from .setfuncs import PointSet, set_a_norm
 __all__ = [
     "BudgetExceeded",
     "AnnealParams",
+    "MAX_ANNEAL_STEPS",
     "SearchRecord",
     "min_norm_exhaustive",
     "min_norm_anneal",
@@ -41,12 +44,39 @@ class BudgetExceeded(ValueError):
 
 DEFAULT_BUDGET = 10_000_000
 
+# The pregenerated annealing streams (two int64 index arrays, one float64
+# array) take 24 bytes per step, so this cap bounds them at 24 MB.
+MAX_ANNEAL_STEPS = 1_000_000
+
+# int64 entries per transformed chunk of the exhaustive scan (1 MiB), so its
+# memory does not grow with n.
+_CHUNK_ENTRIES = 1 << 17
+
 
 @dataclass(frozen=True)
 class AnnealParams:
+    """Start temperature, per-step cooling factor and proposal count.
+
+    Construction raises ValueError unless t0 is finite and > 0,
+    0 < cooling <= 1 and 0 <= steps <= MAX_ANNEAL_STEPS.
+    """
+
     t0: float = 1.0
     cooling: float = 0.995
     steps: int = 10_000
+
+    def __post_init__(self):
+        real = (int, float)
+        if not (isinstance(self.t0, real) and math.isfinite(self.t0)
+                and self.t0 > 0):
+            raise ValueError(f"t0 must be finite and > 0, not {self.t0!r}")
+        if not (isinstance(self.cooling, real) and 0 < self.cooling <= 1):
+            raise ValueError(
+                f"cooling must lie in (0, 1], not {self.cooling!r}")
+        if not (isinstance(self.steps, int)
+                and 0 <= self.steps <= MAX_ANNEAL_STEPS):
+            raise ValueError(f"steps must lie in [0, {MAX_ANNEAL_STEPS}], "
+                             f"not {self.steps!r}")
 
 
 @dataclass(frozen=True)
@@ -96,20 +126,27 @@ def min_norm_exhaustive(dim: Union[GroupDim, int], size: int,
     if size >= 2:
         fixed = [0, 1]
     rest = [x for x in range(order) if x not in fixed]
-    buf = np.empty(order, dtype=np.int64)
+    free = size - len(fixed)
+    candidates = combinations(rest, free)
+    buf = np.empty((max(1, _CHUNK_ENTRIES // order), order), dtype=np.int64)
     best_total = None
     best_points = None
     evaluations = 0
-    for extra in combinations(rest, size - len(fixed)):
-        pts = fixed + list(extra)
-        buf[:] = 0
-        buf[pts] = 1
-        _kernels.wht_rows(buf.reshape(1, -1))
-        total = int(np.abs(buf).sum())
-        evaluations += 1
-        if best_total is None or total < best_total:
-            best_total = total
-            best_points = pts
+    while chunk := list(islice(candidates, buf.shape[0])):
+        rows = buf[:len(chunk)]
+        rows[:] = 0
+        rows[:, fixed] = 1
+        extra = np.array(chunk, dtype=np.int64).reshape(len(chunk), free)
+        np.put_along_axis(rows, extra, 1, axis=1)
+        _kernels.wht_rows(rows)
+        # Each row sum is at most size * order <= 2^(2n), exact in int64.
+        totals = np.abs(rows).sum(axis=1)
+        i = int(np.argmin(totals))
+        # Strict: on a tie the earlier chunk keeps its first minimum.
+        if best_total is None or totals[i] < best_total:
+            best_total = int(totals[i])
+            best_points = fixed + list(chunk[i])
+        evaluations += len(chunk)
     best = PointSet.from_points(d, best_points)
     return _record(d, size, "exhaustive", 0, best, evaluations, best_total)
 
@@ -119,10 +156,9 @@ def min_norm_anneal(dim: Union[GroupDim, int], size: int,
                     seed: int = 0) -> SearchRecord:
     """Simulated annealing over single-point swaps at fixed size.
 
-    Deterministic for a given seed regardless of the kernel backend: the
-    proposal indices and acceptance draws are pregenerated, the spectrum
-    updates are exact integers, and only strict improvements move the
-    incumbent.
+    Deterministic for a given seed: the proposal indices and acceptance
+    draws are pregenerated, the spectrum updates are exact integers, and
+    only strict improvements move the incumbent.
     """
     d = as_dim(dim)
     order = d.order

@@ -3,6 +3,8 @@
 Everything here is written the slow, obvious way (double loops, explicit
 set scans) so the fast implementations have something honest to be
 checked against.  No code is shared with the package's numeric paths.
+The search oracles use numpy only to keep whole-spectrum recomputation
+affordable: one candidate or one proposal at a time.
 """
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 
 def parity(a: int, b: int) -> int:
@@ -88,6 +92,67 @@ def brute_min_norm(n: int, size: int) -> Tuple[Fraction, List[Tuple[int, ...]]]:
         elif norm == best:
             witnesses.append(pts)
     return best, witnesses
+
+
+def brute_exhaustive_scan(n: int, size: int) -> List[Tuple[List[int], int]]:
+    """(points, unnormalized l1 spectrum sum) of every candidate the
+    exhaustive search scans, in its order: the sets holding 0 (and 1 from
+    size 2 on), completed in combinations order, one transform each."""
+    order = 1 << n
+    fixed = [0] if size == 1 else [0, 1]
+    hadamard = np.array([[sign(g, x) for x in range(order)]
+                         for g in range(order)], dtype=np.int64)
+    rest = [x for x in range(order) if x not in fixed]
+    out = []
+    for extra in combinations(rest, size - len(fixed)):
+        pts = fixed + list(extra)
+        ind = np.zeros(order, dtype=np.int64)
+        ind[pts] = 1
+        out.append((pts, int(np.abs(hadamard @ ind).sum())))
+    return out
+
+
+def _parity_fold(v: np.ndarray) -> np.ndarray:
+    # XOR-fold parity of non-negative int64 values.
+    for shift in (32, 16, 8, 4, 2, 1):
+        v = v ^ (v >> shift)
+    return v & 1
+
+
+def brute_anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
+                       t0, cooling, scale, best_members) -> int:
+    """Single-swap annealing that prices every proposal by building the
+    whole candidate spectrum and summing it, O(m) per proposal.
+
+    Same arguments, acceptance rule, side effects and result as
+    _kernels.anneal_sweep.
+    """
+    m = wht.shape[0]
+    gammas = np.arange(m, dtype=np.int64)
+    cur = int(np.abs(wht).sum())
+    best = cur
+    best_members[:] = members
+    temp = t0
+    for t in range(pick_out.shape[0]):
+        io = int(pick_out[t])
+        ii = int(pick_in[t])
+        x_out = int(members[io])
+        x_in = int(nonmembers[ii])
+        sign_in = 1 - 2 * _parity_fold(gammas & x_in)
+        sign_out = 1 - 2 * _parity_fold(gammas & x_out)
+        cand = wht + sign_in - sign_out
+        new = int(np.abs(cand).sum())
+        delta = new - cur
+        if delta <= 0 or accept[t] < math.exp(-(delta / scale) / temp):
+            wht[:] = cand
+            members[io] = x_in
+            nonmembers[ii] = x_out
+            cur = new
+            if cur < best:
+                best = cur
+                best_members[:] = members
+        temp *= cooling
+    return best
 
 
 def brute_level_sets(coeffs: Sequence[Fraction], chi: Sequence[Fraction],

@@ -9,18 +9,10 @@ from f2wiener import _kernels
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Trigger any jit compilation before timed tests run."""
+    """Compile the jitted wht_rows, when numba is installed, before timed
+    tests run; without numba this is one small numpy transform."""
     arr = np.arange(8, dtype=np.int64).reshape(1, 8).copy()
     _kernels.wht_rows(arr)
-    wht = np.array([2, 0, 0, 2], dtype=np.int64)
-    members = np.array([0, 3], dtype=np.int64)
-    nonmembers = np.array([1, 2], dtype=np.int64)
-    best = np.empty(2, dtype=np.int64)
-    _kernels.anneal_sweep(
-        wht, members, nonmembers,
-        np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
-        np.full(4, 0.5), 1.0, 0.995, 4.0, best,
-    )
 
 
 @pytest.fixture()

@@ -146,6 +146,41 @@ def test_explore_commands(workdir, capsys):
                  "--budget", "100"]) == 3
 
 
+def test_explore_rejects_bad_parameters(workdir, capsys):
+    anneal = ["explore", "--method", "anneal", "--n", "4", "--size", "5"]
+    (workdir / "steps.toml").write_text('anneal_steps = "abc"\n')
+    (workdir / "budget.toml").write_text('budget = "x"\n')
+    (workdir / "seed.toml").write_text('seed = 1.5\n')
+    (workdir / "cap.toml").write_text('max_n = 3.5\n')
+    cases = [anneal + ["--t0", "0"], anneal + ["--t0", "nan"],
+             anneal + ["--cooling", "-1"], anneal + ["--steps", "-1"],
+             anneal + ["--steps", str(10 ** 12)],
+             ["--config", "steps.toml"] + anneal,
+             ["--config", "seed.toml"] + anneal,
+             ["--config", "cap.toml"] + anneal,
+             ["--config", "budget.toml", "explore", "--n", "3",
+              "--size", "3"]]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "", argv
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    # A flag wins over a bad config value it replaces.
+    assert main(["--config", "steps.toml"] + anneal + ["--steps", "50"]) == 0
+    assert main(anneal + ["--cooling", "0.3", "--steps", "2000"]) == 0
+
+
+def test_explore_bad_parameter_exit_in_child(tmp_path, package_env):
+    out = subprocess.run(
+        [sys.executable, "-m", "f2wiener", "explore", "--method", "anneal",
+         "--n", "4", "--size", "5", "--t0", "0"],
+        capture_output=True, text=True, cwd=tmp_path, env=package_env)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1
+    assert "t0" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_bad_inputs(workdir, capsys):
     assert main(["norm", "missing.set"]) == 2
     (workdir / "junk.set").write_text("n=2\nq\n")

@@ -3,14 +3,15 @@ import csv
 import numpy as np
 import pytest
 
+from f2wiener import explore
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.explore import (AnnealParams, BudgetExceeded, CSV_COLUMNS,
-                              append_record, min_norm_anneal,
-                              min_norm_exhaustive)
+                              MAX_ANNEAL_STEPS, append_record,
+                              min_norm_anneal, min_norm_exhaustive)
 from f2wiener.groups import random_invertible
 from f2wiener.setfuncs import set_a_norm
 
-from _reference import brute_min_norm
+from _reference import brute_exhaustive_scan, brute_min_norm
 
 
 def test_exhaustive_matches_brute():
@@ -30,6 +31,41 @@ def test_exhaustive_frozen_n2():
     assert rec.best_set.set_hex() == "7"
     assert rec.evaluations == 2  # C(2, 1): {0,1} fixed, one free slot
     assert min_norm_exhaustive(2, 4).best_norm == DyadicScalar(1)
+
+
+def _check_against_scan(n, size, scan):
+    totals = [t for _, t in scan]
+    first = totals.index(min(totals))
+    rec = min_norm_exhaustive(n, size)
+    assert rec.evaluations == len(scan), (n, size)
+    assert rec.best_norm == DyadicScalar(totals[first], n), (n, size)
+    assert tuple(rec.best_set.points()) == tuple(sorted(scan[first][0]))
+
+
+def test_exhaustive_matches_per_candidate_scan():
+    # Every size at n <= 4; at n = 5 the size-6 scan spans several chunks.
+    for n in range(1, 5):
+        for size in range(1, (1 << n) + 1):
+            _check_against_scan(n, size, brute_exhaustive_scan(n, size))
+    for size in (1, 2, 6, 31):
+        scan = brute_exhaustive_scan(5, size)
+        if size == 6:
+            assert len(scan) > 3 * (explore._CHUNK_ENTRIES >> 5)
+        _check_against_scan(5, size, scan)
+
+
+def test_exhaustive_first_minimum_across_chunks(monkeypatch):
+    n, size = 4, 5
+    scan = brute_exhaustive_scan(n, size)
+    totals = [t for _, t in scan]
+    hits = [i for i, t in enumerate(totals) if t == min(totals)]
+    first, second = hits[0], hits[1]
+    # rows = second puts the next equal minimum at the head of the second
+    # chunk, where it is that chunk's argmin; the others move the boundary
+    # around it.
+    for rows in (1, 2, 3, first + 1, second, second - first, len(scan) - 1):
+        monkeypatch.setattr(explore, "_CHUNK_ENTRIES", rows << n)
+        _check_against_scan(n, size, scan)
 
 
 def test_exhaustive_validation():
@@ -70,6 +106,27 @@ def test_anneal_validation():
         min_norm_anneal(3, 0)
     with pytest.raises(ValueError):
         min_norm_anneal(3, 8)
+
+
+def test_anneal_params_validation():
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(t0=0), dict(t0=-1.0), dict(t0=nan), dict(t0=inf),
+                dict(t0="1"), dict(cooling=0), dict(cooling=-1.0),
+                dict(cooling=1.5), dict(cooling=nan), dict(steps=-1),
+                dict(steps=MAX_ANNEAL_STEPS + 1), dict(steps=2.0),
+                dict(steps="abc")):
+        with pytest.raises(ValueError):
+            min_norm_anneal(4, 5, AnnealParams(**bad))
+    assert AnnealParams(t0=1e-300, cooling=1, steps=MAX_ANNEAL_STEPS)
+    assert min_norm_anneal(4, 5, AnnealParams(steps=0), seed=2).evaluations == 1
+
+
+def test_anneal_temperature_underflow():
+    # cooling 0.3 takes temp to exactly 0.0 within the run; uphill moves
+    # are then rejected rather than dividing by zero.
+    rec = min_norm_anneal(4, 5, AnnealParams(cooling=0.3, steps=2000), seed=0)
+    assert rec.best_norm >= min_norm_exhaustive(4, 5).best_norm
+    assert rec.evaluations == 2001
 
 
 def test_norm_is_affine_invariant_in_search_space():
