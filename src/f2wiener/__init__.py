@@ -4,17 +4,16 @@ Everything numerical is dyadic-rational and exact; floats appear only in
 reported diagnostics (Chang ceilings, hypercontractive norms).
 """
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .groups import (DualSubspace, GroupDim, annihilator_basis, coset_index,
-                     subspace_insert)
-from .fourier import (FunctionTable, Spectrum, a_norm, convolve, fwht,
-                      inverse_fwht, l1_norm, l2_norm_sq, linf_norm, lp_norm)
-from .setfuncs import (PointSet, ResidualTable, coset_average,
-                       frac_quadratic_gap, physical_lower_bound, residual,
-                       residual_l1, set_a_norm, set_spectrum)
+from .groups import DualSubspace, GroupDim, annihilator_basis, subspace_insert
+from .fourier import (FunctionTable, Spectrum, a_norm, fwht, inverse_fwht,
+                      l1_norm, l2_norm_sq, lp_norm)
+from .setfuncs import (PointSet, ResidualTable, frac_quadratic_gap,
+                       physical_lower_bound, residual, residual_l1,
+                       set_a_norm, set_spectrum)
 from .constructions import (CosetUnionWitness, DyadicDensity,
                             ExponentOverflow, ResolutionError,
                             build_coset_union, build_equality_case,
-                            density_family, density_profile)
+                            density_family)
 from .chang import (DependentSet, LevelSet, NoQualifyingLevel, RieszProduct,
                     ZeroMass, beckner_verify, chang_cardinality_bound,
                     chang_span, level_sets, riesz_product, select_level)
@@ -29,14 +28,13 @@ __version__ = "0.1.0"
 __all__ = [
     "DyadicScalar", "floor_log2_ratio",
     "GroupDim", "DualSubspace", "subspace_insert", "annihilator_basis",
-    "coset_index",
     "FunctionTable", "Spectrum", "fwht", "inverse_fwht", "a_norm",
-    "linf_norm", "l1_norm", "l2_norm_sq", "lp_norm", "convolve",
-    "PointSet", "ResidualTable", "coset_average", "residual", "residual_l1",
+    "l1_norm", "l2_norm_sq", "lp_norm",
+    "PointSet", "ResidualTable", "residual", "residual_l1",
     "physical_lower_bound", "frac_quadratic_gap", "set_a_norm",
     "set_spectrum",
     "DyadicDensity", "density_family", "CosetUnionWitness",
-    "build_coset_union", "build_equality_case", "density_profile",
+    "build_coset_union", "build_equality_case",
     "ExponentOverflow", "ResolutionError",
     "LevelSet", "level_sets", "select_level", "chang_span",
     "chang_cardinality_bound", "RieszProduct", "riesz_product",

@@ -1,43 +1,28 @@
 """Hot integer kernels: Walsh-Hadamard butterflies and the annealing sweep.
 
-wht_rows is jitted with numba when it is importable; setting
-F2WIENER_NO_NUMBA=1 (or true/yes/on) forces its pure-numpy path.  Both paths
-run the same integer arithmetic, so results are bit-identical; the flag only
-trades speed.  The annealing sweep has one implementation: a Python loop
-that prices a proposal with four lookups in two transformed tables
-(swap_delta) while those match the current set, and rebuilds them with one
-2-row transform once accepted moves thin out.
+wht_rows is the one row-wise transform: numpy stages on reshaped views,
+exact for int64 within the caller's overflow bound and for object dtype
+(arbitrary-precision numerators).  The annealing sweep has one
+implementation: a Python loop that prices a proposal with four lookups in
+two transformed tables (swap_delta) while those match the current set, and
+rebuilds them with one 2-row transform once accepted moves thin out.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "HAVE_NUMBA",
     "BACKEND",
     "wht_rows",
-    "wht_rows_numpy",
     "swap_tables",
     "swap_delta",
     "anneal_sweep",
 ]
 
-_flag = os.environ.get("F2WIENER_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by F2WIENER_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
+# The only backend; kept as a name because benchmark records report it.
+BACKEND = "numpy"
 
 # anneal_sweep converts its pregenerated streams to Python values this many
 # proposals at a time, so it never holds them all as Python objects.
@@ -55,7 +40,7 @@ _H8 = np.array([[1 - 2 * ((i & j).bit_count() & 1) for j in range(8)]
                 for i in range(8)], dtype=np.int64)
 
 
-def wht_rows_numpy(mat: np.ndarray) -> np.ndarray:
+def wht_rows(mat: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along the last axis.
 
     mat is (rows, cols) with cols a power of two.  Works for int64 and for
@@ -63,57 +48,28 @@ def wht_rows_numpy(mat: np.ndarray) -> np.ndarray:
     reshaped views, so a non-contiguous mat is transformed as a contiguous
     copy that is then written back.
     """
-    if not mat.flags.c_contiguous:
-        work = np.ascontiguousarray(mat)
-        wht_rows_numpy(work)
-        mat[...] = work
-        return mat
-    _, cols = mat.shape
+    work = mat if mat.flags.c_contiguous else np.ascontiguousarray(mat)
+    _, cols = work.shape
     h = 1
-    if mat.dtype == np.int64 and cols >= 8:
+    if work.dtype == np.int64 and cols >= 8:
         # Stages h = 1, 2, 4 in one product with the order-8 transform: their
         # runs are too short for the butterfly below to pay.  Every partial
         # sum is at most 8 * max|x|, within the max|x| * cols bound the full
         # transform already needs to stay exact in int64.
-        blocks = mat.reshape(-1, 8)
+        blocks = work.reshape(-1, 8)
         blocks[:] = blocks @ _H8
         h = 8
     while h < cols:
-        flat = mat.reshape(-1, 2 * h)
+        flat = work.reshape(-1, 2 * h)
         a = flat[:, :h]
         b = flat[:, h:]
         diff = a - b
         a += b
         b[:] = diff
         h *= 2
+    if work is not mat:
+        mat[...] = work
     return mat
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _wht_rows_jit(mat):
-        rows, cols = mat.shape
-        for r in range(rows):
-            h = 1
-            while h < cols:
-                i = 0
-                while i < cols:
-                    for j in range(i, i + h):
-                        x = mat[r, j]
-                        y = mat[r, j + h]
-                        mat[r, j] = x + y
-                        mat[r, j + h] = x - y
-                    i += 2 * h
-                h *= 2
-        return mat
-
-
-def wht_rows(mat: np.ndarray) -> np.ndarray:
-    """Dispatching in-place row-wise WHT; numba only handles int64."""
-    if HAVE_NUMBA and mat.dtype == np.int64:
-        return _wht_rows_jit(mat)
-    return wht_rows_numpy(mat)
 
 
 def swap_tables(wht: np.ndarray) -> np.ndarray:

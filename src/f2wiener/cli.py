@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import sys
+import tomllib
 from typing import List, Optional
 
 from .chang import NoQualifyingLevel, ZeroMass
@@ -35,39 +36,15 @@ EXIT_RESOURCE = 3
 
 
 def _load_config(path: str) -> dict:
-    """Flat key = value TOML subset; full TOML when tomllib is available."""
-    try:
-        import tomllib
-    except ImportError:
-        tomllib = None
-    if tomllib is not None:
-        with open(path, "rb") as fh:
-            raw = tomllib.load(fh)
-        flat = {}
-        for k, v in raw.items():
-            if isinstance(v, dict):
-                flat.update(v)
-            else:
-                flat[k] = v
-        return flat
+    """TOML settings, with the keys of every table merged into one level."""
+    with open(path, "rb") as fh:
+        raw = tomllib.load(fh)
     flat = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if not ln or ln.startswith("["):
-                continue
-            if "=" not in ln:
-                raise ValueError(f"bad config line {ln!r}")
-            key, val = (part.strip() for part in ln.split("=", 1))
-            if val.lower() in ("true", "false"):
-                flat[key] = val.lower() == "true"
-            elif val.startswith('"') and val.endswith('"') and len(val) >= 2:
-                flat[key] = val[1:-1]
-            else:
-                try:
-                    flat[key] = int(val)
-                except ValueError:
-                    flat[key] = float(val)
+    for k, v in raw.items():
+        if isinstance(v, dict):
+            flat.update(v)
+        else:
+            flat[k] = v
     return flat
 
 
@@ -241,8 +218,7 @@ def _cmd_profile(args, cfg) -> int:
     print(_dyadic_line("alpha", alpha))
     print(f"max_order = {max_order}")
     for row in report.rows:
-        frac = alpha.mul_pow2(row.d).frac()
-        print(f"d={row.d}  order={1 << row.d}  frac={_frac_str(frac)}  "
+        print(f"d={row.d}  order={1 << row.d}  frac={_frac_str(row.frac)}  "
               f"product={_frac_str(row.product)}  scaled={_frac_str(row.scaled)}")
     print(f"c_plain = {_frac_str(report.c_plain)}")
     print(f"c_scaled = {_frac_str(report.c_scaled)}")

@@ -10,7 +10,7 @@ spectrum summable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 from .dyadic import DyadicScalar, ONE, ZERO
 from .groups import DualSubspace, GroupDim, as_dim, char_sign, coset_index_table
@@ -24,8 +24,6 @@ __all__ = [
     "CosetUnionWitness",
     "build_coset_union",
     "build_equality_case",
-    "ProfileRow",
-    "density_profile",
 ]
 
 
@@ -198,27 +196,3 @@ def build_equality_case(alpha: DyadicScalar, v: DualSubspace,
             bits |= 1 << x
             taken += 1
     return PointSet(d, bits)
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    """One row of a density profile: order 2**d and the exact gap terms."""
-
-    d: int
-    frac: DyadicScalar
-    product: DyadicScalar
-
-    @property
-    def scaled(self) -> DyadicScalar:
-        return self.product.mul_pow2(self.d)
-
-
-def density_profile(alpha: DyadicScalar, max_dim: int) -> List[ProfileRow]:
-    """Rows ({alpha 2^d}, {alpha 2^d}(1 - {alpha 2^d})) for d = 0..max_dim."""
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
-    rows = []
-    for d in range(max_dim + 1):
-        t = alpha.mul_pow2(d).frac()
-        rows.append(ProfileRow(d, t, t * (ONE - t)))
-    return rows

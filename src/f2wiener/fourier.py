@@ -8,7 +8,7 @@ forward transform adds n to the exponent and the inverse adds nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -22,15 +22,12 @@ __all__ = [
     "fwht",
     "inverse_fwht",
     "a_norm",
-    "linf_norm",
     "l1_norm",
     "l2_norm_sq",
     "spectrum_l2_sq",
-    "inner_product",
     "exact_sum",
     "exact_product",
     "lp_norm",
-    "convolve",
 ]
 
 _I64_MAX = (1 << 63) - 1
@@ -235,10 +232,6 @@ def a_norm(s: Spectrum) -> DyadicScalar:
     return DyadicScalar(_abs_sum(s.nums), s.exp)
 
 
-def linf_norm(s: Spectrum) -> DyadicScalar:
-    return DyadicScalar(_int_minmax(s.nums), s.exp)
-
-
 def l1_norm(f: FunctionTable) -> DyadicScalar:
     """Mean of |f| over the group (probability normalization)."""
     return DyadicScalar(_abs_sum(f.nums), f.exp + f.dim.n)
@@ -253,12 +246,6 @@ def spectrum_l2_sq(s: Spectrum) -> DyadicScalar:
     return DyadicScalar(_sq_sum(s.nums), 2 * s.exp)
 
 
-def inner_product(f: FunctionTable, g: FunctionTable) -> DyadicScalar:
-    if f.dim != g.dim:
-        raise ValueError("tables live on different groups")
-    return DyadicScalar(exact_sum(f.nums, g.nums), f.exp + g.exp + f.dim.n)
-
-
 def lp_norm(f: FunctionTable, p: float) -> float:
     """Float L^p mean norm; p in {1, 2} agrees with the exact routes."""
     if p < 1:
@@ -271,14 +258,3 @@ def lp_norm(f: FunctionTable, p: float) -> float:
         vals = np.array([abs(float(Fraction(int(v), 1 << f.exp)))
                          for v in f.nums.flat], dtype=np.float64)
     return float(np.mean(vals ** p) ** (1.0 / p))
-
-
-def convolve(f: FunctionTable, g: FunctionTable) -> FunctionTable:
-    """Exact convolution (f*g)(x) = 2^-n sum_y f(y) g(x+y), via spectra."""
-    if f.dim != g.dim:
-        raise ValueError("tables live on different groups")
-    sf = fwht(f)
-    sg = fwht(g)
-    spectrum = Spectrum(f.dim, exact_product(sf.nums, sg.nums),
-                        sf.exp + sg.exp)
-    return inverse_fwht(spectrum)

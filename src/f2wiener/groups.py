@@ -25,7 +25,6 @@ __all__ = [
     "DualSubspace",
     "subspace_insert",
     "annihilator_basis",
-    "coset_index",
     "coset_index_table",
     "all_subspaces",
     "subspace_count",
@@ -212,16 +211,8 @@ def annihilator_basis(v: DualSubspace, n: int) -> List[int]:
     return [c for c in cols if c]
 
 
-def coset_index(v: DualSubspace, x: int) -> int:
-    """Syndrome of x: bit i is <basis[i], x>; constant on annihilator cosets."""
-    idx = 0
-    for i, r in enumerate(v.basis):
-        idx |= parity(r, x) << i
-    return idx
-
-
 def coset_index_table(v: DualSubspace, n: int) -> np.ndarray:
-    """Vectorized coset_index over all 2**n points."""
+    """Syndrome of every point x: bit i is <basis[i], x>; a coset label."""
     if any(r >= (1 << n) for r in v.basis):
         raise ValueError("basis mask exceeds the group dimension")
     pts = np.arange(1 << n, dtype=np.int64)

@@ -20,7 +20,7 @@ from .chang import _chang_bound_from_norms, level_sets, select_level
 from .dyadic import DyadicScalar, ZERO
 from .fourier import Spectrum, a_norm, exact_sum, fwht, l2_norm_sq
 from .groups import DualSubspace, subspace_insert
-from .setfuncs import PointSet, residual, residual_l1
+from .setfuncs import PointSet, frac_product, residual, residual_l1
 
 __all__ = [
     "ZeroResidual",
@@ -179,7 +179,10 @@ def run_iteration(a: PointSet, max_order: int,
 
 @dataclass(frozen=True)
 class HypothesisRow:
+    """Row d: frac = {alpha 2^d} and product = frac (1 - frac)."""
+
     d: int
+    frac: DyadicScalar
     product: DyadicScalar
 
     @property
@@ -206,10 +209,8 @@ def hypothesis_check(alpha: DyadicScalar, max_order: int) -> HypothesisReport:
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    rows = []
-    for d in range(max_order.bit_length()):
-        t = alpha.mul_pow2(d).frac()
-        rows.append(HypothesisRow(d, t * (DyadicScalar(1) - t)))
+    rows = [HypothesisRow(d, *frac_product(alpha, d))
+            for d in range(max_order.bit_length())]
     c_plain = min((r.product for r in rows), default=ZERO)
     c_scaled = min((r.scaled for r in rows), default=ZERO)
     return HypothesisReport(alpha, max_order, tuple(rows), c_plain, c_scaled)

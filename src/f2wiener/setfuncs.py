@@ -22,9 +22,9 @@ from .groups import DualSubspace, GroupDim, as_dim, coset_index_table, parity
 __all__ = [
     "PointSet",
     "ResidualTable",
-    "coset_average",
     "residual",
     "residual_l1",
+    "frac_product",
     "physical_lower_bound",
     "frac_quadratic_gap",
     "set_a_norm",
@@ -141,7 +141,7 @@ class PointSet:
 
 @dataclass(frozen=True)
 class ResidualTable:
-    """Residual f_V = chi_A - coset_average(A, V), with its provenance."""
+    """Residual f_V = chi_A minus its coset averages, with its provenance."""
 
     table: FunctionTable
     subspace: DualSubspace
@@ -154,19 +154,6 @@ def set_spectrum(a: PointSet) -> Spectrum:
 
 def set_a_norm(a: PointSet) -> DyadicScalar:
     return a_norm(set_spectrum(a))
-
-
-def coset_average(a: PointSet, v: DualSubspace) -> FunctionTable:
-    """Average of chi_A over annihilator cosets; value |A n coset| / |coset|.
-
-    Computed by coset counting in physical space; costs one syndrome table
-    and one bincount instead of two transforms.
-    """
-    n = a.dim.n
-    d = v.dim
-    syn = coset_index_table(v, n)
-    counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
-    return FunctionTable(a.dim, counts[syn], n - d)
 
 
 def residual(a: PointSet, v: DualSubspace) -> ResidualTable:
@@ -198,6 +185,13 @@ def residual_l1(fv: ResidualTable) -> DyadicScalar:
     return direct
 
 
+def frac_product(alpha: DyadicScalar, d: int,
+                 ) -> Tuple[DyadicScalar, DyadicScalar]:
+    """(t, t(1 - t)) for t = {alpha 2^d}, the fractional part of alpha 2^d."""
+    t = alpha.mul_pow2(d).frac()
+    return t, t * (ONE - t)
+
+
 def physical_lower_bound(alpha: DyadicScalar, order: int) -> DyadicScalar:
     """Exact 2 |V|^-1 {alpha |V|} (1 - {alpha |V|}) for |V| = order.
 
@@ -207,8 +201,7 @@ def physical_lower_bound(alpha: DyadicScalar, order: int) -> DyadicScalar:
     if order < 1 or order & (order - 1):
         raise ValueError("order must be a power of two")
     d = order.bit_length() - 1
-    t = alpha.mul_pow2(d).frac()
-    return (t * (ONE - t) * 2).mul_pow2(-d)
+    return (frac_product(alpha, d)[1] * 2).mul_pow2(-d)
 
 
 def frac_quadratic_gap(deltas: Sequence[Union[Fraction, int]],

@@ -54,16 +54,6 @@ def brute_set_a_norm(points: Sequence[int], n: int) -> Fraction:
     return brute_a_norm(vals, n)
 
 
-def brute_convolve(f: Sequence[Fraction], g: Sequence[Fraction],
-                   n: int) -> List[Fraction]:
-    order = 1 << n
-    return [
-        sum((Fraction(f[y]) * Fraction(g[x ^ y]) for y in range(order)),
-            Fraction(0)) / order
-        for x in range(order)
-    ]
-
-
 def annihilator_points(basis: Sequence[int], n: int) -> List[int]:
     return [x for x in range(1 << n)
             if all(parity(b, x) == 0 for b in basis)]

@@ -1,18 +1,8 @@
 import os
 
-import numpy as np
 import pytest
 
 import f2wiener
-from f2wiener import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted wht_rows, when numba is installed, before timed
-    tests run; without numba this is one small numpy transform."""
-    arr = np.arange(8, dtype=np.int64).reshape(1, 8).copy()
-    _kernels.wht_rows(arr)
 
 
 @pytest.fixture()

@@ -6,9 +6,10 @@ import pytest
 from f2wiener.constructions import (CosetUnionWitness, DyadicDensity,
                                     ExponentOverflow, ResolutionError,
                                     build_coset_union, build_equality_case,
-                                    density_family, density_profile)
+                                    density_family)
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.groups import DualSubspace, random_subspace
+from f2wiener.iteration import hypothesis_check
 from f2wiener.setfuncs import (physical_lower_bound, residual, residual_l1,
                                set_a_norm, set_spectrum)
 from f2wiener.verify import random_point_set
@@ -161,7 +162,8 @@ def test_equality_case_errors():
 
 
 def test_density_profile_frozen():
-    rows = density_profile(DyadicScalar(5, 4), 3)
+    # Rows d = 0..3: max_order 2^3.
+    rows = hypothesis_check(DyadicScalar(5, 4), 8).rows
     assert [r.d for r in rows] == [0, 1, 2, 3]
     assert rows[0].product == DyadicScalar(55, 8)
     assert rows[1].frac == DyadicScalar(5, 3)
@@ -169,13 +171,13 @@ def test_density_profile_frozen():
     assert rows[2].product == DyadicScalar(3, 4)
     assert rows[3].product == DyadicScalar(1, 2)
     assert rows[3].scaled == DyadicScalar(2)
-    half = density_profile(DyadicScalar(1, 1), 4)
+    half = hypothesis_check(DyadicScalar(1, 1), 16).rows
     assert half[0].product == DyadicScalar(1, 2)
     for r in half[1:]:
         assert r.frac == DyadicScalar(0)
         assert r.product == DyadicScalar(0)
     with pytest.raises(ValueError):
-        density_profile(DyadicScalar(1, 2), -1)
+        hypothesis_check(DyadicScalar(1, 2), 0)
 
 
 def test_double_exp_profile_bounds():
@@ -184,7 +186,7 @@ def test_double_exp_profile_bounds():
     for k in (1, 2, 3, 4, 5):
         alpha = density_family("double_exp", k).value()
         top = 1 << (k - 1)
-        rows = density_profile(alpha, top - 1)
+        rows = hypothesis_check(alpha, 1 << (top - 1)).rows
         for r in rows:
             t = r.frac.as_fraction()
             assert t <= seven_eighths, (k, r.d)

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import (FunctionTable, Spectrum, _abs_sum, _sq_sum,
-                              a_norm, convolve, exact_product, exact_sum, fwht,
-                              inner_product, inverse_fwht, l1_norm,
-                              l2_norm_sq, linf_norm, lp_norm, spectrum_l2_sq)
+from f2wiener.fourier import (FunctionTable, Spectrum, _abs_sum, _int_minmax,
+                              _sq_sum, a_norm, exact_product, exact_sum, fwht,
+                              inverse_fwht, l1_norm, l2_norm_sq, lp_norm,
+                              spectrum_l2_sq)
 from f2wiener.groups import DualSubspace, random_subspace
 from f2wiener.setfuncs import PointSet, set_a_norm, set_spectrum
 from f2wiener.verify import random_point_set, random_table
 
 from _reference import (annihilator_points, brute_a_norm, brute_abs_floats,
-                        brute_convolve, brute_fwht)
+                        brute_fwht)
 
 
 def test_point_mass_spectrum():
@@ -128,8 +128,9 @@ def test_linf_equals_density_for_indicators():
         n = int(rng.integers(1, 9))
         a = random_point_set(rng, n)
         s = set_spectrum(a)
-        assert linf_norm(s) == a.density() == l1_norm(a.indicator())
-        assert a_norm(s) >= linf_norm(s)
+        linf = DyadicScalar(int(np.abs(s.nums).max()), s.exp)
+        assert linf == a.density() == l1_norm(a.indicator())
+        assert a_norm(s) >= linf
 
 
 def test_lp_norm_agrees_with_exact():
@@ -194,7 +195,8 @@ def test_inner_product_exact():
         expected = sum(
             (a * b for a, b in zip(f.to_fractions(), g.to_fractions())),
             Fraction(0)) / (1 << n)
-        assert inner_product(f, g).as_fraction() == expected
+        got = DyadicScalar(exact_sum(f.nums, g.nums), f.exp + g.exp + n)
+        assert got.as_fraction() == expected
 
 
 _I64_MAX = (1 << 63) - 1
@@ -250,7 +252,7 @@ def test_exact_sums_random():
 
 
 def test_norms_at_int64_bound():
-    # Whole tables of 2^n entries: inner_product and the norms stay exact on
+    # Whole tables of 2^n entries: exact_sum and the norms stay exact on
     # both sides of max|x| * max|y| * 2^n = 2^63 - 1.
     n = 3
     for top in (_I64_MAX >> n, (_I64_MAX >> n) + 1):
@@ -258,28 +260,13 @@ def test_norms_at_int64_bound():
         f = FunctionTable(n, np.array(vals, dtype=np.int64), 0)
         g = FunctionTable(n, np.array([1] * 7 + [-1], dtype=np.int64), 0)
         assert f.nums.dtype == np.int64
-        assert inner_product(f, g).as_fraction() == Fraction(
-            sum(a * b for a, b in zip(vals, [1] * 7 + [-1])), 1 << n)
+        assert exact_sum(f.nums, g.nums) == sum(
+            a * b for a, b in zip(vals, [1] * 7 + [-1]))
         assert l1_norm(f) == DyadicScalar(8 * top, n)
         assert l2_norm_sq(f) == DyadicScalar(8 * top * top, n)
         s = Spectrum(n, f.nums, 0)
         assert a_norm(s) == DyadicScalar(8 * top)
-        assert linf_norm(s) == DyadicScalar(top)
-
-
-def test_convolve_matches_brute_force():
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        n = int(rng.integers(1, 5))
-        f = random_table(rng, n)
-        g = random_table(rng, n)
-        got = convolve(f, g)
-        assert got.to_fractions() == brute_convolve(
-            f.to_fractions(), g.to_fractions(), n)
-        # convolution theorem, exactly
-        prod = [a * b for a, b in zip(fwht(f).to_fractions(),
-                                      fwht(g).to_fractions())]
-        assert fwht(got).to_fractions() == prod
+        assert _int_minmax(s.nums) == top
 
 
 def test_table_normalization():

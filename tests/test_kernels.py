@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -27,17 +24,8 @@ def test_wht_rows_numpy_matches_brute():
         at_bound[1] *= rng.choice([-1, 1], size=1 << n)
         mat = np.vstack([mat, at_bound])
         expected = [_brute_unnormalized(r) for r in mat]
-        out = _kernels.wht_rows_numpy(mat.copy())
+        out = _kernels.wht_rows(mat.copy())
         assert out.tolist() == expected
-
-
-def test_dispatch_equals_numpy():
-    rng = np.random.default_rng(71)
-    for n in (1, 3, 5, 7):
-        mat = rng.integers(-1000, 1000, size=(4, 1 << n)).astype(np.int64)
-        a = _kernels.wht_rows(mat.copy())
-        b = _kernels.wht_rows_numpy(mat.copy())
-        assert np.array_equal(a, b)
 
 
 def test_wht_object_dtype():
@@ -53,14 +41,14 @@ def test_wht_rows_numpy_column_slices():
     rng = np.random.default_rng(73)
     for cols in (8, 16):
         ones = np.ones((2, 2 * cols), dtype=np.int64)
-        _kernels.wht_rows_numpy(ones[:, :cols])
+        _kernels.wht_rows(ones[:, :cols])
         assert ones[0].tolist() == [cols] + [0] * (cols - 1) + [1] * cols
         for dtype in (np.int64, object):
             mat = rng.integers(-50, 50, size=(3, 3 * cols)).astype(dtype)
             want = mat.copy()
             view = mat[:, cols:2 * cols]
             assert not view.flags.c_contiguous
-            assert _kernels.wht_rows_numpy(view) is view
+            assert _kernels.wht_rows(view) is view
             for r in range(3):
                 want[r, cols:2 * cols] = _brute_unnormalized(
                     want[r, cols:2 * cols])
@@ -82,7 +70,7 @@ def _anneal_inputs(seed, n=4, size=5, steps=400):
     nonmembers = np.sort(perm[size:]).astype(np.int64)
     wht = np.zeros(order, dtype=np.int64)
     wht[members] = 1
-    _kernels.wht_rows_numpy(wht.reshape(1, -1))
+    _kernels.wht_rows(wht.reshape(1, -1))
     pick_out = rng.integers(0, size, steps).astype(np.int64)
     pick_in = rng.integers(0, order - size, steps).astype(np.int64)
     accept = rng.random(steps)
@@ -197,22 +185,5 @@ def test_anneal_incumbent_consistency():
     total = _kernels.anneal_sweep(*ins, 1.0, 0.995, 16.0, best)
     check = np.zeros(16, dtype=np.int64)
     check[best] = 1
-    _kernels.wht_rows_numpy(check.reshape(1, -1))
+    _kernels.wht_rows(check.reshape(1, -1))
     assert int(np.abs(check).sum()) == total
-
-
-def test_no_numba_env_flag(package_env):
-    code = (
-        "import f2wiener._kernels as k; import numpy as np; "
-        "m = np.arange(8, dtype=np.int64).reshape(1, -1); "
-        "k.wht_rows(m); "
-        "print(k.BACKEND); print(m.tolist())"
-    )
-    env = dict(package_env, F2WIENER_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    backend, row = out.stdout.strip().splitlines()
-    assert backend == "numpy"
-    expected = np.arange(8, dtype=np.int64).reshape(1, -1)
-    _kernels.wht_rows_numpy(expected)
-    assert row == str(expected.tolist())

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import fwht, l1_norm
+from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, GroupDim, random_subspace
-from f2wiener.setfuncs import (PointSet, coset_average, frac_quadratic_gap,
+from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap,
                                physical_lower_bound, residual, residual_l1,
                                set_a_norm, set_spectrum)
 from f2wiener.verify import random_point_set
@@ -68,12 +68,18 @@ def test_set_norm_matches_brute():
             a.points(), n)
 
 
+def _coset_average(a, v):
+    # chi_A - f_V is the average of chi_A over each annihilator coset.
+    fv = residual(a, v).table.to_fractions()
+    return [int(c) - r for c, r in zip(a.indicator().nums, fv)]
+
+
 def test_coset_average_frozen():
     # n=2, V = span{01}, A = {00}: averages 1/2 on the fiber {00, 01}.
     a = PointSet.from_points(2, [0])
     v = DualSubspace.span([0b01])
-    avg = coset_average(a, v)
-    assert avg.to_fractions() == [Fraction(1, 2), Fraction(0),
+    avg = _coset_average(a, v)
+    assert avg == [Fraction(1, 2), Fraction(0),
                                   Fraction(1, 2), Fraction(0)]
 
 
@@ -83,12 +89,10 @@ def test_coset_average_random():
         n = int(rng.integers(1, 8))
         a = random_point_set(rng, n)
         v = random_subspace(rng, n)
-        avg = coset_average(a, v)
-        expected = brute_coset_average(a.points(), v.basis, n)
-        assert avg.to_fractions() == expected
+        avg = _coset_average(a, v)
+        assert avg == brute_coset_average(a.points(), v.basis, n)
         # averaging preserves total mass
-        assert sum(avg.to_fractions(), Fraction(0)) == a.size
-        assert l1_norm(avg).as_fraction() == Fraction(a.size, 1 << n)
+        assert sum(avg, Fraction(0)) == a.size
 
 
 def test_residual_properties():
@@ -137,6 +141,15 @@ def test_residual_l1_balanced_case():
         alpha = a.density().as_fraction()
         r = residual(a, DualSubspace.trivial())
         assert residual_l1(r).as_fraction() == 2 * alpha * (1 - alpha)
+
+
+def test_frac_product_frozen():
+    # t = {alpha 2^d} and t(1 - t) for alpha = 5/16.
+    alpha = DyadicScalar(5, 4)
+    assert frac_product(alpha, 0) == (DyadicScalar(5, 4), DyadicScalar(55, 8))
+    assert frac_product(alpha, 1) == (DyadicScalar(5, 3), DyadicScalar(15, 6))
+    assert frac_product(alpha, 3) == (DyadicScalar(1, 1), DyadicScalar(1, 2))
+    assert frac_product(alpha, 4) == (DyadicScalar(0), DyadicScalar(0))
 
 
 def test_physical_lower_bound_frozen():
