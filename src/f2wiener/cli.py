@@ -22,7 +22,7 @@ from .explore import (AnnealParams, BudgetExceeded, DEFAULT_BUDGET,
 from .fileio import (SetFileError, certificate_payload, check_certificate,
                      load_certificate, read_set_file, witness_payload,
                      write_certificate, write_set_file, dumps_deterministic)
-from .groups import set_dim_cap
+from .groups import HARD_DIM_CAP, set_dim_cap
 from .iteration import hypothesis_check, run_iteration
 from .setfuncs import set_a_norm
 from .verify import SUITE_NAMES, run_suite
@@ -213,6 +213,8 @@ def _cmd_profile(args, cfg) -> int:
     alpha = DyadicScalar.parse(args.alpha)
     if not ZERO <= alpha <= ONE:
         raise ValueError("alpha must lie in [0, 1]")
+    if not 0 <= args.max_dim <= HARD_DIM_CAP:
+        raise ValueError(f"max-dim must lie in [0, {HARD_DIM_CAP}]")
     max_order = 1 << args.max_dim
     report = hypothesis_check(alpha, max_order)
     print(_dyadic_line("alpha", alpha))

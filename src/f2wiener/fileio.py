@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ from typing import List, Optional
 
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
-from .groups import get_dim_cap
+from .groups import HARD_DIM_CAP, get_dim_cap
 from .iteration import HypothesisReport, IterationTrace, Termination
 from .setfuncs import PointSet, set_a_norm
 
@@ -186,15 +187,74 @@ def write_certificate(path: str, payload: dict) -> None:
 
 def load_certificate(path: str) -> dict:
     with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("certificate JSON nests too deeply") from None
 
 
 def _pair_in(obj) -> DyadicScalar:
-    return DyadicScalar(int(obj["num"]), int(obj["exp"]))
+    return DyadicScalar(obj["num"], obj["exp"])
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_schema(cert: dict, n: int) -> None:
+    """Raise ValueError unless every field check_certificate reads has the
+    type and range the tool writes, so nothing is computed from a bad one.
+
+    No exact value of any group has a denominator above 4^HARD_DIM_CAP,
+    and a level index s is at most 2n + 1: nonzero residual coefficients
+    are at least 2^-2n and ||f_V||_1 <= 1.  These bounds keep 1 << exp,
+    3**s and 4**s small.
+    """
+    def need(ok: bool, where: str, what: str) -> None:
+        if not ok:
+            raise ValueError(f"malformed certificate: {where} must be {what}")
+
+    def pair(obj, where: str) -> None:
+        need(isinstance(obj, dict) and _is_int(obj.get("num"))
+             and _is_int(obj.get("exp")), where,
+             "a {num, exp} pair of integers")
+        need(0 <= obj["exp"] <= 2 * HARD_DIM_CAP, f"{where}.exp",
+             f"in [0, {2 * HARD_DIM_CAP}]")
+
+    pair(cert.get("alpha"), "alpha")
+    if cert.get("a_norm") is not None:
+        pair(cert["a_norm"], "a_norm")
+    pair(cert.get("final_bound"), "final_bound")
+    trace = cert.get("trace", [])
+    need(isinstance(trace, list), "trace", "a list")
+    for i, st in enumerate(trace):
+        where = f"trace step {i}"
+        need(isinstance(st, dict), where, "an object")
+        for key in ("s", "dim_before", "dim_after"):
+            need(_is_int(st.get(key)), f"{where} {key}", "an integer")
+        need(0 <= st["s"] <= 2 * n + 1, f"{where} s", f"in [0, {2 * n + 1}]")
+        pair(st.get("gain"), f"{where} gain")
+        ceiling = st.get("chang_ceiling")
+        need((_is_int(ceiling) or isinstance(ceiling, float))
+             and math.isfinite(ceiling), f"{where} chang_ceiling",
+             "a finite number")
+    need(isinstance(cert.get("termination"), str), "termination", "a string")
+    hyp = cert.get("hypothesis")
+    if hyp is not None:
+        need(isinstance(hyp, dict), "hypothesis", "an object or null")
+        # hypothesis_check bounds it before use, as it does for lowerbound.
+        need(_is_int(hyp.get("max_order")), "hypothesis.max_order",
+             "an integer")
 
 
 def check_certificate(a: PointSet, cert: dict) -> List[str]:
-    """Recompute everything checkable about a certificate; [] when sound."""
+    """Recompute everything checkable about a certificate; [] when sound.
+
+    A certificate that is not shaped like the tool's output raises
+    ValueError instead: it refutes nothing.
+    """
+    if not isinstance(cert, dict):
+        raise ValueError("malformed certificate: top level must be an object")
     problems: List[str] = []
     if cert.get("version") != CERT_VERSION:
         problems.append(f"unknown version {cert.get('version')!r}")
@@ -202,6 +262,7 @@ def check_certificate(a: PointSet, cert: dict) -> List[str]:
     if cert.get("n") != a.dim.n:
         problems.append(f"n mismatch: file {a.dim.n}, certificate {cert.get('n')}")
         return problems
+    _check_schema(cert, a.dim.n)
     alpha = _pair_in(cert["alpha"])
     if alpha != a.density():
         problems.append(f"alpha {alpha} != set density {a.density()}")
@@ -216,16 +277,14 @@ def check_certificate(a: PointSet, cert: dict) -> List[str]:
     total = alpha
     dim = 0
     for i, st in enumerate(cert.get("trace", [])):
-        s = int(st["s"])
+        s = st["s"]
         gain = _pair_in(st["gain"])
-        if s < 0:
-            problems.append(f"step {i}: negative level {s}")
-        if int(st["dim_before"]) != dim:
+        if st["dim_before"] != dim:
             problems.append(f"step {i}: dim_before {st['dim_before']} != {dim}")
-        dim = int(st["dim_after"])
-        if dim <= int(st["dim_before"]):
+        dim = st["dim_after"]
+        if dim <= st["dim_before"]:
             problems.append(f"step {i}: subspace did not grow")
-        if dim - int(st["dim_before"]) > float(st["chang_ceiling"]):
+        if dim - st["dim_before"] > st["chang_ceiling"]:
             problems.append(f"step {i}: growth above the recorded ceiling")
         # gain >= (1/6)(4/3)^s by exact cross-multiplication.
         if 6 * (3 ** s) * gain.num < (4 ** s) * (1 << gain.exp):
@@ -246,7 +305,7 @@ def check_certificate(a: PointSet, cert: dict) -> List[str]:
     if hyp is not None:
         from .iteration import hypothesis_check
 
-        rep = hypothesis_check(_pair_in(hyp["alpha"]), int(hyp["max_order"]))
+        rep = hypothesis_check(a.density(), hyp["max_order"])
         if _hypothesis_payload(rep) != hyp:
             problems.append("hypothesis report does not recompute")
     return problems

@@ -19,7 +19,7 @@ import numpy as np
 from .chang import _chang_bound_from_norms, level_sets, select_level
 from .dyadic import DyadicScalar, ZERO
 from .fourier import Spectrum, a_norm, exact_sum, fwht, l2_norm_sq
-from .groups import DualSubspace, subspace_insert
+from .groups import HARD_DIM_CAP, DualSubspace, subspace_insert
 from .setfuncs import PointSet, frac_product, residual, residual_l1
 
 __all__ = [
@@ -33,6 +33,11 @@ __all__ = [
     "HypothesisReport",
     "hypothesis_check",
 ]
+
+
+# No subspace is larger than the largest group, so a bigger max_order would
+# only lengthen the hypothesis report; lowerbound and check-cert share this.
+MAX_ORDER = 1 << HARD_DIM_CAP
 
 
 class ZeroResidual(Exception):
@@ -140,8 +145,8 @@ def run_iteration(a: PointSet, max_order: int,
     sum of |hat(chi_A)|, so final_bound <= a_norm holds exactly, with
     equality whenever the run ends in ResidualZero.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must lie in [1, 2^{HARD_DIM_CAP}]")
     if step_cap < 0:
         raise ValueError("step_cap must be >= 0")
     chi_hat = fwht(a.indicator())
@@ -207,8 +212,8 @@ def hypothesis_check(alpha: DyadicScalar, max_order: int) -> HypothesisReport:
     c_plain = min_d {alpha 2^d}(1 - {alpha 2^d}) and c_scaled is the same
     minimum after multiplying row d by 2^d; both exact.
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not 1 <= max_order <= MAX_ORDER:
+        raise ValueError(f"max_order must lie in [1, 2^{HARD_DIM_CAP}]")
     rows = [HypothesisRow(d, *frac_product(alpha, d))
             for d in range(max_order.bit_length())]
     c_plain = min((r.product for r in rows), default=ZERO)

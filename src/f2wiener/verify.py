@@ -35,6 +35,11 @@ SUITE_NAMES = ("tA", "lem1", "techlem", "beckner", "chang")
 
 BECKNER_SLACK = 1e-9
 
+# Upper limits for run_suite, checked before any worker starts: a pool of
+# at most MAX_JOBS processes and a bounded run.
+MAX_JOBS = 64
+MAX_TRIALS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -197,8 +202,10 @@ def run_suite(name: str, trials: int, seed: int, jobs: int = 1) -> SuiteResult:
     """Run one named suite; jobs > 1 shards trials without changing them."""
     if name not in _TRIALS:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")
+    if jobs > MAX_JOBS:
+        raise ValueError(f"jobs must be at most {MAX_JOBS}")
     if jobs <= 1 or trials < 4:
         return SuiteResult(name, trials, _run_chunk(name, seed, 0, trials))
     chunk = (trials + jobs - 1) // jobs

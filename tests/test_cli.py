@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
-from f2wiener import cli
+from f2wiener import cli, verify
 from f2wiener.cli import build_parser, main
 from f2wiener.fileio import write_set_file
 from f2wiener.groups import get_dim_cap
+from f2wiener.iteration import MAX_ORDER
 from f2wiener.setfuncs import PointSet
 
 
@@ -93,6 +94,94 @@ def test_check_cert_detects_tampering(workdir, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def _put(value, *path):
+    """Mutation that sets cert[path[0]][path[1]]... to value."""
+    def mutate(c):
+        target = c
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return c
+    return mutate
+
+
+# n = 4 below, so a level index s lies in [0, 2n + 1] = [0, 9].
+MALFORMED = {
+    "top_level_list": lambda c: [c],
+    "trace_string": _put("abc", "trace"),
+    "gain_null": _put(None, "trace", 0, "gain"),
+    "final_bound_string": _put("7/2^2", "final_bound"),
+    "s_above_2n_plus_1": _put(10, "trace", 0, "s"),
+    "s_huge": _put(10 ** 80, "trace", 0, "s"),
+    "s_negative": _put(-1, "trace", 0, "s"),
+    "s_float": _put(1.0, "trace", 0, "s"),
+    "dim_bool": _put(False, "trace", 0, "dim_before"),
+    "step_not_object": _put([3], "trace"),
+    "ceiling_nan": _put(float("nan"), "trace", 0, "chang_ceiling"),
+    "ceiling_string": _put("9", "trace", 0, "chang_ceiling"),
+    "exp_huge": _put({"num": 1, "exp": 10 ** 9}, "alpha"),
+    "exp_negative": _put({"num": 7, "exp": -2}, "final_bound"),
+    "num_string": _put({"num": "7", "exp": 2}, "a_norm"),
+    "termination_list": _put(["ResidualZero"], "termination"),
+    "hypothesis_list": _put([], "hypothesis"),
+    "max_order_string": _put("16", "hypothesis", "max_order"),
+}
+
+
+@pytest.mark.parametrize("mutate", MALFORMED.values(), ids=MALFORMED.keys())
+def test_check_cert_malformed_is_bad_input(workdir, capsys, mutate):
+    path = _set_file(workdir)
+    assert main(["lowerbound", path, "--max-order", "16",
+                 "--out", "c.json"]) == 0
+    capsys.readouterr()
+    cert = json.loads((workdir / "c.json").read_text())
+    assert cert["trace"] and cert["hypothesis"]
+    (workdir / "c.json").write_text(json.dumps(mutate(cert)))
+    assert main(["check-cert", path, "c.json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert out.err.startswith("error: malformed certificate: ")
+
+
+def test_check_cert_level_at_bound_is_checked(workdir, capsys):
+    # s = 2n + 1 is well formed, so a wrong gain there is a failed check.
+    path = _set_file(workdir)
+    assert main(["lowerbound", path, "--max-order", "16",
+                 "--out", "c.json"]) == 0
+    cert = json.loads((workdir / "c.json").read_text())
+    (workdir / "c.json").write_text(json.dumps(_put(9, "trace", 0, "s")(cert)))
+    capsys.readouterr()
+    assert main(["check-cert", path, "c.json"]) == 1
+    assert "below (1/6)(4/3)^9" in capsys.readouterr().out
+
+
+def test_check_cert_deeply_nested(workdir, capsys):
+    path = _set_file(workdir)
+    (workdir / "c.json").write_text("[" * 100_000)
+    assert main(["check-cert", path, "c.json"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_max_order_cap_shared(workdir, capsys):
+    # lowerbound accepts exactly the max_order values check-cert accepts.
+    path = _set_file(workdir)
+    assert main(["lowerbound", path, "--max-order", str(MAX_ORDER),
+                 "--out", "c.json"]) == 0
+    assert main(["check-cert", path, "c.json"]) == 0
+    cert = json.loads((workdir / "c.json").read_text())
+    cert["hypothesis"]["max_order"] = MAX_ORDER + 1
+    (workdir / "c.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["check-cert", path, "c.json"]) == 2
+    assert capsys.readouterr().err.count("max_order must lie in") == 1
+    for extra in ([], ["--no-hypothesis"]):
+        assert main(["lowerbound", path, "--max-order", str(MAX_ORDER + 1),
+                     "--out", "d.json"] + extra) == 2
+        assert "max_order must lie in" in capsys.readouterr().err
+    assert not (workdir / "d.json").exists()
+
+
 def test_lowerbound_flags(workdir, capsys):
     path = _set_file(workdir)
     assert main(["lowerbound", path, "--max-order", "16", "--strategy",
@@ -114,6 +203,8 @@ def test_profile_output(workdir, capsys):
     assert "c_scaled = 55/256" in out
     assert main(["profile", "--alpha", "5/3", "--max-dim", "2"]) == 2
     assert main(["profile", "--alpha", "17/2^4", "--max-dim", "2"]) == 2
+    assert main(["profile", "--alpha", "1/2^1", "--max-dim", "31"]) == 2
+    assert main(["profile", "--alpha", "1/2^1", "--max-dim", "-1"]) == 2
 
 
 def test_verify_command(workdir, capsys):
@@ -200,6 +291,21 @@ def test_set_file_above_dimension_cap(tmp_path, package_env):
     assert out.stderr.count("\n") == 1
     assert "dimension cap" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_verify_caps_jobs_and_trials(workdir, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    (workdir / "cfg.toml").write_text("jobs = 100000\n")
+    for argv in (["verify", "--jobs", "100000"],
+                 ["verify", "--trials", str(verify.MAX_TRIALS + 1)],
+                 ["--config", "cfg.toml", "verify"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
 
 
 def test_config_defaults(workdir, capsys):

@@ -162,8 +162,15 @@ def test_check_certificate_detects_tampering():
     def bad_ceiling(c):
         c["trace"][0]["chang_ceiling"] = 0.5
 
+    def other_alpha_hyp(c):
+        # Consistent in itself, but for a density the set does not have.
+        rep = hypothesis_check(DyadicScalar(1, 1), 16)
+        c["hypothesis"] = json.loads(dumps_deterministic(
+            fileio._hypothesis_payload(rep)))
+
     for mutate in (overshoot, break_chain, shrink_gain, no_growth, bad_term,
-                   bad_version, fake_zero, bad_hyp, bad_ceiling):
+                   bad_version, fake_zero, bad_hyp, bad_ceiling,
+                   other_alpha_hyp):
         problems = check_certificate(a, _tampered(payload, mutate))
         assert problems, mutate.__name__
 

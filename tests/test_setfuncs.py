@@ -79,8 +79,7 @@ def test_coset_average_frozen():
     a = PointSet.from_points(2, [0])
     v = DualSubspace.span([0b01])
     avg = _coset_average(a, v)
-    assert avg == [Fraction(1, 2), Fraction(0),
-                                  Fraction(1, 2), Fraction(0)]
+    assert avg == [Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0)]
 
 
 def test_coset_average_random():

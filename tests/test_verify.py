@@ -3,7 +3,7 @@ import pytest
 from f2wiener import verify
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.groups import DualSubspace
-from f2wiener.verify import SUITE_NAMES, run_suite
+from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -34,6 +34,10 @@ def test_suite_validation():
         run_suite("nosuch", trials=5, seed=0)
     with pytest.raises(ValueError):
         run_suite("tA", trials=0, seed=0)
+    with pytest.raises(ValueError):
+        run_suite("tA", trials=MAX_TRIALS + 1, seed=0)
+    with pytest.raises(ValueError):
+        run_suite("tA", trials=8, seed=0, jobs=MAX_JOBS + 1)
 
 
 def _drop_last_row(original):
