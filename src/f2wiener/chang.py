@@ -22,7 +22,7 @@ from .dyadic import DyadicScalar, floor_log2_ratio
 from .fourier import (FunctionTable, Spectrum, exact_product, exact_sum, fwht,
                       inverse_fwht, l1_norm, l2_norm_sq, lp_norm,
                       spectrum_l2_sq)
-from .groups import DualSubspace, as_dim, subspace_insert
+from .groups import DualSubspace, as_dim
 
 __all__ = [
     "ZeroMass",
@@ -31,6 +31,7 @@ __all__ = [
     "LevelSet",
     "level_sets",
     "level_qualifies",
+    "STRATEGIES",
     "select_level",
     "chang_span",
     "chang_cardinality_bound",
@@ -74,9 +75,6 @@ def level_sets(fv_hat: Spectrum, chi_hat: Spectrum,
         raise ZeroMass("level sets need a positive base norm")
     support = np.flatnonzero(fv_hat.nums)
     mags = np.abs(fv_hat.nums[support])
-    if mags.dtype != object and mags.size and mags.min() < 0:
-        # abs(-2**63) wraps in int64; keep that magnitude exact.
-        mags = np.abs(fv_hat.nums[support].astype(object))
     # Distinct magnitudes, largest first: the band index only grows along
     # them, so each level is one run of them, decided with one exact
     # floor_log2_ratio per value and selected with one range mask.
@@ -101,6 +99,9 @@ def level_qualifies(level: LevelSet) -> bool:
     m = level.mass
     s = level.s
     return 6 * (3 ** s) * m.num >= (4 ** s) * (1 << m.exp)
+
+
+STRATEGIES = ("smallest-s", "best-ratio")
 
 
 def select_level(levels: Sequence[LevelSet],
@@ -171,18 +172,8 @@ def chang_span(spec: Spectrum, threshold: DyadicScalar,
     l1 = l1_norm(f)
     # |num| / 2^spec.exp >= threshold  <=>  |num| >= cut, for integer num.
     cut = -((-threshold.num << spec.exp) >> threshold.exp)
-    # Two one-sided tests, because np.abs wraps on int64 -2^63; numpy >= 2
-    # compares int64 with an out-of-range Python int exactly, so a cut of
-    # 2^63 still selects -2^63 and a larger one selects nothing.
-    nums = spec.nums
-    large = np.flatnonzero((nums >= cut) | (nums <= -cut))
-    # Reduce the rest against the span so far and insert one survivor at a
-    # time; the RREF basis is canonical, so the order does not matter.
-    w = DualSubspace.trivial()
-    while large.size:
-        w = subspace_insert(w, int(large[0]))
-        large = w.reduce_array(large)
-        large = large[large != 0]
+    # numpy >= 2 compares int64 with an out-of-range Python int exactly.
+    w = DualSubspace.span(np.flatnonzero(np.abs(spec.nums) >= cut))
     if l1.num == 0:
         return w, 0.0
     eps = threshold.as_fraction() / l1.as_fraction()

@@ -13,7 +13,7 @@ import sys
 import tomllib
 from typing import List, Optional
 
-from .chang import NoQualifyingLevel, ZeroMass
+from .chang import STRATEGIES, NoQualifyingLevel, ZeroMass
 from .constructions import (DyadicDensity, ExponentOverflow, ResolutionError,
                             build_coset_union, density_family)
 from .dyadic import DyadicScalar, ONE, ZERO
@@ -22,7 +22,7 @@ from .explore import (AnnealParams, BudgetExceeded, DEFAULT_BUDGET,
 from .fileio import (SetFileError, certificate_payload, check_certificate,
                      load_certificate, read_set_file, witness_payload,
                      write_certificate, write_set_file, dumps_deterministic)
-from .groups import HARD_DIM_CAP, set_dim_cap
+from .groups import HARD_DIM_CAP, HARD_EXP_CAP
 from .iteration import hypothesis_check, run_iteration
 from .setfuncs import set_a_norm
 from .verify import SUITE_NAMES, run_suite
@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
+
+# Set files and --n above this are refused unless a config raises max_n.
+DEFAULT_MAX_N = 16
+CONFIG_KEYS = ("max_n", "strategy", "step_cap", "trials", "seed", "jobs",
+               "budget", "anneal_t0", "anneal_cooling", "anneal_steps")
 
 
 def _load_config(path: str) -> dict:
@@ -45,6 +50,9 @@ def _load_config(path: str) -> dict:
             flat.update(v)
         else:
             flat[k] = v
+    for k in flat:
+        if k not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {k!r}")
     return flat
 
 
@@ -86,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lowerbound", help="emit a certified lower bound")
     p.add_argument("setfile")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--strategy", choices=["smallest-s", "best-ratio"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--step-cap", type=int)
     p.add_argument("--out", help="certificate path (default SETFILE.cert.json)")
     p.add_argument("--no-hypothesis", action="store_true",
@@ -130,8 +138,13 @@ def _frac_str(x: DyadicScalar) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _cmd_norm(args, cfg) -> int:
-    a = read_set_file(args.setfile)
+def _check_n(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise ValueError(f"--n {n} is above the dimension cap {max_n}")
+
+
+def _cmd_norm(args, cfg, max_n) -> int:
+    a = read_set_file(args.setfile, max_n)
     print(f"n = {a.dim.n}")
     print(f"size = {a.size}")
     print(_dyadic_line("alpha", a.density()))
@@ -147,7 +160,8 @@ def _parse_exponents(text: str) -> DyadicDensity:
     return DyadicDensity(exps)
 
 
-def _cmd_construct(args, cfg) -> int:
+def _cmd_construct(args, cfg, max_n) -> int:
+    _check_n(args.n, max_n)
     if args.exponents is not None:
         if args.family is not None or args.k is not None:
             raise ValueError("--exponents excludes --family/--k")
@@ -179,9 +193,11 @@ def _cmd_construct(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_lowerbound(args, cfg) -> int:
-    a = read_set_file(args.setfile)
+def _cmd_lowerbound(args, cfg, max_n) -> int:
+    a = read_set_file(args.setfile, max_n)
     strategy = args.strategy or cfg.get("strategy", "smallest-s")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"config value strategy must be in {STRATEGIES}")
     step_cap = _setting(args.step_cap, cfg, "step_cap", 64, int)
     trace = run_iteration(a, args.max_order, strategy, step_cap)
     hypothesis = None
@@ -209,8 +225,11 @@ def _cmd_lowerbound(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args, cfg) -> int:
+def _cmd_profile(args, cfg, max_n) -> int:
     alpha = DyadicScalar.parse(args.alpha)
+    # Bounds the exact decimal, which takes 5^exp.
+    if alpha.exp > HARD_EXP_CAP:
+        raise ValueError(f"alpha exponent must be at most {HARD_EXP_CAP}")
     if not ZERO <= alpha <= ONE:
         raise ValueError("alpha must lie in [0, 1]")
     if not 0 <= args.max_dim <= HARD_DIM_CAP:
@@ -227,7 +246,7 @@ def _cmd_profile(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args, cfg, max_n) -> int:
     trials = _setting(args.trials, cfg, "trials", 500, int)
     seed = _setting(args.seed, cfg, "seed", 0, int)
     jobs = _setting(args.jobs, cfg, "jobs", 1, int)
@@ -244,7 +263,8 @@ def _cmd_verify(args, cfg) -> int:
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
-def _cmd_explore(args, cfg) -> int:
+def _cmd_explore(args, cfg, max_n) -> int:
+    _check_n(args.n, max_n)
     seed = _setting(args.seed, cfg, "seed", 0, int)
     if args.method == "exhaustive":
         budget = _setting(args.budget, cfg, "budget", DEFAULT_BUDGET, int)
@@ -268,17 +288,15 @@ def _cmd_explore(args, cfg) -> int:
     return EXIT_OK
 
 
-def _cmd_check_cert(args, cfg) -> int:
-    a = read_set_file(args.setfile)
+def _cmd_check_cert(args, cfg, max_n) -> int:
+    a = read_set_file(args.setfile, max_n)
     cert = load_certificate(args.certificate)
-    problems = check_certificate(a, cert)
+    problems, final = check_certificate(a, cert)
     if problems:
         for msg in problems:
             print(f"PROBLEM: {msg}")
         print(f"certificate FAILED {len(problems)} checks")
         return EXIT_VIOLATION
-    final = DyadicScalar(int(cert["final_bound"]["num"]),
-                         int(cert["final_bound"]["exp"]))
     print(f"certificate OK: a_norm >= {final} = {final.decimal_str()}")
     return EXIT_OK
 
@@ -304,9 +322,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _load_config(args.config) if args.config else {}
-        if "max_n" in cfg:
-            set_dim_cap(_setting(None, cfg, "max_n", None, int))
-        return _COMMANDS[args.command](args, cfg)
+        max_n = _setting(None, cfg, "max_n", DEFAULT_MAX_N, int)
+        if not 1 <= max_n <= HARD_DIM_CAP:
+            raise ValueError(f"dimension cap must lie in [1, {HARD_DIM_CAP}]")
+        return _COMMANDS[args.command](args, cfg, max_n)
     except (BudgetExceeded, ExponentOverflow, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

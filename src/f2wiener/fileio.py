@@ -15,11 +15,12 @@ import math
 import os
 import re
 import subprocess
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from .chang import LevelSet, level_qualifies
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
-from .groups import HARD_DIM_CAP, get_dim_cap
+from .groups import HARD_EXP_CAP
 from .iteration import HypothesisReport, IterationTrace, Termination
 from .setfuncs import PointSet, set_a_norm
 
@@ -47,7 +48,8 @@ class SetFileError(ValueError):
     """Malformed set file."""
 
 
-def read_set_file(path: str) -> PointSet:
+def read_set_file(path: str, max_n: int) -> PointSet:
+    """The set in a set file, refusing any n above max_n."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -58,10 +60,9 @@ def read_set_file(path: str) -> PointSet:
         raise SetFileError(f"first line must be n=<int>, got {lines[0]!r}")
     digits = m.group(1).lstrip("0") or "0"
     # Check the cap before anything is sized by n (1 << n below).
-    cap = get_dim_cap()
-    if len(digits) > len(str(cap)) or int(digits) > cap:
+    if len(digits) > len(str(max_n)) or int(digits) > max_n:
         shown = digits if len(digits) <= 20 else digits[:20] + "..."
-        raise SetFileError(f"n={shown} is above the dimension cap {cap}")
+        raise SetFileError(f"n={shown} is above the dimension cap {max_n}")
     n = int(digits)
     if n < 1:
         raise SetFileError("n must be >= 1")
@@ -193,122 +194,115 @@ def load_certificate(path: str) -> dict:
             raise ValueError("certificate JSON nests too deeply") from None
 
 
-def _pair_in(obj) -> DyadicScalar:
-    return DyadicScalar(obj["num"], obj["exp"])
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_schema(cert: dict, n: int) -> None:
-    """Raise ValueError unless every field check_certificate reads has the
-    type and range the tool writes, so nothing is computed from a bad one.
-
-    No exact value of any group has a denominator above 4^HARD_DIM_CAP,
-    and a level index s is at most 2n + 1: nonzero residual coefficients
-    are at least 2^-2n and ||f_V||_1 <= 1.  These bounds keep 1 << exp,
-    3**s and 4**s small.
-    """
-    def need(ok: bool, where: str, what: str) -> None:
-        if not ok:
-            raise ValueError(f"malformed certificate: {where} must be {what}")
-
-    def pair(obj, where: str) -> None:
-        need(isinstance(obj, dict) and _is_int(obj.get("num"))
-             and _is_int(obj.get("exp")), where,
-             "a {num, exp} pair of integers")
-        need(0 <= obj["exp"] <= 2 * HARD_DIM_CAP, f"{where}.exp",
-             f"in [0, {2 * HARD_DIM_CAP}]")
-
-    pair(cert.get("alpha"), "alpha")
-    if cert.get("a_norm") is not None:
-        pair(cert["a_norm"], "a_norm")
-    pair(cert.get("final_bound"), "final_bound")
-    trace = cert.get("trace", [])
-    need(isinstance(trace, list), "trace", "a list")
-    for i, st in enumerate(trace):
-        where = f"trace step {i}"
-        need(isinstance(st, dict), where, "an object")
-        for key in ("s", "dim_before", "dim_after"):
-            need(_is_int(st.get(key)), f"{where} {key}", "an integer")
-        need(0 <= st["s"] <= 2 * n + 1, f"{where} s", f"in [0, {2 * n + 1}]")
-        pair(st.get("gain"), f"{where} gain")
-        ceiling = st.get("chang_ceiling")
-        need((_is_int(ceiling) or isinstance(ceiling, float))
-             and math.isfinite(ceiling), f"{where} chang_ceiling",
-             "a finite number")
-    need(isinstance(cert.get("termination"), str), "termination", "a string")
-    hyp = cert.get("hypothesis")
-    if hyp is not None:
-        need(isinstance(hyp, dict), "hypothesis", "an object or null")
-        # hypothesis_check bounds it before use, as it does for lowerbound.
-        need(_is_int(hyp.get("max_order")), "hypothesis.max_order",
-             "an integer")
+def _need(ok: bool, where: str, what: str) -> None:
+    if not ok:
+        raise ValueError(f"malformed certificate: {where} must be {what}")
 
 
-def check_certificate(a: PointSet, cert: dict) -> List[str]:
-    """Recompute everything checkable about a certificate; [] when sound.
+def _pair_in(obj, where: str) -> DyadicScalar:
+    _need(isinstance(obj, dict) and _is_int(obj.get("num"))
+          and _is_int(obj.get("exp")), where, "a {num, exp} pair of integers")
+    _need(0 <= obj["exp"] <= HARD_EXP_CAP, f"{where}.exp",
+          f"in [0, {HARD_EXP_CAP}]")
+    return DyadicScalar(obj["num"], obj["exp"])
 
-    A certificate that is not shaped like the tool's output raises
-    ValueError instead: it refutes nothing.
+
+def _step_in(st, where: str, n: int) -> tuple:
+    """(s, dim_before, dim_after, gain, chang_ceiling), each checked."""
+    # A level index s is at most 2n + 1: nonzero residual coefficients are
+    # at least 2^-2n and ||f_V||_1 <= 1.  This keeps 3**s and 4**s small.
+    _need(isinstance(st, dict), where, "an object")
+    for key in ("s", "dim_before", "dim_after"):
+        _need(_is_int(st.get(key)), f"{where} {key}", "an integer")
+    _need(0 <= st["s"] <= 2 * n + 1, f"{where} s", f"in [0, {2 * n + 1}]")
+    for key in ("dim_before", "dim_after"):
+        _need(0 <= st[key] <= n, f"{where} {key}", f"in [0, {n}]")
+    gain = _pair_in(st.get("gain"), f"{where} gain")
+    ceiling = st.get("chang_ceiling")
+    _need((_is_int(ceiling) or isinstance(ceiling, float))
+          and math.isfinite(ceiling), f"{where} chang_ceiling",
+          "a finite number")
+    return st["s"], st["dim_before"], st["dim_after"], gain, ceiling
+
+
+def check_certificate(a: PointSet, cert,
+                      ) -> Tuple[List[str], Optional[DyadicScalar]]:
+    """Recheck a loaded certificate against its set: (problems, final_bound).
+
+    problems is [] when the certificate is sound; final_bound is None when
+    its version or n already disagree.  Every field is decoded into a
+    checked, typed value before anything is computed from it, so a
+    certificate not shaped like the tool's output raises ValueError
+    instead: it refutes nothing.
     """
     if not isinstance(cert, dict):
         raise ValueError("malformed certificate: top level must be an object")
+    version, n = cert.get("version"), cert.get("n")
+    if not _is_int(version) or version != CERT_VERSION:
+        return [f"unknown version {version!r}"], None
+    if not _is_int(n) or n != a.dim.n:
+        return [f"n mismatch: file {a.dim.n}, certificate {n}"], None
+    alpha = _pair_in(cert.get("alpha"), "alpha")
+    claimed = cert.get("a_norm")
+    if claimed is not None:
+        claimed = _pair_in(claimed, "a_norm")
+    final = _pair_in(cert.get("final_bound"), "final_bound")
+    trace = cert.get("trace", [])
+    _need(isinstance(trace, list), "trace", "a list")
+    steps = [_step_in(st, f"trace step {i}", n) for i, st in enumerate(trace)]
+    term = cert.get("termination")
+    _need(isinstance(term, str), "termination", "a string")
+    hyp = cert.get("hypothesis")
+    if hyp is not None:
+        _need(isinstance(hyp, dict), "hypothesis", "an object or null")
+        # hypothesis_check bounds it before use, as it does for lowerbound.
+        _need(_is_int(hyp.get("max_order")), "hypothesis.max_order",
+              "an integer")
+
     problems: List[str] = []
-    if cert.get("version") != CERT_VERSION:
-        problems.append(f"unknown version {cert.get('version')!r}")
-        return problems
-    if cert.get("n") != a.dim.n:
-        problems.append(f"n mismatch: file {a.dim.n}, certificate {cert.get('n')}")
-        return problems
-    _check_schema(cert, a.dim.n)
-    alpha = _pair_in(cert["alpha"])
     if alpha != a.density():
         problems.append(f"alpha {alpha} != set density {a.density()}")
     norm = set_a_norm(a)
-    if cert.get("a_norm") is not None:
-        claimed = _pair_in(cert["a_norm"])
-        if claimed != norm:
-            problems.append(f"a_norm {claimed} != recomputed {norm}")
-    final = _pair_in(cert["final_bound"])
+    if claimed is not None and claimed != norm:
+        problems.append(f"a_norm {claimed} != recomputed {norm}")
     if final > norm:
         problems.append(f"final_bound {final} exceeds a_norm {norm}")
     total = alpha
     dim = 0
-    for i, st in enumerate(cert.get("trace", [])):
-        s = st["s"]
-        gain = _pair_in(st["gain"])
-        if st["dim_before"] != dim:
-            problems.append(f"step {i}: dim_before {st['dim_before']} != {dim}")
-        dim = st["dim_after"]
-        if dim <= st["dim_before"]:
+    for i, (s, before, after, gain, ceiling) in enumerate(steps):
+        if before != dim:
+            problems.append(f"step {i}: dim_before {before} != {dim}")
+        dim = after
+        if dim <= before:
             problems.append(f"step {i}: subspace did not grow")
-        if dim - st["dim_before"] > st["chang_ceiling"]:
+        if dim - before > ceiling:
             problems.append(f"step {i}: growth above the recorded ceiling")
-        # gain >= (1/6)(4/3)^s by exact cross-multiplication.
-        if 6 * (3 ** s) * gain.num < (4 ** s) * (1 << gain.exp):
+        # A step's gain must meet the floor of the level it was taken at.
+        if not level_qualifies(LevelSet(s, (), gain)):
             problems.append(f"step {i}: gain {gain} below (1/6)(4/3)^{s}")
         total = total + gain
     if total != final:
         problems.append(
             f"alpha plus step gains {total} != final_bound {final}"
         )
-    term = cert.get("termination")
     if term not in {t.value for t in Termination}:
         problems.append(f"unknown termination {term!r}")
     if term == Termination.RESIDUAL_ZERO.value and final != norm:
         problems.append(
             f"ResidualZero must certify the exact norm: {final} != {norm}"
         )
-    hyp = cert.get("hypothesis")
     if hyp is not None:
         from .iteration import hypothesis_check
 
         rep = hypothesis_check(a.density(), hyp["max_order"])
-        if _hypothesis_payload(rep) != hyp:
+        # Compared as JSON text, so 1, 1.0 and true are told apart.
+        if json.dumps(_hypothesis_payload(rep)) != json.dumps(hyp):
             problems.append("hypothesis report does not recompute")
-    return problems
+    return problems, final
 
 
 def witness_payload(witness: CosetUnionWitness,

@@ -7,6 +7,7 @@ forward transform adds n to the exponent and the inverse adds nothing.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, List, Optional, Union
 
@@ -44,18 +45,18 @@ def _int_minmax(nums: np.ndarray) -> int:
     return max(int(nums.max()), -int(nums.min()))
 
 
-def _as_int_array(values, length: int) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.shape != (length,):
-        raise ValueError(f"expected {length} entries, got shape {arr.shape}")
+def _narrow(arr: np.ndarray) -> np.ndarray:
+    """The integers in arr as int64 when every |v| <= 2^63 - 1, else as an
+    object array of Python ints (so uint64 above 2^63 - 1 and int64 -2^63,
+    whose magnitude wraps under np.abs, stay exact)."""
     if arr.dtype == object:
-        out = np.array([int(v) for v in arr], dtype=object)
-        if _int_minmax(out) <= _I64_MAX:
-            return out.astype(np.int64)
-        return out
-    if not np.issubdtype(arr.dtype, np.integer):
+        # index(), unlike int(), refuses 2.5 instead of truncating it.
+        arr = np.array([operator.index(v) for v in arr], dtype=object)
+    elif not np.issubdtype(arr.dtype, np.integer):
         raise TypeError("numerators must be integers")
-    return arr.astype(np.int64)
+    if _int_minmax(arr) <= _I64_MAX:
+        return arr.astype(np.int64)
+    return arr.astype(object)
 
 
 class _DyadicTable:
@@ -67,26 +68,22 @@ class _DyadicTable:
         d = as_dim(dim)
         if exp < 0:
             raise ValueError("table exponent must be non-negative")
-        arr = _as_int_array(nums, d.order)
+        arr = np.asarray(nums)
+        if arr.shape != (d.order,):
+            raise ValueError(
+                f"expected {d.order} entries, got shape {arr.shape}")
+        arr = _narrow(arr)
         # Strip powers of two shared by every numerator; all-zero -> exp 0.
-        if arr.dtype == object:
-            acc = 0
-            for v in arr.flat:
-                acc |= int(v)
-        else:
-            acc = int(np.bitwise_or.reduce(arr)) if arr.size else 0
+        acc = int(np.bitwise_or.reduce(arr))
         if acc == 0:
             exp = 0
             arr = np.zeros(d.order, dtype=np.int64)
         elif exp > 0:
             shift = min(exp, (acc & -acc).bit_length() - 1)
             if shift:
+                arr = arr >> shift
                 if arr.dtype == object:
-                    arr = np.array([int(v) >> shift for v in arr], dtype=object)
-                    if _int_minmax(arr) <= _I64_MAX:
-                        arr = arr.astype(np.int64)
-                else:
-                    arr = arr >> shift
+                    arr = _narrow(arr)
                 exp -= shift
         arr.setflags(write=False)
         object.__setattr__(self, "dim", d)

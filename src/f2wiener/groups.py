@@ -14,16 +14,15 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_DIM_CAP",
     "HARD_DIM_CAP",
-    "set_dim_cap",
-    "get_dim_cap",
+    "HARD_EXP_CAP",
     "GroupDim",
     "as_dim",
     "parity",
     "char_sign",
     "DualSubspace",
     "subspace_insert",
+    "subspace_extend",
     "annihilator_basis",
     "coset_index_table",
     "all_subspaces",
@@ -32,22 +31,11 @@ __all__ = [
     "random_invertible",
 ]
 
-DEFAULT_DIM_CAP = 16
 HARD_DIM_CAP = 30
-
-_dim_cap = DEFAULT_DIM_CAP
-
-
-def set_dim_cap(cap: int) -> None:
-    """Raise or lower the accepted group dimension (never above 30)."""
-    global _dim_cap
-    if not 1 <= cap <= HARD_DIM_CAP:
-        raise ValueError(f"dimension cap must lie in [1, {HARD_DIM_CAP}]")
-    _dim_cap = cap
-
-
-def get_dim_cap() -> int:
-    return _dim_cap
+# Largest exponent taken from outside (certificates, profile alphas): no
+# exact value on a group the tool accepts has a denominator above
+# 4^HARD_DIM_CAP.
+HARD_EXP_CAP = 2 * HARD_DIM_CAP
 
 
 @dataclass(frozen=True)
@@ -59,9 +47,9 @@ class GroupDim:
     def __post_init__(self):
         if not isinstance(self.n, int):
             raise TypeError("group dimension must be an int")
-        if not 1 <= self.n <= _dim_cap:
+        if not 1 <= self.n <= HARD_DIM_CAP:
             raise ValueError(
-                f"group dimension {self.n} outside [1, {_dim_cap}]"
+                f"group dimension {self.n} outside [1, {HARD_DIM_CAP}]"
             )
 
     @property
@@ -123,10 +111,7 @@ class DualSubspace:
 
     @classmethod
     def span(cls, masks: Sequence[int]) -> "DualSubspace":
-        v = cls.trivial()
-        for m in masks:
-            v = subspace_insert(v, m)
-        return v
+        return subspace_extend(cls.trivial(), masks)
 
     @classmethod
     def full(cls, n: int) -> "DualSubspace":
@@ -184,6 +169,25 @@ def subspace_insert(v: DualSubspace, gamma: int) -> DualSubspace:
     rows.append(g)
     rows.sort(key=_pivot)
     return DualSubspace(tuple(rows))
+
+
+def subspace_extend(v: DualSubspace, masks: Sequence[int]) -> DualSubspace:
+    """Smallest subspace containing v and every mask.
+
+    Every mask is reduced against the basis at once and only a survivor is
+    inserted, so subspace_insert runs once per added dimension.  The basis
+    is canonical, so the result equals inserting the masks one by one.
+    """
+    rest = v.reduce_array(np.asarray(masks, dtype=np.int64))
+    while True:
+        rest = rest[rest != 0]
+        if not rest.size:
+            return v
+        g = int(rest[0])
+        v = subspace_insert(v, g)
+        # g is zero at every old pivot, so clearing its own pivot leaves
+        # rest reduced against the whole new basis.
+        rest ^= ((rest >> _pivot(g)) & 1) * np.int64(g)
 
 
 def annihilator_basis(v: DualSubspace, n: int) -> List[int]:

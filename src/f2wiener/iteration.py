@@ -19,7 +19,7 @@ import numpy as np
 from .chang import _chang_bound_from_norms, level_sets, select_level
 from .dyadic import DyadicScalar, ZERO
 from .fourier import Spectrum, a_norm, exact_sum, fwht, l2_norm_sq
-from .groups import HARD_DIM_CAP, DualSubspace, subspace_insert
+from .groups import HARD_DIM_CAP, DualSubspace, subspace_extend
 from .setfuncs import PointSet, frac_product, residual, residual_l1
 
 __all__ = [
@@ -93,17 +93,7 @@ def iterate_step(a: PointSet, v: DualSubspace,
         chi_hat = fwht(a.indicator())
     levels = level_sets(fv_hat, chi_hat, base)
     level = select_level(levels, strategy)
-    # Reduce every member against the basis at once; only a survivor is
-    # inserted, so subspace_insert runs once per added dimension.  The
-    # basis is canonical, so v_new equals inserting the members one by one.
-    v_new = v
-    rest = v.reduce_array(np.array(level.members, dtype=np.int64))
-    while True:
-        rest = rest[rest != 0]
-        if not rest.size:
-            break
-        v_new = subspace_insert(v_new, int(rest[0]))
-        rest = v_new.reduce_array(rest)
+    v_new = subspace_extend(v, level.members)
     l_old = _mass_over(chi_hat, v)
     l_new = _mass_over(chi_hat, v_new)
     # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.

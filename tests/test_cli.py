@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2wiener import cli, verify
-from f2wiener.cli import build_parser, main
+from f2wiener.cli import DEFAULT_MAX_N, build_parser, main
 from f2wiener.fileio import write_set_file
-from f2wiener.groups import get_dim_cap
+from f2wiener.groups import HARD_EXP_CAP
 from f2wiener.iteration import MAX_ORDER
 from f2wiener.setfuncs import PointSet
 
@@ -116,6 +119,7 @@ MALFORMED = {
     "s_negative": _put(-1, "trace", 0, "s"),
     "s_float": _put(1.0, "trace", 0, "s"),
     "dim_bool": _put(False, "trace", 0, "dim_before"),
+    "dim_above_n": _put(5, "trace", 2, "dim_after"),
     "step_not_object": _put([3], "trace"),
     "ceiling_nan": _put(float("nan"), "trace", 0, "chang_ceiling"),
     "ceiling_string": _put("9", "trace", 0, "chang_ceiling"),
@@ -205,6 +209,14 @@ def test_profile_output(workdir, capsys):
     assert main(["profile", "--alpha", "17/2^4", "--max-dim", "2"]) == 2
     assert main(["profile", "--alpha", "1/2^1", "--max-dim", "31"]) == 2
     assert main(["profile", "--alpha", "1/2^1", "--max-dim", "-1"]) == 2
+    # The exact decimal of alpha takes 5^exp, so the exponent is capped.
+    capsys.readouterr()
+    assert main(["profile", "--alpha", "1/2^100000000", "--max-dim", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert f"at most {HARD_EXP_CAP}" in out.err
+    assert main(["profile", "--alpha", f"1/2^{HARD_EXP_CAP}",
+                 "--max-dim", "2"]) == 0
 
 
 def test_verify_command(workdir, capsys):
@@ -282,7 +294,7 @@ def test_bad_inputs(workdir, capsys):
 
 def test_set_file_above_dimension_cap(tmp_path, package_env):
     path = tmp_path / "big.set"
-    path.write_text(f"n={get_dim_cap() + 1}\nhexbits=1\n")
+    path.write_text(f"n={DEFAULT_MAX_N + 1}\nhexbits=1\n")
     out = subprocess.run(
         [sys.executable, "-m", "f2wiener", "norm", str(path)],
         capture_output=True, text=True, cwd=tmp_path, env=package_env)
@@ -291,6 +303,63 @@ def test_set_file_above_dimension_cap(tmp_path, package_env):
     assert out.stderr.count("\n") == 1
     assert "dimension cap" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _one_line_error(capsys):
+    out = capsys.readouterr()
+    return out.out == "" and out.err.count("\n") == 1 and out.err.startswith(
+        "error: ")
+
+
+def test_dim_cap_configurable(workdir, capsys):
+    # Each call works out max_n from its own config; none outlives its call.
+    big = _set_file(workdir, "big.set", n=DEFAULT_MAX_N + 1, points=(0, 3))
+    five = _set_file(workdir, "five.set", n=5, points=(0, 3))
+    (workdir / "up.toml").write_text(f"max_n = {DEFAULT_MAX_N + 1}\n")
+    (workdir / "down.toml").write_text("max_n = 4\n")
+    (workdir / "over.toml").write_text("max_n = 31\n")
+    assert main(["norm", big]) == 2
+    assert _one_line_error(capsys)
+    assert main(["--config", "up.toml", "norm", big]) == 0
+    assert f"n = {DEFAULT_MAX_N + 1}" in capsys.readouterr().out
+    assert main(["norm", big]) == 2
+    assert _one_line_error(capsys)
+    assert main(["--config", "down.toml", "norm", five]) == 2
+    assert _one_line_error(capsys)
+    assert main(["norm", five]) == 0
+    assert "size = 2" in capsys.readouterr().out
+    for argv in (["explore", "--n", "5", "--size", "2"],
+                 ["construct", "--family", "geometric4", "--k", "1",
+                  "--n", "5"]):
+        assert main(["--config", "down.toml"] + argv) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: --n 5 is above the dimension cap 4\n"
+        assert main(argv) == 0
+        capsys.readouterr()
+    assert main(["--config", "over.toml", "norm", five]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_config_keys_and_strategy_checked(workdir, capsys):
+    # A full set ends before any level is selected, so only the config
+    # check can refuse a bad strategy.
+    full = _set_file(workdir, "full.set", n=2, points=(0, 1, 2, 3))
+    lowerbound = ["lowerbound", full, "--max-order", "4"]
+    (workdir / "typo.toml").write_text("trails = 7\n")
+    (workdir / "nested.toml").write_text("[verify]\n[verify.more]\nseed = 1\n")
+    (workdir / "bogus.toml").write_text('strategy = "bogus"\n')
+    (workdir / "number.toml").write_text("strategy = 3\n")
+    (workdir / "good.toml").write_text('[lowerbound]\nstrategy = "best-ratio"\n')
+    for cfg, argv in (("typo.toml", ["verify", "--suite", "lem1"]),
+                      ("nested.toml", lowerbound),
+                      ("bogus.toml", lowerbound),
+                      ("number.toml", lowerbound)):
+        assert main(["--config", cfg] + argv) == 2, cfg
+        assert _one_line_error(capsys), cfg
+    assert main(["--config", "good.toml"] + lowerbound) == 0
+    # A flag wins over the config value it replaces.
+    assert main(["--config", "bogus.toml"] + lowerbound
+                + ["--strategy", "smallest-s"]) == 0
 
 
 def test_verify_caps_jobs_and_trials(workdir, capsys, monkeypatch):
@@ -362,3 +431,76 @@ def test_module_entry_point(tmp_path, package_env):
         capture_output=True, text=True, cwd=tmp_path, env=package_env)
     assert out.returncode == 0
     assert "c_plain = 0" in out.stdout
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON value, containers included."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def valid_cert(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    path = _set_file(root)
+    assert main(["lowerbound", path, "--max-order", "16",
+                 "--out", str(root / "c.json")]) == 0
+    cert = json.loads((root / "c.json").read_text())
+    assert len(cert["trace"]) >= 2 and cert["hypothesis"]
+    paths = [p for p in _paths(cert) if p[0] != "tool_commit"]
+    return path, cert, paths, str(root / "m.json")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _unseen(cert, path, value) -> bool:
+    """Edits check-cert cannot see until it replays the run: a step's level
+    or ceiling, the last step's dimension and the termination, where the
+    rest of the certificate allows them; and the optional a_norm and
+    hypothesis set to null."""
+    if path in (("a_norm",), ("hypothesis",)):
+        return value is None
+    if path == ("termination",):
+        return True
+    last = ("trace", len(cert["trace"]) - 1, "dim_after")
+    return path == last or (len(path) == 3 and path[0] == "trace"
+                            and path[2] in ("s", "chang_ceiling"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_cert_fuzz_one_field(valid_cert, data):
+    # One field of a valid certificate replaced by any JSON value: exit 1
+    # with FAILED, or exit 2 with one stderr line, and never a traceback.
+    set_path, cert, paths, cert_path = valid_cert
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(_JSON)
+    mutated = json.loads(json.dumps(cert))
+    target = mutated
+    for key in path[:-1]:
+        target = target[key]
+    if json.dumps(target[path[-1]]) == json.dumps(value):
+        return
+    target[path[-1]] = value
+    with open(cert_path, "w", encoding="ascii") as fh:
+        json.dump(mutated, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["check-cert", set_path, cert_path])
+    out, err = out.getvalue(), err.getvalue()
+    if rc == 2:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: ")
+    elif rc == 1:
+        assert err == "" and "certificate FAILED" in out
+    else:
+        assert rc == 0 and _unseen(cert, path, value), (path, value)

@@ -13,7 +13,7 @@ from f2wiener.fileio import (SetFileError, certificate_payload,
                              load_certificate, read_set_file, tool_commit,
                              witness_payload, write_certificate,
                              write_set_file)
-from f2wiener.groups import get_dim_cap
+from f2wiener.cli import DEFAULT_MAX_N
 from f2wiener.iteration import hypothesis_check, run_iteration
 from f2wiener.setfuncs import PointSet, set_a_norm
 
@@ -23,7 +23,7 @@ def test_set_file_roundtrip(tmp_path):
     for style in ("hexbits", "points"):
         path = tmp_path / f"{style}.set"
         write_set_file(str(path), a, style)
-        assert read_set_file(str(path)) == a
+        assert read_set_file(str(path), 3) == a
     text = (tmp_path / "hexbits.set").read_text()
     assert text == "n=3\nhexbits=29\n"
     assert (tmp_path / "points.set").read_text() == "n=3\n0\n3\n5\n"
@@ -34,7 +34,7 @@ def test_set_file_roundtrip(tmp_path):
 def test_set_file_comments_and_blank_lines(tmp_path):
     path = tmp_path / "c.set"
     path.write_text("# sample\n\nn=2\n# points below\n0\n\n3\n")
-    assert read_set_file(str(path)).points() == [0, 3]
+    assert read_set_file(str(path), 2).points() == [0, 3]
 
 
 def test_set_file_errors(tmp_path):
@@ -42,7 +42,7 @@ def test_set_file_errors(tmp_path):
         p = tmp_path / "bad.set"
         p.write_text(text)
         with pytest.raises(SetFileError):
-            read_set_file(str(p))
+            read_set_file(str(p), DEFAULT_MAX_N)
 
     bad("")
     bad("# only comments\n")
@@ -59,15 +59,15 @@ def test_set_file_dimension_cap_checked_first(tmp_path):
     # The cap is checked before anything is sized by n: a bitmap too wide
     # even for n = cap + 1 is reported as a cap violation, and an n too
     # long for int() is rejected as a SetFileError too.
-    cap = get_dim_cap()
+    cap = DEFAULT_MAX_N
     wide = "f" * ((1 << (cap + 1)) // 4 + 1)
     for head in (str(cap + 1), "0" + str(cap + 1), str(10 ** 6), "9" * 5000):
         p = tmp_path / "big.set"
         p.write_text(f"n={head}\nhexbits={wide}\n")
         with pytest.raises(SetFileError, match="dimension cap"):
-            read_set_file(str(p))
+            read_set_file(str(p), cap)
     p.write_text(f"n={cap}\nhexbits=1\n")
-    assert read_set_file(str(p)).dim.n == cap
+    assert read_set_file(str(p), cap).dim.n == cap
 
 
 def test_dumps_deterministic():
@@ -99,10 +99,12 @@ def test_certificate_roundtrip(tmp_path):
     write_certificate(str(path), payload)
     loaded = load_certificate(str(path))
     assert loaded == json.loads(dumps_deterministic(payload))
-    assert check_certificate(a, loaded) == []
-    # byte-identical on re-emission
+    assert check_certificate(a, loaded) == ([], set_a_norm(a))
+    # byte-identical on re-emission, from the payload and from the loaded file
     first = path.read_bytes()
     write_certificate(str(path), payload)
+    assert path.read_bytes() == first
+    write_certificate(str(path), loaded)
     assert path.read_bytes() == first
     # fixed key order
     keys = list(loaded.keys())
@@ -122,7 +124,8 @@ def test_certificate_without_hypothesis(tmp_path):
     trace = run_iteration(a, 16)
     payload = certificate_payload(a, trace, None, commit="x")
     assert payload["hypothesis"] is None
-    assert check_certificate(a, json.loads(dumps_deterministic(payload))) == []
+    assert check_certificate(a, json.loads(dumps_deterministic(payload))) == (
+        [], trace.final_bound)
 
 
 def _tampered(payload, mutate):
@@ -168,15 +171,21 @@ def test_check_certificate_detects_tampering():
         c["hypothesis"] = json.loads(dumps_deterministic(
             fileio._hypothesis_payload(rep)))
 
+    def bool_version(c):
+        c["version"] = True
+
+    def float_n(c):
+        c["n"] = 4.0
+
     for mutate in (overshoot, break_chain, shrink_gain, no_growth, bad_term,
                    bad_version, fake_zero, bad_hyp, bad_ceiling,
-                   other_alpha_hyp):
-        problems = check_certificate(a, _tampered(payload, mutate))
+                   other_alpha_hyp, bool_version, float_n):
+        problems, _ = check_certificate(a, _tampered(payload, mutate))
         assert problems, mutate.__name__
 
     wrong_set = PointSet.from_points(4, [0, 1])
     assert check_certificate(wrong_set, json.loads(
-        dumps_deterministic(payload)))
+        dumps_deterministic(payload)))[0]
 
 
 def test_witness_payload():

@@ -280,6 +280,23 @@ def test_table_normalization():
         FunctionTable(2, [1, 2, 3], 0)
     with pytest.raises(TypeError):
         FunctionTable(1, np.array([0.5, 1.5]), 0)
+    with pytest.raises(TypeError):
+        FunctionTable(1, np.array([2.5, 1], dtype=object), 0)
+
+
+def test_numerators_outside_int64_magnitude_stay_exact():
+    # uint64 above 2^63 - 1 must not wrap, and -2^63 has no int64 magnitude.
+    big = FunctionTable(2, np.array([2 ** 63 + 5, 0, 0, 0], dtype=np.uint64), 0)
+    assert big.nums.dtype == object
+    assert l1_norm(big) == DyadicScalar(2 ** 63 + 5, 2)
+    assert a_norm(fwht(big)) == DyadicScalar(2 ** 63 + 5)
+    low = FunctionTable(2, np.array([-(2 ** 63), 0, 0, 0], dtype=np.int64), 0)
+    assert low.nums.dtype == object
+    assert l1_norm(low) == DyadicScalar(2 ** 63, 2)
+    # Stored as int64 once the shared power of two is stripped.
+    small = FunctionTable(1, np.array([2 ** 63, 2], dtype=np.uint64), 1)
+    assert small.nums.dtype == np.int64
+    assert small.to_dyadics() == [DyadicScalar(2 ** 62), DyadicScalar(1)]
 
 
 def test_from_values_mixed():

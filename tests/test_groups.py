@@ -1,11 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 
-from f2wiener.groups import (DualSubspace, GroupDim, all_subspaces,
-                             annihilator_basis, coset_index_table,
-                             get_dim_cap, parity, random_invertible,
-                             random_subspace, set_dim_cap, subspace_count,
-                             subspace_insert)
+from f2wiener.groups import (HARD_DIM_CAP, DualSubspace, GroupDim,
+                             all_subspaces, annihilator_basis,
+                             coset_index_table, parity, random_invertible,
+                             random_subspace, subspace_count,
+                             subspace_extend, subspace_insert)
 
 from _reference import annihilator_points, parity as ref_parity
 
@@ -15,20 +17,9 @@ def test_group_dim_validation():
     with pytest.raises(ValueError):
         GroupDim(0)
     with pytest.raises(ValueError):
-        GroupDim(get_dim_cap() + 1)
+        GroupDim(HARD_DIM_CAP + 1)
     with pytest.raises(TypeError):
         GroupDim(2.0)
-
-
-def test_dim_cap_configurable():
-    old = get_dim_cap()
-    try:
-        set_dim_cap(18)
-        assert GroupDim(18).order == 1 << 18
-        with pytest.raises(ValueError):
-            set_dim_cap(31)
-    finally:
-        set_dim_cap(old)
 
 
 def test_parity_matches_reference():
@@ -55,6 +46,12 @@ def test_span_order_insensitive():
         n = int(rng.integers(2, 9))
         masks = [int(rng.integers(1, 1 << n)) for _ in range(4)]
         v = DualSubspace.span(masks)
+        # One insert at a time is the reference for the batched reduction.
+        assert v == functools.reduce(subspace_insert, masks,
+                                     DualSubspace.trivial())
+        w = random_subspace(rng, n)
+        assert subspace_extend(w, masks) == functools.reduce(
+            subspace_insert, masks, w)
         rng.shuffle(masks)
         assert DualSubspace.span(masks) == v
 

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, random_subspace
-from f2wiener import iteration
+from f2wiener import groups
 from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
                                 hypothesis_check, iterate_step, run_iteration)
 from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_a_norm,
@@ -114,13 +115,13 @@ def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
     # v_new is the span of v and every chosen member, reached with one
     # subspace_insert per added dimension.
     inserted = []
-    real_insert = iteration.subspace_insert
+    real_insert = groups.subspace_insert
 
     def counting_insert(v, gamma):
         inserted.append(gamma)
         return real_insert(v, gamma)
 
-    monkeypatch.setattr(iteration, "subspace_insert", counting_insert)
+    monkeypatch.setattr(groups, "subspace_insert", counting_insert)
     rng = np.random.default_rng(53)
     for strategy in ("smallest-s", "best-ratio"):
         for _ in range(30):
@@ -137,7 +138,7 @@ def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
             levels = level_sets(fwht(r.table), set_spectrum(a),
                                 residual_l1(r))
             (chosen,) = [lv for lv in levels if lv.s == st.s]
-            assert st.v_new == DualSubspace.span(v.basis + chosen.members)
+            assert st.v_new == functools.reduce(real_insert, chosen.members, v)
 
 
 def test_strategies_agree_on_soundness():
