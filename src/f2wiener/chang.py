@@ -19,9 +19,9 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (FunctionTable, Spectrum, exact_product, exact_sum, fwht,
-                      inverse_fwht, l1_norm, l2_norm_sq, lp_norm,
-                      spectrum_l2_sq)
+from .fourier import (FunctionTable, Spectrum, _widen, exact_product,
+                      exact_sum, fwht, inverse_fwht, l1_norm, l2_norm_sq,
+                      lp_norm, spectrum_l2_sq)
 from .groups import DualSubspace, as_dim
 
 __all__ = [
@@ -105,7 +105,7 @@ STRATEGIES = ("smallest-s", "best-ratio")
 
 
 def select_level(levels: Sequence[LevelSet],
-                 strategy: str = "smallest-s") -> LevelSet:
+                 strategy: str = STRATEGIES[0]) -> LevelSet:
     """Pick a qualifying level.
 
     smallest-s takes the first band meeting the mass floor; best-ratio
@@ -218,14 +218,14 @@ def riesz_product(dim, lambdas: Sequence[int],
         raise DependentSet("characters are linearly dependent")
     pts = np.arange(d.order, dtype=np.int64)
     k = len(lambdas)
-    # Factor numerators are 2^exp +- num <= 2^(exp+1); k factors need
-    # k * (exp + 1) bits, so fall back to objects when int64 is too small.
-    big = k * (e.exp + 1) >= 63
-    out = np.ones(d.order, dtype=object if big else np.int64)
+    # Factor numerators 2^exp +- num lie in [0, 2^exp + |num|].  Their dtype
+    # is given, never inferred: numpy reads [2^63, 1] as floats.
+    (out,) = _widen(((1 << e.exp) + abs(e.num)) ** k,
+                    np.ones(d.order, dtype=np.int64))
+    factors = np.array([(1 << e.exp) + e.num, (1 << e.exp) - e.num],
+                       dtype=out.dtype)
     for lam in lambdas:
-        par = (np.bitwise_count(pts & np.int64(lam)) & 1).astype(np.int64)
-        factor = np.where(par == 0, (1 << e.exp) + e.num, (1 << e.exp) - e.num)
-        out = out * (factor.astype(object) if big else factor)
+        out = out * factors[np.bitwise_count(pts & np.int64(lam)) & 1]
     table = FunctionTable(d, out, k * e.exp)
     return RieszProduct(table, lambdas, e)
 

@@ -22,8 +22,8 @@ from .explore import (AnnealParams, BudgetExceeded, DEFAULT_BUDGET,
 from .fileio import (SetFileError, certificate_payload, check_certificate,
                      load_certificate, read_set_file, witness_payload,
                      write_certificate, write_set_file, dumps_deterministic)
-from .groups import HARD_DIM_CAP, HARD_EXP_CAP
-from .iteration import hypothesis_check, run_iteration
+from .groups import HARD_DIM_CAP, HARD_EXP_CAP, as_dim
+from .iteration import DEFAULT_STEP_CAP, hypothesis_check, run_iteration
 from .setfuncs import set_a_norm
 from .verify import SUITE_NAMES, run_suite
 
@@ -170,6 +170,11 @@ def _cmd_construct(args, cfg, max_n) -> int:
     else:
         if args.family is None or args.k is None:
             raise ValueError("need --family and --k, or --exponents")
+        # k parts need k distinct exponents in [1, n]; refuse a larger k
+        # before density_family builds them.
+        if args.k > as_dim(args.n).n:
+            raise ExponentOverflow(f"--k {args.k} needs {args.k} distinct "
+                                   f"exponents in [1, {args.n}]")
         density = density_family(args.family, args.k)
         base = args.out or f"{args.family}_k{args.k}_n{args.n}"
     a, witness = build_coset_union(density, args.n)
@@ -195,10 +200,10 @@ def _cmd_construct(args, cfg, max_n) -> int:
 
 def _cmd_lowerbound(args, cfg, max_n) -> int:
     a = read_set_file(args.setfile, max_n)
-    strategy = args.strategy or cfg.get("strategy", "smallest-s")
+    strategy = args.strategy or cfg.get("strategy", STRATEGIES[0])
     if strategy not in STRATEGIES:
         raise ValueError(f"config value strategy must be in {STRATEGIES}")
-    step_cap = _setting(args.step_cap, cfg, "step_cap", 64, int)
+    step_cap = _setting(args.step_cap, cfg, "step_cap", DEFAULT_STEP_CAP, int)
     trace = run_iteration(a, args.max_order, strategy, step_cap)
     hypothesis = None
     if not args.no_hypothesis:
@@ -271,10 +276,11 @@ def _cmd_explore(args, cfg, max_n) -> int:
         rec = min_norm_exhaustive(args.n, args.size, budget)
     else:
         params = AnnealParams(
-            t0=_setting(args.t0, cfg, "anneal_t0", 1.0, float),
-            cooling=_setting(args.cooling, cfg, "anneal_cooling", 0.995,
-                             float),
-            steps=_setting(args.steps, cfg, "anneal_steps", 10_000, int),
+            t0=_setting(args.t0, cfg, "anneal_t0", AnnealParams.t0, float),
+            cooling=_setting(args.cooling, cfg, "anneal_cooling",
+                             AnnealParams.cooling, float),
+            steps=_setting(args.steps, cfg, "anneal_steps",
+                           AnnealParams.steps, int),
         )
         rec = min_norm_anneal(args.n, args.size, params, seed)
     if args.ledger:
@@ -332,7 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NoQualifyingLevel, ZeroMass, ArithmeticError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (SetFileError, ResolutionError, FileNotFoundError, ValueError,
+    except (SetFileError, ResolutionError, OSError, ValueError,
             KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -40,9 +40,16 @@ def _int_minmax(nums: np.ndarray) -> int:
     """Largest absolute numerator, as a Python int."""
     if nums.size == 0:
         return 0
-    if nums.dtype == object:
-        return max((abs(int(v)) for v in nums.flat), default=0)
     return max(int(nums.max()), -int(nums.min()))
+
+
+def _widen(peak: int, *arrays: np.ndarray) -> tuple:
+    """The arrays as they are if all are int64 and peak <= 2^63 - 1, else
+    object copies of Python ints.  peak bounds every |value| the caller's
+    one numpy expression reaches, so the expression is exact either way."""
+    if peak <= _I64_MAX and all(a.dtype == np.int64 for a in arrays):
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
 
 
 def _narrow(arr: np.ndarray) -> np.ndarray:
@@ -154,15 +161,10 @@ class Spectrum(_DyadicTable):
 def _butterfly_copy(nums: np.ndarray, n: int) -> np.ndarray:
     """Fresh array holding the unnormalized WHT of nums, always exact.
 
-    int64 is used only when every intermediate provably fits: each butterfly
-    stage at most doubles the largest absolute value, so max|num| * 2**n
-    must stay below 2**63.  Otherwise the object-dtype numpy path carries
-    arbitrary-precision integers.
+    Each butterfly stage at most doubles the largest absolute value, so
+    max|num| * 2^n bounds every intermediate.
     """
-    if nums.dtype == np.int64 and _int_minmax(nums) <= (_I64_MAX >> n):
-        out = nums.copy()
-    else:
-        out = nums.astype(object)
+    out = _widen(_int_minmax(nums) << n, nums)[0].copy()
     _kernels.wht_rows(out.reshape(1, -1))
     return out
 
@@ -181,39 +183,23 @@ def exact_sum(x: np.ndarray, y: Optional[np.ndarray] = None,
               absolute: bool = False) -> int:
     """Exact sum of x, of |x| (absolute) or of x * y, as a Python int.
 
-    int64 reduces only when max|x| * max|y| * size <= 2**63 - 1, which
-    bounds every term and every partial sum; otherwise, and always for
-    object dtype, the terms are summed as Python ints.
+    max|x| * max|y| * size bounds every term and every partial sum.
     """
     x = x.ravel()
-    if y is not None:
-        y = y.ravel()
-        if y.shape != x.shape:
-            raise ValueError("exact_sum needs arrays of one length")
-    if not x.size:
-        return 0
-    if x.dtype == np.int64 and (y is None or y.dtype == np.int64):
-        peak = _int_minmax(x) * (1 if y is None else _int_minmax(y))
-        if peak * x.size <= _I64_MAX:
-            if y is not None:
-                return int(np.dot(x, y))
-            return int((np.abs(x) if absolute else x).sum())
-    if y is not None:
-        return sum(int(a) * int(b) for a, b in zip(x.flat, y.flat))
-    if absolute:
-        return sum(abs(int(v)) for v in x.flat)
-    return sum(int(v) for v in x.flat)
+    if y is None:
+        (x,) = _widen(_int_minmax(x) * x.size, x)
+        return int((np.abs(x) if absolute else x).sum())
+    y = y.ravel()
+    if y.shape != x.shape:
+        raise ValueError("exact_sum needs arrays of one length")
+    x, y = _widen(_int_minmax(x) * _int_minmax(y) * x.size, x, y)
+    return int(np.dot(x, y))
 
 
 def exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact elementwise x * y: int64 when the bit lengths of max|x| and
-    max|y| sum below 63 (so every product fits), object dtype otherwise."""
-    if (x.dtype == np.int64 and y.dtype == np.int64
-            and _int_minmax(x).bit_length()
-            + _int_minmax(y).bit_length() < 63):
-        return x * y
-    return np.array([int(a) * int(b) for a, b in zip(x.flat, y.flat)],
-                    dtype=object)
+    """Exact elementwise x * y; max|x| * max|y| bounds every product."""
+    x, y = _widen(_int_minmax(x) * _int_minmax(y), x, y)
+    return x * y
 
 
 def _abs_sum(nums: np.ndarray) -> int:

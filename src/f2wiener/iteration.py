@@ -16,7 +16,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chang import _chang_bound_from_norms, level_sets, select_level
+from .chang import (STRATEGIES, _chang_bound_from_norms, level_sets,
+                    select_level)
 from .dyadic import DyadicScalar, ZERO
 from .fourier import Spectrum, a_norm, exact_sum, fwht, l2_norm_sq
 from .groups import HARD_DIM_CAP, DualSubspace, subspace_extend
@@ -38,6 +39,9 @@ __all__ = [
 # No subspace is larger than the largest group, so a bigger max_order would
 # only lengthen the hypothesis report; lowerbound and check-cert share this.
 MAX_ORDER = 1 << HARD_DIM_CAP
+
+# Growth steps run_iteration takes unless told otherwise.
+DEFAULT_STEP_CAP = 64
 
 
 class ZeroResidual(Exception):
@@ -70,7 +74,7 @@ class StepResult:
 
 
 def iterate_step(a: PointSet, v: DualSubspace,
-                 strategy: str = "smallest-s",
+                 strategy: str = STRATEGIES[0],
                  chi_hat: Optional[Spectrum] = None) -> StepResult:
     """Grow v by one qualifying level of the residual spectrum.
 
@@ -127,8 +131,8 @@ class IterationTrace:
 
 
 def run_iteration(a: PointSet, max_order: int,
-                  strategy: str = "smallest-s",
-                  step_cap: int = 64) -> IterationTrace:
+                  strategy: str = STRATEGIES[0],
+                  step_cap: int = DEFAULT_STEP_CAP) -> IterationTrace:
     """Iterate growth steps from the trivial subspace while |V| <= max_order.
 
     The certified final_bound is sound unconditionally: it is a partial

@@ -31,8 +31,6 @@ __all__ = [
     "random_independent_chars",
 ]
 
-SUITE_NAMES = ("tA", "lem1", "techlem", "beckner", "chang")
-
 BECKNER_SLACK = 1e-9
 
 # Upper limits for run_suite, checked before any worker starts: a pool of
@@ -185,6 +183,7 @@ _TRIALS = {
     "beckner": _trial_beckner,
     "chang": _trial_chang,
 }
+SUITE_NAMES = tuple(_TRIALS)
 
 
 def _run_chunk(name: str, seed: int, start: int, count: int) -> List[str]:

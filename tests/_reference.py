@@ -170,6 +170,19 @@ def brute_level_sets(coeffs: Sequence[Fraction], chi: Sequence[Fraction],
             for s, (members, mass) in sorted(buckets.items())]
 
 
+def brute_riesz_product(lambdas: Sequence[int], eta: Fraction,
+                        n: int) -> List[Fraction]:
+    """prod_i (1 + eta (-1)^<lambda_i, x>) at every point x, factor by
+    factor."""
+    out = []
+    for x in range(1 << n):
+        p = Fraction(1)
+        for lam in lambdas:
+            p *= 1 + eta * sign(lam, x)
+        out.append(p)
+    return out
+
+
 def brute_indicator_bits(arr: Sequence[int]) -> int:
     """Bitmap with bit i set for every truthy arr[i], one bit at a time."""
     bits = 0

@@ -16,7 +16,8 @@ from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_spectrum)
 from f2wiener.verify import (random_independent_chars, random_point_set,
                              random_table)
 
-from _reference import annihilator_points, brute_chang_span, brute_level_sets
+from _reference import (annihilator_points, brute_chang_span, brute_level_sets,
+                        brute_riesz_product)
 
 
 def _halfspace_residual(n: int):
@@ -337,6 +338,18 @@ def test_riesz_product_object_path():
     assert p.table.nums.dtype == object
     assert l1_norm(p.table) == DyadicScalar(1)
     assert all(int(v) >= 0 for v in p.table.nums.flat)
+
+
+@pytest.mark.parametrize("eta", [DyadicScalar(3, 63), DyadicScalar(1, 70),
+                                 DyadicScalar(-5, 200)], ids=str)
+def test_riesz_product_exact_for_tiny_eta(eta):
+    # Each factor numerator 2^exp +- num is at or beyond 2^63, so every
+    # factor and product must be built from Python ints.
+    p = riesz_product(3, [1, 2], eta)
+    assert all(int(v) >= 0 for v in p.table.nums)
+    assert l1_norm(p.table) == DyadicScalar(1)
+    assert p.table.to_fractions() == brute_riesz_product(
+        [1, 2], eta.as_fraction(), 3)
 
 
 def test_riesz_product_errors():

@@ -3,12 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from f2wiener import cli, verify
 from f2wiener.cli import DEFAULT_MAX_N, build_parser, main
+from f2wiener.constructions import density_family
 from f2wiener.fileio import write_set_file
 from f2wiener.groups import HARD_EXP_CAP
 from f2wiener.iteration import MAX_ORDER
@@ -67,6 +69,27 @@ def test_construct_overflow_is_resource_exit(workdir, capsys):
     assert main(["construct", "--family", "geometric4", "--k", "3",
                  "--n", "4"]) == 3
     assert "exceeds the dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ["geometric4", "double_exp"])
+def test_construct_refuses_more_parts_than_dimensions(workdir, capsys,
+                                                      monkeypatch, family):
+    # k parts need k distinct exponents in [1, n]; the refusal must come
+    # before the family's exponents are built (here a billion of them).
+    def bounded(kind, k):
+        assert k <= 64, "density_family called with an unbounded k"
+        return density_family(kind, k)
+
+    monkeypatch.setattr(cli, "density_family", bounded)
+    start = time.perf_counter()
+    assert main(["construct", "--family", family, "--k", "1000000000",
+                 "--n", "4"]) == 3
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "error: --k 1000000000 needs 1000000000 distinct exponents in "
+        "[1, 4]\n")
+    assert list(workdir.iterdir()) == []
 
 
 def test_lowerbound_and_check_cert(workdir, capsys):
@@ -292,6 +315,20 @@ def test_bad_inputs(workdir, capsys):
     assert main(["norm", "dup.set"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["norm", "d"],
+    ["check-cert", "a.set", "d"],
+    ["--config", "d", "norm", "a.set"],
+    ["lowerbound", "a.set", "--max-order", "8", "--out", "d"],
+    ["explore", "--n", "3", "--size", "2", "--ledger", "d"],
+], ids=["norm", "check-cert", "config", "lowerbound-out", "explore-ledger"])
+def test_directory_path_is_bad_input(workdir, capsys, argv):
+    _set_file(workdir)
+    (workdir / "d").mkdir()
+    assert main(argv) == 2
+    assert _one_line_error(capsys)
+
+
 def test_set_file_above_dimension_cap(tmp_path, package_env):
     path = tmp_path / "big.set"
     path.write_text(f"n={DEFAULT_MAX_N + 1}\nhexbits=1\n")
@@ -504,3 +541,34 @@ def test_check_cert_fuzz_one_field(valid_cert, data):
         assert err == "" and "certificate FAILED" in out
     else:
         assert rc == 0 and _unseen(cert, path, value), (path, value)
+
+
+_SET_LINE = st.one_of(
+    st.from_regex(r"n=[0-9]{1,3}", fullmatch=True),
+    st.from_regex(r"hexbits=[0-9a-fA-F]{0,10}", fullmatch=True),
+    st.from_regex(r"[0-9a-fA-F]{1,3}", fullmatch=True),
+    st.sampled_from(["", "#", "n=4", "n=0", "hexbits=", "-1", "0x1"]),
+    st.text(max_size=6))
+
+
+@pytest.fixture(scope="module")
+def fuzz_set_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "f.set")
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(_SET_LINE, max_size=6))
+def test_set_file_fuzz(fuzz_set_path, lines):
+    # Any text as a set file: exit 0 with the norm, or exit 2 with one
+    # stderr line, and never a traceback.
+    with open(fuzz_set_path, "wb") as fh:
+        fh.write("\n".join(lines).encode("utf-8", "surrogatepass"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["norm", fuzz_set_path])
+    out, err = out.getvalue(), err.getvalue()
+    if rc == 0:
+        assert err == "" and "a_norm = " in out
+    else:
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: ")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2wiener.dyadic import DyadicScalar, HALF, ONE, ZERO, floor_log2_ratio
 
@@ -59,6 +60,33 @@ def test_arithmetic_matches_fractions():
         assert (a == b) == (fa == fb)
         assert abs(a).as_fraction() == abs(fa)
         assert (-a).as_fraction() == -fa
+
+
+_DYADIC = st.builds(DyadicScalar, st.integers(-(1 << 70), 1 << 70),
+                    st.integers(0, 80))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_DYADIC, b=_DYADIC, i=st.integers(-(1 << 70), 1 << 70),
+       k=st.integers(-80, 80))
+def test_arithmetic_matches_fractions_property(a, b, i, k):
+    fa, fb = a.as_fraction(), b.as_fraction()
+    assert (a + b).as_fraction() == fa + fb
+    assert (a - b).as_fraction() == fa - fb
+    assert (a * b).as_fraction() == fa * fb
+    assert (a + i).as_fraction() == fa + i
+    assert (i - a).as_fraction() == i - fa
+    assert (i * a).as_fraction() == i * fa
+    assert (-a).as_fraction() == -fa and abs(a).as_fraction() == abs(fa)
+    assert a.mul_pow2(k).as_fraction() == fa * Fraction(2) ** k
+    assert a.floor() == math.floor(fa)
+    assert a.frac().as_fraction() == fa - math.floor(fa)
+    assert (a < b, a <= b, a == b, a > b, a >= b) == (
+        fa < fb, fa <= fb, fa == fb, fa > fb, fa >= fb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert float(a) == float(fa) and bool(a) == bool(fa)
+    assert DyadicScalar.from_fraction(fa) == a
 
 
 def test_int_mixing():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import (FunctionTable, Spectrum, _abs_sum, _int_minmax,
-                              _sq_sum, a_norm, exact_product, exact_sum, fwht,
+                              _sq_sum, _widen, a_norm, exact_product, exact_sum, fwht,
                               inverse_fwht, l1_norm, l2_norm_sq, lp_norm,
                               spectrum_l2_sq)
 from f2wiener.groups import DualSubspace, random_subspace
@@ -249,6 +250,77 @@ def test_exact_sums_random():
         assert _fast_sums(x, y) == _py_sums(x, y)
     big = np.array([(1 << 90) + 3, -(1 << 64), 5], dtype=object)
     assert _fast_sums(big, big[::-1]) == _py_sums(big, big[::-1])
+
+
+def test_widen_bound():
+    x = np.array([3, -4], dtype=np.int64)
+    assert _widen(_I64_MAX, x)[0] is x
+    wide = _widen(_I64_MAX + 1, x)[0]
+    assert wide.dtype == object and wide.tolist() == [3, -4]
+    assert all(type(v) is int for v in wide)
+    pair = _widen(0, x, x.astype(object))
+    assert [a.dtype for a in pair] == [object, object]
+
+
+def _draw_top(data, top, size):
+    """size ints in [-top, top], one of them +-top."""
+    vals = data.draw(st.lists(st.integers(-top, top), min_size=size - 1,
+                              max_size=size - 1))
+    at = data.draw(st.integers(0, size - 1))
+    vals.insert(at, data.draw(st.sampled_from([top, -top])))
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(2, 6), above=st.booleans(), data=st.data())
+def test_exact_ops_match_python_ints_across_widening_bound(size, above,
+                                                           data):
+    # Each operation's peak is at most 2^63 - 1 (int64 as it is) or just
+    # above it (widened); object inputs, also beyond int64, agree too.
+    # size >= 2 keeps max|x| = (2^63 - 1) // size + 1 within int64.
+    a = _I64_MAX // size + above
+    x = _draw_top(data, a, size)
+    b = data.draw(st.integers(1, _I64_MAX // size))
+    c = _I64_MAX // (b * size) + above
+    assume(c <= _I64_MAX)
+    u = _draw_top(data, b, size)
+    v = _draw_top(data, c, size)
+    d = data.draw(st.integers(1, _I64_MAX))
+    e = _I64_MAX // d + above
+    assume(e <= _I64_MAX)
+    p = _draw_top(data, d, size)
+    q = _draw_top(data, e, size)
+    for kind, shift in ((np.int64, 0), (object, 0), (object, 64)):
+        def arr(vals):
+            return np.array([w << shift for w in vals], dtype=kind)
+
+        xs, us, vs, ps, qs = ([w << shift for w in vals]
+                              for vals in (x, u, v, p, q))
+        assert exact_sum(arr(x)) == sum(xs)
+        assert exact_sum(arr(x), absolute=True) == sum(map(abs, xs))
+        assert exact_sum(arr(u), arr(v)) == sum(
+            i * j for i, j in zip(us, vs))
+        assert exact_product(arr(p), arr(q)).tolist() == [
+            i * j for i, j in zip(ps, qs)]
+    assert (_widen(a * size, np.array(x, dtype=np.int64))[0].dtype
+            == (object if above else np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), exp=st.integers(0, 70), data=st.data())
+def test_fwht_roundtrip_and_parseval_near_headroom(n, exp, data):
+    # Numerators about 2^63 >> n: below it the butterfly runs in int64,
+    # one past it in Python ints.
+    edge = _I64_MAX >> n
+    entry = st.one_of(st.integers(-edge - 2, edge + 2),
+                      st.sampled_from([edge, edge + 1, -edge, -edge - 1]))
+    vals = data.draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
+    f = FunctionTable(n, np.array(vals, dtype=object), exp)
+    s = fwht(f)
+    assert inverse_fwht(s) == f
+    assert l2_norm_sq(f) == spectrum_l2_sq(s)
+    if n <= 3:
+        assert s.to_fractions() == brute_fwht(f.to_fractions(), n)
 
 
 def test_norms_at_int64_bound():
