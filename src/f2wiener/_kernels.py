@@ -1,11 +1,18 @@
-"""Hot integer kernels: Walsh-Hadamard butterflies and the annealing sweep.
+"""Hot integer kernels: Walsh-Hadamard transforms and the annealing sweep.
 
-wht_rows is the one row-wise transform: numpy stages on reshaped views,
-exact for int64 within the caller's overflow bound and for object dtype
-(arbitrary-precision numerators).  The annealing sweep has one
-implementation: a Python loop that prices a proposal with four lookups in
-two transformed tables (swap_delta) while those match the current set, and
-rebuilds them with one 2-row transform once accepted moves thin out.
+wht_rows is the one row-wise transform, exact on every route it takes.
+int64 tables with at least _FLOAT_MIN_COLS columns and max|x| * cols <= 2^53
+are transformed in float64, as a product of Kronecker factors of at most
+4 bits (H_(2^(a+b)) = H_(2^a) (x) H_(2^b), Fino & Algazi 1976), each one a
+small dense product that BLAS runs from cache on one thread.  Every partial
+sum is then an integer of magnitude at most 2^53, so it is a float64 in any
+summation order and under FMA (every product is by +-1).  Other int64
+tables (exact within the caller's max|x| * cols <= 2^63 - 1 bound) and
+object tables (arbitrary-precision numerators) run numpy butterfly stages
+on reshaped views.  The annealing sweep has one implementation: a Python
+loop that prices a proposal with four lookups in two transformed tables
+(swap_delta) while those match the current set, and rebuilds them with one
+2-row transform once accepted moves thin out.
 """
 from __future__ import annotations
 
@@ -29,26 +36,46 @@ BACKEND = "numpy"
 _BLOCK = 4096
 
 # Rejections in a row after which anneal_sweep rebuilds its swap tables.  A
-# rebuild (one 2-row transform) costs about as much as pricing 5-10
-# proposals whole, and in the hot phase most proposals are accepted, so the
-# tables are rebuilt only once acceptances thin out.
-_REBUILD_AFTER = 8
+# rebuild (one 2-row transform on the float route) costs about as much as
+# pricing 3 proposals whole at n = 10..12 (measured ratios 2.7-3.1), and in
+# the hot phase most proposals are accepted, so the tables are rebuilt only
+# once acceptances thin out.
+_REBUILD_AFTER = 3
 
 
-# Sylvester Hadamard matrix of order 8: entry (i, j) is (-1)^<i, j>.
-_H8 = np.array([[1 - 2 * ((i & j).bit_count() & 1) for j in range(8)]
-                for i in range(8)], dtype=np.int64)
+def _sylvester(k: int, dtype) -> np.ndarray:
+    """Sylvester Hadamard matrix of order 2^k: entry (i, j) is (-1)^<i, j>."""
+    size = 1 << k
+    return np.array([[1 - 2 * ((i & j).bit_count() & 1) for j in range(size)]
+                     for i in range(size)], dtype=dtype)
 
 
-def wht_rows(mat: np.ndarray) -> np.ndarray:
-    """In-place unnormalized Walsh-Hadamard transform along the last axis.
+_H8 = _sylvester(3, np.int64)
 
-    mat is (rows, cols) with cols a power of two.  Works for int64 and for
-    object dtype (arbitrary-precision numerators).  The stages run on
-    reshaped views, so a non-contiguous mat is transformed as a contiguous
-    copy that is then written back.
-    """
-    work = mat if mat.flags.c_contiguous else np.ascontiguousarray(mat)
+# Largest max|x| * cols the float64 route takes (see the module docstring).
+_F64_EXACT = 1 << 53
+# Narrower rows stay on the integer butterfly, measured one row at a time:
+# at 16 columns it takes about 5 us against 10 us for the float route, 32
+# columns is about even (10-17 us either way), and from 64 columns on the
+# float route wins (64: 11 us float against 12 us integer; 256: 12 us
+# against 26 us).
+_FLOAT_MIN_COLS = 64
+# Rows are converted and transformed this many entries at a time, so a
+# block and its scratch copy stay in cache.
+_FLOAT_BLOCK = 1 << 14
+# Rows per product.  OpenBLAS splits a large enough dgemm over threads, which
+# costs far more than it saves on products this small: with OpenBLAS 0.3.31
+# on 2 cores, (3000, 16) @ (16, 16) ran on one thread in about 70 us, while
+# (4096, 16) @ (16, 16) started the threads and took about 8 ms of wall and
+# CPU time.  1024 rows keep every product at or under 2^18 multiply-adds.
+_GEMM_ROWS = 1024
+_FACTOR_BITS = 4
+_H_FLOAT = [None] + [_sylvester(k, np.float64)
+                     for k in range(1, _FACTOR_BITS + 1)]
+
+
+def _int_wht(work: np.ndarray) -> None:
+    """Butterfly stages on a contiguous int64 or object (rows, cols)."""
     _, cols = work.shape
     h = 1
     if work.dtype == np.int64 and cols >= 8:
@@ -67,6 +94,64 @@ def wht_rows(mat: np.ndarray) -> np.ndarray:
         a += b
         b[:] = diff
         h *= 2
+
+
+def _float_wht(work: np.ndarray) -> None:
+    """Kronecker-factored transform of a contiguous int64 (rows, cols) in
+    float64, exact when max|x| * cols <= 2^53.
+
+    Each factor of k bits is one product with H_(2^k) on the lowest k index
+    bits, then a transpose that rotates the index right by k bits so the
+    next factor's bits are lowest; after all factors the index is back in
+    place.
+    """
+    rows, cols = work.shape
+    n = cols.bit_length() - 1
+    factors = [_FACTOR_BITS] * (n // _FACTOR_BITS)
+    if n % _FACTOR_BITS:
+        factors.append(n % _FACTOR_BITS)
+    per = min(rows, max(1, _FLOAT_BLOCK // cols))
+    x = np.empty(per * cols)
+    y = np.empty(per * cols)
+    for r0 in range(0, rows, per):
+        block = work[r0:r0 + per]
+        b = block.shape[0]
+        src = x[:b * cols]
+        dst = y[:b * cols]
+        src.reshape(b, cols)[...] = block
+        for i, k in enumerate(factors):
+            size = 1 << k
+            a_in = src.reshape(-1, size)
+            a_out = dst.reshape(-1, size)
+            for c0 in range(0, a_in.shape[0], _GEMM_ROWS):
+                c1 = c0 + _GEMM_ROWS
+                np.matmul(a_in[c0:c1], _H_FLOAT[k], out=a_out[c0:c1])
+            rotated = dst.reshape(b, cols // size, size).transpose(0, 2, 1)
+            if i == len(factors) - 1:
+                np.copyto(block.reshape(b, size, cols // size), rotated,
+                          casting="unsafe")
+            else:
+                np.copyto(src.reshape(b, size, cols // size), rotated)
+
+
+def wht_rows(mat: np.ndarray) -> np.ndarray:
+    """In-place unnormalized Walsh-Hadamard transform along the last axis.
+
+    mat is (rows, cols) with cols a power of two.  Works for int64, exact
+    when max|x| * cols <= 2^63 - 1 (the caller's bound), and for object
+    dtype (arbitrary-precision numerators).  int64 input with at least
+    _FLOAT_MIN_COLS columns and max|x| * cols <= 2^53 takes the exact
+    float64 route; everything else runs the integer butterfly.  Both work
+    on contiguous arrays, so a non-contiguous mat is transformed as a
+    contiguous copy that is then written back.
+    """
+    work = mat if mat.flags.c_contiguous else np.ascontiguousarray(mat)
+    _, cols = work.shape
+    if (work.dtype == np.int64 and cols >= _FLOAT_MIN_COLS and work.size
+            and max(int(work.max()), -int(work.min())) * cols <= _F64_EXACT):
+        _float_wht(work)
+    else:
+        _int_wht(work)
     if work is not mat:
         mat[...] = work
     return mat

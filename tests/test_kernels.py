@@ -6,40 +6,90 @@ from f2wiener import _kernels
 from _reference import brute_anneal_sweep, sign
 
 
-def _brute_unnormalized(row):
-    order = len(row)
-    return [sum(int(row[x]) * sign(g, x) for x in range(order))
-            for g in range(order)]
+def _brute_rows(mat):
+    """sum_x mat[r, x] (-1)^<g, x> for every row r and g, in Python ints."""
+    order = mat.shape[1]
+    masks = np.arange(order)
+    parity = np.bitwise_count(masks[:, None] & masks).astype(object) & 1
+    return (mat.astype(object) @ (1 - 2 * parity)).tolist()
 
 
-def test_wht_rows_numpy_matches_brute():
-    # n >= 3 runs the first three stages as one order-8 product.  The last
-    # two rows sit at the int64 bound max|x| = (2^63 - 1) >> n; the all-max
-    # row's g = 0 output is max|x| * 2^n, the largest value allowed.
+def _float_calls(monkeypatch):
+    """Count the calls wht_rows makes to its float64 route."""
+    calls = []
+    real = _kernels._float_wht
+
+    def counted(work):
+        calls.append(work.shape)
+        real(work)
+    monkeypatch.setattr(_kernels, "_float_wht", counted)
+    return calls
+
+
+def test_wht_rows_numpy_matches_brute(monkeypatch):
+    # n >= 3 runs the first three stages as one order-8 product, and int64
+    # tables with cols >= 64 and max|x| * cols <= 2^53 take the float64
+    # route.  Each group of rows is transformed on its own, since the route
+    # is chosen per call:
+    # - small: random entries, the float route from n = 6 on;
+    # - f64_bound: max|x| * cols == 2^53, the largest the float route takes;
+    #   the all-max row's g = 0 output is exactly 2^53;
+    # - f64_above: max|x| = (2^53 >> n) + 1, just past it, so the integer
+    #   route even at n >= 6;
+    # - i64_bound: max|x| = (2^63 - 1) >> n, the int64 bound; the all-max
+    #   row's g = 0 output is the largest value allowed.
+    calls = _float_calls(monkeypatch)
     rng = np.random.default_rng(70)
-    for n in range(1, 9):
-        mat = rng.integers(-50, 50, size=(3, 1 << n)).astype(np.int64)
-        top = ((1 << 63) - 1) >> n
-        at_bound = np.full((2, 1 << n), top, dtype=np.int64)
-        at_bound[1] *= rng.choice([-1, 1], size=1 << n)
-        mat = np.vstack([mat, at_bound])
-        expected = [_brute_unnormalized(r) for r in mat]
-        out = _kernels.wht_rows(mat.copy())
-        assert out.tolist() == expected
+    for n in range(1, 11):
+        cols = 1 << n
+        groups = {"small": rng.integers(-50, 50, size=(3, cols))}
+        for name, top in (("f64_bound", (1 << 53) >> n),
+                          ("f64_above", ((1 << 53) >> n) + 1),
+                          ("i64_bound", ((1 << 63) - 1) >> n)):
+            rows = np.full((3, cols), top, dtype=np.int64)
+            rows[1] *= rng.choice([-1, 1], size=cols)
+            rows[2] = rng.integers(-top, top, size=cols, endpoint=True)
+            groups[name] = rows
+        for name, mat in groups.items():
+            del calls[:]
+            expected = _brute_rows(mat)
+            assert _kernels.wht_rows(mat.copy()).tolist() == expected, (
+                n, name)
+            float_route = cols >= 64 and name in ("small", "f64_bound")
+            assert calls == ([mat.shape] if float_route else []), (n, name)
+
+
+def test_wht_rows_float_route_blocks_and_chunks():
+    # Batches whose rows span several cache blocks with a short last one
+    # (2^14 entries per block), and single rows at n = 14..16, where one
+    # row fills a block and the order-16 products run in chunks of 1024
+    # rows.  Entries reach max|x| * cols = 2^53.  The object-dtype
+    # transform (integer butterfly) is the reference.
+    rng = np.random.default_rng(74)
+    shapes = [(300, 64), (1000, 256), (37, 1024), (9, 4096)]
+    shapes += [(1, 1 << n) for n in (14, 15, 16)]
+    for rows, cols in shapes:
+        top = (1 << 53) // cols
+        mat = rng.integers(-top, top, size=(rows, cols), endpoint=True)
+        mat[0, 0] = top
+        want = _kernels.wht_rows(mat.astype(object))
+        assert _kernels.wht_rows(mat).tolist() == want.tolist(), (rows, cols)
+    empty = np.empty((0, 64), dtype=np.int64)
+    assert _kernels.wht_rows(empty).shape == (0, 64)
 
 
 def test_wht_object_dtype():
     big = 1 << 80
     row = np.array([big, -3, 0, big + 1], dtype=object)
     out = _kernels.wht_rows(row.reshape(1, -1).copy())
-    assert out[0].tolist() == _brute_unnormalized(row)
+    assert out.tolist() == _brute_rows(row.reshape(1, -1))
 
 
 def test_wht_rows_numpy_column_slices():
     # A column slice is not contiguous, so the stages' reshapes would copy;
     # the transform must still land in the slice and leave the rest alone.
     rng = np.random.default_rng(73)
-    for cols in (8, 16):
+    for cols in (8, 16, 64, 256):
         ones = np.ones((2, 2 * cols), dtype=np.int64)
         _kernels.wht_rows(ones[:, :cols])
         assert ones[0].tolist() == [cols] + [0] * (cols - 1) + [1] * cols
@@ -49,10 +99,31 @@ def test_wht_rows_numpy_column_slices():
             view = mat[:, cols:2 * cols]
             assert not view.flags.c_contiguous
             assert _kernels.wht_rows(view) is view
-            for r in range(3):
-                want[r, cols:2 * cols] = _brute_unnormalized(
-                    want[r, cols:2 * cols])
+            want[:, cols:2 * cols] = _brute_rows(want[:, cols:2 * cols])
             assert np.array_equal(mat, want)
+
+
+# Magnitudes for the property test, as functions of n: small, and both
+# sides of the float route's max|x| <= 2^53 / cols.
+_MAGNITUDES = (lambda n: 3, lambda n: (1 << 53) >> n,
+               lambda n: ((1 << 53) >> n) + 1)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, min(2100, (1 << 16) >> n)),
+    st.sampled_from(_MAGNITUDES), st.integers(0, 2**32 - 1))))
+def test_wht_rows_int64_equals_object(case):
+    # Random shapes (at most 2^16 entries) and magnitudes; the int64
+    # result, whichever route it took, equals the object-dtype transform
+    # entry for entry.
+    n, rows, magnitude, seed = case
+    top = magnitude(n)
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(-top, top, size=(rows, 1 << n), endpoint=True)
+    mat[rng.integers(rows), rng.integers(1 << n)] = top * rng.choice([-1, 1])
+    want = _kernels.wht_rows(mat.astype(object)).tolist()
+    assert _kernels.wht_rows(mat).tolist() == want
 
 
 def test_wht_involution():
