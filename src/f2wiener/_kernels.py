@@ -1,18 +1,20 @@
 """Hot integer kernels: Walsh-Hadamard transforms and the annealing sweep.
 
-wht_rows is the one row-wise transform, exact on every route it takes.
-int64 tables with at least _FLOAT_MIN_COLS columns and max|x| * cols <= 2^53
-are transformed in float64, as a product of Kronecker factors of at most
-4 bits (H_(2^(a+b)) = H_(2^a) (x) H_(2^b), Fino & Algazi 1976), each one a
-small dense product that BLAS runs from cache on one thread.  Every partial
-sum is then an integer of magnitude at most 2^53, so it is a float64 in any
-summation order and under FMA (every product is by +-1).  Other int64
-tables (exact within the caller's max|x| * cols <= 2^63 - 1 bound) and
-object tables (arbitrary-precision numerators) run numpy butterfly stages
-on reshaped views.  The annealing sweep has one implementation: a Python
-loop that prices a proposal with four lookups in two transformed tables
-(swap_delta) while those match the current set, and rebuilds them with one
-2-row transform once accepted moves thin out.
+wht_rows is the one row-wise transform, exact on both routes it takes, and
+it picks the route from exactness alone.  An int64 table with max|x| * cols
+<= 2^53 is transformed in float64, as a product of Kronecker factors of at
+most 4 bits (H_(2^(a+b)) = H_(2^a) (x) H_(2^b), Fino & Algazi 1976), each
+one a small dense product that BLAS runs from cache on one thread.  Every
+partial sum is then an integer of magnitude at most 2^53, so it is a
+float64 in any summation order and under FMA (every product is by +-1).
+Every other table (int64 above 2^53, exact within the caller's max|x| *
+cols <= 2^63 - 1 bound, and object tables of arbitrary-precision
+numerators) runs numpy butterfly stages.  Both routes only split the last
+axis, which numpy always does with a view, so any 2-D view is transformed
+in place.  The annealing sweep has one implementation: a Python loop that
+prices a proposal with four lookups in two transformed tables (swap_delta)
+while those match the current set, and rebuilds them with one 2-row
+transform once accepted moves thin out.
 """
 from __future__ import annotations
 
@@ -43,23 +45,16 @@ _BLOCK = 4096
 _REBUILD_AFTER = 3
 
 
-def _sylvester(k: int, dtype) -> np.ndarray:
-    """Sylvester Hadamard matrix of order 2^k: entry (i, j) is (-1)^<i, j>."""
+def _sylvester(k: int) -> np.ndarray:
+    """Sylvester Hadamard matrix of order 2^k in float64: entry (i, j) is
+    (-1)^<i, j>."""
     size = 1 << k
     return np.array([[1 - 2 * ((i & j).bit_count() & 1) for j in range(size)]
-                     for i in range(size)], dtype=dtype)
+                     for i in range(size)], dtype=np.float64)
 
-
-_H8 = _sylvester(3, np.int64)
 
 # Largest max|x| * cols the float64 route takes (see the module docstring).
 _F64_EXACT = 1 << 53
-# Narrower rows stay on the integer butterfly, measured one row at a time:
-# at 16 columns it takes about 5 us against 10 us for the float route, 32
-# columns is about even (10-17 us either way), and from 64 columns on the
-# float route wins (64: 11 us float against 12 us integer; 256: 12 us
-# against 26 us).
-_FLOAT_MIN_COLS = 64
 # Rows are converted and transformed this many entries at a time, so a
 # block and its scratch copy stay in cache.
 _FLOAT_BLOCK = 1 << 14
@@ -70,42 +65,33 @@ _FLOAT_BLOCK = 1 << 14
 # CPU time.  1024 rows keep every product at or under 2^18 multiply-adds.
 _GEMM_ROWS = 1024
 _FACTOR_BITS = 4
-_H_FLOAT = [None] + [_sylvester(k, np.float64)
-                     for k in range(1, _FACTOR_BITS + 1)]
+_H_FLOAT = [None] + [_sylvester(k) for k in range(1, _FACTOR_BITS + 1)]
 
 
-def _int_wht(work: np.ndarray) -> None:
-    """Butterfly stages on a contiguous int64 or object (rows, cols)."""
-    _, cols = work.shape
+def _butterfly(mat: np.ndarray) -> None:
+    """Butterfly stages on a (rows, cols) view of any dtype, in place."""
+    rows, cols = mat.shape
     h = 1
-    if work.dtype == np.int64 and cols >= 8:
-        # Stages h = 1, 2, 4 in one product with the order-8 transform: their
-        # runs are too short for the butterfly below to pay.  Every partial
-        # sum is at most 8 * max|x|, within the max|x| * cols bound the full
-        # transform already needs to stay exact in int64.
-        blocks = work.reshape(-1, 8)
-        blocks[:] = blocks @ _H8
-        h = 8
     while h < cols:
-        flat = work.reshape(-1, 2 * h)
-        a = flat[:, :h]
-        b = flat[:, h:]
+        pairs = mat.reshape(rows, cols // (2 * h), 2 * h)
+        a = pairs[..., :h]
+        b = pairs[..., h:]
         diff = a - b
         a += b
-        b[:] = diff
+        b[...] = diff
         h *= 2
 
 
-def _float_wht(work: np.ndarray) -> None:
-    """Kronecker-factored transform of a contiguous int64 (rows, cols) in
+def _float_wht(mat: np.ndarray) -> None:
+    """Kronecker-factored transform of an int64 (rows, cols) view in
     float64, exact when max|x| * cols <= 2^53.
 
     Each factor of k bits is one product with H_(2^k) on the lowest k index
     bits, then a transpose that rotates the index right by k bits so the
     next factor's bits are lowest; after all factors the index is back in
-    place.
+    place, and the last transpose is cast back into mat.
     """
-    rows, cols = work.shape
+    rows, cols = mat.shape
     n = cols.bit_length() - 1
     factors = [_FACTOR_BITS] * (n // _FACTOR_BITS)
     if n % _FACTOR_BITS:
@@ -114,7 +100,7 @@ def _float_wht(work: np.ndarray) -> None:
     x = np.empty(per * cols)
     y = np.empty(per * cols)
     for r0 in range(0, rows, per):
-        block = work[r0:r0 + per]
+        block = mat[r0:r0 + per]
         b = block.shape[0]
         src = x[:b * cols]
         dst = y[:b * cols]
@@ -137,23 +123,17 @@ def _float_wht(work: np.ndarray) -> None:
 def wht_rows(mat: np.ndarray) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along the last axis.
 
-    mat is (rows, cols) with cols a power of two.  Works for int64, exact
-    when max|x| * cols <= 2^63 - 1 (the caller's bound), and for object
-    dtype (arbitrary-precision numerators).  int64 input with at least
-    _FLOAT_MIN_COLS columns and max|x| * cols <= 2^53 takes the exact
-    float64 route; everything else runs the integer butterfly.  Both work
-    on contiguous arrays, so a non-contiguous mat is transformed as a
-    contiguous copy that is then written back.
+    mat is a (rows, cols) array or view with cols a power of two, int64
+    (exact when max|x| * cols <= 2^63 - 1, the caller's bound) or object
+    (arbitrary-precision numerators).  int64 with max|x| * cols <= 2^53
+    takes the exact float64 route; everything else runs the butterfly.
     """
-    work = mat if mat.flags.c_contiguous else np.ascontiguousarray(mat)
-    _, cols = work.shape
-    if (work.dtype == np.int64 and cols >= _FLOAT_MIN_COLS and work.size
-            and max(int(work.max()), -int(work.min())) * cols <= _F64_EXACT):
-        _float_wht(work)
+    cols = mat.shape[1]
+    if (mat.dtype == np.int64 and mat.size
+            and max(int(mat.max()), -int(mat.min())) * cols <= _F64_EXACT):
+        _float_wht(mat)
     else:
-        _int_wht(work)
-    if work is not mat:
-        mat[...] = work
+        _butterfly(mat)
     return mat
 
 

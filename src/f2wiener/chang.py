@@ -3,10 +3,10 @@
 Level s collects the characters with 2^-s base >= |hat(f_V)(g)| >
 2^-(s+1) base, where base = ||f_V||_1 (closed above, open below).  The
 masses L_s = sum over level s of |hat(chi_A)| satisfy sum_s 2^-s L_s >=
-1/2, so some level has L_s >= (1/6)(4/3)^s; all of this is decided by
-exact integer cross-multiplication.  Chang's theorem caps the dimension
-of the span of a large-spectrum set; the Riesz-product machinery below
-exercises the hypercontractive inequality behind its proof.
+1/2, so some level has L_s >= gain_floor(s) = (1/6)(4/3)^s; all of this
+is decided exactly, with integers and Fractions.  Chang's theorem caps the
+dimension of the span of a large-spectrum set; the Riesz-product machinery
+below exercises the hypercontractive inequality behind its proof.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ __all__ = [
     "DependentSet",
     "LevelSet",
     "level_sets",
+    "gain_floor",
     "level_qualifies",
     "STRATEGIES",
     "select_level",
@@ -94,11 +95,14 @@ def level_sets(fv_hat: Spectrum, chi_hat: Spectrum,
     return out
 
 
+def gain_floor(s: int) -> Fraction:
+    """(1/6)(4/3)^s, the mass some level s is guaranteed to reach."""
+    return Fraction(4 ** s, 6 * 3 ** s)
+
+
 def level_qualifies(level: LevelSet) -> bool:
-    """Exact test of mass >= (1/6)(4/3)^s by integer cross-multiplication."""
-    m = level.mass
-    s = level.s
-    return 6 * (3 ** s) * m.num >= (4 ** s) * (1 << m.exp)
+    """Exact test of mass >= gain_floor(s)."""
+    return level.mass.as_fraction() >= gain_floor(level.s)
 
 
 STRATEGIES = ("smallest-s", "best-ratio")
@@ -121,14 +125,9 @@ def select_level(levels: Sequence[LevelSet],
     if strategy == "smallest-s":
         return min(qualifying, key=lambda lv: lv.s)
     if strategy == "best-ratio":
-        best = qualifying[0]
-        for lv in qualifying[1:]:
-            # lv.mass / 4^lv.s > best.mass / 4^best.s, cross-multiplied.
-            lhs = lv.mass.num * (4 ** best.s) << best.mass.exp
-            rhs = best.mass.num * (4 ** lv.s) << lv.mass.exp
-            if lhs > rhs:
-                best = lv
-        return best
+        # max keeps the first of equal keys, so ties go to the smaller s.
+        return max(qualifying,
+                   key=lambda lv: lv.mass.as_fraction() / 4 ** lv.s)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -17,7 +17,7 @@ import re
 import subprocess
 from typing import List, Optional, Tuple
 
-from .chang import LevelSet, level_qualifies
+from .chang import gain_floor
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
 from .groups import HARD_EXP_CAP
@@ -282,7 +282,7 @@ def check_certificate(a: PointSet, cert,
         if dim - before > ceiling:
             problems.append(f"step {i}: growth above the recorded ceiling")
         # A step's gain must meet the floor of the level it was taken at.
-        if not level_qualifies(LevelSet(s, (), gain)):
+        if gain.as_fraction() < gain_floor(s):
             problems.append(f"step {i}: gain {gain} below (1/6)(4/3)^{s}")
         total = total + gain
     if total != final:

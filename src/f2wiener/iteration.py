@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chang import (STRATEGIES, _chang_bound_from_norms, level_sets,
-                    select_level)
+from .chang import (STRATEGIES, _chang_bound_from_norms, gain_floor,
+                    level_sets, select_level)
 from .dyadic import DyadicScalar, ZERO
 from .fourier import Spectrum, a_norm, exact_sum, fwht, l2_norm_sq
 from .groups import HARD_DIM_CAP, DualSubspace, subspace_extend
@@ -126,8 +126,7 @@ class IterationTrace:
 
     def gain_floor(self) -> Fraction:
         """Guaranteed total gain sum_l (1/6)(4/3)^s_l for the taken steps."""
-        return sum((Fraction(4 ** st.s, 6 * 3 ** st.s) for st in self.steps),
-                   Fraction(0))
+        return sum((gain_floor(st.s) for st in self.steps), Fraction(0))
 
 
 def run_iteration(a: PointSet, max_order: int,

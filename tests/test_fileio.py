@@ -146,6 +146,15 @@ def test_check_certificate_detects_tampering():
     def shrink_gain(c):
         c["trace"][0]["gain"] = {"num": 1, "exp": 12}
 
+    def move_gain(c):
+        # Keeps the sum of the gains, so only the per-step floor sees it.
+        g0, g1 = (DyadicScalar(st["gain"]["num"], st["gain"]["exp"])
+                  for st in c["trace"][:2])
+        low = DyadicScalar(1, 12)
+        moved = g1 + g0 - low
+        c["trace"][0]["gain"] = {"num": low.num, "exp": low.exp}
+        c["trace"][1]["gain"] = {"num": moved.num, "exp": moved.exp}
+
     def no_growth(c):
         c["trace"][0]["dim_after"] = c["trace"][0]["dim_before"]
 
@@ -177,8 +186,8 @@ def test_check_certificate_detects_tampering():
     def float_n(c):
         c["n"] = 4.0
 
-    for mutate in (overshoot, break_chain, shrink_gain, no_growth, bad_term,
-                   bad_version, fake_zero, bad_hyp, bad_ceiling,
+    for mutate in (overshoot, break_chain, shrink_gain, move_gain, no_growth,
+                   bad_term, bad_version, fake_zero, bad_hyp, bad_ceiling,
                    other_alpha_hyp, bool_version, float_n):
         problems, _ = check_certificate(a, _tampered(payload, mutate))
         assert problems, mutate.__name__

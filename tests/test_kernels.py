@@ -27,15 +27,13 @@ def _float_calls(monkeypatch):
 
 
 def test_wht_rows_numpy_matches_brute(monkeypatch):
-    # n >= 3 runs the first three stages as one order-8 product, and int64
-    # tables with cols >= 64 and max|x| * cols <= 2^53 take the float64
-    # route.  Each group of rows is transformed on its own, since the route
-    # is chosen per call:
-    # - small: random entries, the float route from n = 6 on;
+    # int64 tables with max|x| * cols <= 2^53 take the float64 route at
+    # every width.  Each group of rows is transformed on its own, since the
+    # route is chosen per call:
+    # - small: random entries, the float route;
     # - f64_bound: max|x| * cols == 2^53, the largest the float route takes;
     #   the all-max row's g = 0 output is exactly 2^53;
-    # - f64_above: max|x| = (2^53 >> n) + 1, just past it, so the integer
-    #   route even at n >= 6;
+    # - f64_above: max|x| = (2^53 >> n) + 1, just past it, so the butterfly;
     # - i64_bound: max|x| = (2^63 - 1) >> n, the int64 bound; the all-max
     #   row's g = 0 output is the largest value allowed.
     calls = _float_calls(monkeypatch)
@@ -55,7 +53,7 @@ def test_wht_rows_numpy_matches_brute(monkeypatch):
             expected = _brute_rows(mat)
             assert _kernels.wht_rows(mat.copy()).tolist() == expected, (
                 n, name)
-            float_route = cols >= 64 and name in ("small", "f64_bound")
+            float_route = name in ("small", "f64_bound")
             assert calls == ([mat.shape] if float_route else []), (n, name)
 
 
@@ -85,22 +83,39 @@ def test_wht_object_dtype():
     assert out.tolist() == _brute_rows(row.reshape(1, -1))
 
 
-def test_wht_rows_numpy_column_slices():
-    # A column slice is not contiguous, so the stages' reshapes would copy;
-    # the transform must still land in the slice and leave the rest alone.
+def test_wht_rows_numpy_column_slices(monkeypatch):
+    # Column slices, step-2 column views, row-strided views and Fortran
+    # order (the transpose of a C array) are not C-contiguous; both routes split only the last axis, so
+    # the transform must land in the caller's array and leave the rest of
+    # it alone.  Each view is tried with int64 entries within 2^53 (float
+    # route), int64 entries above it and object entries (butterfly).
+    calls = _float_calls(monkeypatch)
     rng = np.random.default_rng(73)
-    for cols in (8, 16, 64, 256):
+    for cols in (2, 8, 16, 64, 256):
         ones = np.ones((2, 2 * cols), dtype=np.int64)
         _kernels.wht_rows(ones[:, :cols])
         assert ones[0].tolist() == [cols] + [0] * (cols - 1) + [1] * cols
-        for dtype in (np.int64, object):
-            mat = rng.integers(-50, 50, size=(3, 3 * cols)).astype(dtype)
-            want = mat.copy()
-            view = mat[:, cols:2 * cols]
-            assert not view.flags.c_contiguous
-            assert _kernels.wht_rows(view) is view
-            want[:, cols:2 * cols] = _brute_rows(want[:, cols:2 * cols])
-            assert np.array_equal(mat, want)
+        big = ((1 << 53) // cols) + 1
+        views = (("columns", (3, 3 * cols), lambda m: m[:, cols:2 * cols]),
+                 ("step2", (3, 2 * cols), lambda m: m[:, ::2]),
+                 ("rows", (6, cols), lambda m: m[::2]),
+                 ("fortran", (cols, 3), lambda m: m.T))
+        for label, shape, pick in views:
+            for kind in ("float", "int64", "object"):
+                top = big if kind == "int64" else 50
+                mat = rng.integers(-top, top, size=shape, endpoint=True)
+                if kind == "object":
+                    mat = mat.astype(object)
+                view = pick(mat)
+                view[0, 0] = top
+                assert not view.flags.c_contiguous, (label, cols)
+                want = mat.copy()
+                pick(want)[...] = _brute_rows(pick(want))
+                del calls[:]
+                assert _kernels.wht_rows(view) is view
+                assert calls == ([view.shape] if kind == "float" else []), (
+                    label, cols, kind)
+                assert np.array_equal(mat, want), (label, cols, kind)
 
 
 # Magnitudes for the property test, as functions of n: small, and both
