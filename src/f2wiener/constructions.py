@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+import numpy as np
+
 from .dyadic import DyadicScalar, ONE, ZERO
 from .groups import DualSubspace, GroupDim, as_dim, char_sign, coset_index_table
 from .setfuncs import PointSet
@@ -143,15 +145,12 @@ def build_coset_union(density: DyadicDensity,
     gammas = tuple(1 << (e - 1) for e in exps)
     offsets = tuple(1 << (e - 1) for e in exps[:-1])
     parts = []
-    shift = 0
     for i, e in enumerate(exps):
-        if i > 0:
-            shift ^= offsets[i - 1]
-        # shift only has bits below e, so the coset is {(y << e) | shift}.
-        bits = 0
-        for y in range(1 << (n - e)):
-            bits |= 1 << ((y << e) | shift)
-        parts.append(PointSet(d, bits))
+        # Part i is ann(L_i) + x_1 + ... + x_i; the offsets are distinct bits
+        # below e, so it is every 2^e-th point from their sum on.
+        ind = np.zeros(d.order, dtype=bool)
+        ind[sum(offsets[:i])::1 << e] = True
+        parts.append(PointSet.from_indicator(d, ind))
     witness = CosetUnionWitness(d, density, lambdas, gammas, offsets,
                                 tuple(parts))
     witness.validate()
@@ -185,14 +184,7 @@ def build_equality_case(alpha: DyadicScalar, v: DualSubspace,
             f"fractional density {t} needs more than {n - dv} free bits"
         )
     partial = t.num << rem_exp
-    syn = coset_index_table(v, n)
-    bits = 0
-    taken = 0
-    for x in range(1 << n):
-        s = int(syn[x])
-        if s < full:
-            bits |= 1 << x
-        elif s == full and taken < partial:
-            bits |= 1 << x
-            taken += 1
-    return PointSet(d, bits)
+    syn = coset_index_table(v, n, np.arange(d.order, dtype=np.int64))
+    ind = syn < full
+    ind[np.flatnonzero(syn == full)[:partial]] = True
+    return PointSet.from_indicator(d, ind)

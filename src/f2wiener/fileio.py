@@ -75,17 +75,17 @@ def read_set_file(path: str, max_n: int) -> PointSet:
         if bits.bit_length() > (1 << n):
             raise SetFileError("bitmap has points outside the group")
         return PointSet(n, bits)
-    bits = 0
+    seen = set()
     for ln in body:
         if not _HEX_RE.match(ln):
             raise SetFileError(f"bad point line {ln!r}")
         x = int(ln, 16)
         if x >= (1 << n):
             raise SetFileError(f"point {ln} outside the group")
-        if (bits >> x) & 1:
+        if x in seen:
             raise SetFileError(f"duplicate point {ln}")
-        bits |= 1 << x
-    return PointSet(n, bits)
+        seen.add(x)
+    return PointSet.from_points(n, seen)
 
 
 def write_set_file(path: str, a: PointSet, style: str = "hexbits") -> None:

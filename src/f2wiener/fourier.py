@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -105,35 +105,11 @@ class _DyadicTable:
         d = as_dim(dim)
         return cls(d, np.zeros(d.order, dtype=np.int64), 0)
 
-    @classmethod
-    def from_values(cls, dim: Union[GroupDim, int],
-                    values: Iterable[Union[DyadicScalar, int, Fraction]]):
-        """Build from heterogeneous exact values, raising on non-dyadics."""
-        d = as_dim(dim)
-        scalars = []
-        for v in values:
-            if isinstance(v, DyadicScalar):
-                scalars.append(v)
-            elif isinstance(v, int):
-                scalars.append(DyadicScalar(v))
-            elif isinstance(v, Fraction):
-                scalars.append(DyadicScalar.from_fraction(v))
-            else:
-                raise TypeError(f"unsupported table value {v!r}")
-        if len(scalars) != d.order:
-            raise ValueError(f"expected {d.order} values, got {len(scalars)}")
-        exp = max((s.exp for s in scalars), default=0)
-        nums = [s.num << (exp - s.exp) for s in scalars]
-        return cls(d, np.array(nums, dtype=object), exp)
-
     def __len__(self) -> int:
         return self.dim.order
 
     def __getitem__(self, i: int) -> DyadicScalar:
         return DyadicScalar(int(self.nums[i]), self.exp)
-
-    def to_dyadics(self) -> List[DyadicScalar]:
-        return [DyadicScalar(int(v), self.exp) for v in self.nums]
 
     def to_fractions(self) -> List[Fraction]:
         den = 1 << self.exp

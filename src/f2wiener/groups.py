@@ -28,7 +28,6 @@ __all__ = [
     "all_subspaces",
     "subspace_count",
     "random_subspace",
-    "random_invertible",
 ]
 
 HARD_DIM_CAP = 30
@@ -215,12 +214,11 @@ def annihilator_basis(v: DualSubspace, n: int) -> List[int]:
     return [c for c in cols if c]
 
 
-def coset_index_table(v: DualSubspace, n: int) -> np.ndarray:
-    """Syndrome of every point x: bit i is <basis[i], x>; a coset label."""
+def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
+    """Coset label of each point x in pts: bit i is <basis[i], x>."""
     if any(r >= (1 << n) for r in v.basis):
         raise ValueError("basis mask exceeds the group dimension")
-    pts = np.arange(1 << n, dtype=np.int64)
-    idx = np.zeros(1 << n, dtype=np.int64)
+    idx = np.zeros(pts.shape, dtype=np.int64)
     for i, r in enumerate(v.basis):
         bits = np.bitwise_count(pts & np.int64(r)).astype(np.int64) & 1
         idx |= bits << i
@@ -281,10 +279,3 @@ def random_subspace(rng: np.random.Generator, n: int,
         v = subspace_insert(v, int(rng.integers(1, 1 << n)))
     return v
 
-
-def random_invertible(rng: np.random.Generator, n: int) -> List[int]:
-    """Rows of a random invertible n x n matrix over F2 (rejection sampled)."""
-    while True:
-        rows = [int(rng.integers(1, 1 << n)) for _ in range(n)]
-        if DualSubspace.span(rows).dim == n:
-            return rows

@@ -1,11 +1,12 @@
 """Norm lower bounds by iterated subspace growth.
 
-Starting from the trivial dual subspace, each step forms the residual of
-A against the current subspace V, picks a qualifying spectral level of
-the residual, and enlarges V by that level's span.  The tracked mass
-L(V) = sum_{g in V} |hat(chi_A)(g)| grows by at least (1/6)(4/3)^s per
-step and never exceeds the Wiener norm, so the final L is a certified
-lower bound.  The loop runs while |V| <= max_order.
+From the trivial dual subspace V, each step enlarges V by the span of a
+qualifying spectral level of the residual f_V = chi_A - chi_A * mu_V.
+Its spectrum is hat(chi_A) off V and zero on V; ||f_V||_1 and ||f_V||_2^2
+come from A's coset counts, checked against the spectrum by Parseval.
+The mass L(V) = sum_{g in V} |hat(chi_A)(g)| grows by at least
+(1/6)(4/3)^s per step and never exceeds the Wiener norm, so the final L
+is a certified lower bound.  The loop runs while |V| <= max_order.
 """
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ import numpy as np
 from .chang import (STRATEGIES, _chang_bound_from_norms, gain_floor,
                     level_sets, select_level)
 from .dyadic import DyadicScalar, ZERO
-from .fourier import Spectrum, a_norm, exact_sum, fwht, l2_norm_sq
-from .groups import HARD_DIM_CAP, DualSubspace, subspace_extend
-from .setfuncs import PointSet, frac_product, residual, residual_l1
+from .fourier import Spectrum, a_norm, exact_sum, fwht
+from .groups import (HARD_DIM_CAP, DualSubspace, coset_index_table,
+                     subspace_extend)
+from .setfuncs import PointSet, frac_product, residual_norms
 
 __all__ = [
     "ZeroResidual",
@@ -81,27 +83,27 @@ def iterate_step(a: PointSet, v: DualSubspace,
     Raises ZeroResidual when chi_A is constant on every annihilator coset
     of v (then L(v) already equals the full Wiener norm).
     """
-    fv = residual(a, v)
-    base = residual_l1(fv)
-    if base.num == 0:
-        raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
-    fv_hat = fwht(fv.table)
-    # The physical-space residual must vanish on v in frequency; this
-    # cross-checks the coset counting against the transform.
-    elems = v.element_array()
-    bad = np.flatnonzero(fv_hat.nums[elems])
-    if bad.size:
-        raise ArithmeticError(
-            f"residual spectrum nonzero on v at {int(elems[bad[0]])}")
     if chi_hat is None:
         chi_hat = fwht(a.indicator())
-    levels = level_sets(fv_hat, chi_hat, base)
+    syn = coset_index_table(v, a.dim.n, np.flatnonzero(a.bool_mask()))
+    base, l2sq = residual_norms(np.bincount(syn, minlength=v.order), a.dim.n)
+    elems = v.element_array()
+    on_v = chi_hat.nums[elems]
+    # Parseval: ||f_V||_2^2 is |A| / 2^n less the square mass on v.
+    on_v_sq = DyadicScalar(exact_sum(on_v, on_v), 2 * chi_hat.exp)
+    if l2sq != a.density() - on_v_sq:
+        raise ArithmeticError(f"coset counts contradict Parseval at {v!r}")
+    if base.num == 0:
+        raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
+    fv_nums = chi_hat.nums.copy()
+    fv_nums[elems] = 0
+    levels = level_sets(Spectrum(a.dim, fv_nums, chi_hat.exp), chi_hat, base)
     level = select_level(levels, strategy)
     v_new = subspace_extend(v, level.members)
-    l_old = _mass_over(chi_hat, v)
+    l_old = DyadicScalar(exact_sum(on_v, absolute=True), chi_hat.exp)
     l_new = _mass_over(chi_hat, v_new)
     # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.
-    ceiling = _chang_bound_from_norms(base, l2_norm_sq(fv.table),
+    ceiling = _chang_bound_from_norms(base, l2sq,
                                       Fraction(1, 2 ** (level.s + 1)))
     return StepResult(
         s=level.s,

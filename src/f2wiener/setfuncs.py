@@ -17,13 +17,14 @@ import numpy as np
 
 from .dyadic import DyadicScalar, ONE
 from .fourier import FunctionTable, Spectrum, a_norm, exact_sum, fwht
-from .groups import DualSubspace, GroupDim, as_dim, coset_index_table, parity
+from .groups import DualSubspace, GroupDim, as_dim, coset_index_table
 
 __all__ = [
     "PointSet",
     "ResidualTable",
     "residual",
     "residual_l1",
+    "residual_norms",
     "frac_product",
     "physical_lower_bound",
     "frac_quadratic_gap",
@@ -51,12 +52,13 @@ class PointSet:
     def from_points(cls, dim: Union[GroupDim, int],
                     points: Iterable[int]) -> "PointSet":
         d = as_dim(dim)
-        bits = 0
-        for p in points:
-            if not 0 <= p < d.order:
-                raise ValueError(f"point {p} outside the group")
-            bits |= 1 << p
-        return cls(d, bits)
+        pts = np.asarray(list(points))
+        outside = np.flatnonzero((pts < 0) | (pts >= d.order))
+        if outside.size:
+            raise ValueError(f"point {pts[outside[0]]} outside the group")
+        ind = np.zeros(d.order, dtype=bool)
+        ind[pts.astype(np.int64)] = True
+        return cls.from_indicator(d, ind)
 
     @classmethod
     def from_indicator(cls, dim: Union[GroupDim, int],
@@ -81,44 +83,21 @@ class PointSet:
         return bool((self.bits >> x) & 1)
 
     def points(self) -> List[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        """Members in ascending order."""
+        return np.flatnonzero(self.bool_mask()).tolist()
 
     def indicator(self) -> FunctionTable:
         return FunctionTable(self.dim, self._indicator_array(), 0)
 
-    def _indicator_array(self) -> np.ndarray:
+    def _indicator_array(self, dtype=np.int64) -> np.ndarray:
         order = self.dim.order
         nbytes = max(1, order // 8)
         raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"),
                             dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[:order].astype(np.int64)
+        return np.unpackbits(raw, bitorder="little")[:order].astype(dtype)
 
     def bool_mask(self) -> np.ndarray:
-        return self._indicator_array().astype(bool)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.dim, self.bits ^ ((1 << self.dim.order) - 1))
-
-    def translate(self, x: int) -> "PointSet":
-        return PointSet.from_points(self.dim, [p ^ x for p in self.points()])
-
-    def map_linear(self, rows: Sequence[int]) -> "PointSet":
-        """Image under the linear map whose i-th output bit is <rows[i], x>."""
-        if len(rows) != self.dim.n:
-            raise ValueError("need one row per output bit")
-        pts = []
-        for p in self.points():
-            y = 0
-            for i, r in enumerate(rows):
-                y |= parity(r, p) << i
-            pts.append(y)
-        return PointSet.from_points(self.dim, pts)
+        return self._indicator_array(bool)
 
     def set_hex(self) -> str:
         width = max(1, self.dim.order // 4)
@@ -160,10 +139,24 @@ def residual(a: PointSet, v: DualSubspace) -> ResidualTable:
     """chi_A minus its coset averaging; mean zero on every coset."""
     n = a.dim.n
     d = v.dim
-    syn = coset_index_table(v, n)
+    syn = coset_index_table(v, n, np.arange(a.dim.order, dtype=np.int64))
     counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
     nums = (a._indicator_array() << (n - d)) - counts[syn]
     return ResidualTable(FunctionTable(a.dim, nums, n - d), v, a)
+
+
+def residual_norms(counts: np.ndarray,
+                   n: int) -> Tuple[DyadicScalar, DyadicScalar]:
+    """(||f_V||_1, ||f_V||_2^2) from A's count c in each of the 2^d cosets.
+
+    f_V is 1 - c/m on c points of a coset of m = 2^(n - d) and -c/m on the
+    rest, so ||f_V||_1 = sum 2c(m - c) / 2^(2n - d) and ||f_V||_2^2 is half.
+    """
+    d = counts.size.bit_length() - 1
+    m = 1 << (n - d)
+    total = exact_sum(counts, m - counts)
+    return (DyadicScalar(2 * total, 2 * n - d),
+            DyadicScalar(total, 2 * n - d))
 
 
 def residual_l1(fv: ResidualTable) -> DyadicScalar:

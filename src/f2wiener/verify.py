@@ -16,11 +16,11 @@ import numpy as np
 
 from .chang import chang_cardinality_bound, chang_span, riesz_product, beckner_verify
 from .dyadic import DyadicScalar
-from .fourier import FunctionTable, exact_sum, fwht, l1_norm
+from .fourier import FunctionTable, fwht, l1_norm
 from .groups import (DualSubspace, GroupDim, coset_index_table,
                      random_subspace, subspace_insert)
 from .setfuncs import (PointSet, frac_quadratic_gap, physical_lower_bound,
-                       residual, residual_l1)
+                       residual, residual_l1, residual_norms)
 
 __all__ = [
     "SUITE_NAMES",
@@ -87,17 +87,12 @@ def _trial_ta(rng: np.random.Generator) -> Optional[str]:
         got = residual_l1(fv)
     except ArithmeticError as exc:
         return f"{exc} (|A|={a.size})"
-    # Closed form, independent of the residual table: a coset of m points
-    # holding c points of A contributes c(1 - c/m) + (m - c)c/m to the sum
-    # of |f_V|, so ||f_V||_1 = sum 2c(m - c) / 2^(2n - d).
-    d = v.dim
-    m = 1 << (n - d)
-    counts = np.bincount(coset_index_table(v, n)[a.bool_mask()],
-                         minlength=1 << d)
-    closed = DyadicScalar(2 * exact_sum(counts, m - counts), 2 * n - d)
+    # Closed form from the coset counts alone, independent of the table.
+    syn = coset_index_table(v, n, np.flatnonzero(a.bool_mask()))
+    closed, _ = residual_norms(np.bincount(syn, minlength=v.order), n)
     if got != closed:
         return (f"residual_l1 {got} != coset closed form {closed} "
-                f"(n={n}, |A|={a.size}, dimV={d})")
+                f"(n={n}, |A|={a.size}, dimV={v.dim})")
     return None
 
 

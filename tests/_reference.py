@@ -5,6 +5,12 @@ set scans) so the fast implementations have something honest to be
 checked against.  No code is shared with the package's numeric paths.
 The search oracles use numpy only to keep whole-spectrum recomputation
 affordable: one candidate or one proposal at a time.
+
+The last section is different: it keeps code the package has dropped,
+built on the package's own types.  reference_iterate_step is the growth
+step by the physical route (residual table, its transform, norms of the
+table), which the spectral step must reproduce exactly; the set maps and
+table helpers there serve only the tests.
 """
 from __future__ import annotations
 
@@ -14,6 +20,13 @@ from itertools import combinations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from f2wiener.chang import _chang_bound_from_norms, level_sets, select_level
+from f2wiener.dyadic import DyadicScalar
+from f2wiener.fourier import fwht, l2_norm_sq
+from f2wiener.groups import DualSubspace, subspace_extend
+from f2wiener.iteration import StepResult, ZeroResidual, _mass_over
+from f2wiener.setfuncs import PointSet, residual, residual_l1
 
 
 def parity(a: int, b: int) -> int:
@@ -245,3 +258,73 @@ def brute_chang_span(coeffs: Sequence[Fraction], threshold: Fraction,
     ratio = (sum((v * v for v in f), Fraction(0)) / (1 << n)) / l1 ** 2
     log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
     return tuple(basis), math.e * float(1 / eps ** 2) * max(log_ratio, 1.0)
+
+
+# Dropped package code, kept as a reference for the tests.
+
+
+def reference_iterate_step(a, v, strategy="smallest-s", chi_hat=None):
+    """iterate_step by the physical route: build the residual table f_V,
+    take its l1 norm two ways, transform it, check the transform vanishes
+    on v, and read the levels and ||f_V||_2^2 off the table."""
+    fv = residual(a, v)
+    base = residual_l1(fv)
+    if base.num == 0:
+        raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
+    fv_hat = fwht(fv.table)
+    elems = v.element_array()
+    bad = np.flatnonzero(fv_hat.nums[elems])
+    if bad.size:
+        raise ArithmeticError(
+            f"residual spectrum nonzero on v at {int(elems[bad[0]])}")
+    if chi_hat is None:
+        chi_hat = fwht(a.indicator())
+    levels = level_sets(fv_hat, chi_hat, base)
+    level = select_level(levels, strategy)
+    v_new = subspace_extend(v, level.members)
+    l_old = _mass_over(chi_hat, v)
+    l_new = _mass_over(chi_hat, v_new)
+    ceiling = _chang_bound_from_norms(base, l2_norm_sq(fv.table),
+                                      Fraction(1, 2 ** (level.s + 1)))
+    return StepResult(s=level.s, v_new=v_new, gain=l_new - l_old,
+                      dim_before=v.dim, dim_after=v_new.dim,
+                      chang_ceiling=ceiling, l_after=l_new)
+
+
+def set_complement(a: PointSet) -> PointSet:
+    return PointSet(a.dim, a.bits ^ ((1 << a.dim.order) - 1))
+
+
+def set_translate(a: PointSet, x: int) -> PointSet:
+    return PointSet.from_points(a.dim, [p ^ x for p in a.points()])
+
+
+def set_map_linear(a: PointSet, rows: Sequence[int]) -> PointSet:
+    """Image under the linear map whose i-th output bit is <rows[i], x>."""
+    if len(rows) != a.dim.n:
+        raise ValueError("need one row per output bit")
+    return PointSet.from_points(
+        a.dim, [sum(parity(r, p) << i for i, r in enumerate(rows))
+                for p in a.points()])
+
+
+def random_invertible(rng: np.random.Generator, n: int) -> List[int]:
+    """Rows of a random invertible n x n matrix over F2 (rejection sampled)."""
+    while True:
+        rows = [int(rng.integers(1, 1 << n)) for _ in range(n)]
+        if DualSubspace.span(rows).dim == n:
+            return rows
+
+
+def table_from_values(cls, dim, values):
+    """A FunctionTable or Spectrum from exact values (DyadicScalar, int or
+    dyadic Fraction), with one shared exponent."""
+    scalars = [v if isinstance(v, DyadicScalar)
+               else DyadicScalar.from_fraction(Fraction(v)) for v in values]
+    exp = max((s.exp for s in scalars), default=0)
+    nums = [s.num << (exp - s.exp) for s in scalars]
+    return cls(dim, np.array(nums, dtype=object), exp)
+
+
+def table_to_dyadics(t) -> List[DyadicScalar]:
+    return [DyadicScalar(int(v), t.exp) for v in t.nums]

@@ -108,6 +108,19 @@ def test_lowerbound_and_check_cert(workdir, capsys):
     assert "certificate OK" in capsys.readouterr().out
 
 
+def test_certify_at_n18_in_process(workdir, capsys):
+    # A scale smoke test above the default dimension cap; no time limit.
+    (workdir / "cfg.toml").write_text("max_n = 18\n")
+    cfg = ["--config", "cfg.toml"]
+    assert main(cfg + ["construct", "--family", "geometric4", "--k", "9",
+                       "--n", "18", "--out", "g9"]) == 0
+    assert main(cfg + ["lowerbound", "g9.set", "--max-order", str(1 << 18),
+                       "--out", "g9.cert.json"]) == 0
+    assert "termination = ResidualZero" in capsys.readouterr().out
+    assert main(cfg + ["check-cert", "g9.set", "g9.cert.json"]) == 0
+    assert "certificate OK" in capsys.readouterr().out
+
+
 def test_check_cert_detects_tampering(workdir, capsys):
     path = _set_file(workdir)
     assert main(["lowerbound", path, "--max-order", "16",

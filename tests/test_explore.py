@@ -8,10 +8,10 @@ from f2wiener.dyadic import DyadicScalar
 from f2wiener.explore import (AnnealParams, BudgetExceeded, CSV_COLUMNS,
                               MAX_ANNEAL_STEPS, append_record,
                               min_norm_anneal, min_norm_exhaustive)
-from f2wiener.groups import random_invertible
 from f2wiener.setfuncs import set_a_norm
 
-from _reference import brute_exhaustive_scan, brute_min_norm
+from _reference import (brute_exhaustive_scan, brute_min_norm,
+                        random_invertible, set_map_linear, set_translate)
 
 
 def test_exhaustive_matches_brute():
@@ -137,7 +137,7 @@ def test_norm_is_affine_invariant_in_search_space():
         rec = min_norm_exhaustive(n, int(rng.integers(1, (1 << n) + 1)))
         rows = random_invertible(rng, n)
         off = int(rng.integers(0, 1 << n))
-        moved = rec.best_set.map_linear(rows).translate(off)
+        moved = set_translate(set_map_linear(rec.best_set, rows), off)
         assert set_a_norm(moved) == rec.best_norm
 
 

@@ -55,6 +55,17 @@ def test_set_file_errors(tmp_path):
     bad("n=2\nhexbits=\n")
 
 
+def test_set_file_names_first_offender(tmp_path):
+    # Lines are checked in file order: the first bad line is the one named.
+    path = tmp_path / "o.set"
+    for text, message in (("n=2\n1\n1\n9\n", "duplicate point 1"),
+                          ("n=2\n9\n1\n1\n", "point 9 outside"),
+                          ("n=2\n3\nzz\n3\n", "bad point line 'zz'")):
+        path.write_text(text)
+        with pytest.raises(SetFileError, match=message):
+            read_set_file(str(path), DEFAULT_MAX_N)
+
+
 def test_set_file_dimension_cap_checked_first(tmp_path):
     # The cap is checked before anything is sized by n: a bitmap too wide
     # even for n = cap + 1 is reported as a cap violation, and an n too

@@ -15,7 +15,7 @@ from f2wiener.setfuncs import PointSet, set_a_norm, set_spectrum
 from f2wiener.verify import random_point_set, random_table
 
 from _reference import (annihilator_points, brute_a_norm, brute_abs_floats,
-                        brute_fwht)
+                        brute_fwht, table_from_values, table_to_dyadics)
 
 
 def test_point_mass_spectrum():
@@ -107,8 +107,8 @@ def test_linearity():
         f = random_table(rng, n)
         g = random_table(rng, n)
         fs, gs = fwht(f), fwht(g)
-        combo = FunctionTable.from_values(
-            n, [a + b for a, b in zip(f.to_dyadics(), g.to_dyadics())])
+        combo = table_from_values(FunctionTable, n, [
+            a + b for a, b in zip(table_to_dyadics(f), table_to_dyadics(g))])
         assert fwht(combo).to_fractions() == [
             a + b for a, b in zip(fs.to_fractions(), gs.to_fractions())]
 
@@ -368,15 +368,15 @@ def test_numerators_outside_int64_magnitude_stay_exact():
     # Stored as int64 once the shared power of two is stripped.
     small = FunctionTable(1, np.array([2 ** 63, 2], dtype=np.uint64), 1)
     assert small.nums.dtype == np.int64
-    assert small.to_dyadics() == [DyadicScalar(2 ** 62), DyadicScalar(1)]
+    assert table_to_dyadics(small) == [DyadicScalar(2 ** 62), DyadicScalar(1)]
 
 
 def test_from_values_mixed():
-    f = FunctionTable.from_values(
-        1, [DyadicScalar(1, 2), Fraction(3, 8)])
+    f = table_from_values(FunctionTable, 1,
+                          [DyadicScalar(1, 2), Fraction(3, 8)])
     assert f.to_fractions() == [Fraction(1, 4), Fraction(3, 8)]
     with pytest.raises(ValueError):
-        FunctionTable.from_values(1, [Fraction(1, 3), Fraction(0)])
+        table_from_values(FunctionTable, 1, [Fraction(1, 3), Fraction(0)])
 
 
 def test_spectrum_and_table_are_distinct_types():

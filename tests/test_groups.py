@@ -5,11 +5,11 @@ import pytest
 
 from f2wiener.groups import (HARD_DIM_CAP, DualSubspace, GroupDim,
                              all_subspaces, annihilator_basis,
-                             coset_index_table, parity, random_invertible,
-                             random_subspace, subspace_count,
-                             subspace_extend, subspace_insert)
+                             coset_index_table, parity, random_subspace,
+                             subspace_count, subspace_extend, subspace_insert)
 
-from _reference import annihilator_points, parity as ref_parity
+from _reference import (annihilator_points, parity as ref_parity,
+                        random_invertible)
 
 
 def test_group_dim_validation():
@@ -124,7 +124,7 @@ def test_coset_index_fibers():
     for _ in range(100):
         n = int(rng.integers(2, 10))
         v = random_subspace(rng, n)
-        table = coset_index_table(v, n)
+        table = coset_index_table(v, n, np.arange(1 << n))
         counts = np.bincount(table, minlength=v.order)
         assert (counts == (1 << n) // v.order).all()
         for i, r in enumerate(v.basis):

@@ -9,14 +9,15 @@ from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, random_subspace
-from f2wiener import groups
+from f2wiener import groups, iteration
 from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
                                 hypothesis_check, iterate_step, run_iteration)
 from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_a_norm,
                                set_spectrum)
 from f2wiener.verify import random_point_set
 
-from _reference import annihilator_points
+from _reference import (annihilator_points, random_invertible,
+                        reference_iterate_step, set_map_linear, set_translate)
 
 
 def _halfspace(n: int) -> PointSet:
@@ -139,6 +140,55 @@ def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
                                 residual_l1(r))
             (chosen,) = [lv for lv in levels if lv.s == st.s]
             assert st.v_new == functools.reduce(real_insert, chosen.members, v)
+
+
+def _reference_sets():
+    """The certify workload's families and densities, some moved by an
+    affine map, and one larger coset union."""
+    rng = np.random.default_rng(57)
+    sets = []
+    for family, k, n, moved in (
+            ("geometric4", 5, 12, True), ("geometric4", 6, 15, False),
+            ("geometric4", 7, 14, True), ("geometric4", 5, 16, False),
+            ("double_exp", 3, 13, True), ("double_exp", 4, 12, True),
+            ("double_exp", 4, 16, False), ("geometric4", 9, 18, False)):
+        a, _ = build_coset_union(density_family(family, k), n)
+        if moved:
+            a = set_translate(set_map_linear(a, random_invertible(rng, n)),
+                              int(rng.integers(0, 1 << n)))
+        sets.append(a)
+    for n, den in ((10, 2), (12, 2), (14, 2), (12, 16), (14, 16)):
+        table = np.zeros(1 << n, dtype=np.int64)
+        table[rng.permutation(1 << n)[:(1 << n) // den]] = 1
+        sets.append(PointSet.from_indicator(n, table))
+    return sets
+
+
+@pytest.mark.parametrize("strategy", ["smallest-s", "best-ratio"])
+def test_spectral_step_matches_residual_route(monkeypatch, strategy):
+    # The step that reads the levels off hat(chi_A) and the norms off the
+    # coset counts reproduces the residual-table step's whole trace.
+    for a in _reference_sets():
+        order = a.dim.order
+        trace = run_iteration(a, max_order=order, strategy=strategy)
+        with monkeypatch.context() as m:
+            m.setattr(iteration, "iterate_step", reference_iterate_step)
+            ref = run_iteration(a, max_order=order, strategy=strategy)
+        assert trace == ref, a
+
+
+def test_parseval_check_catches_dropped_syndrome_row(monkeypatch):
+    # Labelling the cosets by all but the last basis row merges cosets in
+    # pairs; the counts' ||f_V||_2^2 then disagrees with the spectrum.
+    real = iteration.coset_index_table
+
+    def drop_last_row(v, n, pts):
+        return real(DualSubspace._unchecked(v.basis[:-1]), n, pts)
+
+    monkeypatch.setattr(iteration, "coset_index_table", drop_last_row)
+    a, _ = build_coset_union(density_family("geometric4", 3), 8)
+    with pytest.raises(ArithmeticError, match="coset counts"):
+        run_iteration(a, max_order=1 << 8)
 
 
 def test_strategies_agree_on_soundness():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
@@ -12,7 +13,9 @@ from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap,
 from f2wiener.verify import random_point_set
 
 from _reference import (brute_coset_average, brute_frac_quadratic_gap,
-                        brute_indicator_bits, brute_set_a_norm)
+                        brute_indicator_bits, brute_set_a_norm,
+                        random_invertible, set_complement, set_map_linear,
+                        set_translate)
 
 
 def test_point_set_basics():
@@ -38,23 +41,22 @@ def test_point_set_hex():
 
 def test_point_set_maps():
     a = PointSet.from_points(2, [0b00, 0b01, 0b10])
-    assert a.complement().points() == [0b11]
-    assert a.translate(0b11).points() == [0b01, 0b10, 0b11]
+    assert set_complement(a).points() == [0b11]
+    assert set_translate(a, 0b11).points() == [0b01, 0b10, 0b11]
     # x -> Mx with rows (01, 11): 00->00, 01->11 (bit0 -> 1, bit1 -> 1), ...
-    mapped = a.map_linear([0b01, 0b11])
+    mapped = set_map_linear(a, [0b01, 0b11])
     assert mapped.size == a.size
     assert set_a_norm(mapped) == set_a_norm(a)
 
 
 def test_affine_invariance_of_norm():
-    from f2wiener.groups import random_invertible
     rng = np.random.default_rng(20)
     for _ in range(25):
         n = int(rng.integers(2, 7))
         a = random_point_set(rng, n)
         rows = random_invertible(rng, n)
         off = int(rng.integers(0, 1 << n))
-        b = a.map_linear(rows).translate(off)
+        b = set_translate(set_map_linear(a, rows), off)
         assert b.size == a.size
         assert set_a_norm(b) == set_a_norm(a)
 
@@ -218,6 +220,40 @@ def test_from_indicator_matches_reference():
     assert PointSet.from_indicator(GroupDim(2), []).bits == 0
     with pytest.raises(ValueError):
         PointSet.from_indicator(GroupDim(2), [0, 0, 0, 0, 1])
+
+
+@st.composite
+def _dim_and_points(draw):
+    n = draw(st.integers(1, 10))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=64))
+
+
+@given(_dim_and_points())
+def test_points_bitmap_round_trip(case):
+    n, pts = case
+    a = PointSet.from_points(n, pts)
+    members = set(pts)
+    assert a.points() == sorted(members)
+    assert a.bits == brute_indicator_bits(
+        [x in members for x in range(1 << n)])
+    assert PointSet.from_points(n, a.points()) == a
+
+
+def test_points_bitmap_every_small_set():
+    # At n = 1..3 the whole bitmap fits in one byte, padded for n < 3.
+    for n in range(1, 4):
+        for bits in range(1 << (1 << n)):
+            a = PointSet(n, bits)
+            pts = a.points()
+            assert pts == [x for x in range(1 << n) if (bits >> x) & 1]
+            assert PointSet.from_points(n, pts).bits == bits
+    with pytest.raises(ValueError, match="point -1 outside"):
+        PointSet.from_points(2, [1, -1, 7])
+    with pytest.raises(ValueError, match="point 7 outside"):
+        PointSet.from_points(2, [1, 7, -1])
+    with pytest.raises(ValueError, match="outside"):
+        PointSet.from_points(2, [1 << 70])
+    assert PointSet.from_points(2, []).bits == 0
 
 
 def test_frac_quadratic_gap_matches_reference():
