@@ -15,8 +15,9 @@ from .constructions import (CosetUnionWitness, DyadicDensity,
                             build_coset_union, build_equality_case,
                             density_family)
 from .chang import (DependentSet, LevelSet, NoQualifyingLevel, RieszProduct,
-                    ZeroMass, beckner_verify, chang_cardinality_bound,
-                    chang_span, level_sets, riesz_product, select_level)
+                    SpectrumRanking, ZeroMass, beckner_verify,
+                    chang_cardinality_bound, chang_span, level_sets,
+                    rank_spectrum, riesz_product, select_level)
 from .iteration import (HypothesisReport, IterationTrace, StepResult,
                         Termination, ZeroResidual, hypothesis_check,
                         iterate_step, run_iteration)
@@ -36,7 +37,8 @@ __all__ = [
     "DyadicDensity", "density_family", "CosetUnionWitness",
     "build_coset_union", "build_equality_case",
     "ExponentOverflow", "ResolutionError",
-    "LevelSet", "level_sets", "select_level", "chang_span",
+    "LevelSet", "SpectrumRanking", "rank_spectrum", "level_sets",
+    "select_level", "chang_span",
     "chang_cardinality_bound", "RieszProduct", "riesz_product",
     "beckner_verify", "ZeroMass", "NoQualifyingLevel", "DependentSet",
     "StepResult", "IterationTrace", "Termination", "ZeroResidual",

@@ -4,24 +4,25 @@ Level s collects the characters with 2^-s base >= |hat(f_V)(g)| >
 2^-(s+1) base, where base = ||f_V||_1 (closed above, open below).  The
 masses L_s = sum over level s of |hat(chi_A)| satisfy sum_s 2^-s L_s >=
 1/2, so some level has L_s >= gain_floor(s) = (1/6)(4/3)^s; all of this
-is decided exactly, with integers and Fractions.  Chang's theorem caps the
-dimension of the span of a large-spectrum set; the Riesz-product machinery
-below exercises the hypercontractive inequality behind its proof.
+is decided exactly, with integers and Fractions.  |hat(chi_A)| is ranked
+once per run (rank_spectrum) and every step's bands are runs of that
+ranking, less V's own entries.  Chang's theorem caps the dimension of the
+span of a large-spectrum set; the Riesz-product machinery below exercises
+the hypercontractive inequality behind its proof.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (FunctionTable, Spectrum, _widen, exact_product,
-                      exact_sum, fwht, inverse_fwht, l1_norm, l2_norm_sq,
-                      lp_norm, spectrum_l2_sq)
+from .fourier import (_I64_MAX, FunctionTable, Spectrum, _widen,
+                      exact_product, exact_sum, fwht, inverse_fwht, l1_norm,
+                      l2_norm_sq, lp_norm, spectrum_l2_sq)
 from .groups import DualSubspace, as_dim
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
     "NoQualifyingLevel",
     "DependentSet",
     "LevelSet",
+    "SpectrumRanking",
+    "rank_spectrum",
     "level_sets",
     "gain_floor",
     "level_qualifies",
@@ -56,42 +59,126 @@ class DependentSet(ValueError):
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Characters of one dyadic magnitude band, with their chi_A mass."""
+    """Characters of one dyadic magnitude band, with their chi_A mass.
+
+    members is a read-only int64 array in rank order; it takes no part in
+    equality, which the band index and the exact mass decide.
+    """
 
     s: int
-    members: Tuple[int, ...]
+    members: np.ndarray = field(compare=False)
     mass: DyadicScalar
 
 
-def level_sets(fv_hat: Spectrum, chi_hat: Spectrum,
-               base: DyadicScalar) -> List[LevelSet]:
-    """Partition supp(hat(f_V)) into dyadic bands relative to base.
+@dataclass(frozen=True, eq=False)
+class SpectrumRanking:
+    """A spectrum's magnitudes ranked once, so bands are cut by search.
 
-    base must equal ||f_V||_1 for the masses to mean anything; every
-    nonzero coefficient satisfies |hat(f_V)(g)| <= base, so s >= 0.
+    order (int64) lists the characters by descending |coefficient|, ties
+    by ascending index, and rank (int32) inverts it.  neg_mags[i] is minus
+    the i-th magnitude (so it ascends, as np.searchsorted needs) and
+    prefix[i] is the exact sum of the first i magnitudes; both are int64
+    when the total fits, else object arrays of Python ints.
     """
-    if fv_hat.dim != chi_hat.dim:
-        raise ValueError("spectra live on different groups")
+
+    exp: int
+    order: np.ndarray
+    rank: np.ndarray
+    neg_mags: np.ndarray
+    prefix: np.ndarray
+
+    def total(self) -> DyadicScalar:
+        """Sum of every |coefficient|: the Wiener norm."""
+        return DyadicScalar(int(self.prefix[-1]), self.exp)
+
+    def magnitudes(self, chars: np.ndarray) -> np.ndarray:
+        """|coefficient| of each character in chars."""
+        mags = self.neg_mags[self.rank[chars]]
+        return np.negative(mags, out=mags)
+
+    def count_above(self, t: int) -> int:
+        """How many numerator magnitudes exceed the integer t >= 0."""
+        if self.neg_mags.dtype != object:
+            # Every int64 magnitude is at most 2^63 - 1.
+            t = min(t, _I64_MAX)
+        return int(np.searchsorted(self.neg_mags, -t))
+
+
+def rank_spectrum(spec: Spectrum) -> SpectrumRanking:
+    """Sort spec by magnitude once and take exact prefix sums."""
+    mags = np.abs(spec.nums)
+    # The total bounds every prefix sum, so it picks one exact dtype.
+    (mags,) = _widen(exact_sum(mags), mags)
+    neg = np.negative(mags, out=mags)
+    order = np.argsort(neg, kind="stable")
+    neg = neg[order]
+    # A group has at most 2^HARD_DIM_CAP = 2^30 characters, so every rank
+    # fits int32, which halves the rank table and V's rank lookups.
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    # Partial sums of -|x| are at most the total in magnitude, so the
+    # negated running sum is exact in neg's dtype.
+    prefix = np.zeros(neg.size + 1, dtype=neg.dtype)
+    np.cumsum(neg, out=prefix[1:])
+    np.negative(prefix, out=prefix)
+    for arr in (order, rank, neg, prefix):
+        arr.setflags(write=False)
+    return SpectrumRanking(spec.exp, order, rank, neg, prefix)
+
+
+def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
+               base: DyadicScalar) -> List[LevelSet]:
+    """Partition the nonzero coefficients off excluded into dyadic bands.
+
+    Level s holds the g with base / 2^(s+1) < |hat(f)(g)| <= base / 2^s,
+    and its mass sums |hat(f)| over them.  For the residual f_V, hat(f) is
+    hat(chi_A), excluded lists V's elements (distinct) and base is
+    ||f_V||_1, which bounds every coefficient off V, so s >= 0.  Each band
+    is a run of the ranking, found by binary search; the excluded entries
+    are taken out of it through their ranks.
+    """
+    if excluded.size and not (0 <= excluded.min()
+                              and excluded.max() < ranking.order.size):
+        raise ValueError("excluded characters lie outside the group")
     if base.num <= 0:
         raise ZeroMass("level sets need a positive base norm")
-    support = np.flatnonzero(fv_hat.nums)
-    mags = np.abs(fv_hat.nums[support])
-    # Distinct magnitudes, largest first: the band index only grows along
-    # them, so each level is one run of them, decided with one exact
-    # floor_log2_ratio per value and selected with one range mask.
-    values = np.unique(mags)[::-1].tolist()
-    top = DyadicScalar(values[0] if values else 0, fv_hat.exp)
-    if top > base:
-        raise ArithmeticError(f"coefficient {top} above the l1 base {base}")
+    shift = ranking.exp - base.exp
+
+    def cut(s: int) -> int:
+        # floor(base / 2^(s+1)) in numerator units: band s is the
+        # magnitudes in (cut(s), cut(s - 1)].
+        k = shift - s - 1
+        return base.num << k if k >= 0 else base.num >> -k
+
+    # edges[i]:edges[i+1] is the i-th band's run of ranks.
+    edges = [ranking.count_above(cut(-1))]
+    bands: List[int] = []
+    end = ranking.count_above(0)
+    while edges[-1] < end:
+        top = DyadicScalar(int(-ranking.neg_mags[edges[-1]]), ranking.exp)
+        bands.append(floor_log2_ratio(base, top))
+        edges.append(ranking.count_above(cut(bands[-1])))
+    # where == 0 above the base, i + 1 in band i, len(edges) for zeros.
+    ex_ranks = ranking.rank[excluded]
+    where = np.searchsorted(edges, ex_ranks, side="right")
+    ex_count = np.bincount(where, minlength=len(edges) + 1)
+    if ex_count[0] != edges[0]:
+        raise ArithmeticError(
+            f"{edges[0] - ex_count[0]} coefficient(s) off the excluded set "
+            f"above the l1 base {base}")
+    ex_mass = np.zeros(len(edges) + 1, dtype=ranking.prefix.dtype)
+    np.add.at(ex_mass, where, -ranking.neg_mags[ex_ranks])
     out = []
-    for s, run in itertools.groupby(
-            values,
-            key=lambda v: floor_log2_ratio(base, DyadicScalar(v, fv_hat.exp))):
-        run = list(run)
-        members = support[(mags >= run[-1]) & (mags <= run[0])]
-        mass = exact_sum(chi_hat.nums[members], absolute=True)
-        out.append(LevelSet(s, tuple(members.tolist()),
-                            DyadicScalar(mass, chi_hat.exp)))
+    for i, s in enumerate(bands):
+        lo, hi = edges[i], edges[i + 1]
+        members = ranking.order[lo:hi]
+        if ex_count[i + 1] == hi - lo:
+            continue
+        if ex_count[i + 1]:
+            members = np.delete(members, ex_ranks[where == i + 1] - lo)
+            members.setflags(write=False)
+        mass = ranking.prefix[hi] - ranking.prefix[lo] - ex_mass[i + 1]
+        out.append(LevelSet(s, members, DyadicScalar(int(mass), ranking.exp)))
     return out
 
 

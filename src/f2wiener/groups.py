@@ -99,7 +99,7 @@ class DualSubspace:
 
     @classmethod
     def _unchecked(cls, basis: tuple) -> "DualSubspace":
-        # Fast path for enumerators whose output is RREF by construction.
+        # Fast path for callers whose rows are RREF by construction.
         obj = object.__new__(cls)
         object.__setattr__(obj, "basis", basis)
         return obj
@@ -164,10 +164,12 @@ def subspace_insert(v: DualSubspace, gamma: int) -> DualSubspace:
     if g == 0:
         return v
     p = _pivot(g)
+    # g is reduced against v, so clearing p from every old row keeps the
+    # rows in RREF.
     rows = [r ^ g if (r >> p) & 1 else r for r in v.basis]
     rows.append(g)
     rows.sort(key=_pivot)
-    return DualSubspace(tuple(rows))
+    return DualSubspace._unchecked(tuple(rows))
 
 
 def subspace_extend(v: DualSubspace, masks: Sequence[int]) -> DualSubspace:

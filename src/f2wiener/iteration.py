@@ -17,10 +17,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chang import (STRATEGIES, _chang_bound_from_norms, gain_floor,
-                    level_sets, select_level)
+from .chang import (STRATEGIES, SpectrumRanking, _chang_bound_from_norms,
+                    gain_floor, level_sets, rank_spectrum, select_level)
 from .dyadic import DyadicScalar, ZERO
-from .fourier import Spectrum, a_norm, exact_sum, fwht
+from .fourier import exact_sum, fwht
 from .groups import (HARD_DIM_CAP, DualSubspace, coset_index_table,
                      subspace_extend)
 from .setfuncs import PointSet, frac_product, residual_norms
@@ -56,12 +56,6 @@ class Termination(str, enum.Enum):
     STEP_CAP = "StepCap"
 
 
-def _mass_over(chi_hat: Spectrum, v: DualSubspace) -> DyadicScalar:
-    return DyadicScalar(
-        exact_sum(chi_hat.nums[v.element_array()], absolute=True),
-        chi_hat.exp)
-
-
 @dataclass(frozen=True)
 class StepResult:
     """One growth step: chosen level, enlarged subspace, exact mass gain."""
@@ -77,31 +71,35 @@ class StepResult:
 
 def iterate_step(a: PointSet, v: DualSubspace,
                  strategy: str = STRATEGIES[0],
-                 chi_hat: Optional[Spectrum] = None) -> StepResult:
+                 ranking: Optional[SpectrumRanking] = None,
+                 labels: Optional[np.ndarray] = None) -> StepResult:
     """Grow v by one qualifying level of the residual spectrum.
 
-    Raises ZeroResidual when chi_A is constant on every annihilator coset
-    of v (then L(v) already equals the full Wiener norm).
+    ranking is hat(chi_A) ranked by rank_spectrum, and labels holds the
+    coset label of each of A's points (ascending) under some basis of v;
+    both are rebuilt when not given.  Raises ZeroResidual when chi_A is
+    constant on every annihilator coset of v (then L(v) already equals the
+    full Wiener norm).
     """
-    if chi_hat is None:
-        chi_hat = fwht(a.indicator())
-    syn = coset_index_table(v, a.dim.n, np.flatnonzero(a.bool_mask()))
-    base, l2sq = residual_norms(np.bincount(syn, minlength=v.order), a.dim.n)
+    if ranking is None:
+        ranking = rank_spectrum(fwht(a.indicator()))
+    if labels is None:
+        labels = coset_index_table(v, a.dim.n, np.flatnonzero(a.bool_mask()))
+    base, l2sq = residual_norms(np.bincount(labels, minlength=v.order),
+                                a.dim.n)
     elems = v.element_array()
-    on_v = chi_hat.nums[elems]
+    on_v = ranking.magnitudes(elems)
     # Parseval: ||f_V||_2^2 is |A| / 2^n less the square mass on v.
-    on_v_sq = DyadicScalar(exact_sum(on_v, on_v), 2 * chi_hat.exp)
+    on_v_sq = DyadicScalar(exact_sum(on_v, on_v), 2 * ranking.exp)
     if l2sq != a.density() - on_v_sq:
         raise ArithmeticError(f"coset counts contradict Parseval at {v!r}")
     if base.num == 0:
         raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
-    fv_nums = chi_hat.nums.copy()
-    fv_nums[elems] = 0
-    levels = level_sets(Spectrum(a.dim, fv_nums, chi_hat.exp), chi_hat, base)
+    levels = level_sets(ranking, elems, base)
     level = select_level(levels, strategy)
     v_new = subspace_extend(v, level.members)
-    l_old = DyadicScalar(exact_sum(on_v, absolute=True), chi_hat.exp)
-    l_new = _mass_over(chi_hat, v_new)
+    l_old = DyadicScalar(exact_sum(on_v), ranking.exp)
+    l_new = _mass_over(ranking, v_new)
     # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.
     ceiling = _chang_bound_from_norms(base, l2sq,
                                       Fraction(1, 2 ** (level.s + 1)))
@@ -114,6 +112,23 @@ def iterate_step(a: PointSet, v: DualSubspace,
         chang_ceiling=ceiling,
         l_after=l_new,
     )
+
+
+def _mass_over(ranking: SpectrumRanking, v: DualSubspace) -> DyadicScalar:
+    return DyadicScalar(exact_sum(ranking.magnitudes(v.element_array())),
+                        ranking.exp)
+
+
+def _complement(v: DualSubspace, v_new: DualSubspace) -> DualSubspace:
+    """A complement of v in v_new: the rows of v_new at new pivots.
+
+    v's pivots are the lowest bits of its nonzero elements, so they are
+    pivots of v_new too; a nonzero sum of rows at other pivots has no bit
+    at any of them, so it is not in v.  Rows of an RREF basis stay RREF.
+    """
+    pivots = {r & -r for r in v.basis}
+    return DualSubspace._unchecked(
+        tuple(r for r in v_new.basis if r & -r not in pivots))
 
 
 @dataclass(frozen=True)
@@ -144,10 +159,12 @@ def run_iteration(a: PointSet, max_order: int,
         raise ValueError(f"max_order must lie in [1, 2^{HARD_DIM_CAP}]")
     if step_cap < 0:
         raise ValueError("step_cap must be >= 0")
-    chi_hat = fwht(a.indicator())
-    norm = a_norm(chi_hat)
+    ranking = rank_spectrum(fwht(a.indicator()))
+    points = np.flatnonzero(a.bool_mask())
+    norm = ranking.total()
     v = DualSubspace.trivial()
-    l_seq = [_mass_over(chi_hat, v)]
+    labels = np.zeros(points.size, dtype=np.int64)
+    l_seq = [_mass_over(ranking, v)]
     steps: List[StepResult] = []
     termination = Termination.STEP_CAP
     while True:
@@ -158,12 +175,15 @@ def run_iteration(a: PointSet, max_order: int,
             termination = Termination.STEP_CAP
             break
         try:
-            step = iterate_step(a, v, strategy, chi_hat)
+            step = iterate_step(a, v, strategy, ranking, labels)
         except ZeroResidual:
             termination = Termination.RESIDUAL_ZERO
             break
         steps.append(step)
         l_seq.append(step.l_after)
+        # One label bit per added dimension; the old bits stay valid.
+        labels |= coset_index_table(_complement(v, step.v_new), a.dim.n,
+                                    points) << v.dim
         v = step.v_new
     final = l_seq[-1]
     if final > norm:

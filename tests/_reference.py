@@ -10,22 +10,25 @@ The last section is different: it keeps code the package has dropped,
 built on the package's own types.  reference_iterate_step is the growth
 step by the physical route (residual table, its transform, norms of the
 table), which the spectral step must reproduce exactly; the set maps and
-table helpers there serve only the tests.
+table helpers there serve only the tests.  reference_level_sets is the
+banding by a sort of the residual spectrum's distinct magnitudes, which
+the ranked banding must reproduce.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from f2wiener.chang import _chang_bound_from_norms, level_sets, select_level
-from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import fwht, l2_norm_sq
+from f2wiener.chang import (LevelSet, ZeroMass, _chang_bound_from_norms,
+                            select_level)
+from f2wiener.dyadic import DyadicScalar, floor_log2_ratio
+from f2wiener.fourier import exact_sum, fwht, l2_norm_sq
 from f2wiener.groups import DualSubspace, subspace_extend
-from f2wiener.iteration import StepResult, ZeroResidual, _mass_over
+from f2wiener.iteration import StepResult, ZeroResidual
 from f2wiener.setfuncs import PointSet, residual, residual_l1
 
 
@@ -263,10 +266,42 @@ def brute_chang_span(coeffs: Sequence[Fraction], threshold: Fraction,
 # Dropped package code, kept as a reference for the tests.
 
 
-def reference_iterate_step(a, v, strategy="smallest-s", chi_hat=None):
+def reference_level_sets(fv_hat, chi_hat, base):
+    """level_sets as it was before the ranking: band the support of the
+    residual spectrum fv_hat by one exact floor_log2_ratio per distinct
+    magnitude and sum |chi_hat| over each band; members ascend."""
+    if base.num <= 0:
+        raise ZeroMass("level sets need a positive base norm")
+    support = np.flatnonzero(fv_hat.nums)
+    mags = np.abs(fv_hat.nums[support])
+    values = np.unique(mags)[::-1].tolist()
+    top = DyadicScalar(values[0] if values else 0, fv_hat.exp)
+    if top > base:
+        raise ArithmeticError(f"coefficient {top} above the l1 base {base}")
+    out = []
+    for s, run in groupby(
+            values,
+            key=lambda v: floor_log2_ratio(base, DyadicScalar(v, fv_hat.exp))):
+        run = list(run)
+        members = support[(mags >= run[-1]) & (mags <= run[0])]
+        mass = exact_sum(chi_hat.nums[members], absolute=True)
+        out.append(LevelSet(s, tuple(members.tolist()),
+                            DyadicScalar(mass, chi_hat.exp)))
+    return out
+
+
+def _mass_over(chi_hat, v):
+    return DyadicScalar(
+        exact_sum(chi_hat.nums[v.element_array()], absolute=True),
+        chi_hat.exp)
+
+
+def reference_iterate_step(a, v, strategy="smallest-s", ranking=None,
+                           labels=None):
     """iterate_step by the physical route: build the residual table f_V,
     take its l1 norm two ways, transform it, check the transform vanishes
-    on v, and read the levels and ||f_V||_2^2 off the table."""
+    on v, and read the levels and ||f_V||_2^2 off the table.  ranking and
+    labels are accepted, as iterate_step takes them, and ignored."""
     fv = residual(a, v)
     base = residual_l1(fv)
     if base.num == 0:
@@ -277,9 +312,8 @@ def reference_iterate_step(a, v, strategy="smallest-s", chi_hat=None):
     if bad.size:
         raise ArithmeticError(
             f"residual spectrum nonzero on v at {int(elems[bad[0]])}")
-    if chi_hat is None:
-        chi_hat = fwht(a.indicator())
-    levels = level_sets(fv_hat, chi_hat, base)
+    chi_hat = fwht(a.indicator())
+    levels = reference_level_sets(fv_hat, chi_hat, base)
     level = select_level(levels, strategy)
     v_new = subspace_extend(v, level.members)
     l_old = _mass_over(chi_hat, v)

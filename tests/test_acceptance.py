@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from f2wiener import _kernels
-from f2wiener.chang import level_sets
 from f2wiener.constructions import (DyadicDensity, build_coset_union,
                                     build_equality_case, density_family)
 from f2wiener.dyadic import DyadicScalar
@@ -29,7 +28,7 @@ from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
                                set_a_norm, set_spectrum)
 from f2wiener.verify import BECKNER_SLACK, random_point_set, run_suite
 
-from _reference import brute_min_norm
+from _reference import brute_min_norm, reference_level_sets
 
 
 def _report(k: int) -> None:
@@ -218,7 +217,7 @@ def test_criterion_07_step_contract():
         assert (6 * (3 ** st.s) * st.gain.num
                 >= (4 ** st.s) * (1 << st.gain.exp))
         # the chosen band avoids v entirely
-        levels = level_sets(fwht(fv.table), set_spectrum(a), base)
+        levels = reference_level_sets(fwht(fv.table), set_spectrum(a), base)
         members = next(lv.members for lv in levels if lv.s == st.s)
         velems = set(v.elements())
         assert velems.isdisjoint(members)

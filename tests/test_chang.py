@@ -7,7 +7,7 @@ import pytest
 from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             ZeroMass, beckner_verify, chang_cardinality_bound,
                             chang_span, level_qualifies, level_sets,
-                            riesz_product, select_level)
+                            rank_spectrum, riesz_product, select_level)
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import (FunctionTable, Spectrum, fwht, l1_norm,
                               l2_norm_sq)
@@ -26,15 +26,23 @@ def _halfspace_residual(n: int):
     return a, r
 
 
+NONE = np.zeros(0, dtype=np.int64)
+
+
+def _levels(spec, excluded, base):
+    return level_sets(rank_spectrum(spec), np.asarray(excluded, np.int64),
+                      base)
+
+
 def test_level_sets_halfspace():
     a, r = _halfspace_residual(3)
     base = residual_l1(r)
     assert base == DyadicScalar(1, 1)
-    levels = level_sets(fwht(r.table), set_spectrum(a), base)
+    levels = _levels(set_spectrum(a), [0], base)
     assert len(levels) == 1
     lv = levels[0]
     assert lv.s == 0
-    assert lv.members == (1,)
+    assert lv.members.tolist() == [1]
     assert lv.mass == DyadicScalar(1, 1)
     assert level_qualifies(lv)
 
@@ -47,11 +55,11 @@ def test_level_sets_coset():
         a = PointSet.from_points(n, annihilator_points(v.basis, n))
         r = residual(a, DualSubspace.trivial())
         base = residual_l1(r)
-        levels = level_sets(fwht(r.table), set_spectrum(a), base)
+        levels = _levels(set_spectrum(a), [0], base)
         assert len(levels) == 1
         lv = levels[0]
         assert lv.s == 0
-        assert sorted(lv.members) == sorted(set(v.elements()) - {0})
+        assert sorted(lv.members.tolist()) == sorted(set(v.elements()) - {0})
         assert lv.mass == DyadicScalar((1 << d) - 1, d)
 
 
@@ -59,9 +67,9 @@ def test_level_sets_band_convention():
     # coefficients sitting exactly on 2^-s * base belong to band s
     fv = Spectrum(2, [0, 2, 1, 4], 3)  # 0, 1/4, 1/8, 1/2
     base = DyadicScalar(1, 1)
-    levels = level_sets(fv, fv, base)
-    assert [(lv.s, lv.members) for lv in levels] == [
-        (0, (3,)), (1, (1,)), (2, (2,))]
+    levels = _levels(fv, NONE, base)
+    assert [(lv.s, lv.members.tolist()) for lv in levels] == [
+        (0, [3]), (1, [1]), (2, [2])]
     assert levels[0].mass == DyadicScalar(1, 1)
     assert levels[1].mass == DyadicScalar(1, 2)
     assert levels[2].mass == DyadicScalar(1, 3)
@@ -70,27 +78,72 @@ def test_level_sets_band_convention():
 def test_level_sets_errors():
     fv = Spectrum(1, [0, 3], 2)  # coefficient 3/4
     with pytest.raises(ZeroMass):
-        level_sets(fv, fv, DyadicScalar(0))
+        _levels(fv, NONE, DyadicScalar(0))
     with pytest.raises(ArithmeticError):
-        level_sets(fv, fv, DyadicScalar(1, 1))  # 3/4 above base 1/2
+        _levels(fv, NONE, DyadicScalar(1, 1))  # 3/4 above base 1/2
+    with pytest.raises(ArithmeticError):
+        _levels(fv, [0], DyadicScalar(1, 1))
+    # An excluded coefficient above the base is no error: the residual
+    # spectrum is zero there.
+    assert _levels(fv, [1], DyadicScalar(1, 1)) == []
     with pytest.raises(ValueError):
-        level_sets(fv, Spectrum.zeros(2), DyadicScalar(1, 1))
+        _levels(fv, [2], DyadicScalar(1))  # not a character of F2^1
+    with pytest.raises(ValueError):
+        _levels(fv, [-1], DyadicScalar(1))
 
 
-def _levels_as_fractions(levels):
-    return [(lv.s, lv.members, lv.mass.as_fraction()) for lv in levels]
+def test_rank_spectrum_order_and_prefix():
+    # Descending magnitude, ties by ascending index; rank inverts order and
+    # prefix holds the exact running sums, in both dtypes.
+    rng = np.random.default_rng(46)
+    for big in (False, True):
+        nums = [int(x) for x in rng.integers(-6, 7, size=1 << 10)]
+        if big:
+            nums[3] = 1 << 70
+        spec = Spectrum(10, nums, 3)
+        ranking = rank_spectrum(spec)
+        mags = [abs(int(x)) for x in spec.nums]
+        want = sorted(range(1 << 10), key=lambda g: (-mags[g], g))
+        assert ranking.order.tolist() == want
+        assert [want[r] for r in ranking.rank.tolist()] == list(range(1 << 10))
+        assert [-int(x) for x in ranking.neg_mags] == [mags[g] for g in want]
+        sums = [0]
+        for g in want:
+            sums.append(sums[-1] + mags[g])
+        assert [int(x) for x in ranking.prefix] == sums
+        assert ranking.total() == DyadicScalar(sums[-1], spec.exp)
+        assert ranking.prefix.dtype == (object if big else np.int64)
 
 
-def _check_against_reference(fv_hat, chi_hat, base):
-    got = _levels_as_fractions(level_sets(fv_hat, chi_hat, base))
-    want = brute_level_sets(fv_hat.to_fractions(), chi_hat.to_fractions(),
-                            base.as_fraction())
+def test_level_set_equality_ignores_member_arrays():
+    m = DyadicScalar(3, 2)
+    a = LevelSet(0, np.array([1, 2, 3]), m)
+    assert a == LevelSet(0, np.array([3, 1, 2]), m)
+    assert a == LevelSet(0, np.array([5]), m)
+    assert a != LevelSet(1, np.array([1, 2, 3]), m)
+    assert a != LevelSet(0, np.array([1, 2, 3]), DyadicScalar(1, 2))
+
+
+def _check_against_reference(spec, excluded, base):
+    excluded = np.asarray(excluded, dtype=np.int64)
+    levels = _levels(spec, excluded, base)
+    got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
+           for lv in levels]
+    coeffs = spec.to_fractions()
+    residual_coeffs = list(coeffs)
+    for g in excluded.tolist():
+        residual_coeffs[g] = Fraction(0)
+    want = [(s, list(members), mass) for s, members, mass in
+            brute_level_sets(residual_coeffs, coeffs, base.as_fraction())]
     assert got == want
-    for _, members, _ in got:
-        assert all(type(g) is int for g in members)
+    for lv in levels:
+        assert lv.members.dtype == np.int64
+        assert not lv.members.flags.writeable
 
 
 def test_level_sets_match_reference_on_residuals():
+    # The excluded set is V; the bands must be those of the residual's own
+    # spectrum, transformed from the residual table.
     rng = np.random.default_rng(44)
     done = 0
     while done < 80:
@@ -102,53 +155,76 @@ def test_level_sets_match_reference_on_residuals():
         if base.num == 0:
             continue
         done += 1
-        _check_against_reference(fwht(r.table), set_spectrum(a), base)
+        chi_hat = set_spectrum(a)
+        levels = level_sets(rank_spectrum(chi_hat), v.element_array(), base)
+        got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
+               for lv in levels]
+        want = [(s, list(members), mass) for s, members, mass in
+                brute_level_sets(fwht(r.table).to_fractions(),
+                                 chi_hat.to_fractions(), base.as_fraction())]
+        assert got == want
 
 
 def test_level_sets_match_reference_on_arbitrary_spectra():
-    # Many distinct magnitudes, several sharing a band, and bands skipped.
+    # Many distinct magnitudes, several sharing a band, bands skipped, and
+    # random excluded sets, some holding the entries above the base.
     rng = np.random.default_rng(45)
     for _ in range(60):
         n = int(rng.integers(1, 9))
         nums = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
         nums[rng.random(1 << n) < 0.3] = 0
-        fv = Spectrum(n, nums, int(rng.integers(0, 30)))
-        chi = Spectrum(n, rng.integers(-99, 100, size=1 << n), 5)
-        base = DyadicScalar(int(np.abs(fv.nums).max()) or 1, fv.exp)
-        _check_against_reference(fv, chi, base.mul_pow2(int(rng.integers(0, 3))))
+        spec = Spectrum(n, nums, int(rng.integers(0, 30)))
+        excluded = rng.permutation(1 << n)[:int(rng.integers(0, 1 << n))]
+        kept = np.delete(np.abs(spec.nums), excluded)
+        top = int(kept.max()) if kept.size else 0
+        base = DyadicScalar(top or 1, spec.exp)
+        _check_against_reference(spec, excluded,
+                                 base.mul_pow2(int(rng.integers(0, 3))))
+        _check_against_reference(spec, NONE,
+                                 DyadicScalar(int(np.abs(spec.nums).max())
+                                              or 1, spec.exp))
 
 
 def test_level_sets_object_dtype_above_int64():
     big = 1 << 70
     fv = Spectrum(3, [0, big, -big, 3 * (big >> 2), big >> 5, 7, -(big >> 1),
                       big + 1], 4)
-    chi = Spectrum(3, [5, -(1 << 65), 1 << 66, 3, (1 << 64) + 1, 0, -1,
-                       1 << 80], 2)
-    assert fv.nums.dtype == object and chi.nums.dtype == object
-    _check_against_reference(fv, chi, DyadicScalar(big + 1, 4))
+    assert fv.nums.dtype == object
+    assert rank_spectrum(fv).prefix.dtype == object
+    _check_against_reference(fv, NONE, DyadicScalar(big + 1, 4))
     with pytest.raises(ArithmeticError):
-        level_sets(fv, chi, DyadicScalar(big, 4))
+        _levels(fv, NONE, DyadicScalar(big, 4))
+    _check_against_reference(fv, [7], DyadicScalar(big, 4))
+    _check_against_reference(fv, [1, 7, 5], DyadicScalar(big, 4))
     # -2^63 fits int64, but its magnitude does not, so the table holds it
     # as an object.
     low = Spectrum(2, np.array([0, -(1 << 63), 1 << 62, -1], dtype=np.int64),
                    0)
     assert low.nums.dtype == object
-    _check_against_reference(low, low, DyadicScalar(1 << 63))
+    _check_against_reference(low, NONE, DyadicScalar(1 << 63))
+    _check_against_reference(low, [1], DyadicScalar(1 << 62))
 
 
 def test_level_sets_mass_at_int64_bound():
     # One band of 7 members; the mass sum max|x| * 7 sits exactly at
     # 2^63 - 1, then one step past it, where an int64 sum would wrap.
     n = 3
-    fv = Spectrum(n, [0, 1, 1, 1, -1, 1, 1, -1], 0)
     peak = ((1 << 63) - 1) // 7
     for top in (peak, peak + 1):
-        chi = Spectrum(n, [0] + [top] * 3 + [-top] * 4, 0)
-        assert chi.nums.dtype == np.int64
-        levels = level_sets(fv, chi, DyadicScalar(1))
-        assert [lv.members for lv in levels] == [tuple(range(1, 8))]
+        spec = Spectrum(n, [0] + [top] * 3 + [-top] * 4, 0)
+        assert spec.nums.dtype == np.int64
+        ranking = rank_spectrum(spec)
+        # The prefix sums stay int64 exactly while their total fits.
+        assert ranking.prefix.dtype == (np.int64 if top == peak else object)
+        levels = level_sets(ranking, NONE, DyadicScalar(top))
+        assert [sorted(lv.members.tolist()) for lv in levels] == [
+            list(range(1, 8))]
         assert levels[0].mass == DyadicScalar(7 * top)
-        _check_against_reference(fv, chi, DyadicScalar(1))
+        _check_against_reference(spec, NONE, DyadicScalar(top))
+        # Taking out members takes their mass out of the prefix difference.
+        levels = level_sets(ranking, np.array([2, 6]), DyadicScalar(top))
+        assert levels[0].mass == DyadicScalar(5 * top)
+        _check_against_reference(spec, [2, 6], DyadicScalar(top))
 
 
 def test_level_mass_averaging_identity():
@@ -164,7 +240,8 @@ def test_level_mass_averaging_identity():
         if base.num == 0:
             continue
         done += 1
-        levels = level_sets(fwht(r.table), set_spectrum(a), base)
+        levels = level_sets(rank_spectrum(set_spectrum(a)),
+                            v.element_array(), base)
         total = sum((lv.mass.as_fraction() / (1 << lv.s) for lv in levels),
                     Fraction(0))
         assert total >= Fraction(1, 2)

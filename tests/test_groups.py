@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2wiener.groups import (HARD_DIM_CAP, DualSubspace, GroupDim,
                              all_subspaces, annihilator_basis,
@@ -38,6 +39,23 @@ def test_insert_reduces_to_rref():
     # inserting a member changes nothing
     assert subspace_insert(w, 0b10) == w
     assert subspace_insert(w, 0) == w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=16))))
+def test_insert_chain_stays_rref(case):
+    # subspace_insert skips the basis check; the checked constructor must
+    # accept every basis it builds, and the basis must span the masks.
+    masks = case[1]
+    w = DualSubspace.trivial()
+    for g in masks:
+        w = subspace_insert(w, g)
+        assert DualSubspace(w.basis) == w
+    span = {0}
+    for g in masks:
+        span |= {x ^ g for x in span}
+    assert set(w.elements()) == span
 
 
 def test_span_order_insensitive():

@@ -4,11 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from f2wiener.chang import level_sets
 from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
-from f2wiener.groups import DualSubspace, random_subspace
+from f2wiener.groups import DualSubspace, random_subspace, subspace_extend
 from f2wiener import groups, iteration
 from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
                                 hypothesis_check, iterate_step, run_iteration)
@@ -17,7 +16,8 @@ from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_a_norm,
 from f2wiener.verify import random_point_set
 
 from _reference import (annihilator_points, random_invertible,
-                        reference_iterate_step, set_map_linear, set_translate)
+                        reference_iterate_step, reference_level_sets,
+                        set_map_linear, set_translate)
 
 
 def _halfspace(n: int) -> PointSet:
@@ -103,7 +103,7 @@ def test_step_contract_random():
         assert 6 * (3 ** st.s) * st.gain.num >= (4 ** st.s) * (1 << st.gain.exp)
         assert st.dim_after - st.dim_before <= st.chang_ceiling
         # the chosen band is disjoint from v and drives the gain
-        levels = level_sets(fwht(r.table), chi_hat, base)
+        levels = reference_level_sets(fwht(r.table), chi_hat, base)
         chosen = [lv for lv in levels if lv.s == st.s]
         assert len(chosen) == 1
         members = set(chosen[0].members)
@@ -136,8 +136,8 @@ def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
                 continue
             assert len(inserted) == st.dim_after - st.dim_before
             r = residual(a, v)
-            levels = level_sets(fwht(r.table), set_spectrum(a),
-                                residual_l1(r))
+            levels = reference_level_sets(fwht(r.table), set_spectrum(a),
+                                          residual_l1(r))
             (chosen,) = [lv for lv in levels if lv.s == st.s]
             assert st.v_new == functools.reduce(real_insert, chosen.members, v)
 
@@ -149,6 +149,7 @@ def _reference_sets():
     sets = []
     for family, k, n, moved in (
             ("geometric4", 5, 12, True), ("geometric4", 6, 15, False),
+            ("geometric4", 6, 15, True), ("geometric4", 6, 15, True),
             ("geometric4", 7, 14, True), ("geometric4", 5, 16, False),
             ("double_exp", 3, 13, True), ("double_exp", 4, 12, True),
             ("double_exp", 4, 16, False), ("geometric4", 9, 18, False)):
@@ -166,15 +167,60 @@ def _reference_sets():
 
 @pytest.mark.parametrize("strategy", ["smallest-s", "best-ratio"])
 def test_spectral_step_matches_residual_route(monkeypatch, strategy):
-    # The step that reads the levels off hat(chi_A) and the norms off the
-    # coset counts reproduces the residual-table step's whole trace.
+    # The step that reads the levels off the ranking of hat(chi_A) and the
+    # norms off incrementally labelled coset counts reproduces the
+    # residual-table step's whole trace.
+    calls = []
+
+    def counted_reference(*args):
+        calls.append(args[1].dim)
+        return reference_iterate_step(*args)
+
+    long_runs = 0
     for a in _reference_sets():
         order = a.dim.order
         trace = run_iteration(a, max_order=order, strategy=strategy)
+        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(iteration, "iterate_step", reference_iterate_step)
+            m.setattr(iteration, "iterate_step", counted_reference)
             ref = run_iteration(a, max_order=order, strategy=strategy)
+        # The reference ran every step, and the call that found the zero
+        # residual.
+        expected = [st.dim_before for st in ref.steps]
+        if ref.termination is Termination.RESIDUAL_ZERO:
+            expected.append(ref.steps[-1].dim_after if ref.steps else 0)
+        assert calls == expected, a
         assert trace == ref, a
+        long_runs += len(trace.steps) >= 3
+    # The coset unions take many steps, so the later steps' incremental
+    # labels and exclusions are compared too.
+    assert long_runs >= 8
+
+
+def test_geometric4_n20_trace_pinned():
+    # geometric4 k=10 at n=20 (the README's large-n table): 18 one-dimension
+    # steps and a last one of two, all in band 0, ending at the exact norm.
+    a, _ = build_coset_union(density_family("geometric4", 10), 20)
+    trace = run_iteration(a, max_order=1 << 20)
+    assert [(st.s, st.dim_before, st.dim_after) for st in trace.steps] == (
+        [(0, d, d + 1) for d in range(18)] + [(0, 18, 20)])
+    assert trace.termination is Termination.RESIDUAL_ZERO
+    assert trace.final_bound == trace.a_norm == DyadicScalar(1864135, 18)
+
+
+def test_complement_completes_the_basis():
+    # v's basis plus the complement's rows span v_new with no dependency,
+    # so together they label v_new's cosets.
+    rng = np.random.default_rng(58)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        v = random_subspace(rng, n)
+        v_new = subspace_extend(
+            v, [int(g) for g in rng.integers(0, 1 << n, size=3)])
+        w = iteration._complement(v, v_new)
+        assert DualSubspace(w.basis) == w
+        assert w.dim == v_new.dim - v.dim
+        assert subspace_extend(v, w.basis) == v_new
 
 
 def test_parseval_check_catches_dropped_syndrome_row(monkeypatch):
