@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "subspace_extend",
     "annihilator_basis",
     "coset_index_table",
+    "subspace_batches",
     "all_subspaces",
     "subspace_count",
     "random_subspace",
@@ -191,35 +192,48 @@ def subspace_extend(v: DualSubspace, masks: Sequence[int]) -> DualSubspace:
         rest ^= ((rest >> _pivot(g)) & 1) * np.int64(g)
 
 
+def _check_bound(basis: tuple, n: int) -> None:
+    if basis and max(basis) >> n:
+        raise ValueError("basis mask exceeds the group dimension")
+
+
+def _annihilators(rows: np.ndarray, pivots: Sequence[int],
+                  n: int) -> np.ndarray:
+    """Annihilator bases of RREF bases that share one pivot set.
+
+    rows is (B, d) int64, row i of every basis having pivot pivots[i].  The
+    result is (B, n - d): one vector per non-pivot coordinate j, in
+    increasing j, equal to e_j plus the pivot of every row with bit j set.
+    In RREF no row holds another row's pivot, so these span the annihilator
+    and |v| * |ann| = 2**n.
+    """
+    free = np.array([j for j in range(n) if j not in pivots], dtype=np.int64)
+    out = np.repeat(np.int64(1) << free[None, :], len(rows), axis=0)
+    for i, p in enumerate(pivots):
+        out |= ((rows[:, i, None] >> free) & 1) << p
+    return out
+
+
 def annihilator_basis(v: DualSubspace, n: int) -> List[int]:
     """Point-space basis of the annihilator {x : <g, x> = 0 for all g in v}.
 
-    One basis vector per non-pivot coordinate b, in increasing b: e_b plus,
-    for every basis row with bit b set, that row's pivot coordinate.
-    |v| * |ann| = 2**n.
+    One basis vector per non-pivot coordinate, in increasing order (see
+    _annihilators).  A subspace from all_subspaces carries its basis for
+    the n it was enumerated in; any other goes through the same formula.
     """
-    basis = v.basis
-    if basis and max(basis) >> n:
-        raise ValueError("basis mask exceeds the group dimension")
-    cols = [1 << b for b in range(n)]
-    # Each row adds its pivot to the column of every other bit it has set,
-    # then clears its own pivot's column.  In RREF no row holds another
-    # row's pivot bit, so exactly the non-pivot columns stay nonzero.
-    for r in basis:
-        pivot = r & -r
-        rest = r ^ pivot
-        while rest:
-            bit = rest & -rest
-            cols[bit.bit_length() - 1] |= pivot
-            rest ^= bit
-        cols[pivot.bit_length() - 1] = 0
-    return [c for c in cols if c]
+    stored = v.__dict__.get("_annihilator")
+    if stored is not None and stored[0] == n:
+        return list(stored[1])
+    if n > HARD_DIM_CAP:  # the formula works in int64
+        raise ValueError(f"group dimension {n} above {HARD_DIM_CAP}")
+    _check_bound(v.basis, n)
+    rows = np.array([v.basis], dtype=np.int64).reshape(1, v.dim)
+    return _annihilators(rows, [_pivot(r) for r in v.basis], n)[0].tolist()
 
 
 def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
     """Coset label of each point x in pts: bit i is <basis[i], x>."""
-    if any(r >= (1 << n) for r in v.basis):
-        raise ValueError("basis mask exceeds the group dimension")
+    _check_bound(v.basis, n)
     idx = np.zeros(pts.shape, dtype=np.int64)
     for i, r in enumerate(v.basis):
         bits = np.bitwise_count(pts & np.int64(r)).astype(np.int64) & 1
@@ -227,37 +241,53 @@ def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _subsets(mask: int) -> List[int]:
-    out = [0]
-    s = mask
-    while s:
-        low = s & -s
-        out += [x | low for x in out]
-        s ^= low
-    return out
+SUBSPACE_BATCH = 256
 
 
-def all_subspaces(n: int) -> Iterator[DualSubspace]:
-    """Every subspace of an n-dimensional F2 space, via RREF enumeration.
+def subspace_batches(n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every subspace of F2^n as (rows, annihilators) int64 array pairs.
 
-    For each pivot set {p_1 < ... < p_d} the free bits of row i are the
-    non-pivot coordinates above p_i; every assignment gives one subspace,
-    each exactly once.
+    For each pivot set {p_1 < ... < p_d}, in order of d and then of
+    itertools.combinations, the free bits of row i are the non-pivot
+    coordinates above p_i.  Each assignment t gives one RREF basis, each
+    subspace exactly once: the bits of t fill the free bits of the last
+    row first, lowest bit first, so t counts in itertools.product order
+    over each row's subsets.  rows is (B, d) and annihilators (B, n - d)
+    (see _annihilators), with B at most SUBSPACE_BATCH.
     """
     for d in range(n + 1):
         for pivots in itertools.combinations(range(n), d):
-            pivot_mask = 0
-            for p in pivots:
-                pivot_mask |= 1 << p
-            choices = []
-            for p in pivots:
-                free = 0
-                for b in range(p + 1, n):
-                    if not (pivot_mask >> b) & 1:
-                        free |= 1 << b
-                choices.append([(1 << p) | s for s in _subsets(free)])
-            for rows in itertools.product(*choices):
-                yield DualSubspace._unchecked(rows)
+            # bit q of t sets bit b of row i, for the q-th (i, b) here:
+            # the last row's free bits first, lowest first
+            places = [(i, b) for i in reversed(range(d))
+                      for b in range(pivots[i] + 1, n) if b not in pivots]
+            lead = np.array([[1 << p for p in pivots]], dtype=np.int64)
+            total = 1 << len(places)
+            for start in range(0, total, SUBSPACE_BATCH):
+                t = np.arange(start, min(total, start + SUBSPACE_BATCH),
+                              dtype=np.int64)
+                rows = np.repeat(lead, len(t), axis=0)
+                for q, (i, b) in enumerate(places):
+                    rows[:, i] |= ((t >> q) & 1) << b
+                yield rows, _annihilators(rows, pivots, n)
+
+
+def all_subspaces(n: int) -> Iterator[DualSubspace]:
+    """Every subspace of F2^n, in subspace_batches order.
+
+    Each one carries its annihilator basis for n, which annihilator_basis
+    returns without recomputing; it is not a dataclass field, so equality,
+    hash and repr stay those of the basis.
+    """
+    new = object.__new__
+    for rows, anns in subspace_batches(n):
+        for basis, ann in zip(rows.tolist(), anns.tolist()):
+            # frozen, so fill the instance dict as _unchecked does
+            v = new(DualSubspace)
+            attrs = v.__dict__
+            attrs["basis"] = tuple(basis)
+            attrs["_annihilator"] = (n, ann)
+            yield v
 
 
 def subspace_count(n: int) -> int:

@@ -12,14 +12,16 @@ step by the physical route (residual table, its transform, norms of the
 table), which the spectral step must reproduce exactly; the set maps and
 table helpers there serve only the tests.  reference_level_sets is the
 banding by a sort of the residual spectrum's distinct magnitudes, which
-the ranked banding must reproduce.
+the ranked banding must reproduce.  reference_all_subspaces and
+reference_annihilator_basis are the one-subspace-at-a-time enumeration and
+bit loop that the batched enumeration must reproduce, order included.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, groupby
-from typing import List, Sequence, Tuple
+from itertools import combinations, groupby, product
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -348,6 +350,52 @@ def random_invertible(rng: np.random.Generator, n: int) -> List[int]:
         rows = [int(rng.integers(1, 1 << n)) for _ in range(n)]
         if DualSubspace.span(rows).dim == n:
             return rows
+
+
+def reference_annihilator_basis(v: DualSubspace, n: int) -> List[int]:
+    """Annihilator basis by a loop over the bits of every row: one vector
+    per non-pivot coordinate b, in increasing b, e_b plus the pivot of
+    every row with bit b set."""
+    basis = v.basis
+    if basis and max(basis) >> n:
+        raise ValueError("basis mask exceeds the group dimension")
+    cols = [1 << b for b in range(n)]
+    for r in basis:
+        pivot = r & -r
+        rest = r ^ pivot
+        while rest:
+            bit = rest & -rest
+            cols[bit.bit_length() - 1] |= pivot
+            rest ^= bit
+        cols[pivot.bit_length() - 1] = 0
+    return [c for c in cols if c]
+
+
+def _subsets(mask: int) -> List[int]:
+    out = [0]
+    s = mask
+    while s:
+        low = s & -s
+        out += [x | low for x in out]
+        s ^= low
+    return out
+
+
+def reference_all_subspaces(n: int) -> Iterator[DualSubspace]:
+    """Every subspace by RREF: for each pivot set, itertools.product over
+    each row's subsets of its free bits (the non-pivots above its pivot)."""
+    for d in range(n + 1):
+        for pivots in combinations(range(n), d):
+            pivot_mask = sum(1 << p for p in pivots)
+            choices = []
+            for p in pivots:
+                free = 0
+                for b in range(p + 1, n):
+                    if not (pivot_mask >> b) & 1:
+                        free |= 1 << b
+                choices.append([(1 << p) | s for s in _subsets(free)])
+            for rows in product(*choices):
+                yield DualSubspace(rows)
 
 
 def table_from_values(cls, dim, values):

@@ -5,7 +5,6 @@ under pytest -s), and enforces the stated runtime budget with a
 monotonic-clock assertion.  All numeric checks are exact unless a float
 tolerance is called out in the assertion itself.
 """
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -19,8 +18,8 @@ from f2wiener.constructions import (DyadicDensity, build_coset_union,
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.explore import AnnealParams, min_norm_anneal, min_norm_exhaustive
 from f2wiener.fourier import fwht
-from f2wiener.groups import (DualSubspace, all_subspaces, annihilator_basis,
-                             random_subspace, subspace_count)
+from f2wiener.groups import (annihilator_basis, random_subspace,
+                             subspace_batches, subspace_count)
 from f2wiener.iteration import (Termination, hypothesis_check, iterate_step,
                                 run_iteration)
 from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
@@ -35,45 +34,43 @@ def _report(k: int) -> None:
     print(f"criterion {k}: PASS")
 
 
+def _doubled(bases: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Row i: first[i] XOR every subset sum of the vectors in bases[i]."""
+    out = np.empty((len(bases), 1 << bases.shape[1]), dtype=np.int64)
+    out[:, 0] = first
+    for k in range(bases.shape[1]):
+        half = 1 << k
+        np.bitwise_xor(out[:, :half], bases[:, k, None],
+                       out=out[:, half:2 * half])
+    return out
+
+
 def test_criterion_01_coset_norm_sweep():
-    # every subspace of F2^n for n <= 8, each with a random offset:
-    # the coset indicator has Wiener norm exactly 1
+    # every subspace V of F2^n for n <= 8, each with a random offset: the
+    # indicator of the coset of V's annihilator has Wiener norm exactly 1,
+    # and its spectrum is supported exactly on V
     start = time.monotonic()
     rng = np.random.default_rng(101)
     checked = 0
     for n in range(1, 9):
         order = 1 << n
-        batch = max(1, 4096 // max(1, order // 64))
         offsets = rng.integers(0, order, size=subspace_count(n))
-        subspaces = all_subspaces(n)
         seen = 0
-        while True:
-            # annihilator bases padded to n vectors: a zero vector only
-            # repeats points, so doubling lists the coset, each point
-            # equally often
-            bases = []
-            for v in itertools.islice(subspaces, batch):
-                ann = annihilator_basis(v, n)
-                bases += ann + [0] * (n - len(ann))
-            if not bases:
-                break
-            bases = np.array(bases, dtype=np.int64).reshape(-1, n)
-            fill = len(bases)
-            # row i: offset i XOR every subset sum of basis i, by doubling
-            pts = np.empty((fill, order), dtype=np.int64)
-            pts[:, 0] = offsets[seen:seen + fill]
-            for k in range(n):
-                half = 1 << k
-                np.bitwise_xor(pts[:, :half], bases[:, k, None],
-                               out=pts[:, half:2 * half])
-            # scatter the ones through flat indices; row i starts at i * order
-            pts += order * np.arange(fill)[:, None]
+        for rows, anns in subspace_batches(n):
+            fill = len(rows)
+            pts = _doubled(anns, offsets[seen:seen + fill])
+            members = _doubled(rows, 0)
+            # scatter through flat indices; row i starts at i * order
+            base = order * np.arange(fill)[:, None]
             buf = np.zeros((fill, order), dtype=np.int64)
-            buf.reshape(-1)[pts.reshape(-1)] = 1
+            buf.reshape(-1)[(pts + base).reshape(-1)] = 1
+            support = np.zeros((fill, order), dtype=bool)
+            support.reshape(-1)[(members + base).reshape(-1)] = True
             _kernels.wht_rows(buf)
-            sums = np.abs(buf).sum(axis=1)
-            assert (sums == order).all()
+            assert (np.abs(buf).sum(axis=1) == order).all()
+            assert ((buf != 0) == support).all()
             seen += fill
+        assert seen == subspace_count(n)
         checked += seen
     assert checked == sum(subspace_count(n) for n in range(1, 9))
     elapsed = time.monotonic() - start

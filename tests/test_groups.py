@@ -1,16 +1,19 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2wiener.groups import (HARD_DIM_CAP, DualSubspace, GroupDim,
-                             all_subspaces, annihilator_basis,
+from f2wiener.groups import (HARD_DIM_CAP, SUBSPACE_BATCH, DualSubspace,
+                             GroupDim, all_subspaces, annihilator_basis,
                              coset_index_table, parity, random_subspace,
-                             subspace_count, subspace_extend, subspace_insert)
+                             subspace_batches, subspace_count,
+                             subspace_extend, subspace_insert)
 
 from _reference import (annihilator_points, parity as ref_parity,
-                        random_invertible)
+                        random_invertible, reference_all_subspaces,
+                        reference_annihilator_basis)
 
 
 def test_group_dim_validation():
@@ -119,6 +122,11 @@ def test_annihilator_examples():
     assert annihilator_basis(DualSubspace.full(3), 3) == []
     with pytest.raises(ValueError):
         annihilator_basis(DualSubspace.span([0b100]), 2)
+    top = 1 << (HARD_DIM_CAP - 1)
+    assert annihilator_basis(DualSubspace.span([top | 1]),
+                             HARD_DIM_CAP)[-1] == top | 1
+    with pytest.raises(ValueError):
+        annihilator_basis(DualSubspace.span([1]), HARD_DIM_CAP + 1)
 
 
 def test_annihilator_duality():
@@ -135,6 +143,69 @@ def test_annihilator_duality():
         assert set(w.elements()) == set(annihilator_points(v.basis, n))
         # double annihilator recovers v
         assert DualSubspace.span(annihilator_basis(w, n)) == v
+
+
+def test_bound_check_shared():
+    v = DualSubspace.span([0b100])
+    for call in (lambda: annihilator_basis(v, 2),
+                 lambda: coset_index_table(v, 2, np.arange(4))):
+        with pytest.raises(ValueError,
+                           match="basis mask exceeds the group dimension"):
+            call()
+    assert annihilator_basis(v, 3) == [1, 2]
+    assert coset_index_table(v, 3, np.arange(8)).tolist() == [
+        0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def test_all_subspaces_match_reference():
+    # same bases in the same order, with the bit loop's annihilators
+    for n in range(0, 8):
+        pairs = itertools.zip_longest(all_subspaces(n),
+                                      reference_all_subspaces(n))
+        for v, ref in pairs:
+            assert v.basis == ref.basis
+            assert annihilator_basis(v, n) == reference_annihilator_basis(
+                ref, n)
+
+
+def test_subspace_batches_match_per_subspace():
+    for n in range(1, 7):
+        rows_seen = []
+        for rows, anns in subspace_batches(n):
+            assert rows.dtype == anns.dtype == np.int64
+            assert rows.shape[1] + anns.shape[1] == n
+            assert 1 <= len(rows) == len(anns) <= SUBSPACE_BATCH
+            for basis, ann in zip(rows.tolist(), anns.tolist()):
+                w = DualSubspace(tuple(basis))
+                assert ann == annihilator_basis(w, n)
+                assert ann == reference_annihilator_basis(w, n)
+                assert sorted(DualSubspace.span(ann).elements()) == sorted(
+                    annihilator_points(w.basis, n))
+                rows_seen.append(w.basis)
+        assert rows_seen == [v.basis for v in reference_all_subspaces(n)]
+    # the 2^16-subspace pivot pattern at n = 8 comes in bounded batches
+    sizes = [len(rows) for rows, _ in subspace_batches(8)]
+    assert max(sizes) == SUBSPACE_BATCH
+    assert sum(sizes) == subspace_count(8)
+
+
+def test_stored_annihilator_is_invisible():
+    # the annihilator all_subspaces stores is not part of the value and
+    # serves only the n it was enumerated in
+    for n in range(1, 6):
+        for v in all_subspaces(n):
+            w = DualSubspace(v.basis)
+            assert v == w and hash(v) == hash(w) and repr(v) == repr(w)
+            assert annihilator_basis(v, n + 2) == annihilator_basis(
+                w, n + 2) == reference_annihilator_basis(w, n + 2)
+            if v.basis:
+                with pytest.raises(ValueError):
+                    annihilator_basis(v, max(v.basis).bit_length() - 1)
+            ann = annihilator_basis(v, n)
+            ann.append(1)
+            ann[:1] = [0]
+            assert annihilator_basis(v, n) == reference_annihilator_basis(
+                w, n)
 
 
 def test_coset_index_fibers():
