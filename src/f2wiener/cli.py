@@ -23,7 +23,7 @@ from .fileio import (SetFileError, certificate_payload, check_certificate,
                      load_certificate, read_set_file, witness_payload,
                      write_certificate, write_set_file, dumps_deterministic)
 from .groups import HARD_DIM_CAP, HARD_EXP_CAP, as_dim
-from .iteration import DEFAULT_STEP_CAP, hypothesis_check, run_iteration
+from .iteration import hypothesis_check, run_iteration
 from .setfuncs import set_a_norm
 from .verify import SUITE_NAMES, run_suite
 
@@ -36,8 +36,8 @@ EXIT_RESOURCE = 3
 
 # Set files and --n above this are refused unless a config raises max_n.
 DEFAULT_MAX_N = 16
-CONFIG_KEYS = ("max_n", "strategy", "step_cap", "trials", "seed", "jobs",
-               "budget", "anneal_t0", "anneal_cooling", "anneal_steps")
+CONFIG_KEYS = ("max_n", "strategy", "trials", "seed", "jobs", "budget",
+               "anneal_t0", "anneal_cooling", "anneal_steps")
 
 
 def _load_config(path: str) -> dict:
@@ -95,10 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("setfile")
     p.add_argument("--max-order", type=int, required=True)
     p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--step-cap", type=int)
     p.add_argument("--out", help="certificate path (default SETFILE.cert.json)")
-    p.add_argument("--no-hypothesis", action="store_true",
-                   help="omit the fractional-part hypothesis report")
 
     p = sub.add_parser("profile", help="print the density hypothesis profile")
     p.add_argument("--alpha", required=True, metavar="NUM/2^EXP")
@@ -203,11 +200,8 @@ def _cmd_lowerbound(args, cfg, max_n) -> int:
     strategy = args.strategy or cfg.get("strategy", STRATEGIES[0])
     if strategy not in STRATEGIES:
         raise ValueError(f"config value strategy must be in {STRATEGIES}")
-    step_cap = _setting(args.step_cap, cfg, "step_cap", DEFAULT_STEP_CAP, int)
-    trace = run_iteration(a, args.max_order, strategy, step_cap)
-    hypothesis = None
-    if not args.no_hypothesis:
-        hypothesis = hypothesis_check(a.density(), args.max_order)
+    trace = run_iteration(a, args.max_order, strategy)
+    hypothesis = hypothesis_check(a.density(), args.max_order)
     out = args.out or (args.setfile + ".cert.json")
     write_certificate(out, certificate_payload(a, trace, hypothesis))
     print(f"n = {a.dim.n}")

@@ -15,6 +15,7 @@ import math
 import os
 import re
 import subprocess
+import sys
 from typing import List, Optional, Tuple
 
 from .chang import gain_floor
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 CERT_VERSION = 1
+# The keys certificate_payload writes; check_certificate wants exactly these.
+_CERT_KEYS = ("version", "n", "alpha", "a_norm", "trace", "final_bound",
+              "termination", "hypothesis", "tool_commit")
+_STEP_KEYS = ("s", "dim_before", "dim_after", "gain", "chang_ceiling")
 
 _N_RE = re.compile(r"^n=(\d+)$")
 _HEX_RE = re.compile(r"^[0-9a-f]+$", re.IGNORECASE)
@@ -156,7 +161,7 @@ def _hypothesis_payload(rep: HypothesisReport) -> dict:
 
 
 def certificate_payload(a: PointSet, trace: IterationTrace,
-                        hypothesis: Optional[HypothesisReport],
+                        hypothesis: HypothesisReport,
                         commit: Optional[str] = None) -> dict:
     return {
         "version": CERT_VERSION,
@@ -175,8 +180,7 @@ def certificate_payload(a: PointSet, trace: IterationTrace,
         ],
         "final_bound": _pair(trace.final_bound),
         "termination": trace.termination.value,
-        "hypothesis": (None if hypothesis is None
-                       else _hypothesis_payload(hypothesis)),
+        "hypothesis": _hypothesis_payload(hypothesis),
         "tool_commit": commit if commit is not None else tool_commit(),
     }
 
@@ -203,11 +207,19 @@ def _need(ok: bool, where: str, what: str) -> None:
         raise ValueError(f"malformed certificate: {where} must be {what}")
 
 
-def _pair_in(obj, where: str) -> DyadicScalar:
+def _keys_in(obj, keys: Tuple[str, ...], where: str) -> None:
+    _need(isinstance(obj, dict) and set(obj) == set(keys), where,
+          "an object with exactly the keys " + ", ".join(keys))
+
+
+def _pair_in(obj, where: str, n: int) -> DyadicScalar:
+    """A {num, exp} pair; every certified value is at most 2^(n/2) <= 2^n."""
     _need(isinstance(obj, dict) and _is_int(obj.get("num"))
           and _is_int(obj.get("exp")), where, "a {num, exp} pair of integers")
     _need(0 <= obj["exp"] <= HARD_EXP_CAP, f"{where}.exp",
           f"in [0, {HARD_EXP_CAP}]")
+    _need(abs(obj["num"]) <= 1 << (obj["exp"] + n), f"{where}.num",
+          "at most 2^(exp + n) in absolute value")
     return DyadicScalar(obj["num"], obj["exp"])
 
 
@@ -215,16 +227,15 @@ def _step_in(st, where: str, n: int) -> tuple:
     """(s, dim_before, dim_after, gain, chang_ceiling), each checked."""
     # A level index s is at most 2n + 1: nonzero residual coefficients are
     # at least 2^-2n and ||f_V||_1 <= 1.  This keeps 3**s and 4**s small.
-    _need(isinstance(st, dict), where, "an object")
-    for key in ("s", "dim_before", "dim_after"):
-        _need(_is_int(st.get(key)), f"{where} {key}", "an integer")
-    _need(0 <= st["s"] <= 2 * n + 1, f"{where} s", f"in [0, {2 * n + 1}]")
-    for key in ("dim_before", "dim_after"):
-        _need(0 <= st[key] <= n, f"{where} {key}", f"in [0, {n}]")
-    gain = _pair_in(st.get("gain"), f"{where} gain")
-    ceiling = st.get("chang_ceiling")
+    _keys_in(st, _STEP_KEYS, where)
+    for key, top in (("s", 2 * n + 1), ("dim_before", n), ("dim_after", n)):
+        _need(_is_int(st[key]), f"{where} {key}", "an integer")
+        _need(0 <= st[key] <= top, f"{where} {key}", f"in [0, {top}]")
+    gain = _pair_in(st["gain"], f"{where} gain", n)
+    ceiling = st["chang_ceiling"]
+    # Compared exactly, so an int too large for a float is refused too.
     _need((_is_int(ceiling) or isinstance(ceiling, float))
-          and math.isfinite(ceiling), f"{where} chang_ceiling",
+          and abs(ceiling) <= sys.float_info.max, f"{where} chang_ceiling",
           "a finite number")
     return st["s"], st["dim_before"], st["dim_after"], gain, ceiling
 
@@ -239,69 +250,78 @@ def check_certificate(a: PointSet, cert,
     certificate not shaped like the tool's output raises ValueError
     instead: it refutes nothing.
     """
-    if not isinstance(cert, dict):
-        raise ValueError("malformed certificate: top level must be an object")
+    _need(isinstance(cert, dict), "top level", "an object")
     version, n = cert.get("version"), cert.get("n")
     if not _is_int(version) or version != CERT_VERSION:
         return [f"unknown version {version!r}"], None
     if not _is_int(n) or n != a.dim.n:
         return [f"n mismatch: file {a.dim.n}, certificate {n}"], None
-    alpha = _pair_in(cert.get("alpha"), "alpha")
-    claimed = cert.get("a_norm")
-    if claimed is not None:
-        claimed = _pair_in(claimed, "a_norm")
-    final = _pair_in(cert.get("final_bound"), "final_bound")
-    trace = cert.get("trace", [])
+    _keys_in(cert, _CERT_KEYS, "top level")
+    alpha = _pair_in(cert["alpha"], "alpha", n)
+    claimed = _pair_in(cert["a_norm"], "a_norm", n)
+    final = _pair_in(cert["final_bound"], "final_bound", n)
+    trace = cert["trace"]
     _need(isinstance(trace, list), "trace", "a list")
     steps = [_step_in(st, f"trace step {i}", n) for i, st in enumerate(trace)]
-    term = cert.get("termination")
+    term = cert["termination"]
     _need(isinstance(term, str), "termination", "a string")
-    hyp = cert.get("hypothesis")
-    if hyp is not None:
-        _need(isinstance(hyp, dict), "hypothesis", "an object or null")
-        # hypothesis_check bounds it before use, as it does for lowerbound.
-        _need(_is_int(hyp.get("max_order")), "hypothesis.max_order",
-              "an integer")
+    hyp = cert["hypothesis"]
+    _need(isinstance(hyp, dict), "hypothesis", "an object")
+    max_order = hyp.get("max_order")
+    _need(_is_int(max_order), "hypothesis.max_order", "an integer")
+    from .iteration import hypothesis_check
+
+    # Refuses a max_order outside [1, 2^30], as it does for lowerbound.
+    rep = hypothesis_check(a.density(), max_order)
 
     problems: List[str] = []
     if alpha != a.density():
         problems.append(f"alpha {alpha} != set density {a.density()}")
     norm = set_a_norm(a)
-    if claimed is not None and claimed != norm:
+    if claimed != norm:
         problems.append(f"a_norm {claimed} != recomputed {norm}")
     if final > norm:
         problems.append(f"final_bound {final} exceeds a_norm {norm}")
     total = alpha
     dim = 0
+    # A step's ceiling is e 4^(s+1) max(ln(||f_V||_2^2 / ||f_V||_1^2), 1),
+    # and ||f_V||_2^2 = ||f_V||_1 / 2 with 2^-n <= ||f_V||_1 <= 1/2, so the
+    # log lies in [0, (n - 1) ln 2] (1e-12 allows for its rounding).
+    log_top = max((n - 1) * math.log(2), 1.0) * (1 + 1e-12)
     for i, (s, before, after, gain, ceiling) in enumerate(steps):
         if before != dim:
             problems.append(f"step {i}: dim_before {before} != {dim}")
+        if 1 << before > max_order:
+            problems.append(f"step {i}: starts at order 2^{before} above "
+                            f"max_order {max_order}")
         dim = after
         if dim <= before:
             problems.append(f"step {i}: subspace did not grow")
         if dim - before > ceiling:
             problems.append(f"step {i}: growth above the recorded ceiling")
+        low = math.e * float(4 ** (s + 1))
+        if not low <= ceiling <= low * log_top:
+            problems.append(f"step {i}: chang_ceiling {ceiling} outside "
+                            f"[{low}, {low * log_top}]")
         # A step's gain must meet the floor of the level it was taken at.
         if gain.as_fraction() < gain_floor(s):
             problems.append(f"step {i}: gain {gain} below (1/6)(4/3)^{s}")
         total = total + gain
     if total != final:
         problems.append(
-            f"alpha plus step gains {total} != final_bound {final}"
-        )
-    if term not in {t.value for t in Termination}:
-        problems.append(f"unknown termination {term!r}")
-    if term == Termination.RESIDUAL_ZERO.value and final != norm:
+            f"alpha plus step gains {total} != final_bound {final}")
+    # The run stops only when |V| > max_order or the residual is zero.
+    expected = (Termination.ORDER_CAP if 1 << dim > max_order
+                else Termination.RESIDUAL_ZERO)
+    if term != expected.value:
+        problems.append(f"termination {term!r} != {expected.value} for "
+                        f"dimension {dim} and max_order {max_order}")
+    if expected is Termination.RESIDUAL_ZERO and final != norm:
         problems.append(
-            f"ResidualZero must certify the exact norm: {final} != {norm}"
-        )
-    if hyp is not None:
-        from .iteration import hypothesis_check
-
-        rep = hypothesis_check(a.density(), hyp["max_order"])
-        # Compared as JSON text, so 1, 1.0 and true are told apart.
-        if json.dumps(_hypothesis_payload(rep)) != json.dumps(hyp):
-            problems.append("hypothesis report does not recompute")
+            f"ResidualZero must certify the exact norm: {final} != {norm}")
+    # Compared as JSON text, so 1, 1.0 and true are told apart.
+    if json.dumps(_hypothesis_payload(rep)) != json.dumps(hyp):
+        problems.append("hypothesis report does not recompute")
     return problems, final
 
 

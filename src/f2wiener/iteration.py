@@ -42,9 +42,6 @@ __all__ = [
 # only lengthen the hypothesis report; lowerbound and check-cert share this.
 MAX_ORDER = 1 << HARD_DIM_CAP
 
-# Growth steps run_iteration takes unless told otherwise.
-DEFAULT_STEP_CAP = 64
-
 
 class ZeroResidual(Exception):
     """The set is already a union of annihilator cosets of V."""
@@ -53,7 +50,6 @@ class ZeroResidual(Exception):
 class Termination(str, enum.Enum):
     ORDER_CAP = "OrderCapReached"
     RESIDUAL_ZERO = "ResidualZero"
-    STEP_CAP = "StepCap"
 
 
 @dataclass(frozen=True)
@@ -147,18 +143,15 @@ class IterationTrace:
 
 
 def run_iteration(a: PointSet, max_order: int,
-                  strategy: str = STRATEGIES[0],
-                  step_cap: int = DEFAULT_STEP_CAP) -> IterationTrace:
+                  strategy: str = STRATEGIES[0]) -> IterationTrace:
     """Iterate growth steps from the trivial subspace while |V| <= max_order.
 
-    The certified final_bound is sound unconditionally: it is a partial
-    sum of |hat(chi_A)|, so final_bound <= a_norm holds exactly, with
-    equality whenever the run ends in ResidualZero.
+    final_bound is a partial sum of |hat(chi_A)|, so final_bound <= a_norm
+    holds exactly, with equality when the run ends in ResidualZero.  Each
+    step adds a dimension, so at most n steps run.
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must lie in [1, 2^{HARD_DIM_CAP}]")
-    if step_cap < 0:
-        raise ValueError("step_cap must be >= 0")
     ranking = rank_spectrum(fwht(a.indicator()))
     points = np.flatnonzero(a.bool_mask())
     norm = ranking.total()
@@ -166,14 +159,8 @@ def run_iteration(a: PointSet, max_order: int,
     labels = np.zeros(points.size, dtype=np.int64)
     l_seq = [_mass_over(ranking, v)]
     steps: List[StepResult] = []
-    termination = Termination.STEP_CAP
-    while True:
-        if v.order > max_order:
-            termination = Termination.ORDER_CAP
-            break
-        if len(steps) >= step_cap:
-            termination = Termination.STEP_CAP
-            break
+    termination = Termination.ORDER_CAP
+    while v.order <= max_order:
         try:
             step = iterate_step(a, v, strategy, ranking, labels)
         except ZeroResidual:
@@ -190,9 +177,7 @@ def run_iteration(a: PointSet, max_order: int,
         raise ArithmeticError(f"bound {final} exceeds the norm {norm}")
     if termination is Termination.RESIDUAL_ZERO and final != norm:
         raise ArithmeticError(
-            "zero residual must certify the exact norm: "
-            f"{final} != {norm}"
-        )
+            f"zero residual must certify the exact norm: {final} != {norm}")
     return IterationTrace(tuple(steps), tuple(l_seq), final, termination,
                           norm)
 

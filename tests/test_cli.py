@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -133,13 +134,20 @@ def test_check_cert_detects_tampering(workdir, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+_DROP = object()
+
+
 def _put(value, *path):
-    """Mutation that sets cert[path[0]][path[1]]... to value."""
+    """Mutation that sets cert[path[0]][path[1]]... to value, or deletes
+    it when value is _DROP."""
     def mutate(c):
         target = c
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         return c
     return mutate
 
@@ -159,12 +167,21 @@ MALFORMED = {
     "step_not_object": _put([3], "trace"),
     "ceiling_nan": _put(float("nan"), "trace", 0, "chang_ceiling"),
     "ceiling_string": _put("9", "trace", 0, "chang_ceiling"),
+    "ceiling_int_huge": _put(10 ** 400, "trace", 0, "chang_ceiling"),
+    "num_4000_digits": _put({"num": 10 ** 3999, "exp": 4}, "alpha"),
+    "num_above_2_to_exp_plus_n": _put({"num": 1 << 7, "exp": 2}, "a_norm"),
     "exp_huge": _put({"num": 1, "exp": 10 ** 9}, "alpha"),
     "exp_negative": _put({"num": 7, "exp": -2}, "final_bound"),
     "num_string": _put({"num": "7", "exp": 2}, "a_norm"),
     "termination_list": _put(["ResidualZero"], "termination"),
     "hypothesis_list": _put([], "hypothesis"),
     "max_order_string": _put("16", "hypothesis", "max_order"),
+    "a_norm_missing": _put(_DROP, "a_norm"),
+    "hypothesis_null": _put(None, "hypothesis"),
+    "trace_missing": _put(_DROP, "trace"),
+    "extra_top_level_key": _put(1, "comment"),
+    "extra_step_key": _put(1, "trace", 0, "comment"),
+    "step_key_missing": _put(_DROP, "trace", 1, "chang_ceiling"),
 }
 
 
@@ -215,24 +232,36 @@ def test_max_order_cap_shared(workdir, capsys):
     capsys.readouterr()
     assert main(["check-cert", path, "c.json"]) == 2
     assert capsys.readouterr().err.count("max_order must lie in") == 1
-    for extra in ([], ["--no-hypothesis"]):
-        assert main(["lowerbound", path, "--max-order", str(MAX_ORDER + 1),
-                     "--out", "d.json"] + extra) == 2
-        assert "max_order must lie in" in capsys.readouterr().err
+    assert main(["lowerbound", path, "--max-order", str(MAX_ORDER + 1),
+                 "--out", "d.json"]) == 2
+    assert "max_order must lie in" in capsys.readouterr().err
     assert not (workdir / "d.json").exists()
 
 
 def test_lowerbound_flags(workdir, capsys):
     path = _set_file(workdir)
     assert main(["lowerbound", path, "--max-order", "16", "--strategy",
-                 "best-ratio", "--step-cap", "1", "--no-hypothesis",
-                 "--out", "c2.json"]) == 0
-    out = capsys.readouterr().out
-    assert "termination = StepCap" in out
+                 "best-ratio", "--out", "c2.json"]) == 0
     cert = json.loads((workdir / "c2.json").read_text())
-    assert cert["hypothesis"] is None
-    assert len(cert["trace"]) == 1
+    assert cert["hypothesis"]["max_order"] == 16
     assert main(["lowerbound", path, "--max-order", "0"]) == 2
+    # One stop rule and one certificate shape: the old switches are gone.
+    for flag in ("--step-cap", "--no-hypothesis"):
+        with pytest.raises(SystemExit) as exc:
+            main(["lowerbound", path, "--max-order", "16", flag])
+        assert exc.value.code == 2
+
+
+def test_check_cert_accepts_both_terminations(workdir, capsys):
+    path = _set_file(workdir)
+    for order, termination in (("16", "ResidualZero"),
+                               ("2", "OrderCapReached"),
+                               ("1", "OrderCapReached")):
+        assert main(["lowerbound", path, "--max-order", order,
+                     "--out", "c.json"]) == 0
+        assert f"termination = {termination}" in capsys.readouterr().out
+        assert main(["check-cert", path, "c.json"]) == 0
+        assert "certificate OK" in capsys.readouterr().out
 
 
 def test_profile_output(workdir, capsys):
@@ -513,17 +542,21 @@ _JSON = st.recursive(
 
 
 def _unseen(cert, path, value) -> bool:
-    """Edits check-cert cannot see until it replays the run: a step's level
-    or ceiling, the last step's dimension and the termination, where the
-    rest of the certificate allows them; and the optional a_norm and
-    hypothesis set to null."""
-    if path in (("a_norm",), ("hypothesis",)):
-        return value is None
-    if path == ("termination",):
-        return True
-    last = ("trace", len(cert["trace"]) - 1, "dim_after")
-    return path == last or (len(path) == 3 and path[0] == "trace"
-                            and path[2] in ("s", "chang_ceiling"))
+    """Edits check-cert cannot see until it replays the run: a ceiling that
+    stays in its level's range and the last step's dimension, where the
+    rest of the certificate allows them; and a max_order of the same bit
+    length, which describes the same run."""
+    if path == ("hypothesis", "max_order"):
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and value.bit_length() == cert["hypothesis"]["max_order"]
+                .bit_length())
+    if len(path) == 3 and path[0] == "trace" and path[2] == "chang_ceiling":
+        # e 4^(s+1) max(ln(||f_V||_2^2 / ||f_V||_1^2), 1), the log at most
+        # (n - 1) ln 2 = 3 ln 2 here.
+        low = math.e * 4 ** (cert["trace"][path[1]]["s"] + 1)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and low <= value <= low * 3 * math.log(2) * (1 + 1e-9))
+    return path == ("trace", len(cert["trace"]) - 1, "dim_after")
 
 
 @settings(max_examples=300, deadline=None)

@@ -130,15 +130,6 @@ def test_certificate_roundtrip(tmp_path):
         assert isinstance(st["chang_ceiling"], float)
 
 
-def test_certificate_without_hypothesis(tmp_path):
-    a, _ = build_coset_union(density_family("geometric4", 2), 4)
-    trace = run_iteration(a, 16)
-    payload = certificate_payload(a, trace, None, commit="x")
-    assert payload["hypothesis"] is None
-    assert check_certificate(a, json.loads(dumps_deterministic(payload))) == (
-        [], trace.final_bound)
-
-
 def _tampered(payload, mutate):
     cert = json.loads(dumps_deterministic(payload))
     mutate(cert)
@@ -185,6 +176,18 @@ def test_check_certificate_detects_tampering():
     def bad_ceiling(c):
         c["trace"][0]["chang_ceiling"] = 0.5
 
+    def huge_ceiling(c):
+        # Above e 4^(s+1) (n - 1) ln 2, the most any residual can give.
+        c["trace"][0]["chang_ceiling"] = 1e9
+
+    def residual_to_cap(c):
+        # The final dimension is 4 and 2^4 <= 16, so the run cannot have
+        # stopped at the order cap.
+        c["termination"] = "OrderCapReached"
+
+    def step_cap(c):
+        c["termination"] = "StepCap"
+
     def other_alpha_hyp(c):
         # Consistent in itself, but for a density the set does not have.
         rep = hypothesis_check(DyadicScalar(1, 1), 16)
@@ -199,9 +202,33 @@ def test_check_certificate_detects_tampering():
 
     for mutate in (overshoot, break_chain, shrink_gain, move_gain, no_growth,
                    bad_term, bad_version, fake_zero, bad_hyp, bad_ceiling,
-                   other_alpha_hyp, bool_version, float_n):
+                   huge_ceiling, residual_to_cap, step_cap, other_alpha_hyp,
+                   bool_version, float_n):
         problems, _ = check_certificate(a, _tampered(payload, mutate))
         assert problems, mutate.__name__
+
+    def late_step(c):
+        # Consistent but for step 2, which starts at order 2^2 > 3: a run
+        # with max_order 3 stops before it.
+        c["hypothesis"] = json.loads(dumps_deterministic(
+            fileio._hypothesis_payload(hypothesis_check(a.density(), 3))))
+        c["termination"] = "OrderCapReached"
+
+    problems, _ = check_certificate(a, _tampered(payload, late_step))
+    assert problems == ["step 2: starts at order 2^2 above max_order 3"]
+
+    # At max_order 2 the run stops at dimension 2 with the residual still
+    # nonzero, so it must not claim ResidualZero.
+    a, capped = _cert_fixture(max_order=2)
+    assert capped["termination"] == "OrderCapReached"
+    assert check_certificate(a, _tampered(capped, lambda c: None))[0] == []
+
+    def cap_to_residual(c):
+        c["termination"] = "ResidualZero"
+
+    for mutate in (cap_to_residual, step_cap):
+        assert check_certificate(a, _tampered(capped, mutate))[0], (
+            mutate.__name__)
 
     wrong_set = PointSet.from_points(4, [0, 1])
     assert check_certificate(wrong_set, json.loads(

@@ -251,18 +251,6 @@ def test_strategies_agree_on_soundness():
                 assert trace.final_bound == trace.a_norm
 
 
-def test_step_cap():
-    a, _ = build_coset_union(density_family("geometric4", 2), 4)
-    trace = run_iteration(a, max_order=16, step_cap=1)
-    assert trace.termination is Termination.STEP_CAP
-    assert len(trace.steps) == 1
-    assert trace.final_bound < trace.a_norm
-    zero = run_iteration(a, max_order=16, step_cap=0)
-    assert zero.termination is Termination.STEP_CAP
-    assert len(zero.steps) == 0
-    assert zero.final_bound == a.density()
-
-
 def test_order_cap():
     a, _ = build_coset_union(density_family("geometric4", 2), 4)
     trace = run_iteration(a, max_order=1)
@@ -275,8 +263,6 @@ def test_run_validation():
     a = _halfspace(2)
     with pytest.raises(ValueError):
         run_iteration(a, max_order=0)
-    with pytest.raises(ValueError):
-        run_iteration(a, max_order=4, step_cap=-1)
 
 
 def test_soundness_random():
