@@ -23,7 +23,7 @@ from .dyadic import DyadicScalar, floor_log2_ratio
 from .fourier import (_I64_MAX, FunctionTable, Spectrum, _widen,
                       exact_product, exact_sum, fwht, inverse_fwht, l1_norm,
                       l2_norm_sq, lp_norm, spectrum_l2_sq)
-from .groups import DualSubspace, as_dim
+from .groups import DualSubspace, as_dim, subspace_insert
 
 __all__ = [
     "ZeroMass",
@@ -300,8 +300,12 @@ def riesz_product(dim, lambdas: Sequence[int],
     lambdas = tuple(int(x) for x in lambdas)
     if any(not 0 < x < d.order for x in lambdas):
         raise ValueError("characters must be nonzero masks in the group")
-    if DualSubspace.span(lambdas).dim != len(lambdas):
-        raise DependentSet("characters are linearly dependent")
+    v = DualSubspace.trivial()
+    for lam in lambdas:
+        w = subspace_insert(v, lam)
+        if w.dim == v.dim:
+            raise DependentSet("characters are linearly dependent")
+        v = w
     pts = np.arange(d.order, dtype=np.int64)
     k = len(lambdas)
     # Factor numerators 2^exp +- num lie in [0, 2^exp + |num|].  Their dtype
@@ -312,23 +316,23 @@ def riesz_product(dim, lambdas: Sequence[int],
                        dtype=out.dtype)
     for lam in lambdas:
         out = out * factors[np.bitwise_count(pts & np.int64(lam)) & 1]
-    table = FunctionTable(d, out, k * e.exp)
+    table = FunctionTable._adopt(d, out, k * e.exp)
     return RieszProduct(table, lambdas, e)
 
 
-def beckner_verify(f: FunctionTable, lambdas: Sequence[int],
-                   eta: float) -> Tuple[float, float]:
-    """(||f * p_eta||_2, ||f||_{1+eta^2}) for the Riesz smoothing p_eta.
+def beckner_verify(f: FunctionTable, p: RieszProduct) -> Tuple[float, float]:
+    """(||f * p||_2, ||f||_{1+eta^2}) for the Riesz smoothing p = p_eta.
 
     Hypercontractivity makes the left side at most the right; the left
     side is computed exactly via Parseval and only rounded at the end.
     """
-    e = DyadicScalar.from_float(eta)
-    p = riesz_product(f.dim, lambdas, e)
+    if p.table.dim != f.dim:
+        raise ValueError("f and the Riesz product live on different groups")
+    eta = float(p.eta)
     sf = fwht(f)
     sp = fwht(p.table)
-    prod = exact_product(sf.nums, sp.nums)
-    conv_sq = spectrum_l2_sq(Spectrum(f.dim, prod, sf.exp + sp.exp))
+    prod = exact_product(sf.nums, sp.nums, x_peak=sf.peak, y_peak=sp.peak)
+    conv_sq = spectrum_l2_sq(Spectrum._adopt(f.dim, prod, sf.exp + sp.exp))
     lhs = math.sqrt(float(conv_sq.as_fraction()))
     rhs = lp_norm(f, 1.0 + eta * eta)
     return lhs, rhs

@@ -87,7 +87,7 @@ class PointSet:
         return np.flatnonzero(self.bool_mask()).tolist()
 
     def indicator(self) -> FunctionTable:
-        return FunctionTable(self.dim, self._indicator_array(), 0)
+        return FunctionTable._adopt(self.dim, self._indicator_array(), 0)
 
     def _indicator_array(self, dtype=np.int64) -> np.ndarray:
         order = self.dim.order
@@ -139,10 +139,17 @@ def residual(a: PointSet, v: DualSubspace) -> ResidualTable:
     """chi_A minus its coset averaging; mean zero on every coset."""
     n = a.dim.n
     d = v.dim
-    syn = coset_index_table(v, n, np.arange(a.dim.order, dtype=np.int64))
-    counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
-    nums = (a._indicator_array() << (n - d)) - counts[syn]
-    return ResidualTable(FunctionTable(a.dim, nums, n - d), v, a)
+    # Labels are linear in x, so the label of x + e_j is x's label XOR
+    # e_j's: the whole group's table doubles over the n unit vectors.
+    units = coset_index_table(v, n,
+                              np.int64(1) << np.arange(n, dtype=np.int64))
+    syn = np.zeros(a.dim.order, dtype=np.int64)
+    for j, u in enumerate(units.tolist()):
+        np.bitwise_xor(syn[:1 << j], u, out=syn[1 << j:2 << j])
+    ind = a._indicator_array()
+    counts = np.bincount(syn[ind != 0], minlength=1 << d)
+    nums = (ind << (n - d)) - counts[syn]
+    return ResidualTable(FunctionTable._adopt(a.dim, nums, n - d), v, a)
 
 
 def residual_norms(counts: np.ndarray,
@@ -167,9 +174,10 @@ def residual_l1(fv: ResidualTable) -> DyadicScalar:
     """
     t = fv.table
     shift = t.exp + t.dim.n
-    direct = DyadicScalar(exact_sum(t.nums, absolute=True), shift)
-    doubled = DyadicScalar(2 * exact_sum(t.nums[fv.source.bool_mask()]),
-                           shift)
+    direct = DyadicScalar(exact_sum(t.nums, absolute=True, x_peak=t.peak),
+                          shift)
+    doubled = DyadicScalar(
+        2 * exact_sum(t.nums[fv.source.bool_mask()], x_peak=t.peak), shift)
     if direct != doubled:
         raise ArithmeticError(
             "l1/inner-product identity violated: "

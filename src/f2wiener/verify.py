@@ -57,8 +57,9 @@ def random_point_set(rng: np.random.Generator, n: int) -> PointSet:
 
 def random_table(rng: np.random.Generator, n: int, span: int = 8,
                  max_exp: int = 3) -> FunctionTable:
-    nums = rng.integers(-span, span + 1, size=1 << n).astype(np.int64)
-    return FunctionTable(GroupDim(n), nums, int(rng.integers(0, max_exp + 1)))
+    nums = rng.integers(-span, span + 1, size=1 << n, dtype=np.int64)
+    return FunctionTable._adopt(GroupDim(n), nums,
+                                int(rng.integers(0, max_exp + 1)))
 
 
 def random_independent_chars(rng: np.random.Generator, n: int,
@@ -130,7 +131,7 @@ def _trial_beckner(rng: np.random.Generator) -> Optional[str]:
     mass = l1_norm(p.table)
     if mass != DyadicScalar(1):
         return f"Riesz product mass {mass} != 1 (n={n}, eta={eta})"
-    lhs, rhs = beckner_verify(f, lambdas, eta)
+    lhs, rhs = beckner_verify(f, p)
     if lhs > rhs * (1.0 + BECKNER_SLACK):
         return (f"smoothing bound violated: {lhs!r} > {rhs!r} "
                 f"(n={n}, eta={eta}, k={count})")

@@ -15,6 +15,11 @@ banding by a sort of the residual spectrum's distinct magnitudes, which
 the ranked banding must reproduce.  reference_all_subspaces and
 reference_annihilator_basis are the one-subspace-at-a-time enumeration and
 bit loop that the batched enumeration must reproduce, order included.
+reference_residual labels the whole group with one coset_index_table call,
+which the residual's doubled label table must reproduce, and
+reference_beckner is the Beckner check that built its own Riesz product
+from (lambdas, eta), which the one-product check must reproduce bit for
+bit.
 """
 from __future__ import annotations
 
@@ -26,12 +31,15 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from f2wiener.chang import (LevelSet, ZeroMass, _chang_bound_from_norms,
-                            select_level)
+                            riesz_product, select_level)
 from f2wiener.dyadic import DyadicScalar, floor_log2_ratio
-from f2wiener.fourier import exact_sum, fwht, l2_norm_sq
-from f2wiener.groups import DualSubspace, subspace_extend
+from f2wiener.fourier import (FunctionTable, Spectrum, exact_product,
+                              exact_sum, fwht, l2_norm_sq, lp_norm,
+                              spectrum_l2_sq)
+from f2wiener.groups import DualSubspace, coset_index_table, subspace_extend
 from f2wiener.iteration import StepResult, ZeroResidual
-from f2wiener.setfuncs import PointSet, residual, residual_l1
+from f2wiener.setfuncs import (PointSet, ResidualTable, residual,
+                               residual_l1)
 
 
 def parity(a: int, b: int) -> int:
@@ -410,3 +418,27 @@ def table_from_values(cls, dim, values):
 
 def table_to_dyadics(t) -> List[DyadicScalar]:
     return [DyadicScalar(int(v), t.exp) for v in t.nums]
+
+
+def reference_residual(a: PointSet, v: DualSubspace) -> ResidualTable:
+    """residual with every point of the group labelled by coset_index_table."""
+    n = a.dim.n
+    d = v.dim
+    syn = coset_index_table(v, n, np.arange(a.dim.order, dtype=np.int64))
+    counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
+    nums = (a._indicator_array() << (n - d)) - counts[syn]
+    return ResidualTable(FunctionTable(a.dim, nums, n - d), v, a)
+
+
+def reference_beckner(f: FunctionTable, lambdas: Sequence[int],
+                      eta: float) -> Tuple[float, float]:
+    """beckner_verify as it was: it built p_eta from (lambdas, eta) itself."""
+    e = DyadicScalar.from_float(eta)
+    p = riesz_product(f.dim, lambdas, e)
+    sf = fwht(f)
+    sp = fwht(p.table)
+    prod = exact_product(sf.nums, sp.nums)
+    conv_sq = spectrum_l2_sq(Spectrum(f.dim, prod, sf.exp + sp.exp))
+    lhs = math.sqrt(float(conv_sq.as_fraction()))
+    rhs = lp_norm(f, 1.0 + eta * eta)
+    return lhs, rhs

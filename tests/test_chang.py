@@ -17,7 +17,7 @@ from f2wiener.verify import (random_independent_chars, random_point_set,
                              random_table)
 
 from _reference import (annihilator_points, brute_chang_span, brute_level_sets,
-                        brute_riesz_product)
+                        brute_riesz_product, reference_beckner)
 
 
 def _halfspace_residual(n: int):
@@ -430,8 +430,9 @@ def test_riesz_product_exact_for_tiny_eta(eta):
 
 
 def test_riesz_product_errors():
-    with pytest.raises(DependentSet):
-        riesz_product(2, [1, 2, 3], DyadicScalar(1, 1))
+    for lams in ([1, 2, 3], [1, 1], [3, 5, 3], [5, 3, 6], [1, 2, 4, 7]):
+        with pytest.raises(DependentSet):
+            riesz_product(3, lams, DyadicScalar(1, 1))
     with pytest.raises(ValueError):
         riesz_product(2, [0], DyadicScalar(1, 1))
     with pytest.raises(ValueError):
@@ -443,7 +444,7 @@ def test_riesz_product_errors():
 def test_beckner_examples():
     # eta = 0 smooths f to its mean: lhs = |mean(f)| <= ||f||_1
     f = FunctionTable(2, [3, -1, 2, 0], 1)
-    lhs, rhs = beckner_verify(f, [1], 0.0)
+    lhs, rhs = beckner_verify(f, riesz_product(2, [1], 0.0))
     assert lhs == pytest.approx(abs(3 - 1 + 2 + 0) / 8)
     assert lhs <= rhs * (1 + 1e-9)
 
@@ -456,5 +457,45 @@ def test_beckner_random():
         k = int(rng.integers(1, min(n, 4) + 1))
         lams = random_independent_chars(rng, n, k)
         eta = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
-        lhs, rhs = beckner_verify(f, lams, eta)
+        lhs, rhs = beckner_verify(f, riesz_product(n, lams, eta))
         assert lhs <= rhs * (1 + 1e-9)
+
+
+def test_riesz_product_dependent_sets():
+    # A seeded independent set with one subset sum, or one of its own
+    # characters, inserted anywhere is dependent; the set itself is not.
+    rng = np.random.default_rng(48)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        lams = random_independent_chars(rng, n, int(rng.integers(1, n + 1)))
+        p = riesz_product(n, lams, DyadicScalar(1, 1))
+        assert p.lambdas == tuple(lams)
+        pick = rng.integers(0, 2, size=len(lams))
+        pick[int(rng.integers(0, len(lams)))] = 1
+        extra = 0
+        for lam, keep in zip(lams, pick.tolist()):
+            extra ^= lam * keep
+        at = int(rng.integers(0, len(lams) + 1))
+        with pytest.raises(DependentSet):
+            riesz_product(n, lams[:at] + [extra] + lams[at:],
+                          DyadicScalar(1, 1))
+
+
+def test_beckner_matches_reference():
+    # One Riesz product per check gives the old (lhs, rhs) bit for bit,
+    # on int64 tables, with etas whose products need Python ints, and on
+    # object tables.
+    rng = np.random.default_rng(49)
+    for trial in range(80):
+        n = int(rng.integers(2, 11))
+        f = random_table(rng, n)
+        if trial % 10 == 0:
+            f = FunctionTable(n, f.nums.astype(object) << 70, f.exp)
+        lams = random_independent_chars(rng, n,
+                                        int(rng.integers(0, min(n, 4) + 1)))
+        eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 0.3, -0.6]))
+        got = beckner_verify(f, riesz_product(n, lams, eta))
+        want = reference_beckner(f, lams, eta)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (n, eta)
+    with pytest.raises(ValueError):
+        beckner_verify(random_table(rng, 3), riesz_product(4, [1], 0.5))

@@ -384,3 +384,97 @@ def test_spectrum_and_table_are_distinct_types():
     s = fwht(f)
     assert isinstance(s, Spectrum)
     assert s != f  # different types never compare equal
+
+
+def _stored_peak(t):
+    return max((abs(int(v)) for v in t.nums), default=0)
+
+
+def test_table_peak_is_max_stored_numerator():
+    # int64 storage, both sides of the int64/object edge, and object
+    # numerators; each with exp 0 and with a power of two to strip.
+    cases = [
+        (np.array([3, -7, 0, 5], dtype=np.int64), np.int64),
+        (np.array([_I64_MAX, 0, -_I64_MAX, 1], dtype=np.int64), np.int64),
+        (np.array([-(1 << 63), 0, 1, 0], dtype=np.int64), object),
+        (np.array([1 << 63, 0, 1, 0], dtype=np.uint64), object),
+        (np.array([_I64_MAX, 0, 1, 0], dtype=np.uint64), np.int64),
+        (np.array([(1 << 81) - 1, -(1 << 80), 3, 0], dtype=object), object),
+        (np.array([-(1 << 90), 5, 0, 0], dtype=object), object),
+    ]
+    for vals, dtype in cases:
+        for cls in (FunctionTable, Spectrum):
+            t = cls(2, vals, 0)
+            assert t.nums.dtype == dtype, vals
+            assert type(t.peak) is int
+            assert t.peak == _stored_peak(t) == max(abs(int(v)) for v in vals)
+            for exp in (1, 3):
+                t = cls(2, vals, exp)
+                assert t.peak == _stored_peak(t), (vals, exp)
+
+
+def test_table_peak_after_zeros_and_stripping():
+    for n in (1, 3):
+        for exp in (0, 5):
+            z = FunctionTable(n, np.zeros(1 << n, dtype=np.int64), exp)
+            assert (z.peak, z.exp) == (0, 0)
+        assert FunctionTable.zeros(n).peak == 0
+        assert Spectrum.zeros(n).peak == 0
+    t = FunctionTable(2, [4, -8, 12, 0], 5)
+    assert (t.exp, t.nums.tolist(), t.peak) == (3, [1, -2, 3, 0], 3)
+    # Only the exponent's worth of twos is stripped.
+    t = FunctionTable(2, [16, -32, 48, 0], 2)
+    assert (t.exp, t.nums.tolist(), t.peak) == (0, [4, -8, 12, 0], 12)
+    # Object numerators that fit int64 once stripped are stored as int64.
+    t = FunctionTable(1, np.array([1 << 64, -(1 << 63)], dtype=object), 2)
+    assert t.nums.dtype == np.int64
+    assert (t.exp, t.peak) == (0, 1 << 62)
+    t = FunctionTable(1, np.array([1 << 65, 1 << 63], dtype=object), 1)
+    assert t.nums.dtype == object
+    assert (t.exp, t.peak) == (0, 1 << 64)
+
+
+def test_built_tables_carry_their_peak():
+    # Tables the package builds without a copy: transforms, indicators,
+    # residuals and Riesz products, on both storage routes.
+    from f2wiener.chang import riesz_product
+    from f2wiener.setfuncs import residual
+    rng = np.random.default_rng(90)
+    for n in (1, 3, 6):
+        f = random_table(rng, n)
+        a = random_point_set(rng, n)
+        big = FunctionTable(n, np.full(1 << n, 1 << 70, dtype=object), 0)
+        built = [fwht(f), inverse_fwht(fwht(f)), a.indicator(),
+                 set_spectrum(a), residual(a, random_subspace(rng, n)).table,
+                 riesz_product(n, [1], DyadicScalar(1, 1)).table,
+                 riesz_product(n, [1], 0.3).table, fwht(big),
+                 inverse_fwht(fwht(big))]
+        for t in built:
+            assert t.peak == _stored_peak(t), t
+            assert not t.nums.flags.writeable
+
+
+def test_public_constructors_copy():
+    for dtype in (np.int64, np.uint8, object):
+        src = np.array([1, 2, 3, 4], dtype=dtype)
+        for cls in (FunctionTable, Spectrum):
+            t = cls(2, src, 0)
+            src[0] = 9
+            assert t.nums.tolist() == [1, 2, 3, 4], (dtype, cls)
+            assert t.peak == 4
+            src[0] = 1
+    src = np.array([1, 2, 3, 4], dtype=np.int64)
+    t = FunctionTable(2, src, 0)
+    assert not np.shares_memory(t.nums, src)
+    assert src.flags.writeable
+
+
+def test_stored_nums_are_read_only():
+    f = FunctionTable(2, [1, -2, 3, 0], 0)
+    tables = [f, FunctionTable(2, [1 << 70, 0, 0, 0], 0), fwht(f),
+              inverse_fwht(fwht(f)), FunctionTable.zeros(2),
+              FunctionTable(2, [4, 8, 12, 0], 2)]
+    for t in tables:
+        assert not t.nums.flags.writeable
+        with pytest.raises(ValueError):
+            t.nums[0] = 5

@@ -273,3 +273,37 @@ def test_anneal_incumbent_consistency():
     check[best] = 1
     _kernels.wht_rows(check.reshape(1, -1))
     assert int(np.abs(check).sum()) == total
+
+
+def test_wht_rows_one_product(monkeypatch):
+    # Tables of at most 16 columns and _GEMM_ROWS rows take one product;
+    # one more row takes the blocked route.  Entries reach the float
+    # route's max|x| * cols = 2^53; the object butterfly is the reference.
+    calls = _float_calls(monkeypatch)
+    rng = np.random.default_rng(75)
+    for cols in (1, 2, 4, 8, 16):
+        top = (1 << 53) // cols
+        for rows in (0, 1, 7, _kernels._GEMM_ROWS, _kernels._GEMM_ROWS + 1):
+            mat = rng.integers(-top, top, size=(rows, cols), endpoint=True)
+            if rows:
+                mat[0] = top
+                mat[-1, 0] = -top
+            want = _kernels.wht_rows(mat.astype(object)).tolist()
+            for peak in (None, top if rows else 0):
+                got = mat.copy()
+                del calls[:]
+                assert _kernels.wht_rows(got, peak) is got
+                assert got.tolist() == want, (rows, cols, peak)
+                assert calls == ([got.shape] if rows else []), (rows, cols)
+        # Strided rows and a column slice, transformed where they lie.
+        for shape, pick in (((14, cols), lambda m: m[::2]),
+                            ((7, 3 * cols), lambda m: m[:, cols:2 * cols]),
+                            ((9, 2 * cols), lambda m: m[1::2, ::2])):
+            mat = rng.integers(-top, top, size=shape, endpoint=True)
+            view = pick(mat)
+            view[0, 0] = top
+            want = mat.copy()
+            pick(want)[...] = _kernels.wht_rows(
+                pick(want).astype(object))
+            assert _kernels.wht_rows(view) is view
+            assert np.array_equal(mat, want), (shape, cols)

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
-from f2wiener.groups import DualSubspace, GroupDim, random_subspace
+from f2wiener.groups import (DualSubspace, GroupDim, all_subspaces,
+                             random_subspace)
 from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap,
                                physical_lower_bound, residual, residual_l1,
                                set_a_norm, set_spectrum)
@@ -14,8 +15,8 @@ from f2wiener.verify import random_point_set
 
 from _reference import (brute_coset_average, brute_frac_quadratic_gap,
                         brute_indicator_bits, brute_set_a_norm,
-                        random_invertible, set_complement, set_map_linear,
-                        set_translate)
+                        random_invertible, reference_residual, set_complement,
+                        set_map_linear, set_translate)
 
 
 def test_point_set_basics():
@@ -274,3 +275,26 @@ def test_frac_quadratic_gap_matches_reference():
             frac_quadratic_gap(bad)
         with pytest.raises(ValueError, match="outside"):
             brute_frac_quadratic_gap(bad)
+
+
+def test_residual_matches_reference():
+    # The label table doubled over the unit vectors against
+    # coset_index_table over the whole group: every subspace for n <= 4
+    # with seeded, empty and full sets, then seeded sets and subspaces up
+    # to n = 12.
+    rng = np.random.default_rng(29)
+    cases = []
+    for n in range(1, 5):
+        sets = [random_point_set(rng, n) for _ in range(3)]
+        sets += [PointSet(GroupDim(n), 0), PointSet.full(n)]
+        cases += [(a, v) for v in all_subspaces(n) for a in sets]
+    for n in range(5, 13):
+        for _ in range(8):
+            cases.append((random_point_set(rng, n), random_subspace(rng, n)))
+    assert len(cases) == 5 * (2 + 5 + 16 + 67) + 8 * 8
+    for a, v in cases:
+        got = residual(a, v)
+        want = reference_residual(a, v)
+        assert got.table == want.table, (a, v)
+        assert got.table.peak == want.table.peak
+        assert residual_l1(got) == residual_l1(want)

@@ -1,7 +1,9 @@
 import pytest
 
 from f2wiener import verify
+from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
+from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
 from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
@@ -61,10 +63,29 @@ def _rhs_minus_one(original):
     return frac_quadratic_gap
 
 
+def _mass_one_unit_off(original):
+    def riesz_product(dim, lambdas, eta):
+        p = original(dim, lambdas, eta)
+        nums = p.table.nums.copy()
+        nums[0] += 1
+        return RieszProduct(FunctionTable(p.table.dim, nums, p.table.exp),
+                            p.lambdas, p.eta)
+    return riesz_product
+
+
+def _floor_one_unit_up(original):
+    def physical_lower_bound(alpha, order):
+        floor = original(alpha, order)
+        return DyadicScalar(floor.num + 1, floor.exp)
+    return physical_lower_bound
+
+
 @pytest.mark.parametrize("suite, attr, mutate", [
     ("chang", "chang_span", _drop_last_row),
     ("tA", "residual_l1", _one_unit_up),
     ("techlem", "frac_quadratic_gap", _rhs_minus_one),
+    ("beckner", "riesz_product", _mass_one_unit_off),
+    ("lem1", "physical_lower_bound", _floor_one_unit_up),
 ])
 def test_suite_catches_mutant(monkeypatch, suite, attr, mutate):
     monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
