@@ -241,6 +241,19 @@ def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _unit_labels(v: DualSubspace, n: int) -> List[int]:
+    """coset_index_table of e_0..e_(n-1), read from the basis bits: bit i
+    of e_j's label <basis[i], e_j> is bit j of basis[i]."""
+    _check_bound(v.basis, n)
+    units = [0] * n
+    for i, r in enumerate(v.basis):
+        while r:
+            low = r & -r
+            units[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return units
+
+
 SUBSPACE_BATCH = 256
 
 
@@ -307,7 +320,8 @@ def random_subspace(rng: np.random.Generator, n: int,
     if max_dim is None:
         max_dim = n
     v = DualSubspace.trivial()
-    for _ in range(int(rng.integers(0, max_dim + 1))):
-        v = subspace_insert(v, int(rng.integers(1, 1 << n)))
+    k = int(rng.integers(0, max_dim + 1))
+    for g in rng.integers(1, 1 << n, size=k).tolist():
+        v = subspace_insert(v, g)
     return v
 

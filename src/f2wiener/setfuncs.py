@@ -17,7 +17,7 @@ import numpy as np
 
 from .dyadic import DyadicScalar, ONE
 from .fourier import FunctionTable, Spectrum, a_norm, exact_sum, fwht
-from .groups import DualSubspace, GroupDim, as_dim, coset_index_table
+from .groups import DualSubspace, GroupDim, _unit_labels, as_dim
 
 __all__ = [
     "PointSet",
@@ -141,10 +141,8 @@ def residual(a: PointSet, v: DualSubspace) -> ResidualTable:
     d = v.dim
     # Labels are linear in x, so the label of x + e_j is x's label XOR
     # e_j's: the whole group's table doubles over the n unit vectors.
-    units = coset_index_table(v, n,
-                              np.int64(1) << np.arange(n, dtype=np.int64))
     syn = np.zeros(a.dim.order, dtype=np.int64)
-    for j, u in enumerate(units.tolist()):
+    for j, u in enumerate(_unit_labels(v, n)):
         np.bitwise_xor(syn[:1 << j], u, out=syn[1 << j:2 << j])
     ind = a._indicator_array()
     counts = np.bincount(syn[ind != 0], minlength=1 << d)
@@ -212,7 +210,7 @@ def frac_quadratic_gap(deltas: Sequence[Union[Fraction, int]],
     The left side dominates the right for any d_i in [0, 1]; exact over
     general rationals, not only dyadics.
     """
-    ds = [Fraction(d) for d in deltas]
+    ds = [d if type(d) in (Fraction, int) else Fraction(d) for d in deltas]
     for d in ds:
         if not 0 <= d.numerator <= d.denominator:
             raise ValueError(f"delta {d} outside [0, 1]")

@@ -449,7 +449,10 @@ def test_verify_caps_jobs_and_trials(workdir, capsys, monkeypatch):
     (workdir / "cfg.toml").write_text("jobs = 100000\n")
     for argv in (["verify", "--jobs", "100000"],
                  ["verify", "--trials", str(verify.MAX_TRIALS + 1)],
-                 ["--config", "cfg.toml", "verify"]):
+                 ["--config", "cfg.toml", "verify"],
+                 ["verify", "--seed", "-1"],
+                 ["verify", "--jobs", "0"],
+                 ["verify", "--jobs", "-3"]):
         assert main(argv) == 2
         out = capsys.readouterr()
         assert out.out == ""

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f2wiener.groups import (HARD_DIM_CAP, SUBSPACE_BATCH, DualSubspace,
-                             GroupDim, all_subspaces, annihilator_basis,
-                             coset_index_table, parity, random_subspace,
-                             subspace_batches, subspace_count,
-                             subspace_extend, subspace_insert)
+                             GroupDim, _unit_labels, all_subspaces,
+                             annihilator_basis, coset_index_table, parity,
+                             random_subspace, subspace_batches,
+                             subspace_count, subspace_extend,
+                             subspace_insert)
 
 from _reference import (annihilator_points, parity as ref_parity,
                         random_invertible, reference_all_subspaces,
@@ -148,13 +149,15 @@ def test_annihilator_duality():
 def test_bound_check_shared():
     v = DualSubspace.span([0b100])
     for call in (lambda: annihilator_basis(v, 2),
-                 lambda: coset_index_table(v, 2, np.arange(4))):
+                 lambda: coset_index_table(v, 2, np.arange(4)),
+                 lambda: _unit_labels(v, 2)):
         with pytest.raises(ValueError,
                            match="basis mask exceeds the group dimension"):
             call()
     assert annihilator_basis(v, 3) == [1, 2]
     assert coset_index_table(v, 3, np.arange(8)).tolist() == [
         0, 0, 0, 0, 1, 1, 1, 1]
+    assert _unit_labels(v, 3) == [0, 0, 1]
 
 
 def test_all_subspaces_match_reference():

@@ -193,6 +193,10 @@ def test_frac_quadratic_gap_frozen():
     with pytest.raises(ValueError):
         frac_quadratic_gap([Fraction(3, 2)])
     assert frac_quadratic_gap([]) == (0, 0)
+    # ints and Fractions are taken as they are, other rationals converted
+    mixed = frac_quadratic_gap([1, 0.5, np.int64(0), True])
+    assert mixed == frac_quadratic_gap([Fraction(1), Fraction(1, 2),
+                                        Fraction(0), Fraction(1)])
 
 
 def test_frac_quadratic_gap_random():
@@ -298,3 +302,10 @@ def test_residual_matches_reference():
         assert got.table == want.table, (a, v)
         assert got.table.peak == want.table.peak
         assert residual_l1(got) == residual_l1(want)
+
+
+def test_residual_checks_basis_bound():
+    a = PointSet.from_points(2, [1])
+    with pytest.raises(ValueError,
+                       match="basis mask exceeds the group dimension"):
+        residual(a, DualSubspace.span([0b100]))

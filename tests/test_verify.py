@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from f2wiener import verify
@@ -5,7 +6,8 @@ from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
-from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
+from f2wiener.verify import (MAX_JOBS, MAX_TRIALS, SUITE_NAMES, _SEED_BLOCK,
+                             _trial_rngs, run_suite)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -31,7 +33,11 @@ def test_suite_parallel_matches_serial():
         assert parallel.ok, name
 
 
-def test_suite_validation():
+def test_suite_validation(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError):
         run_suite("nosuch", trials=5, seed=0)
     with pytest.raises(ValueError):
@@ -40,6 +46,24 @@ def test_suite_validation():
         run_suite("tA", trials=MAX_TRIALS + 1, seed=0)
     with pytest.raises(ValueError):
         run_suite("tA", trials=8, seed=0, jobs=MAX_JOBS + 1)
+    for seed, jobs in ((-1, 1), (-1, 2), (0, 0), (0, -3)):
+        with pytest.raises(ValueError):
+            run_suite("tA", trials=8, seed=seed, jobs=jobs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
+                                  2**130 + 3])
+def test_trial_rngs_match_default_rng(seed):
+    # shard starts that are not 0, a block boundary, and the last trial
+    spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
+    for start, count in spans:
+        seen = []
+        for i, rng in _trial_rngs(seed, start, count):
+            want = np.random.default_rng([seed, i])
+            assert rng.bit_generator.state == want.bit_generator.state, i
+            assert rng.integers(0, 1 << 62) == want.integers(0, 1 << 62)
+            seen.append(i)
+        assert seen == list(range(start, start + count))
 
 
 def _drop_last_row(original):
@@ -92,3 +116,19 @@ def test_suite_catches_mutant(monkeypatch, suite, attr, mutate):
     res = run_suite(suite, trials=30, seed=11)
     assert res.violations
     assert all(msg.startswith("trial ") for msg in res.violations)
+
+
+def test_techlem_mutant_messages_pinned(monkeypatch):
+    # Trials must draw what default_rng([seed, i]) draws: any drift in the
+    # streams changes these deltas.
+    monkeypatch.setattr(verify, "frac_quadratic_gap",
+                        _rhs_minus_one(verify.frac_quadratic_gap))
+    assert run_suite("techlem", 3, 11).violations == [
+        "trial 0: sum(d - d^2) = -63577/82944 < 19367/82944 = g(1-g) "
+        "for deltas [Fraction(7, 9), Fraction(19, 32)]",
+        "trial 1: sum(d - d^2) = -1625091781/2117840400 < "
+        "492748619/2117840400 = g(1-g) for deltas "
+        "[Fraction(3, 13), Fraction(53, 60), Fraction(15, 59)]",
+        "trial 2: sum(d - d^2) = -661/841 < 180/841 = g(1-g) "
+        "for deltas [Fraction(20, 29), Fraction(1, 1)]",
+    ]
