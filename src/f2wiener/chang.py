@@ -15,15 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .dyadic import DyadicScalar, floor_log2_ratio
 from .fourier import (_I64_MAX, FunctionTable, Spectrum, _widen,
-                      exact_product, exact_sum, fwht, inverse_fwht, l1_norm,
-                      l2_norm_sq, lp_norm, spectrum_l2_sq)
-from .groups import DualSubspace, as_dim, subspace_insert
+                      exact_product, exact_sum, fwht, l1_norm, l2_norm_sq,
+                      lp_norm, spectrum_l2_sq)
+from .groups import DualSubspace, as_dim, subspace_extend, subspace_insert
 
 __all__ = [
     "ZeroMass",
@@ -245,28 +245,19 @@ def chang_cardinality_bound(f: FunctionTable, eps: float) -> float:
     return _chang_bound_from_norms(l1, l2_norm_sq(f), Fraction(eps))
 
 
-def chang_span(spec: Spectrum, threshold: DyadicScalar,
-               ) -> Tuple[DualSubspace, float]:
-    """Span of {g : |hat(f)(g)| >= threshold} and its Chang dimension cap.
+def chang_span(spec: Spectrum, threshold: DyadicScalar) -> DualSubspace:
+    """Span of the large spectrum {g : |hat(f)(g)| >= threshold}.
 
-    The cap is evaluated at eps = threshold / ||f||_1.  For the zero
-    function the span is trivial and the cap is reported as 0.
+    Chang's theorem caps its dimension by chang_cardinality_bound(f, eps)
+    at eps = threshold / ||f||_1.
     """
     if threshold.num <= 0:
         raise ValueError("threshold must be positive")
-    f = inverse_fwht(spec)
-    l1 = l1_norm(f)
     # |num| / 2^spec.exp >= threshold  <=>  |num| >= cut, for integer num.
     cut = -((-threshold.num << spec.exp) >> threshold.exp)
     # numpy >= 2 compares int64 with an out-of-range Python int exactly.
-    w = DualSubspace.span(np.flatnonzero(np.abs(spec.nums) >= cut))
-    if l1.num == 0:
-        return w, 0.0
-    eps = threshold.as_fraction() / l1.as_fraction()
-    if eps > 1:
-        # Nothing clears a threshold above the l1 norm; the span is trivial.
-        return w, 0.0
-    return w, _chang_bound_from_norms(l1, l2_norm_sq(f), eps)
+    return subspace_extend(DualSubspace.trivial(),
+                           np.flatnonzero(np.abs(spec.nums) >= cut))
 
 
 @dataclass(frozen=True)
@@ -279,23 +270,14 @@ class RieszProduct:
 
 
 def riesz_product(dim, lambdas: Sequence[int],
-                  eta: Union[DyadicScalar, Fraction, float, int],
-                  ) -> RieszProduct:
+                  eta: DyadicScalar) -> RieszProduct:
     """Exact Riesz product; non-negative, mean one, |hat(p)| = eta^|S|.
 
     The spectrum is supported exactly on subset sums of the lambdas, which
     is why independence is required (DependentSet otherwise).
     """
     d = as_dim(dim)
-    if isinstance(eta, DyadicScalar):
-        e = eta
-    elif isinstance(eta, Fraction):
-        e = DyadicScalar.from_fraction(eta)
-    elif isinstance(eta, float):
-        e = DyadicScalar.from_float(eta)
-    else:
-        e = DyadicScalar(int(eta))
-    if abs(e) > DyadicScalar(1):
+    if abs(eta) > DyadicScalar(1):
         raise ValueError("|eta| must be at most 1")
     lambdas = tuple(int(x) for x in lambdas)
     if any(not 0 < x < d.order for x in lambdas):
@@ -310,14 +292,14 @@ def riesz_product(dim, lambdas: Sequence[int],
     k = len(lambdas)
     # Factor numerators 2^exp +- num lie in [0, 2^exp + |num|].  Their dtype
     # is given, never inferred: numpy reads [2^63, 1] as floats.
-    (out,) = _widen(((1 << e.exp) + abs(e.num)) ** k,
+    (out,) = _widen(((1 << eta.exp) + abs(eta.num)) ** k,
                     np.ones(d.order, dtype=np.int64))
-    factors = np.array([(1 << e.exp) + e.num, (1 << e.exp) - e.num],
+    factors = np.array([(1 << eta.exp) + eta.num, (1 << eta.exp) - eta.num],
                        dtype=out.dtype)
     for lam in lambdas:
         out = out * factors[np.bitwise_count(pts & np.int64(lam)) & 1]
-    table = FunctionTable._adopt(d, out, k * e.exp)
-    return RieszProduct(table, lambdas, e)
+    table = FunctionTable._adopt(d, out, k * eta.exp)
+    return RieszProduct(table, lambdas, eta)
 
 
 def beckner_verify(f: FunctionTable, p: RieszProduct) -> Tuple[float, float]:

@@ -2,7 +2,9 @@
 
 Everything is driven by flags (with an optional --config TOML file for
 defaults); no behavior depends on environment variables, so a recorded
-command line reproduces its output byte for byte.
+command line reproduces its output byte for byte, except the tool_commit
+field of certificates and witness files: that is the `git rev-parse HEAD`
+of the checkout holding the package (git as found on PATH), or "unknown".
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import tomllib
 from typing import List, Optional
 
 from .chang import STRATEGIES, NoQualifyingLevel, ZeroMass
-from .constructions import (DyadicDensity, ExponentOverflow, ResolutionError,
+from .constructions import (DyadicDensity, ExponentOverflow,
                             build_coset_union, density_family)
 from .dyadic import DyadicScalar, ONE, ZERO
 from .explore import (AnnealParams, BudgetExceeded, DEFAULT_BUDGET,
@@ -332,8 +334,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (NoQualifyingLevel, ZeroMass, ArithmeticError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (SetFileError, ResolutionError, OSError, ValueError,
-            KeyError) as exc:
+    except (SetFileError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

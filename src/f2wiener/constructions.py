@@ -14,27 +14,21 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .dyadic import DyadicScalar, ONE, ZERO
-from .groups import DualSubspace, GroupDim, as_dim, char_sign, coset_index_table
+from .dyadic import DyadicScalar, ZERO
+from .groups import DualSubspace, GroupDim, as_dim, char_sign
 from .setfuncs import PointSet
 
 __all__ = [
     "ExponentOverflow",
-    "ResolutionError",
     "DyadicDensity",
     "density_family",
     "CosetUnionWitness",
     "build_coset_union",
-    "build_equality_case",
 ]
 
 
 class ExponentOverflow(ValueError):
     """A construction exponent exceeds the ambient dimension."""
-
-
-class ResolutionError(ValueError):
-    """A requested density is not resolvable at the given dimension."""
 
 
 @dataclass(frozen=True)
@@ -155,36 +149,3 @@ def build_coset_union(density: DyadicDensity,
                                 tuple(parts))
     witness.validate()
     return witness.union(), witness
-
-
-def build_equality_case(alpha: DyadicScalar, v: DualSubspace,
-                        dim: Union[GroupDim, int]) -> PointSet:
-    """Set of density alpha attaining the coset-averaging l1 floor for v.
-
-    floor(alpha |V|) full annihilator cosets plus the lexicographically
-    smallest points of one further coset.  Requires alpha * 2**n integral.
-    """
-    d = as_dim(dim)
-    n = d.n
-    if not ZERO <= alpha <= ONE:
-        raise ValueError("alpha must lie in [0, 1]")
-    if alpha.exp > n:
-        raise ResolutionError(
-            f"alpha {alpha} is not resolvable at dimension {n}"
-        )
-    dv = v.dim
-    if dv > n:
-        raise ValueError("subspace dimension exceeds the group")
-    scaled = alpha.mul_pow2(dv)
-    full = scaled.floor()
-    t = scaled.frac()
-    rem_exp = n - dv - t.exp
-    if rem_exp < 0:
-        raise ResolutionError(
-            f"fractional density {t} needs more than {n - dv} free bits"
-        )
-    partial = t.num << rem_exp
-    syn = coset_index_table(v, n, np.arange(d.order, dtype=np.int64))
-    ind = syn < full
-    ind[np.flatnonzero(syn == full)[:partial]] = True
-    return PointSet.from_indicator(d, ind)

@@ -14,7 +14,6 @@ __all__ = [
     "DyadicScalar",
     "ZERO",
     "ONE",
-    "HALF",
     "floor_log2_ratio",
 ]
 
@@ -48,17 +47,6 @@ class DyadicScalar:
         raise AttributeError("DyadicScalar is immutable")
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "DyadicScalar":
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"denominator {den} is not a power of two")
-        return cls(q.numerator, den.bit_length() - 1)
-
-    @classmethod
-    def from_float(cls, x: float) -> "DyadicScalar":
-        return cls.from_fraction(Fraction(x))
 
     @classmethod
     def parse(cls, text: str) -> "DyadicScalar":
@@ -124,9 +112,6 @@ class DyadicScalar:
             return DyadicScalar(self.num << (k - self.exp), 0)
         return DyadicScalar(self.num, self.exp - k)
 
-    def floor(self) -> int:
-        return self.num >> self.exp
-
     def frac(self) -> "DyadicScalar":
         """Fractional part in [0, 1); exact, no float modulo."""
         return DyadicScalar(self.num & ((1 << self.exp) - 1), self.exp)
@@ -172,12 +157,6 @@ class DyadicScalar:
 
     # -- conversions ---------------------------------------------------
 
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
-    def sign(self) -> int:
-        return (self.num > 0) - (self.num < 0)
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
@@ -206,7 +185,6 @@ class DyadicScalar:
 
 ZERO = DyadicScalar(0)
 ONE = DyadicScalar(1)
-HALF = DyadicScalar(1, 1)
 
 
 def floor_log2_ratio(a: DyadicScalar, b: DyadicScalar) -> int:

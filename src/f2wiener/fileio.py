@@ -5,7 +5,10 @@ point mask per line or a single "hexbits=<bitmap>" line.  Certificates
 serialize every exact value as {num, exp} integer pairs; the only float
 is chang_ceiling, written with 17 significant digits.  Emission uses a
 fixed key order and a local serializer so that re-running the tool on
-the same inputs reproduces files byte for byte.
+the same inputs reproduces files byte for byte, except tool_commit in
+certificates and witness files: the `git rev-parse HEAD` of the checkout
+holding the package (git as found on PATH), or "unknown" where that
+fails, so it changes with the commit and the machine.
 """
 from __future__ import annotations
 
@@ -93,16 +96,9 @@ def read_set_file(path: str, max_n: int) -> PointSet:
     return PointSet.from_points(n, seen)
 
 
-def write_set_file(path: str, a: PointSet, style: str = "hexbits") -> None:
-    lines = [f"n={a.dim.n}"]
-    if style == "hexbits":
-        lines.append(f"hexbits={a.set_hex()}")
-    elif style == "points":
-        lines.extend(format(p, "x") for p in a.points())
-    else:
-        raise ValueError(f"unknown set file style {style!r}")
+def write_set_file(path: str, a: PointSet) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"n={a.dim.n}\nhexbits={a.set_hex()}\n")
 
 
 def _emit(obj, out: List[str]) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -134,10 +134,6 @@ class _DyadicTable:
 
     def __getitem__(self, i: int) -> DyadicScalar:
         return DyadicScalar(int(self.nums[i]), self.exp)
-
-    def to_fractions(self) -> List[Fraction]:
-        den = 1 << self.exp
-        return [Fraction(int(v), den) for v in self.nums]
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

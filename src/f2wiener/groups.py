@@ -56,9 +56,6 @@ class GroupDim:
     def order(self) -> int:
         return 1 << self.n
 
-    def points(self) -> range:
-        return range(1 << self.n)
-
 
 def as_dim(dim) -> GroupDim:
     return dim if isinstance(dim, GroupDim) else GroupDim(dim)
@@ -108,14 +105,6 @@ class DualSubspace:
     @classmethod
     def trivial(cls) -> "DualSubspace":
         return cls(())
-
-    @classmethod
-    def span(cls, masks: Sequence[int]) -> "DualSubspace":
-        return subspace_extend(cls.trivial(), masks)
-
-    @classmethod
-    def full(cls, n: int) -> "DualSubspace":
-        return cls(tuple(1 << i for i in range(n)))
 
     @property
     def dim(self) -> int:

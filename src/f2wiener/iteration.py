@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -65,22 +65,15 @@ class StepResult:
     l_after: DyadicScalar
 
 
-def iterate_step(a: PointSet, v: DualSubspace,
-                 strategy: str = STRATEGIES[0],
-                 ranking: Optional[SpectrumRanking] = None,
-                 labels: Optional[np.ndarray] = None) -> StepResult:
+def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
+                 ranking: SpectrumRanking, labels: np.ndarray) -> StepResult:
     """Grow v by one qualifying level of the residual spectrum.
 
     ranking is hat(chi_A) ranked by rank_spectrum, and labels holds the
-    coset label of each of A's points (ascending) under some basis of v;
-    both are rebuilt when not given.  Raises ZeroResidual when chi_A is
-    constant on every annihilator coset of v (then L(v) already equals the
-    full Wiener norm).
+    coset label of each of A's points (ascending) under some basis of v.
+    Raises ZeroResidual when chi_A is constant on every annihilator coset
+    of v (then L(v) already equals the full Wiener norm).
     """
-    if ranking is None:
-        ranking = rank_spectrum(fwht(a.indicator()))
-    if labels is None:
-        labels = coset_index_table(v, a.dim.n, np.flatnonzero(a.bool_mask()))
     base, l2sq = residual_norms(np.bincount(labels, minlength=v.order),
                                 a.dim.n)
     elems = v.element_array()

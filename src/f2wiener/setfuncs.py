@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,24 +67,12 @@ class PointSet:
         packed = np.packbits(np.asarray(arr) != 0, bitorder="little")
         return cls(d, int.from_bytes(packed.tobytes(), "little"))
 
-    @classmethod
-    def full(cls, dim: Union[GroupDim, int]) -> "PointSet":
-        d = as_dim(dim)
-        return cls(d, (1 << d.order) - 1)
-
     @property
     def size(self) -> int:
         return self.bits.bit_count()
 
     def density(self) -> DyadicScalar:
         return DyadicScalar(self.size, self.dim.n)
-
-    def contains(self, x: int) -> bool:
-        return bool((self.bits >> x) & 1)
-
-    def points(self) -> List[int]:
-        """Members in ascending order."""
-        return np.flatnonzero(self.bool_mask()).tolist()
 
     def indicator(self) -> FunctionTable:
         return FunctionTable._adopt(self.dim, self._indicator_array(), 0)

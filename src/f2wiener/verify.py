@@ -16,7 +16,8 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .chang import chang_cardinality_bound, chang_span, riesz_product, beckner_verify
+from .chang import (beckner_verify, chang_cardinality_bound, chang_span,
+                    riesz_product)
 from .dyadic import DyadicScalar
 from .fourier import FunctionTable, fwht, l1_norm
 from .groups import (DualSubspace, GroupDim, coset_index_table,
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 BECKNER_SLACK = 1e-9
+# The smoothing parameters a Beckner trial draws from, 1/4 to 1.
+_ETAS = tuple(DyadicScalar(k, 2) for k in range(1, 5))
 
 # Upper limits for run_suite, checked before any worker starts: a pool of
 # at most MAX_JOBS processes and a bounded run.
@@ -140,15 +143,15 @@ def _trial_beckner(rng: np.random.Generator) -> Optional[str]:
     f = random_table(rng, n)
     count = int(rng.integers(0, min(n, 4) + 1))
     lambdas = random_independent_chars(rng, n, count)
-    eta = (0.25, 0.5, 0.75, 1.0)[int(rng.integers(0, 4))]
+    eta = _ETAS[int(rng.integers(0, 4))]
     p = riesz_product(n, lambdas, eta)
     mass = l1_norm(p.table)
     if mass != DyadicScalar(1):
-        return f"Riesz product mass {mass} != 1 (n={n}, eta={eta})"
+        return f"Riesz product mass {mass} != 1 (n={n}, eta={float(eta)})"
     lhs, rhs = beckner_verify(f, p)
     if lhs > rhs * (1.0 + BECKNER_SLACK):
         return (f"smoothing bound violated: {lhs!r} > {rhs!r} "
-                f"(n={n}, eta={eta}, k={count})")
+                f"(n={n}, eta={float(eta)}, k={count})")
     return None
 
 
@@ -162,7 +165,7 @@ def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     eps = DyadicScalar(1, j)
     threshold = base * eps
     spec = fwht(f)
-    w, bound = chang_span(spec, threshold)
+    w = chang_span(spec, threshold)
     # Walk magnitudes from the largest down with exact comparisons; every
     # character above the first one below the threshold is large.
     mags = np.abs(spec.nums)
@@ -177,12 +180,10 @@ def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     if outside.size:
         g = int(outside.min())
         return f"large character {g} outside the span (n={n}, eps={eps})"
+    bound = chang_cardinality_bound(f, float(eps))
     if w.dim > bound:
         return (f"span dimension {w.dim} above the Chang bound {bound!r} "
                 f"(n={n}, eps={eps})")
-    independent = chang_cardinality_bound(f, float(eps))
-    if abs(independent - bound) > 1e-9 * max(1.0, abs(bound)):
-        return f"bound mismatch {bound!r} vs {independent!r}"
     return None
 
 

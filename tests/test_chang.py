@@ -9,15 +9,16 @@ from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             chang_span, level_qualifies, level_sets,
                             rank_spectrum, riesz_product, select_level)
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import (FunctionTable, Spectrum, fwht, l1_norm,
-                              l2_norm_sq)
+from f2wiener.fourier import (FunctionTable, Spectrum, fwht, inverse_fwht,
+                              l1_norm, l2_norm_sq)
 from f2wiener.groups import DualSubspace, random_subspace
 from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_spectrum)
 from f2wiener.verify import (random_independent_chars, random_point_set,
                              random_table)
 
 from _reference import (annihilator_points, brute_chang_span, brute_level_sets,
-                        brute_riesz_product, reference_beckner)
+                        brute_riesz_product, dyadic_from_fraction,
+                        reference_beckner, span_of, table_fractions)
 
 
 def _halfspace_residual(n: int):
@@ -50,7 +51,7 @@ def test_level_sets_halfspace():
 def test_level_sets_coset():
     # A = annihilator of a dim-d dual space: all of V \ {0} lands in band 0
     for n, rows in ((3, [0b001, 0b010]), (4, [0b0011, 0b0100])):
-        v = DualSubspace.span(rows)
+        v = span_of(rows)
         d = v.dim
         a = PointSet.from_points(n, annihilator_points(v.basis, n))
         r = residual(a, DualSubspace.trivial())
@@ -129,7 +130,7 @@ def _check_against_reference(spec, excluded, base):
     levels = _levels(spec, excluded, base)
     got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
            for lv in levels]
-    coeffs = spec.to_fractions()
+    coeffs = table_fractions(spec)
     residual_coeffs = list(coeffs)
     for g in excluded.tolist():
         residual_coeffs[g] = Fraction(0)
@@ -160,8 +161,8 @@ def test_level_sets_match_reference_on_residuals():
         got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
                for lv in levels]
         want = [(s, list(members), mass) for s, members, mass in
-                brute_level_sets(fwht(r.table).to_fractions(),
-                                 chi_hat.to_fractions(), base.as_fraction())]
+                brute_level_sets(table_fractions(fwht(r.table)),
+                                 table_fractions(chi_hat), base.as_fraction())]
         assert got == want
 
 
@@ -277,16 +278,16 @@ def test_select_level_strategies():
 
 
 def test_chang_span_zero_function():
-    w, bound = chang_span(Spectrum.zeros(3), DyadicScalar(1, 2))
-    assert w.dim == 0
-    assert bound == 0.0
+    assert chang_span(Spectrum.zeros(3), DyadicScalar(1, 2)).dim == 0
 
 
 def test_chang_span_coset():
-    v = DualSubspace.span([0b001, 0b010])
+    v = span_of([0b001, 0b010])
     a = PointSet.from_points(3, annihilator_points(v.basis, 3))
-    w, bound = chang_span(set_spectrum(a), DyadicScalar(1, 2))
+    w = chang_span(set_spectrum(a), DyadicScalar(1, 2))
     assert w == v
+    # eps = (1/4) / ||chi_A||_1 = 1
+    bound = chang_cardinality_bound(a.indicator(), 1.0)
     assert bound == pytest.approx(math.e * 2 * math.log(2), rel=1e-12)
     assert bound >= w.dim
 
@@ -294,12 +295,13 @@ def test_chang_span_coset():
 def test_chang_span_balanced_halfspace():
     a, r = _halfspace_residual(1)
     spec = fwht(r.table)
-    w, bound = chang_span(spec, DyadicScalar(1, 1))
+    w = chang_span(spec, DyadicScalar(1, 1))
     assert w.dim == 1 and w.contains(1)
-    assert bound == pytest.approx(math.e, rel=1e-12)
-    # a threshold above the l1 norm clears nothing and caps at zero
-    w2, bound2 = chang_span(spec, DyadicScalar(3, 2))
-    assert w2.dim == 0 and bound2 == 0.0
+    # eps = (1/2) / ||f_V||_1 = 1
+    assert chang_cardinality_bound(r.table, 1.0) == pytest.approx(
+        math.e, rel=1e-12)
+    # a threshold above the l1 norm clears nothing
+    assert chang_span(spec, DyadicScalar(3, 2)).dim == 0
     with pytest.raises(ValueError):
         chang_span(spec, DyadicScalar(0))
 
@@ -317,19 +319,24 @@ def test_chang_span_contains_large_spectrum():
         thr = DyadicScalar(l1_norm(f).num, l1_norm(f).exp + j)  # l1 * 2^-j
         if thr.num == 0:
             continue
-        w, bound = chang_span(spec, thr)
+        w = chang_span(spec, thr)
         for g in range(1 << n):
             if abs(spec[g]) >= thr:
                 assert w.contains(g)
-        assert w.dim <= bound or bound == 0.0
+        assert w.dim <= chang_cardinality_bound(f, 2.0 ** -j)
 
 
 def _check_chang_span(spec, thr):
-    w, bound = chang_span(spec, thr)
-    basis, cap = brute_chang_span(spec.to_fractions(), thr.as_fraction(),
+    basis, cap = brute_chang_span(table_fractions(spec), thr.as_fraction(),
                                   spec.dim.n)
-    assert w.basis == basis
-    assert bound == cap
+    assert chang_span(spec, thr).basis == basis
+    # The reference's cap is 0 when f is zero or eps > 1, which the cap
+    # refuses; otherwise it is the cap at eps = threshold / ||f||_1.
+    if cap:
+        f = inverse_fwht(spec)
+        eps = thr.as_fraction() / l1_norm(f).as_fraction()
+        assert chang_cardinality_bound(f, float(eps)) == pytest.approx(
+            cap, rel=1e-12)
 
 
 def test_chang_span_matches_reference():
@@ -360,8 +367,7 @@ def test_chang_span_matches_reference():
                 DyadicScalar(1 << 62, 1), DyadicScalar(1 << 63, 2),
                 DyadicScalar(1 << 64)):
         _check_chang_span(edge, thr)
-    w, _ = chang_span(edge, DyadicScalar(1 << 61))
-    assert w.basis == (1,)
+    assert chang_span(edge, DyadicScalar(1 << 61)).basis == (1,)
 
 
 def test_chang_cardinality_bound_constant():
@@ -378,11 +384,11 @@ def test_chang_cardinality_bound_constant():
 
 
 def test_riesz_product_frozen():
-    p = riesz_product(2, [1], 0.0)
+    p = riesz_product(2, [1], DyadicScalar(0))
     assert list(p.table.nums) == [1, 1, 1, 1] and p.table.exp == 0
-    p = riesz_product(1, [1], 1)
-    assert p.table.to_fractions() == [Fraction(2), Fraction(0)]
-    assert fwht(p.table).to_fractions() == [Fraction(1), Fraction(1)]
+    p = riesz_product(1, [1], DyadicScalar(1))
+    assert table_fractions(p.table) == [Fraction(2), Fraction(0)]
+    assert table_fractions(fwht(p.table)) == [Fraction(1), Fraction(1)]
 
 
 def test_riesz_product_properties():
@@ -425,7 +431,7 @@ def test_riesz_product_exact_for_tiny_eta(eta):
     p = riesz_product(3, [1, 2], eta)
     assert all(int(v) >= 0 for v in p.table.nums)
     assert l1_norm(p.table) == DyadicScalar(1)
-    assert p.table.to_fractions() == brute_riesz_product(
+    assert table_fractions(p.table) == brute_riesz_product(
         [1, 2], eta.as_fraction(), 3)
 
 
@@ -438,13 +444,13 @@ def test_riesz_product_errors():
     with pytest.raises(ValueError):
         riesz_product(2, [4], DyadicScalar(1, 1))
     with pytest.raises(ValueError):
-        riesz_product(2, [1], 2)
+        riesz_product(2, [1], DyadicScalar(2))
 
 
 def test_beckner_examples():
     # eta = 0 smooths f to its mean: lhs = |mean(f)| <= ||f||_1
     f = FunctionTable(2, [3, -1, 2, 0], 1)
-    lhs, rhs = beckner_verify(f, riesz_product(2, [1], 0.0))
+    lhs, rhs = beckner_verify(f, riesz_product(2, [1], DyadicScalar(0)))
     assert lhs == pytest.approx(abs(3 - 1 + 2 + 0) / 8)
     assert lhs <= rhs * (1 + 1e-9)
 
@@ -456,7 +462,7 @@ def test_beckner_random():
         f = random_table(rng, n)
         k = int(rng.integers(1, min(n, 4) + 1))
         lams = random_independent_chars(rng, n, k)
-        eta = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+        eta = DyadicScalar(int(rng.choice([1, 2, 3, 4])), 2)
         lhs, rhs = beckner_verify(f, riesz_product(n, lams, eta))
         assert lhs <= rhs * (1 + 1e-9)
 
@@ -494,8 +500,10 @@ def test_beckner_matches_reference():
         lams = random_independent_chars(rng, n,
                                         int(rng.integers(0, min(n, 4) + 1)))
         eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 0.3, -0.6]))
-        got = beckner_verify(f, riesz_product(n, lams, eta))
+        got = beckner_verify(
+            f, riesz_product(n, lams, dyadic_from_fraction(Fraction(eta))))
         want = reference_beckner(f, lams, eta)
         assert [x.hex() for x in got] == [x.hex() for x in want], (n, eta)
     with pytest.raises(ValueError):
-        beckner_verify(random_table(rng, 3), riesz_product(4, [1], 0.5))
+        beckner_verify(random_table(rng, 3),
+                       riesz_product(4, [1], DyadicScalar(1, 1)))

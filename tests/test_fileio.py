@@ -17,24 +17,24 @@ from f2wiener.cli import DEFAULT_MAX_N
 from f2wiener.iteration import hypothesis_check, run_iteration
 from f2wiener.setfuncs import PointSet, set_a_norm
 
+from _reference import set_points
+
 
 def test_set_file_roundtrip(tmp_path):
     a = PointSet.from_points(3, [0, 3, 5])
-    for style in ("hexbits", "points"):
-        path = tmp_path / f"{style}.set"
-        write_set_file(str(path), a, style)
-        assert read_set_file(str(path), 3) == a
-    text = (tmp_path / "hexbits.set").read_text()
-    assert text == "n=3\nhexbits=29\n"
-    assert (tmp_path / "points.set").read_text() == "n=3\n0\n3\n5\n"
-    with pytest.raises(ValueError):
-        write_set_file(str(tmp_path / "x.set"), a, "csv")
+    path = tmp_path / "a.set"
+    write_set_file(str(path), a)
+    assert path.read_text() == "n=3\nhexbits=29\n"
+    assert read_set_file(str(path), 3) == a
+    # The tool writes hexbits only, but reads one hex point per line too.
+    path.write_text("n=3\n0\n3\n5\n")
+    assert read_set_file(str(path), 3) == a
 
 
 def test_set_file_comments_and_blank_lines(tmp_path):
     path = tmp_path / "c.set"
     path.write_text("# sample\n\nn=2\n# points below\n0\n\n3\n")
-    assert read_set_file(str(path), 2).points() == [0, 3]
+    assert set_points(read_set_file(str(path), 2)) == [0, 3]
 
 
 def test_set_file_errors(tmp_path):

@@ -15,13 +15,14 @@ from f2wiener.setfuncs import PointSet, set_a_norm, set_spectrum
 from f2wiener.verify import random_point_set, random_table
 
 from _reference import (annihilator_points, brute_a_norm, brute_abs_floats,
-                        brute_fwht, table_from_values, table_to_dyadics)
+                        brute_fwht, dyadic_from_fraction, table_fractions,
+                        table_from_values, table_to_dyadics)
 
 
 def test_point_mass_spectrum():
     f = FunctionTable(3, [1, 0, 0, 0, 0, 0, 0, 0], 0)
     s = fwht(f)
-    assert s.to_fractions() == [Fraction(1, 8)] * 8
+    assert table_fractions(s) == [Fraction(1, 8)] * 8
     assert a_norm(s) == DyadicScalar(1)
 
 
@@ -31,7 +32,7 @@ def test_three_point_set_spectrum():
     s = set_spectrum(a)
     expected = [Fraction(3, 4), Fraction(1, 4), Fraction(1, 4),
                 Fraction(-1, 4)]
-    assert s.to_fractions() == expected
+    assert table_fractions(s) == expected
     assert brute_fwht([1, 1, 1, 0], 2) == expected
     assert set_a_norm(a) == DyadicScalar(3, 1)
 
@@ -60,7 +61,7 @@ def test_fwht_matches_brute_force():
     for _ in range(60):
         n = int(rng.integers(1, 6))
         f = random_table(rng, n)
-        assert fwht(f).to_fractions() == brute_fwht(f.to_fractions(), n)
+        assert table_fractions(fwht(f)) == brute_fwht(table_fractions(f), n)
 
 
 def test_roundtrip_exact():
@@ -80,7 +81,7 @@ def test_roundtrip_arbitrary_precision():
     s = fwht(f)
     assert s.nums.dtype == object
     assert inverse_fwht(s) == f
-    assert a_norm(s).as_fraction() == brute_a_norm(f.to_fractions(), n)
+    assert a_norm(s).as_fraction() == brute_a_norm(table_fractions(f), n)
 
 
 def test_int64_headroom_boundary():
@@ -89,7 +90,7 @@ def test_int64_headroom_boundary():
     top = (1 << 61) - 1
     f = FunctionTable(n, np.array([top, -top, top, top], dtype=np.int64), 0)
     s = fwht(f)
-    assert s.to_fractions() == brute_fwht(f.to_fractions(), n)
+    assert table_fractions(s) == brute_fwht(table_fractions(f), n)
 
 
 def test_parseval_exact():
@@ -109,8 +110,8 @@ def test_linearity():
         fs, gs = fwht(f), fwht(g)
         combo = table_from_values(FunctionTable, n, [
             a + b for a, b in zip(table_to_dyadics(f), table_to_dyadics(g))])
-        assert fwht(combo).to_fractions() == [
-            a + b for a, b in zip(fs.to_fractions(), gs.to_fractions())]
+        assert table_fractions(fwht(combo)) == [
+            a + b for a, b in zip(table_fractions(fs), table_fractions(gs))]
 
 
 def test_trivial_bound():
@@ -194,7 +195,7 @@ def test_inner_product_exact():
         f = random_table(rng, n)
         g = random_table(rng, n)
         expected = sum(
-            (a * b for a, b in zip(f.to_fractions(), g.to_fractions())),
+            (a * b for a, b in zip(table_fractions(f), table_fractions(g))),
             Fraction(0)) / (1 << n)
         got = DyadicScalar(exact_sum(f.nums, g.nums), f.exp + g.exp + n)
         assert got.as_fraction() == expected
@@ -320,7 +321,7 @@ def test_fwht_roundtrip_and_parseval_near_headroom(n, exp, data):
     assert inverse_fwht(s) == f
     assert l2_norm_sq(f) == spectrum_l2_sq(s)
     if n <= 3:
-        assert s.to_fractions() == brute_fwht(f.to_fractions(), n)
+        assert table_fractions(s) == brute_fwht(table_fractions(f), n)
 
 
 def test_norms_at_int64_bound():
@@ -374,7 +375,7 @@ def test_numerators_outside_int64_magnitude_stay_exact():
 def test_from_values_mixed():
     f = table_from_values(FunctionTable, 1,
                           [DyadicScalar(1, 2), Fraction(3, 8)])
-    assert f.to_fractions() == [Fraction(1, 4), Fraction(3, 8)]
+    assert table_fractions(f) == [Fraction(1, 4), Fraction(3, 8)]
     with pytest.raises(ValueError):
         table_from_values(FunctionTable, 1, [Fraction(1, 3), Fraction(0)])
 
@@ -447,7 +448,9 @@ def test_built_tables_carry_their_peak():
         built = [fwht(f), inverse_fwht(fwht(f)), a.indicator(),
                  set_spectrum(a), residual(a, random_subspace(rng, n)).table,
                  riesz_product(n, [1], DyadicScalar(1, 1)).table,
-                 riesz_product(n, [1], 0.3).table, fwht(big),
+                 riesz_product(n, [1],
+                               dyadic_from_fraction(Fraction(0.3))).table,
+                 fwht(big),
                  inverse_fwht(fwht(big))]
         for t in built:
             assert t.peak == _stored_peak(t), t

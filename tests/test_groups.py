@@ -12,9 +12,10 @@ from f2wiener.groups import (HARD_DIM_CAP, SUBSPACE_BATCH, DualSubspace,
                              subspace_count, subspace_extend,
                              subspace_insert)
 
-from _reference import (annihilator_points, parity as ref_parity,
-                        random_invertible, reference_all_subspaces,
-                        reference_annihilator_basis)
+from _reference import (annihilator_points, full_subspace,
+                        parity as ref_parity, random_invertible,
+                        reference_all_subspaces, reference_annihilator_basis,
+                        span_of)
 
 
 def test_group_dim_validation():
@@ -36,10 +37,10 @@ def test_parity_matches_reference():
 
 
 def test_insert_reduces_to_rref():
-    v = DualSubspace.span([0b11])
+    v = span_of([0b11])
     w = subspace_insert(v, 0b01)
     assert w.basis == (0b01, 0b10)
-    assert w == DualSubspace.span([0b01, 0b10])
+    assert w == span_of([0b01, 0b10])
     # inserting a member changes nothing
     assert subspace_insert(w, 0b10) == w
     assert subspace_insert(w, 0) == w
@@ -67,7 +68,7 @@ def test_span_order_insensitive():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         masks = [int(rng.integers(1, 1 << n)) for _ in range(4)]
-        v = DualSubspace.span(masks)
+        v = span_of(masks)
         # One insert at a time is the reference for the batched reduction.
         assert v == functools.reduce(subspace_insert, masks,
                                      DualSubspace.trivial())
@@ -75,7 +76,7 @@ def test_span_order_insensitive():
         assert subspace_extend(w, masks) == functools.reduce(
             subspace_insert, masks, w)
         rng.shuffle(masks)
-        assert DualSubspace.span(masks) == v
+        assert span_of(masks) == v
 
 
 def test_basis_validation():
@@ -88,7 +89,7 @@ def test_basis_validation():
 
 
 def test_elements_and_contains():
-    v = DualSubspace.span([0b011, 0b100])
+    v = span_of([0b011, 0b100])
     elems = v.elements()
     assert len(elems) == 4 == v.order
     assert set(elems) == {0, 0b011, 0b100, 0b111}
@@ -117,17 +118,17 @@ def test_element_and_reduce_arrays():
 
 
 def test_annihilator_examples():
-    v = DualSubspace.span([0b01])
+    v = span_of([0b01])
     assert annihilator_basis(v, 2) == [0b10]
     assert annihilator_basis(DualSubspace.trivial(), 3) == [1, 2, 4]
-    assert annihilator_basis(DualSubspace.full(3), 3) == []
+    assert annihilator_basis(full_subspace(3), 3) == []
     with pytest.raises(ValueError):
-        annihilator_basis(DualSubspace.span([0b100]), 2)
+        annihilator_basis(span_of([0b100]), 2)
     top = 1 << (HARD_DIM_CAP - 1)
-    assert annihilator_basis(DualSubspace.span([top | 1]),
+    assert annihilator_basis(span_of([top | 1]),
                              HARD_DIM_CAP)[-1] == top | 1
     with pytest.raises(ValueError):
-        annihilator_basis(DualSubspace.span([1]), HARD_DIM_CAP + 1)
+        annihilator_basis(span_of([1]), HARD_DIM_CAP + 1)
 
 
 def test_annihilator_duality():
@@ -139,15 +140,15 @@ def test_annihilator_duality():
         cases.append((n, random_subspace(rng, n)))
     for n, v in cases:
         ann = annihilator_basis(v, n)
-        w = DualSubspace.span(ann)
+        w = span_of(ann)
         assert w.dim == n - v.dim  # |V| * |ann| = 2^n
         assert set(w.elements()) == set(annihilator_points(v.basis, n))
         # double annihilator recovers v
-        assert DualSubspace.span(annihilator_basis(w, n)) == v
+        assert span_of(annihilator_basis(w, n)) == v
 
 
 def test_bound_check_shared():
-    v = DualSubspace.span([0b100])
+    v = span_of([0b100])
     for call in (lambda: annihilator_basis(v, 2),
                  lambda: coset_index_table(v, 2, np.arange(4)),
                  lambda: _unit_labels(v, 2)):
@@ -182,7 +183,7 @@ def test_subspace_batches_match_per_subspace():
                 w = DualSubspace(tuple(basis))
                 assert ann == annihilator_basis(w, n)
                 assert ann == reference_annihilator_basis(w, n)
-                assert sorted(DualSubspace.span(ann).elements()) == sorted(
+                assert sorted(span_of(ann).elements()) == sorted(
                     annihilator_points(w.basis, n))
                 rows_seen.append(w.basis)
         assert rows_seen == [v.basis for v in reference_all_subspaces(n)]
@@ -239,9 +240,9 @@ def test_all_subspaces_counts():
 
 def test_all_subspaces_small_inventory():
     subs = set(all_subspaces(2))
-    lines = {DualSubspace.span([m]) for m in (1, 2, 3)}
+    lines = {span_of([m]) for m in (1, 2, 3)}
     assert DualSubspace.trivial() in subs
-    assert DualSubspace.full(2) in subs
+    assert full_subspace(2) in subs
     assert lines <= subs
 
 
@@ -250,4 +251,4 @@ def test_random_invertible_is_invertible():
     for _ in range(50):
         n = int(rng.integers(1, 9))
         rows = random_invertible(rng, n)
-        assert DualSubspace.span(rows).dim == n
+        assert span_of(rows).dim == n

@@ -10,14 +10,15 @@ from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, random_subspace, subspace_extend
 from f2wiener import groups, iteration
 from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
-                                hypothesis_check, iterate_step, run_iteration)
+                                hypothesis_check, run_iteration)
 from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_a_norm,
                                set_spectrum)
 from f2wiener.verify import random_point_set
 
-from _reference import (annihilator_points, random_invertible,
-                        reference_iterate_step, reference_level_sets,
-                        set_map_linear, set_translate)
+from _reference import (annihilator_points, fresh_step, full_set,
+                        random_invertible, reference_iterate_step,
+                        reference_level_sets, set_map_linear, set_points,
+                        set_translate, span_of)
 
 
 def _halfspace(n: int) -> PointSet:
@@ -45,7 +46,7 @@ def test_halfspace_run_n4():
 
 
 def test_coset_run():
-    v = DualSubspace.span([0b001, 0b010])
+    v = span_of([0b001, 0b010])
     a = PointSet.from_points(3, annihilator_points(v.basis, 3))
     trace = run_iteration(a, max_order=8)
     assert trace.termination is Termination.RESIDUAL_ZERO
@@ -68,18 +69,18 @@ def test_coset_union_run():
 
 
 def test_full_group_zero_steps():
-    trace = run_iteration(PointSet.full(3), max_order=8)
+    trace = run_iteration(full_set(3), max_order=8)
     assert trace.termination is Termination.RESIDUAL_ZERO
     assert len(trace.steps) == 0
     assert trace.final_bound == trace.a_norm == DyadicScalar(1)
 
 
 def test_iterate_step_zero_residual():
-    v = DualSubspace.span([0b01])
+    v = span_of([0b01])
     # {0, 2} is the annihilator coset itself, so the residual vanishes
     a = PointSet.from_points(2, [0, 2])
     with pytest.raises(ZeroResidual):
-        iterate_step(a, v)
+        fresh_step(a, v)
 
 
 def test_step_contract_random():
@@ -95,7 +96,7 @@ def test_step_contract_random():
             continue
         done += 1
         chi_hat = set_spectrum(a)
-        st = iterate_step(a, v)
+        st = fresh_step(a, v)
         assert st.dim_before == v.dim
         assert st.dim_after == st.v_new.dim > v.dim
         assert v.is_subspace_of(st.v_new)
@@ -131,7 +132,7 @@ def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
             v = random_subspace(rng, n, max_dim=n - 1)
             inserted.clear()
             try:
-                st = iterate_step(a, v, strategy)
+                st = fresh_step(a, v, strategy)
             except ZeroResidual:
                 continue
             assert len(inserted) == st.dim_after - st.dim_before
@@ -195,6 +196,35 @@ def test_spectral_step_matches_residual_route(monkeypatch, strategy):
     # The coset unions take many steps, so the later steps' incremental
     # labels and exclusions are compared too.
     assert long_runs >= 8
+
+
+def _trace_key(trace):
+    return ([(st.s, st.dim_before, st.dim_after, st.gain, st.chang_ceiling,
+              st.l_after) for st in trace.steps],
+            trace.final_bound, trace.termination, trace.a_norm)
+
+
+def test_trace_invariant_under_affine_maps():
+    # x -> Lx + t permutes |hat(chi_A)| through the dual map of L (t only
+    # flips signs), so the bands, the chosen levels, the spans' dimensions,
+    # the gains and the ceilings all carry over exactly.
+    rng = np.random.default_rng(59)
+    sets = [random_point_set(rng, n) for n in range(3, 10) for _ in range(4)]
+    for family, k, n in (("geometric4", 2, 4), ("geometric4", 3, 6),
+                         ("geometric4", 4, 8), ("geometric4", 5, 10),
+                         ("geometric4", 3, 10), ("double_exp", 2, 3),
+                         ("double_exp", 3, 4), ("double_exp", 3, 9),
+                         ("double_exp", 4, 8), ("double_exp", 4, 10)):
+        sets.append(build_coset_union(density_family(family, k), n)[0])
+    for a in sets:
+        n = a.dim.n
+        image = set_translate(set_map_linear(a, random_invertible(rng, n)),
+                              int(rng.integers(0, 1 << n)))
+        for strategy in ("smallest-s", "best-ratio"):
+            for max_order in (2, 1 << (n // 2), 1 << n):
+                want = _trace_key(run_iteration(a, max_order, strategy))
+                got = _trace_key(run_iteration(image, max_order, strategy))
+                assert got == want, (set_points(a), strategy, max_order)
 
 
 def test_geometric4_n20_trace_pinned():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -11,11 +12,8 @@ from f2wiener import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(f2wiener.__path__)
                  if m.name != "__main__")
-
-
-def test_package_all_names_resolve():
-    missing = [n for n in f2wiener.__all__ if not hasattr(f2wiener, n)]
-    assert missing == []
+PACKAGE_DIR = pathlib.Path(f2wiener.__path__[0])
+PERFBENCH_DIR = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -24,6 +22,82 @@ def test_module_all_names_resolve(name):
     assert hasattr(module, "__all__"), name
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and not isinstance(node.ctx, ast.Store)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = _loaded_names(tree)
+        unused += [f"{path.stem}.{name}" for name in _imported_names(tree)
+                   if name not in used]
+    assert unused == []
+
+
+def _definition(tree, name):
+    # The def, class or assignment that binds name at module level.
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name == name:
+                return node
+        elif isinstance(node, ast.Assign):
+            if any(getattr(t, "id", None) == name for t in node.targets):
+                return node
+    return None
+
+
+def _mentions(tree, skip=None):
+    """Every identifier a tree names outside its __all__ and skip: loaded
+    names, attributes and the dotted parts of string constants (perfbench's
+    TRACED table names what it patches as strings).  Imports are left out,
+    so a re-export is no use; every import in the package is used."""
+    skipped = {id(n) for node in (_definition(tree, "__all__"), skip)
+               if node is not None for n in ast.walk(node)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def test_every_exported_name_has_a_user():
+    # Each name in a module's __all__ is named in src/ or perfbench/ other
+    # than by its own definition, an import or an __all__ entry.
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             + sorted(PERFBENCH_DIR.rglob("*.py"))}
+    unused = []
+    for name in MODULES:
+        own = PACKAGE_DIR / f"{name}.py"
+        for export in importlib.import_module(f"f2wiener.{name}").__all__:
+            definition = _definition(trees[own], export)
+            if not any(export in _mentions(tree, definition if path == own
+                                           else None)
+                       for path, tree in trees.items()):
+                unused.append(f"{name}.{export}")
+    assert unused == []
 
 
 def test_no_module_reads_the_environment():
