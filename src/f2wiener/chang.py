@@ -21,8 +21,7 @@ import numpy as np
 
 from .dyadic import DyadicScalar, floor_log2_ratio
 from .fourier import (_I64_MAX, FunctionTable, Spectrum, _widen,
-                      exact_product, exact_sum, fwht, l1_norm, l2_norm_sq,
-                      lp_norm, spectrum_l2_sq)
+                      exact_product, exact_sum, fwht, lp_norm, spectrum_l2_sq)
 from .groups import DualSubspace, as_dim, subspace_extend, subspace_insert
 
 __all__ = [
@@ -218,19 +217,10 @@ def select_level(levels: Sequence[LevelSet],
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _ln_fraction(q: Fraction) -> float:
-    # log of a ratio of big integers without overflowing float.
-    return math.log(q.numerator) - math.log(q.denominator)
-
-
-def _chang_bound_from_norms(l1: DyadicScalar, l2sq: DyadicScalar,
+def chang_cardinality_bound(l1: DyadicScalar, l2sq: DyadicScalar,
                             eps: Fraction) -> float:
-    ratio = l2sq.as_fraction() / (l1.as_fraction() ** 2)
-    return math.e * float(1 / eps ** 2) * max(_ln_fraction(ratio), 1.0)
-
-
-def chang_cardinality_bound(f: FunctionTable, eps: float) -> float:
-    """e * eps^-2 * max(ln(||f||_2^2 / ||f||_1^2), 1).
+    """e * eps^-2 * max(ln(||f||_2^2 / ||f||_1^2), 1), from l1 = ||f||_1
+    and l2sq = ||f||_2^2.
 
     Chang's theorem: the characters with |hat(f)| >= eps ||f||_1 span at
     most this many dimensions.  The log ratio form comes from the proof;
@@ -239,17 +229,19 @@ def chang_cardinality_bound(f: FunctionTable, eps: float) -> float:
     """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    l1 = l1_norm(f)
     if l1.num == 0:
         raise ZeroMass("Chang bound needs a nonzero function")
-    return _chang_bound_from_norms(l1, l2_norm_sq(f), Fraction(eps))
+    ratio = l2sq.as_fraction() / (l1.as_fraction() ** 2)
+    # The log of a ratio of big integers, without overflowing float.
+    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+    return math.e * float(1 / eps ** 2) * max(log_ratio, 1.0)
 
 
 def chang_span(spec: Spectrum, threshold: DyadicScalar) -> DualSubspace:
     """Span of the large spectrum {g : |hat(f)(g)| >= threshold}.
 
-    Chang's theorem caps its dimension by chang_cardinality_bound(f, eps)
-    at eps = threshold / ||f||_1.
+    Chang's theorem caps its dimension by chang_cardinality_bound at
+    eps = threshold / ||f||_1.
     """
     if threshold.num <= 0:
         raise ValueError("threshold must be positive")

@@ -43,15 +43,16 @@ CONFIG_KEYS = ("max_n", "strategy", "trials", "seed", "jobs", "budget",
 
 
 def _load_config(path: str) -> dict:
-    """TOML settings, with the keys of every table merged into one level."""
+    """TOML settings, with the keys of every table merged into one level;
+    a key may appear once, at the top level or in one table."""
     with open(path, "rb") as fh:
         raw = tomllib.load(fh)
     flat = {}
     for k, v in raw.items():
-        if isinstance(v, dict):
-            flat.update(v)
-        else:
-            flat[k] = v
+        for key, value in (v.items() if isinstance(v, dict) else [(k, v)]):
+            if key in flat:
+                raise ValueError(f"config key {key!r} is set more than once")
+            flat[key] = value
     for k in flat:
         if k not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {k!r}")

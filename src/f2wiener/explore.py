@@ -122,9 +122,7 @@ def min_norm_exhaustive(dim: Union[GroupDim, int], size: int,
             f"C({order}, {size}) = {math.comb(order, size)} exceeds "
             f"the budget {budget}"
         )
-    fixed = [0] if size >= 1 else []
-    if size >= 2:
-        fixed = [0, 1]
+    fixed = [0, 1] if size >= 2 else [0]
     rest = [x for x in range(order) if x not in fixed]
     free = size - len(fixed)
     candidates = combinations(rest, free)

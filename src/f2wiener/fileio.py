@@ -157,8 +157,7 @@ def _hypothesis_payload(rep: HypothesisReport) -> dict:
 
 
 def certificate_payload(a: PointSet, trace: IterationTrace,
-                        hypothesis: HypothesisReport,
-                        commit: Optional[str] = None) -> dict:
+                        hypothesis: HypothesisReport) -> dict:
     return {
         "version": CERT_VERSION,
         "n": a.dim.n,
@@ -177,7 +176,7 @@ def certificate_payload(a: PointSet, trace: IterationTrace,
         "final_bound": _pair(trace.final_bound),
         "termination": trace.termination.value,
         "hypothesis": _hypothesis_payload(hypothesis),
-        "tool_commit": commit if commit is not None else tool_commit(),
+        "tool_commit": tool_commit(),
     }
 
 

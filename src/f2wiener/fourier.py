@@ -124,11 +124,6 @@ class _DyadicTable:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def zeros(cls, dim: Union[GroupDim, int]):
-        d = as_dim(dim)
-        return cls._adopt(d, np.zeros(d.order, dtype=np.int64), 0)
-
     def __len__(self) -> int:
         return self.dim.order
 

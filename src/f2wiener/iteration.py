@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .chang import (STRATEGIES, SpectrumRanking, _chang_bound_from_norms,
+from .chang import (STRATEGIES, SpectrumRanking, chang_cardinality_bound,
                     gain_floor, level_sets, rank_spectrum, select_level)
 from .dyadic import DyadicScalar, ZERO
 from .fourier import exact_sum, fwht
@@ -90,7 +90,7 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
     l_old = DyadicScalar(exact_sum(on_v), ranking.exp)
     l_new = _mass_over(ranking, v_new)
     # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.
-    ceiling = _chang_bound_from_norms(base, l2sq,
+    ceiling = chang_cardinality_bound(base, l2sq,
                                       Fraction(1, 2 ** (level.s + 1)))
     return StepResult(
         s=level.s,

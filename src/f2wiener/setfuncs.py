@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from .dyadic import DyadicScalar, ONE
-from .fourier import FunctionTable, Spectrum, a_norm, exact_sum, fwht
+from .fourier import FunctionTable, a_norm, exact_sum, fwht
 from .groups import DualSubspace, GroupDim, _unit_labels, as_dim
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "physical_lower_bound",
     "frac_quadratic_gap",
     "set_a_norm",
-    "set_spectrum",
 ]
 
 
@@ -115,12 +114,8 @@ class ResidualTable:
     source: PointSet
 
 
-def set_spectrum(a: PointSet) -> Spectrum:
-    return fwht(a.indicator())
-
-
 def set_a_norm(a: PointSet) -> DyadicScalar:
-    return a_norm(set_spectrum(a))
+    return a_norm(fwht(a.indicator()))
 
 
 def residual(a: PointSet, v: DualSubspace) -> ResidualTable:

@@ -19,7 +19,7 @@ import numpy as np
 from .chang import (beckner_verify, chang_cardinality_bound, chang_span,
                     riesz_product)
 from .dyadic import DyadicScalar
-from .fourier import FunctionTable, fwht, l1_norm
+from .fourier import FunctionTable, _widen, fwht, l1_norm, l2_norm_sq
 from .groups import (DualSubspace, GroupDim, coset_index_table,
                      random_subspace, subspace_insert)
 from .setfuncs import (PointSet, frac_quadratic_gap, physical_lower_bound,
@@ -166,21 +166,17 @@ def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     threshold = base * eps
     spec = fwht(f)
     w = chang_span(spec, threshold)
-    # Walk magnitudes from the largest down with exact comparisons; every
-    # character above the first one below the threshold is large.
-    mags = np.abs(spec.nums)
-    order = np.argsort(mags, kind="stable")[::-1]
-    count = 0
-    for g in order.tolist():
-        if DyadicScalar(int(mags[g]), spec.exp) < threshold:
-            break
-        count += 1
-    large = order[:count]
+    # |num| / 2^spec.exp >= threshold, compared over the shared
+    # denominator 2^(spec.exp + threshold.exp), apart from chang_span's cut;
+    # numpy >= 2 compares int64 with an out-of-range Python int exactly.
+    (mags,) = _widen(spec.peak << threshold.exp, np.abs(spec.nums))
+    large = np.flatnonzero(
+        (mags << threshold.exp) >= threshold.num << spec.exp)
     outside = large[w.reduce_array(large) != 0]
     if outside.size:
         g = int(outside.min())
         return f"large character {g} outside the span (n={n}, eps={eps})"
-    bound = chang_cardinality_bound(f, float(eps))
+    bound = chang_cardinality_bound(base, l2_norm_sq(f), eps.as_fraction())
     if w.dim > bound:
         return (f"span dimension {w.dim} above the Chang bound {bound!r} "
                 f"(n={n}, eps={eps})")

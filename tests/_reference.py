@@ -34,7 +34,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from f2wiener.chang import (LevelSet, ZeroMass, _chang_bound_from_norms,
+from f2wiener.chang import (LevelSet, ZeroMass, chang_cardinality_bound,
                             rank_spectrum, riesz_product, select_level)
 from f2wiener.dyadic import ONE, ZERO, DyadicScalar, floor_log2_ratio
 from f2wiener.fourier import (FunctionTable, Spectrum, exact_product,
@@ -403,7 +403,7 @@ def reference_iterate_step(a, v, strategy, ranking, labels):
     v_new = subspace_extend(v, level.members)
     l_old = _mass_over(chi_hat, v)
     l_new = _mass_over(chi_hat, v_new)
-    ceiling = _chang_bound_from_norms(base, l2_norm_sq(fv.table),
+    ceiling = chang_cardinality_bound(base, l2_norm_sq(fv.table),
                                       Fraction(1, 2 ** (level.s + 1)))
     return StepResult(s=level.s, v_new=v_new, gain=l_new - l_old,
                       dim_before=v.dim, dim_after=v_new.dim,

@@ -23,7 +23,7 @@ from f2wiener.groups import (annihilator_basis, random_subspace,
 from f2wiener.iteration import Termination, hypothesis_check, run_iteration
 from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
                                physical_lower_bound, residual, residual_l1,
-                               set_a_norm, set_spectrum)
+                               set_a_norm)
 from f2wiener.verify import BECKNER_SLACK, random_point_set, run_suite
 
 from _reference import (brute_min_norm, build_equality_case, fresh_step,
@@ -84,7 +84,7 @@ def test_criterion_02_construction_bounds():
         a, w = build_coset_union(density_family("geometric4", k), 2 * k)
         norm = set_a_norm(a)
         assert DyadicScalar(k, 1) <= norm <= DyadicScalar(k), k
-        spec = set_spectrum(a)
+        spec = fwht(a.indicator())
         prev = frozenset({0})
         for i, lam in enumerate(w.lambdas, start=1):
             cur = frozenset(lam.elements())
@@ -214,7 +214,8 @@ def test_criterion_07_step_contract():
         assert (6 * (3 ** st.s) * st.gain.num
                 >= (4 ** st.s) * (1 << st.gain.exp))
         # the chosen band avoids v entirely
-        levels = reference_level_sets(fwht(fv.table), set_spectrum(a), base)
+        levels = reference_level_sets(fwht(fv.table), fwht(a.indicator()),
+                                      base)
         members = next(lv.members for lv in levels if lv.s == st.s)
         velems = set(v.elements())
         assert velems.isdisjoint(members)

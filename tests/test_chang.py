@@ -12,7 +12,7 @@ from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import (FunctionTable, Spectrum, fwht, inverse_fwht,
                               l1_norm, l2_norm_sq)
 from f2wiener.groups import DualSubspace, random_subspace
-from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_spectrum)
+from f2wiener.setfuncs import PointSet, residual, residual_l1
 from f2wiener.verify import (random_independent_chars, random_point_set,
                              random_table)
 
@@ -30,6 +30,11 @@ def _halfspace_residual(n: int):
 NONE = np.zeros(0, dtype=np.int64)
 
 
+def _cap(f, eps):
+    # Chang's cap for the table f, from its two norms.
+    return chang_cardinality_bound(l1_norm(f), l2_norm_sq(f), eps)
+
+
 def _levels(spec, excluded, base):
     return level_sets(rank_spectrum(spec), np.asarray(excluded, np.int64),
                       base)
@@ -39,7 +44,7 @@ def test_level_sets_halfspace():
     a, r = _halfspace_residual(3)
     base = residual_l1(r)
     assert base == DyadicScalar(1, 1)
-    levels = _levels(set_spectrum(a), [0], base)
+    levels = _levels(fwht(a.indicator()), [0], base)
     assert len(levels) == 1
     lv = levels[0]
     assert lv.s == 0
@@ -56,7 +61,7 @@ def test_level_sets_coset():
         a = PointSet.from_points(n, annihilator_points(v.basis, n))
         r = residual(a, DualSubspace.trivial())
         base = residual_l1(r)
-        levels = _levels(set_spectrum(a), [0], base)
+        levels = _levels(fwht(a.indicator()), [0], base)
         assert len(levels) == 1
         lv = levels[0]
         assert lv.s == 0
@@ -156,7 +161,7 @@ def test_level_sets_match_reference_on_residuals():
         if base.num == 0:
             continue
         done += 1
-        chi_hat = set_spectrum(a)
+        chi_hat = fwht(a.indicator())
         levels = level_sets(rank_spectrum(chi_hat), v.element_array(), base)
         got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
                for lv in levels]
@@ -241,7 +246,7 @@ def test_level_mass_averaging_identity():
         if base.num == 0:
             continue
         done += 1
-        levels = level_sets(rank_spectrum(set_spectrum(a)),
+        levels = level_sets(rank_spectrum(fwht(a.indicator())),
                             v.element_array(), base)
         total = sum((lv.mass.as_fraction() / (1 << lv.s) for lv in levels),
                     Fraction(0))
@@ -278,16 +283,17 @@ def test_select_level_strategies():
 
 
 def test_chang_span_zero_function():
-    assert chang_span(Spectrum.zeros(3), DyadicScalar(1, 2)).dim == 0
+    zero = Spectrum(3, [0] * 8, 0)
+    assert chang_span(zero, DyadicScalar(1, 2)).dim == 0
 
 
 def test_chang_span_coset():
     v = span_of([0b001, 0b010])
     a = PointSet.from_points(3, annihilator_points(v.basis, 3))
-    w = chang_span(set_spectrum(a), DyadicScalar(1, 2))
+    w = chang_span(fwht(a.indicator()), DyadicScalar(1, 2))
     assert w == v
     # eps = (1/4) / ||chi_A||_1 = 1
-    bound = chang_cardinality_bound(a.indicator(), 1.0)
+    bound = _cap(a.indicator(), Fraction(1))
     assert bound == pytest.approx(math.e * 2 * math.log(2), rel=1e-12)
     assert bound >= w.dim
 
@@ -298,8 +304,7 @@ def test_chang_span_balanced_halfspace():
     w = chang_span(spec, DyadicScalar(1, 1))
     assert w.dim == 1 and w.contains(1)
     # eps = (1/2) / ||f_V||_1 = 1
-    assert chang_cardinality_bound(r.table, 1.0) == pytest.approx(
-        math.e, rel=1e-12)
+    assert _cap(r.table, Fraction(1)) == pytest.approx(math.e, rel=1e-12)
     # a threshold above the l1 norm clears nothing
     assert chang_span(spec, DyadicScalar(3, 2)).dim == 0
     with pytest.raises(ValueError):
@@ -313,7 +318,7 @@ def test_chang_span_contains_large_spectrum():
         a = random_point_set(rng, n)
         if a.size == 0:
             continue
-        spec = set_spectrum(a)
+        spec = fwht(a.indicator())
         j = int(rng.integers(0, 5))
         f = a.indicator()
         thr = DyadicScalar(l1_norm(f).num, l1_norm(f).exp + j)  # l1 * 2^-j
@@ -323,7 +328,7 @@ def test_chang_span_contains_large_spectrum():
         for g in range(1 << n):
             if abs(spec[g]) >= thr:
                 assert w.contains(g)
-        assert w.dim <= chang_cardinality_bound(f, 2.0 ** -j)
+        assert w.dim <= _cap(f, Fraction(1, 2 ** j))
 
 
 def _check_chang_span(spec, thr):
@@ -335,8 +340,7 @@ def _check_chang_span(spec, thr):
     if cap:
         f = inverse_fwht(spec)
         eps = thr.as_fraction() / l1_norm(f).as_fraction()
-        assert chang_cardinality_bound(f, float(eps)) == pytest.approx(
-            cap, rel=1e-12)
+        assert _cap(f, eps) == pytest.approx(cap, rel=1e-12)
 
 
 def test_chang_span_matches_reference():
@@ -372,15 +376,16 @@ def test_chang_span_matches_reference():
 
 def test_chang_cardinality_bound_constant():
     ones = FunctionTable(3, [1] * 8, 0)
-    assert chang_cardinality_bound(ones, 1.0) == pytest.approx(math.e)
-    assert chang_cardinality_bound(ones, 0.5) == pytest.approx(4 * math.e)
-    assert chang_cardinality_bound(ones, 0.25) == pytest.approx(16 * math.e)
+    # ||f||_2^2 = ||f||_1^2, so the cap is e * 4^j at eps = 2^-j.
+    for j in range(3):
+        assert _cap(ones, Fraction(1, 2 ** j)) == pytest.approx(
+            4 ** j * math.e)
     with pytest.raises(ValueError):
-        chang_cardinality_bound(ones, 0.0)
+        _cap(ones, Fraction(0))
     with pytest.raises(ValueError):
-        chang_cardinality_bound(ones, 1.5)
+        _cap(ones, Fraction(3, 2))
     with pytest.raises(ZeroMass):
-        chang_cardinality_bound(FunctionTable.zeros(3), 0.5)
+        _cap(FunctionTable(3, [0] * 8, 0), Fraction(1, 2))
 
 
 def test_riesz_product_frozen():

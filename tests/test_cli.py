@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -466,6 +469,53 @@ def test_config_defaults(workdir, capsys):
     out = capsys.readouterr().out
     assert "trials=7" in out
     assert main(["--config", "nope.toml", "verify", "--suite", "lem1"]) == 2
+
+
+def test_config_key_set_twice_is_bad_input(workdir, capsys):
+    # Tables merge into one namespace, so a key set in two places (two
+    # tables, or the top level and a table) would silently take the last.
+    (workdir / "tables.toml").write_text(
+        "[verify]\ntrials = 3\n[explore]\ntrials = 5\n")
+    (workdir / "top.toml").write_text("trials = 3\n[verify]\ntrials = 5\n")
+    for cfg in ("tables.toml", "top.toml"):
+        assert main(["--config", cfg, "verify", "--suite", "lem1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: config key 'trials' is set more than once\n"
+
+
+def _readme_transcripts():
+    """(argv, stdout) for each `$ ` line in README.md's code blocks; the
+    output runs to the next blank line."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    found = []
+    for block in re.findall(r"```\n(.*?)```", readme.read_text(), flags=re.S):
+        for chunk in block.split("\n\n"):
+            command, _, output = chunk.partition("\n")
+            if command.startswith("$ "):
+                found.append((shlex.split(command[2:]), output.rstrip("\n")
+                              + "\n"))
+    return found
+
+
+def test_readme_transcripts_replay(workdir, capsys):
+    # Every README example reproduces its printed stdout byte for byte; a
+    # `$ cat FILE` example writes FILE for the commands after it.
+    transcripts = _readme_transcripts()
+    parser = build_parser()
+    subcommands = next(a.choices for a in parser._actions
+                       if a.dest == "command")
+    covered = set()
+    for argv, expected in transcripts:
+        if argv[0] == "cat":
+            (workdir / argv[1]).write_text(expected)
+            continue
+        assert argv[0] == "f2wiener", argv
+        assert main(argv[1:]) == 0, argv
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (expected, ""), argv
+        covered.add(parser.parse_args(argv[1:]).command)
+    assert covered == set(subcommands)
 
 
 def _outcome(argv, capsys):

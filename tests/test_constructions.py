@@ -7,10 +7,11 @@ from f2wiener.constructions import (CosetUnionWitness, DyadicDensity,
                                     ExponentOverflow, build_coset_union,
                                     density_family)
 from f2wiener.dyadic import DyadicScalar
+from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, random_subspace
 from f2wiener.iteration import hypothesis_check
 from f2wiener.setfuncs import (physical_lower_bound, residual, residual_l1,
-                               set_a_norm, set_spectrum)
+                               set_a_norm)
 from f2wiener.verify import random_point_set
 
 from _reference import (brute_set_a_norm, build_equality_case, ResolutionError,
@@ -109,7 +110,7 @@ def test_norm_bounds_and_shell_floor():
         a, w = build_coset_union(fam, 2 * k)
         norm = set_a_norm(a)
         assert DyadicScalar(k, 1) <= norm <= DyadicScalar(k)
-        spec = set_spectrum(a)
+        spec = fwht(a.indicator())
         prev: frozenset = frozenset({0})
         for i, lam in enumerate(w.lambdas, start=1):
             cur = frozenset(lam.elements())

@@ -97,15 +97,16 @@ def test_dumps_deterministic():
         dumps_deterministic({"x": {1, 2}})
 
 
-def _cert_fixture(max_order=16, commit="deadbeef"):
+def _cert_fixture(monkeypatch, max_order=16):
+    monkeypatch.setattr(fileio, "tool_commit", lambda: "deadbeef")
     a, _ = build_coset_union(density_family("geometric4", 2), 4)
     trace = run_iteration(a, max_order)
     hyp = hypothesis_check(a.density(), max_order)
-    return a, certificate_payload(a, trace, hyp, commit=commit)
+    return a, certificate_payload(a, trace, hyp)
 
 
-def test_certificate_roundtrip(tmp_path):
-    a, payload = _cert_fixture()
+def test_certificate_roundtrip(tmp_path, monkeypatch):
+    a, payload = _cert_fixture(monkeypatch)
     path = tmp_path / "c.json"
     write_certificate(str(path), payload)
     loaded = load_certificate(str(path))
@@ -136,8 +137,8 @@ def _tampered(payload, mutate):
     return cert
 
 
-def test_check_certificate_detects_tampering():
-    a, payload = _cert_fixture()
+def test_check_certificate_detects_tampering(monkeypatch):
+    a, payload = _cert_fixture(monkeypatch)
 
     def overshoot(c):
         c["final_bound"]["num"] += 1 << c["final_bound"]["exp"]
@@ -219,7 +220,7 @@ def test_check_certificate_detects_tampering():
 
     # At max_order 2 the run stops at dimension 2 with the residual still
     # nonzero, so it must not claim ResidualZero.
-    a, capped = _cert_fixture(max_order=2)
+    a, capped = _cert_fixture(monkeypatch, max_order=2)
     assert capped["termination"] == "OrderCapReached"
     assert check_certificate(a, _tampered(capped, lambda c: None))[0] == []
 

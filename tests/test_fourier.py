@@ -11,7 +11,7 @@ from f2wiener.fourier import (FunctionTable, Spectrum, _abs_sum, _int_minmax,
                               inverse_fwht, l1_norm, l2_norm_sq, lp_norm,
                               spectrum_l2_sq)
 from f2wiener.groups import DualSubspace, random_subspace
-from f2wiener.setfuncs import PointSet, set_a_norm, set_spectrum
+from f2wiener.setfuncs import PointSet, set_a_norm
 from f2wiener.verify import random_point_set, random_table
 
 from _reference import (annihilator_points, brute_a_norm, brute_abs_floats,
@@ -29,7 +29,7 @@ def test_point_mass_spectrum():
 def test_three_point_set_spectrum():
     # A = {00, 01, 10} in F2^2: spectrum (3/4, 1/4, 1/4, -1/4), norm 3/2.
     a = PointSet.from_points(2, [0b00, 0b01, 0b10])
-    s = set_spectrum(a)
+    s = fwht(a.indicator())
     expected = [Fraction(3, 4), Fraction(1, 4), Fraction(1, 4),
                 Fraction(-1, 4)]
     assert table_fractions(s) == expected
@@ -45,7 +45,7 @@ def test_coset_indicator_spectrum():
         off = int(rng.integers(0, 1 << n))
         pts = [off ^ w for w in annihilator_points(v.basis, n)]
         a = PointSet.from_points(n, pts)
-        s = set_spectrum(a)
+        s = fwht(a.indicator())
         inv = DyadicScalar(1, v.dim)
         for g in range(1 << n):
             coeff = s[g]
@@ -129,7 +129,7 @@ def test_linf_equals_density_for_indicators():
     for _ in range(60):
         n = int(rng.integers(1, 9))
         a = random_point_set(rng, n)
-        s = set_spectrum(a)
+        s = fwht(a.indicator())
         linf = DyadicScalar(int(np.abs(s.nums).max()), s.exp)
         assert linf == a.density() == l1_norm(a.indicator())
         assert a_norm(s) >= linf
@@ -419,8 +419,7 @@ def test_table_peak_after_zeros_and_stripping():
         for exp in (0, 5):
             z = FunctionTable(n, np.zeros(1 << n, dtype=np.int64), exp)
             assert (z.peak, z.exp) == (0, 0)
-        assert FunctionTable.zeros(n).peak == 0
-        assert Spectrum.zeros(n).peak == 0
+        assert Spectrum(n, np.zeros(1 << n, dtype=np.int64), 0).peak == 0
     t = FunctionTable(2, [4, -8, 12, 0], 5)
     assert (t.exp, t.nums.tolist(), t.peak) == (3, [1, -2, 3, 0], 3)
     # Only the exponent's worth of twos is stripped.
@@ -446,7 +445,8 @@ def test_built_tables_carry_their_peak():
         a = random_point_set(rng, n)
         big = FunctionTable(n, np.full(1 << n, 1 << 70, dtype=object), 0)
         built = [fwht(f), inverse_fwht(fwht(f)), a.indicator(),
-                 set_spectrum(a), residual(a, random_subspace(rng, n)).table,
+                 fwht(a.indicator()),
+                 residual(a, random_subspace(rng, n)).table,
                  riesz_product(n, [1], DyadicScalar(1, 1)).table,
                  riesz_product(n, [1],
                                dyadic_from_fraction(Fraction(0.3))).table,
@@ -475,7 +475,7 @@ def test_public_constructors_copy():
 def test_stored_nums_are_read_only():
     f = FunctionTable(2, [1, -2, 3, 0], 0)
     tables = [f, FunctionTable(2, [1 << 70, 0, 0, 0], 0), fwht(f),
-              inverse_fwht(fwht(f)), FunctionTable.zeros(2),
+              inverse_fwht(fwht(f)), FunctionTable(2, [0] * 4, 0),
               FunctionTable(2, [4, 8, 12, 0], 2)]
     for t in tables:
         assert not t.nums.flags.writeable

@@ -11,8 +11,7 @@ from f2wiener.groups import DualSubspace, random_subspace, subspace_extend
 from f2wiener import groups, iteration
 from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
                                 hypothesis_check, run_iteration)
-from f2wiener.setfuncs import (PointSet, residual, residual_l1, set_a_norm,
-                               set_spectrum)
+from f2wiener.setfuncs import PointSet, residual, residual_l1, set_a_norm
 from f2wiener.verify import random_point_set
 
 from _reference import (annihilator_points, fresh_step, full_set,
@@ -95,7 +94,7 @@ def test_step_contract_random():
         if base.num == 0:
             continue
         done += 1
-        chi_hat = set_spectrum(a)
+        chi_hat = fwht(a.indicator())
         st = fresh_step(a, v)
         assert st.dim_before == v.dim
         assert st.dim_after == st.v_new.dim > v.dim
@@ -137,7 +136,7 @@ def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
                 continue
             assert len(inserted) == st.dim_after - st.dim_before
             r = residual(a, v)
-            levels = reference_level_sets(fwht(r.table), set_spectrum(a),
+            levels = reference_level_sets(fwht(r.table), fwht(a.indicator()),
                                           residual_l1(r))
             (chosen,) = [lv for lv in levels if lv.s == st.s]
             assert st.v_new == functools.reduce(real_insert, chosen.members, v)

@@ -10,7 +10,7 @@ from f2wiener.groups import (DualSubspace, GroupDim, all_subspaces,
                              random_subspace)
 from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap,
                                physical_lower_bound, residual, residual_l1,
-                               set_a_norm, set_spectrum)
+                               set_a_norm)
 from f2wiener.verify import random_point_set
 
 from _reference import (brute_coset_average, brute_frac_quadratic_gap,

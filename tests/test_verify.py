@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,12 @@ def _drop_last_row(original):
     return chang_span
 
 
+def _cap_over_eight(original):
+    def chang_cardinality_bound(l1, l2sq, eps):
+        return original(l1, l2sq, eps) / 8
+    return chang_cardinality_bound
+
+
 def _one_unit_up(original):
     def residual_l1(fv):
         got = original(fv)
@@ -103,8 +111,20 @@ def _floor_one_unit_up(original):
     return physical_lower_bound
 
 
+# What each mutant's violations say: the check that the mutant broke.
+_CAUGHT_BY = {
+    "chang_span": "outside the span",
+    "chang_cardinality_bound": r"span dimension \d+ above the Chang bound",
+    "residual_l1": "!= coset closed form",
+    "frac_quadratic_gap": r"= g\(1-g\)",
+    "riesz_product": "Riesz product mass",
+    "physical_lower_bound": "below the floor",
+}
+
+
 @pytest.mark.parametrize("suite, attr, mutate", [
     ("chang", "chang_span", _drop_last_row),
+    ("chang", "chang_cardinality_bound", _cap_over_eight),
     ("tA", "residual_l1", _one_unit_up),
     ("techlem", "frac_quadratic_gap", _rhs_minus_one),
     ("beckner", "riesz_product", _mass_one_unit_off),
@@ -114,7 +134,8 @@ def test_suite_catches_mutant(monkeypatch, suite, attr, mutate):
     monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
     res = run_suite(suite, trials=30, seed=11)
     assert res.violations
-    assert all(msg.startswith("trial ") for msg in res.violations)
+    assert all(msg.startswith("trial ") and re.search(_CAUGHT_BY[attr], msg)
+               for msg in res.violations), res.violations
 
 
 def test_techlem_mutant_messages_pinned(monkeypatch):
