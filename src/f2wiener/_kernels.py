@@ -15,10 +15,12 @@ no transposes; that halves the cost of transforming one 8- or 16-entry row
 bound, and object tables of arbitrary-precision numerators) runs numpy
 butterfly stages.  Both routes only split the last axis, which numpy
 always does with a view, so any 2-D view is transformed in place.  The
-annealing sweep has one implementation: a Python loop that prices a
-proposal with four lookups in two transformed tables (swap_delta) while
-those match the current set, and rebuilds them with one 2-row transform
-once accepted moves thin out.
+annealing sweep has one implementation.  While two transformed tables
+match the current set, it prices runs of up to _RUN proposals with one
+array call of swap_delta (four lookups each), screens them for the first
+that may be accepted and decides that one with the exact rule.  After an
+accepted move it prices proposals whole from Kronecker sign rows, and it
+rebuilds the tables with one 2-row transform once accepted moves thin out.
 """
 from __future__ import annotations
 
@@ -38,24 +40,42 @@ __all__ = [
 # The only backend; kept as a name because benchmark records report it.
 BACKEND = "numpy"
 
-# anneal_sweep converts its pregenerated streams to Python values this many
-# proposals at a time, so it never holds them all as Python objects.
+# anneal_sweep takes its pregenerated streams this many proposals at a time:
+# it works out their temperatures and screen limits and converts them to
+# Python values per block, so it never holds them all as Python objects.
 _BLOCK = 4096
+
+# Proposals anneal_sweep prices in one array step while its swap tables are
+# current.  A run stops at its first accepted proposal, whose successors
+# were priced for nothing.
+_RUN = 64
+
+# Log-domain slack of the run screen, which passes a proposal when
+# delta < scale * temp * (slack - log(u)); the exact rule then decides it.
+# The exact rule accepts an uphill delta only when u < math.exp(-a), with
+# a = (delta / scale) / temp, and a faithful exp then gives -log(u) > a,
+# also for u == 0 and for a subnormal exp(-a), where a relative slack on
+# np.exp would not hold.  The rounding of a, of np.log and of the products
+# is below 2^-48 relative and |log(u)| <= 745, so the screen passes every
+# proposal the exact rule accepts; the slack costs only a few confirmations.
+_SCREEN_SLACK = 2.0 ** -20
 
 # Rejections in a row after which anneal_sweep rebuilds its swap tables.  A
 # rebuild (one 2-row transform on the float route) costs about as much as
-# pricing 3 proposals whole at n = 10..12 (measured ratios 2.7-3.1), and in
-# the hot phase most proposals are accepted, so the tables are rebuilt only
-# once acceptances thin out.
-_REBUILD_AFTER = 3
+# pricing 4 proposals whole from sign rows at n = 10..12 (timeit ratios
+# 3.9-4.7 on a 2-core Xeon host), and in the hot phase most proposals are
+# accepted, so the tables are rebuilt only once acceptances thin out.  The
+# search benchmark's accept/reject sequences, costed with those timings,
+# change by under 1% for any value from 3 to 6.
+_REBUILD_AFTER = 4
 
 
-def _sylvester(k: int) -> np.ndarray:
-    """Sylvester Hadamard matrix of order 2^k in float64: entry (i, j) is
+def _sylvester(k: int, dtype) -> np.ndarray:
+    """Sylvester Hadamard matrix of order 2^k: entry (i, j) is
     (-1)^<i, j>."""
-    size = 1 << k
-    return np.array([[1 - 2 * ((i & j).bit_count() & 1) for j in range(size)]
-                     for i in range(size)], dtype=np.float64)
+    idx = np.arange(1 << k)
+    parity = (np.bitwise_count(idx[:, None] & idx) & 1).astype(np.int8)
+    return (1 - 2 * parity).astype(dtype, copy=False)
 
 
 # Largest max|x| * cols the float64 route takes (see the module docstring).
@@ -70,7 +90,7 @@ _FLOAT_BLOCK = 1 << 14
 # CPU time.  1024 rows keep every product at or under 2^18 multiply-adds.
 _GEMM_ROWS = 1024
 _FACTOR_BITS = 4
-_H_FLOAT = [_sylvester(k) for k in range(_FACTOR_BITS + 1)]
+_H_FLOAT = [_sylvester(k, np.float64) for k in range(_FACTOR_BITS + 1)]
 
 
 def _butterfly(mat: np.ndarray) -> None:
@@ -162,46 +182,68 @@ def swap_tables(wht: np.ndarray) -> np.ndarray:
     return wht_rows(tables)
 
 
-def swap_delta(tables: np.ndarray, x_in: int, x_out: int) -> int:
+def swap_delta(tables: np.ndarray, x_in, x_out):
     """Exact change of sum |wht| when x_out leaves the set and x_in joins.
 
-    The swap adds d = chi_g(x_in) - chi_g(x_out) in {-2, 0, 2} to each wht[g];
-    for an integer w, |w + 2s| - |w| = 2 + s*clip(w, -2, 2) - min(|w|, 2) for
-    s = +-1.  Summing over the g with d != 0 (s = chi_g(x_in) there), with
-    chi_g(x_in) * chi_g(x_out) = chi_g(x_in ^ x_out) and sum_g chi_g(y) = 0
-    for y != 0, gives m + (C[x_in] - C[x_out] + A[x_in ^ x_out] - A[0]) / 2.
+    x_in and x_out are ints or equal-shape int64 arrays (one swap per
+    entry).  The swap adds d = chi_g(x_in) - chi_g(x_out) in {-2, 0, 2} to
+    each wht[g]; for an integer w, |w + 2s| - |w| = 2 + s*clip(w, -2, 2) -
+    min(|w|, 2) for s = +-1.  Summing over the g with d != 0 (s =
+    chi_g(x_in) there), with chi_g(x_in) * chi_g(x_out) = chi_g(x_in ^
+    x_out) and sum_g chi_g(y) = 0 for y != 0, gives m + (C[x_in] - C[x_out]
+    + A[x_in ^ x_out] - A[0]) / 2.
     """
-    m = tables.shape[1]
-    return m + ((tables.item(0, x_in) - tables.item(0, x_out)
-                 + tables.item(1, x_in ^ x_out) - tables.item(1, 0)) >> 1)
+    c, a = tables
+    return tables.shape[1] + ((c[x_in] - c[x_out] + a[x_in ^ x_out] - a[0])
+                              >> 1)
 
 
-def _swap_change(gammas: np.ndarray, x_in: int, x_out: int) -> np.ndarray:
-    # chi_g(x_in) - chi_g(x_out) = 2 * (parity(g & x_out) - parity(g & x_in)).
-    p_in = (np.bitwise_count(gammas & x_in) & 1).view(np.int8)
-    p_out = (np.bitwise_count(gammas & x_out) & 1).view(np.int8)
-    return 2 * (p_out - p_in)
+def _swap_change(high: np.ndarray, low: np.ndarray, bits: int, x_in: int,
+                 x_out: int) -> np.ndarray:
+    """chi(x_in) - chi(x_out) on the (2^(n - bits), 2^bits) grid view of a
+    spectrum, where g sits at row g >> bits and column g & (2^bits - 1).
+
+    Splitting g and x the same way, chi_g(x) = high[x_hi, g_hi] *
+    low[x_lo, g_lo] for the Sylvester sign tables high and low, so the
+    change is a difference of two outer products of their rows.
+    """
+    mask = (1 << bits) - 1
+    return (np.multiply.outer(high[x_in >> bits], low[x_in & mask])
+            - np.multiply.outer(high[x_out >> bits], low[x_out & mask]))
 
 
 def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
                  t0, cooling, scale, best_members):
     """Single-swap annealing on the unnormalized spectrum of an indicator.
 
-    wht holds sum_{x in A} (-1)^<g,x> for every character g.  Step t proposes
+    wht, a C-contiguous int64 array updated through a 2-D view, holds
+    sum_{x in A} (-1)^<g,x> for every character g.  Step t proposes
     swapping members[pick_out[t]] for nonmembers[pick_in[t]] and accepts when
     the l1 change delta is <= 0 or accept[t] < exp(-(delta / scale) / temp);
     temp starts at t0 and is multiplied by cooling after every step.
 
-    While the swap tables match wht a proposal costs four lookups
-    (swap_delta), and an accepted one is rechecked against sum |wht|
-    recomputed from scratch.  An acceptance leaves the tables stale; the
-    proposals after it are priced whole, in O(m), until _REBUILD_AFTER
-    rejections in a row pay for rebuilding the tables.
+    While the swap tables match wht, up to _RUN proposals are priced at
+    once by swap_delta on arrays; a screen finds the first that may be
+    accepted, the exact rule above decides it, and an accepted move is
+    rechecked against sum |wht| recomputed from scratch.  An acceptance
+    leaves the tables stale; the proposals after it are priced whole, in
+    O(m) from Kronecker sign rows, until _REBUILD_AFTER rejections in a row
+    pay for rebuilding the tables.
     Mutates wht/members/nonmembers, fills best_members, returns the best
     unnormalized l1 spectrum sum seen (an int).
     """
-    m = wht.shape[0]
-    gammas = np.arange(m, dtype=np.int64)
+    n = wht.shape[0].bit_length() - 1
+    bits = n // 2
+    low = _sylvester(bits, np.int8)
+    high = _sylvester(n - bits, np.int8)
+    grid = wht.reshape(-1, 1 << bits)
+
+    def accepts(delta, temp, u):
+        # A temperature that underflows to 0.0 acts as its limit: every
+        # uphill move is rejected instead of dividing by zero.
+        return delta <= 0 or (temp > 0.0
+                              and u < math.exp(-(delta / scale) / temp))
+
     cur = int(np.abs(wht).sum())
     best = cur
     best_members[:] = members
@@ -210,43 +252,71 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
     tables = swap_tables(wht)
     rejected = 0
     temp = t0
-    exp = math.exp
-    for lo in range(0, pick_out.shape[0], _BLOCK):
-        hi = lo + _BLOCK
-        for io, ii, u in zip(pick_out[lo:hi].tolist(), pick_in[lo:hi].tolist(),
-                             accept[lo:hi].tolist()):
-            x_out = mem[io]
-            x_in = non[ii]
+    steps = pick_out.shape[0]
+    for lo in range(0, steps, _BLOCK):
+        hi = min(lo + _BLOCK, steps)
+        # temps[i] is the temperature of proposal lo + i: multiply.accumulate
+        # multiplies in order, so the chain is that of temp *= cooling.
+        chain = np.full(hi - lo + 1, cooling, dtype=np.float64)
+        chain[0] = temp
+        temps = np.multiply.accumulate(chain)
+        # Screen: delta < limits[i] holds for every delta the exact rule
+        # accepts (see _SCREEN_SLACK), and for no delta > 0 at temp 0.0.
+        # A negative draw is screened as 0.0, which passes every proposal.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(np.maximum(accept[lo:hi], 0.0))
+            limits = np.fmax((scale * temps[:-1]) * (_SCREEN_SLACK - logs),
+                             0.5)
+        temp = temps[-1]
+        temps = temps.tolist()
+        draws = accept[lo:hi].tolist()
+        outs = pick_out[lo:hi].tolist()
+        ins = pick_in[lo:hi].tolist()
+        t = 0
+        while t < hi - lo:
             if tables is None:
-                change = _swap_change(gammas, x_in, x_out)
-                delta = int(np.abs(wht + change).sum()) - cur
-            else:
-                change = None
-                delta = swap_delta(tables, x_in, x_out)
-            # A temperature that underflows to 0.0 acts as its limit: every
-            # uphill move is rejected instead of dividing by zero.
-            if delta <= 0 or (temp > 0.0
-                              and u < exp(-(delta / scale) / temp)):
+                io = outs[t]
+                ii = ins[t]
+                cand = grid + _swap_change(high, low, bits, non[ii], mem[io])
+                delta = int(np.abs(cand).sum()) - cur
+                if not accepts(delta, temps[t], draws[t]):
+                    rejected += 1
+                    if rejected == _REBUILD_AFTER:
+                        tables = swap_tables(wht)
+                    t += 1
+                    continue
+                grid[...] = cand
                 cur += delta
-                if change is None:
-                    wht += _swap_change(gammas, x_in, x_out)
-                    check = int(np.abs(wht).sum())
-                    if check != cur:
-                        raise ArithmeticError(
-                            f"swap identity drifted: sum |wht| = {check}, "
-                            f"expected {cur}")
+            else:
+                # Price a run at once; t moves to its first acceptance.
+                end = min(t + _RUN, hi - lo)
+                deltas = swap_delta(tables,
+                                    nonmembers[pick_in[lo + t:lo + end]],
+                                    members[pick_out[lo + t:lo + end]])
+                for j in np.flatnonzero(deltas < limits[t:end]).tolist():
+                    delta = int(deltas[j])
+                    if accepts(delta, temps[t + j], draws[t + j]):
+                        t += j
+                        break
                 else:
-                    wht += change
-                mem[io] = members[io] = x_in
-                non[ii] = nonmembers[ii] = x_out
-                if cur < best:
-                    best = cur
-                    best_members[:] = members
-                tables = None
-                rejected = 0
-            elif tables is None:
-                rejected += 1
-                if rejected == _REBUILD_AFTER:
-                    tables = swap_tables(wht)
-            temp *= cooling
+                    t = end
+                    continue
+                io = outs[t]
+                ii = ins[t]
+                grid += _swap_change(high, low, bits, non[ii], mem[io])
+                cur += delta
+                check = int(np.abs(wht).sum())
+                if check != cur:
+                    raise ArithmeticError(
+                        f"swap identity drifted: sum |wht| = {check}, "
+                        f"expected {cur}")
+            x_in = non[ii]
+            non[ii] = nonmembers[ii] = mem[io]
+            mem[io] = members[io] = x_in
+            if cur < best:
+                best = cur
+                best_members[:] = members
+            tables = None
+            rejected = 0
+            t += 1
     return best

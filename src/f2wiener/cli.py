@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import tomllib
 from typing import List, Optional
@@ -143,6 +144,17 @@ def _check_n(n: int, max_n: int) -> None:
         raise ValueError(f"--n {n} is above the dimension cap {max_n}")
 
 
+def _check_out_path(path: str) -> None:
+    """Refuse an output path that cannot be written: a directory, or a
+    file in a directory that does not exist.  Called before the work
+    whose result goes there, and without opening the path."""
+    if os.path.isdir(path):
+        raise ValueError(f"output path {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"output path {path}: no directory {parent}")
+
+
 def _cmd_norm(args, cfg, max_n) -> int:
     a = read_set_file(args.setfile, max_n)
     print(f"n = {a.dim.n}")
@@ -203,9 +215,10 @@ def _cmd_lowerbound(args, cfg, max_n) -> int:
     strategy = args.strategy or cfg.get("strategy", STRATEGIES[0])
     if strategy not in STRATEGIES:
         raise ValueError(f"config value strategy must be in {STRATEGIES}")
+    out = args.out or (args.setfile + ".cert.json")
+    _check_out_path(out)
     trace = run_iteration(a, args.max_order, strategy)
     hypothesis = hypothesis_check(a.density(), args.max_order)
-    out = args.out or (args.setfile + ".cert.json")
     write_certificate(out, certificate_payload(a, trace, hypothesis))
     print(f"n = {a.dim.n}")
     print(_dyadic_line("alpha", a.density()))
@@ -268,6 +281,8 @@ def _cmd_verify(args, cfg, max_n) -> int:
 def _cmd_explore(args, cfg, max_n) -> int:
     _check_n(args.n, max_n)
     seed = _setting(args.seed, cfg, "seed", 0, int)
+    if args.ledger:
+        _check_out_path(args.ledger)
     if args.method == "exhaustive":
         budget = _setting(args.budget, cfg, "budget", DEFAULT_BUDGET, int)
         rec = min_norm_exhaustive(args.n, args.size, budget)

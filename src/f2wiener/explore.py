@@ -7,8 +7,8 @@ The exhaustive scan transforms its candidates in chunks of rows and keeps
 the first minimum in enumeration order.  The annealing search keeps the
 unnormalized integer spectrum of the current set and prices each
 single-point swap exactly, mostly by four lookups in two transformed tables
-(`_kernels.swap_delta`); all randomness is drawn up front, so a seed fixes
-the result.
+(`_kernels.swap_delta`, applied to a run of proposals at once); all
+randomness is drawn up front, so a seed fixes the result.
 """
 from __future__ import annotations
 

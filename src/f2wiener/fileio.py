@@ -191,6 +191,9 @@ def load_certificate(path: str) -> dict:
             return json.load(fh)
         except RecursionError:
             raise ValueError("certificate JSON nests too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(
+                f"certificate {path} is not valid ASCII JSON: {exc}") from None
 
 
 def _is_int(x) -> bool:

@@ -163,7 +163,9 @@ def brute_anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
         cand = wht + sign_in - sign_out
         new = int(np.abs(cand).sum())
         delta = new - cur
-        if delta <= 0 or accept[t] < math.exp(-(delta / scale) / temp):
+        # At temperature 0.0 only downhill and level moves are accepted.
+        if delta <= 0 or (temp > 0.0
+                          and accept[t] < math.exp(-(delta / scale) / temp)):
             wht[:] = cand
             members[io] = x_in
             nonmembers[ii] = x_out

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -317,6 +318,37 @@ def test_explore_commands(workdir, capsys):
                  "--budget", "100"]) == 3
 
 
+# Anneal results at n = 10..12, three (n, size) pairs of perfbench's search
+# workload and three more at its other sizes.  The best set is pinned by the
+# first 16 hex digits of the sha256 of its "best_set hex" value.
+ANNEAL_GOLDEN = [
+    (10, 24, 1, "13/2^2 = 3.25", "90e8793c3220fe5e"),
+    (10, 200, 2, "1135/2^7 = 8.8671875", "31805fbba2288c2e"),
+    (11, 60, 3, "1449/2^8 = 5.66015625", "8643be410c67f112"),
+    (11, 400, 4, "435/2^5 = 13.59375", "a064fd88d57e1265"),
+    (12, 100, 5, "473/2^6 = 7.390625", "4ed49ed9f2925a08"),
+    (12, 700, 6, "4503/2^8 = 17.58984375", "fcf4640ac3405fa9"),
+]
+
+
+@pytest.mark.parametrize("n,size,seed,norm,digest", ANNEAL_GOLDEN,
+                         ids=[f"n{c[0]}_s{c[1]}" for c in ANNEAL_GOLDEN])
+def test_explore_anneal_golden(workdir, capsys, n, size, seed, norm, digest):
+    assert main(["explore", "--method", "anneal", "--n", str(n),
+                 "--size", str(size), "--steps", "10000", "--seed", str(seed),
+                 "--ledger", "runs.csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    hex_line = "best_set hex = "
+    set_hex = next(x for x in lines if x.startswith(hex_line))[len(hex_line):]
+    assert lines == [f"n = {n}", f"size = {size}",
+                     f"method = anneal seed = {seed}", f"best_norm = {norm}",
+                     hex_line + set_hex, "evaluations = 10001"]
+    assert hashlib.sha256(set_hex.encode()).hexdigest()[:16] == digest
+    num, exp = norm.split(" = ")[0].split("/2^")
+    row = (workdir / "runs.csv").read_text().splitlines()[1]
+    assert row == f"{n},{size},anneal,{seed},{num},{exp},{set_hex},10001"
+
+
 def test_explore_rejects_bad_parameters(workdir, capsys):
     anneal = ["explore", "--method", "anneal", "--n", "4", "--size", "5"]
     (workdir / "steps.toml").write_text('anneal_steps = "abc"\n')
@@ -372,6 +404,62 @@ def test_directory_path_is_bad_input(workdir, capsys, argv):
     (workdir / "d").mkdir()
     assert main(argv) == 2
     assert _one_line_error(capsys)
+
+
+_OUTPUT_RUNS = [
+    ["lowerbound", "a.set", "--max-order", "16", "--out"],
+    ["explore", "--n", "3", "--size", "2", "--ledger"],
+    ["explore", "--method", "anneal", "--n", "3", "--size", "2", "--ledger"],
+]
+
+
+@pytest.mark.parametrize("target", ["d", "d/", "missing/x.out"],
+                         ids=["directory", "directory-slash", "no-parent"])
+def test_bad_output_path_refused_before_the_run(workdir, capsys, monkeypatch,
+                                                target):
+    _set_file(workdir)
+    (workdir / "d").mkdir()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("run_iteration", "min_norm_anneal", "min_norm_exhaustive"):
+        monkeypatch.setattr(cli, name, never)
+    for argv in _OUTPUT_RUNS:
+        assert main(argv + [target]) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1, argv
+        assert out.err.startswith(f"error: output path {target}"), argv
+    assert sorted(p.name for p in workdir.iterdir()) == ["a.set", "d"]
+    assert list((workdir / "d").iterdir()) == []
+
+
+def test_failed_run_leaves_existing_output(workdir, capsys, monkeypatch):
+    # The output path is checked, not opened, before the run.
+    _set_file(workdir)
+
+    def fails(*args, **kwargs):
+        raise ArithmeticError("stopped")
+
+    for name in ("run_iteration", "min_norm_anneal", "min_norm_exhaustive"):
+        monkeypatch.setattr(cli, name, fails)
+    for argv in _OUTPUT_RUNS:
+        (workdir / "old.out").write_text("kept\n")
+        assert main(argv + ["old.out"]) == 1, argv
+        assert "stopped" in capsys.readouterr().err
+        assert (workdir / "old.out").read_text() == "kept\n", argv
+
+
+@pytest.mark.parametrize("content", [b"NOT_JSON", b'{"trace": [', b"\xff{}"],
+                         ids=["text", "truncated", "not-ascii"])
+def test_check_cert_not_json(workdir, capsys, content):
+    path = _set_file(workdir)
+    (workdir / "c.json").write_bytes(content)
+    assert main(["check-cert", path, "c.json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith("error: certificate c.json is not valid ASCII "
+                              "JSON: ")
 
 
 def test_set_file_above_dimension_cap(tmp_path, package_env):

@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from f2wiener import _kernels
@@ -163,7 +166,8 @@ def _anneal_inputs(seed, n=4, size=5, steps=400):
     return wht, members, nonmembers, pick_out, pick_in, accept
 
 
-def _both_sweeps(ins, size, t0, cooling, ref_t0=None, ref_cooling=None):
+def _both_sweeps(ins, size, t0, cooling, ref_t0=None, ref_cooling=None,
+                 scale=None):
     """(total, best, mutated inputs) from the kernel and the reference."""
     out = []
     for sweep, a, c in ((_kernels.anneal_sweep, t0, cooling),
@@ -171,7 +175,7 @@ def _both_sweeps(ins, size, t0, cooling, ref_t0=None, ref_cooling=None):
                          ref_cooling or cooling)):
         state = tuple(x.copy() for x in ins)
         best = np.empty(size, dtype=np.int64)
-        total = sweep(*state, a, c, float(len(ins[0])), best)
+        total = sweep(*state, a, c, scale or float(len(ins[0])), best)
         out.append((total, best, state))
     return out
 
@@ -189,15 +193,18 @@ def test_anneal_matches_reference(monkeypatch):
     # The default schedule accepts most proposals for its first ~1000
     # steps (hot) and almost only downhill ones after (cold); 1500 steps
     # cover both.  Sizes 1, 2, about m/3 and m - 1 at every n <= 12.
-    calls = {"swap_tables": 0, "swap_delta": 0}
+    calls = {"swap_tables": 0, "swap_delta": 0, "_swap_change": 0}
+    run_sizes = []
     for name in calls:
         real = getattr(_kernels, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
+            if _name == "swap_delta":
+                run_sizes.append(np.size(args[1]))
             return _real(*args)
         monkeypatch.setattr(_kernels, name, counted)
-    runs = proposals = 0
+    runs = 0
     for n in range(1, 13):
         m = 1 << n
         for size in sorted({s for s in (1, 2, m // 3, m - 1) if 0 < s < m}):
@@ -205,10 +212,14 @@ def test_anneal_matches_reference(monkeypatch):
             ours, ref = _both_sweeps(ins, size, 1.0, 0.995)
             _assert_same_sweep(ours, ref, (n, size))
             runs += 1
-            proposals += 1500
-    # Both pricing paths ran: some proposals were priced whole (stale
-    # tables), and the tables were rebuilt after runs of rejections.
-    assert calls["swap_delta"] < proposals
+    # Every pricing path ran.  Runs of several proposals were priced by
+    # lookups.  A sign-row change is built for every proposal priced whole
+    # and for every move accepted from a run; a run can accept only while
+    # the tables are current, so at most once per swap_tables call, and
+    # more changes than that mean some proposals were priced whole.  The
+    # tables were rebuilt after runs of rejections.
+    assert max(run_sizes) == _kernels._RUN
+    assert calls["_swap_change"] > calls["swap_tables"]
     assert calls["swap_tables"] > runs
 
 
@@ -231,6 +242,117 @@ def test_anneal_zero_temperature_limit():
         ours, ref = _both_sweeps(ins, size, 1e-300, 0.3,
                                  ref_t0=1e-300, ref_cooling=1.0)
         _assert_same_sweep(ours, ref, (n, size))
+
+
+def _threshold_draws(ins, t0, cooling, scale, draw):
+    """ins with its accept stream rewritten along the reference's path: an
+    uphill proposal t at a temperature above 0.0 draws draw(t, e), where
+    e = math.exp(-(delta / scale) / temp) is the exact threshold it is
+    accepted below; every other draw is kept."""
+    wht, members, nonmembers, pick_out, pick_in, accept = (
+        x.copy() for x in ins)
+    gammas = np.arange(wht.shape[0])
+
+    def chi(x):
+        return 1 - 2 * (np.bitwise_count(gammas & x) & 1).astype(np.int64)
+
+    best = np.empty_like(members)
+    temp = t0
+    for t in range(accept.shape[0]):
+        change = chi(nonmembers[pick_in[t]]) - chi(members[pick_out[t]])
+        delta = int(np.abs(wht + change).sum() - np.abs(wht).sum())
+        if delta > 0 and temp > 0.0:
+            accept[t] = draw(t, math.exp(-(delta / scale) / temp))
+        brute_anneal_sweep(wht, members, nonmembers, pick_out[t:t + 1],
+                           pick_in[t:t + 1], accept[t:t + 1], temp, cooling,
+                           scale, best)
+        temp *= cooling
+    return ins[:5] + (accept,)
+
+
+def _subgroup_inputs(seed, n, k, steps, draw=0.99):
+    """Inputs starting from the subgroup {0, ..., 2^k - 1}: every swap out
+    of a coset raises the norm, so every first proposal is uphill."""
+    m = 1 << n
+    rng = np.random.default_rng(seed)
+    wht = np.zeros(m, dtype=np.int64)
+    wht[:1 << k] = 1
+    _kernels.wht_rows(wht.reshape(1, -1))
+    return (wht, np.arange(1 << k, dtype=np.int64),
+            np.arange(1 << k, m, dtype=np.int64),
+            rng.integers(0, 1 << k, steps),
+            rng.integers(0, m - (1 << k), steps), np.full(steps, draw))
+
+
+# Draw policies for uphill proposals: the exact threshold e itself and the
+# float above it are rejected, the float below it is accepted, and 0.0 is
+# accepted exactly when e > 0.0.  Acceptances every 11th or 13th step
+# leave runs of rejections between them for the screen to pass.
+THRESHOLD_DRAWS = {
+    "at_e_or_above": lambda t, e: (np.nextafter(e, 0.0) if t % 13 == 12
+                                   else e if t % 2 else np.nextafter(e, 2.0)),
+    "zero": lambda t, e: 0.0 if t % 11 == 10 else np.nextafter(e, 2.0),
+}
+
+
+@pytest.mark.parametrize("policy", THRESHOLD_DRAWS)
+def test_anneal_draws_at_exact_thresholds(policy):
+    # cooling 0.97 takes exp(-(delta / scale) / temp) through the
+    # subnormals to 0.0 within 700 steps; 0.995 keeps it well above.
+    for n, size in ((4, 5), (6, 21), (8, 85)):
+        for cooling in (0.995, 0.97):
+            ins = _threshold_draws(_anneal_inputs(31 * n, n, size, 700), 1.0,
+                                   cooling, float(1 << n),
+                                   THRESHOLD_DRAWS[policy])
+            ours, ref = _both_sweeps(ins, size, 1.0, cooling)
+            _assert_same_sweep(ours, ref, (n, size, cooling))
+
+
+@pytest.mark.parametrize("policy", THRESHOLD_DRAWS)
+def test_anneal_subnormal_and_zero_temperature_in_a_run(policy):
+    # scale = 2^1023 keeps delta / scale a normal float and puts
+    # exp(-(delta / scale) / temp) strictly between 0 and 1 while temp is
+    # subnormal; cooling 0.7 from 2^-1020 takes temp through the subnormals
+    # (from step 4) to 0.0 (step 105) inside the first runs.  The draws
+    # accept moves at subnormal temperatures.
+    t0, cooling, scale = 2.0 ** -1020, 0.7, 2.0 ** 1023
+    ins = _threshold_draws(_subgroup_inputs(2, 5, 3, 160), t0, cooling,
+                           scale, THRESHOLD_DRAWS[policy])
+    ours, ref = _both_sweeps(ins, 8, t0, cooling, scale=scale)
+    _assert_same_sweep(ours, ref, policy)
+    assert not np.array_equal(ours[2][1], ins[1]), "nothing accepted"
+
+
+def test_anneal_accepts_at_run_edges():
+    # From a subgroup at temp 0.05 every first proposal has e <= exp(-1.25)
+    # < 0.99, so the only early acceptance is the one draw of 0.0: on the
+    # first or last proposal of the first run, or of the second.
+    run = _kernels._RUN
+    for at in (0, run - 1, run, 2 * run - 1):
+        ins = _subgroup_inputs(at, 5, 3, 3 * run)
+        ins[5][at] = 0.0
+        for steps, moved in ((at, False), (at + 1, True)):
+            state = [x[:steps] if i > 2 else x.copy()
+                     for i, x in enumerate(ins)]
+            brute_anneal_sweep(*state, 0.05, 1.0, 32.0, np.empty(8, np.int64))
+            assert (state[1].tolist() != list(range(8))) == moved, at
+        ours, ref = _both_sweeps(ins, 8, 0.05, 1.0)
+        _assert_same_sweep(ours, ref, at)
+
+
+def test_anneal_step_counts_off_the_run_length():
+    run = _kernels._RUN
+    for steps in (0, 1, run - 1, run + 1, 3 * run + 5, _kernels._BLOCK + 7):
+        ins = _anneal_inputs(steps, 4, 5, steps)
+        ours, ref = _both_sweeps(ins, 5, 0.2, 0.999)
+        _assert_same_sweep(ours, ref, steps)
+    # No proposals: the start is the best set and nothing moves.
+    ins = _anneal_inputs(9, 5, 7, 0)
+    ours, _ = _both_sweeps(ins, 7, 1.0, 0.995)
+    assert ours[0] == int(np.abs(ins[0]).sum())
+    assert np.array_equal(ours[1], ins[1])
+    for x, y in zip(ours[2], ins):
+        assert np.array_equal(x, y)
 
 
 def _check_every_swap(n, members):
