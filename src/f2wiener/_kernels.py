@@ -1,26 +1,27 @@
-"""Hot integer kernels: Walsh-Hadamard transforms and the annealing sweep.
+"""Hot integer kernels: the Walsh-Hadamard transform and the annealing sweep.
 
-wht_rows is the one row-wise transform, exact on both routes it takes, and
-it picks the route from exactness alone.  An int64 table with max|x| * cols
-<= 2^53 is transformed in float64, as a product of Kronecker factors of at
-most 4 bits (H_(2^(a+b)) = H_(2^a) (x) H_(2^b), Fino & Algazi 1976), each
-one a small dense product that BLAS runs from cache on one thread.  Every
-partial sum is then an integer of magnitude at most 2^53, so it is a
-float64 in any summation order and under FMA (every product is by +-1).
+wht_rows is the one row-wise transform.  It takes int64 tables with
+max|x| * cols <= 2^53 and refuses the rest (TypeError for another dtype,
+OverflowError above the bound).  A table is transformed in float64, as a
+product of Kronecker factors of at most 4 bits (H_(2^(a+b)) = H_(2^a) (x)
+H_(2^b), Fino & Algazi 1976), each one a small dense product that BLAS
+runs from cache on one thread.  Every partial sum is then an integer of
+magnitude at most 2^53, so it is a float64 in any summation order and
+under FMA (every product is by +-1).  The tables the package transforms
+stay far inside the bound: an indicator on F2^n, n <= 30, has
+max|x| * cols = 2^n, and the verify suites' tables reach at most 2^22.
 A table whose index fits one factor (at most 16 columns, at most
 _GEMM_ROWS rows) takes a single product with H_cols, with no blocking and
 no transposes; that halves the cost of transforming one 8- or 16-entry row
-(timeit, about 14 -> 7.5 us on a 2-core Xeon host).  Every other table
-(int64 above 2^53, exact within the caller's max|x| * cols <= 2^63 - 1
-bound, and object tables of arbitrary-precision numerators) runs numpy
-butterfly stages.  Both routes only split the last axis, which numpy
-always does with a view, so any 2-D view is transformed in place.  The
-annealing sweep has one implementation.  While two transformed tables
-match the current set, it prices runs of up to _RUN proposals with one
-array call of swap_delta (four lookups each), screens them for the first
-that may be accepted and decides that one with the exact rule.  After an
-accepted move it prices proposals whole from Kronecker sign rows, and it
-rebuilds the tables with one 2-row transform once accepted moves thin out.
+(timeit, about 14 -> 7.5 us on a 2-core Xeon host).  The route only
+splits the last axis, which numpy always does with a view, so any 2-D
+view is transformed in place.  The annealing sweep has one
+implementation.  While two transformed tables match the current set, it
+prices runs of up to _RUN proposals with one array call of swap_delta
+(four lookups each), screens them for the first that may be accepted and
+decides that one with the exact rule.  After an accepted move it prices
+proposals whole from Kronecker sign rows, and it rebuilds the tables with
+one 2-row transform once accepted moves thin out.
 """
 from __future__ import annotations
 
@@ -93,20 +94,6 @@ _FACTOR_BITS = 4
 _H_FLOAT = [_sylvester(k, np.float64) for k in range(_FACTOR_BITS + 1)]
 
 
-def _butterfly(mat: np.ndarray) -> None:
-    """Butterfly stages on a (rows, cols) view of any dtype, in place."""
-    rows, cols = mat.shape
-    h = 1
-    while h < cols:
-        pairs = mat.reshape(rows, cols // (2 * h), 2 * h)
-        a = pairs[..., :h]
-        b = pairs[..., h:]
-        diff = a - b
-        a += b
-        b[...] = diff
-        h *= 2
-
-
 def _float_wht(mat: np.ndarray) -> None:
     """Kronecker-factored transform of an int64 (rows, cols) view in
     float64, exact when max|x| * cols <= 2^53.
@@ -152,20 +139,21 @@ def _float_wht(mat: np.ndarray) -> None:
 def wht_rows(mat: np.ndarray, peak: Optional[int] = None) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along the last axis.
 
-    mat is a (rows, cols) array or view with cols a power of two, int64
-    (exact when max|x| * cols <= 2^63 - 1, the caller's bound) or object
-    (arbitrary-precision numerators).  int64 with max|x| * cols <= 2^53
-    takes the exact float64 route; everything else runs the butterfly.
-    peak, when given, is max|x| (a table's peak), so mat is not scanned.
+    mat is an int64 (rows, cols) array or view with cols a power of two
+    and max|x| * cols <= 2^53, which keeps the float64 route exact; peak,
+    when given, is max|x| (a table's peak), so mat is not scanned.
+    Raises TypeError for another dtype and OverflowError above the bound.
     """
-    cols = mat.shape[1]
-    if mat.dtype == np.int64 and mat.size:
-        if peak is None:
-            peak = max(int(mat.max()), -int(mat.min()))
-        if peak * cols <= _F64_EXACT:
-            _float_wht(mat)
-            return mat
-    _butterfly(mat)
+    if mat.dtype != np.int64:
+        raise TypeError(f"wht_rows takes int64 tables, not {mat.dtype}")
+    if not mat.size:
+        return mat
+    if peak is None:
+        peak = max(int(mat.max()), -int(mat.min()))
+    if peak * mat.shape[1] > _F64_EXACT:
+        raise OverflowError(f"max|x| * cols = {peak * mat.shape[1]} is "
+                            "above 2^53, where float64 stops being exact")
+    _float_wht(mat)
     return mat
 
 

@@ -4,11 +4,12 @@ Level s collects the characters with 2^-s base >= |hat(f_V)(g)| >
 2^-(s+1) base, where base = ||f_V||_1 (closed above, open below).  The
 masses L_s = sum over level s of |hat(chi_A)| satisfy sum_s 2^-s L_s >=
 1/2, so some level has L_s >= gain_floor(s) = (1/6)(4/3)^s; all of this
-is decided exactly, with integers and Fractions.  |hat(chi_A)| is ranked
-once per run (rank_spectrum) and every step's bands are runs of that
-ranking, less V's own entries.  Chang's theorem caps the dimension of the
-span of a large-spectrum set; the Riesz-product machinery below exercises
-the hypercontractive inequality behind its proof.
+is decided exactly, with int64 under checked bounds and Fractions.
+|hat(chi_A)| is ranked once per run (rank_spectrum) and every step's
+bands are runs of that ranking, less V's own entries.  Chang's theorem
+caps the dimension of the span of a large-spectrum set; the
+Riesz-product machinery below exercises the hypercontractive inequality
+behind its proof.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (_I64_MAX, FunctionTable, Spectrum, _widen,
-                      exact_product, exact_sum, fwht, lp_norm, spectrum_l2_sq)
+from .fourier import (_I64_MAX, FunctionTable, Spectrum, _check_bound,
+                      exact_product, fwht, lp_norm, spectrum_l2_sq)
 from .groups import DualSubspace, as_dim, subspace_extend, subspace_insert
 
 __all__ = [
@@ -76,8 +77,8 @@ class SpectrumRanking:
     order (int64) lists the characters by descending |coefficient|, ties
     by ascending index, and rank (int32) inverts it.  neg_mags[i] is minus
     the i-th magnitude (so it ascends, as np.searchsorted needs) and
-    prefix[i] is the exact sum of the first i magnitudes; both are int64
-    when the total fits, else object arrays of Python ints.
+    prefix[i] is the exact sum of the first i magnitudes; both are int64,
+    as rank_spectrum refuses a spectrum whose total could pass 2^63 - 1.
     """
 
     exp: int
@@ -97,17 +98,17 @@ class SpectrumRanking:
 
     def count_above(self, t: int) -> int:
         """How many numerator magnitudes exceed the integer t >= 0."""
-        if self.neg_mags.dtype != object:
-            # Every int64 magnitude is at most 2^63 - 1.
-            t = min(t, _I64_MAX)
-        return int(np.searchsorted(self.neg_mags, -t))
+        # Every magnitude is at most 2^63 - 1, and the clamp keeps -t an
+        # int64 for searchsorted.
+        return int(np.searchsorted(self.neg_mags, -min(t, _I64_MAX)))
 
 
 def rank_spectrum(spec: Spectrum) -> SpectrumRanking:
     """Sort spec by magnitude once and take exact prefix sums."""
+    # peak * 2^n bounds every prefix sum; for hat(chi_A) on F2^n, n <= 30,
+    # it is at most |A| * 2^n <= 2^60.
+    _check_bound(spec.peak * spec.nums.size, "prefix sum")
     mags = np.abs(spec.nums)
-    # The total bounds every prefix sum, so it picks one exact dtype.
-    (mags,) = _widen(exact_sum(mags), mags)
     neg = np.negative(mags, out=mags)
     order = np.argsort(neg, kind="stable")
     neg = neg[order]
@@ -116,8 +117,8 @@ def rank_spectrum(spec: Spectrum) -> SpectrumRanking:
     rank = np.empty(order.size, dtype=np.int32)
     rank[order] = np.arange(order.size, dtype=np.int32)
     # Partial sums of -|x| are at most the total in magnitude, so the
-    # negated running sum is exact in neg's dtype.
-    prefix = np.zeros(neg.size + 1, dtype=neg.dtype)
+    # negated running sum is exact in int64.
+    prefix = np.zeros(neg.size + 1, dtype=np.int64)
     np.cumsum(neg, out=prefix[1:])
     np.negative(prefix, out=prefix)
     for arr in (order, rank, neg, prefix):
@@ -165,7 +166,7 @@ def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
         raise ArithmeticError(
             f"{edges[0] - ex_count[0]} coefficient(s) off the excluded set "
             f"above the l1 base {base}")
-    ex_mass = np.zeros(len(edges) + 1, dtype=ranking.prefix.dtype)
+    ex_mass = np.zeros(len(edges) + 1, dtype=np.int64)
     np.add.at(ex_mass, where, -ranking.neg_mags[ex_ranks])
     out = []
     for i, s in enumerate(bands):
@@ -282,14 +283,15 @@ def riesz_product(dim, lambdas: Sequence[int],
         v = w
     pts = np.arange(d.order, dtype=np.int64)
     k = len(lambdas)
-    # Factor numerators 2^exp +- num lie in [0, 2^exp + |num|].  Their dtype
-    # is given, never inferred: numpy reads [2^63, 1] as floats.
-    (out,) = _widen(((1 << eta.exp) + abs(eta.num)) ** k,
-                    np.ones(d.order, dtype=np.int64))
-    factors = np.array([(1 << eta.exp) + eta.num, (1 << eta.exp) - eta.num],
-                       dtype=out.dtype)
+    one = 1 << eta.exp
+    # Factor numerators 2^exp +- num lie in [0, 2^exp + |num|], so every
+    # product of k of them is at most (2^exp + |num|)^k; for the verify
+    # suite's etas j/4 and k <= 4 that is at most 7^4.
+    _check_bound((one + abs(eta.num)) ** k, "Riesz product numerator")
+    out = np.ones(d.order, dtype=np.int64)
     for lam in lambdas:
-        out = out * factors[np.bitwise_count(pts & np.int64(lam)) & 1]
+        odd = np.bitwise_count(pts & np.int64(lam)) & 1
+        out *= np.where(odd, one - eta.num, one + eta.num)
     table = FunctionTable._adopt(d, out, k * eta.exp)
     return RieszProduct(table, lambdas, eta)
 
@@ -305,7 +307,12 @@ def beckner_verify(f: FunctionTable, p: RieszProduct) -> Tuple[float, float]:
     eta = float(p.eta)
     sf = fwht(f)
     sp = fwht(p.table)
-    prod = exact_product(sf.nums, sp.nums, x_peak=sf.peak, y_peak=sp.peak)
+    # hat(p) is eta^|S| on the subset sums S of the lambdas, so _store
+    # strips a common factor of at least 2^n from sp's numerators and
+    # sp.peak <= 2^(k * eta.exp).  Only so does the square sum stay in
+    # int64 for the verify suite (n <= 10, |f| <= 8, eta = j/4, k <= 4):
+    # (2^13 * 2^8)^2 * 2^10 = 2^52, where 2^n more would be 2^72.
+    prod = exact_product(sf.nums, sp.nums, bound=sf.peak * sp.peak)
     conv_sq = spectrum_l2_sq(Spectrum._adopt(f.dim, prod, sf.exp + sp.exp))
     lhs = math.sqrt(float(conv_sq.as_fraction()))
     rhs = lp_norm(f, 1.0 + eta * eta)

@@ -189,14 +189,16 @@ def _cmd_construct(args, cfg, max_n) -> int:
                                    f"exponents in [1, {args.n}]")
         density = density_family(args.family, args.k)
         base = args.out or f"{args.family}_k{args.k}_n{args.n}"
+    set_path = base + ".set"
+    wit_path = base + ".witness.json"
+    _check_out_path(set_path)
+    _check_out_path(wit_path)
     a, witness = build_coset_union(density, args.n)
     norm = set_a_norm(a)
     if norm > DyadicScalar(density.k):
         raise ArithmeticError(
             f"construction norm {norm} exceeds the part count {density.k}"
         )
-    set_path = base + ".set"
-    wit_path = base + ".witness.json"
     write_set_file(set_path, a)
     with open(wit_path, "w", encoding="ascii") as fh:
         fh.write(dumps_deterministic(witness_payload(witness, norm)) + "\n")

@@ -1,21 +1,21 @@
 """Dyadic-valued tables on F2^n and their exact Walsh-Hadamard transforms.
 
-A table stores one shared exponent and an array of integer numerators, so
-the butterfly only ever adds and subtracts integers.  With the probability
-normalization used here, hat(f)(g) = 2^-n * sum_x f(x) (-1)^<g,x>, the
-forward transform adds n to the exponent and the inverse adds nothing.
+A table stores one shared exponent and int64 numerators of magnitude at
+most 2^63 - 1 (OverflowError otherwise).  With the probability
+normalization used here, hat(f)(g) = 2^-n * sum_x f(x) (-1)^<g,x>, so the
+transform adds n to the exponent.
 
-Every table also stores its peak, max|num| over its stored numerators, as a
-Python int.  It is found in the one scan that picks int64 or object storage,
-and it bounds what the exact routes below reach: the transforms pass it to
-_kernels.wht_rows, which picks its route from it, and the norms and the
-Beckner product pass it to exact_sum and exact_product, which pick their
-dtype from it.  So no table is rescanned for its bound.  Tables the
-package builds itself hand their fresh arrays over without a copy
-(_adopt); the public constructors copy.
+Every table also stores its peak, max|num|, as a Python int, found in the
+one scan that checks that bound.  The peak bounds what the exact routes
+below reach: fwht passes it to _kernels.wht_rows, which refuses a table
+past its float64 bound, and the norms pass it to exact_sum, which refuses
+a sum that could pass 2^63 - 1.  So no table is rescanned for its bound.
+Tables the package builds itself hand their fresh arrays over without a
+copy (_adopt); the public constructors copy.
 """
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -30,7 +30,6 @@ __all__ = [
     "FunctionTable",
     "Spectrum",
     "fwht",
-    "inverse_fwht",
     "a_norm",
     "l1_norm",
     "l2_norm_sq",
@@ -52,31 +51,30 @@ def _int_minmax(nums: np.ndarray) -> int:
     return max(int(nums.max()), -int(nums.min()))
 
 
-def _widen(peak: int, *arrays: np.ndarray) -> tuple:
-    """The arrays as they are if all are int64 and peak <= 2^63 - 1, else
-    object copies of Python ints.  peak bounds every |value| the caller's
-    one numpy expression reaches, so the expression is exact either way."""
-    if peak <= _I64_MAX and all(a.dtype == np.int64 for a in arrays):
-        return arrays
-    return tuple(a.astype(object) for a in arrays)
+def _check_bound(bound: int, what: str, *arrays: np.ndarray) -> None:
+    """Refuse arrays that are not int64 (TypeError) and a bound on the
+    magnitudes an int64 step reaches above 2^63 - 1 (OverflowError)."""
+    if any(a.dtype != np.int64 for a in arrays):
+        raise TypeError(f"{what} takes int64 arrays")
+    if bound > _I64_MAX:
+        raise OverflowError(f"{what} bound {bound} is above 2^63 - 1")
 
 
 def _narrow(arr: np.ndarray, copy: bool = True) -> Tuple[np.ndarray, int]:
-    """(The integers in arr, max|v|), stored as int64 when every |v| <=
-    2^63 - 1, else as an object array of Python ints (so uint64 above
-    2^63 - 1 and int64 -2^63, whose magnitude wraps under np.abs, stay
-    exact).  copy=False keeps arr itself when it is already stored so."""
+    """(The integers in arr as int64, max|v|); refuses non-integers and any
+    |v| > 2^63 - 1, such as -2^63, whose magnitude wraps under np.abs.
+    copy=False keeps arr itself when it is already int64."""
     kind = arr.dtype.kind
     if kind == "O":
-        if copy:
-            # index(), unlike int(), refuses 2.5 instead of truncating it.
-            arr = np.array([operator.index(v) for v in arr], dtype=object)
-            copy = False
+        # index(), unlike int(), refuses 2.5 instead of truncating it, and
+        # numpy refuses a Python int past int64 with OverflowError.
+        arr = np.array([operator.index(v) for v in arr], dtype=np.int64)
+        copy = False
     elif kind not in "iu":
         raise TypeError("numerators must be integers")
     peak = _int_minmax(arr)
-    return arr.astype(np.int64 if peak <= _I64_MAX else object,
-                      copy=copy), peak
+    _check_bound(peak, "numerator")
+    return arr.astype(np.int64, copy=copy), peak
 
 
 class _DyadicTable:
@@ -112,8 +110,6 @@ class _DyadicTable:
             if shift:
                 arr = arr >> shift
                 peak >>= shift
-                if arr.dtype == object and peak <= _I64_MAX:
-                    arr = arr.astype(np.int64)
                 exp -= shift
         arr.setflags(write=False)
         object.__setattr__(self, "dim", d)
@@ -149,98 +145,81 @@ class Spectrum(_DyadicTable):
     """Fourier coefficients indexed by character mask."""
 
 
-def _butterfly_copy(t: _DyadicTable) -> np.ndarray:
-    """Fresh array holding the unnormalized WHT of t.nums, always exact.
-
-    Each butterfly stage at most doubles the largest absolute value, so
-    t.peak * 2^n bounds every intermediate.
-    """
-    out = _widen(t.peak << t.dim.n, t.nums)[0].copy()
-    _kernels.wht_rows(out.reshape(1, -1), t.peak)
-    return out
-
-
 def fwht(f: FunctionTable) -> Spectrum:
-    """Exact spectrum with hat(f)(g) = 2^-n sum_x f(x) (-1)^<g,x>."""
-    return Spectrum._adopt(f.dim, _butterfly_copy(f), f.exp + f.dim.n)
-
-
-def inverse_fwht(s: Spectrum) -> FunctionTable:
-    """Exact inverse; f(x) = sum_g hat(f)(g) (-1)^<g,x> (no 2^-n factor)."""
-    return FunctionTable._adopt(s.dim, _butterfly_copy(s), s.exp)
+    """Exact spectrum with hat(f)(g) = 2^-n sum_x f(x) (-1)^<g,x>; refused
+    when f.peak * 2^n > 2^53 (see _kernels.wht_rows)."""
+    out = f.nums.copy()
+    _kernels.wht_rows(out.reshape(1, -1), f.peak)
+    return Spectrum._adopt(f.dim, out, f.exp + f.dim.n)
 
 
 def exact_sum(x: np.ndarray, y: Optional[np.ndarray] = None,
-              absolute: bool = False, *, x_peak: Optional[int] = None,
-              y_peak: Optional[int] = None) -> int:
-    """Exact sum of x, of |x| (absolute) or of x * y, as a Python int.
+              absolute: bool = False, *, bound: Optional[int] = None) -> int:
+    """Exact sum of the int64 array x, of |x| (absolute) or of x * y, as a
+    Python int.
 
-    max|x| * max|y| * size bounds every term and every partial sum.
-    x_peak and y_peak, when given, are bounds on max|x| and max|y| (a
-    table's peak), so x and y are not scanned for them.
+    bound caps the magnitude of every term and partial sum; by default x
+    (and y) are scanned for max|x| * size (times max|y|).  A caller that
+    knows a table's peak, or has a tighter proof (Parseval, say), passes
+    its own.  Raises OverflowError when bound is above 2^63 - 1.
     """
-    x = x.ravel()
-    if x_peak is None:
-        x_peak = _int_minmax(x)
-    if y is None:
-        (x,) = _widen(x_peak * x.size, x)
-        return int((np.abs(x) if absolute else x).sum())
-    y = y.ravel()
-    if y.shape != x.shape:
+    arrays = (x.ravel(),) if y is None else (x.ravel(), y.ravel())
+    if arrays[-1].shape != arrays[0].shape:
         raise ValueError("exact_sum needs arrays of one length")
-    if y_peak is None:
-        y_peak = _int_minmax(y)
-    x, y = _widen(x_peak * y_peak * x.size, x, y)
-    return int(np.dot(x, y))
+    if bound is None:
+        bound = x.size * math.prod(map(_int_minmax, arrays))
+    _check_bound(bound, "sum", *arrays)
+    if y is None:
+        return int((np.abs(x) if absolute else x).sum())
+    return int(np.dot(*arrays))
 
 
 def exact_product(x: np.ndarray, y: np.ndarray, *,
-                  x_peak: Optional[int] = None,
-                  y_peak: Optional[int] = None) -> np.ndarray:
-    """Exact elementwise x * y; max|x| * max|y| bounds every product.
+                  bound: Optional[int] = None) -> np.ndarray:
+    """Exact elementwise x * y of int64 arrays.
 
-    x_peak and y_peak are as in exact_sum.
+    bound caps every |product|; by default it is max|x| * max|y|, and a
+    caller that knows the peaks passes their product.  Raises
+    OverflowError when bound is above 2^63 - 1.
     """
-    if x_peak is None:
-        x_peak = _int_minmax(x)
-    if y_peak is None:
-        y_peak = _int_minmax(y)
-    x, y = _widen(x_peak * y_peak, x, y)
+    if bound is None:
+        bound = _int_minmax(x) * _int_minmax(y)
+    _check_bound(bound, "product", x, y)
     return x * y
 
 
-def _abs_sum(nums: np.ndarray, peak: Optional[int] = None) -> int:
-    return exact_sum(nums, absolute=True, x_peak=peak)
+def _abs_sum(t: _DyadicTable) -> int:
+    return exact_sum(t.nums, absolute=True, bound=t.peak * len(t))
 
 
-def _sq_sum(nums: np.ndarray, peak: Optional[int] = None) -> int:
-    return exact_sum(nums, nums, x_peak=peak, y_peak=peak)
+def _sq_sum(t: _DyadicTable) -> int:
+    return exact_sum(t.nums, t.nums, bound=t.peak * t.peak * len(t))
 
 
 def a_norm(s: Spectrum) -> DyadicScalar:
     """Fourier-algebra (Wiener) norm: sum of |hat(f)(g)| over all g."""
-    return DyadicScalar(_abs_sum(s.nums, s.peak), s.exp)
+    return DyadicScalar(_abs_sum(s), s.exp)
 
 
 def l1_norm(f: FunctionTable) -> DyadicScalar:
     """Mean of |f| over the group (probability normalization)."""
-    return DyadicScalar(_abs_sum(f.nums, f.peak), f.exp + f.dim.n)
+    return DyadicScalar(_abs_sum(f), f.exp + f.dim.n)
 
 
 def l2_norm_sq(f: FunctionTable) -> DyadicScalar:
     """Mean of f^2; by Parseval equals the spectrum's plain sum of squares."""
-    return DyadicScalar(_sq_sum(f.nums, f.peak), 2 * f.exp + f.dim.n)
+    return DyadicScalar(_sq_sum(f), 2 * f.exp + f.dim.n)
 
 
 def spectrum_l2_sq(s: Spectrum) -> DyadicScalar:
-    return DyadicScalar(_sq_sum(s.nums, s.peak), 2 * s.exp)
+    return DyadicScalar(_sq_sum(s), 2 * s.exp)
 
 
 def lp_norm(f: FunctionTable, p: float) -> float:
     """Float L^p mean norm; p in {1, 2} agrees with the exact routes."""
     if p < 1:
         raise ValueError("lp_norm requires p >= 1")
-    if f.nums.dtype == np.int64 and f.exp <= _LP_MAX_EXP:
+    if f.exp <= _LP_MAX_EXP:
         # Rounding v to float64 and then scaling by the normal power of two
         # 2^-exp is exact, so each entry equals float(Fraction(v, 2^exp)).
         vals = np.abs(f.nums.astype(np.float64)) * 2.0 ** -f.exp

@@ -78,8 +78,11 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
                                 a.dim.n)
     elems = v.element_array()
     on_v = ranking.magnitudes(elems)
-    # Parseval: ||f_V||_2^2 is |A| / 2^n less the square mass on v.
-    on_v_sq = DyadicScalar(exact_sum(on_v, on_v), 2 * ranking.exp)
+    # Parseval: ||f_V||_2^2 is |A| / 2^n less the square mass on v.  The
+    # squares of all 2^n numerators sum to |A| * 2^(2 exp - n) <= |A| * 2^n,
+    # as exp <= n, which is at most 2^60 for n <= 30.
+    on_v_sq = DyadicScalar(exact_sum(on_v, on_v, bound=a.size << a.dim.n),
+                           2 * ranking.exp)
     if l2sq != a.density() - on_v_sq:
         raise ArithmeticError(f"coset counts contradict Parseval at {v!r}")
     if base.num == 0:
@@ -87,6 +90,7 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
     levels = level_sets(ranking, elems, base)
     level = select_level(levels, strategy)
     v_new = subspace_extend(v, level.members)
+    # Masses sum at most |V| numerators of at most |A| <= 2^n each.
     l_old = DyadicScalar(exact_sum(on_v), ranking.exp)
     l_new = _mass_over(ranking, v_new)
     # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.

@@ -142,6 +142,7 @@ def residual_norms(counts: np.ndarray,
     """
     d = counts.size.bit_length() - 1
     m = 1 << (n - d)
+    # 2^d terms of at most m * m: at most 2^(2n - d) <= 2^60 for n <= 30.
     total = exact_sum(counts, m - counts)
     return (DyadicScalar(2 * total, 2 * n - d),
             DyadicScalar(total, 2 * n - d))
@@ -155,10 +156,12 @@ def residual_l1(fv: ResidualTable) -> DyadicScalar:
     """
     t = fv.table
     shift = t.exp + t.dim.n
-    direct = DyadicScalar(exact_sum(t.nums, absolute=True, x_peak=t.peak),
+    # 2^n numerators of magnitude at most 2^(n - dim V): at most 2^(2n).
+    bound = t.peak * len(t)
+    direct = DyadicScalar(exact_sum(t.nums, absolute=True, bound=bound),
                           shift)
     doubled = DyadicScalar(
-        2 * exact_sum(t.nums[fv.source.bool_mask()], x_peak=t.peak), shift)
+        2 * exact_sum(t.nums[fv.source.bool_mask()], bound=bound), shift)
     if direct != doubled:
         raise ArithmeticError(
             "l1/inner-product identity violated: "

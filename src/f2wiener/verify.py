@@ -19,7 +19,7 @@ import numpy as np
 from .chang import (beckner_verify, chang_cardinality_bound, chang_span,
                     riesz_product)
 from .dyadic import DyadicScalar
-from .fourier import FunctionTable, _widen, fwht, l1_norm, l2_norm_sq
+from .fourier import FunctionTable, fwht, l1_norm, l2_norm_sq
 from .groups import (DualSubspace, GroupDim, coset_index_table,
                      random_subspace, subspace_insert)
 from .setfuncs import (PointSet, frac_quadratic_gap, physical_lower_bound,
@@ -169,9 +169,12 @@ def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     # |num| / 2^spec.exp >= threshold, compared over the shared
     # denominator 2^(spec.exp + threshold.exp), apart from chang_span's cut;
     # numpy >= 2 compares int64 with an out-of-range Python int exactly.
-    (mags,) = _widen(spec.peak << threshold.exp, np.abs(spec.nums))
+    # Here spec.peak <= 8 * 2^10 and threshold.exp <= 3 + 10 + 4, so the
+    # shifted magnitudes stay at most 2^30.
+    if spec.peak << threshold.exp > np.iinfo(np.int64).max:
+        raise OverflowError("shifted magnitudes pass 2^63 - 1")
     large = np.flatnonzero(
-        (mags << threshold.exp) >= threshold.num << spec.exp)
+        (np.abs(spec.nums) << threshold.exp) >= threshold.num << spec.exp)
     outside = large[w.reduce_array(large) != 0]
     if outside.size:
         g = int(outside.min())

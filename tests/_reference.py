@@ -19,6 +19,7 @@ of the residual spectrum's distinct magnitudes, which the ranked banding
 must reproduce.  reference_all_subspaces and
 reference_annihilator_basis are the one-subspace-at-a-time enumeration and
 bit loop that the batched enumeration must reproduce, order included.
+reference_inverse_fwht is the exact inverse transform the package dropped.
 reference_residual labels the whole group with one coset_index_table call,
 which the residual's doubled label table must reproduce, and
 reference_beckner is the Beckner check that built its own Riesz product
@@ -71,6 +72,23 @@ def brute_inverse(coeffs: Sequence[Fraction], n: int) -> List[Fraction]:
             Fraction(0))
         for x in range(order)
     ]
+
+
+def brute_wht_rows(mat) -> List[List[int]]:
+    """Unnormalized WHT of each row, sum_x mat[r, x] (-1)^<g, x>, by
+    butterfly stages on Python ints (an object array, so nothing wraps)."""
+    rows = np.array([[int(v) for v in row] for row in np.asarray(mat)],
+                    dtype=object).reshape(np.shape(mat))
+    order = rows.shape[1]
+    h = 1
+    while h < order:
+        pairs = rows.reshape(rows.shape[0], order // (2 * h), 2, h)
+        a = pairs[:, :, 0].copy()
+        b = pairs[:, :, 1]
+        pairs[:, :, 0] += b
+        b[...] = a - b
+        h *= 2
+    return rows.tolist()
 
 
 def brute_a_norm(values: Sequence[Fraction], n: int) -> Fraction:
@@ -505,6 +523,12 @@ def reference_residual(a: PointSet, v: DualSubspace) -> ResidualTable:
     counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
     nums = (a._indicator_array() << (n - d)) - counts[syn]
     return ResidualTable(FunctionTable(a.dim, nums, n - d), v, a)
+
+
+def reference_inverse_fwht(s: Spectrum) -> FunctionTable:
+    """f(x) = sum_g hat(f)(g) (-1)^<g,x> (no 2^-n factor), exactly."""
+    (nums,) = brute_wht_rows(s.nums.reshape(1, -1))
+    return FunctionTable(s.dim, nums, s.exp)
 
 
 def reference_beckner(f: FunctionTable, lambdas: Sequence[int],

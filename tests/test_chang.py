@@ -9,8 +9,8 @@ from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             chang_span, level_qualifies, level_sets,
                             rank_spectrum, riesz_product, select_level)
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import (FunctionTable, Spectrum, fwht, inverse_fwht,
-                              l1_norm, l2_norm_sq)
+from f2wiener.fourier import (FunctionTable, Spectrum, fwht, l1_norm,
+                              l2_norm_sq)
 from f2wiener.groups import DualSubspace, random_subspace
 from f2wiener.setfuncs import PointSet, residual, residual_l1
 from f2wiener.verify import (random_independent_chars, random_point_set,
@@ -18,7 +18,8 @@ from f2wiener.verify import (random_independent_chars, random_point_set,
 
 from _reference import (annihilator_points, brute_chang_span, brute_level_sets,
                         brute_riesz_product, dyadic_from_fraction,
-                        reference_beckner, span_of, table_fractions)
+                        reference_beckner, reference_inverse_fwht, span_of,
+                        table_fractions)
 
 
 def _halfspace_residual(n: int):
@@ -100,12 +101,13 @@ def test_level_sets_errors():
 
 def test_rank_spectrum_order_and_prefix():
     # Descending magnitude, ties by ascending index; rank inverts order and
-    # prefix holds the exact running sums, in both dtypes.
+    # prefix holds the exact running sums, also where one magnitude takes
+    # most of the int64 range.
     rng = np.random.default_rng(46)
     for big in (False, True):
         nums = [int(x) for x in rng.integers(-6, 7, size=1 << 10)]
         if big:
-            nums[3] = 1 << 70
+            nums[3] = 1 << 52
         spec = Spectrum(10, nums, 3)
         ranking = rank_spectrum(spec)
         mags = [abs(int(x)) for x in spec.nums]
@@ -118,7 +120,7 @@ def test_rank_spectrum_order_and_prefix():
             sums.append(sums[-1] + mags[g])
         assert [int(x) for x in ranking.prefix] == sums
         assert ranking.total() == DyadicScalar(sums[-1], spec.exp)
-        assert ranking.prefix.dtype == (object if big else np.int64)
+        assert ranking.prefix.dtype == np.int64
 
 
 def test_level_set_equality_ignores_member_arrays():
@@ -192,36 +194,48 @@ def test_level_sets_match_reference_on_arbitrary_spectra():
 
 
 def test_level_sets_object_dtype_above_int64():
+    # Python-int spectra above int64 are refused as tables, and so is
+    # -2^63, whose magnitude int64 cannot hold.  Spectra up to the ranking's
+    # bound, peak * 2^n <= 2^63 - 1, are banded exactly; one past it is
+    # refused.
     big = 1 << 70
-    fv = Spectrum(3, [0, big, -big, 3 * (big >> 2), big >> 5, 7, -(big >> 1),
-                      big + 1], 4)
-    assert fv.nums.dtype == object
-    assert rank_spectrum(fv).prefix.dtype == object
+    with pytest.raises(OverflowError):
+        Spectrum(3, np.array([0, big, -big, 7, 0, 0, 0, big + 1],
+                             dtype=object), 4)
+    with pytest.raises(OverflowError):
+        Spectrum(2, np.array([0, -(1 << 63), 1 << 62, -1], dtype=np.int64), 0)
+    big = 1 << 59
+    fv = Spectrum(3, np.array([0, big, -big, 3 * (big >> 2), big >> 5, 7,
+                               -(big >> 1), big + 1], dtype=object), 4)
+    assert fv.nums.dtype == np.int64
     _check_against_reference(fv, NONE, DyadicScalar(big + 1, 4))
     with pytest.raises(ArithmeticError):
         _levels(fv, NONE, DyadicScalar(big, 4))
     _check_against_reference(fv, [7], DyadicScalar(big, 4))
     _check_against_reference(fv, [1, 7, 5], DyadicScalar(big, 4))
-    # -2^63 fits int64, but its magnitude does not, so the table holds it
-    # as an object.
-    low = Spectrum(2, np.array([0, -(1 << 63), 1 << 62, -1], dtype=np.int64),
-                   0)
-    assert low.nums.dtype == object
-    _check_against_reference(low, NONE, DyadicScalar(1 << 63))
-    _check_against_reference(low, [1], DyadicScalar(1 << 62))
+    top = (1 << 63) - 1
+    low = Spectrum(1, [top >> 1, -(top >> 1)], 0)
+    _check_against_reference(low, NONE, DyadicScalar(top >> 1))
+    assert rank_spectrum(low).total() == DyadicScalar(top - 1)
+    with pytest.raises(OverflowError):
+        rank_spectrum(Spectrum(2, [0, -(top >> 2) - 1, 1, -1], 0))
 
 
 def test_level_sets_mass_at_int64_bound():
-    # One band of 7 members; the mass sum max|x| * 7 sits exactly at
-    # 2^63 - 1, then one step past it, where an int64 sum would wrap.
+    # One band of 7 members; the ranking's bound max|x| * 2^n sits at
+    # 2^63 - 8, where the mass is exact, and one step past it the
+    # spectrum is refused, as an int64 prefix sum could wrap there.
     n = 3
-    peak = ((1 << 63) - 1) // 7
+    peak = ((1 << 63) - 1) >> n
     for top in (peak, peak + 1):
         spec = Spectrum(n, [0] + [top] * 3 + [-top] * 4, 0)
         assert spec.nums.dtype == np.int64
+        if top != peak:
+            with pytest.raises(OverflowError):
+                rank_spectrum(spec)
+            continue
         ranking = rank_spectrum(spec)
-        # The prefix sums stay int64 exactly while their total fits.
-        assert ranking.prefix.dtype == (np.int64 if top == peak else object)
+        assert ranking.prefix.dtype == np.int64
         levels = level_sets(ranking, NONE, DyadicScalar(top))
         assert [sorted(lv.members.tolist()) for lv in levels] == [
             list(range(1, 8))]
@@ -331,14 +345,14 @@ def test_chang_span_contains_large_spectrum():
         assert w.dim <= _cap(f, Fraction(1, 2 ** j))
 
 
-def _check_chang_span(spec, thr):
+def _check_chang_span(spec, thr, with_cap=True):
     basis, cap = brute_chang_span(table_fractions(spec), thr.as_fraction(),
                                   spec.dim.n)
     assert chang_span(spec, thr).basis == basis
     # The reference's cap is 0 when f is zero or eps > 1, which the cap
     # refuses; otherwise it is the cap at eps = threshold / ||f||_1.
-    if cap:
-        f = inverse_fwht(spec)
+    if cap and with_cap:
+        f = reference_inverse_fwht(spec)
         eps = thr.as_fraction() / l1_norm(f).as_fraction()
         assert _cap(f, eps) == pytest.approx(cap, rel=1e-12)
 
@@ -356,22 +370,19 @@ def test_chang_span_matches_reference():
         for exp in (spec.exp + 3, spec.exp, max(spec.exp - 2, 0)):
             thr = DyadicScalar(int(rng.integers(1, 50)), exp)
             _check_chang_span(spec, thr)
-    # object spectra above 2^63, thresholds on both sides of the entries
-    big = Spectrum(3, np.array([(1 << 70) + 1, -(1 << 64), 3, 0, 1 << 65,
-                                -5, -(1 << 70) - 1, 7], dtype=object), 4)
-    assert big.nums.dtype == object
-    for thr in (DyadicScalar(1, 1), DyadicScalar(1 << 60), DyadicScalar(1 << 66),
-                DyadicScalar((1 << 70) + 1, 4), DyadicScalar((1 << 70) + 3, 4)):
-        _check_chang_span(big, thr)
-    # int64 input holding -2^63, whose magnitude np.abs would wrap, is
-    # held as objects.
-    edge = Spectrum(2, np.array([1, -(1 << 63), top, -1], dtype=np.int64), 2)
-    assert edge.nums.dtype == object
+    # Spectra near 2^63, thresholds on both sides of the entries and cuts
+    # beyond int64; their norms pass int64, so the cap is not compared.
+    big = Spectrum(3, np.array([(1 << 62) + 1, -(1 << 56), 3, 0, 1 << 57,
+                                -5, -(1 << 62) - 1, 7], dtype=np.int64), 4)
+    for thr in (DyadicScalar(1, 1), DyadicScalar(1 << 52), DyadicScalar(1 << 58),
+                DyadicScalar((1 << 62) + 1, 4), DyadicScalar((1 << 62) + 3, 4)):
+        _check_chang_span(big, thr, with_cap=False)
+    edge = Spectrum(2, np.array([1, -top, top - 2, -1], dtype=np.int64), 2)
     for thr in (DyadicScalar(1 << 61), DyadicScalar(top, 2), DyadicScalar(1, 2),
                 DyadicScalar(1 << 62, 1), DyadicScalar(1 << 63, 2),
                 DyadicScalar(1 << 64)):
-        _check_chang_span(edge, thr)
-    assert chang_span(edge, DyadicScalar(1 << 61)).basis == (1,)
+        _check_chang_span(edge, thr, with_cap=False)
+    assert chang_span(edge, DyadicScalar(top, 2)).basis == (1,)
 
 
 def test_chang_cardinality_bound_constant():
@@ -420,24 +431,25 @@ def test_riesz_product_properties():
             assert spec[g].as_fraction() == expected.get(g, Fraction(0))
 
 
-def test_riesz_product_object_path():
-    eta = DyadicScalar(1, 21)
-    p = riesz_product(3, [1, 2, 4], eta)
-    assert p.table.nums.dtype == object
-    assert l1_norm(p.table) == DyadicScalar(1)
-    assert all(int(v) >= 0 for v in p.table.nums.flat)
+@pytest.mark.parametrize("eta", [DyadicScalar(1, 21), DyadicScalar(3, 63),
+                                 DyadicScalar(1, 70), DyadicScalar(-5, 200)],
+                         ids=str)
+def test_riesz_product_refuses_numerators_past_int64(eta):
+    # A product of three factor numerators 2^exp +- num passes 2^63 - 1
+    # for each of these etas, so the product is refused before it is built.
+    with pytest.raises(OverflowError):
+        riesz_product(3, [1, 2, 4], eta)
 
 
-@pytest.mark.parametrize("eta", [DyadicScalar(3, 63), DyadicScalar(1, 70),
-                                 DyadicScalar(-5, 200)], ids=str)
-def test_riesz_product_exact_for_tiny_eta(eta):
-    # Each factor numerator 2^exp +- num is at or beyond 2^63, so every
-    # factor and product must be built from Python ints.
-    p = riesz_product(3, [1, 2], eta)
-    assert all(int(v) >= 0 for v in p.table.nums)
-    assert l1_norm(p.table) == DyadicScalar(1)
-    assert table_fractions(p.table) == brute_riesz_product(
-        [1, 2], eta.as_fraction(), 3)
+def test_riesz_product_exact_up_to_int64():
+    # (2^20 + 1)^3 and (2^31 - 3)^2 stay within int64.
+    for eta, lams in ((DyadicScalar(1, 20), [1, 2, 4]),
+                      (DyadicScalar(-3, 31), [1, 2])):
+        p = riesz_product(3, lams, eta)
+        assert all(int(v) >= 0 for v in p.table.nums)
+        assert table_fractions(p.table) == brute_riesz_product(
+            lams, eta.as_fraction(), 3)
+        assert sum(table_fractions(p.table)) == 8
 
 
 def test_riesz_product_errors():
@@ -472,6 +484,23 @@ def test_beckner_random():
         assert lhs <= rhs * (1 + 1e-9)
 
 
+def test_beckner_square_sum_fits_int64_at_the_suite_edge():
+    # The beckner suite's largest case: n = 10, k = 4 characters, eta with
+    # exponent 2, and an odd near-constant table, whose transform keeps
+    # its full peak of about 7 * 2^10.  The square sum stays in int64 only
+    # because the Riesz product's transform sheds a factor 2^n.
+    nums = np.full(1 << 10, 7, dtype=np.int64)
+    nums[::97] = 5
+    f = FunctionTable(10, nums, 3)
+    lams = [1, 2, 4, 8]
+    for eta in (0.75, -0.75, 1.0):
+        got = beckner_verify(
+            f, riesz_product(10, lams, dyadic_from_fraction(Fraction(eta))))
+        want = reference_beckner(f, lams, eta)
+        assert [x.hex() for x in got] == [x.hex() for x in want], eta
+        assert got[0] <= got[1] * (1 + 1e-9)
+
+
 def test_riesz_product_dependent_sets():
     # A seeded independent set with one subset sum, or one of its own
     # characters, inserted anywhere is dependent; the set itself is not.
@@ -493,22 +522,24 @@ def test_riesz_product_dependent_sets():
 
 
 def test_beckner_matches_reference():
-    # One Riesz product per check gives the old (lhs, rhs) bit for bit,
-    # on int64 tables, with etas whose products need Python ints, and on
-    # object tables.
+    # One Riesz product per check gives the old (lhs, rhs) bit for bit, on
+    # the suite's etas and on eighths.  An eta of 53 bits, such as 0.3,
+    # makes the Riesz product's transform pass 2^53 and is refused.
     rng = np.random.default_rng(49)
     for trial in range(80):
         n = int(rng.integers(2, 11))
         f = random_table(rng, n)
-        if trial % 10 == 0:
-            f = FunctionTable(n, f.nums.astype(object) << 70, f.exp)
         lams = random_independent_chars(rng, n,
                                         int(rng.integers(0, min(n, 4) + 1)))
-        eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 0.3, -0.6]))
+        eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 0.375, -0.625]))
         got = beckner_verify(
             f, riesz_product(n, lams, dyadic_from_fraction(Fraction(eta))))
         want = reference_beckner(f, lams, eta)
         assert [x.hex() for x in got] == [x.hex() for x in want], (n, eta)
+        if lams:
+            with pytest.raises(OverflowError):
+                beckner_verify(f, riesz_product(
+                    n, lams, dyadic_from_fraction(Fraction(0.3))))
     with pytest.raises(ValueError):
         beckner_verify(random_table(rng, 3),
                        riesz_product(4, [1], DyadicScalar(1, 1)))

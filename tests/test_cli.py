@@ -434,6 +434,28 @@ def test_bad_output_path_refused_before_the_run(workdir, capsys, monkeypatch,
     assert list((workdir / "d").iterdir()) == []
 
 
+@pytest.mark.parametrize("base, bad", [("x", "x.witness.json"),
+                                       ("missing/x", "missing/x.set")],
+                         ids=["witness-directory", "no-parent"])
+def test_construct_refuses_bad_output_before_writing(workdir, capsys,
+                                                     monkeypatch, base, bad):
+    # Both BASE.set and BASE.witness.json are checked before the build, so
+    # a refusal leaves nothing behind.
+    (workdir / "x.witness.json").mkdir()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the build started")
+
+    monkeypatch.setattr(cli, "build_coset_union", never)
+    assert main(["construct", "--family", "geometric4", "--k", "2",
+                 "--n", "4", "--out", base]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert out.err.startswith(f"error: output path {bad}")
+    assert [p.name for p in workdir.iterdir()] == ["x.witness.json"]
+    assert list((workdir / "x.witness.json").iterdir()) == []
+
+
 def test_failed_run_leaves_existing_output(workdir, capsys, monkeypatch):
     # The output path is checked, not opened, before the run.
     _set_file(workdir)

@@ -6,17 +6,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import (FunctionTable, Spectrum, _abs_sum, _int_minmax,
-                              _sq_sum, _widen, a_norm, exact_product, exact_sum, fwht,
-                              inverse_fwht, l1_norm, l2_norm_sq, lp_norm,
-                              spectrum_l2_sq)
+from f2wiener.fourier import (FunctionTable, Spectrum, _int_minmax, a_norm,
+                              exact_product, exact_sum, fwht, l1_norm,
+                              l2_norm_sq, lp_norm, spectrum_l2_sq)
 from f2wiener.groups import DualSubspace, random_subspace
 from f2wiener.setfuncs import PointSet, set_a_norm
 from f2wiener.verify import random_point_set, random_table
 
 from _reference import (annihilator_points, brute_a_norm, brute_abs_floats,
-                        brute_fwht, dyadic_from_fraction, table_fractions,
+                        brute_fwht, dyadic_from_fraction,
+                        reference_inverse_fwht, table_fractions,
                         table_from_values, table_to_dyadics)
+
+_I64_MAX = (1 << 63) - 1
 
 
 def test_point_mass_spectrum():
@@ -69,28 +71,69 @@ def test_roundtrip_exact():
     for _ in range(60):
         n = int(rng.integers(1, 8))
         f = random_table(rng, n, span=50, max_exp=6)
-        assert inverse_fwht(fwht(f)) == f
+        assert reference_inverse_fwht(fwht(f)) == f
 
 
 def test_roundtrip_arbitrary_precision():
-    # numerators far beyond int64 must take the object-dtype path intact
+    # Exponents are unbounded: a table far finer than float64 resolves,
+    # with numerators at the transform's int64 edge, round-trips exactly
+    # and its A-norm matches the Python brute force.
     n = 3
+    edge = (1 << 53) >> n
+    nums = np.array([edge, -edge + 3, 5, 0, 1, edge // 7, -2, 9],
+                    dtype=np.int64)
+    for exp in (0, 70, 1100):
+        f = FunctionTable(n, nums, exp)
+        s = fwht(f)
+        assert s.nums.dtype == np.int64
+        assert reference_inverse_fwht(s) == f
+        assert a_norm(s).as_fraction() == brute_a_norm(table_fractions(f), n)
+
+
+def test_tables_past_int64_are_refused():
+    # Python ints past int64, in object arrays or lists, are refused
+    # rather than stored.
     big = 1 << 70
-    nums = np.array([big, -big + 3, 5, 0, 1, big // 7, -2, 9], dtype=object)
-    f = FunctionTable(n, nums, 2)
-    s = fwht(f)
-    assert s.nums.dtype == object
-    assert inverse_fwht(s) == f
-    assert a_norm(s).as_fraction() == brute_a_norm(table_fractions(f), n)
+    for nums in (np.array([big, -big + 3, 5, 0], dtype=object),
+                 [1 << 70, 2, 0, 0]):
+        for cls in (FunctionTable, Spectrum):
+            for exp in (0, 1):
+                with pytest.raises(OverflowError):
+                    cls(2, nums, exp)
+
+
+def test_numerators_outside_int64_magnitude_stay_exact():
+    # uint64 above 2^63 - 1 and -2^63, whose magnitude wraps under np.abs,
+    # are refused instead of wrapped; uint64 up to 2^63 - 1 is stored as
+    # int64 with its value intact.
+    for nums in (np.array([2 ** 63 + 5, 0, 0, 0], dtype=np.uint64),
+                 np.array([-(2 ** 63), 0, 0, 0], dtype=np.int64)):
+        for cls in (FunctionTable, Spectrum):
+            for exp in (0, 1):
+                with pytest.raises(OverflowError):
+                    cls(2, nums, exp)
+    top = FunctionTable(2, np.array([_I64_MAX, 0, 0, 0], dtype=np.uint64), 0)
+    assert top.nums.dtype == np.int64
+    assert top.peak == _I64_MAX and int(top.nums[0]) == _I64_MAX
+    low = FunctionTable(2, np.array([-_I64_MAX, 0, 0, 0], dtype=np.int64), 0)
+    assert low.peak == _I64_MAX
+    assert table_to_dyadics(low)[0] == DyadicScalar(-_I64_MAX)
+    # Stored as int64 once the shared power of two is stripped.
+    small = FunctionTable(1, np.array([2 ** 62, 2], dtype=np.uint64), 1)
+    assert small.nums.dtype == np.int64
+    assert table_to_dyadics(small) == [DyadicScalar(2 ** 61), DyadicScalar(1)]
 
 
 def test_int64_headroom_boundary():
-    # values just below the overflow guard stay on the packed path
+    # The transform takes f.peak * 2^n up to 2^53, where its float64 route
+    # stops being exact, and refuses one more.
     n = 2
-    top = (1 << 61) - 1
+    top = (1 << 53) >> n
     f = FunctionTable(n, np.array([top, -top, top, top], dtype=np.int64), 0)
     s = fwht(f)
     assert table_fractions(s) == brute_fwht(table_fractions(f), n)
+    with pytest.raises(OverflowError):
+        fwht(FunctionTable(n, [top + 1, 1, 1, 1], 0))
 
 
 def test_parseval_exact():
@@ -162,30 +205,40 @@ def test_lp_norm_matches_reference():
         # Odd numerators keep exp as drawn; |v| > 2^53 needs rounding.
         nums = rng.integers(-top, top, size=1 << n, dtype=np.int64) | 1
         tables.append(FunctionTable(n, nums, int(rng.integers(0, 61))))
-    tables.append(FunctionTable(2, [-(1 << 63), (1 << 63) - 1, 1, 0], 60))
+    tables.append(FunctionTable(2, [-top, top, 1, 0], 60))
     tables.append(FunctionTable(2, [(1 << 53) + 1, -(1 << 54) - 1, 3, 0], 5))
     tables.append(FunctionTable(1, [1, -3], 1100))
-    tables.append(FunctionTable(2, [(1 << 70) + 1, -5, 0, 1 << 64], 7))
+    tables.append(FunctionTable(2, [-top, 5, 0, 1 << 62], 1100))
     tables.append(FunctionTable(3, np.array([1, 2, 3, 4, 5, 6, 7, 9],
                                             dtype=object), 3))
     assert tables[-1].nums.dtype == np.int64
-    assert tables[-2].nums.dtype == object
     for f in tables:
         for p in (1.0, 1.0625, 1.5625, 2.0):
             assert lp_norm(f, p) == _brute_lp(f, p)
 
 
 def test_exact_product():
+    # Exact while max|x| * max|y| <= 2^63 - 1, refused past it, and only
+    # int64 arrays are taken.
     rng = np.random.default_rng(43)
     for bits in (10, 31, 32, 40):
         x = rng.integers(-(1 << bits), 1 << bits, size=64, dtype=np.int64)
         y = rng.integers(-(1 << bits), 1 << bits, size=64, dtype=np.int64)
+        if _int_minmax(x) * _int_minmax(y) > _I64_MAX:
+            with pytest.raises(OverflowError):
+                exact_product(x, y)
+            continue
         got = exact_product(x, y)
         assert got.tolist() == [int(a) * int(b) for a, b in zip(x, y)]
-        assert got.dtype == (np.int64 if 2 * bits < 63 else object)
-    x = np.array([-(1 << 62), 3], dtype=np.int64)
-    y = np.array([2, -(1 << 62)], dtype=object)
-    assert exact_product(x, y).tolist() == [-(1 << 63), -3 << 62]
+        assert got.dtype == np.int64
+    # max|x| * max|y| at 2^63 - 1, then one past it.
+    x = np.array([-_I64_MAX, 3], dtype=np.int64)
+    y = np.array([1, -1], dtype=np.int64)
+    assert exact_product(x, y).tolist() == [-_I64_MAX, -3]
+    with pytest.raises(OverflowError):
+        exact_product(x - 1, y)
+    with pytest.raises(TypeError):
+        exact_product(x, y.astype(object))
 
 
 def test_inner_product_exact():
@@ -201,23 +254,39 @@ def test_inner_product_exact():
         assert got.as_fraction() == expected
 
 
-_I64_MAX = (1 << 63) - 1
+def _refused(fn, *args, **kwargs):
+    """fn's result, or OverflowError when fn refuses its bound."""
+    try:
+        return fn(*args, **kwargs)
+    except OverflowError:
+        return OverflowError
 
 
 def _py_sums(vals, other):
+    """The four sums of _fast_sums in Python ints, each replaced by
+    OverflowError where its peak bound passes 2^63 - 1."""
     vals = [int(v) for v in vals]
     other = [int(v) for v in other]
-    return (sum(abs(v) for v in vals), sum(v * v for v in vals),
-            sum(a * b for a, b in zip(vals, other)), sum(vals))
+    px = max(map(abs, vals), default=0)
+    py = max(map(abs, other), default=0)
+    size = len(vals)
+    sums = ((px * size, sum(abs(v) for v in vals)),
+            (px * px * size, sum(v * v for v in vals)),
+            (px * py * size, sum(a * b for a, b in zip(vals, other))),
+            (px * size, sum(vals)))
+    return tuple(OverflowError if bound > _I64_MAX else total
+                 for bound, total in sums)
 
 
 def _fast_sums(x, y):
-    return (_abs_sum(x), _sq_sum(x), exact_sum(x, y), exact_sum(x))
+    return (_refused(exact_sum, x, absolute=True), _refused(exact_sum, x, x),
+            _refused(exact_sum, x, y), _refused(exact_sum, x))
 
 
 def test_exact_sums_at_int64_bound():
     # 2^63 - 1 = 7 * 1317624576693539401, so seven entries of that size sum
-    # to exactly 2^63 - 1; one more unit per entry would wrap an int64 sum.
+    # to exactly 2^63 - 1; one more unit per entry would wrap an int64 sum,
+    # so it is refused.
     size = 7
     lin = _I64_MAX // size
     sq = math.isqrt(_I64_MAX // size)
@@ -229,13 +298,18 @@ def test_exact_sums_at_int64_bound():
             y = np.array([top, top, -top, top, -top, top, top],
                          dtype=np.int64)
             assert _fast_sums(x, y) == _py_sums(x, y)
-            assert _fast_sums(x.astype(object), y) == _py_sums(x, y)
+            with pytest.raises(TypeError):
+                exact_sum(x.astype(object), y)
+    assert _fast_sums(np.full(size, lin), np.full(size, 1))[1:3] == (
+        OverflowError, lin * size)
     # x * y: max|x| * max|y| * size against the bound.
     x = np.full(size, lin, dtype=np.int64)
     for top in (1, 2):
         y = np.full(size, top, dtype=np.int64)
-        assert exact_sum(x, y) == lin * top * size
-        assert exact_sum(-x, y) == -lin * top * size
+        assert _refused(exact_sum, x, y) == (
+            lin * top * size if top == 1 else OverflowError)
+        assert _refused(exact_sum, -x, y) == (
+            -lin * top * size if top == 1 else OverflowError)
     assert exact_sum(np.zeros(0, dtype=np.int64), absolute=True) == 0
     with pytest.raises(ValueError):
         exact_sum(x, x[:3])
@@ -250,17 +324,25 @@ def test_exact_sums_random():
         y = rng.integers(-(1 << bits) + 1, 1 << bits, size=size)
         assert _fast_sums(x, y) == _py_sums(x, y)
     big = np.array([(1 << 90) + 3, -(1 << 64), 5], dtype=object)
-    assert _fast_sums(big, big[::-1]) == _py_sums(big, big[::-1])
+    for args in ((big,), (big, big[::-1])):
+        with pytest.raises(TypeError):
+            exact_sum(*args)
 
 
-def test_widen_bound():
-    x = np.array([3, -4], dtype=np.int64)
-    assert _widen(_I64_MAX, x)[0] is x
-    wide = _widen(_I64_MAX + 1, x)[0]
-    assert wide.dtype == object and wide.tolist() == [3, -4]
-    assert all(type(v) is int for v in wide)
-    pair = _widen(0, x, x.astype(object))
-    assert [a.dtype for a in pair] == [object, object]
+def test_exact_sum_takes_the_callers_bound():
+    # A square sum whose peak bound, max|x|^2 * size = 2^64, is past int64
+    # but whose true total, at most 2^60 (a Parseval bound, say), is not:
+    # with the caller's bound it is summed exactly in int64.
+    x = np.zeros(16, dtype=np.int64)
+    x[3] = 1 << 30
+    x[[5, 9]] = -(1 << 20)
+    total = (1 << 60) + (2 << 40)
+    with pytest.raises(OverflowError):
+        exact_sum(x, x)
+    assert exact_sum(x, x, bound=total) == total
+    with pytest.raises(OverflowError):
+        exact_sum(x, x, bound=_I64_MAX + 1)
+    assert exact_sum(x, absolute=True, bound=1 << 31) == (1 << 30) + (2 << 20)
 
 
 def _draw_top(data, top, size):
@@ -274,11 +356,10 @@ def _draw_top(data, top, size):
 
 @settings(max_examples=60, deadline=None)
 @given(size=st.integers(2, 6), above=st.booleans(), data=st.data())
-def test_exact_ops_match_python_ints_across_widening_bound(size, above,
-                                                           data):
-    # Each operation's peak is at most 2^63 - 1 (int64 as it is) or just
-    # above it (widened); object inputs, also beyond int64, agree too.
-    # size >= 2 keeps max|x| = (2^63 - 1) // size + 1 within int64.
+def test_exact_ops_match_python_ints_or_refuse(size, above, data):
+    # Each operation's peak bound is at most 2^63 - 1, where it is exact,
+    # or just above it, where it is refused.  size >= 2 keeps max|x| =
+    # (2^63 - 1) // size + 1 within int64.
     a = _I64_MAX // size + above
     x = _draw_top(data, a, size)
     b = data.draw(st.integers(1, _I64_MAX // size))
@@ -291,55 +372,77 @@ def test_exact_ops_match_python_ints_across_widening_bound(size, above,
     assume(e <= _I64_MAX)
     p = _draw_top(data, d, size)
     q = _draw_top(data, e, size)
-    for kind, shift in ((np.int64, 0), (object, 0), (object, 64)):
-        def arr(vals):
-            return np.array([w << shift for w in vals], dtype=kind)
 
-        xs, us, vs, ps, qs = ([w << shift for w in vals]
-                              for vals in (x, u, v, p, q))
-        assert exact_sum(arr(x)) == sum(xs)
-        assert exact_sum(arr(x), absolute=True) == sum(map(abs, xs))
-        assert exact_sum(arr(u), arr(v)) == sum(
-            i * j for i, j in zip(us, vs))
-        assert exact_product(arr(p), arr(q)).tolist() == [
-            i * j for i, j in zip(ps, qs)]
-    assert (_widen(a * size, np.array(x, dtype=np.int64))[0].dtype
-            == (object if above else np.int64))
+    def arr(vals):
+        return np.array(vals, dtype=np.int64)
+
+    def want(value):
+        return OverflowError if above else value
+
+    assert _refused(exact_sum, arr(x)) == want(sum(x))
+    assert _refused(exact_sum, arr(x), absolute=True) == want(
+        sum(map(abs, x)))
+    assert _refused(exact_sum, arr(u), arr(v)) == want(
+        sum(i * j for i, j in zip(u, v)))
+    got = _refused(exact_product, arr(p), arr(q))
+    assert (got if above else got.tolist()) == want(
+        [i * j for i, j in zip(p, q)])
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 5), exp=st.integers(0, 70), data=st.data())
-def test_fwht_roundtrip_and_parseval_near_headroom(n, exp, data):
-    # Numerators about 2^63 >> n: below it the butterfly runs in int64,
-    # one past it in Python ints.
-    edge = _I64_MAX >> n
+@given(n=st.integers(1, 5), exp=st.integers(0, 70), square=st.booleans(),
+       data=st.data())
+def test_fwht_roundtrip_and_parseval_near_headroom(n, exp, square, data):
+    # Numerators about the transform's edge, max|f| * 2^n = 2^53, or about
+    # the square sums' edge, max|f| = isqrt((2^63 - 1) >> 3n), below which
+    # both sides of Parseval stay in int64.  Within an edge the results
+    # are exact; past it they are refused.
+    edge = math.isqrt(_I64_MAX >> 3 * n) if square else (1 << 53) >> n
     entry = st.one_of(st.integers(-edge - 2, edge + 2),
                       st.sampled_from([edge, edge + 1, -edge, -edge - 1]))
     vals = data.draw(st.lists(entry, min_size=1 << n, max_size=1 << n))
-    f = FunctionTable(n, np.array(vals, dtype=object), exp)
+    f = FunctionTable(n, np.array(vals, dtype=np.int64), exp)
+    if f.peak << n > 1 << 53:
+        with pytest.raises(OverflowError):
+            fwht(f)
+        return
     s = fwht(f)
-    assert inverse_fwht(s) == f
-    assert l2_norm_sq(f) == spectrum_l2_sq(s)
+    assert reference_inverse_fwht(s) == f
+    lhs, rhs = _refused(l2_norm_sq, f), _refused(spectrum_l2_sq, s)
+    if square and f.peak <= edge:
+        assert lhs == rhs != OverflowError
+    elif OverflowError not in (lhs, rhs):
+        assert lhs == rhs
     if n <= 3:
         assert table_fractions(s) == brute_fwht(table_fractions(f), n)
 
 
 def test_norms_at_int64_bound():
-    # Whole tables of 2^n entries: exact_sum and the norms stay exact on
-    # both sides of max|x| * max|y| * 2^n = 2^63 - 1.
+    # Whole tables of 2^n entries: exact_sum and the norms are exact up to
+    # max|x| * max|y| * 2^n = 2^63 - 1 and refuse past it.
     n = 3
     for top in (_I64_MAX >> n, (_I64_MAX >> n) + 1):
         vals = [top, -top, top, top, -top, top, top, -top]
         f = FunctionTable(n, np.array(vals, dtype=np.int64), 0)
         g = FunctionTable(n, np.array([1] * 7 + [-1], dtype=np.int64), 0)
         assert f.nums.dtype == np.int64
+        s = Spectrum(n, f.nums, 0)
+        assert _int_minmax(s.nums) == top
+        assert l2_norm_sq(g) == DyadicScalar(8, n)
+        with pytest.raises(OverflowError):
+            l2_norm_sq(f)
+        if top << n > _I64_MAX:
+            assert _refused(l1_norm, f) == _refused(a_norm, s) == (
+                _refused(exact_sum, f.nums, g.nums)) == OverflowError
+            continue
         assert exact_sum(f.nums, g.nums) == sum(
             a * b for a, b in zip(vals, [1] * 7 + [-1]))
         assert l1_norm(f) == DyadicScalar(8 * top, n)
-        assert l2_norm_sq(f) == DyadicScalar(8 * top * top, n)
-        s = Spectrum(n, f.nums, 0)
         assert a_norm(s) == DyadicScalar(8 * top)
-        assert _int_minmax(s.nums) == top
+    # Square sums at the bound: 2^n entries of magnitude isqrt(2^63 >> n).
+    top = math.isqrt(_I64_MAX >> n)
+    f = FunctionTable(n, np.array([top, -top] * 4, dtype=np.int64), 0)
+    assert l2_norm_sq(f) == DyadicScalar(8 * top * top, n)
 
 
 def test_table_normalization():
@@ -355,21 +458,6 @@ def test_table_normalization():
         FunctionTable(1, np.array([0.5, 1.5]), 0)
     with pytest.raises(TypeError):
         FunctionTable(1, np.array([2.5, 1], dtype=object), 0)
-
-
-def test_numerators_outside_int64_magnitude_stay_exact():
-    # uint64 above 2^63 - 1 must not wrap, and -2^63 has no int64 magnitude.
-    big = FunctionTable(2, np.array([2 ** 63 + 5, 0, 0, 0], dtype=np.uint64), 0)
-    assert big.nums.dtype == object
-    assert l1_norm(big) == DyadicScalar(2 ** 63 + 5, 2)
-    assert a_norm(fwht(big)) == DyadicScalar(2 ** 63 + 5)
-    low = FunctionTable(2, np.array([-(2 ** 63), 0, 0, 0], dtype=np.int64), 0)
-    assert low.nums.dtype == object
-    assert l1_norm(low) == DyadicScalar(2 ** 63, 2)
-    # Stored as int64 once the shared power of two is stripped.
-    small = FunctionTable(1, np.array([2 ** 63, 2], dtype=np.uint64), 1)
-    assert small.nums.dtype == np.int64
-    assert table_to_dyadics(small) == [DyadicScalar(2 ** 62), DyadicScalar(1)]
 
 
 def test_from_values_mixed():
@@ -392,21 +480,19 @@ def _stored_peak(t):
 
 
 def test_table_peak_is_max_stored_numerator():
-    # int64 storage, both sides of the int64/object edge, and object
-    # numerators; each with exp 0 and with a power of two to strip.
+    # int64, uint64 and Python-int input up to the int64 magnitude bound;
+    # each with exp 0 and with a power of two to strip.
     cases = [
-        (np.array([3, -7, 0, 5], dtype=np.int64), np.int64),
-        (np.array([_I64_MAX, 0, -_I64_MAX, 1], dtype=np.int64), np.int64),
-        (np.array([-(1 << 63), 0, 1, 0], dtype=np.int64), object),
-        (np.array([1 << 63, 0, 1, 0], dtype=np.uint64), object),
-        (np.array([_I64_MAX, 0, 1, 0], dtype=np.uint64), np.int64),
-        (np.array([(1 << 81) - 1, -(1 << 80), 3, 0], dtype=object), object),
-        (np.array([-(1 << 90), 5, 0, 0], dtype=object), object),
+        np.array([3, -7, 0, 5], dtype=np.int64),
+        np.array([_I64_MAX, 0, -_I64_MAX, 1], dtype=np.int64),
+        np.array([_I64_MAX, 0, 1, 0], dtype=np.uint64),
+        np.array([(1 << 62) - 1, -(1 << 61), 3, 0], dtype=object),
+        np.array([-_I64_MAX, 5, 0, 0], dtype=object),
     ]
-    for vals, dtype in cases:
+    for vals in cases:
         for cls in (FunctionTable, Spectrum):
             t = cls(2, vals, 0)
-            assert t.nums.dtype == dtype, vals
+            assert t.nums.dtype == np.int64, vals
             assert type(t.peak) is int
             assert t.peak == _stored_peak(t) == max(abs(int(v)) for v in vals)
             for exp in (1, 3):
@@ -425,33 +511,32 @@ def test_table_peak_after_zeros_and_stripping():
     # Only the exponent's worth of twos is stripped.
     t = FunctionTable(2, [16, -32, 48, 0], 2)
     assert (t.exp, t.nums.tolist(), t.peak) == (0, [4, -8, 12, 0], 12)
-    # Object numerators that fit int64 once stripped are stored as int64.
-    t = FunctionTable(1, np.array([1 << 64, -(1 << 63)], dtype=object), 2)
+    # The magnitude bound holds before stripping: numerators that would
+    # fit int64 once stripped are still refused.
+    t = FunctionTable(1, np.array([1 << 62, -(1 << 61)], dtype=object), 2)
     assert t.nums.dtype == np.int64
-    assert (t.exp, t.peak) == (0, 1 << 62)
-    t = FunctionTable(1, np.array([1 << 65, 1 << 63], dtype=object), 1)
-    assert t.nums.dtype == object
-    assert (t.exp, t.peak) == (0, 1 << 64)
+    assert (t.exp, t.peak) == (0, 1 << 60)
+    with pytest.raises(OverflowError):
+        FunctionTable(1, np.array([1 << 64, -(1 << 63)], dtype=object), 2)
 
 
 def test_built_tables_carry_their_peak():
     # Tables the package builds without a copy: transforms, indicators,
-    # residuals and Riesz products, on both storage routes.
+    # residuals and Riesz products.
     from f2wiener.chang import riesz_product
     from f2wiener.setfuncs import residual
     rng = np.random.default_rng(90)
     for n in (1, 3, 6):
         f = random_table(rng, n)
         a = random_point_set(rng, n)
-        big = FunctionTable(n, np.full(1 << n, 1 << 70, dtype=object), 0)
-        built = [fwht(f), inverse_fwht(fwht(f)), a.indicator(),
+        big = FunctionTable(n, np.full(1 << n, (1 << 53) >> n), 0)
+        built = [fwht(f), a.indicator(),
                  fwht(a.indicator()),
                  residual(a, random_subspace(rng, n)).table,
                  riesz_product(n, [1], DyadicScalar(1, 1)).table,
                  riesz_product(n, [1],
                                dyadic_from_fraction(Fraction(0.3))).table,
-                 fwht(big),
-                 inverse_fwht(fwht(big))]
+                 fwht(big)]
         for t in built:
             assert t.peak == _stored_peak(t), t
             assert not t.nums.flags.writeable
@@ -474,8 +559,8 @@ def test_public_constructors_copy():
 
 def test_stored_nums_are_read_only():
     f = FunctionTable(2, [1, -2, 3, 0], 0)
-    tables = [f, FunctionTable(2, [1 << 70, 0, 0, 0], 0), fwht(f),
-              inverse_fwht(fwht(f)), FunctionTable(2, [0] * 4, 0),
+    tables = [f, FunctionTable(2, [_I64_MAX, 0, 0, 0], 0), fwht(f),
+              FunctionTable(2, [0] * 4, 0),
               FunctionTable(2, [4, 8, 12, 0], 2)]
     for t in tables:
         assert not t.nums.flags.writeable

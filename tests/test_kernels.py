@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from f2wiener import _kernels
 
-from _reference import brute_anneal_sweep, sign
+from _reference import brute_anneal_sweep, brute_wht_rows, sign
 
 
 def _brute_rows(mat):
@@ -31,14 +31,13 @@ def _float_calls(monkeypatch):
 
 def test_wht_rows_numpy_matches_brute(monkeypatch):
     # int64 tables with max|x| * cols <= 2^53 take the float64 route at
-    # every width.  Each group of rows is transformed on its own, since the
-    # route is chosen per call:
-    # - small: random entries, the float route;
-    # - f64_bound: max|x| * cols == 2^53, the largest the float route takes;
-    #   the all-max row's g = 0 output is exactly 2^53;
-    # - f64_above: max|x| = (2^53 >> n) + 1, just past it, so the butterfly;
-    # - i64_bound: max|x| = (2^63 - 1) >> n, the int64 bound; the all-max
-    #   row's g = 0 output is the largest value allowed.
+    # every width; larger ones are refused.  Each group of rows is
+    # transformed on its own, since the bound is checked per call:
+    # - small: random entries;
+    # - f64_bound: max|x| * cols == 2^53, the largest the route takes; the
+    #   all-max row's g = 0 output is exactly 2^53;
+    # - f64_above: max|x| = (2^53 >> n) + 1, just past it, refused;
+    # - i64_bound: max|x| = (2^63 - 1) >> n, refused too.
     calls = _float_calls(monkeypatch)
     rng = np.random.default_rng(70)
     for n in range(1, 11):
@@ -53,19 +52,24 @@ def test_wht_rows_numpy_matches_brute(monkeypatch):
             groups[name] = rows
         for name, mat in groups.items():
             del calls[:]
-            expected = _brute_rows(mat)
-            assert _kernels.wht_rows(mat.copy()).tolist() == expected, (
-                n, name)
-            float_route = name in ("small", "f64_bound")
-            assert calls == ([mat.shape] if float_route else []), (n, name)
+            if name in ("small", "f64_bound"):
+                expected = _brute_rows(mat)
+                assert _kernels.wht_rows(mat.copy()).tolist() == expected, (
+                    n, name)
+                assert calls == [mat.shape], (n, name)
+                continue
+            work = mat.copy()
+            with pytest.raises(OverflowError):
+                _kernels.wht_rows(work)
+            assert calls == [] and np.array_equal(work, mat), (n, name)
 
 
 def test_wht_rows_float_route_blocks_and_chunks():
     # Batches whose rows span several cache blocks with a short last one
     # (2^14 entries per block), and single rows at n = 14..16, where one
     # row fills a block and the order-16 products run in chunks of 1024
-    # rows.  Entries reach max|x| * cols = 2^53.  The object-dtype
-    # transform (integer butterfly) is the reference.
+    # rows.  Entries reach max|x| * cols = 2^53.  The Python-int
+    # butterfly is the reference.
     rng = np.random.default_rng(74)
     shapes = [(300, 64), (1000, 256), (37, 1024), (9, 4096)]
     shapes += [(1, 1 << n) for n in (14, 15, 16)]
@@ -73,25 +77,35 @@ def test_wht_rows_float_route_blocks_and_chunks():
         top = (1 << 53) // cols
         mat = rng.integers(-top, top, size=(rows, cols), endpoint=True)
         mat[0, 0] = top
-        want = _kernels.wht_rows(mat.astype(object))
-        assert _kernels.wht_rows(mat).tolist() == want.tolist(), (rows, cols)
+        want = brute_wht_rows(mat)
+        assert _kernels.wht_rows(mat).tolist() == want, (rows, cols)
     empty = np.empty((0, 64), dtype=np.int64)
     assert _kernels.wht_rows(empty).shape == (0, 64)
 
 
 def test_wht_object_dtype():
+    # Only int64 tables are transformed: object rows of Python ints, even
+    # small ones, and every other dtype are refused, and left as they are.
     big = 1 << 80
-    row = np.array([big, -3, 0, big + 1], dtype=object)
-    out = _kernels.wht_rows(row.reshape(1, -1).copy())
-    assert out.tolist() == _brute_rows(row.reshape(1, -1))
+    for row in (np.array([big, -3, 0, big + 1], dtype=object),
+                np.array([1, -3, 0, 2], dtype=object),
+                np.array([1, -3, 0, 2], dtype=np.int32),
+                np.array([1, 3, 0, 2], dtype=np.uint64),
+                np.array([1.0, -3.0, 0.0, 2.0]),
+                np.empty(0, dtype=object)):
+        mat = row.reshape(1, -1)
+        with pytest.raises(TypeError):
+            _kernels.wht_rows(mat)
+        assert mat.tolist() == [row.tolist()]
 
 
 def test_wht_rows_numpy_column_slices(monkeypatch):
     # Column slices, step-2 column views, row-strided views and Fortran
-    # order (the transpose of a C array) are not C-contiguous; both routes split only the last axis, so
-    # the transform must land in the caller's array and leave the rest of
-    # it alone.  Each view is tried with int64 entries within 2^53 (float
-    # route), int64 entries above it and object entries (butterfly).
+    # order (the transpose of a C array) are not C-contiguous; the route
+    # splits only the last axis, so the transform must land in the
+    # caller's array and leave the rest of it alone.  Each view is tried
+    # with int64 entries within 2^53, which are transformed, and with int64
+    # entries above it and object entries, which are refused untouched.
     calls = _float_calls(monkeypatch)
     rng = np.random.default_rng(73)
     for cols in (2, 8, 16, 64, 256):
@@ -113,9 +127,14 @@ def test_wht_rows_numpy_column_slices(monkeypatch):
                 view[0, 0] = top
                 assert not view.flags.c_contiguous, (label, cols)
                 want = mat.copy()
-                pick(want)[...] = _brute_rows(pick(want))
                 del calls[:]
-                assert _kernels.wht_rows(view) is view
+                if kind == "float":
+                    pick(want)[...] = _brute_rows(pick(want))
+                    assert _kernels.wht_rows(view) is view
+                else:
+                    error = OverflowError if kind == "int64" else TypeError
+                    with pytest.raises(error):
+                        _kernels.wht_rows(view)
                 assert calls == ([view.shape] if kind == "float" else []), (
                     label, cols, kind)
                 assert np.array_equal(mat, want), (label, cols, kind)
@@ -132,16 +151,21 @@ _MAGNITUDES = (lambda n: 3, lambda n: (1 << 53) >> n,
     st.just(n), st.integers(1, min(2100, (1 << 16) >> n)),
     st.sampled_from(_MAGNITUDES), st.integers(0, 2**32 - 1))))
 def test_wht_rows_int64_equals_object(case):
-    # Random shapes (at most 2^16 entries) and magnitudes; the int64
-    # result, whichever route it took, equals the object-dtype transform
-    # entry for entry.
+    # Random shapes (at most 2^16 entries) and magnitudes; within the bound
+    # the int64 result equals the Python-int butterfly entry for entry, and
+    # past it the table is refused untouched.
     n, rows, magnitude, seed = case
     top = magnitude(n)
     rng = np.random.default_rng(seed)
     mat = rng.integers(-top, top, size=(rows, 1 << n), endpoint=True)
     mat[rng.integers(rows), rng.integers(1 << n)] = top * rng.choice([-1, 1])
-    want = _kernels.wht_rows(mat.astype(object)).tolist()
-    assert _kernels.wht_rows(mat).tolist() == want
+    if top << n > 1 << 53:
+        work = mat.copy()
+        with pytest.raises(OverflowError):
+            _kernels.wht_rows(work)
+        assert np.array_equal(work, mat)
+        return
+    assert _kernels.wht_rows(mat.copy()).tolist() == brute_wht_rows(mat)
 
 
 def test_wht_involution():
@@ -400,7 +424,8 @@ def test_anneal_incumbent_consistency():
 def test_wht_rows_one_product(monkeypatch):
     # Tables of at most 16 columns and _GEMM_ROWS rows take one product;
     # one more row takes the blocked route.  Entries reach the float
-    # route's max|x| * cols = 2^53; the object butterfly is the reference.
+    # route's max|x| * cols = 2^53; the Python-int butterfly is the
+    # reference.
     calls = _float_calls(monkeypatch)
     rng = np.random.default_rng(75)
     for cols in (1, 2, 4, 8, 16):
@@ -410,7 +435,7 @@ def test_wht_rows_one_product(monkeypatch):
             if rows:
                 mat[0] = top
                 mat[-1, 0] = -top
-            want = _kernels.wht_rows(mat.astype(object)).tolist()
+            want = brute_wht_rows(mat)
             for peak in (None, top if rows else 0):
                 got = mat.copy()
                 del calls[:]
@@ -425,7 +450,6 @@ def test_wht_rows_one_product(monkeypatch):
             view = pick(mat)
             view[0, 0] = top
             want = mat.copy()
-            pick(want)[...] = _kernels.wht_rows(
-                pick(want).astype(object))
+            pick(want)[...] = brute_wht_rows(pick(want))
             assert _kernels.wht_rows(view) is view
             assert np.array_equal(mat, want), (shape, cols)

@@ -100,6 +100,45 @@ def test_every_exported_name_has_a_user():
     assert unused == []
 
 
+def _object_dtype_uses(tree):
+    """Lines that make or test for an object dtype: dtype=object (or
+    np.object_, "O", "object"), .astype(object) and == / != object."""
+
+    def is_object(node):
+        return ((isinstance(node, ast.Name) and node.id == "object")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "object_")
+                or (isinstance(node, ast.Constant)
+                    and node.value in ("O", "object")))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "dtype":
+            found = is_object(node.value)
+        elif isinstance(node, ast.Call):
+            found = (isinstance(node.func, ast.Attribute)
+                     and node.func.attr == "astype"
+                     and any(map(is_object, node.args)))
+        elif isinstance(node, ast.Compare):
+            found = any(isinstance(n, ast.Name) and n.id == "object"
+                        for n in [node.left, *node.comparators])
+        else:
+            found = False
+        if found:
+            yield node.lineno
+
+
+def test_no_object_dtype_in_the_package():
+    # Exact integers are stored as int64 under checked bounds, never as
+    # numpy arrays of Python ints.
+    probe = ast.parse("a = np.zeros(3, dtype=object)\nb = a.astype(object)\n"
+                      "c = a.dtype == object\nd = np.array(x, dtype='O')\n"
+                      "e = object.__new__(cls)\nf = a.dtype.kind == 'O'\n")
+    assert sorted(_object_dtype_uses(probe)) == [1, 2, 3, 4]
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found = list(_object_dtype_uses(ast.parse(path.read_text())))
+        assert found == [], f"{path.name}: lines {found}"
+
+
 def test_no_module_reads_the_environment():
     # cli promises that no behavior depends on environment variables, so
     # no module, __main__ included, reads os.environ or os.getenv.
