@@ -9,21 +9,22 @@ is decided exactly, with int64 under checked bounds and Fractions.
 bands are runs of that ranking, less V's own entries.  Chang's theorem
 caps the dimension of the span of a large-spectrum set; the
 Riesz-product machinery below exercises the hypercontractive inequality
-behind its proof.
+behind its proof, on stacks of products at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (_I64_MAX, FunctionTable, Spectrum, _check_bound,
-                      exact_product, fwht, lp_norm, spectrum_l2_sq)
-from .groups import DualSubspace, as_dim, subspace_extend, subspace_insert
+from .fourier import (_I64_MAX, Spectrum, _check_bound, _int_minmax,
+                      exact_product, lp_norm)
+from .groups import DualSubspace, as_dim, label_table, subspace_extend
 
 __all__ = [
     "ZeroMass",
@@ -253,67 +254,108 @@ def chang_span(spec: Spectrum, threshold: DyadicScalar) -> DualSubspace:
                            np.flatnonzero(np.abs(spec.nums) >= cut))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RieszProduct:
-    """prod_i (1 + eta lambda_i) for independent characters lambda_i."""
+    """Riesz products prod_i (1 + eta lambda_i) on F2^n, one per row.
 
-    table: FunctionTable
-    lambdas: Tuple[int, ...]
-    eta: DyadicScalar
-
-
-def riesz_product(dim, lambdas: Sequence[int],
-                  eta: DyadicScalar) -> RieszProduct:
-    """Exact Riesz product; non-negative, mean one, |hat(p)| = eta^|S|.
-
-    The spectrum is supported exactly on subset sums of the lambdas, which
-    is why independence is required (DependentSet otherwise).
+    Row t is nums[t] / 2^exps[t], with 2^n entries; its characters
+    lambda_i are the nonzero entries of lambdas[t] (zeros pad the rows to
+    one width) and its eta is etas[t].
     """
-    d = as_dim(dim)
-    if abs(eta) > DyadicScalar(1):
+
+    nums: np.ndarray
+    exps: np.ndarray
+    lambdas: np.ndarray
+    etas: Tuple[DyadicScalar, ...]
+
+
+def riesz_product(n: int, lambdas, etas: Sequence[DyadicScalar],
+                  ) -> RieszProduct:
+    """Exact Riesz products; non-negative, mean one, |hat(p)| = eta^|S|.
+
+    lambdas is (T, K), one row of characters per product, and etas holds
+    each row's eta.  A spectrum is supported exactly on the subset sums of
+    its row's characters, which is why independence is required
+    (DependentSet otherwise).
+    """
+    d = as_dim(n)
+    etas = tuple(etas)
+    lambdas = np.asarray(lambdas, dtype=np.int64)
+    if lambdas.ndim != 2 or len(lambdas) != len(etas):
+        raise ValueError("lambdas needs one row per eta")
+    if any(abs(e.num) > 1 << e.exp for e in etas):
         raise ValueError("|eta| must be at most 1")
-    lambdas = tuple(int(x) for x in lambdas)
-    if any(not 0 < x < d.order for x in lambdas):
-        raise ValueError("characters must be nonzero masks in the group")
-    v = DualSubspace.trivial()
-    for lam in lambdas:
-        w = subspace_insert(v, lam)
-        if w.dim == v.dim:
-            raise DependentSet("characters are linearly dependent")
-        v = w
-    pts = np.arange(d.order, dtype=np.int64)
-    k = len(lambdas)
-    one = 1 << eta.exp
+    if lambdas.size and not (0 <= lambdas.min() and lambdas.max() < d.order):
+        raise ValueError("characters must be masks in the group")
+    labels, dims = label_table(lambdas, d.n)
+    ks = np.count_nonzero(lambdas, axis=1)
+    if (dims != ks).any():
+        raise DependentSet("characters are linearly dependent")
     # Factor numerators 2^exp +- num lie in [0, 2^exp + |num|], so every
     # product of k of them is at most (2^exp + |num|)^k; for the verify
     # suite's etas j/4 and k <= 4 that is at most 7^4.
-    _check_bound((one + abs(eta.num)) ** k, "Riesz product numerator")
-    out = np.ones(d.order, dtype=np.int64)
-    for lam in lambdas:
-        odd = np.bitwise_count(pts & np.int64(lam)) & 1
-        out *= np.where(odd, one - eta.num, one + eta.num)
-    table = FunctionTable._adopt(d, out, k * eta.exp)
-    return RieszProduct(table, lambdas, eta)
+    ks_list = ks.tolist()
+    _check_bound(max((((1 << e.exp) + abs(e.num)) ** k
+                      for e, k in zip(etas, ks_list)), default=1),
+                 "Riesz product numerator")
+    # A row without characters takes no factor, whatever its eta.
+    plus = np.array([(1 << e.exp) + e.num if k else 1
+                     for e, k in zip(etas, ks_list)], dtype=np.int64)
+    minus = np.array([(1 << e.exp) - e.num if k else 1
+                      for e, k in zip(etas, ks_list)], dtype=np.int64)
+    out = np.ones(labels.shape, dtype=np.int64)
+    odd = np.empty_like(labels)
+    for i in range(lambdas.shape[1]):
+        # Bit i of a label is <lambda_i, x>, and the factor is plus - (plus
+        # - minus) * bit; a zero lambda_i leaves the bit 0 and takes 1.
+        live = lambdas[:, i] != 0
+        np.bitwise_and(np.right_shift(labels, i, out=odd), 1, out=odd)
+        odd *= np.where(live, minus - plus, 0)[:, None]
+        odd += np.where(live, plus, 1)[:, None]
+        out *= odd
+    exps = ks * np.array([e.exp for e in etas], dtype=np.int64)
+    return RieszProduct(out, exps, lambdas, etas)
 
 
-def beckner_verify(f: FunctionTable, p: RieszProduct) -> Tuple[float, float]:
-    """(||f * p||_2, ||f||_{1+eta^2}) for the Riesz smoothing p = p_eta.
+def beckner_verify(nums: np.ndarray, exps,
+                   p: RieszProduct) -> Tuple[List[float], List[float]]:
+    """(||f * p||_2, ||f||_{1+eta^2}) for each row f = nums[t] / 2^exps[t]
+    and its Riesz smoothing p = p_eta in row t of p.
 
     Hypercontractivity makes the left side at most the right; the left
     side is computed exactly via Parseval and only rounded at the end.
     """
-    if p.table.dim != f.dim:
-        raise ValueError("f and the Riesz product live on different groups")
-    eta = float(p.eta)
-    sf = fwht(f)
-    sp = fwht(p.table)
-    # hat(p) is eta^|S| on the subset sums S of the lambdas, so _store
-    # strips a common factor of at least 2^n from sp's numerators and
-    # sp.peak <= 2^(k * eta.exp).  Only so does the square sum stay in
+    if nums.shape != p.nums.shape:
+        raise ValueError("f and the Riesz products live on different groups")
+    exps = np.asarray(exps, dtype=np.int64)
+    n = nums.shape[1].bit_length() - 1
+    sf = _kernels.wht_rows(nums.astype(np.int64))
+    sp = _kernels.wht_rows(p.nums.copy())
+    # hat(p) is eta^|S| on the subset sums S of the lambdas, so every entry
+    # of the unnormalized transform is a multiple of 2^n, shed exactly here;
+    # then |sp| <= 2^(k * eta.exp).  Only so does the square sum stay in
     # int64 for the verify suite (n <= 10, |f| <= 8, eta = j/4, k <= 4):
     # (2^13 * 2^8)^2 * 2^10 = 2^52, where 2^n more would be 2^72.
-    prod = exact_product(sf.nums, sp.nums, bound=sf.peak * sp.peak)
-    conv_sq = spectrum_l2_sq(Spectrum._adopt(f.dim, prod, sf.exp + sp.exp))
-    lhs = math.sqrt(float(conv_sq.as_fraction()))
-    rhs = lp_norm(f, 1.0 + eta * eta)
+    if (sp & ((1 << n) - 1)).any():
+        raise ArithmeticError("a Riesz product's transform is not a "
+                              "multiple of 2^n")
+    sp >>= n
+    peak = _int_minmax(sf) * _int_minmax(sp)
+    prod = exact_product(sf, sp, bound=peak)
+    _check_bound(peak * peak * (1 << n), "square sum")
+    conv_sq = (prod * prod).sum(axis=1)
+    # conv_sq / 2^(2e) is ||f * p||_2^2 with e = exps + n + p.exps; scaling
+    # by a power of two is exact, so the float is the correctly rounded
+    # value, as float() of the exact Fraction gives.
+    lhs = np.sqrt(np.ldexp(conv_sq.astype(np.float64),
+                           -2 * (exps + n + p.exps))).tolist()
+    # One lp_norm call per distinct eta, which fixes the exponent.
+    by_eta: Dict[Tuple[int, int], List[int]] = {}
+    for t, e in enumerate(p.etas):
+        by_eta.setdefault((e.num, e.exp), []).append(t)
+    rhs = [0.0] * len(lhs)
+    for rows in by_eta.values():
+        x = float(p.etas[rows[0]])
+        for t, v in zip(rows, lp_norm(nums[rows], exps[rows], 1.0 + x * x)):
+            rhs[t] = v
     return lhs, rhs

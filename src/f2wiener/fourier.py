@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "a_norm",
     "l1_norm",
     "l2_norm_sq",
-    "spectrum_l2_sq",
     "exact_sum",
     "exact_product",
     "lp_norm",
@@ -90,6 +89,11 @@ class _DyadicTable:
         if arr.shape != (d.order,):
             raise ValueError(
                 f"expected {d.order} entries, got shape {arr.shape}")
+        if arr.dtype.kind == "f" and not isinstance(nums, np.ndarray):
+            # numpy reads a list that mixes an int in [2^63, 2^64) with
+            # small ones as float64; read it entry by entry, so such an int
+            # is refused for its size and a float for its type.
+            arr = np.array([operator.index(v) for v in nums], dtype=np.int64)
         self._store(d, *_narrow(arr), exp)
 
     @classmethod
@@ -211,19 +215,19 @@ def l2_norm_sq(f: FunctionTable) -> DyadicScalar:
     return DyadicScalar(_sq_sum(f), 2 * f.exp + f.dim.n)
 
 
-def spectrum_l2_sq(s: Spectrum) -> DyadicScalar:
-    return DyadicScalar(_sq_sum(s), 2 * s.exp)
-
-
-def lp_norm(f: FunctionTable, p: float) -> float:
-    """Float L^p mean norm; p in {1, 2} agrees with the exact routes."""
+def lp_norm(nums: np.ndarray, exps, p: float) -> List[float]:
+    """Float L^p mean norm of each row nums[t] / 2^exps[t] of an int64
+    (T, N) stack; p in {1, 2} agrees with the exact routes."""
     if p < 1:
         raise ValueError("lp_norm requires p >= 1")
-    if f.exp <= _LP_MAX_EXP:
-        # Rounding v to float64 and then scaling by the normal power of two
-        # 2^-exp is exact, so each entry equals float(Fraction(v, 2^exp)).
-        vals = np.abs(f.nums.astype(np.float64)) * 2.0 ** -f.exp
-    else:
-        vals = np.array([abs(float(Fraction(int(v), 1 << f.exp)))
-                         for v in f.nums.flat], dtype=np.float64)
-    return float(np.mean(vals ** p) ** (1.0 / p))
+    exps = np.asarray(exps, dtype=np.int64)
+    vals = np.abs(nums.astype(np.float64))
+    # Rounding v to float64 and then scaling by the normal power of two
+    # 2^-exp is exact, so each entry equals float(Fraction(v, 2^exp)).
+    small = exps <= _LP_MAX_EXP
+    vals *= np.ldexp(1.0, -np.where(small, exps, 0))[:, None]
+    for t in np.flatnonzero(~small).tolist():
+        vals[t] = [abs(float(Fraction(v, 1 << int(exps[t]))))
+                   for v in nums[t].tolist()]
+    # Each row's mean is reduced alone, as np.mean reduces a single row.
+    return [float(m ** (1.0 / p)) for m in np.mean(vals ** p, axis=1)]

@@ -25,10 +25,11 @@ __all__ = [
     "subspace_extend",
     "annihilator_basis",
     "coset_index_table",
+    "parity_labels",
+    "label_table",
     "subspace_batches",
     "all_subspaces",
     "subspace_count",
-    "random_subspace",
 ]
 
 HARD_DIM_CAP = 30
@@ -223,24 +224,60 @@ def annihilator_basis(v: DualSubspace, n: int) -> List[int]:
 def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
     """Coset label of each point x in pts: bit i is <basis[i], x>."""
     _check_bound(v.basis, n)
-    idx = np.zeros(pts.shape, dtype=np.int64)
-    for i, r in enumerate(v.basis):
-        bits = np.bitwise_count(pts & np.int64(r)).astype(np.int64) & 1
-        idx |= bits << i
-    return idx
+    return parity_labels(np.array(v.basis, dtype=np.int64), pts)
 
 
-def _unit_labels(v: DualSubspace, n: int) -> List[int]:
-    """coset_index_table of e_0..e_(n-1), read from the basis bits: bit i
-    of e_j's label <basis[i], e_j> is bit j of basis[i]."""
-    _check_bound(v.basis, n)
-    units = [0] * n
-    for i, r in enumerate(v.basis):
-        while r:
-            low = r & -r
-            units[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return units
+def parity_labels(chars: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Label of each point x in pts: bit i is <chars[..., i], x>.
+
+    chars holds integer masks with the characters on its last axis, and its
+    other axes broadcast against pts, so each point can carry its own
+    characters.  The labels are int64; they are built in the integer type
+    of pts and chars when it holds that many bits.
+    """
+    width = chars.shape[-1]
+    dtype = np.result_type(pts, chars)
+    if width >= 8 * dtype.itemsize - 1:
+        dtype = np.dtype(np.int64)
+    labels = None
+    for i in range(width):
+        bits = np.bitwise_count(pts & chars[..., i])
+        bits &= 1
+        if labels is None:
+            labels = bits.astype(dtype)
+        else:
+            labels |= bits.astype(dtype) << i
+    if labels is None:
+        return np.zeros(np.broadcast_shapes(pts.shape, chars.shape[:-1]),
+                        dtype=np.int64)
+    return labels.astype(np.int64, copy=False)
+
+
+def label_table(chars: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(labels, dims) for a stack of character lists on F2^n.
+
+    chars is (T, K) int64.  labels is (T, 2^n): bit i of labels[t, x] is
+    <chars[t, i], x>, so x's label names its coset of the annihilator of
+    V_t, the span of row t's characters (a zero character adds a bit that
+    is always 0).  Labels are linear in x, so the label of x + e_j is x's
+    label XOR e_j's, and the table doubles over the n unit vectors; bit i
+    of e_j's label is bit j of chars[t, i].  dims[t] = dim V_t is the F2
+    rank of row t, read off the kernel: the 2^(n - dims[t]) points with
+    label 0.
+    """
+    if chars.size and (chars.min() < 0 or chars.max() >> n):
+        raise ValueError("basis mask exceeds the group dimension")
+    rows, width = chars.shape
+    weights = np.int64(1) << np.arange(width, dtype=np.int64)
+    units = ((chars[:, None, :] >> np.arange(n, dtype=np.int64)[:, None])
+             & 1) @ weights
+    labels = np.zeros((rows, 1 << n), dtype=np.int64)
+    for j in range(n):
+        np.bitwise_xor(labels[:, :1 << j], units[:, j, None],
+                       out=labels[:, 1 << j:2 << j])
+    kernel = np.count_nonzero(labels == 0, axis=1)
+    # kernel is a power of two, 2^k, and k ones make up kernel - 1.
+    return labels, n - np.bitwise_count(kernel - 1).astype(np.int64)
 
 
 SUBSPACE_BATCH = 256
@@ -302,15 +339,3 @@ def subspace_count(n: int) -> int:
             den *= (1 << d) - (1 << i)
         total += num // den
     return total
-
-
-def random_subspace(rng: np.random.Generator, n: int,
-                    max_dim: int | None = None) -> DualSubspace:
-    if max_dim is None:
-        max_dim = n
-    v = DualSubspace.trivial()
-    k = int(rng.integers(0, max_dim + 1))
-    for g in rng.integers(1, 1 << n, size=k).tolist():
-        v = subspace_insert(v, g)
-    return v
-

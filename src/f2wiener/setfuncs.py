@@ -5,24 +5,26 @@ normalized indicator of the annihilator of V) is constant on annihilator
 cosets and equals the density of A inside each coset.  The residual
 f_V = chi_A - chi_A * mu has mean zero on every coset, spectrum supported
 off V, and satisfies the exact identity ||f_V||_1 = 2 <chi_A, f_V>.
+residual_rows, residual_l1 and physical_lower_bound work on stacks: one set
+and one subspace per row, all on the same F2^n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dyadic import DyadicScalar, ONE
 from .fourier import FunctionTable, a_norm, exact_sum, fwht
-from .groups import DualSubspace, GroupDim, _unit_labels, as_dim
+from .groups import GroupDim, as_dim, label_table
 
 __all__ = [
     "PointSet",
-    "ResidualTable",
-    "residual",
+    "ResidualRows",
+    "residual_rows",
     "residual_l1",
     "residual_norms",
     "frac_product",
@@ -105,32 +107,41 @@ class PointSet:
         return f"PointSet(n={self.dim.n}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class ResidualTable:
-    """Residual f_V = chi_A minus its coset averages, with its provenance."""
+@dataclass(frozen=True, eq=False)
+class ResidualRows:
+    """Residuals f_V = chi_A - chi_A * mu_V, one set and subspace per row.
 
-    table: FunctionTable
-    subspace: DualSubspace
-    source: PointSet
+    ind is the (T, 2^n) int8 stack of the sets' indicators, dims[t] is
+    dim V_t, and row t of the residual is nums[t] / 2^(n - dims[t]).
+    """
+
+    ind: np.ndarray
+    dims: np.ndarray
+    nums: np.ndarray
 
 
 def set_a_norm(a: PointSet) -> DyadicScalar:
     return a_norm(fwht(a.indicator()))
 
 
-def residual(a: PointSet, v: DualSubspace) -> ResidualTable:
-    """chi_A minus its coset averaging; mean zero on every coset."""
-    n = a.dim.n
-    d = v.dim
-    # Labels are linear in x, so the label of x + e_j is x's label XOR
-    # e_j's: the whole group's table doubles over the n unit vectors.
-    syn = np.zeros(a.dim.order, dtype=np.int64)
-    for j, u in enumerate(_unit_labels(v, n)):
-        np.bitwise_xor(syn[:1 << j], u, out=syn[1 << j:2 << j])
-    ind = a._indicator_array()
-    counts = np.bincount(syn[ind != 0], minlength=1 << d)
-    nums = (ind << (n - d)) - counts[syn]
-    return ResidualTable(FunctionTable._adopt(a.dim, nums, n - d), v, a)
+def residual_rows(ind: np.ndarray, chars: np.ndarray) -> ResidualRows:
+    """chi_A minus its coset averaging, row by row; mean zero on every coset.
+
+    ind is a (T, 2^n) int8 stack of indicators and V_t is the span of the
+    characters in row t of the (T, K) int64 array chars.
+    """
+    rows, order = ind.shape
+    n = order.bit_length() - 1
+    keys, dims = label_table(chars, n)
+    # One bincount over (row, coset label), labels being below 2^K; then
+    # each point's own count.
+    width = chars.shape[1]
+    keys += (np.arange(rows, dtype=np.int64) << width)[:, None]
+    counts = np.bincount(keys[ind != 0], minlength=rows << width)
+    nums = ind.astype(np.int64)
+    nums <<= (n - dims)[:, None]
+    nums -= np.take(counts, keys, out=keys, mode="clip")
+    return ResidualRows(ind, dims, nums)
 
 
 def residual_norms(counts: np.ndarray,
@@ -148,26 +159,39 @@ def residual_norms(counts: np.ndarray,
             DyadicScalar(total, 2 * n - d))
 
 
-def residual_l1(fv: ResidualTable) -> DyadicScalar:
-    """||f_V||_1, computed twice: directly, and as 2 <chi_A, f_V>.
+def _canonical(nums: np.ndarray,
+               exps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each nums[t] / 2^exps[t] in DyadicScalar's canonical form: num odd
+    unless exp is 0, and zero as (0, 0); nums are non-negative."""
+    # num & -num is num's lowest set bit; its bit count less one is the
+    # number of trailing zeros (num = 0 gives 0 & 0 = 0, handled below).
+    low = nums & -nums
+    shift = np.minimum(np.bitwise_count(np.maximum(low - 1, 0)), exps)
+    return nums >> shift, np.where(nums == 0, 0, exps - shift)
 
-    The two routes must agree exactly for every set and subspace; a
-    mismatch means broken arithmetic, not a bad input.
+
+def residual_l1(fv: ResidualRows,
+                ) -> Tuple[np.ndarray, np.ndarray, Dict[int, str]]:
+    """||f_V||_1 of every row, computed twice: directly, and as
+    2 <chi_A, f_V>.
+
+    Returns canonical (nums, exps) from the direct route, and for each row
+    where the two routes differ, the mismatch as a message.  They must
+    agree exactly for every set and subspace; a mismatch means broken
+    arithmetic, not a bad input.
     """
-    t = fv.table
-    shift = t.exp + t.dim.n
-    # 2^n numerators of magnitude at most 2^(n - dim V): at most 2^(2n).
-    bound = t.peak * len(t)
-    direct = DyadicScalar(exact_sum(t.nums, absolute=True, bound=bound),
-                          shift)
-    doubled = DyadicScalar(
-        2 * exact_sum(t.nums[fv.source.bool_mask()], bound=bound), shift)
-    if direct != doubled:
-        raise ArithmeticError(
-            "l1/inner-product identity violated: "
-            f"{direct} != {doubled} (n={t.dim.n}, dim V={fv.subspace.dim})"
-        )
-    return direct
+    n = fv.nums.shape[1].bit_length() - 1
+    # 2^n numerators of magnitude at most 2^n: row sums at most 2^(2n).
+    direct = np.abs(fv.nums).sum(axis=1)
+    doubled = 2 * (fv.nums * fv.ind).sum(axis=1)
+    exps = 2 * n - fv.dims
+    broken = {
+        t: ("l1/inner-product identity violated: "
+            f"{DyadicScalar(int(direct[t]), int(exps[t]))} != "
+            f"{DyadicScalar(int(doubled[t]), int(exps[t]))} "
+            f"(n={n}, dim V={fv.dims[t]})")
+        for t in np.flatnonzero(direct != doubled).tolist()}
+    return (*_canonical(direct, exps), broken)
 
 
 def frac_product(alpha: DyadicScalar, d: int,
@@ -177,16 +201,23 @@ def frac_product(alpha: DyadicScalar, d: int,
     return t, t * (ONE - t)
 
 
-def physical_lower_bound(alpha: DyadicScalar, order: int) -> DyadicScalar:
-    """Exact 2 |V|^-1 {alpha |V|} (1 - {alpha |V|}) for |V| = order.
+def physical_lower_bound(sizes: np.ndarray, n: int,
+                         dims: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact 2 |V|^-1 {alpha |V|} (1 - {alpha |V|}) for alpha = size / 2^n
+    and |V| = 2^dim, row by row, as canonical (nums, exps).
 
     This is the sharp floor for ||f_V||_1 at density alpha; it is attained
-    by unions of annihilator cosets plus one partial coset.
+    by unions of annihilator cosets plus one partial coset.  With m =
+    2^(n - dim) and r = size mod m, {alpha |V|} = r / m, so the floor is
+    r (m - r) / 2^(2n - dim - 1).
     """
-    if order < 1 or order & (order - 1):
-        raise ValueError("order must be a power of two")
-    d = order.bit_length() - 1
-    return (frac_product(alpha, d)[1] * 2).mul_pow2(-d)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    dims = np.asarray(dims, dtype=np.int64)
+    if ((sizes < 0) | (sizes > 1 << n) | (dims < 0) | (dims > n)).any():
+        raise ValueError("sizes must lie in [0, 2^n] and dims in [0, n]")
+    m = np.int64(1) << (n - dims)
+    r = sizes & (m - 1)
+    return _canonical(r * (m - r), 2 * n - dims - 1)
 
 
 def frac_quadratic_gap(deltas: Sequence[Union[Fraction, int]],

@@ -5,6 +5,15 @@ whatever the number of jobs, so a run is reproducible and can be sharded
 across a worker pool without changing the outcome.  Seeds must be
 non-negative.  A violation message names the trial; theorems being
 theorems, any violation is an implementation bug.
+
+Trials are drawn one by one, in trial order.  The tA, lem1 and beckner
+trials are then evaluated in groups that share n: each group is checked
+as one stacked (trials, 2^n) table once it is full (see _GROUP_ROWS),
+and what is left when the trials run out is checked last.  Each trial's
+outcome depends only on its own draws, and violations are reported in
+trial order, so every stream, message and --jobs result is that of
+checking the trials one at a time.  techlem and chang trials are checked
+as they are drawn.
 """
 from __future__ import annotations
 
@@ -12,26 +21,23 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .chang import (beckner_verify, chang_cardinality_bound, chang_span,
-                    riesz_product)
+from ._streams import trial_rngs
+from .chang import (RieszProduct, beckner_verify, chang_cardinality_bound,
+                    chang_span, riesz_product)
 from .dyadic import DyadicScalar
 from .fourier import FunctionTable, fwht, l1_norm, l2_norm_sq
-from .groups import (DualSubspace, GroupDim, coset_index_table,
-                     random_subspace, subspace_insert)
-from .setfuncs import (PointSet, frac_quadratic_gap, physical_lower_bound,
-                       residual, residual_l1, residual_norms)
+from .groups import GroupDim, parity_labels
+from .setfuncs import (frac_quadratic_gap, physical_lower_bound, residual_l1,
+                       residual_rows)
 
 __all__ = [
     "SUITE_NAMES",
     "SuiteResult",
     "run_suite",
-    "random_point_set",
-    "random_table",
-    "random_independent_chars",
 ]
 
 BECKNER_SLACK = 1e-9
@@ -43,17 +49,12 @@ _ETAS = tuple(DyadicScalar(k, 2) for k in range(1, 5))
 MAX_JOBS = 64
 MAX_TRIALS = 1_000_000
 
-# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 set-seed
-# constants, for deriving the trials' generator states a block at a time.
-# A block of 256 trials spreads the numpy steps' call overhead to about
-# half a microsecond a trial while holding only tens of KB of states.
-_SEED_BLOCK = 256
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# A group of pending trials that share n is evaluated once it holds
+# _GROUP_ROWS trials or _GROUP_ENTRIES table entries, so its int64 working
+# arrays stay at about 64 KB each and the trials drawn but not yet
+# evaluated at about 100 KB in all.
+_GROUP_ROWS = 256
+_GROUP_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -67,63 +68,171 @@ class SuiteResult:
         return not self.violations
 
 
-def random_point_set(rng: np.random.Generator, n: int) -> PointSet:
-    mask = rng.integers(0, 2, size=1 << n)
-    return PointSet.from_indicator(GroupDim(n), mask)
+# (trial, message) pairs.
+Found = List[Tuple[int, str]]
 
 
-def random_table(rng: np.random.Generator, n: int, span: int = 8,
-                 max_exp: int = 3) -> FunctionTable:
-    nums = rng.integers(-span, span + 1, size=1 << n, dtype=np.int64)
-    return FunctionTable._adopt(GroupDim(n), nums,
-                                int(rng.integers(0, max_exp + 1)))
+class _Pending:
+    """The trials of one n that are drawn but not yet evaluated.
+
+    Each field of a draw has its own (rows, width) array, and row r holds
+    the r-th trial's value, padded with zeros; a group holds _GROUP_ROWS
+    trials or _GROUP_ENTRIES table entries, whichever is fewer.
+    """
+
+    def __init__(self, n: int, fields: Tuple[Tuple[int, type], ...]):
+        rows = min(_GROUP_ROWS, max(1, _GROUP_ENTRIES >> n))
+        self.ids: List[int] = []
+        self.arrays = [np.zeros((rows, width), dtype=dtype)
+                       for width, dtype in fields]
+
+    def add(self, i: int, values: tuple) -> bool:
+        """Store trial i's values; True once the group is full."""
+        row = len(self.ids)
+        self.ids.append(i)
+        for arr, value in zip(self.arrays, values):
+            arr[row, :len(value)] = value
+        return row + 1 == len(self.arrays[0])
+
+    def stacks(self) -> List[np.ndarray]:
+        return [arr[:len(self.ids)] for arr in self.arrays]
 
 
-def random_independent_chars(rng: np.random.Generator, n: int,
-                             count: int) -> List[int]:
-    v = DualSubspace.trivial()
+def _draw_set_and_subspace(rng: np.random.Generator) -> Tuple[int, tuple]:
+    """A random set A of F2^n, 2 <= n <= 12, and up to n characters
+    spanning V."""
+    n = int(rng.integers(2, 13))
+    ind = rng.integers(0, 2, size=1 << n)
+    k = int(rng.integers(0, n + 1))
+    return n, (ind, rng.integers(1, 1 << n, size=k))
+
+
+def _set_fields(n: int):
+    # A's indicator and V's characters.
+    return ((1 << n, np.int8), (n, np.int64))
+
+
+def _filled(chars: np.ndarray) -> np.ndarray:
+    """chars without the columns that only pad: k characters fill the
+    first k columns of a row."""
+    return chars[:, :int(np.count_nonzero(chars, axis=1).max())]
+
+
+def _eval_ta(n: int, ids: List[int], ind: np.ndarray,
+             chars: np.ndarray) -> Found:
+    chars = _filled(chars)
+    fv = residual_rows(ind, chars)
+    got, got_exp, broken = residual_l1(fv)
+    # Closed form from the coset counts alone, independent of the table:
+    # label A's points by per-character parity (in int16, as masks have
+    # n <= 12 bits) and count each coset.  f_V is 1 - c/m on c points of a
+    # coset of m = 2^(n - dim V) and -c/m on the rest, so ||f_V||_1 =
+    # sum 2c(m - c) / 2^(2n - dim V) = 2(m |A| - sum c^2) / 2^(2n - dim V).
+    width = chars.shape[1]
+    keys = parity_labels(chars[:, None, :].astype(np.int16),
+                         np.arange(1 << n, dtype=np.int16))
+    keys += (np.arange(len(ids), dtype=np.int64) << width)[:, None]
+    counts = np.bincount(keys[ind != 0], minlength=len(ids) << width)
+    counts = counts.reshape(len(ids), -1)
+    sizes = ind.sum(axis=1, dtype=np.int64)
+    m = np.int64(1) << (n - fv.dims)
+    closed = 2 * (m * sizes - (counts * counts).sum(axis=1))
+    # Both at exponent 2n - dim V, got after its canonical shift.
+    exp = 2 * n - fv.dims
+    bad = (got << (exp - got_exp)) != closed
+    bad[list(broken)] = True
+    found = []
+    for t in np.flatnonzero(bad).tolist():
+        if t in broken:
+            msg = f"{broken[t]} (|A|={sizes[t]})"
+        else:
+            msg = (f"residual_l1 {DyadicScalar(int(got[t]), int(got_exp[t]))}"
+                   " != coset closed form "
+                   f"{DyadicScalar(int(closed[t]), int(exp[t]))} "
+                   f"(n={n}, |A|={sizes[t]}, dimV={fv.dims[t]})")
+        found.append((ids[t], msg))
+    return found
+
+
+def _eval_lem1(n: int, ids: List[int], ind: np.ndarray,
+               chars: np.ndarray) -> Found:
+    fv = residual_rows(ind, _filled(chars))
+    got, got_exp, broken = residual_l1(fv)
+    if broken:
+        # An invariant violation, raised as the table route raises it.
+        raise ArithmeticError(broken[min(broken)])
+    sizes = ind.sum(axis=1, dtype=np.int64)
+    floor, floor_exp = physical_lower_bound(sizes, n, fv.dims)
+    # Compared over the shared denominator 2^max(exp); every numerator is
+    # at most 2^(2n) <= 2^24 and every exponent at most 2n.
+    top = np.maximum(got_exp, floor_exp)
+    below = (got << (top - got_exp)) < (floor << (top - floor_exp))
+    return [(ids[t],
+             f"||f_V||_1 = {DyadicScalar(int(got[t]), int(got_exp[t]))} "
+             "below the floor "
+             f"{DyadicScalar(int(floor[t]), int(floor_exp[t]))} "
+             f"(n={n}, |A|={sizes[t]}, dimV={fv.dims[t]})")
+            for t in np.flatnonzero(below).tolist()]
+
+
+def _independent_chars(rng: np.random.Generator, n: int,
+                       count: int) -> List[int]:
+    """count linearly independent characters, each drawn at random and
+    kept when it lies outside the span of those kept so far."""
+    span = {0}
     out: List[int] = []
     guard = 0
     while len(out) < count:
         g = int(rng.integers(1, 1 << n))
-        w = subspace_insert(v, g)
-        if w.dim > v.dim:
+        if g not in span:
             out.append(g)
-            v = w
+            span |= {s ^ g for s in span}
         guard += 1
         if guard > 64 * count + 64:
             raise RuntimeError("failed to sample independent characters")
     return out
 
 
-def _trial_ta(rng: np.random.Generator) -> Optional[str]:
-    n = int(rng.integers(2, 13))
-    a = random_point_set(rng, n)
-    v = random_subspace(rng, n)
-    fv = residual(a, v)
-    try:
-        got = residual_l1(fv)
-    except ArithmeticError as exc:
-        return f"{exc} (|A|={a.size})"
-    # Closed form from the coset counts alone, independent of the table.
-    syn = coset_index_table(v, n, np.flatnonzero(a.bool_mask()))
-    closed, _ = residual_norms(np.bincount(syn, minlength=v.order), n)
-    if got != closed:
-        return (f"residual_l1 {got} != coset closed form {closed} "
-                f"(n={n}, |A|={a.size}, dimV={v.dim})")
-    return None
+def _draw_beckner(rng: np.random.Generator) -> Tuple[int, tuple]:
+    """A table of integers in [-8, 8] over 2^exp, exp <= 3, on F2^n,
+    2 <= n <= 10, up to four independent characters and an eta."""
+    n = int(rng.integers(2, 11))
+    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
+    exp = int(rng.integers(0, 4))
+    count = int(rng.integers(0, min(n, 4) + 1))
+    lambdas = _independent_chars(rng, n, count)
+    return n, (nums, (exp,), lambdas, (int(rng.integers(0, 4)),))
 
 
-def _trial_lem1(rng: np.random.Generator) -> Optional[str]:
-    n = int(rng.integers(2, 13))
-    a = random_point_set(rng, n)
-    v = random_subspace(rng, n)
-    got = residual_l1(residual(a, v))
-    floor = physical_lower_bound(a.density(), v.order)
-    if got < floor:
-        return (f"||f_V||_1 = {got} below the floor {floor} "
-                f"(n={n}, |A|={a.size}, dimV={v.dim})")
-    return None
+def _beckner_fields(n: int):
+    # f's numerators and exponent, the characters and the index of eta.
+    return ((1 << n, np.int8), (1, np.int64), (4, np.int64), (1, np.int64))
+
+
+def _eval_beckner(n: int, ids: List[int], nums: np.ndarray,
+                  exps: np.ndarray, lambdas: np.ndarray,
+                  eta_idx: np.ndarray) -> Found:
+    exps = exps[:, 0]
+    etas = [_ETAS[j] for j in eta_idx[:, 0].tolist()]
+    p = riesz_product(n, lambdas, etas)
+    mass = np.abs(p.nums).sum(axis=1)
+    exact = mass == np.int64(1) << (p.exps + n)
+    found = [(ids[t], f"Riesz product mass "
+              f"{DyadicScalar(int(mass[t]), int(p.exps[t]) + n)} != 1 "
+              f"(n={n}, eta={float(etas[t])})")
+             for t in np.flatnonzero(~exact).tolist()]
+    keep = np.flatnonzero(exact)
+    if keep.size < len(ids):
+        p = RieszProduct(p.nums[keep], p.exps[keep], p.lambdas[keep],
+                         tuple(etas[t] for t in keep.tolist()))
+    lhs, rhs = beckner_verify(nums[keep], exps[keep], p)
+    ks = np.count_nonzero(lambdas, axis=1)
+    for t, left, right in zip(keep.tolist(), lhs, rhs):
+        if left > right * (1.0 + BECKNER_SLACK):
+            found.append((ids[t], (
+                f"smoothing bound violated: {left!r} > {right!r} "
+                f"(n={n}, eta={float(etas[t])}, k={ks[t]})")))
+    return found
 
 
 def _trial_techlem(rng: np.random.Generator) -> Optional[str]:
@@ -138,26 +247,10 @@ def _trial_techlem(rng: np.random.Generator) -> Optional[str]:
     return None
 
 
-def _trial_beckner(rng: np.random.Generator) -> Optional[str]:
-    n = int(rng.integers(2, 11))
-    f = random_table(rng, n)
-    count = int(rng.integers(0, min(n, 4) + 1))
-    lambdas = random_independent_chars(rng, n, count)
-    eta = _ETAS[int(rng.integers(0, 4))]
-    p = riesz_product(n, lambdas, eta)
-    mass = l1_norm(p.table)
-    if mass != DyadicScalar(1):
-        return f"Riesz product mass {mass} != 1 (n={n}, eta={float(eta)})"
-    lhs, rhs = beckner_verify(f, p)
-    if lhs > rhs * (1.0 + BECKNER_SLACK):
-        return (f"smoothing bound violated: {lhs!r} > {rhs!r} "
-                f"(n={n}, eta={float(eta)}, k={count})")
-    return None
-
-
 def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     n = int(rng.integers(2, 11))
-    f = random_table(rng, n)
+    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
+    f = FunctionTable._adopt(GroupDim(n), nums, int(rng.integers(0, 4)))
     base = l1_norm(f)
     if base.num == 0:
         return None
@@ -186,97 +279,55 @@ def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     return None
 
 
-_TRIALS = {
-    "tA": _trial_ta,
-    "lem1": _trial_lem1,
+# Suites checked trial by trial: one function of the trial's generator.
+_TRIALS: Dict[str, Callable[[np.random.Generator], Optional[str]]] = {
     "techlem": _trial_techlem,
-    "beckner": _trial_beckner,
     "chang": _trial_chang,
 }
-SUITE_NAMES = tuple(_TRIALS)
+# Batched suites: (draw, the fields of a draw on F2^n, evaluate a group of
+# draws that share n).
+_BATCHED = {
+    "tA": (_draw_set_and_subspace, _set_fields, _eval_ta),
+    "lem1": (_draw_set_and_subspace, _set_fields, _eval_lem1),
+    "beckner": (_draw_beckner, _beckner_fields, _eval_beckner),
+}
+SUITE_NAMES = ("tA", "lem1", "techlem", "beckner", "chang")
 
 
-def _pcg64_states(seed: int,
-                  idx: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng([seed, i]) for each i in idx.
-
-    SeedSequence hashes the entropy words (seed's 32-bit words, low first,
-    then i, a single word as i < MAX_TRIALS) into a pool of four and draws
-    eight words from it.  They give PCG64's 128-bit seed s and stream j,
-    and set-seed takes two LCG steps from state 0: inc = 2j + 1, state =
-    (inc + s) * MULT + inc.  The hash constants do not depend on the data,
-    so a word is a uint64 array over the block holding a 32-bit value, or
-    an int while it depends on the seed alone.
-    """
-    hc = _INIT_A
-
-    def hashmix(value):
-        nonlocal hc
-        value = value ^ hc
-        hc = hc * _MULT_A & _MASK32
-        value = value * hc & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = (x * _MIX_L - y * _MIX_R) & _MASK32
-        return r ^ (r >> 16)
-
-    entropy = [seed & _MASK32]
-    while seed >> 32 * len(entropy):
-        entropy.append(seed >> 32 * len(entropy) & _MASK32)
-    entropy.append(idx)
-    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(e))
-    hc = _INIT_B
-    out = []
-    for k in range(8):
-        w = pool[k % 4] ^ hc
-        hc = hc * _MULT_B & _MASK32
-        w = w * hc & _MASK32
-        out.append(w ^ (w >> 16))
-    # uint64 word k is out[2k] | out[2k + 1] << 32: s is (w0, w1), j (w2, w3)
-    s_hi, s_lo, j_hi, j_lo = ((out[2 * k] | (out[2 * k + 1] << 32)).tolist()
-                              for k in range(4))
-    for sh, sl, jh, jl in zip(s_hi, s_lo, j_hi, j_lo):
-        inc = ((jh << 65) | (jl << 1) | 1) & _MASK128
-        yield ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128, inc
-
-
-def _trial_rngs(seed: int, start: int,
-                count: int) -> Iterator[Tuple[int, np.random.Generator]]:
-    """(i, rng) for trials start..start+count-1, rng in the state of
-    default_rng([seed, i]); one Generator is re-seeded for every trial."""
-    rng = np.random.default_rng(0)
-    bitgen = rng.bit_generator
-    stop = start + count
-    for lo in range(start, stop, _SEED_BLOCK):
-        idx = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint64)
-        for i, (state, inc) in enumerate(_pcg64_states(seed, idx), lo):
-            bitgen.state = {"bit_generator": "PCG64",
-                            "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield i, rng
+def _run_batched(name: str, rngs) -> Found:
+    """Draw each trial in order and evaluate it with the pending trials of
+    its n, a group at a time; violations in trial order."""
+    draw, fields, evaluate = _BATCHED[name]
+    pending: Dict[int, _Pending] = {}
+    found: Found = []
+    for i, rng in rngs:
+        n, values = draw(rng)
+        group = pending.get(n)
+        if group is None:
+            group = pending[n] = _Pending(n, fields(n))
+        if group.add(i, values):
+            found += evaluate(n, group.ids, *group.arrays)
+            del pending[n]
+    for n, group in pending.items():
+        found += evaluate(n, group.ids, *group.stacks())
+    found.sort(key=lambda hit: hit[0])
+    return found
 
 
 def _run_chunk(name: str, seed: int, start: int, count: int) -> List[str]:
-    trial = _TRIALS[name]
-    out = []
-    for i, rng in _trial_rngs(seed, start, count):
-        msg = trial(rng)
-        if msg is not None:
-            out.append(f"trial {i}: {msg}")
-    return out
+    rngs = trial_rngs(seed, start, count)
+    if name in _TRIALS:
+        trial = _TRIALS[name]
+        found = [(i, msg) for i, rng in rngs
+                 if (msg := trial(rng)) is not None]
+    else:
+        found = _run_batched(name, rngs)
+    return [f"trial {i}: {msg}" for i, msg in found]
 
 
 def run_suite(name: str, trials: int, seed: int, jobs: int = 1) -> SuiteResult:
     """Run one named suite; jobs > 1 shards trials without changing them."""
-    if name not in _TRIALS:
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITE_NAMES}")
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must lie in [1, {MAX_TRIALS}]")

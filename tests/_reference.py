@@ -25,26 +25,38 @@ which the residual's doubled label table must reproduce, and
 reference_beckner is the Beckner check that built its own Riesz product
 from (lambdas, eta), which the one-product check must reproduce bit for
 bit.
+
+The verify section at the end is the per-trial verify code that the
+package replaced by stacked evaluation: the random inputs (drawn with
+the same generator calls), one table's residual l1, Lemma 1's floor, one
+Riesz product, one Beckner check, the table L^p norm, and the tA, lem1
+and beckner trials built from them.  A batched suite must give the
+violations these trials give, also when a test patches one of the
+per-trial functions here as it patches the batched one in verify.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from f2wiener.chang import (LevelSet, ZeroMass, chang_cardinality_bound,
-                            rank_spectrum, riesz_product, select_level)
+from f2wiener.chang import (DependentSet, LevelSet, ZeroMass,
+                            chang_cardinality_bound, rank_spectrum,
+                            select_level)
 from f2wiener.dyadic import ONE, ZERO, DyadicScalar, floor_log2_ratio
-from f2wiener.fourier import (FunctionTable, Spectrum, exact_product,
-                              exact_sum, fwht, l2_norm_sq, lp_norm,
-                              spectrum_l2_sq)
-from f2wiener.groups import DualSubspace, coset_index_table, subspace_extend
+from f2wiener.fourier import (_LP_MAX_EXP, FunctionTable, Spectrum,
+                              _check_bound, _sq_sum, exact_product,
+                              exact_sum, fwht, l1_norm, l2_norm_sq)
+from f2wiener.groups import (DualSubspace, GroupDim, coset_index_table,
+                             subspace_extend, subspace_insert)
 from f2wiener.iteration import StepResult, ZeroResidual, iterate_step
-from f2wiener.setfuncs import (PointSet, ResidualTable, residual,
-                               residual_l1)
+from f2wiener.setfuncs import (PointSet, frac_product, physical_lower_bound
+                               as row_floors, residual_l1 as row_l1,
+                               residual_norms, residual_rows)
 
 
 def parity(a: int, b: int) -> int:
@@ -515,14 +527,27 @@ def table_to_dyadics(t) -> List[DyadicScalar]:
     return [DyadicScalar(int(v), t.exp) for v in t.nums]
 
 
+@dataclass(frozen=True)
+class ResidualTable:
+    """Residual f_V = chi_A minus its coset averages, with its provenance."""
+
+    table: FunctionTable
+    subspace: DualSubspace
+    source: PointSet
+
+
 def reference_residual(a: PointSet, v: DualSubspace) -> ResidualTable:
-    """residual with every point of the group labelled by coset_index_table."""
+    """residual of one set, with every point of the group labelled by
+    coset_index_table."""
     n = a.dim.n
     d = v.dim
     syn = coset_index_table(v, n, np.arange(a.dim.order, dtype=np.int64))
     counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
     nums = (a._indicator_array() << (n - d)) - counts[syn]
     return ResidualTable(FunctionTable(a.dim, nums, n - d), v, a)
+
+
+residual = reference_residual
 
 
 def reference_inverse_fwht(s: Spectrum) -> FunctionTable:
@@ -533,7 +558,8 @@ def reference_inverse_fwht(s: Spectrum) -> FunctionTable:
 
 def reference_beckner(f: FunctionTable, lambdas: Sequence[int],
                       eta: float) -> Tuple[float, float]:
-    """beckner_verify as it was: it built p_eta from (lambdas, eta) itself."""
+    """The Beckner check as it was first: it built p_eta from (lambdas,
+    eta) itself."""
     p = riesz_product(f.dim, lambdas, dyadic_from_fraction(Fraction(eta)))
     sf = fwht(f)
     sp = fwht(p.table)
@@ -542,3 +568,209 @@ def reference_beckner(f: FunctionTable, lambdas: Sequence[int],
     lhs = math.sqrt(float(conv_sq.as_fraction()))
     rhs = lp_norm(f, 1.0 + eta * eta)
     return lhs, rhs
+
+
+# -- per-trial verify ---------------------------------------------------
+
+BECKNER_SLACK = 1e-9
+ETAS = tuple(DyadicScalar(k, 2) for k in range(1, 5))
+
+
+def random_point_set(rng: np.random.Generator, n: int) -> PointSet:
+    mask = rng.integers(0, 2, size=1 << n)
+    return PointSet.from_indicator(GroupDim(n), mask)
+
+
+def random_table(rng: np.random.Generator, n: int, span: int = 8,
+                 max_exp: int = 3) -> FunctionTable:
+    nums = rng.integers(-span, span + 1, size=1 << n, dtype=np.int64)
+    return FunctionTable(GroupDim(n), nums, int(rng.integers(0, max_exp + 1)))
+
+
+def random_subspace(rng: np.random.Generator, n: int,
+                    max_dim: int | None = None) -> DualSubspace:
+    if max_dim is None:
+        max_dim = n
+    v = DualSubspace.trivial()
+    k = int(rng.integers(0, max_dim + 1))
+    for g in rng.integers(1, 1 << n, size=k).tolist():
+        v = subspace_insert(v, g)
+    return v
+
+
+def random_independent_chars(rng: np.random.Generator, n: int,
+                             count: int) -> List[int]:
+    v = DualSubspace.trivial()
+    out: List[int] = []
+    guard = 0
+    while len(out) < count:
+        g = int(rng.integers(1, 1 << n))
+        w = subspace_insert(v, g)
+        if w.dim > v.dim:
+            out.append(g)
+            v = w
+        guard += 1
+        if guard > 64 * count + 64:
+            raise RuntimeError("failed to sample independent characters")
+    return out
+
+
+def residual_l1(fv: ResidualTable) -> DyadicScalar:
+    """||f_V||_1 of one table, directly and as 2 <chi_A, f_V>."""
+    t = fv.table
+    shift = t.exp + t.dim.n
+    bound = t.peak * len(t)
+    direct = DyadicScalar(exact_sum(t.nums, absolute=True, bound=bound),
+                          shift)
+    doubled = DyadicScalar(
+        2 * exact_sum(t.nums[fv.source.bool_mask()], bound=bound), shift)
+    if direct != doubled:
+        raise ArithmeticError(
+            "l1/inner-product identity violated: "
+            f"{direct} != {doubled} (n={t.dim.n}, dim V={fv.subspace.dim})"
+        )
+    return direct
+
+
+def physical_lower_bound(alpha: DyadicScalar, order: int) -> DyadicScalar:
+    """Exact 2 |V|^-1 {alpha |V|} (1 - {alpha |V|}) for |V| = order."""
+    if order < 1 or order & (order - 1):
+        raise ValueError("order must be a power of two")
+    d = order.bit_length() - 1
+    return (frac_product(alpha, d)[1] * 2).mul_pow2(-d)
+
+
+@dataclass(frozen=True)
+class RieszTable:
+    """prod_i (1 + eta lambda_i) for independent characters lambda_i."""
+
+    table: FunctionTable
+    lambdas: Tuple[int, ...]
+    eta: DyadicScalar
+
+
+def riesz_product(dim, lambdas: Sequence[int],
+                  eta: DyadicScalar) -> RieszTable:
+    """One exact Riesz product, by a fold of its factors."""
+    d = GroupDim(dim) if isinstance(dim, int) else dim
+    if abs(eta) > DyadicScalar(1):
+        raise ValueError("|eta| must be at most 1")
+    lambdas = tuple(int(x) for x in lambdas)
+    if any(not 0 < x < d.order for x in lambdas):
+        raise ValueError("characters must be nonzero masks in the group")
+    if span_of(lambdas).dim < len(lambdas):
+        raise DependentSet("characters are linearly dependent")
+    pts = np.arange(d.order, dtype=np.int64)
+    one = 1 << eta.exp
+    _check_bound((one + abs(eta.num)) ** len(lambdas),
+                 "Riesz product numerator")
+    out = np.ones(d.order, dtype=np.int64)
+    for lam in lambdas:
+        odd = np.bitwise_count(pts & np.int64(lam)) & 1
+        out *= np.where(odd, one - eta.num, one + eta.num)
+    return RieszTable(FunctionTable(d, out, len(lambdas) * eta.exp),
+                      lambdas, eta)
+
+
+def spectrum_l2_sq(s: Spectrum) -> DyadicScalar:
+    return DyadicScalar(_sq_sum(s), 2 * s.exp)
+
+
+def lp_norm(f: FunctionTable, p: float) -> float:
+    """Float L^p mean norm of one table."""
+    if p < 1:
+        raise ValueError("lp_norm requires p >= 1")
+    if f.exp <= _LP_MAX_EXP:
+        vals = np.abs(f.nums.astype(np.float64)) * 2.0 ** -f.exp
+    else:
+        vals = np.array([abs(float(Fraction(int(v), 1 << f.exp)))
+                         for v in f.nums.flat], dtype=np.float64)
+    return float(np.mean(vals ** p) ** (1.0 / p))
+
+
+def beckner_verify(f: FunctionTable, p: RieszTable) -> Tuple[float, float]:
+    """(||f * p||_2, ||f||_{1+eta^2}) for one table and one Riesz product."""
+    if p.table.dim != f.dim:
+        raise ValueError("f and the Riesz product live on different groups")
+    eta = float(p.eta)
+    sf = fwht(f)
+    sp = fwht(p.table)
+    prod = exact_product(sf.nums, sp.nums, bound=sf.peak * sp.peak)
+    conv_sq = spectrum_l2_sq(Spectrum._adopt(f.dim, prod, sf.exp + sp.exp))
+    lhs = math.sqrt(float(conv_sq.as_fraction()))
+    rhs = lp_norm(f, 1.0 + eta * eta)
+    return lhs, rhs
+
+
+def trial_ta(rng: np.random.Generator):
+    n = int(rng.integers(2, 13))
+    a = random_point_set(rng, n)
+    v = random_subspace(rng, n)
+    fv = residual(a, v)
+    try:
+        got = residual_l1(fv)
+    except ArithmeticError as exc:
+        return f"{exc} (|A|={a.size})"
+    syn = coset_index_table(v, n, np.flatnonzero(a.bool_mask()))
+    closed, _ = residual_norms(np.bincount(syn, minlength=v.order), n)
+    if got != closed:
+        return (f"residual_l1 {got} != coset closed form {closed} "
+                f"(n={n}, |A|={a.size}, dimV={v.dim})")
+    return None
+
+
+def trial_lem1(rng: np.random.Generator):
+    n = int(rng.integers(2, 13))
+    a = random_point_set(rng, n)
+    v = random_subspace(rng, n)
+    got = residual_l1(residual(a, v))
+    floor = physical_lower_bound(a.density(), v.order)
+    if got < floor:
+        return (f"||f_V||_1 = {got} below the floor {floor} "
+                f"(n={n}, |A|={a.size}, dimV={v.dim})")
+    return None
+
+
+def trial_beckner(rng: np.random.Generator):
+    n = int(rng.integers(2, 11))
+    f = random_table(rng, n)
+    count = int(rng.integers(0, min(n, 4) + 1))
+    lambdas = random_independent_chars(rng, n, count)
+    eta = ETAS[int(rng.integers(0, 4))]
+    p = riesz_product(n, lambdas, eta)
+    mass = l1_norm(p.table)
+    if mass != DyadicScalar(1):
+        return f"Riesz product mass {mass} != 1 (n={n}, eta={float(eta)})"
+    lhs, rhs = beckner_verify(f, p)
+    if lhs > rhs * (1.0 + BECKNER_SLACK):
+        return (f"smoothing bound violated: {lhs!r} > {rhs!r} "
+                f"(n={n}, eta={float(eta)}, k={count})")
+    return None
+
+
+def stack_rows(sets: Sequence[PointSet], subspaces: Sequence[DualSubspace]):
+    """(ind, chars) for the batched residual: the sets' indicators as a
+    (T, 2^n) int8 stack and each subspace's basis as a row of a (T, n)
+    int64 array, padded with zeros."""
+    n = sets[0].dim.n
+    ind = np.stack([a._indicator_array(np.int8) for a in sets])
+    chars = np.zeros((len(sets), n), dtype=np.int64)
+    for row, v in enumerate(subspaces):
+        chars[row, :v.dim] = v.basis
+    return ind, chars
+
+
+def stacked_l1_and_floor(a: PointSet, v: DualSubspace):
+    """(||f_V||_1, Lemma 1's floor) of one set and subspace by the
+    package's stacked forms, whose two l1 routes must agree."""
+    ind, chars = stack_rows([a], [v])
+    fv = residual_rows(ind, chars)
+    nums, exps, broken = row_l1(fv)
+    assert broken == {}
+    floor, floor_exp = row_floors([a.size], a.dim.n, [v.dim])
+    return (DyadicScalar(int(nums[0]), int(exps[0])),
+            DyadicScalar(int(floor[0]), int(floor_exp[0])))
+
+
+REFERENCE_TRIALS = {"tA": trial_ta, "lem1": trial_lem1,
+                    "beckner": trial_beckner}

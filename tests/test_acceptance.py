@@ -18,16 +18,19 @@ from f2wiener.constructions import (DyadicDensity, build_coset_union,
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.explore import AnnealParams, min_norm_anneal, min_norm_exhaustive
 from f2wiener.fourier import fwht
-from f2wiener.groups import (annihilator_basis, random_subspace,
-                             subspace_batches, subspace_count)
+from f2wiener.groups import (annihilator_basis, subspace_batches,
+                             subspace_count)
 from f2wiener.iteration import Termination, hypothesis_check, run_iteration
 from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
-                               physical_lower_bound, residual, residual_l1,
+                               physical_lower_bound, residual_rows,
                                set_a_norm)
-from f2wiener.verify import BECKNER_SLACK, random_point_set, run_suite
+from f2wiener.verify import BECKNER_SLACK, run_suite
 
+import _reference
 from _reference import (brute_min_norm, build_equality_case, fresh_step,
-                        reference_level_sets, set_points)
+                        random_point_set, random_subspace,
+                        reference_level_sets, set_points, stack_rows,
+                        stacked_l1_and_floor)
 
 
 def _report(k: int) -> None:
@@ -127,18 +130,22 @@ def _ta_lem1_trials():
     identity_bad = []
     floor_bad = []
     for n in range(4, 13):
-        for _ in range(500):
-            a = random_point_set(rng, n)
-            v = random_subspace(rng, n)
-            fv = residual(a, v)
-            t = fv.table
-            direct = sum(abs(int(x)) for x in t.nums.flat)
-            doubled = 2 * int(t.nums[a.bool_mask()].sum())
-            if direct != doubled:
-                identity_bad.append((n, a.size, v.dim))
-            l1 = DyadicScalar(direct, t.exp + n)
-            if l1 < physical_lower_bound(a.density(), v.order):
-                floor_bad.append((n, a.size, v.dim))
+        for _ in range(5):
+            pairs = [(random_point_set(rng, n), random_subspace(rng, n))
+                     for _ in range(100)]
+            ind, chars = stack_rows(*zip(*pairs))
+            fv = residual_rows(ind, chars)
+            sizes = ind.sum(axis=1)
+            floor, floor_exp = physical_lower_bound(sizes, n, fv.dims)
+            for t, (a, v) in enumerate(pairs):
+                nums = fv.nums[t].tolist()
+                direct = sum(abs(x) for x in nums)
+                doubled = 2 * sum(x for x, x_in in zip(nums, ind[t]) if x_in)
+                if direct != doubled:
+                    identity_bad.append((n, a.size, v.dim))
+                l1 = DyadicScalar(direct, 2 * n - v.dim)
+                if l1 < DyadicScalar(int(floor[t]), int(floor_exp[t])):
+                    floor_bad.append((n, a.size, v.dim))
     return identity_bad, floor_bad, time.monotonic() - start
 
 
@@ -170,8 +177,8 @@ def test_criterion_05_floor_and_sharpness():
         assert a.density() == alpha
         if a.size == 0:
             continue
-        got = residual_l1(residual(a, v))
-        assert got == physical_lower_bound(alpha, v.order)
+        got, floor = stacked_l1_and_floor(a, v)
+        assert got == floor
     _report(5)
 
 
@@ -204,8 +211,8 @@ def test_criterion_07_step_contract():
         n = int(rng.integers(2, 11))
         a = random_point_set(rng, n)
         v = random_subspace(rng, n, max_dim=n - 1)
-        fv = residual(a, v)
-        base = residual_l1(fv)
+        fv = _reference.residual(a, v)
+        base = _reference.residual_l1(fv)
         if base.num == 0:
             continue
         done += 1

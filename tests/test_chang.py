@@ -8,18 +8,19 @@ from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             ZeroMass, beckner_verify, chang_cardinality_bound,
                             chang_span, level_qualifies, level_sets,
                             rank_spectrum, riesz_product, select_level)
-from f2wiener.dyadic import DyadicScalar
+from f2wiener.dyadic import ONE, DyadicScalar
 from f2wiener.fourier import (FunctionTable, Spectrum, fwht, l1_norm,
                               l2_norm_sq)
-from f2wiener.groups import DualSubspace, random_subspace
-from f2wiener.setfuncs import PointSet, residual, residual_l1
-from f2wiener.verify import (random_independent_chars, random_point_set,
-                             random_table)
+from f2wiener.groups import DualSubspace
+from f2wiener.setfuncs import PointSet
 
+import _reference
 from _reference import (annihilator_points, brute_chang_span, brute_level_sets,
                         brute_riesz_product, dyadic_from_fraction,
-                        reference_beckner, reference_inverse_fwht, span_of,
-                        table_fractions)
+                        random_independent_chars, random_point_set,
+                        random_subspace, random_table, reference_beckner,
+                        reference_inverse_fwht, residual, residual_l1,
+                        span_of, table_fractions)
 
 
 def _halfspace_residual(n: int):
@@ -399,12 +400,25 @@ def test_chang_cardinality_bound_constant():
         _cap(FunctionTable(3, [0] * 8, 0), Fraction(1, 2))
 
 
+def _riesz(n, lams, eta):
+    """One Riesz product, as a table."""
+    p = riesz_product(n, [lams], [eta])
+    return FunctionTable(n, p.nums[0], int(p.exps[0]))
+
+
+def _beckner(f, lams, eta):
+    """beckner_verify on the one-row stack of f and p_eta."""
+    lhs, rhs = beckner_verify(f.nums[None], [f.exp],
+                              riesz_product(f.dim.n, [lams], [eta]))
+    return lhs[0], rhs[0]
+
+
 def test_riesz_product_frozen():
-    p = riesz_product(2, [1], DyadicScalar(0))
-    assert list(p.table.nums) == [1, 1, 1, 1] and p.table.exp == 0
-    p = riesz_product(1, [1], DyadicScalar(1))
-    assert table_fractions(p.table) == [Fraction(2), Fraction(0)]
-    assert table_fractions(fwht(p.table)) == [Fraction(1), Fraction(1)]
+    p = _riesz(2, [1], DyadicScalar(0))
+    assert list(p.nums) == [1, 1, 1, 1] and p.exp == 0
+    p = _riesz(1, [1], DyadicScalar(1))
+    assert table_fractions(p) == [Fraction(2), Fraction(0)]
+    assert table_fractions(fwht(p)) == [Fraction(1), Fraction(1)]
 
 
 def test_riesz_product_properties():
@@ -416,10 +430,10 @@ def test_riesz_product_properties():
         k = int(rng.integers(1, min(n, 4) + 1))
         lams = random_independent_chars(rng, n, k)
         eta = etas[int(rng.integers(0, len(etas)))]
-        p = riesz_product(n, lams, eta)
-        assert all(int(v) >= 0 for v in p.table.nums.flat)
-        assert l1_norm(p.table) == DyadicScalar(1)
-        spec = fwht(p.table)
+        p = _riesz(n, lams, eta)
+        assert all(int(v) >= 0 for v in p.nums.flat)
+        assert l1_norm(p) == DyadicScalar(1)
+        spec = fwht(p)
         expected = {0: Fraction(1)}
         for mask in range(1, 1 << k):
             g = 0
@@ -431,43 +445,77 @@ def test_riesz_product_properties():
             assert spec[g].as_fraction() == expected.get(g, Fraction(0))
 
 
+def test_riesz_product_rows_match_reference():
+    # A stack mixing n = 4 rows of 0 to 4 characters (zeros pad them, in
+    # any place) and every suite eta, row by row against the fold of
+    # factors in tests/_reference.py.
+    rng = np.random.default_rng(47)
+    etas = [DyadicScalar(k, 2) for k in range(1, 5)] + [DyadicScalar(-3, 3)]
+    rows, lams_rows, eta_rows = [], [], []
+    for t in range(40):
+        lams = random_independent_chars(rng, 4, t % 5)
+        padded = lams + [0] * (4 - len(lams))
+        rng.shuffle(padded)
+        lams_rows.append(lams)
+        rows.append(padded)
+        eta_rows.append(etas[t % len(etas)])
+    p = riesz_product(4, rows, eta_rows)
+    for t, (lams, eta) in enumerate(zip(lams_rows, eta_rows)):
+        want = _reference.riesz_product(4, lams, eta).table
+        assert FunctionTable(4, p.nums[t], int(p.exps[t])) == want, t
+        assert table_fractions(want) == brute_riesz_product(
+            lams, eta.as_fraction(), 4)
+
+
 @pytest.mark.parametrize("eta", [DyadicScalar(1, 21), DyadicScalar(3, 63),
                                  DyadicScalar(1, 70), DyadicScalar(-5, 200)],
                          ids=str)
 def test_riesz_product_refuses_numerators_past_int64(eta):
     # A product of three factor numerators 2^exp +- num passes 2^63 - 1
-    # for each of these etas, so the product is refused before it is built.
+    # for each of these etas, so the product is refused before it is built;
+    # a row of no characters takes no factor and is built.
     with pytest.raises(OverflowError):
-        riesz_product(3, [1, 2, 4], eta)
+        riesz_product(3, [[1, 2, 4]], [eta])
+    with pytest.raises(OverflowError):
+        riesz_product(3, [[0, 0, 0], [1, 2, 4]], [DyadicScalar(1, 1), eta])
+    p = riesz_product(3, [[0, 0, 0]], [eta])
+    assert p.nums.tolist() == [[1] * 8] and p.exps.tolist() == [0]
 
 
 def test_riesz_product_exact_up_to_int64():
     # (2^20 + 1)^3 and (2^31 - 3)^2 stay within int64.
     for eta, lams in ((DyadicScalar(1, 20), [1, 2, 4]),
                       (DyadicScalar(-3, 31), [1, 2])):
-        p = riesz_product(3, lams, eta)
-        assert all(int(v) >= 0 for v in p.table.nums)
-        assert table_fractions(p.table) == brute_riesz_product(
+        p = _riesz(3, lams, eta)
+        assert all(int(v) >= 0 for v in p.nums)
+        assert table_fractions(p) == brute_riesz_product(
             lams, eta.as_fraction(), 3)
-        assert sum(table_fractions(p.table)) == 8
+        assert sum(table_fractions(p)) == 8
 
 
 def test_riesz_product_errors():
     for lams in ([1, 2, 3], [1, 1], [3, 5, 3], [5, 3, 6], [1, 2, 4, 7]):
         with pytest.raises(DependentSet):
-            riesz_product(3, lams, DyadicScalar(1, 1))
+            _riesz(3, lams, DyadicScalar(1, 1))
+    # One dependent row refuses the whole stack.
+    with pytest.raises(DependentSet):
+        riesz_product(3, [[1, 2, 0], [1, 1, 0]], [DyadicScalar(1, 1)] * 2)
     with pytest.raises(ValueError):
-        riesz_product(2, [0], DyadicScalar(1, 1))
+        _riesz(2, [-1], DyadicScalar(1, 1))
     with pytest.raises(ValueError):
-        riesz_product(2, [4], DyadicScalar(1, 1))
+        _riesz(2, [4], DyadicScalar(1, 1))
     with pytest.raises(ValueError):
-        riesz_product(2, [1], DyadicScalar(2))
+        _riesz(2, [1], DyadicScalar(2))
+    with pytest.raises(ValueError):
+        riesz_product(2, [[1]], [DyadicScalar(1, 1)] * 2)
+    # Zero pads a row: [0] is the product of no factors.
+    assert _riesz(2, [0], DyadicScalar(1, 1)) == _riesz(2, [], ONE)
 
 
 def test_beckner_examples():
     # eta = 0 smooths f to its mean: lhs = |mean(f)| <= ||f||_1
     f = FunctionTable(2, [3, -1, 2, 0], 1)
-    lhs, rhs = beckner_verify(f, riesz_product(2, [1], DyadicScalar(0)))
+    lhs, rhs = _beckner(f, [1], DyadicScalar(0))
     assert lhs == pytest.approx(abs(3 - 1 + 2 + 0) / 8)
     assert lhs <= rhs * (1 + 1e-9)
 
@@ -480,7 +528,7 @@ def test_beckner_random():
         k = int(rng.integers(1, min(n, 4) + 1))
         lams = random_independent_chars(rng, n, k)
         eta = DyadicScalar(int(rng.choice([1, 2, 3, 4])), 2)
-        lhs, rhs = beckner_verify(f, riesz_product(n, lams, eta))
+        lhs, rhs = _beckner(f, lams, eta)
         assert lhs <= rhs * (1 + 1e-9)
 
 
@@ -494,8 +542,7 @@ def test_beckner_square_sum_fits_int64_at_the_suite_edge():
     f = FunctionTable(10, nums, 3)
     lams = [1, 2, 4, 8]
     for eta in (0.75, -0.75, 1.0):
-        got = beckner_verify(
-            f, riesz_product(10, lams, dyadic_from_fraction(Fraction(eta))))
+        got = _beckner(f, lams, dyadic_from_fraction(Fraction(eta)))
         want = reference_beckner(f, lams, eta)
         assert [x.hex() for x in got] == [x.hex() for x in want], eta
         assert got[0] <= got[1] * (1 + 1e-9)
@@ -508,8 +555,8 @@ def test_riesz_product_dependent_sets():
     for _ in range(60):
         n = int(rng.integers(2, 9))
         lams = random_independent_chars(rng, n, int(rng.integers(1, n + 1)))
-        p = riesz_product(n, lams, DyadicScalar(1, 1))
-        assert p.lambdas == tuple(lams)
+        p = riesz_product(n, [lams], [DyadicScalar(1, 1)])
+        assert p.lambdas.tolist() == [lams]
         pick = rng.integers(0, 2, size=len(lams))
         pick[int(rng.integers(0, len(lams)))] = 1
         extra = 0
@@ -517,29 +564,37 @@ def test_riesz_product_dependent_sets():
             extra ^= lam * keep
         at = int(rng.integers(0, len(lams) + 1))
         with pytest.raises(DependentSet):
-            riesz_product(n, lams[:at] + [extra] + lams[at:],
-                          DyadicScalar(1, 1))
+            _riesz(n, lams[:at] + [extra] + lams[at:], DyadicScalar(1, 1))
 
 
 def test_beckner_matches_reference():
     # One Riesz product per check gives the old (lhs, rhs) bit for bit, on
-    # the suite's etas and on eighths.  An eta of 53 bits, such as 0.3,
-    # makes the Riesz product's transform pass 2^53 and is refused.
+    # the suite's etas and on eighths, in stacks of rows that share n; k = 0
+    # rows included.  An eta of 53 bits, such as 0.3, makes the Riesz
+    # product's transform pass 2^53 and is refused.
     rng = np.random.default_rng(49)
-    for trial in range(80):
-        n = int(rng.integers(2, 11))
-        f = random_table(rng, n)
-        lams = random_independent_chars(rng, n,
-                                        int(rng.integers(0, min(n, 4) + 1)))
-        eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 0.375, -0.625]))
+    for n in range(2, 11):
+        tables, lams_rows, etas = [], [], []
+        for _ in range(12):
+            f = random_table(rng, n)
+            lams = random_independent_chars(
+                rng, n, int(rng.integers(0, min(n, 4) + 1)))
+            eta = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0, 0.375,
+                                    -0.625]))
+            tables.append(f)
+            lams_rows.append(lams + [0] * (4 - len(lams)))
+            etas.append(eta)
+            if lams:
+                with pytest.raises(OverflowError):
+                    _beckner(f, lams, dyadic_from_fraction(Fraction(0.3)))
         got = beckner_verify(
-            f, riesz_product(n, lams, dyadic_from_fraction(Fraction(eta))))
-        want = reference_beckner(f, lams, eta)
-        assert [x.hex() for x in got] == [x.hex() for x in want], (n, eta)
-        if lams:
-            with pytest.raises(OverflowError):
-                beckner_verify(f, riesz_product(
-                    n, lams, dyadic_from_fraction(Fraction(0.3))))
+            np.stack([f.nums for f in tables]), [f.exp for f in tables],
+            riesz_product(n, lams_rows, [dyadic_from_fraction(Fraction(e))
+                                         for e in etas]))
+        for t, (f, lams, eta) in enumerate(zip(tables, lams_rows, etas)):
+            want = reference_beckner(f, [g for g in lams if g], eta)
+            assert [got[0][t].hex(), got[1][t].hex()] == [
+                x.hex() for x in want], (n, eta)
     with pytest.raises(ValueError):
-        beckner_verify(random_table(rng, 3),
-                       riesz_product(4, [1], DyadicScalar(1, 1)))
+        beckner_verify(random_table(rng, 3).nums[None], [0],
+                       riesz_product(4, [[1]], [DyadicScalar(1, 1)]))

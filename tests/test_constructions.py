@@ -8,14 +8,13 @@ from f2wiener.constructions import (CosetUnionWitness, DyadicDensity,
                                     density_family)
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
-from f2wiener.groups import DualSubspace, random_subspace
+from f2wiener.groups import DualSubspace
 from f2wiener.iteration import hypothesis_check
-from f2wiener.setfuncs import (physical_lower_bound, residual, residual_l1,
-                               set_a_norm)
-from f2wiener.verify import random_point_set
+from f2wiener.setfuncs import set_a_norm
 
 from _reference import (brute_set_a_norm, build_equality_case, ResolutionError,
-                        set_points, span_of)
+                        random_subspace, set_points, span_of,
+                        stacked_l1_and_floor)
 
 
 def test_density_family_values():
@@ -124,9 +123,8 @@ def test_equality_case_frozen():
     v = span_of([0b001])
     a = build_equality_case(DyadicScalar(3, 3), v, 3)
     assert set_points(a) == [0, 2, 4]
-    got = residual_l1(residual(a, v))
-    assert got == physical_lower_bound(DyadicScalar(3, 3), v.order)
-    assert got == DyadicScalar(3, 4)
+    got, floor = stacked_l1_and_floor(a, v)
+    assert got == floor == DyadicScalar(3, 4)
 
 
 def test_equality_case_random():
@@ -139,8 +137,8 @@ def test_equality_case_random():
         a = build_equality_case(alpha, v, n)
         assert a.density() == alpha
         if a.size:
-            got = residual_l1(residual(a, v))
-            assert got == physical_lower_bound(alpha, v.order)
+            got, floor = stacked_l1_and_floor(a, v)
+            assert got == floor
 
 
 def test_equality_case_deterministic_and_lex():

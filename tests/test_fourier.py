@@ -8,15 +8,20 @@ from hypothesis import assume, given, settings, strategies as st
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import (FunctionTable, Spectrum, _int_minmax, a_norm,
                               exact_product, exact_sum, fwht, l1_norm,
-                              l2_norm_sq, lp_norm, spectrum_l2_sq)
-from f2wiener.groups import DualSubspace, random_subspace
+                              l2_norm_sq, lp_norm)
+from f2wiener.groups import DualSubspace
 from f2wiener.setfuncs import PointSet, set_a_norm
-from f2wiener.verify import random_point_set, random_table
 
 from _reference import (annihilator_points, brute_a_norm, brute_abs_floats,
-                        brute_fwht, dyadic_from_fraction,
-                        reference_inverse_fwht, table_fractions,
-                        table_from_values, table_to_dyadics)
+                        brute_fwht, random_point_set, random_subspace,
+                        random_table, reference_inverse_fwht, spectrum_l2_sq,
+                        table_fractions, table_from_values, table_to_dyadics)
+
+
+def _lp(f, p):
+    """lp_norm of the one-row stack of the table f."""
+    (got,) = lp_norm(f.nums[None], [f.exp], p)
+    return got
 
 _I64_MAX = (1 << 63) - 1
 
@@ -95,11 +100,27 @@ def test_tables_past_int64_are_refused():
     # rather than stored.
     big = 1 << 70
     for nums in (np.array([big, -big + 3, 5, 0], dtype=object),
-                 [1 << 70, 2, 0, 0]):
+                 [1 << 70, 2, 0, 0], [1 << 63, 2, 0, 0], [2, -(1 << 63), 0, 0],
+                 [(1 << 64) - 1, -2, 0, 0]):
         for cls in (FunctionTable, Spectrum):
             for exp in (0, 1):
                 with pytest.raises(OverflowError):
                     cls(2, nums, exp)
+
+
+def test_lists_past_int64_are_refused_for_their_size():
+    # numpy reads [2^63, 2, 0, 0] as float64; the table still refuses it
+    # as too large, as it does [2^70, 2, 0, 0] and the uint64 array, and
+    # refuses a list holding a float for its type.
+    for nums in ([1 << 63, 2, 0, 0], [1 << 70, 2, 0, 0],
+                 np.array([1 << 63, 2, 0, 0], dtype=np.uint64)):
+        with pytest.raises(OverflowError):
+            FunctionTable(2, nums, 0)
+    for nums in ([1.5, 2, 0, 0], [1 << 63, 0.5, 0, 0],
+                 np.array([1.0, 2.0, 0.0, 0.0])):
+        with pytest.raises(TypeError):
+            FunctionTable(2, nums, 0)
+    assert FunctionTable(2, [(1 << 63) - 1, 2, 0, 0], 0).peak == (1 << 63) - 1
 
 
 def test_numerators_outside_int64_magnitude_stay_exact():
@@ -185,10 +206,10 @@ def test_lp_norm_agrees_with_exact():
         f = random_table(rng, n)
         exact1 = float(l1_norm(f).as_fraction())
         exact2 = math.sqrt(float(l2_norm_sq(f).as_fraction()))
-        assert lp_norm(f, 1.0) == pytest.approx(exact1, rel=1e-12, abs=1e-300)
-        assert lp_norm(f, 2.0) == pytest.approx(exact2, rel=1e-12, abs=1e-300)
+        assert _lp(f, 1.0) == pytest.approx(exact1, rel=1e-12, abs=1e-300)
+        assert _lp(f, 2.0) == pytest.approx(exact2, rel=1e-12, abs=1e-300)
     with pytest.raises(ValueError):
-        lp_norm(random_table(rng, 2), 0.5)
+        _lp(random_table(rng, 2), 0.5)
 
 
 def _brute_lp(f, p):
@@ -214,7 +235,15 @@ def test_lp_norm_matches_reference():
     assert tables[-1].nums.dtype == np.int64
     for f in tables:
         for p in (1.0, 1.0625, 1.5625, 2.0):
-            assert lp_norm(f, p) == _brute_lp(f, p)
+            assert _lp(f, p) == _brute_lp(f, p)
+    # A stack reduces each row as that row alone: rows of one n with
+    # exponents on both sides of the float route's limit.
+    for n in (2, 3, 7):
+        rows = [f for f in tables if f.dim.n == n]
+        exps = [f.exp for f in rows]
+        for p in (1.0, 1.0625, 1.5625, 2.0):
+            got = lp_norm(np.stack([f.nums for f in rows]), exps, p)
+            assert got == [_brute_lp(f, p) for f in rows]
 
 
 def test_exact_product():
@@ -521,22 +550,13 @@ def test_table_peak_after_zeros_and_stripping():
 
 
 def test_built_tables_carry_their_peak():
-    # Tables the package builds without a copy: transforms, indicators,
-    # residuals and Riesz products.
-    from f2wiener.chang import riesz_product
-    from f2wiener.setfuncs import residual
+    # Tables the package builds without a copy: transforms and indicators.
     rng = np.random.default_rng(90)
     for n in (1, 3, 6):
         f = random_table(rng, n)
         a = random_point_set(rng, n)
         big = FunctionTable(n, np.full(1 << n, (1 << 53) >> n), 0)
-        built = [fwht(f), a.indicator(),
-                 fwht(a.indicator()),
-                 residual(a, random_subspace(rng, n)).table,
-                 riesz_product(n, [1], DyadicScalar(1, 1)).table,
-                 riesz_product(n, [1],
-                               dyadic_from_fraction(Fraction(0.3))).table,
-                 fwht(big)]
+        built = [fwht(f), a.indicator(), fwht(a.indicator()), fwht(big)]
         for t in built:
             assert t.peak == _stored_peak(t), t
             assert not t.nums.flags.writeable

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f2wiener.groups import (HARD_DIM_CAP, SUBSPACE_BATCH, DualSubspace,
-                             GroupDim, _unit_labels, all_subspaces,
-                             annihilator_basis, coset_index_table, parity,
-                             random_subspace, subspace_batches,
+                             GroupDim, all_subspaces, annihilator_basis,
+                             coset_index_table, label_table, parity,
+                             parity_labels, subspace_batches,
                              subspace_count, subspace_extend,
                              subspace_insert)
 
 from _reference import (annihilator_points, full_subspace,
                         parity as ref_parity, random_invertible,
-                        reference_all_subspaces, reference_annihilator_basis,
-                        span_of)
+                        random_subspace, reference_all_subspaces,
+                        reference_annihilator_basis, span_of)
 
 
 def test_group_dim_validation():
@@ -151,14 +151,16 @@ def test_bound_check_shared():
     v = span_of([0b100])
     for call in (lambda: annihilator_basis(v, 2),
                  lambda: coset_index_table(v, 2, np.arange(4)),
-                 lambda: _unit_labels(v, 2)):
+                 lambda: label_table(np.array([v.basis]), 2)):
         with pytest.raises(ValueError,
                            match="basis mask exceeds the group dimension"):
             call()
     assert annihilator_basis(v, 3) == [1, 2]
     assert coset_index_table(v, 3, np.arange(8)).tolist() == [
         0, 0, 0, 0, 1, 1, 1, 1]
-    assert _unit_labels(v, 3) == [0, 0, 1]
+    labels, dims = label_table(np.array([v.basis]), 3)
+    assert labels.tolist() == [[0, 0, 0, 0, 1, 1, 1, 1]]
+    assert dims.tolist() == [1]
 
 
 def test_all_subspaces_match_reference():
@@ -252,3 +254,27 @@ def test_random_invertible_is_invertible():
         n = int(rng.integers(1, 9))
         rows = random_invertible(rng, n)
         assert span_of(rows).dim == n
+
+
+def test_label_table_matches_coset_index_table():
+    # Each row's doubled table against per-basis parity over the whole
+    # group, and its rank against the span: stacks of spanning sets with
+    # dependent and zero characters mixed in, dim V from 0 to n.
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 5, 9):
+        chars = rng.integers(0, 1 << n, size=(24, n + 2))
+        chars[:3] = 0
+        chars[3, :n] = 1 << np.arange(n)
+        chars[4, 1] = chars[4, 0]
+        labels, dims = label_table(chars, n)
+        pts = np.arange(1 << n, dtype=np.int64)
+        assert (labels == parity_labels(chars[:, None, :], pts)).all()
+        for row, label_row, d in zip(chars.tolist(), labels, dims.tolist()):
+            v = span_of([g for g in row if g])
+            assert d == v.dim
+            # Labels of one coset agree: the table is constant on the
+            # fibres of coset_index_table under v's own basis.
+            own = coset_index_table(v, n, pts)
+            assert len(set(zip(own.tolist(), label_row.tolist()))) == v.order
+    with pytest.raises(ValueError):
+        label_table(np.array([[-1]]), 2)

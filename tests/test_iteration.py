@@ -7,16 +7,16 @@ import pytest
 from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
-from f2wiener.groups import DualSubspace, random_subspace, subspace_extend
+from f2wiener.groups import DualSubspace, subspace_extend
 from f2wiener import groups, iteration
 from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
                                 hypothesis_check, run_iteration)
-from f2wiener.setfuncs import PointSet, residual, residual_l1, set_a_norm
-from f2wiener.verify import random_point_set
+from f2wiener.setfuncs import PointSet, set_a_norm
 
 from _reference import (annihilator_points, fresh_step, full_set,
-                        random_invertible, reference_iterate_step,
-                        reference_level_sets, set_map_linear, set_points,
+                        random_invertible, random_point_set, random_subspace,
+                        reference_iterate_step, reference_level_sets,
+                        residual, residual_l1, set_map_linear, set_points,
                         set_translate, span_of)
 
 

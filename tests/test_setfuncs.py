@@ -5,19 +5,37 @@ import pytest
 from hypothesis import given, strategies as st
 
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import fwht
-from f2wiener.groups import (DualSubspace, GroupDim, all_subspaces,
-                             random_subspace)
-from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap,
-                               physical_lower_bound, residual, residual_l1,
-                               set_a_norm)
-from f2wiener.verify import random_point_set
+from f2wiener.fourier import FunctionTable, fwht
+from f2wiener.groups import DualSubspace, GroupDim, all_subspaces
+from f2wiener.setfuncs import (PointSet, ResidualRows, frac_product,
+                               frac_quadratic_gap, physical_lower_bound,
+                               residual_l1, residual_rows, set_a_norm)
 
+import _reference
 from _reference import (brute_coset_average, brute_frac_quadratic_gap,
                         brute_indicator_bits, brute_set_a_norm, full_set,
-                        random_invertible, reference_residual, set_complement,
-                        set_map_linear, set_points, set_translate, span_of,
-                        table_fractions)
+                        random_invertible, random_point_set, random_subspace,
+                        reference_residual, set_complement, set_map_linear,
+                        set_points, set_translate, span_of, stack_rows,
+                        stacked_l1_and_floor, table_fractions)
+
+
+def _residual(a, v):
+    """The batched residual of one set, as a table."""
+    fv = residual_rows(*stack_rows([a], [v]))
+    return FunctionTable(a.dim, fv.nums[0], a.dim.n - int(fv.dims[0]))
+
+
+def _l1(a, v):
+    return stacked_l1_and_floor(a, v)[0]
+
+
+def _floor(alpha, order):
+    """physical_lower_bound at density alpha = size / 2^n and |V| = order."""
+    d = order.bit_length() - 1
+    n = max(alpha.exp, d, 1)
+    floor, exp = physical_lower_bound([alpha.num << (n - alpha.exp)], n, [d])
+    return DyadicScalar(int(floor[0]), int(exp[0]))
 
 
 def test_point_set_basics():
@@ -73,7 +91,7 @@ def test_set_norm_matches_brute():
 
 def _coset_average(a, v):
     # chi_A - f_V is the average of chi_A over each annihilator coset.
-    fv = table_fractions(residual(a, v).table)
+    fv = table_fractions(_residual(a, v))
     return [int(c) - r for c, r in zip(a.indicator().nums, fv)]
 
 
@@ -107,12 +125,12 @@ def test_residual_properties():
             continue
         trials += 1
         v = random_subspace(rng, n)
-        r = residual(a, v)
-        fr = table_fractions(r.table)
+        r = _residual(a, v)
+        fr = table_fractions(r)
         # zero mean on every coset of the annihilator, values in [-1, 1]
         assert sum(fr, Fraction(0)) == 0
         assert all(-1 <= x <= 1 for x in fr)
-        spec = fwht(r.table)
+        spec = fwht(r)
         for g in v.elements():
             assert spec[g].num == 0
 
@@ -125,11 +143,28 @@ def test_residual_l1_identity():
         if a.size == 0:
             continue
         v = random_subspace(rng, n)
-        r = residual(a, v)
-        l1 = residual_l1(r)  # raises ArithmeticError if the two routes differ
+        l1 = _l1(a, v)  # the two routes must agree
         assert l1 >= DyadicScalar(0)
         assert l1.as_fraction() == sum(
-            (abs(x) for x in table_fractions(r.table)), Fraction(0)) / (1 << n)
+            (abs(x) for x in table_fractions(_residual(a, v))),
+            Fraction(0)) / (1 << n)
+
+
+def test_residual_l1_reports_a_broken_identity():
+    # A residual row without mean zero on its cosets breaks the identity:
+    # that row, and only that row, is reported, with the message the
+    # per-trial check raised.
+    a = PointSet.from_points(3, [0, 1, 5])
+    v = span_of([0b011])
+    fv = residual_rows(*stack_rows([a, a], [v, v]))
+    nums = fv.nums.copy()
+    nums[1, 0] += 1
+    tampered = ResidualRows(fv.ind, fv.dims, nums)
+    _, _, broken = residual_l1(tampered)
+    want = _reference.ResidualTable(FunctionTable(3, nums[1], 2), v, a)
+    with pytest.raises(ArithmeticError) as exc:
+        _reference.residual_l1(want)
+    assert broken == {1: str(exc.value)}
 
 
 def test_residual_l1_balanced_case():
@@ -141,8 +176,8 @@ def test_residual_l1_balanced_case():
         if a.size == 0:
             continue
         alpha = a.density().as_fraction()
-        r = residual(a, DualSubspace.trivial())
-        assert residual_l1(r).as_fraction() == 2 * alpha * (1 - alpha)
+        l1 = _l1(a, DualSubspace.trivial())
+        assert l1.as_fraction() == 2 * alpha * (1 - alpha)
 
 
 def test_frac_product_frozen():
@@ -155,14 +190,19 @@ def test_frac_product_frozen():
 
 
 def test_physical_lower_bound_frozen():
-    assert physical_lower_bound(DyadicScalar(5, 4), 4) == DyadicScalar(3, 5)
-    assert physical_lower_bound(DyadicScalar(1, 1), 2) == DyadicScalar(0)
-    assert physical_lower_bound(DyadicScalar(1, 1), 1) == DyadicScalar(1, 1)
-    assert physical_lower_bound(DyadicScalar(0), 8) == DyadicScalar(0)
-    with pytest.raises(ValueError):
-        physical_lower_bound(DyadicScalar(1, 2), 3)  # order not a power of 2
-    with pytest.raises(ValueError):
-        physical_lower_bound(DyadicScalar(1, 2), 0)
+    assert _floor(DyadicScalar(5, 4), 4) == DyadicScalar(3, 5)
+    assert _floor(DyadicScalar(1, 1), 2) == DyadicScalar(0)
+    assert _floor(DyadicScalar(1, 1), 1) == DyadicScalar(1, 1)
+    assert _floor(DyadicScalar(0), 8) == DyadicScalar(0)
+    # One stack: |A| = 5 of 16 against |V| = 1, 2, 4, 8, 16, as canonical
+    # (num, exp) pairs.
+    nums, exps = physical_lower_bound([5] * 5, 4, range(5))
+    assert list(zip(nums.tolist(), exps.tolist())) == [
+        (55, 7), (15, 6), (3, 5), (1, 4), (0, 0)]
+    for sizes, n, dims in (([17], 4, [0]), ([-1], 4, [0]), ([1], 4, [5]),
+                           ([1], 4, [-1])):
+        with pytest.raises(ValueError):
+            physical_lower_bound(sizes, n, dims)
 
 
 def test_physical_lower_bound_inequality():
@@ -174,9 +214,9 @@ def test_physical_lower_bound_inequality():
         if a.size == 0:
             continue
         v = random_subspace(rng, n)
-        bound = physical_lower_bound(a.density(), v.order)
-        got = residual_l1(residual(a, v))
-        assert bound <= got
+        bound = _floor(a.density(), v.order)
+        assert bound == _reference.physical_lower_bound(a.density(), v.order)
+        assert bound <= _l1(a, v)
 
 
 def test_frac_quadratic_gap_frozen():
@@ -285,7 +325,7 @@ def test_residual_matches_reference():
     # The label table doubled over the unit vectors against
     # coset_index_table over the whole group: every subspace for n <= 4
     # with seeded, empty and full sets, then seeded sets and subspaces up
-    # to n = 12.
+    # to n = 12; each n is one stack, checked row by row.
     rng = np.random.default_rng(29)
     cases = []
     for n in range(1, 5):
@@ -296,16 +336,21 @@ def test_residual_matches_reference():
         for _ in range(8):
             cases.append((random_point_set(rng, n), random_subspace(rng, n)))
     assert len(cases) == 5 * (2 + 5 + 16 + 67) + 8 * 8
-    for a, v in cases:
-        got = residual(a, v)
-        want = reference_residual(a, v)
-        assert got.table == want.table, (a, v)
-        assert got.table.peak == want.table.peak
-        assert residual_l1(got) == residual_l1(want)
+    for n in range(1, 13):
+        group = [(a, v) for a, v in cases if a.dim.n == n]
+        fv = residual_rows(*stack_rows(*zip(*group)))
+        nums, exps, broken = residual_l1(fv)
+        assert broken == {}
+        for t, (a, v) in enumerate(group):
+            want = reference_residual(a, v)
+            got = FunctionTable(n, fv.nums[t], n - int(fv.dims[t]))
+            assert got == want.table, (a, v)
+            l1 = _reference.residual_l1(want)
+            assert (int(nums[t]), int(exps[t])) == (l1.num, l1.exp)
 
 
 def test_residual_checks_basis_bound():
-    a = PointSet.from_points(2, [1])
+    ind, _ = stack_rows([PointSet.from_points(2, [1])], [])
     with pytest.raises(ValueError,
                        match="basis mask exceeds the group dimension"):
-        residual(a, span_of([0b100]))
+        residual_rows(ind, np.array([[0b100]]))

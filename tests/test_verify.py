@@ -1,15 +1,22 @@
+import json
+import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from f2wiener import verify
+import _reference
+from f2wiener import cli, verify
 from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
-from f2wiener.verify import (MAX_JOBS, MAX_TRIALS, SUITE_NAMES, _SEED_BLOCK,
-                             _trial_rngs, run_suite)
+from f2wiener._streams import _SEED_BLOCK, trial_rngs
+from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
+
+from _reference import (REFERENCE_TRIALS, reference_residual, stack_rows,
+                        table_fractions)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -60,7 +67,7 @@ def test_trial_rngs_match_default_rng(seed):
     spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
     for start, count in spans:
         seen = []
-        for i, rng in _trial_rngs(seed, start, count):
+        for i, rng in trial_rngs(seed, start, count):
             want = np.random.default_rng([seed, i])
             assert rng.bit_generator.state == want.bit_generator.state, i
             assert rng.integers(0, 1 << 62) == want.integers(0, 1 << 62)
@@ -82,8 +89,8 @@ def _cap_over_eight(original):
 
 def _one_unit_up(original):
     def residual_l1(fv):
-        got = original(fv)
-        return DyadicScalar(got.num + 1, got.exp)
+        nums, exps, broken = original(fv)
+        return nums + 1, exps, broken
     return residual_l1
 
 
@@ -95,16 +102,40 @@ def _rhs_minus_one(original):
 
 
 def _mass_one_unit_off(original):
-    def riesz_product(dim, lambdas, eta):
-        p = original(dim, lambdas, eta)
-        nums = p.table.nums.copy()
-        nums[0] += 1
-        return RieszProduct(FunctionTable(p.table.dim, nums, p.table.exp),
-                            p.lambdas, p.eta)
+    def riesz_product(n, lambdas, etas):
+        p = original(n, lambdas, etas)
+        nums = p.nums.copy()
+        nums[:, 0] += 1
+        return RieszProduct(nums, p.exps, p.lambdas, p.etas)
     return riesz_product
 
 
 def _floor_one_unit_up(original):
+    def physical_lower_bound(sizes, n, dims):
+        nums, exps = original(sizes, n, dims)
+        return nums + 1, exps
+    return physical_lower_bound
+
+
+# The same mutants on the per-trial forms in tests/_reference.py.
+def _ref_one_unit_up(original):
+    def residual_l1(fv):
+        got = original(fv)
+        return DyadicScalar(got.num + 1, got.exp)
+    return residual_l1
+
+
+def _ref_mass_one_unit_off(original):
+    def riesz_product(dim, lambdas, eta):
+        p = original(dim, lambdas, eta)
+        nums = p.table.nums.copy()
+        nums[0] += 1
+        return _reference.RieszTable(
+            FunctionTable(p.table.dim, nums, p.table.exp), p.lambdas, p.eta)
+    return riesz_product
+
+
+def _ref_floor_one_unit_up(original):
     def physical_lower_bound(alpha, order):
         floor = original(alpha, order)
         return DyadicScalar(floor.num + 1, floor.exp)
@@ -122,14 +153,17 @@ _CAUGHT_BY = {
 }
 
 
-@pytest.mark.parametrize("suite, attr, mutate", [
+_MUTANTS = [
     ("chang", "chang_span", _drop_last_row),
     ("chang", "chang_cardinality_bound", _cap_over_eight),
     ("tA", "residual_l1", _one_unit_up),
     ("techlem", "frac_quadratic_gap", _rhs_minus_one),
     ("beckner", "riesz_product", _mass_one_unit_off),
     ("lem1", "physical_lower_bound", _floor_one_unit_up),
-])
+]
+
+
+@pytest.mark.parametrize("suite, attr, mutate", _MUTANTS)
 def test_suite_catches_mutant(monkeypatch, suite, attr, mutate):
     monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
     res = run_suite(suite, trials=30, seed=11)
@@ -152,3 +186,142 @@ def test_techlem_mutant_messages_pinned(monkeypatch):
         "trial 2: sum(d - d^2) = -661/841 < 180/841 = g(1-g) "
         "for deltas [Fraction(20, 29), Fraction(1, 1)]",
     ]
+
+
+# Every violation, in order, that each mutant gives at trials=30, seed=11,
+# as checking the trials one at a time gives them.
+_PINNED = json.loads((pathlib.Path(__file__).parent
+                      / "verify_mutants.json").read_text())
+
+
+@pytest.mark.parametrize("suite, attr, mutate", _MUTANTS)
+def test_mutant_violations_pinned(monkeypatch, suite, attr, mutate):
+    monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
+    assert run_suite(suite, trials=30, seed=11).violations == _PINNED[attr]
+
+
+# stdout of verify --suite all --trials 500 at seeds 1, 2 and 3.
+_ALL_PASS = "".join(f"suite {name}: trials=500 violations=0 PASS\n"
+                    for name in SUITE_NAMES)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_all_stdout_pinned(capsys, seed, jobs):
+    rc = cli.main(["verify", "--suite", "all", "--trials", "500",
+                   "--seed", str(seed), "--jobs", str(jobs)])
+    assert (rc, capsys.readouterr().out) == (0, _ALL_PASS)
+
+
+@pytest.mark.parametrize("suite, attr, mutate",
+                         [m for m in _MUTANTS if m[0] != "techlem"])
+def test_sharding_keeps_violations_under_a_mutant(monkeypatch, suite, attr,
+                                                  mutate):
+    # 600 trials over 3 jobs: shards of 200 cut every n-group at their
+    # ends, and the second shard crosses the seed block boundary at 256.
+    monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
+    serial = run_suite(suite, trials=600, seed=5, jobs=1).violations
+    assert serial
+    assert [int(m.split()[1][:-1]) for m in serial] == sorted(
+        int(m.split()[1][:-1]) for m in serial)
+    assert run_suite(suite, trials=600, seed=5, jobs=3).violations == serial
+
+
+def _per_trial(name, seed, count):
+    trial = REFERENCE_TRIALS[name]
+    out = []
+    for i, rng in trial_rngs(seed, 0, count):
+        msg = trial(rng)
+        if msg is not None:
+            out.append(f"trial {i}: {msg}")
+    return out
+
+
+_REFERENCE_MUTANTS = {
+    "tA": ("residual_l1", _one_unit_up, _ref_one_unit_up),
+    "lem1": ("physical_lower_bound", _floor_one_unit_up,
+             _ref_floor_one_unit_up),
+    "beckner": ("riesz_product", _mass_one_unit_off, _ref_mass_one_unit_off),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TRIALS))
+@pytest.mark.parametrize("mutated", [False, True])
+def test_batched_suites_match_per_trial(monkeypatch, name, mutated):
+    if mutated:
+        attr, batched, per_trial = _REFERENCE_MUTANTS[name]
+        monkeypatch.setattr(verify, attr, batched(getattr(verify, attr)))
+        monkeypatch.setattr(_reference, attr,
+                            per_trial(getattr(_reference, attr)))
+    for seed in (0, 4, 2**40 + 1):
+        want = _per_trial(name, seed, 300)
+        assert run_suite(name, 300, seed).violations == want
+        assert bool(want) == mutated
+
+
+def test_beckner_floats_match_per_trial(monkeypatch):
+    # A negative slack flags about one trial in ten, so the messages print
+    # both sides of the smoothing bound: their reprs must be the per-trial
+    # check's, bit for bit.
+    monkeypatch.setattr(verify, "BECKNER_SLACK", -0.3)
+    monkeypatch.setattr(_reference, "BECKNER_SLACK", -0.3)
+    for seed in (0, 9):
+        want = _per_trial("beckner", seed, 400)
+        assert len(want) > 20
+        assert run_suite("beckner", 400, seed).violations == want
+
+
+def test_batched_beckner_edge_cases():
+    # n = 2 stacks of every character count from 0 (no factor) to n, and
+    # every suite eta, each row against the per-trial check.
+    from f2wiener.chang import beckner_verify, riesz_product
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        tables, lams, etas = [], [], []
+        for k in range(n + 1):
+            for eta in verify._ETAS:
+                tables.append(_reference.random_table(rng, n))
+                lams.append(_reference.random_independent_chars(rng, n, k))
+                etas.append(eta)
+        lambdas = np.zeros((len(lams), n), dtype=np.int64)
+        for row, chars in enumerate(lams):
+            lambdas[row, :len(chars)] = chars
+        p = riesz_product(n, lambdas, etas)
+        lhs, rhs = beckner_verify(np.stack([f.nums for f in tables]),
+                                  [f.exp for f in tables], p)
+        for t, (f, chars, eta) in enumerate(zip(tables, lams, etas)):
+            ref = _reference.riesz_product(n, chars, eta)
+            assert FunctionTable(n, p.nums[t], int(p.exps[t])) == ref.table
+            assert (lhs[t], rhs[t]) == _reference.beckner_verify(f, ref)
+
+
+def test_batched_residual_edge_cases():
+    # n = 2 with every subspace, the empty and the full set; then dim V = 0
+    # and dim V = n at n = 5, each row against the per-trial reference.
+    from f2wiener.groups import all_subspaces
+    from f2wiener.setfuncs import (PointSet, physical_lower_bound,
+                                   residual_l1, residual_rows)
+    from _reference import full_set, full_subspace
+    cases = []
+    for n in (2, 5):
+        sets = [PointSet(n, 0), full_set(n), PointSet.from_points(n, [1])]
+        subs = (list(all_subspaces(n)) if n == 2
+                else [DualSubspace.trivial(), full_subspace(n)])
+        cases.append([(a, v) for a in sets for v in subs])
+    for rows in cases:
+        ind, chars = stack_rows([a for a, _ in rows], [v for _, v in rows])
+        fv = residual_rows(ind, chars)
+        nums, exps, broken = residual_l1(fv)
+        sizes = ind.sum(axis=1)
+        n = rows[0][0].dim.n
+        floor, floor_exp = physical_lower_bound(sizes, n, fv.dims)
+        assert broken == {}
+        for t, (a, v) in enumerate(rows):
+            want = reference_residual(a, v)
+            assert fv.dims[t] == v.dim
+            assert table_fractions(want.table) == [
+                Fraction(x, 1 << (n - v.dim)) for x in fv.nums[t].tolist()]
+            l1 = _reference.residual_l1(want)
+            assert (int(nums[t]), int(exps[t])) == (l1.num, l1.exp)
+            assert DyadicScalar(int(floor[t]), int(floor_exp[t])) == (
+                _reference.physical_lower_bound(a.density(), v.order))
