@@ -265,8 +265,9 @@ def label_table(chars: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     rank of row t, read off the kernel: the 2^(n - dims[t]) points with
     label 0.
     """
-    if chars.size and (chars.min() < 0 or chars.max() >> n):
-        raise ValueError("basis mask exceeds the group dimension")
+    if chars.size and chars.min() < 0:
+        raise ValueError("character masks are non-negative")
+    _check_bound((chars.max(initial=0),), n)
     rows, width = chars.shape
     weights = np.int64(1) << np.arange(width, dtype=np.int64)
     units = ((chars[:, None, :] >> np.arange(n, dtype=np.int64)[:, None])

@@ -11,9 +11,9 @@ and one subspace per row, all on the same F2^n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -220,22 +220,32 @@ def physical_lower_bound(sizes: np.ndarray, n: int,
     return _canonical(r * (m - r), 2 * n - dims - 1)
 
 
-def frac_quadratic_gap(deltas: Sequence[Union[Fraction, int]],
-                       ) -> Tuple[Fraction, Fraction]:
-    """(sum(d_i - d_i^2), g(1-g)) with g the fractional part of sum(d_i).
+def frac_quadratic_gap(nums: np.ndarray, dens: np.ndarray, m: np.ndarray,
+                       ) -> Tuple[List[int], List[int], List[int]]:
+    """(lhs, rhs, squares): row r's sum(d - d^2) = lhs[r] / squares[r] and
+    g(1-g) = rhs[r] / squares[r], g the fractional part of sum(d).
 
-    The left side dominates the right for any d_i in [0, 1]; exact over
-    general rationals, not only dyadics.
+    Row r's deltas are nums[r, i] / dens[r, i] for i < m[r]; the columns
+    after them only pad.  The left side dominates the right for any deltas
+    in [0, 1]; exact over general rationals, not only dyadics.
     """
-    ds = [d if type(d) in (Fraction, int) else Fraction(d) for d in deltas]
-    for d in ds:
-        if not 0 <= d.numerator <= d.denominator:
-            raise ValueError(f"delta {d} outside [0, 1]")
-    # Integers over the least common denominator L: d_i = a_i / L, so
-    # sum(d - d^2) = sum a(L - a) / L^2 and g = (sum a mod L) / L.
-    lcd = math.lcm(*(d.denominator for d in ds))
-    nums = [d.numerator * (lcd // d.denominator) for d in ds]
-    g = sum(nums) % lcd
-    den = lcd * lcd
-    return (Fraction(sum(a * (lcd - a) for a in nums), den),
-            Fraction(g * (lcd - g), den))
+    nums, dens, m = np.asarray(nums), np.asarray(dens), np.asarray(m)
+    used = np.arange(nums.shape[1]) < m[:, None]
+    outside = np.flatnonzero(used & ((dens < 1) | (nums < 0) | (nums > dens)))
+    if outside.size:
+        r, i = divmod(int(outside[0]), nums.shape[1])
+        raise ValueError(f"delta {nums[r, i]}/{dens[r, i]} outside [0, 1]")
+    # Integers over the row's least common denominator L: d_i = a_i / L, so
+    # sum(d - d^2) = (L sum a - sum a^2) / L^2 and g = (sum a mod L) / L.
+    # L^2 can pass 2^63, so each row is summed in Python ints.
+    lhs, rhs, squares = [], [], []
+    for num_row, den_row, k in zip(nums.tolist(), dens.tolist(), m.tolist()):
+        den_row = den_row[:k]
+        lcd = math.lcm(*den_row)
+        a = [x * (lcd // d) for x, d in zip(num_row, den_row)]
+        total = sum(a)
+        g = total % lcd
+        lhs.append(lcd * total - sum(map(operator.mul, a, a)))
+        rhs.append(g * (lcd - g))
+        squares.append(lcd * lcd)
+    return lhs, rhs, squares

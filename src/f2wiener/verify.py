@@ -6,14 +6,17 @@ across a worker pool without changing the outcome.  Seeds must be
 non-negative.  A violation message names the trial; theorems being
 theorems, any violation is an implementation bug.
 
-Trials are drawn one by one, in trial order.  The tA, lem1 and beckner
-trials are then evaluated in groups that share n: each group is checked
-as one stacked (trials, 2^n) table once it is full (see _GROUP_ROWS),
-and what is left when the trials run out is checked last.  Each trial's
-outcome depends only on its own draws, and violations are reported in
-trial order, so every stream, message and --jobs result is that of
-checking the trials one at a time.  techlem and chang trials are checked
-as they are drawn.
+The tA, lem1 and beckner trials are drawn one by one, in trial order, and
+then evaluated in groups that share n: each group is checked as one
+stacked (trials, 2^n) table once it is full (see _GROUP_ROWS), and what is
+left when the trials run out is checked last.  The techlem trials are not
+drawn by Generator calls: their draws are decoded as arrays from the first
+words of each stream, a block of trials at a time, as numpy would draw
+them (a trial where numpy would reject a word is drawn by the Generator),
+and each block is checked as integer rows.  chang trials are checked as
+they are drawn.  Each trial's outcome depends only on its own draws, and
+violations are reported in trial order, so every stream, message and
+--jobs result is that of checking the trials one at a time.
 """
 from __future__ import annotations
 
@@ -21,11 +24,11 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._streams import trial_rngs
+from ._streams import techlem_draws, trial_rngs
 from .chang import (RieszProduct, beckner_verify, chang_cardinality_bound,
                     chang_span, riesz_product)
 from .dyadic import DyadicScalar
@@ -235,16 +238,19 @@ def _eval_beckner(n: int, ids: List[int], nums: np.ndarray,
     return found
 
 
-def _trial_techlem(rng: np.random.Generator) -> Optional[str]:
-    m = int(rng.integers(1, 9))
-    deltas = []
-    for _ in range(m):
-        den = int(rng.integers(1, 65))
-        deltas.append(Fraction(int(rng.integers(0, den + 1)), den))
-    lhs, rhs = frac_quadratic_gap(deltas)
-    if lhs < rhs:
-        return f"sum(d - d^2) = {lhs} < {rhs} = g(1-g) for deltas {deltas}"
-    return None
+def _run_techlem(seed: int, start: int, count: int) -> Found:
+    found: Found = []
+    for first, nums, dens, m in techlem_draws(seed, start, count):
+        lhs, rhs, squares = frac_quadratic_gap(nums, dens, m)
+        for t, (left, right, sq) in enumerate(zip(lhs, rhs, squares)):
+            if left < right:
+                k = m[t]
+                deltas = [Fraction(a, d) for a, d in
+                          zip(nums[t, :k].tolist(), dens[t, :k].tolist())]
+                found.append((first + t, (
+                    f"sum(d - d^2) = {Fraction(left, sq)} < "
+                    f"{Fraction(right, sq)} = g(1-g) for deltas {deltas}")))
+    return found
 
 
 def _trial_chang(rng: np.random.Generator) -> Optional[str]:
@@ -279,11 +285,6 @@ def _trial_chang(rng: np.random.Generator) -> Optional[str]:
     return None
 
 
-# Suites checked trial by trial: one function of the trial's generator.
-_TRIALS: Dict[str, Callable[[np.random.Generator], Optional[str]]] = {
-    "techlem": _trial_techlem,
-    "chang": _trial_chang,
-}
 # Batched suites: (draw, the fields of a draw on F2^n, evaluate a group of
 # draws that share n).
 _BATCHED = {
@@ -315,13 +316,13 @@ def _run_batched(name: str, rngs) -> Found:
 
 
 def _run_chunk(name: str, seed: int, start: int, count: int) -> List[str]:
-    rngs = trial_rngs(seed, start, count)
-    if name in _TRIALS:
-        trial = _TRIALS[name]
-        found = [(i, msg) for i, rng in rngs
-                 if (msg := trial(rng)) is not None]
+    if name == "techlem":
+        found = _run_techlem(seed, start, count)
+    elif name == "chang":
+        found = [(i, msg) for i, rng in trial_rngs(seed, start, count)
+                 if (msg := _trial_chang(rng)) is not None]
     else:
-        found = _run_batched(name, rngs)
+        found = _run_batched(name, trial_rngs(seed, start, count))
     return [f"trial {i}: {msg}" for i, msg in found]
 
 

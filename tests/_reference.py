@@ -29,10 +29,12 @@ bit.
 The verify section at the end is the per-trial verify code that the
 package replaced by stacked evaluation: the random inputs (drawn with
 the same generator calls), one table's residual l1, Lemma 1's floor, one
-Riesz product, one Beckner check, the table L^p norm, and the tA, lem1
-and beckner trials built from them.  A batched suite must give the
-violations these trials give, also when a test patches one of the
-per-trial functions here as it patches the batched one in verify.
+Riesz product, one Beckner check, the table L^p norm, the technical
+lemma's two sides for one list of deltas (the package's row form on one
+row), and the tA, lem1, techlem and beckner trials built from them.  A
+batched suite must give the violations these trials give, also when a
+test patches one of the per-trial functions here as it patches the
+batched one in verify.
 """
 from __future__ import annotations
 
@@ -54,7 +56,8 @@ from f2wiener.fourier import (_LP_MAX_EXP, FunctionTable, Spectrum,
 from f2wiener.groups import (DualSubspace, GroupDim, coset_index_table,
                              subspace_extend, subspace_insert)
 from f2wiener.iteration import StepResult, ZeroResidual, iterate_step
-from f2wiener.setfuncs import (PointSet, frac_product, physical_lower_bound
+from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap
+                               as row_gap, physical_lower_bound
                                as row_floors, residual_l1 as row_l1,
                                residual_norms, residual_rows)
 
@@ -264,6 +267,7 @@ def brute_frac_quadratic_gap(deltas) -> Tuple[Fraction, Fraction]:
     g = total - (total.numerator // total.denominator)
     lhs = sum((d - d * d for d in ds), Fraction(0))
     return lhs, g * (1 - g)
+
 
 
 def brute_abs_floats(nums: Sequence[int], exp: int) -> List[float]:
@@ -748,6 +752,30 @@ def trial_beckner(rng: np.random.Generator):
     return None
 
 
+def frac_quadratic_gap(deltas) -> Tuple[Fraction, Fraction]:
+    """(sum(d - d^2), g(1 - g)) for one list of deltas, each read by
+    Fraction, by the package's row form on a single row."""
+    ds = [Fraction(d) for d in deltas]
+    lhs, rhs, squares = row_gap(
+        np.array([[d.numerator for d in ds]], dtype=np.int64).reshape(1, -1),
+        np.array([[d.denominator for d in ds]],
+                 dtype=np.int64).reshape(1, -1),
+        np.array([len(ds)]))
+    return Fraction(lhs[0], squares[0]), Fraction(rhs[0], squares[0])
+
+
+def trial_techlem(rng: np.random.Generator):
+    m = int(rng.integers(1, 9))
+    deltas = []
+    for _ in range(m):
+        den = int(rng.integers(1, 65))
+        deltas.append(Fraction(int(rng.integers(0, den + 1)), den))
+    lhs, rhs = frac_quadratic_gap(deltas)
+    if lhs < rhs:
+        return f"sum(d - d^2) = {lhs} < {rhs} = g(1-g) for deltas {deltas}"
+    return None
+
+
 def stack_rows(sets: Sequence[PointSet], subspaces: Sequence[DualSubspace]):
     """(ind, chars) for the batched residual: the sets' indicators as a
     (T, 2^n) int8 stack and each subspace's basis as a row of a (T, n)
@@ -773,4 +801,4 @@ def stacked_l1_and_floor(a: PointSet, v: DualSubspace):
 
 
 REFERENCE_TRIALS = {"tA": trial_ta, "lem1": trial_lem1,
-                    "beckner": trial_beckner}
+                    "techlem": trial_techlem, "beckner": trial_beckner}

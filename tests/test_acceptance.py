@@ -184,22 +184,29 @@ def test_criterion_05_floor_and_sharpness():
 
 def test_criterion_06_quadratic_gap():
     rng = np.random.default_rng(106)
-    for _ in range(10_000):
-        m = int(rng.integers(1, 9))
-        deltas = [Fraction(int(rng.integers(0, d + 1)), d)
-                  for d in (int(rng.integers(1, 65)) for _ in range(m))]
-        lhs, rhs = frac_quadratic_gap(deltas)
-        assert lhs >= rhs
+    trials = 10_000
+    nums = np.zeros((trials, 8), dtype=np.int64)
+    dens = np.ones((trials, 8), dtype=np.int64)
+    m = np.zeros(trials, dtype=np.int64)
+    for t in range(trials):
+        m[t] = int(rng.integers(1, 9))
+        for i in range(m[t]):
+            dens[t, i] = int(rng.integers(1, 65))
+            nums[t, i] = int(rng.integers(0, dens[t, i] + 1))
+    lhs, rhs, _ = frac_quadratic_gap(nums, dens, m)
+    assert all(left >= right for left, right in zip(lhs, rhs))
     # equality: 0/1 vectors make both sides vanish
-    for mask in range(16):
-        deltas = [Fraction((mask >> i) & 1) for i in range(4)]
-        assert frac_quadratic_gap(deltas) == (0, 0)
+    bits = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    lhs, rhs, _ = frac_quadratic_gap(bits, np.ones_like(bits), [4] * 16)
+    assert lhs == rhs == [0] * 16
     # equality: singletons
-    for _ in range(200):
-        den = int(rng.integers(1, 65))
-        d = Fraction(int(rng.integers(0, den + 1)), den)
-        lhs, rhs = frac_quadratic_gap([d])
-        assert lhs == rhs
+    nums = np.zeros((200, 1), dtype=np.int64)
+    dens = np.ones((200, 1), dtype=np.int64)
+    for t in range(200):
+        dens[t, 0] = int(rng.integers(1, 65))
+        nums[t, 0] = int(rng.integers(0, dens[t, 0] + 1))
+    lhs, rhs, _ = frac_quadratic_gap(nums, dens, [1] * 200)
+    assert lhs == rhs
     _report(6)
 
 

@@ -276,5 +276,12 @@ def test_label_table_matches_coset_index_table():
             # fibres of coset_index_table under v's own basis.
             own = coset_index_table(v, n, pts)
             assert len(set(zip(own.tolist(), label_row.tolist()))) == v.order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="character masks are non-negative"):
         label_table(np.array([[-1]]), 2)
+    with pytest.raises(ValueError, match="character masks are non-negative"):
+        label_table(np.array([[1, -4], [7, 0]]), 2)
+    with pytest.raises(ValueError,
+                       match="basis mask exceeds the group dimension"):
+        label_table(np.array([[1, 4]]), 2)
+    assert label_table(np.zeros((2, 0), dtype=np.int64), 2)[1].tolist() == [
+        0, 0]

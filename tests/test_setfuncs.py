@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from _reference import (brute_coset_average, brute_frac_quadratic_gap,
                         reference_residual, set_complement, set_map_linear,
                         set_points, set_translate, span_of, stack_rows,
                         stacked_l1_and_floor, table_fractions)
+from _reference import frac_quadratic_gap as gap
 
 
 def _residual(a, v):
@@ -220,23 +222,27 @@ def test_physical_lower_bound_inequality():
 
 
 def test_frac_quadratic_gap_frozen():
-    lhs, rhs = frac_quadratic_gap([Fraction(1, 2), Fraction(9, 10)])
+    lhs, rhs = gap([Fraction(1, 2), Fraction(9, 10)])
     assert lhs == Fraction(17, 50)
     assert rhs == Fraction(6, 25)
     assert lhs >= rhs
     # equality when every delta is 0 or 1
-    lhs, rhs = frac_quadratic_gap([Fraction(1), Fraction(0), Fraction(1)])
+    lhs, rhs = gap([Fraction(1), Fraction(0), Fraction(1)])
     assert lhs == rhs == 0
     # singleton: both sides are d - d^2
-    lhs, rhs = frac_quadratic_gap([Fraction(3, 7)])
+    lhs, rhs = gap([Fraction(3, 7)])
     assert lhs == rhs == Fraction(3, 7) - Fraction(9, 49)
     with pytest.raises(ValueError):
-        frac_quadratic_gap([Fraction(3, 2)])
-    assert frac_quadratic_gap([]) == (0, 0)
-    # ints and Fractions are taken as they are, other rationals converted
-    mixed = frac_quadratic_gap([1, 0.5, np.int64(0), True])
-    assert mixed == frac_quadratic_gap([Fraction(1), Fraction(1, 2),
-                                        Fraction(0), Fraction(1)])
+        gap([Fraction(3, 2)])
+    assert gap([]) == (0, 0)
+    # rows take deltas unreduced, and the columns after m only pad
+    lhs, rhs, squares = frac_quadratic_gap(
+        np.array([[2, 9, 5], [1, 0, -3]]), np.array([[4, 10, 0], [2, 7, -1]]),
+        np.array([2, 1]))
+    assert [Fraction(x, sq) for x, sq in zip(lhs, squares)] == [
+        Fraction(17, 50), Fraction(1, 4)]
+    assert [Fraction(x, sq) for x, sq in zip(rhs, squares)] == [
+        Fraction(6, 25), Fraction(1, 4)]
 
 
 def test_frac_quadratic_gap_random():
@@ -244,7 +250,7 @@ def test_frac_quadratic_gap_random():
     for _ in range(200):
         m = int(rng.integers(1, 9))
         deltas = [Fraction(int(rng.integers(0, 65)), 64) for _ in range(m)]
-        lhs, rhs = frac_quadratic_gap(deltas)
+        lhs, rhs = gap(deltas)
         total = sum(deltas, Fraction(0))
         gamma = total - (total.numerator // total.denominator)
         assert rhs == gamma * (1 - gamma)
@@ -309,16 +315,51 @@ def test_frac_quadratic_gap_matches_reference():
         for _ in range(m):
             den = int(rng.integers(1, 10 ** 6 + 1))
             deltas.append(Fraction(int(rng.integers(0, den + 1)), den))
-        assert frac_quadratic_gap(deltas) == brute_frac_quadratic_gap(deltas)
+        assert gap(deltas) == brute_frac_quadratic_gap(deltas)
     for deltas in ([0, 1, 1], [1], [0], [], [Fraction(1, 3), 1, 0]):
-        got = frac_quadratic_gap(deltas)
+        got = gap(deltas)
         assert got == brute_frac_quadratic_gap(deltas)
         assert all(type(x) is Fraction for x in got)
     for bad in ([Fraction(1, 2), Fraction(-1, 10**6)], [2], [Fraction(3, 2)]):
         with pytest.raises(ValueError, match="outside"):
-            frac_quadratic_gap(bad)
+            gap(bad)
         with pytest.raises(ValueError, match="outside"):
             brute_frac_quadratic_gap(bad)
+
+
+def test_frac_quadratic_gap_rows_match_reference():
+    # Stacks of rows with 0 to 8 deltas, unreduced and padded with junk
+    # after m, then a row whose L^2 passes 2^63: every row against the
+    # Fraction brute force.
+    rng = np.random.default_rng(41)
+    for width in (0, 1, 8):
+        dens = rng.integers(1, 65, size=(300, width))
+        nums = rng.integers(0, 65, size=(300, width)) % (dens + 1)
+        m = rng.integers(0, width + 1, size=300)
+        pad = np.arange(width) >= m[:, None]
+        nums[pad] = -7
+        dens[pad] = 0
+        lhs, rhs, squares = frac_quadratic_gap(nums, dens, m)
+        for t in range(300):
+            k = m[t]
+            deltas = [Fraction(a, d) for a, d in
+                      zip(nums[t, :k].tolist(), dens[t, :k].tolist())]
+            assert (Fraction(lhs[t], squares[t]),
+                    Fraction(rhs[t], squares[t])) == (
+                brute_frac_quadratic_gap(deltas))
+    big = np.array([[64, 63, 61, 59, 53, 47, 43, 41]])
+    lhs, rhs, squares = frac_quadratic_gap(big - 1, big, [8])
+    assert squares[0] > 1 << 63
+    assert squares[0] == math.prod(big[0].tolist()) ** 2
+    assert (Fraction(lhs[0], squares[0]), Fraction(rhs[0], squares[0])) == (
+        brute_frac_quadratic_gap([Fraction(d - 1, d)
+                                  for d in big[0].tolist()]))
+    for nums, dens in (([[1, 3]], [[2, 2]]), ([[1, -1]], [[2, 2]]),
+                       ([[0, 0]], [[5, 0]])):
+        with pytest.raises(ValueError, match="outside"):
+            frac_quadratic_gap(nums, dens, [2])
+    # only the columns before m are read
+    assert frac_quadratic_gap([[1, 3]], [[2, 2]], [1])[1] == [1]
 
 
 def test_residual_matches_reference():

@@ -12,7 +12,9 @@ from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
-from f2wiener._streams import _SEED_BLOCK, trial_rngs
+from f2wiener._streams import (_PCG_MULT, _SEED_BLOCK, _TECHLEM_RAWS,
+                               _decode_techlem, _draw_techlem, bounded_draws,
+                               techlem_draws, trial_rngs, trial_words)
 from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
 from _reference import (REFERENCE_TRIALS, reference_residual, stack_rows,
@@ -75,6 +77,82 @@ def test_trial_rngs_match_default_rng(seed):
         assert seen == list(range(start, start + count))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
+                                  2**130 + 3])
+def test_decoded_techlem_draws_match_generator(seed):
+    # Every trial's m, dens and nums decoded from its stream words against
+    # the Generator's draws, over the spans of the test above.
+    spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
+    for start, count in spans:
+        seen = []
+        for first, nums, dens, m in techlem_draws(seed, start, count):
+            assert len(m) == min(_SEED_BLOCK, start + count - first)
+            for t, k in enumerate(m.tolist()):
+                want = _draw_techlem(np.random.default_rng([seed, first + t]))
+                assert (nums[t, :k].tolist(), dens[t, :k].tolist()) == want
+                assert (nums[t, k:] == 0).all() and (dens[t, k:] == 1).all()
+                seen.append(first + t)
+        assert seen == list(range(start, start + count))
+
+
+def _stream_starting_with(raw0):
+    """A Generator whose first 64-bit output is raw0: PCG64 steps its
+    128-bit state, then outputs the XOR of its halves rotated right by the
+    top six bits, so a state with those bits 0 and halves (1, 1 ^ raw0) is
+    stepped back to the state before it."""
+    inc = 1
+    after = (1 << 64) | (1 ^ raw0)
+    before = (after - inc) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": before, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def test_bounded_draws_flag_exactly_the_rejected_words():
+    # A word whose product with high has low half 2^32 mod high - 1 is the
+    # largest that numpy rejects, and one more is accepted: numpy then
+    # draws from the next word, the stream's second.
+    second = 0x9E3779B9
+    for high in (3, 61, 65, (1 << 32) - 1):
+        threshold = (1 << 32) % high
+        for low in (threshold - 1, threshold):
+            word = low * pow(high, -1, 1 << 32) % (1 << 32)
+            rng = _stream_starting_with(word | second << 32)
+            assert rng.bit_generator.random_raw() == word | second << 32
+            rng = _stream_starting_with(word | second << 32)
+            got = int(rng.integers(0, high))
+            draws, redrawn = bounded_draws(
+                np.array([word, second], dtype=np.uint64), high)
+            assert redrawn.tolist() == [low < threshold, False]
+            assert got == draws[1 if low < threshold else 0]
+    # a power of two never rejects
+    words = np.array([0, 1, 1 << 31, (1 << 32) - 1], dtype=np.uint64)
+    for high in (8, 64, 1 << 32):
+        assert not bounded_draws(words, high)[1].any()
+
+
+def test_rejected_techlem_trial_drawn_by_its_generator():
+    # Crafted words: trial 3's first den is 2 (range 3, which rejects low
+    # halves below 1) and its first num word 0, which numpy would reject.
+    # That trial alone comes from its own Generator.
+    seed, first = 5, 40
+    words = next(trial_words(seed, first, 6, _TECHLEM_RAWS))[1]
+    crafted = words.copy()
+    crafted[3, 1:3] = [1 << 26, 0]
+    assert bounded_draws(crafted[3, 1], 64)[0] + 1 == 2
+    assert bounded_draws(crafted[3, 2], 3)[1]
+    got = _decode_techlem(seed, first, crafted)
+    want = _decode_techlem(seed, first, words)
+    for a, b in zip(got, want):
+        assert (a == b).all()
+    nums, dens, m = got
+    assert (nums[3, :m[3]].tolist(), dens[3, :m[3]].tolist()) == (
+        _draw_techlem(np.random.default_rng([seed, first + 3])))
+    assert dens[3, 0] != 2 or nums[3, 0] != 0
+
+
 def _drop_last_row(original):
     def chang_span(spec, threshold):
         return DualSubspace(original(spec, threshold).basis[:-1])
@@ -95,9 +173,9 @@ def _one_unit_up(original):
 
 
 def _rhs_minus_one(original):
-    def frac_quadratic_gap(deltas):
-        _, rhs = original(deltas)
-        return rhs - 1, rhs
+    def frac_quadratic_gap(nums, dens, m):
+        _, rhs, squares = original(nums, dens, m)
+        return [r - sq for r, sq in zip(rhs, squares)], rhs, squares
     return frac_quadratic_gap
 
 
@@ -123,6 +201,13 @@ def _ref_one_unit_up(original):
         got = original(fv)
         return DyadicScalar(got.num + 1, got.exp)
     return residual_l1
+
+
+def _ref_rhs_minus_one(original):
+    def frac_quadratic_gap(deltas):
+        _, rhs = original(deltas)
+        return rhs - 1, rhs
+    return frac_quadratic_gap
 
 
 def _ref_mass_one_unit_off(original):
@@ -227,6 +312,17 @@ def test_sharding_keeps_violations_under_a_mutant(monkeypatch, suite, attr,
     assert run_suite(suite, trials=600, seed=5, jobs=3).violations == serial
 
 
+def test_sharding_keeps_every_techlem_message(monkeypatch):
+    # Under the mutant every trial violates, so all 5000 messages, with
+    # their deltas and both sides, are compared; shards of 1667 start off
+    # the seed blocks.
+    monkeypatch.setattr(verify, "frac_quadratic_gap",
+                        _rhs_minus_one(verify.frac_quadratic_gap))
+    serial = run_suite("techlem", 5000, 11, jobs=1).violations
+    assert len(serial) == 5000
+    assert run_suite("techlem", 5000, 11, jobs=3).violations == serial
+
+
 def _per_trial(name, seed, count):
     trial = REFERENCE_TRIALS[name]
     out = []
@@ -241,6 +337,7 @@ _REFERENCE_MUTANTS = {
     "tA": ("residual_l1", _one_unit_up, _ref_one_unit_up),
     "lem1": ("physical_lower_bound", _floor_one_unit_up,
              _ref_floor_one_unit_up),
+    "techlem": ("frac_quadratic_gap", _rhs_minus_one, _ref_rhs_minus_one),
     "beckner": ("riesz_product", _mass_one_unit_off, _ref_mass_one_unit_off),
 }
 
