@@ -6,26 +6,33 @@ PCG64 states of a block of trials at once, by numpy's own SeedSequence
 and PCG64 seeding arithmetic, and loads each into one reused Generator.
 
 A trial whose draws are all small bounded integers can skip the
-Generator calls: trial_words reads the first raw words of each stream of
-a block into one array, and bounded_draws decodes numpy's draws from them
-as arrays (Lemire's method, as numpy applies it to 32-bit words).
-techlem_draws decodes the techlem suite's trials that way.
+Generator calls: trial_words reads each trial's first word, which tells
+how many words the trial uses, then exactly those words, and stacks the
+trials of a block that use as many; bounded_draws decodes numpy's draws
+from them as arrays (Lemire's method, as numpy applies it to 32-bit
+words).  _draws decodes the verify suites' trials this way.
 """
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-__all__ = ["bounded_draws", "techlem_draws", "trial_rngs", "trial_words"]
+__all__ = ["bounded_draws", "trial_rngs", "trial_words"]
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 set-seed
 # constants, for deriving the trials' generator states a block at a time.
 # A block of 256 trials spreads the numpy steps' call overhead to about
 # half a microsecond a trial while holding only tens of KB of states.
 _SEED_BLOCK = 256
+# The 64-bit outputs a group of trials of one width holds (16 KB).  Raw
+# words take four bytes an entry, more than what they decode to, so a
+# small group keeps a block's held words small, at a few more decodes.
+_RAW_BUDGET = 1 << 11
 _MASK32 = 0xFFFFFFFF
+# numpy scalars, which numpy applies to arrays faster than Python ints.
+_SHIFT32, _TWO32 = np.uint64(32), np.uint64(1 << 32)
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -91,34 +98,59 @@ def trial_rngs(seed: int, start: int,
     default_rng([seed, i]); one Generator is re-seeded for every trial."""
     rng = np.random.default_rng(0)
     bitgen = rng.bit_generator
+    pcg = {}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+            "uinteger": 0}
     stop = start + count
     for lo in range(start, stop, _SEED_BLOCK):
         idx = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint64)
         for i, (state, inc) in enumerate(_pcg64_states(seed, idx), lo):
-            bitgen.state = {"bit_generator": "PCG64",
-                            "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
+            pcg["state"], pcg["inc"] = state, inc
+            bitgen.state = full
             yield i, rng
 
 
 def trial_words(seed: int, start: int, count: int,
-                raws: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """(first trial, words) for blocks of at most _SEED_BLOCK trials from
-    start..start+count-1.  Row t of words holds the first 2 * raws 32-bit
-    words that trial first + t's Generator hands to its bounded draws, as
-    uint64: each 64-bit output of the stream, low half first, as PCG64's
-    next_uint32 splits it."""
+                width) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """(trials, words) for the trials start..start+count-1, a block of at
+    most _SEED_BLOCK trials at a time, in groups of trials of one width.
+
+    width(word) is the number of 64-bit outputs a trial takes, given its
+    first 32-bit word: a trial reads its first output alone and the rest in
+    one more call.  Row t of words holds the 32-bit words that trial
+    trials[t]'s Generator hands to its bounded draws: each output low half
+    first, as PCG64's next_uint32 splits it.  A group lists its trials in
+    order and is yielded once it holds _RAW_BUDGET outputs, the rest at the
+    end of their block, so a block holds only the words its trials use.
+    """
     rngs = trial_rngs(seed, start, count)
     stop = start + count
     for lo in range(start, stop, _SEED_BLOCK):
-        rows = min(_SEED_BLOCK, stop - lo)
-        raw = np.empty((rows, raws), dtype=np.uint64)
-        for t, (_, rng) in enumerate(islice(rngs, rows)):
-            raw[t] = rng.bit_generator.random_raw(raws)
-        words = np.empty((rows, raws, 2), dtype=np.uint64)
-        np.bitwise_and(raw, _MASK32, out=words[:, :, 0])
-        np.right_shift(raw, 32, out=words[:, :, 1])
-        yield lo, words.reshape(rows, 2 * raws)
+        held: Dict[int, Tuple[List[int], List[int], List[np.ndarray]]] = {}
+        for i, rng in islice(rngs, min(_SEED_BLOCK, stop - lo)):
+            bitgen = rng.bit_generator
+            first = bitgen.random_raw()
+            w = width(first & _MASK32)
+            ids, firsts, rests = group = held.setdefault(w, ([], [], []))
+            ids.append(i)
+            firsts.append(first)
+            rests.append(bitgen.random_raw(w - 1))
+            if len(ids) * w >= _RAW_BUDGET:
+                del held[w]
+                yield _stack_raws(w, group)
+        while held:
+            yield _stack_raws(*held.popitem())
+
+
+def _stack_raws(w: int, group) -> Tuple[np.ndarray, np.ndarray]:
+    # Little-endian 64-bit words read as 32-bit ones put each low half
+    # first, on any host.
+    ids, firsts, rests = group
+    raw = np.empty((len(ids), w), dtype="<u8")
+    raw[:, 0] = firsts
+    raw[:, 1:] = rests
+    rests.clear()  # the trials' own arrays go before the group is decoded
+    return np.array(ids), raw.view("<u4")
 
 
 def bounded_draws(words: np.ndarray,
@@ -134,59 +166,6 @@ def bounded_draws(words: np.ndarray,
     """
     high = np.asarray(high, dtype=np.uint64)
     prod = words * high
-    return ((prod >> 32).astype(np.int64),
-            (prod & _MASK32) < (1 << 32) % high)
-
-
-# A techlem trial draws m in [1, 8], then m pairs (den in [1, 64], num in
-# [0, den]): at most 1 + 2 * 8 words of its stream, from 9 raw outputs.
-_TECHLEM_M = 8
-_TECHLEM_DEN = 64
-_TECHLEM_RAWS = 9
-
-
-def _draw_techlem(rng: np.random.Generator) -> Tuple[List[int], List[int]]:
-    """A techlem trial's (nums, dens) by Generator calls."""
-    nums, dens = [], []
-    for _ in range(int(rng.integers(1, _TECHLEM_M + 1))):
-        den = int(rng.integers(1, _TECHLEM_DEN + 1))
-        dens.append(den)
-        nums.append(int(rng.integers(0, den + 1)))
-    return nums, dens
-
-
-def _decode_techlem(seed: int, first: int, words: np.ndarray,
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nums, dens, m) of trials first, first + 1, ... from their stream
-    words, as _draw_techlem draws them; the columns after m[t] pad with
-    num 0 over den 1.
-
-    Word 0 gives m, words 1, 3, ... the dens and 2, 4, ... the nums.  A
-    trial with a num that numpy would draw from a later word is drawn by
-    _draw_techlem from its own Generator instead.
-    """
-    m = 1 + bounded_draws(words[:, 0], _TECHLEM_M)[0]
-    dens = 1 + bounded_draws(words[:, 1:2 * _TECHLEM_M:2], _TECHLEM_DEN)[0]
-    nums, redrawn = bounded_draws(words[:, 2:2 * _TECHLEM_M + 1:2], dens + 1)
-    pad = np.arange(_TECHLEM_M) >= m[:, None]
-    nums[pad] = 0
-    dens[pad] = 1
-    for t in np.flatnonzero((redrawn & ~pad).any(axis=1)).tolist():
-        row_nums, row_dens = _draw_techlem(
-            np.random.default_rng([seed, first + t]))
-        m[t] = len(row_nums)
-        nums[t], dens[t] = 0, 1
-        nums[t, :m[t]] = row_nums
-        dens[t, :m[t]] = row_dens
-    return nums, dens, m
-
-
-def techlem_draws(seed: int, start: int, count: int,
-                  ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
-                                      np.ndarray]]:
-    """(first trial, nums, dens, m) for blocks of the techlem trials
-    start..start+count-1: row t holds trial first + t's m deltas
-    nums[t, i] / dens[t, i], drawn as the Generator of default_rng([seed,
-    first + t]) draws them (see _draw_techlem)."""
-    for first, words in trial_words(seed, start, count, _TECHLEM_RAWS):
-        yield (first, *_decode_techlem(seed, first, words))
+    low = prod.astype(np.uint32)
+    prod >>= _SHIFT32
+    return prod.view(np.int64), low < _TWO32 % high

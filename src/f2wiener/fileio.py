@@ -75,7 +75,9 @@ def read_set_file(path: str, max_n: int) -> PointSet:
     if n < 1:
         raise SetFileError("n must be >= 1")
     body = lines[1:]
-    if len(body) == 1 and body[0].lower().startswith("hexbits="):
+    if body and body[0].lower().startswith("hexbits="):
+        if len(body) > 1:
+            raise SetFileError("a hexbits line must be the only line after n=")
         bm = _BITS_RE.match(body[0])
         if not bm:
             raise SetFileError(f"bad hexbits line {body[0]!r}")

@@ -6,17 +6,16 @@ across a worker pool without changing the outcome.  Seeds must be
 non-negative.  A violation message names the trial; theorems being
 theorems, any violation is an implementation bug.
 
-The tA, lem1 and beckner trials are drawn one by one, in trial order, and
-then evaluated in groups that share n: each group is checked as one
-stacked (trials, 2^n) table once it is full (see _GROUP_ROWS), and what is
-left when the trials run out is checked last.  The techlem trials are not
-drawn by Generator calls: their draws are decoded as arrays from the first
-words of each stream, a block of trials at a time, as numpy would draw
-them (a trial where numpy would reject a word is drawn by the Generator),
-and each block is checked as integer rows.  chang trials are checked as
-they are drawn.  Each trial's outcome depends only on its own draws, and
-violations are reported in trial order, so every stream, message and
---jobs result is that of checking the trials one at a time.
+The tA, lem1, techlem and chang trials make no Generator calls: each
+trial's draws are decoded as arrays from its stream's raw words, a block
+of trials at a time, as numpy would draw them (see _draws); the beckner
+trials are drawn one by one.  Trials that share n are then evaluated in
+groups, each as one stacked (trials, 2^n) table once it is full (see
+_GROUP_ROWS), and what is left when the trials run out is checked last;
+the techlem trials are checked a block at a time as integer rows.  Each
+trial's outcome depends only on its own draws, and violations are
+reported in trial order, so every stream, message and --jobs result is
+that of checking the trials one at a time.
 """
 from __future__ import annotations
 
@@ -24,16 +23,17 @@ import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ._streams import techlem_draws, trial_rngs
+from . import _kernels
+from ._draws import beckner_draws, chang_draws, set_draws, techlem_draws
 from .chang import (RieszProduct, beckner_verify, chang_cardinality_bound,
                     chang_span, riesz_product)
 from .dyadic import DyadicScalar
-from .fourier import FunctionTable, fwht, l1_norm, l2_norm_sq
-from .groups import GroupDim, parity_labels
+from .fourier import _check_bound
+from .groups import parity_labels
 from .setfuncs import (frac_quadratic_gap, physical_lower_bound, residual_l1,
                        residual_rows)
 
@@ -52,12 +52,15 @@ _ETAS = tuple(DyadicScalar(k, 2) for k in range(1, 5))
 MAX_JOBS = 64
 MAX_TRIALS = 1_000_000
 
-# A group of pending trials that share n is evaluated once it holds
-# _GROUP_ROWS trials or _GROUP_ENTRIES table entries, so its int64 working
-# arrays stay at about 64 KB each and the trials drawn but not yet
-# evaluated at about 100 KB in all.
+# The trials of one n are evaluated _GROUP_ROWS or _GROUP_ENTRIES table
+# entries at a time, whichever is fewer, so the int64 working arrays of a
+# group stay at about 64 KB each.
 _GROUP_ROWS = 256
 _GROUP_ENTRIES = 1 << 13
+
+
+def _group_rows(n: int) -> int:
+    return min(_GROUP_ROWS, max(1, _GROUP_ENTRIES >> n))
 
 
 @dataclass(frozen=True)
@@ -73,46 +76,6 @@ class SuiteResult:
 
 # (trial, message) pairs.
 Found = List[Tuple[int, str]]
-
-
-class _Pending:
-    """The trials of one n that are drawn but not yet evaluated.
-
-    Each field of a draw has its own (rows, width) array, and row r holds
-    the r-th trial's value, padded with zeros; a group holds _GROUP_ROWS
-    trials or _GROUP_ENTRIES table entries, whichever is fewer.
-    """
-
-    def __init__(self, n: int, fields: Tuple[Tuple[int, type], ...]):
-        rows = min(_GROUP_ROWS, max(1, _GROUP_ENTRIES >> n))
-        self.ids: List[int] = []
-        self.arrays = [np.zeros((rows, width), dtype=dtype)
-                       for width, dtype in fields]
-
-    def add(self, i: int, values: tuple) -> bool:
-        """Store trial i's values; True once the group is full."""
-        row = len(self.ids)
-        self.ids.append(i)
-        for arr, value in zip(self.arrays, values):
-            arr[row, :len(value)] = value
-        return row + 1 == len(self.arrays[0])
-
-    def stacks(self) -> List[np.ndarray]:
-        return [arr[:len(self.ids)] for arr in self.arrays]
-
-
-def _draw_set_and_subspace(rng: np.random.Generator) -> Tuple[int, tuple]:
-    """A random set A of F2^n, 2 <= n <= 12, and up to n characters
-    spanning V."""
-    n = int(rng.integers(2, 13))
-    ind = rng.integers(0, 2, size=1 << n)
-    k = int(rng.integers(0, n + 1))
-    return n, (ind, rng.integers(1, 1 << n, size=k))
-
-
-def _set_fields(n: int):
-    # A's indicator and V's characters.
-    return ((1 << n, np.int8), (n, np.int64))
 
 
 def _filled(chars: np.ndarray) -> np.ndarray:
@@ -178,45 +141,10 @@ def _eval_lem1(n: int, ids: List[int], ind: np.ndarray,
             for t in np.flatnonzero(below).tolist()]
 
 
-def _independent_chars(rng: np.random.Generator, n: int,
-                       count: int) -> List[int]:
-    """count linearly independent characters, each drawn at random and
-    kept when it lies outside the span of those kept so far."""
-    span = {0}
-    out: List[int] = []
-    guard = 0
-    while len(out) < count:
-        g = int(rng.integers(1, 1 << n))
-        if g not in span:
-            out.append(g)
-            span |= {s ^ g for s in span}
-        guard += 1
-        if guard > 64 * count + 64:
-            raise RuntimeError("failed to sample independent characters")
-    return out
-
-
-def _draw_beckner(rng: np.random.Generator) -> Tuple[int, tuple]:
-    """A table of integers in [-8, 8] over 2^exp, exp <= 3, on F2^n,
-    2 <= n <= 10, up to four independent characters and an eta."""
-    n = int(rng.integers(2, 11))
-    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
-    exp = int(rng.integers(0, 4))
-    count = int(rng.integers(0, min(n, 4) + 1))
-    lambdas = _independent_chars(rng, n, count)
-    return n, (nums, (exp,), lambdas, (int(rng.integers(0, 4)),))
-
-
-def _beckner_fields(n: int):
-    # f's numerators and exponent, the characters and the index of eta.
-    return ((1 << n, np.int8), (1, np.int64), (4, np.int64), (1, np.int64))
-
-
 def _eval_beckner(n: int, ids: List[int], nums: np.ndarray,
                   exps: np.ndarray, lambdas: np.ndarray,
                   eta_idx: np.ndarray) -> Found:
-    exps = exps[:, 0]
-    etas = [_ETAS[j] for j in eta_idx[:, 0].tolist()]
+    etas = [_ETAS[j] for j in eta_idx.tolist()]
     p = riesz_product(n, lambdas, etas)
     mass = np.abs(p.nums).sum(axis=1)
     exact = mass == np.int64(1) << (p.exps + n)
@@ -240,77 +168,110 @@ def _eval_beckner(n: int, ids: List[int], nums: np.ndarray,
 
 def _run_techlem(seed: int, start: int, count: int) -> Found:
     found: Found = []
-    for first, nums, dens, m in techlem_draws(seed, start, count):
+    for trials, nums, dens, m in techlem_draws(seed, start, count):
         lhs, rhs, squares = frac_quadratic_gap(nums, dens, m)
-        for t, (left, right, sq) in enumerate(zip(lhs, rhs, squares)):
+        for t, (i, left, right, sq) in enumerate(
+                zip(trials.tolist(), lhs, rhs, squares)):
             if left < right:
                 k = m[t]
                 deltas = [Fraction(a, d) for a, d in
                           zip(nums[t, :k].tolist(), dens[t, :k].tolist())]
-                found.append((first + t, (
+                found.append((i, (
                     f"sum(d - d^2) = {Fraction(left, sq)} < "
                     f"{Fraction(right, sq)} = g(1-g) for deltas {deltas}")))
     return found
 
 
-def _trial_chang(rng: np.random.Generator) -> Optional[str]:
-    n = int(rng.integers(2, 11))
-    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
-    f = FunctionTable._adopt(GroupDim(n), nums, int(rng.integers(0, 4)))
-    base = l1_norm(f)
-    if base.num == 0:
-        return None
-    j = int(rng.integers(0, 5))
-    eps = DyadicScalar(1, j)
-    threshold = base * eps
-    spec = fwht(f)
-    w = chang_span(spec, threshold)
-    # |num| / 2^spec.exp >= threshold, compared over the shared
-    # denominator 2^(spec.exp + threshold.exp), apart from chang_span's cut;
-    # numpy >= 2 compares int64 with an out-of-range Python int exactly.
-    # Here spec.peak <= 8 * 2^10 and threshold.exp <= 3 + 10 + 4, so the
-    # shifted magnitudes stay at most 2^30.
-    if spec.peak << threshold.exp > np.iinfo(np.int64).max:
-        raise OverflowError("shifted magnitudes pass 2^63 - 1")
-    large = np.flatnonzero(
-        (np.abs(spec.nums) << threshold.exp) >= threshold.num << spec.exp)
-    outside = large[w.reduce_array(large) != 0]
-    if outside.size:
-        g = int(outside.min())
-        return f"large character {g} outside the span (n={n}, eps={eps})"
-    bound = chang_cardinality_bound(base, l2_norm_sq(f), eps.as_fraction())
-    if w.dim > bound:
-        return (f"span dimension {w.dim} above the Chang bound {bound!r} "
-                f"(n={n}, eps={eps})")
-    return None
+def _eval_chang(n: int, ids: List[int], nums: np.ndarray, exps: np.ndarray,
+                js: np.ndarray) -> Found:
+    # f = nums / 2^exp has ||f||_1 = l1 / 2^(exp + n), and a zero table
+    # draws no eps; eps = 2^-j makes the threshold l1 / 2^(exp + n + j).
+    l1 = np.abs(nums).sum(axis=1, dtype=np.int64)
+    live = np.flatnonzero(l1).tolist()
+    if not live:
+        return []
+    spec = nums[live].astype(np.int64)
+    exps, js, l1 = exps[live], js[live], l1[live]
+    l2 = (spec * spec).sum(axis=1).tolist()
+    _kernels.wht_rows(spec)
+    spec_exps = exps + n
+    thr_exps = spec_exps + js
+    basis = chang_span(spec, spec_exps.tolist(), l1.tolist(),
+                       thr_exps.tolist())
+    # |num| / 2^spec_exp >= threshold, compared over the shared denominator
+    # 2^(spec_exp + thr_exp), apart from chang_span's cut.  Here |num| <=
+    # l1 <= 8 * 2^10 and thr_exp <= 3 + 10 + 4, so both sides stay at most
+    # 2^30.
+    _check_bound(int(l1.max()) << int(thr_exps.max()), "shifted magnitude")
+    mags = np.abs(spec, out=spec)
+    mags <<= thr_exps[:, None]
+    rows, chars = np.nonzero(mags >= (l1 << spec_exps)[:, None])
+    # Reduce each large character against its row's basis, as
+    # DualSubspace.reduce_array does; np.nonzero lists a row's characters
+    # in ascending order, so a row's first survivor is its smallest.
+    left = chars.copy()
+    for column in basis.T:
+        rows_r = column[rows]
+        left ^= ((left & (rows_r & -rows_r)) != 0) * rows_r
+    outside = np.flatnonzero(left)
+    smallest: Dict[int, int] = {}
+    for t, g in zip(rows[outside].tolist(), chars[outside].tolist()):
+        smallest.setdefault(t, g)
+    dims = np.count_nonzero(basis, axis=1).tolist()
+    found = []
+    for t, (exp, j, norm) in enumerate(zip(exps.tolist(), js.tolist(),
+                                           l1.tolist())):
+        eps = DyadicScalar(1, j)
+        if t in smallest:
+            msg = (f"large character {smallest[t]} outside the span "
+                   f"(n={n}, eps={eps})")
+        else:
+            bound = chang_cardinality_bound(
+                DyadicScalar(norm, exp + n),
+                DyadicScalar(l2[t], 2 * exp + n), eps.as_fraction())
+            if dims[t] <= bound:
+                continue
+            msg = (f"span dimension {dims[t]} above the Chang bound "
+                   f"{bound!r} (n={n}, eps={eps})")
+        found.append((ids[live[t]], msg))
+    return found
 
 
-# Batched suites: (draw, the fields of a draw on F2^n, evaluate a group of
-# draws that share n).
-_BATCHED = {
-    "tA": (_draw_set_and_subspace, _set_fields, _eval_ta),
-    "lem1": (_draw_set_and_subspace, _set_fields, _eval_lem1),
-    "beckner": (_draw_beckner, _beckner_fields, _eval_beckner),
+# Each suite but techlem: (its trials in groups (n, trials, *fields) of
+# one n, evaluate a stack of such fields).
+_SUITES = {
+    "tA": (set_draws, _eval_ta),
+    "lem1": (set_draws, _eval_lem1),
+    "beckner": (beckner_draws, _eval_beckner),
+    "chang": (chang_draws, _eval_chang),
 }
 SUITE_NAMES = ("tA", "lem1", "techlem", "beckner", "chang")
 
 
-def _run_batched(name: str, rngs) -> Found:
-    """Draw each trial in order and evaluate it with the pending trials of
-    its n, a group at a time; violations in trial order."""
-    draw, fields, evaluate = _BATCHED[name]
-    pending: Dict[int, _Pending] = {}
+def _run_groups(groups, evaluate) -> Found:
+    """Evaluate the groups of trials, copying each n's trials into stacks
+    of _group_rows(n) rows that are evaluated once full; what is left is
+    evaluated last.  Violations in trial order."""
+    held: Dict[int, Tuple[int, List[np.ndarray]]] = {}
     found: Found = []
-    for i, rng in rngs:
-        n, values = draw(rng)
-        group = pending.get(n)
-        if group is None:
-            group = pending[n] = _Pending(n, fields(n))
-        if group.add(i, values):
-            found += evaluate(n, group.ids, *group.arrays)
-            del pending[n]
-    for n, group in pending.items():
-        found += evaluate(n, group.ids, *group.stacks())
+    for n, *fields in groups:
+        cap = _group_rows(n)
+        lo, count = 0, len(fields[0])
+        while lo < count:
+            rows, stack = held.pop(n, None) or (0, [
+                np.empty((cap, *f.shape[1:]), dtype=f.dtype) for f in fields])
+            take = min(cap - rows, count - lo)
+            for part, f in zip(stack, fields):
+                part[rows:rows + take] = f[lo:lo + take]
+            rows += take
+            lo += take
+            if rows < cap:
+                held[n] = (rows, stack)
+            else:
+                found += evaluate(n, stack[0].tolist(), *stack[1:])
+    for n, (rows, stack) in held.items():
+        found += evaluate(n, stack[0][:rows].tolist(),
+                          *(part[:rows] for part in stack[1:]))
     found.sort(key=lambda hit: hit[0])
     return found
 
@@ -318,11 +279,9 @@ def _run_batched(name: str, rngs) -> Found:
 def _run_chunk(name: str, seed: int, start: int, count: int) -> List[str]:
     if name == "techlem":
         found = _run_techlem(seed, start, count)
-    elif name == "chang":
-        found = [(i, msg) for i, rng in trial_rngs(seed, start, count)
-                 if (msg := _trial_chang(rng)) is not None]
     else:
-        found = _run_batched(name, trial_rngs(seed, start, count))
+        groups, evaluate = _SUITES[name]
+        found = _run_groups(groups(seed, start, count), evaluate)
     return [f"trial {i}: {msg}" for i, msg in found]
 
 

@@ -31,7 +31,8 @@ package replaced by stacked evaluation: the random inputs (drawn with
 the same generator calls), one table's residual l1, Lemma 1's floor, one
 Riesz product, one Beckner check, the table L^p norm, the technical
 lemma's two sides for one list of deltas (the package's row form on one
-row), and the tA, lem1, techlem and beckner trials built from them.  A
+row), the span of one table's large spectrum, and the tA, lem1, techlem,
+beckner and chang trials built from them.  A
 batched suite must give the violations these trials give, also when a
 test patches one of the per-trial functions here as it patches the
 batched one in verify.
@@ -800,5 +801,45 @@ def stacked_l1_and_floor(a: PointSet, v: DualSubspace):
             DyadicScalar(int(floor[0]), int(floor_exp[0])))
 
 
+def chang_span(spec: Spectrum, threshold: DyadicScalar) -> DualSubspace:
+    """Span of one spectrum's large spectrum {g : |hat(f)(g)| >=
+    threshold}, grown by subspace_extend."""
+    if threshold.num <= 0:
+        raise ValueError("threshold must be positive")
+    # |num| / 2^spec.exp >= threshold  <=>  |num| >= cut, for integer num.
+    cut = -((-threshold.num << spec.exp) >> threshold.exp)
+    # numpy >= 2 compares int64 with an out-of-range Python int exactly.
+    return subspace_extend(DualSubspace.trivial(),
+                           np.flatnonzero(np.abs(spec.nums) >= cut))
+
+
+def trial_chang(rng: np.random.Generator):
+    n = int(rng.integers(2, 11))
+    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
+    f = FunctionTable._adopt(GroupDim(n), nums, int(rng.integers(0, 4)))
+    base = l1_norm(f)
+    if base.num == 0:
+        return None
+    j = int(rng.integers(0, 5))
+    eps = DyadicScalar(1, j)
+    threshold = base * eps
+    spec = fwht(f)
+    w = chang_span(spec, threshold)
+    # |num| / 2^spec.exp >= threshold, compared over the shared
+    # denominator 2^(spec.exp + threshold.exp), apart from chang_span's cut.
+    large = np.flatnonzero(
+        (np.abs(spec.nums) << threshold.exp) >= threshold.num << spec.exp)
+    outside = large[w.reduce_array(large) != 0]
+    if outside.size:
+        g = int(outside.min())
+        return f"large character {g} outside the span (n={n}, eps={eps})"
+    bound = chang_cardinality_bound(base, l2_norm_sq(f), eps.as_fraction())
+    if w.dim > bound:
+        return (f"span dimension {w.dim} above the Chang bound {bound!r} "
+                f"(n={n}, eps={eps})")
+    return None
+
+
 REFERENCE_TRIALS = {"tA": trial_ta, "lem1": trial_lem1,
-                    "techlem": trial_techlem, "beckner": trial_beckner}
+                    "techlem": trial_techlem, "beckner": trial_beckner,
+                    "chang": trial_chang}

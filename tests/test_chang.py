@@ -37,6 +37,13 @@ def _cap(f, eps):
     return chang_cardinality_bound(l1_norm(f), l2_norm_sq(f), eps)
 
 
+def _span(spec, thr):
+    # One spectrum through the stacked chang_span, as a DualSubspace (whose
+    # constructor checks the basis is canonical).
+    row = chang_span(spec.nums[None, :], [spec.exp], [thr.num], [thr.exp])[0]
+    return DualSubspace(tuple(row[row != 0].tolist()))
+
+
 def _levels(spec, excluded, base):
     return level_sets(rank_spectrum(spec), np.asarray(excluded, np.int64),
                       base)
@@ -299,13 +306,13 @@ def test_select_level_strategies():
 
 def test_chang_span_zero_function():
     zero = Spectrum(3, [0] * 8, 0)
-    assert chang_span(zero, DyadicScalar(1, 2)).dim == 0
+    assert _span(zero, DyadicScalar(1, 2)).dim == 0
 
 
 def test_chang_span_coset():
     v = span_of([0b001, 0b010])
     a = PointSet.from_points(3, annihilator_points(v.basis, 3))
-    w = chang_span(fwht(a.indicator()), DyadicScalar(1, 2))
+    w = _span(fwht(a.indicator()), DyadicScalar(1, 2))
     assert w == v
     # eps = (1/4) / ||chi_A||_1 = 1
     bound = _cap(a.indicator(), Fraction(1))
@@ -316,14 +323,14 @@ def test_chang_span_coset():
 def test_chang_span_balanced_halfspace():
     a, r = _halfspace_residual(1)
     spec = fwht(r.table)
-    w = chang_span(spec, DyadicScalar(1, 1))
+    w = _span(spec, DyadicScalar(1, 1))
     assert w.dim == 1 and w.contains(1)
     # eps = (1/2) / ||f_V||_1 = 1
     assert _cap(r.table, Fraction(1)) == pytest.approx(math.e, rel=1e-12)
     # a threshold above the l1 norm clears nothing
-    assert chang_span(spec, DyadicScalar(3, 2)).dim == 0
+    assert _span(spec, DyadicScalar(3, 2)).dim == 0
     with pytest.raises(ValueError):
-        chang_span(spec, DyadicScalar(0))
+        _span(spec, DyadicScalar(0))
 
 
 def test_chang_span_contains_large_spectrum():
@@ -339,7 +346,7 @@ def test_chang_span_contains_large_spectrum():
         thr = DyadicScalar(l1_norm(f).num, l1_norm(f).exp + j)  # l1 * 2^-j
         if thr.num == 0:
             continue
-        w = chang_span(spec, thr)
+        w = _span(spec, thr)
         for g in range(1 << n):
             if abs(spec[g]) >= thr:
                 assert w.contains(g)
@@ -349,7 +356,7 @@ def test_chang_span_contains_large_spectrum():
 def _check_chang_span(spec, thr, with_cap=True):
     basis, cap = brute_chang_span(table_fractions(spec), thr.as_fraction(),
                                   spec.dim.n)
-    assert chang_span(spec, thr).basis == basis
+    assert _span(spec, thr).basis == basis
     # The reference's cap is 0 when f is zero or eps > 1, which the cap
     # refuses; otherwise it is the cap at eps = threshold / ||f||_1.
     if cap and with_cap:
@@ -361,6 +368,7 @@ def _check_chang_span(spec, thr, with_cap=True):
 def test_chang_span_matches_reference():
     rng = np.random.default_rng(47)
     top = (1 << 63) - 1
+    stacks = {}
     for _ in range(80):
         n = int(rng.integers(1, 7))
         spec = Spectrum(n, rng.integers(-40, 41, size=1 << n), int(
@@ -371,6 +379,15 @@ def test_chang_span_matches_reference():
         for exp in (spec.exp + 3, spec.exp, max(spec.exp - 2, 0)):
             thr = DyadicScalar(int(rng.integers(1, 50)), exp)
             _check_chang_span(spec, thr)
+            stacks.setdefault(n, []).append((spec, thr))
+    # The same spectra stacked by n: each row is spanned on its own.
+    for n, rows in stacks.items():
+        got = chang_span(np.stack([s.nums for s, _ in rows]),
+                         [s.exp for s, _ in rows], [t.num for _, t in rows],
+                         [t.exp for _, t in rows])
+        assert got.shape == (len(rows), n)
+        for row, (spec, thr) in zip(got.tolist(), rows):
+            assert tuple(g for g in row if g) == _span(spec, thr).basis
     # Spectra near 2^63, thresholds on both sides of the entries and cuts
     # beyond int64; their norms pass int64, so the cap is not compared.
     big = Spectrum(3, np.array([(1 << 62) + 1, -(1 << 56), 3, 0, 1 << 57,
@@ -383,7 +400,7 @@ def test_chang_span_matches_reference():
                 DyadicScalar(1 << 62, 1), DyadicScalar(1 << 63, 2),
                 DyadicScalar(1 << 64)):
         _check_chang_span(edge, thr, with_cap=False)
-    assert chang_span(edge, DyadicScalar(top, 2)).basis == (1,)
+    assert _span(edge, DyadicScalar(top, 2)).basis == (1,)
 
 
 def test_chang_cardinality_bound_constant():

@@ -390,6 +390,11 @@ def test_bad_inputs(workdir, capsys):
     assert main(["norm", "junk.set"]) == 2
     (workdir / "dup.set").write_text("n=2\n1\n1\n")
     assert main(["norm", "dup.set"]) == 2
+    (workdir / "hex.set").write_text("n=3\nhexbits=0f\nextra=1\n")
+    capsys.readouterr()
+    assert main(["norm", "hex.set"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a hexbits line must be the only line after n=\n")
 
 
 @pytest.mark.parametrize("argv", [

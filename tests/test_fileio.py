@@ -55,6 +55,25 @@ def test_set_file_errors(tmp_path):
     bad("n=2\nhexbits=\n")
 
 
+def test_hexbits_line_must_stand_alone(tmp_path):
+    # A hexbits line with any other line after n= is its own fault, not a
+    # bad point line.
+    path = tmp_path / "h.set"
+    for text in ("n=3\nhexbits=0f\nextra=1\n",
+                 "n=3\nhexbits=0f\nhexbits=0f\n", "n=3\nHEXBITS=0f\n2\n"):
+        path.write_text(text)
+        with pytest.raises(SetFileError) as exc:
+            read_set_file(str(path), DEFAULT_MAX_N)
+        assert str(exc.value) == (
+            "a hexbits line must be the only line after n=")
+    # A later hexbits line is a point line, checked in file order.
+    for text, msg in (("n=3\n1\nhexbits=0f\n", "bad point line"),
+                      ("n=2\n9\nhexbits=1\n", "point 9 outside the group")):
+        path.write_text(text)
+        with pytest.raises(SetFileError, match=msg):
+            read_set_file(str(path), DEFAULT_MAX_N)
+
+
 def test_set_file_names_first_offender(tmp_path):
     # Lines are checked in file order: the first bad line is the one named.
     path = tmp_path / "o.set"

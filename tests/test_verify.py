@@ -12,13 +12,17 @@ from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
-from f2wiener._streams import (_PCG_MULT, _SEED_BLOCK, _TECHLEM_RAWS,
-                               _decode_techlem, _draw_techlem, bounded_draws,
-                               techlem_draws, trial_rngs, trial_words)
+from f2wiener._draws import (_CHANG_NS, _CHANG_RAWS, _SET_NS, _SET_RAWS,
+                             _TECHLEM_RAWS, _decode_chang, _decode_sets,
+                             _decode_techlem, _draw_chang,
+                             _draw_set_and_subspace, _draw_techlem,
+                             chang_draws, set_draws, techlem_draws)
+from f2wiener._streams import (_PCG_MULT, _RAW_BUDGET, _SEED_BLOCK,
+                               bounded_draws, trial_rngs, trial_words)
 from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
-from _reference import (REFERENCE_TRIALS, reference_residual, stack_rows,
-                        table_fractions)
+from _reference import (REFERENCE_TRIALS, brute_chang_span,
+                        reference_residual, stack_rows, table_fractions)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -85,14 +89,120 @@ def test_decoded_techlem_draws_match_generator(seed):
     spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
     for start, count in spans:
         seen = []
-        for first, nums, dens, m in techlem_draws(seed, start, count):
-            assert len(m) == min(_SEED_BLOCK, start + count - first)
-            for t, k in enumerate(m.tolist()):
-                want = _draw_techlem(np.random.default_rng([seed, first + t]))
+        for trials, nums, dens, m in techlem_draws(seed, start, count):
+            assert len(m) == len(trials)
+            for t, (i, k) in enumerate(zip(trials.tolist(), m.tolist())):
+                want = _draw_techlem(np.random.default_rng([seed, i]))
                 assert (nums[t, :k].tolist(), dens[t, :k].tolist()) == want
                 assert (nums[t, k:] == 0).all() and (dens[t, k:] == 1).all()
-                seen.append(first + t)
+                seen.append(i)
         assert seen == list(range(start, start + count))
+
+
+_DECODED = {"set": (set_draws, _draw_set_and_subspace),
+            "chang": (chang_draws, _draw_chang)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
+                                  2**130 + 3])
+@pytest.mark.parametrize("kind", sorted(_DECODED))
+def test_decoded_set_and_chang_draws_match_generator(kind, seed):
+    # Every trial's decoded draws against its Generator's, over the spans
+    # of test_trial_rngs_match_default_rng; a group shares n and lists its
+    # trials in order.
+    draws, draw = _DECODED[kind]
+    for start, count in [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]:
+        seen = []
+        for n, trials, *fields in draws(seed, start, count):
+            assert trials.tolist() == sorted(trials.tolist())
+            for t, i in enumerate(trials.tolist()):
+                want_n, *want = draw(np.random.default_rng([seed, i]))
+                assert want_n == n, i
+                for got, value in zip(fields, want):
+                    assert np.array_equal(got[t], value), i
+                seen.append(i)
+        assert sorted(seen) == list(range(start, start + count))
+
+
+def test_trial_words_groups_hold_their_width_within_budget():
+    # Each group shares one width and lists its trials in order; it is
+    # yielded once it holds _RAW_BUDGET outputs, so it holds fewer before
+    # its last trial.  Every trial of the span comes once.
+    seen = []
+    for trials, words in trial_words(3, 5, 2 * _SEED_BLOCK + 9,
+                                     lambda word: _SET_RAWS[
+                                         word * _SET_NS >> 32]):
+        w = words.shape[1] // 2
+        widths = {_SET_RAWS[int(row[0]) * _SET_NS >> 32] for row in words}
+        assert widths == {w}
+        assert (len(trials) - 1) * w < _RAW_BUDGET
+        assert trials.tolist() == sorted(trials.tolist())
+        seen += trials.tolist()
+    assert sorted(seen) == list(range(5, 5 + 2 * _SEED_BLOCK + 9))
+
+
+def _group_of(n, seed, first, count, ns, raws):
+    """The (trials, words) group of trials with n from the first block of
+    trials first, first + 1, ... as the decoders read them."""
+    for trials, words in trial_words(seed, first, count,
+                                     lambda word: raws[word * ns >> 32]):
+        if 2 + (int(words[0, 0]) * ns >> 32) == n:
+            return trials, words
+    raise AssertionError(f"no trial with n={n}")
+
+
+def _check_redrawn(decode, draw, seed, trials, words, crafted, rows):
+    # The crafted rows come back after the others, each as a group of
+    # one drawn by its own Generator; the rest decode as before.
+    got = decode(seed, trials, crafted)
+    keep = np.setdiff1d(np.arange(len(trials)), rows)
+    want = decode(seed, trials, words)
+    assert len(want) == 1
+    assert got[0][0] == want[0][0]
+    for a, b in zip(got[0][1:], want[0][1:]):
+        assert np.array_equal(a, b[keep])
+    assert [g[1].tolist() for g in got[1:]] == [[int(trials[t])]
+                                                for t in rows]
+    for (n, ids, *fields), t in zip(got[1:], rows):
+        want_n, *values = draw(np.random.default_rng([seed, int(trials[t])]))
+        assert n == want_n
+        for f, v in zip(fields, values):
+            assert np.array_equal(f[0], v)
+
+
+def test_rejected_set_words_drawn_by_their_generator():
+    # n = 4: range 11 for n rejects low halves below 4, k's range 5 below
+    # 1 and a character's range 15 below 1, so a zero word is rejected in
+    # each place; row 1 gets n's, row 2 k's, and the first row from 3 on
+    # with k >= 1 its first character's.
+    seed, n, size = 5, 4, 16
+    trials, words = _group_of(n, seed, 40, _SEED_BLOCK, _SET_NS, _SET_RAWS)
+    k = bounded_draws(words[:, size + 1], n + 1)[0]
+    char_row = 3 + int(np.flatnonzero(k[3:])[0])
+    crafted = words.copy()
+    crafted[1, 0] = 0
+    crafted[2, size + 1] = 0
+    crafted[char_row, size + 2] = 0
+    assert bounded_draws(crafted[1, 0], _SET_NS)[1]
+    assert bounded_draws(crafted[2, size + 1], n + 1)[1]
+    assert bounded_draws(crafted[char_row, size + 2], size - 1)[1]
+    _check_redrawn(_decode_sets, _draw_set_and_subspace, seed, trials,
+                   words, crafted, [1, 2, char_row])
+
+
+def test_rejected_chang_words_drawn_by_their_generator():
+    # n = 3: range 17 for a numerator rejects a low half of 0, and so does
+    # j's range 5; row 1 gets a zero numerator word, row 2 a zero j word.
+    seed, n, size = 5, 3, 8
+    trials, words = _group_of(n, seed, 40, _SEED_BLOCK, _CHANG_NS,
+                              _CHANG_RAWS)
+    crafted = words.copy()
+    crafted[1, 5] = 0
+    crafted[2, size + 2] = 0
+    assert bounded_draws(crafted[1, 5], 17)[1]
+    assert bounded_draws(crafted[2, size + 2], 5)[1]
+    _check_redrawn(_decode_chang, _draw_chang, seed, trials, words,
+                   crafted, [1, 2])
 
 
 def _stream_starting_with(raw0):
@@ -138,13 +248,15 @@ def test_rejected_techlem_trial_drawn_by_its_generator():
     # halves below 1) and its first num word 0, which numpy would reject.
     # That trial alone comes from its own Generator.
     seed, first = 5, 40
-    words = next(trial_words(seed, first, 6, _TECHLEM_RAWS))[1]
+    trials, words = next(trial_words(seed, first, 6,
+                                     lambda word: _TECHLEM_RAWS))
+    assert trials.tolist() == list(range(first, first + 6))
     crafted = words.copy()
     crafted[3, 1:3] = [1 << 26, 0]
     assert bounded_draws(crafted[3, 1], 64)[0] + 1 == 2
     assert bounded_draws(crafted[3, 2], 3)[1]
-    got = _decode_techlem(seed, first, crafted)
-    want = _decode_techlem(seed, first, words)
+    got = _decode_techlem(seed, trials, crafted)
+    want = _decode_techlem(seed, trials, words)
     for a, b in zip(got, want):
         assert (a == b).all()
     nums, dens, m = got
@@ -154,8 +266,12 @@ def test_rejected_techlem_trial_drawn_by_its_generator():
 
 
 def _drop_last_row(original):
-    def chang_span(spec, threshold):
-        return DualSubspace(original(spec, threshold).basis[:-1])
+    def chang_span(*args):
+        basis = original(*args).copy()
+        dims = np.count_nonzero(basis, axis=1)
+        rows = np.flatnonzero(dims)
+        basis[rows, dims[rows] - 1] = 0
+        return basis
     return chang_span
 
 
@@ -196,6 +312,12 @@ def _floor_one_unit_up(original):
 
 
 # The same mutants on the per-trial forms in tests/_reference.py.
+def _ref_drop_last_row(original):
+    def chang_span(spec, threshold):
+        return DualSubspace(original(spec, threshold).basis[:-1])
+    return chang_span
+
+
 def _ref_one_unit_up(original):
     def residual_l1(fv):
         got = original(fv)
@@ -339,6 +461,7 @@ _REFERENCE_MUTANTS = {
              _ref_floor_one_unit_up),
     "techlem": ("frac_quadratic_gap", _rhs_minus_one, _ref_rhs_minus_one),
     "beckner": ("riesz_product", _mass_one_unit_off, _ref_mass_one_unit_off),
+    "chang": ("chang_span", _drop_last_row, _ref_drop_last_row),
 }
 
 
@@ -422,3 +545,51 @@ def test_batched_residual_edge_cases():
             assert (int(nums[t]), int(exps[t])) == (l1.num, l1.exp)
             assert DyadicScalar(int(floor[t]), int(floor_exp[t])) == (
                 _reference.physical_lower_bound(a.density(), v.order))
+
+
+def test_stacked_chang_edge_rows(monkeypatch):
+    # n = 2 rows through verify's stacked chang check: an all-zero table
+    # (l1 = 0, so it draws no j and its j here is never read), a row at
+    # j = 0 (f = |f| chi_1, so only hat f(1) reaches l1), a full-rank row
+    # (a point mass: every |hat f| is l1) and a row with no large
+    # character (|hat f| = l1 / 2 everywhere, at j = 0).
+    from f2wiener.chang import chang_span
+    n = 2
+    nums = np.array([[0, 0, 0, 0], [3, -1, 2, -5], [8, 0, 0, 0],
+                     [1, 1, 1, -1]], dtype=np.int64)
+    exps = np.array([0, 1, 2, 0])
+    js = np.array([99, 0, 4, 0])
+    want = []
+    for t in range(1, 4):
+        f = FunctionTable(n, nums[t], int(exps[t]))
+        thr = _reference.l1_norm(f).as_fraction() / 2 ** int(js[t])
+        want.append(brute_chang_span(table_fractions(_reference.fwht(f)),
+                                     thr, n))
+    assert [len(basis) for basis, _ in want] == [1, 2, 0]
+    spec = nums[1:].copy()
+    for row in spec:
+        row[:] = _reference.fwht(FunctionTable(n, row, 0)).nums
+    l1 = np.abs(nums[1:]).sum(axis=1)
+    basis = chang_span(spec, (exps[1:] + n).tolist(), l1.tolist(),
+                       (exps[1:] + n + js[1:]).tolist())
+    assert [tuple(g for g in row if g) for row in basis.tolist()] == [
+        b for b, _ in want]
+    # No violation, and one Chang cap per nonzero row, the reference's.
+    caps = []
+
+    def record(original):
+        def chang_cardinality_bound(l1, l2sq, eps):
+            caps.append(original(l1, l2sq, eps))
+            return caps[-1]
+        return chang_cardinality_bound
+
+    monkeypatch.setattr(verify, "chang_cardinality_bound",
+                        record(verify.chang_cardinality_bound))
+    assert verify._eval_chang(n, [10, 11, 12, 13], nums, exps, js) == []
+    assert caps == pytest.approx([cap for _, cap in want], rel=1e-12)
+    # A zero cap reports every row of positive dimension, with its dimension.
+    monkeypatch.setattr(verify, "chang_cardinality_bound",
+                        lambda l1, l2sq, eps: 0.0)
+    assert verify._eval_chang(n, [10, 11, 12, 13], nums, exps, js) == [
+        (11, "span dimension 1 above the Chang bound 0.0 (n=2, eps=1)"),
+        (12, "span dimension 2 above the Chang bound 0.0 (n=2, eps=1/2^4)")]
