@@ -1,12 +1,13 @@
 """The draws of each verify suite's trials.
 
 Trial i of seed S draws from numpy.random.default_rng([S, i]) (see
-_streams).  The tA, lem1, techlem and chang trials draw only small
-bounded integers, so they make no Generator calls: their draws are
-decoded as arrays from the words trial_words reads, and a trial with a
-word that numpy would reject is drawn by its own Generator instead.  The
-beckner trials draw their characters by a data-dependent loop, so they
-make their Generator calls one trial at a time.
+_streams).  Every suite's trials draw only small bounded integers, so
+their draws are decoded as arrays from the words trial_words reads, with
+no Generator calls, and a trial with a word that numpy would reject is
+drawn by its own Generator instead.  A beckner trial draws its characters
+by a loop that stops once k are independent; the loop walks the decoded
+candidates in Python, and a trial that needs more candidates than its
+words hold is drawn by its Generator too.
 
 set_draws, chang_draws and beckner_draws yield groups (n, trials,
 *fields) of trials that share n, row t of each field belonging to trial
@@ -14,11 +15,12 @@ trials[t]; techlem_draws yields (trials, nums, dens, m).
 """
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from operator import length_hint
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ._streams import bounded_draws, trial_rngs, trial_words
+from ._streams import bounded_draws, trial_words
 
 __all__ = ["beckner_draws", "chang_draws", "set_draws", "techlem_draws"]
 
@@ -65,14 +67,17 @@ def _decode_techlem(seed: int, trials: np.ndarray, words: np.ndarray,
     return nums, dens, m
 
 
+def _techlem_width(firsts: np.ndarray) -> np.ndarray:
+    return np.full(firsts.shape, _TECHLEM_RAWS)
+
+
 def techlem_draws(seed: int, start: int, count: int,
                   ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
                                       np.ndarray]]:
     """(trials, nums, dens, m) for groups of the techlem trials
     start..start+count-1: row t holds trial trials[t]'s m deltas
     nums[t, i] / dens[t, i] (see _draw_techlem)."""
-    for trials, words in trial_words(seed, start, count,
-                                     lambda word: _TECHLEM_RAWS):
+    for trials, words in trial_words(seed, start, count, _techlem_width):
         yield (trials, *_decode_techlem(seed, trials, words))
 
 
@@ -80,11 +85,23 @@ def techlem_draws(seed: int, start: int, count: int,
 # [0, n] and k characters in [1, 2^n - 1]: words 0, 1..2^n, 2^n + 1 and
 # then up to n more.  The chang trials draw n in [2, 10], 2^n numerators
 # in [-8, 8], exp in [0, 3] and j in [0, 4]: words 0, 1..2^n, 2^n + 1 and
-# 2^n + 2.  Either width grows with n, so a group of one width shares n.
+# 2^n + 2.  The beckner trials draw n in [2, 10], 2^n numerators, exp, k in
+# [0, min(n, 4)], characters in [1, 2^n - 1] until k are independent and
+# the index of one of four etas: words 0, 1..2^n, 2^n + 1, 2^n + 2, then
+# the candidates and the eta index, for which a trial reads min(n, 4) +
+# _BECKNER_SLACK words or one more.  Each width grows with n, so a group
+# of one width shares n.
 _SET_NS = 11
 _CHANG_NS = 9
-_SET_RAWS = tuple((3 + (1 << n) + n) // 2 for n in range(2, 2 + _SET_NS))
-_CHANG_RAWS = tuple((4 + (1 << n)) // 2 for n in range(2, 2 + _CHANG_NS))
+_BECKNER_NS = 9
+_BECKNER_K = 4
+_BECKNER_SLACK = 8
+_SET_RAWS = np.array([(3 + (1 << n) + n) // 2
+                      for n in range(2, 2 + _SET_NS)])
+_CHANG_RAWS = np.array([(4 + (1 << n)) // 2 for n in range(2, 2 + _CHANG_NS)])
+_BECKNER_RAWS = np.array([
+    (4 + (1 << n) + min(n, _BECKNER_K) + _BECKNER_SLACK) // 2
+    for n in range(2, 2 + _BECKNER_NS)])
 # Per n, the tA and lem1 words drawn by rejection (n's, k's and the
 # characters') and their ranges.
 _SET_PICKS = tuple((np.r_[0, (1 << n) + 1:(1 << n) + n + 2],
@@ -116,14 +133,49 @@ def _draw_chang(rng: np.random.Generator) -> Tuple[int, np.ndarray, int, int]:
     return n, nums.astype(np.int8), exp, int(rng.integers(0, 5))
 
 
-def _redraw(seed: int, draw, rejected: np.ndarray, n: int,
+def _independent_chars(candidates: Iterable[int],
+                       count: int) -> Optional[List[int]]:
+    """count linearly independent characters: each candidate in turn is
+    kept when it lies outside the span of those kept so far.  None when
+    the candidates run out first."""
+    span = {0}
+    out: List[int] = []
+    candidates = iter(candidates)
+    while len(out) < count:
+        g = next(candidates, None)
+        if g is None:
+            return None
+        if g not in span:
+            out.append(g)
+            span |= {s ^ g for s in span}
+    return out
+
+
+def _draw_beckner(rng: np.random.Generator,
+                  ) -> Tuple[int, np.ndarray, int, List[int], int]:
+    """A beckner trial by Generator calls: (n, nums as int8, exp, lambdas,
+    eta_idx), a table of integers in [-8, 8] over 2^exp, exp <= 3, on
+    F2^n, 2 <= n <= 10, up to four independent characters, padded with
+    zeros, and the index of one of four etas."""
+    n = int(rng.integers(2, 2 + _BECKNER_NS))
+    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
+    exp = int(rng.integers(0, 4))
+    k = int(rng.integers(0, min(n, _BECKNER_K) + 1))
+    lambdas = _independent_chars(
+        (int(rng.integers(1, 1 << n)) for _ in range(64 * k + 64)), k)
+    if lambdas is None:
+        raise RuntimeError("failed to sample independent characters")
+    return (n, nums.astype(np.int8), exp,
+            lambdas + [0] * (_BECKNER_K - k), int(rng.integers(0, 4)))
+
+
+def _redraw(seed: int, draw, redrawn: np.ndarray, n: int,
             trials: np.ndarray, *fields: np.ndarray) -> List[tuple]:
-    """The decoded group (n, trials, *fields) less each trial with a row
-    of rejected that flags a word, then each of those drawn by draw from
-    its own Generator, as a group of one (its n may differ)."""
-    if not rejected.any():
+    """The decoded group (n, trials, *fields) less each trial that
+    redrawn flags, then each of those drawn by draw from its own
+    Generator, as a group of one (its n may differ)."""
+    if not redrawn.any():
         return [(n, trials, *fields)]
-    redrawn = rejected.any(axis=1)
     keep = ~redrawn
     groups = [(n, trials[keep], *(f[keep] for f in fields))]
     for i in trials[redrawn].tolist():
@@ -150,8 +202,9 @@ def _decode_sets(seed: int, trials: np.ndarray,
     draws, rejected = bounded_draws(words[:, cols], high)
     chars = draws[:, 2:] + 1
     chars[np.arange(n) >= draws[:, 1, None]] = 0
-    return _redraw(seed, _draw_set_and_subspace, rejected, n, trials,
-                   (words[:, 1:1 + (1 << n)] >> 31).astype(np.int8), chars)
+    return _redraw(seed, _draw_set_and_subspace, rejected.any(axis=1), n,
+                   trials, (words[:, 1:1 + (1 << n)] >> 31).astype(np.int8),
+                   chars)
 
 
 def _decode_chang(seed: int, trials: np.ndarray,
@@ -165,15 +218,56 @@ def _decode_chang(seed: int, trials: np.ndarray,
         words[:, :size + 3],
         np.repeat((_CHANG_NS, 17, 4, 5), (1, size, 1, 1)))
     exp, j = draws[:, size + 1:].T.copy()
-    return _redraw(seed, _draw_chang, rejected, n, trials,
+    return _redraw(seed, _draw_chang, rejected.any(axis=1), n, trials,
                    (draws[:, 1:size + 1] - 8).astype(np.int8), exp, j)
 
 
-def _decoded(seed: int, start: int, count: int, ns: int, raws: tuple,
+def _decode_beckner(seed: int, trials: np.ndarray,
+                    words: np.ndarray) -> List[tuple]:
+    """Groups (n, trials, nums, exp, lambdas, eta_idx) of the trials from
+    their stream words, as _draw_beckner draws them.
+
+    Word 0 gives n, words 1..2^n the numerators, 2^n + 1 exp and 2^n + 2
+    k; the candidate characters follow, and the eta index (the top two
+    bits, as range 4 never rejects) is the word after the last candidate
+    the trial's loop takes.  A trial with a word that numpy would reject
+    among those it uses, or that needs a candidate past the next-to-last
+    word, is drawn by _draw_beckner instead.
+    """
+    n = 2 + (int(words[0, 0]) * _BECKNER_NS >> 32)
+    size = 1 << n
+    first = size + 3
+    slots = words.shape[1] - first - 1
+    draws, rejected = bounded_draws(
+        words[:, :first + slots],
+        np.repeat((_BECKNER_NS, 17, 4, min(n, _BECKNER_K) + 1, size - 1),
+                  (1, size, 1, 1, slots)))
+    redrawn = rejected[:, :first].any(axis=1)
+    # A candidate loop can only read up to the first rejected candidate.
+    usable = np.where(rejected[:, first:].any(axis=1),
+                      rejected[:, first:].argmax(axis=1), slots).tolist()
+    taken = np.zeros(len(trials), dtype=np.int64)
+    lambdas = np.zeros((len(trials), _BECKNER_K), dtype=np.int64)
+    for t, (row, k) in enumerate(zip((draws[:, first:] + 1).tolist(),
+                                     draws[:, size + 2].tolist())):
+        candidates = iter(row[:usable[t]])
+        chars = _independent_chars(candidates, k)
+        if chars is None:
+            redrawn[t] = True
+            continue
+        taken[t] = usable[t] - length_hint(candidates)
+        lambdas[t, :k] = chars
+    eta_idx = words[np.arange(len(trials)), first + taken] >> 30
+    return _redraw(seed, _draw_beckner, redrawn, n, trials,
+                   (draws[:, 1:size + 1] - 8).astype(np.int8),
+                   draws[:, size + 1], lambdas, eta_idx.astype(np.int64))
+
+
+def _decoded(seed: int, start: int, count: int, ns: int, raws: np.ndarray,
              decode) -> Iterator[tuple]:
     # n is drawn first, from range ns: word 0 gives a trial's width.
     for trials, words in trial_words(seed, start, count,
-                                     lambda word: raws[word * ns >> 32]):
+                                     lambda firsts: raws[firsts * ns >> 32]):
         yield from decode(seed, trials, words)
 
 
@@ -190,36 +284,8 @@ def chang_draws(seed: int, start: int, count: int) -> Iterator[tuple]:
                     _decode_chang)
 
 
-def _independent_chars(rng: np.random.Generator, n: int,
-                       count: int) -> List[int]:
-    """count linearly independent characters, each drawn at random and
-    kept when it lies outside the span of those kept so far."""
-    span = {0}
-    out: List[int] = []
-    guard = 0
-    while len(out) < count:
-        g = int(rng.integers(1, 1 << n))
-        if g not in span:
-            out.append(g)
-            span |= {s ^ g for s in span}
-        guard += 1
-        if guard > 64 * count + 64:
-            raise RuntimeError("failed to sample independent characters")
-    return out
-
-
 def beckner_draws(seed: int, start: int, count: int) -> Iterator[tuple]:
-    """Each beckner trial start..start+count-1 in order, as a group of
-    one (n, trials, nums, exp, lambdas, eta_idx), by Generator calls: a
-    table of integers in [-8, 8] over 2^exp, exp <= 3, on F2^n, 2 <= n <=
-    10, up to four independent characters (padded with zeros) and the
-    index of one of four etas."""
-    for i, rng in trial_rngs(seed, start, count):
-        n = int(rng.integers(2, 11))
-        nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
-        exp = int(rng.integers(0, 4))
-        k = int(rng.integers(0, min(n, 4) + 1))
-        lambdas = _independent_chars(rng, n, k) + [0] * (4 - k)
-        yield (n, np.array([i]), nums.astype(np.int8)[None],
-               np.array([exp]), np.array([lambdas]),
-               np.array([int(rng.integers(0, 4))]))
+    """Groups (n, trials, nums, exp, lambdas, eta_idx) of the beckner
+    trials start..start+count-1 (see _draw_beckner)."""
+    return _decoded(seed, start, count, _BECKNER_NS, _BECKNER_RAWS,
+                    _decode_beckner)

@@ -1,35 +1,44 @@
-"""The random stream of each verify trial.
+"""The random stream of each verify trial, as arrays.
 
 Trial i of seed S draws from numpy.random.default_rng([S, i]).  Building
-that Generator costs more than most trials, so trial_rngs derives the
-PCG64 states of a block of trials at once, by numpy's own SeedSequence
-and PCG64 seeding arithmetic, and loads each into one reused Generator.
+that Generator costs more than most trials, so _seed_words derives the
+PCG64 seed words of a block of trials at once, by numpy's own SeedSequence
+arithmetic, as uint64 arrays.  PCG64 is an LCG on 128 bits, so the state
+that a trial's output k reads is a closed form in its seed words (jump-ahead,
+see _JUMP), and _outputs computes a block's outputs as uint64 arrays with
+no Generator involved.
 
-A trial whose draws are all small bounded integers can skip the
-Generator calls: trial_words reads each trial's first word, which tells
-how many words the trial uses, then exactly those words, and stacks the
-trials of a block that use as many; bounded_draws decodes numpy's draws
-from them as arrays (Lemire's method, as numpy applies it to 32-bit
-words).  _draws decodes the verify suites' trials this way.
+trial_words reads each trial's first output, which tells how many outputs
+the trial uses, then exactly those outputs, and stacks the trials of a
+block that use as many; bounded_draws decodes numpy's draws from them as
+arrays (Lemire's method, as numpy applies it to 32-bit words).  _draws
+decodes every verify suite's trials this way.
 """
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
-__all__ = ["bounded_draws", "trial_rngs", "trial_words"]
+__all__ = ["bounded_draws", "trial_words"]
 
-# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 set-seed
-# constants, for deriving the trials' generator states a block at a time.
-# A block of 256 trials spreads the numpy steps' call overhead to about
-# half a microsecond a trial while holding only tens of KB of states.
-_SEED_BLOCK = 256
-# The 64-bit outputs a group of trials of one width holds (16 KB).  Raw
-# words take four bytes an entry, more than what they decode to, so a
-# small group keeps a block's held words small, at a few more decodes.
+# Trials whose seed words are derived at once.  The SeedSequence hash and
+# the first outputs are a few hundred numpy steps a block, whose call
+# overhead a block of 1024 trials spreads to about 0.4 us a trial (1.4 us
+# at 256; 2 cores, numpy 2.4), while a block's words and states take
+# tens of KB.
+_SEED_BLOCK = 1024
+# The 64-bit outputs a group of trials of one width holds (16 KB), and so
+# the most that one jump-ahead call computes.  Raw words take four bytes
+# an entry, more than what they decode to, so a small group keeps a
+# block's held words small, at a few more decodes.
 _RAW_BUDGET = 1 << 11
+# Trials of at most _JUMP_RAWS outputs compute them by jump-ahead; a wider
+# trial loads a Generator and calls random_raw once.  Timed over blocks of
+# one width (2 cores, numpy 2.4), the jump-ahead took 1.0 us a trial at 9
+# outputs, 2.2 at 36 and 3.7 at 68, and the Generator 3.3 to 3.6 us at
+# each, so they meet near 64 outputs.
+_JUMP_RAWS = 64
 _MASK32 = 0xFFFFFFFF
 # numpy scalars, which numpy applies to arrays faster than Python ints.
 _SHIFT32, _TWO32 = np.uint64(32), np.uint64(1 << 32)
@@ -40,17 +49,40 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _pcg64_states(seed: int,
-                  idx: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng([seed, i]) for each i in idx.
+def _split(values: List[int]) -> np.ndarray:
+    """128-bit values as the rows (hi, lo, lo & 2^32 - 1, lo >> 32) of a
+    uint64 array: the halves, and lo's two 32-bit limbs."""
+    hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+    lo = np.array([v & (1 << 64) - 1 for v in values], dtype=np.uint64)
+    return np.stack([hi, lo, lo & _MASK32, lo >> _SHIFT32])
+
+
+def _jump_constants(count: int) -> np.ndarray:
+    """(A_k, C_k) for k < count, split as _split does, in an (8, count)
+    array.  PCG64's set-seed leaves the state S_0 = (s + inc) M + inc, and
+    each output steps S_(k+1) = M S_k + inc, then outputs S_(k+1); so
+    S_k = A_k s + C_k inc mod 2^128 with A_0 = M, C_0 = M + 1, A_(k+1) =
+    M A_k and C_(k+1) = M C_k + 1."""
+    a, c = [_PCG_MULT], [_PCG_MULT + 1]
+    for _ in range(count - 1):
+        a.append(a[-1] * _PCG_MULT & _MASK128)
+        c.append((c[-1] * _PCG_MULT + 1) & _MASK128)
+    return np.concatenate([_split(a), _split(c)])
+
+
+_JUMP = _jump_constants(_JUMP_RAWS + 1)
+
+
+def _seed_words(seed: int, idx: np.ndarray) -> np.ndarray:
+    """PCG64's seed s and increment inc of default_rng([seed, i]) for each
+    i in idx (uint64), split as _split does, in an (8, len(idx)) array.
 
     SeedSequence hashes the entropy words (seed's 32-bit words, low first,
     then i, a single word as verify keeps i below 2^32) into a pool of
-    four and draws eight words from it.  They give PCG64's 128-bit seed s and stream j,
-    and set-seed takes two LCG steps from state 0: inc = 2j + 1, state =
-    (inc + s) * MULT + inc.  The hash constants do not depend on the data,
-    so a word is a uint64 array over the block holding a 32-bit value, or
-    an int while it depends on the seed alone.
+    four and draws eight words from it.  They give PCG64's 128-bit seed s
+    and stream j, and inc = 2j + 1.  The hash constants do not depend on
+    the data, so a word is a uint64 array over the block holding a 32-bit
+    value, or an int while it depends on the seed alone.
     """
     hc = _INIT_A
 
@@ -85,29 +117,77 @@ def _pcg64_states(seed: int,
         w = w * hc & _MASK32
         out.append(w ^ (w >> 16))
     # uint64 word k is out[2k] | out[2k + 1] << 32: s is (w0, w1), j (w2, w3)
-    s_hi, s_lo, j_hi, j_lo = ((out[2 * k] | (out[2 * k + 1] << 32)).tolist()
+    s_hi, s_lo, j_hi, j_lo = (out[2 * k] | (out[2 * k + 1] << 32)
                               for k in range(4))
-    for sh, sl, jh, jl in zip(s_hi, s_lo, j_hi, j_lo):
-        inc = ((jh << 65) | (jl << 1) | 1) & _MASK128
-        yield ((inc + (sh << 64 | sl)) * _PCG_MULT + inc) & _MASK128, inc
+    inc_lo = j_lo << 1 | 1
+    return np.stack([s_hi, s_lo, s_lo & _MASK32, s_lo >> 32,
+                     j_hi << 1 | j_lo >> 63, inc_lo, inc_lo & _MASK32,
+                     inc_lo >> 32])
 
 
-def trial_rngs(seed: int, start: int,
-               count: int) -> Iterator[Tuple[int, np.random.Generator]]:
-    """(i, rng) for trials start..start+count-1, rng in the state of
-    default_rng([seed, i]); one Generator is re-seeded for every trial."""
+def _mul128(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of x * y mod 2^128 for x and y split as _split does, on
+    broadcast uint64 arrays.  The products that only count mod 2^64 wrap
+    as numpy's uint64 arrays do; lo * lo's high half is summed from its
+    32-bit limbs, whose products and partial sums fit in 64 bits."""
+    xh, xl, x0, x1 = x
+    yh, yl, y0, y1 = y
+    p01 = x0 * y1
+    p10 = x1 * y0
+    mid = x0 * y0
+    mid >>= _SHIFT32
+    mid += p01 & _MASK32
+    mid += p10 & _MASK32
+    mid >>= _SHIFT32
+    p01 >>= _SHIFT32
+    p10 >>= _SHIFT32
+    hi = x1 * y1
+    hi += p01
+    hi += p10
+    hi += mid
+    hi += xh * yl
+    hi += xl * yh
+    return hi, xl * yl
+
+
+def _states(words: np.ndarray,
+            jump: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of the states A_k s + C_k inc mod 2^128 for trials' words
+    (columns of _seed_words) and constants (columns of _JUMP) that
+    broadcast against each other."""
+    hi, lo = _mul128(jump[:4], words[:4])
+    hi_c, lo_c = _mul128(jump[4:], words[4:])
+    lo += lo_c
+    hi += hi_c
+    hi += lo < lo_c
+    return hi, lo
+
+
+def _outputs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's 64-bit outputs from the states they read (XSL-RR: the XOR
+    of the halves rotated right by the top six bits), as little-endian
+    words."""
+    rot = hi >> np.uint64(58)
+    lo ^= hi
+    out = np.left_shift(lo, (64 - rot) & np.uint64(63), dtype="<u8")
+    out |= lo >> rot
+    return out
+
+
+def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """One Generator, loaded in turn with the state of each trial of words
+    (_seed_words) as default_rng([seed, i]) leaves it."""
+    hi, lo = _states(words, _JUMP[:, :1])
     rng = np.random.default_rng(0)
     bitgen = rng.bit_generator
     pcg = {}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
             "uinteger": 0}
-    stop = start + count
-    for lo in range(start, stop, _SEED_BLOCK):
-        idx = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint64)
-        for i, (state, inc) in enumerate(_pcg64_states(seed, idx), lo):
-            pcg["state"], pcg["inc"] = state, inc
-            bitgen.state = full
-            yield i, rng
+    for sh, sl, ih, il in zip(hi.tolist(), lo.tolist(), words[4].tolist(),
+                              words[5].tolist()):
+        pcg["state"], pcg["inc"] = sh << 64 | sl, ih << 64 | il
+        bitgen.state = full
+        yield rng
 
 
 def trial_words(seed: int, start: int, count: int,
@@ -115,42 +195,35 @@ def trial_words(seed: int, start: int, count: int,
     """(trials, words) for the trials start..start+count-1, a block of at
     most _SEED_BLOCK trials at a time, in groups of trials of one width.
 
-    width(word) is the number of 64-bit outputs a trial takes, given its
-    first 32-bit word: a trial reads its first output alone and the rest in
-    one more call.  Row t of words holds the 32-bit words that trial
-    trials[t]'s Generator hands to its bounded draws: each output low half
-    first, as PCG64's next_uint32 splits it.  A group lists its trials in
-    order and is yielded once it holds _RAW_BUDGET outputs, the rest at the
-    end of their block, so a block holds only the words its trials use.
+    width(firsts) is the number of 64-bit outputs each trial takes, given
+    the array of their first 32-bit words.  Row t of words holds the
+    32-bit words that trial trials[t]'s Generator hands to its bounded
+    draws: each output low half first, as PCG64's next_uint32 splits it.
+    A group lists its trials in order and holds at most _RAW_BUDGET
+    outputs, or one trial, so a block holds only the words its trials use.
     """
-    rngs = trial_rngs(seed, start, count)
     stop = start + count
     for lo in range(start, stop, _SEED_BLOCK):
-        held: Dict[int, Tuple[List[int], List[int], List[np.ndarray]]] = {}
-        for i, rng in islice(rngs, min(_SEED_BLOCK, stop - lo)):
-            bitgen = rng.bit_generator
-            first = bitgen.random_raw()
-            w = width(first & _MASK32)
-            ids, firsts, rests = group = held.setdefault(w, ([], [], []))
-            ids.append(i)
-            firsts.append(first)
-            rests.append(bitgen.random_raw(w - 1))
-            if len(ids) * w >= _RAW_BUDGET:
-                del held[w]
-                yield _stack_raws(w, group)
-        while held:
-            yield _stack_raws(*held.popitem())
-
-
-def _stack_raws(w: int, group) -> Tuple[np.ndarray, np.ndarray]:
-    # Little-endian 64-bit words read as 32-bit ones put each low half
-    # first, on any host.
-    ids, firsts, rests = group
-    raw = np.empty((len(ids), w), dtype="<u8")
-    raw[:, 0] = firsts
-    raw[:, 1:] = rests
-    rests.clear()  # the trials' own arrays go before the group is decoded
-    return np.array(ids), raw.view("<u4")
+        idx = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint64)
+        words = _seed_words(seed, idx)
+        widths = width(_outputs(*_states(words, _JUMP[:, 1:2])) & _MASK32)
+        order = np.argsort(widths, kind="stable")
+        rngs = _generators(words[:, order[widths[order] > _JUMP_RAWS]])
+        for rows in np.split(order, np.flatnonzero(np.diff(widths[order]))
+                             + 1):
+            w = int(widths[rows[0]])
+            step = max(1, _RAW_BUDGET // w)
+            for part in range(0, len(rows), step):
+                t = rows[part:part + step]
+                if w <= _JUMP_RAWS:
+                    # Output k of a trial reads state S_(k + 1).
+                    raw = _outputs(*_states(words[:, t, None],
+                                            _JUMP[:, None, 1:w + 1]))
+                else:
+                    raw = np.empty((len(t), w), dtype="<u8")
+                    for row, rng in zip(raw, rngs):
+                        row[:] = rng.bit_generator.random_raw(w)
+                yield idx[t].astype(np.int64), raw.view("<u4")
 
 
 def bounded_draws(words: np.ndarray,

@@ -6,10 +6,9 @@ across a worker pool without changing the outcome.  Seeds must be
 non-negative.  A violation message names the trial; theorems being
 theorems, any violation is an implementation bug.
 
-The tA, lem1, techlem and chang trials make no Generator calls: each
-trial's draws are decoded as arrays from its stream's raw words, a block
-of trials at a time, as numpy would draw them (see _draws); the beckner
-trials are drawn one by one.  Trials that share n are then evaluated in
+Every suite decodes its trials' draws as arrays from their streams' raw
+words, a block of trials at a time, as numpy would draw them (see _draws
+and _streams).  Trials that share n are then evaluated in
 groups, each as one stacked (trials, 2^n) table once it is full (see
 _GROUP_ROWS), and what is left when the trials run out is checked last;
 the techlem trials are checked a block at a time as integer rows.  Each

@@ -32,7 +32,8 @@ the same generator calls), one table's residual l1, Lemma 1's floor, one
 Riesz product, one Beckner check, the table L^p norm, the technical
 lemma's two sides for one list of deltas (the package's row form on one
 row), the span of one table's large spectrum, and the tA, lem1, techlem,
-beckner and chang trials built from them.  A
+beckner and chang trials built from them, with trial_rngs, which loads
+each trial's Generator state as the package derives it.  A
 batched suite must give the violations these trials give, also when a
 test patches one of the per-trial functions here as it patches the
 batched one in verify.
@@ -57,6 +58,7 @@ from f2wiener.fourier import (_LP_MAX_EXP, FunctionTable, Spectrum,
 from f2wiener.groups import (DualSubspace, GroupDim, coset_index_table,
                              subspace_extend, subspace_insert)
 from f2wiener.iteration import StepResult, ZeroResidual, iterate_step
+from f2wiener._streams import _SEED_BLOCK, _generators, _seed_words
 from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap
                                as row_gap, physical_lower_bound
                                as row_floors, residual_l1 as row_l1,
@@ -838,6 +840,17 @@ def trial_chang(rng: np.random.Generator):
         return (f"span dimension {w.dim} above the Chang bound {bound!r} "
                 f"(n={n}, eps={eps})")
     return None
+
+
+def trial_rngs(seed: int, start: int,
+               count: int) -> Iterator[Tuple[int, np.random.Generator]]:
+    """(i, rng) for trials start..start+count-1, rng in the state of
+    default_rng([seed, i]): one Generator, loaded with each trial's state
+    from the package's seed words, a block of trials at a time."""
+    stop = start + count
+    for lo in range(start, stop, _SEED_BLOCK):
+        idx = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint64)
+        yield from zip(idx.tolist(), _generators(_seed_words(seed, idx)))
 
 
 REFERENCE_TRIALS = {"tA": trial_ta, "lem1": trial_lem1,

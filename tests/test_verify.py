@@ -12,17 +12,21 @@ from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
-from f2wiener._draws import (_CHANG_NS, _CHANG_RAWS, _SET_NS, _SET_RAWS,
-                             _TECHLEM_RAWS, _decode_chang, _decode_sets,
-                             _decode_techlem, _draw_chang,
+from f2wiener import _streams
+from f2wiener._draws import (_BECKNER_NS, _BECKNER_RAWS, _CHANG_NS,
+                             _CHANG_RAWS, _SET_NS, _SET_RAWS,
+                             _decode_beckner, _decode_chang, _decode_sets,
+                             _decode_techlem, _draw_beckner, _draw_chang,
                              _draw_set_and_subspace, _draw_techlem,
-                             chang_draws, set_draws, techlem_draws)
-from f2wiener._streams import (_PCG_MULT, _RAW_BUDGET, _SEED_BLOCK,
-                               bounded_draws, trial_rngs, trial_words)
+                             _techlem_width, beckner_draws, chang_draws,
+                             set_draws, techlem_draws)
+from f2wiener._streams import (_JUMP_RAWS, _PCG_MULT, _RAW_BUDGET,
+                               _SEED_BLOCK, bounded_draws, trial_words)
 from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
 from _reference import (REFERENCE_TRIALS, brute_chang_span,
-                        reference_residual, stack_rows, table_fractions)
+                        reference_residual, stack_rows, table_fractions,
+                        trial_rngs)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -83,6 +87,62 @@ def test_trial_rngs_match_default_rng(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
                                   2**130 + 3])
+def test_jump_ahead_outputs_match_random_raw(seed):
+    # Every trial's words against its Generator's random_raw over the spans
+    # of the test above, at widths 1 or 9, and _JUMP_RAWS (by jump-ahead)
+    # or one more (by a loaded Generator), as the first word's low bit
+    # picks, so a block mixes the two routes.
+    spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
+    for pair in ((1, 9), (_JUMP_RAWS, _JUMP_RAWS + 1)):
+        for start, count in spans:
+            seen = []
+            for trials, words in trial_words(
+                    seed, start, count,
+                    lambda firsts: np.asarray(pair)[firsts & 1]):
+                w = pair[int(words[0, 0]) & 1]
+                assert words.shape == (len(trials), 2 * w)
+                for t, i in enumerate(trials.tolist()):
+                    want = np.random.default_rng([seed, i]).bit_generator
+                    assert words[t].tolist() == want.random_raw(w).astype(
+                        "<u8").view("<u4").tolist(), (w, i)
+                    seen.append(i)
+            assert sorted(seen) == list(range(start, start + count))
+
+
+_DRAWS = {"techlem": (techlem_draws, None, None),
+          "set": (set_draws, _SET_NS, _SET_RAWS),
+          "chang": (chang_draws, _CHANG_NS, _CHANG_RAWS),
+          "beckner": (beckner_draws, _BECKNER_NS, _BECKNER_RAWS)}
+
+
+@pytest.mark.parametrize("kind", sorted(_DRAWS))
+def test_only_wide_trials_load_a_generator(monkeypatch, kind):
+    # Trials of at most _JUMP_RAWS outputs take them by jump-ahead: the
+    # trials loaded into a Generator are the wider ones (a trial's n is its
+    # Generator's first draw, which gives its width), and the decode
+    # fallbacks, which draw from default_rng([seed, i]), load none.
+    seed, count = 3, 3 * _SEED_BLOCK
+    loaded = []
+
+    def generators(words):
+        loaded.append(words.shape[1])
+        return real(words)
+
+    real = _streams._generators
+    monkeypatch.setattr(_streams, "_generators", generators)
+    draws, ns, raws = _DRAWS[kind]
+    assert sum(1 for _ in draws(seed, 0, count))
+    if ns is None:
+        wide = 0
+    else:
+        wide = sum(int(raws[np.random.default_rng([seed, i]).integers(
+            0, ns)]) > _JUMP_RAWS for i in range(count))
+        assert 0 < wide < count
+    assert sum(loaded) == wide
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
+                                  2**130 + 3])
 def test_decoded_techlem_draws_match_generator(seed):
     # Every trial's m, dens and nums decoded from its stream words against
     # the Generator's draws, over the spans of the test above.
@@ -100,7 +160,8 @@ def test_decoded_techlem_draws_match_generator(seed):
 
 
 _DECODED = {"set": (set_draws, _draw_set_and_subspace),
-            "chang": (chang_draws, _draw_chang)}
+            "chang": (chang_draws, _draw_chang),
+            "beckner": (beckner_draws, _draw_beckner)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
@@ -205,6 +266,30 @@ def test_rejected_chang_words_drawn_by_their_generator():
                    crafted, [1, 2])
 
 
+def test_rejected_beckner_words_drawn_by_their_generator():
+    # n = 3: range 17 for a numerator and range 7 for a candidate reject a
+    # zero word.  Row 1 gets a zero numerator word, the first row from 2
+    # on with k >= 1 a zero first candidate, and the next row with k >= 2
+    # candidates that all decode to 1 (word 1: 7 * 1 has low half 7, at
+    # least 2^32 mod 7 = 4), so its loop keeps one character and runs past
+    # the slack.
+    seed, n, size = 5, 3, 8
+    trials, words = _group_of(n, seed, 40, _SEED_BLOCK, _BECKNER_NS,
+                              _BECKNER_RAWS)
+    k = bounded_draws(words[:, size + 2], 4)[0]
+    char_row = 2 + int(np.flatnonzero(k[2:])[0])
+    slack_row = char_row + 1 + int(np.flatnonzero(k[char_row + 1:] >= 2)[0])
+    crafted = words.copy()
+    crafted[1, 5] = 0
+    crafted[char_row, size + 3] = 0
+    crafted[slack_row, size + 3:] = 1
+    assert bounded_draws(crafted[1, 5], 17)[1]
+    assert bounded_draws(crafted[char_row, size + 3], size - 1)[1]
+    assert not bounded_draws(crafted[slack_row, size + 3:], size - 1)[1].any()
+    _check_redrawn(_decode_beckner, _draw_beckner, seed, trials, words,
+                   crafted, [1, char_row, slack_row])
+
+
 def _stream_starting_with(raw0):
     """A Generator whose first 64-bit output is raw0: PCG64 steps its
     128-bit state, then outputs the XOR of its halves rotated right by the
@@ -248,8 +333,7 @@ def test_rejected_techlem_trial_drawn_by_its_generator():
     # halves below 1) and its first num word 0, which numpy would reject.
     # That trial alone comes from its own Generator.
     seed, first = 5, 40
-    trials, words = next(trial_words(seed, first, 6,
-                                     lambda word: _TECHLEM_RAWS))
+    trials, words = next(trial_words(seed, first, 6, _techlem_width))
     assert trials.tolist() == list(range(first, first + 6))
     crafted = words.copy()
     crafted[3, 1:3] = [1 << 26, 0]
@@ -424,14 +508,15 @@ def test_verify_all_stdout_pinned(capsys, seed, jobs):
                          [m for m in _MUTANTS if m[0] != "techlem"])
 def test_sharding_keeps_violations_under_a_mutant(monkeypatch, suite, attr,
                                                   mutate):
-    # 600 trials over 3 jobs: shards of 200 cut every n-group at their
-    # ends, and the second shard crosses the seed block boundary at 256.
+    # 1500 trials over 3 jobs: shards of 500 cut every n-group at their
+    # ends, and the third shard crosses the seed block boundary.
+    assert 1000 < _SEED_BLOCK < 1500
     monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
-    serial = run_suite(suite, trials=600, seed=5, jobs=1).violations
+    serial = run_suite(suite, trials=1500, seed=5, jobs=1).violations
     assert serial
     assert [int(m.split()[1][:-1]) for m in serial] == sorted(
         int(m.split()[1][:-1]) for m in serial)
-    assert run_suite(suite, trials=600, seed=5, jobs=3).violations == serial
+    assert run_suite(suite, trials=1500, seed=5, jobs=3).violations == serial
 
 
 def test_sharding_keeps_every_techlem_message(monkeypatch):
