@@ -2,26 +2,32 @@
 
 wht_rows is the one row-wise transform.  It takes int64 tables with
 max|x| * cols <= 2^53 and refuses the rest (TypeError for another dtype,
-OverflowError above the bound).  A table is transformed in float64, as a
-product of Kronecker factors of at most 4 bits (H_(2^(a+b)) = H_(2^a) (x)
-H_(2^b), Fino & Algazi 1976), each one a small dense product that BLAS
-runs from cache on one thread.  Every partial sum is then an integer of
-magnitude at most 2^53, so it is a float64 in any summation order and
-under FMA (every product is by +-1).  The tables the package transforms
-stay far inside the bound: an indicator on F2^n, n <= 30, has
-max|x| * cols = 2^n, and the verify suites' tables reach at most 2^22.
+OverflowError above the bound).  A table is transformed in floating
+point, as a product of Kronecker factors of at most 4 bits (H_(2^(a+b)) =
+H_(2^a) (x) H_(2^b), Fino & Algazi 1976), each one a small dense product
+that BLAS runs from cache on one thread.  Every partial sum is an integer
+of magnitude at most max|x| * cols, so it is exact in any summation order
+and under FMA (every product is by +-1) in float32 up to 2^24 and in
+float64 up to 2^53; a table takes float32 when it can, which halves the
+scratch and the bytes each product moves.  An indicator on F2^n, n <= 24,
+has max|x| * cols = 2^n and takes float32, as do the verify suites' and
+the search's tables; indicators up to n = 30 take float64.  The scratch
+is one buffer of _BLOCK_BYTES for a batch of short rows, or one row in
+the float type for a longer row: the rows' own memory, idle while they
+are transformed, is the second buffer.
 A table whose index fits one factor (at most 16 columns, at most
 _GEMM_ROWS rows) takes a single product with H_cols, with no blocking and
 no transposes; that halves the cost of transforming one 8- or 16-entry row
-(timeit, about 14 -> 7.5 us on a 2-core Xeon host).  The route only
-splits the last axis, which numpy always does with a view, so any 2-D
-view is transformed in place.  The annealing sweep has one
-implementation.  While two transformed tables match the current set, it
-prices runs of up to _RUN proposals with one array call of swap_delta
-(four lookups each), screens them for the first that may be accepted and
-decides that one with the exact rule.  After an accepted move it prices
-proposals whole from Kronecker sign rows, and it rebuilds the tables with
-one 2-row transform once accepted moves thin out.
+(timeit, about 14 -> 7.5 us on a 2-core Xeon host).  A view that is not
+C-contiguous is transformed in a contiguous copy and written back.
+
+The annealing sweep has one implementation.  While two transformed tables
+match the current set, it prices runs of up to _RUN proposals with one
+array call of swap_delta (four lookups each), screens them for the first
+that may be accepted and decides that one with the exact rule.  After an
+accepted move it prices proposals whole from Kronecker sign rows, and it
+rebuilds the tables with one 2-row transform once accepted moves thin
+out.
 """
 from __future__ import annotations
 
@@ -79,68 +85,84 @@ def _sylvester(k: int, dtype) -> np.ndarray:
     return (1 - 2 * parity).astype(dtype, copy=False)
 
 
-# Largest max|x| * cols the float64 route takes (see the module docstring).
+# Largest max|x| * cols each float type takes (see the module docstring).
+_F32_EXACT = 1 << 24
 _F64_EXACT = 1 << 53
-# Rows are converted and transformed this many entries at a time, so a
-# block and its scratch copy stay in cache.
-_FLOAT_BLOCK = 1 << 14
-# Rows per product.  OpenBLAS splits a large enough dgemm over threads, which
-# costs far more than it saves on products this small: with OpenBLAS 0.3.31
-# on 2 cores, (3000, 16) @ (16, 16) ran on one thread in about 70 us, while
-# (4096, 16) @ (16, 16) started the threads and took about 8 ms of wall and
-# CPU time.  1024 rows keep every product at or under 2^18 multiply-adds.
+# Rows are converted and transformed this many bytes of scratch at a time,
+# so a block and its scratch stay in cache.
+_BLOCK_BYTES = 1 << 17
+# Rows per product.  OpenBLAS splits a large enough product over threads,
+# which costs far more than it saves on products this small: with OpenBLAS
+# 0.3.31 on 2 cores, (3000, 16) @ (16, 16) ran on one thread in about 70 us,
+# while (4096, 16) @ (16, 16) started the threads and took about 8 ms of
+# wall and CPU time.  1024 rows keep every product at or under 2^18
+# multiply-adds.
 _GEMM_ROWS = 1024
 _FACTOR_BITS = 4
-_H_FLOAT = [_sylvester(k, np.float64) for k in range(_FACTOR_BITS + 1)]
+_H_FLOAT = {dtype: [_sylvester(k, dtype) for k in range(_FACTOR_BITS + 1)]
+            for dtype in (np.float32, np.float64)}
 
 
-def _float_wht(mat: np.ndarray) -> None:
-    """Kronecker-factored transform of an int64 (rows, cols) view in
-    float64, exact when max|x| * cols <= 2^53.
+def _float_wht(mat: np.ndarray, dtype) -> None:
+    """Kronecker-factored transform of a C-contiguous int64 (rows, cols)
+    array in the float type dtype, exact when every partial sum is an
+    integer that dtype holds (max|x| * cols <= 2^24 or 2^53).
 
-    Each factor of k bits is one product with H_(2^k) on the lowest k index
-    bits, then a transpose that rotates the index right by k bits so the
-    next factor's bits are lowest; after all factors the index is back in
-    place, and the last transpose is cast back into mat.
+    A block of rows is converted into a scratch buffer.  Each factor of k
+    bits is one product with H_(2^k) on the lowest k index bits into a
+    second buffer, then a transpose back that rotates the index right by k
+    bits, so the next factor's bits are lowest; after all factors the
+    index is back in place and the result is cast back into the block.
+    Rows that fit a block of _BLOCK_BYTES get a second block of scratch,
+    and the last transpose writes straight into the block.  A longer row
+    is its own second buffer: its int64 memory is idle until the result
+    goes back, so it needs scratch of one row in dtype.
     """
     rows, cols = mat.shape
     n = cols.bit_length() - 1
+    hads = _H_FLOAT[dtype]
     if n <= _FACTOR_BITS and rows <= _GEMM_ROWS:
         # The whole index is one factor: a single product.
-        mat[...] = mat.astype(np.float64) @ _H_FLOAT[n]
+        mat[...] = mat.astype(dtype) @ hads[n]
         return
     factors = [_FACTOR_BITS] * (n // _FACTOR_BITS)
     if n % _FACTOR_BITS:
         factors.append(n % _FACTOR_BITS)
-    per = min(rows, max(1, _FLOAT_BLOCK // cols))
-    x = np.empty(per * cols)
-    y = np.empty(per * cols)
+    itemsize = np.dtype(dtype).itemsize
+    per = min(rows, max(1, _BLOCK_BYTES // (itemsize * cols)))
+    scratch = np.empty(per * cols, dtype=dtype)
+    spare = None if cols * itemsize > _BLOCK_BYTES else np.empty_like(scratch)
     for r0 in range(0, rows, per):
         block = mat[r0:r0 + per]
         b = block.shape[0]
-        src = x[:b * cols]
-        dst = y[:b * cols]
+        src = scratch[:b * cols]
         src.reshape(b, cols)[...] = block
+        if spare is None:
+            dst = block.reshape(-1).view(dtype)[:b * cols]
+        else:
+            dst = spare[:b * cols]
         for i, k in enumerate(factors):
             size = 1 << k
             a_in = src.reshape(-1, size)
             a_out = dst.reshape(-1, size)
             for c0 in range(0, a_in.shape[0], _GEMM_ROWS):
                 c1 = c0 + _GEMM_ROWS
-                np.matmul(a_in[c0:c1], _H_FLOAT[k], out=a_out[c0:c1])
+                np.matmul(a_in[c0:c1], hads[k], out=a_out[c0:c1])
             rotated = dst.reshape(b, cols // size, size).transpose(0, 2, 1)
-            if i == len(factors) - 1:
+            if spare is not None and i == len(factors) - 1:
                 np.copyto(block.reshape(b, size, cols // size), rotated,
                           casting="unsafe")
             else:
                 np.copyto(src.reshape(b, size, cols // size), rotated)
+        if spare is None:
+            np.copyto(block, src.reshape(b, cols), casting="unsafe")
 
 
 def wht_rows(mat: np.ndarray, peak: Optional[int] = None) -> np.ndarray:
     """In-place unnormalized Walsh-Hadamard transform along the last axis.
 
     mat is an int64 (rows, cols) array or view with cols a power of two
-    and max|x| * cols <= 2^53, which keeps the float64 route exact; peak,
+    and max|x| * cols <= 2^53, which keeps the float route exact; peak,
     when given, is max|x| (a table's peak), so mat is not scanned.
     Raises TypeError for another dtype and OverflowError above the bound.
     """
@@ -150,10 +172,17 @@ def wht_rows(mat: np.ndarray, peak: Optional[int] = None) -> np.ndarray:
         return mat
     if peak is None:
         peak = max(int(mat.max()), -int(mat.min()))
-    if peak * mat.shape[1] > _F64_EXACT:
-        raise OverflowError(f"max|x| * cols = {peak * mat.shape[1]} is "
-                            "above 2^53, where float64 stops being exact")
-    _float_wht(mat)
+    reach = peak * mat.shape[1]
+    if reach > _F64_EXACT:
+        raise OverflowError(f"max|x| * cols = {reach} is above 2^53, "
+                            "where float64 stops being exact")
+    dtype = np.float32 if reach <= _F32_EXACT else np.float64
+    if mat.flags.c_contiguous:
+        _float_wht(mat, dtype)
+    else:
+        work = np.ascontiguousarray(mat)
+        _float_wht(work, dtype)
+        mat[...] = work
     return mat
 
 

@@ -13,7 +13,9 @@ behind its proof, on stacks of products at once.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (_I64_MAX, Spectrum, _check_bound, _int_minmax,
+from .fourier import (Spectrum, _check_bound, _int_minmax,
                       exact_product, lp_norm)
 from .groups import as_dim, label_table
 
@@ -62,8 +64,9 @@ class DependentSet(ValueError):
 class LevelSet:
     """Characters of one dyadic magnitude band, with their chi_A mass.
 
-    members is a read-only int64 array in rank order; it takes no part in
-    equality, which the band index and the exact mass decide.
+    members is a read-only array in rank order, of the ranking's order
+    dtype; it takes no part in equality, which the band index and the
+    exact mass decide.
     """
 
     s: int
@@ -75,56 +78,85 @@ class LevelSet:
 class SpectrumRanking:
     """A spectrum's magnitudes ranked once, so bands are cut by search.
 
-    order (int64) lists the characters by descending |coefficient|, ties
-    by ascending index, and rank (int32) inverts it.  neg_mags[i] is minus
-    the i-th magnitude (so it ascends, as np.searchsorted needs) and
-    prefix[i] is the exact sum of the first i magnitudes; both are int64,
-    as rank_spectrum refuses a spectrum whose total could pass 2^63 - 1.
+    order lists the characters by descending |coefficient|, ties by
+    ascending index, and rank (int32) inverts it.  neg_mags[i] is minus
+    the i-th magnitude, so it ascends, as np.searchsorted needs.  order
+    and neg_mags are int32 when every magnitude is below 2^31, as for
+    hat(chi_A) on F2^n, whose peak is |A| <= 2^30; int64 otherwise.
+    prefix[i] is the exact int64 sum of the first i magnitudes, built on
+    first use, so the ranking never holds it beside the spectrum it was
+    ranked from; rank_spectrum refuses a spectrum whose total could pass
+    2^63 - 1.
     """
 
     exp: int
     order: np.ndarray
     rank: np.ndarray
     neg_mags: np.ndarray
-    prefix: np.ndarray
+
+    @functools.cached_property
+    def prefix(self) -> np.ndarray:
+        # Partial sums of -|x| are at most the total in magnitude, so the
+        # negated running sum is exact in int64.
+        prefix = np.zeros(self.neg_mags.size + 1, dtype=np.int64)
+        np.cumsum(self.neg_mags, dtype=np.int64, out=prefix[1:])
+        np.negative(prefix, out=prefix)
+        prefix.setflags(write=False)
+        return prefix
 
     def total(self) -> DyadicScalar:
         """Sum of every |coefficient|: the Wiener norm."""
         return DyadicScalar(int(self.prefix[-1]), self.exp)
 
     def magnitudes(self, chars: np.ndarray) -> np.ndarray:
-        """|coefficient| of each character in chars."""
+        """|coefficient| of each character in chars, in neg_mags' dtype."""
         mags = self.neg_mags[self.rank[chars]]
         return np.negative(mags, out=mags)
 
     def count_above(self, t: int) -> int:
         """How many numerator magnitudes exceed the integer t >= 0."""
-        # Every magnitude is at most 2^63 - 1, and the clamp keeps -t an
-        # int64 for searchsorted.
-        return int(np.searchsorted(self.neg_mags, -min(t, _I64_MAX)))
+        # Every magnitude fits neg_mags' dtype, and the clamp keeps -t in
+        # it, so searchsorted takes the key without casting the table.
+        kind = self.neg_mags.dtype.type
+        key = kind(-min(t, int(np.iinfo(kind).max)))
+        return int(np.searchsorted(self.neg_mags, key))
 
 
 def rank_spectrum(spec: Spectrum) -> SpectrumRanking:
-    """Sort spec by magnitude once and take exact prefix sums."""
+    """Sort spec by magnitude once; the exact prefix sums follow on first
+    use."""
     # peak * 2^n bounds every prefix sum; for hat(chi_A) on F2^n, n <= 30,
     # it is at most |A| * 2^n <= 2^60.
-    _check_bound(spec.peak * spec.nums.size, "prefix sum")
-    mags = np.abs(spec.nums)
-    neg = np.negative(mags, out=mags)
-    order = np.argsort(neg, kind="stable")
-    neg = neg[order]
-    # A group has at most 2^HARD_DIM_CAP = 2^30 characters, so every rank
-    # fits int32, which halves the rank table and V's rank lookups.
-    rank = np.empty(order.size, dtype=np.int32)
-    rank[order] = np.arange(order.size, dtype=np.int32)
-    # Partial sums of -|x| are at most the total in magnitude, so the
-    # negated running sum is exact in int64.
-    prefix = np.zeros(neg.size + 1, dtype=np.int64)
-    np.cumsum(neg, out=prefix[1:])
-    np.negative(prefix, out=prefix)
-    for arr in (order, rank, neg, prefix):
+    size = spec.nums.size
+    peak = spec.peak
+    _check_bound(peak * size, "prefix sum")
+    if peak < 1 << 31:
+        # (peak - |x|) * 2^32 + g sorts as the ranking does: by descending
+        # |x|, ties by ascending g.  The keys are distinct, so one in-place
+        # sort of int64 keys stands for a stable argsort, and both halves
+        # of a key fit int32, as a group has at most 2^30 characters.
+        key = np.abs(spec.nums)
+        np.subtract(peak, key, out=key)
+        key <<= 32
+        key |= np.arange(size, dtype=np.int32)
+        key.sort()
+        words = key.view(np.uint32).reshape(size, 2)
+        low = 0 if sys.byteorder == "little" else 1
+        order = words[:, low].astype(np.int32)
+        neg = words[:, 1 - low].astype(np.int32)
+        del key, words
+        neg -= peak
+    else:
+        neg = np.abs(spec.nums)
+        np.negative(neg, out=neg)
+        order = np.argsort(neg, kind="stable")
+        neg = neg[order]
+    # Every rank fits int32, which halves the rank table and V's lookups.
+    rank = np.empty(size, dtype=np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
+    for arr in (order, rank, neg):
         arr.setflags(write=False)
-    return SpectrumRanking(spec.exp, order, rank, neg, prefix)
+    return SpectrumRanking(spec.exp, order, rank, neg)
 
 
 def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
@@ -159,27 +191,29 @@ def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
         top = DyadicScalar(int(-ranking.neg_mags[edges[-1]]), ranking.exp)
         bands.append(floor_log2_ratio(base, top))
         edges.append(ranking.count_above(cut(bands[-1])))
-    # where == 0 above the base, i + 1 in band i, len(edges) for zeros.
+    # cuts[i] counts the excluded entries ranked above edges[i]; the
+    # excluded ranks are sorted, so band i's are one run of them.
     ex_ranks = ranking.rank[excluded]
-    where = np.searchsorted(edges, ex_ranks, side="right")
-    ex_count = np.bincount(where, minlength=len(edges) + 1)
-    if ex_count[0] != edges[0]:
+    ex_ranks.sort()
+    cuts = np.searchsorted(ex_ranks, np.array(edges, dtype=ex_ranks.dtype))
+    cuts = cuts.tolist()
+    if cuts[0] != edges[0]:
         raise ArithmeticError(
-            f"{edges[0] - ex_count[0]} coefficient(s) off the excluded set "
+            f"{edges[0] - cuts[0]} coefficient(s) off the excluded set "
             f"above the l1 base {base}")
-    ex_mass = np.zeros(len(edges) + 1, dtype=np.int64)
-    np.add.at(ex_mass, where, -ranking.neg_mags[ex_ranks])
     out = []
     for i, s in enumerate(bands):
         lo, hi = edges[i], edges[i + 1]
-        members = ranking.order[lo:hi]
-        if ex_count[i + 1] == hi - lo:
+        inside = ex_ranks[cuts[i]:cuts[i + 1]]
+        if inside.size == hi - lo:
             continue
-        if ex_count[i + 1]:
-            members = np.delete(members, ex_ranks[where == i + 1] - lo)
+        members = ranking.order[lo:hi]
+        if inside.size:
+            members = np.delete(members, inside - lo)
             members.setflags(write=False)
-        mass = ranking.prefix[hi] - ranking.prefix[lo] - ex_mass[i + 1]
-        out.append(LevelSet(s, members, DyadicScalar(int(mass), ranking.exp)))
+        ex_mass = -int(ranking.neg_mags[inside].sum(dtype=np.int64))
+        mass = int(ranking.prefix[hi] - ranking.prefix[lo]) - ex_mass
+        out.append(LevelSet(s, members, DyadicScalar(mass, ranking.exp)))
     return out
 
 

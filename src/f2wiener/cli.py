@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import sys
-import tomllib
 from typing import List, Optional
 
 from .chang import STRATEGIES, NoQualifyingLevel, ZeroMass
@@ -46,6 +45,8 @@ CONFIG_KEYS = ("max_n", "strategy", "trials", "seed", "jobs", "budget",
 def _load_config(path: str) -> dict:
     """TOML settings, with the keys of every table merged into one level;
     a key may appear once, at the top level or in one table."""
+    import tomllib
+
     with open(path, "rb") as fh:
         raw = tomllib.load(fh)
     flat = {}

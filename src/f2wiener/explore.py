@@ -12,7 +12,6 @@ randomness is drawn up front, so a seed fixes the result.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -190,6 +189,8 @@ CSV_COLUMNS = ["n", "size", "method", "seed", "best_norm_num",
 
 def append_record(path: str, rec: SearchRecord) -> None:
     """Append one row to the CSV ledger, writing the header on first use."""
+    import csv
+
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)

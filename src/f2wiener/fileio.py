@@ -17,7 +17,6 @@ import json
 import math
 import os
 import re
-import subprocess
 import sys
 from typing import List, Optional, Tuple
 
@@ -350,6 +349,8 @@ def tool_commit() -> str:
     The modules a process has imported cannot change under it, so the
     first answer stays the right one.
     """
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -8,7 +8,7 @@ transform adds n to the exponent.
 Every table also stores its peak, max|num|, as a Python int, found in the
 one scan that checks that bound.  The peak bounds what the exact routes
 below reach: fwht passes it to _kernels.wht_rows, which refuses a table
-past its float64 bound, and the norms pass it to exact_sum, which refuses
+past its float bound, and the norms pass it to exact_sum, which refuses
 a sum that could pass 2^63 - 1.  So no table is rescanned for its bound.
 Tables the package builds itself hand their fresh arrays over without a
 copy (_adopt); the public constructors copy.
@@ -112,7 +112,8 @@ class _DyadicTable:
             acc = int(np.bitwise_or.reduce(arr))
             shift = min(exp, (acc & -acc).bit_length() - 1)
             if shift:
-                arr = arr >> shift
+                # arr is the table's own array, copied or adopted.
+                arr >>= shift
                 peak >>= shift
                 exp -= shift
         arr.setflags(write=False)
@@ -149,12 +150,23 @@ class Spectrum(_DyadicTable):
     """Fourier coefficients indexed by character mask."""
 
 
-def fwht(f: FunctionTable) -> Spectrum:
-    """Exact spectrum with hat(f)(g) = 2^-n sum_x f(x) (-1)^<g,x>; refused
-    when f.peak * 2^n > 2^53 (see _kernels.wht_rows)."""
-    out = f.nums.copy()
-    _kernels.wht_rows(out.reshape(1, -1), f.peak)
-    return Spectrum._adopt(f.dim, out, f.exp + f.dim.n)
+def fwht(f) -> Spectrum:
+    """Exact spectrum with hat(f)(g) = 2^-n sum_x f(x) (-1)^<g,x> of a
+    FunctionTable f, or of the indicator of a PointSet f; refused when
+    max|f| * 2^n > 2^53 (see _kernels.wht_rows).
+
+    A set's indicator is written into the output straight from its
+    bitmap, so no int64 table of it stands beside the output.
+    """
+    out = np.empty(f.dim.order, dtype=np.int64)
+    if isinstance(f, _DyadicTable):
+        out[...] = f.nums
+        peak, exp = f.peak, f.exp
+    else:
+        out[...] = f.bool_mask()
+        peak, exp = min(f.size, 1), 0
+    _kernels.wht_rows(out.reshape(1, -1), peak)
+    return Spectrum._adopt(f.dim, out, exp + f.dim.n)
 
 
 def exact_sum(x: np.ndarray, y: Optional[np.ndarray] = None,

@@ -140,11 +140,22 @@ class DualSubspace:
         return elems
 
     def reduce_array(self, gammas: np.ndarray) -> np.ndarray:
-        """reduce() applied to every entry of an int64 array of masks."""
+        """reduce() applied to every entry of an integer array of masks, in
+        its own type, which must hold every basis row."""
         out = gammas.copy()
+        pick = np.empty_like(out)
         for r in self.basis:
-            out ^= ((out >> _pivot(r)) & 1) * np.int64(r)
+            _clear_pivot(out, r, pick)
         return out
+
+
+def _clear_pivot(gammas: np.ndarray, r: int, pick: np.ndarray) -> None:
+    """Add the row r to every entry of gammas with r's pivot bit set, in
+    place; pick is scratch of gammas' shape and type."""
+    np.right_shift(gammas, _pivot(r), out=pick)
+    pick &= 1
+    pick *= r
+    gammas ^= pick
 
 
 def subspace_insert(v: DualSubspace, gamma: int) -> DualSubspace:
@@ -163,23 +174,36 @@ def subspace_insert(v: DualSubspace, gamma: int) -> DualSubspace:
     return DualSubspace._unchecked(tuple(rows))
 
 
+# subspace_extend reduces the masks this many at a time, so its scratch
+# stays small however large the mask array.
+_EXTEND_CHUNK = 1 << 16
+
+
 def subspace_extend(v: DualSubspace, masks: Sequence[int]) -> DualSubspace:
     """Smallest subspace containing v and every mask.
 
-    Every mask is reduced against the basis at once and only a survivor is
-    inserted, so subspace_insert runs once per added dimension.  The basis
-    is canonical, so the result equals inserting the masks one by one.
+    The masks are reduced against the basis a chunk at a time and only a
+    survivor is inserted, so subspace_insert runs once per added
+    dimension.  The basis is canonical, so the result equals inserting the
+    masks one by one.  An int32 array of masks is reduced in int32 while
+    every basis row fits.
     """
-    rest = v.reduce_array(np.asarray(masks, dtype=np.int64))
-    while True:
-        rest = rest[rest != 0]
-        if not rest.size:
-            return v
-        g = int(rest[0])
-        v = subspace_insert(v, g)
-        # g is zero at every old pivot, so clearing its own pivot leaves
-        # rest reduced against the whole new basis.
-        rest ^= ((rest >> _pivot(g)) & 1) * np.int64(g)
+    masks = np.asarray(masks)
+    for lo in range(0, masks.size, _EXTEND_CHUNK):
+        rest = masks[lo:lo + _EXTEND_CHUNK]
+        if rest.dtype != np.int32 or max(v.basis, default=0) >> 31:
+            rest = rest.astype(np.int64)
+        rest = v.reduce_array(rest)
+        pick = np.empty_like(rest)
+        while True:
+            g = int(rest[np.argmax(rest != 0)])
+            if not g:
+                break
+            v = subspace_insert(v, g)
+            # g is zero at every old pivot, so clearing its own pivot
+            # leaves rest reduced against the whole new basis.
+            _clear_pivot(rest, g, pick)
+    return v
 
 
 def _check_bound(basis: tuple, n: int) -> None:
@@ -222,35 +246,42 @@ def annihilator_basis(v: DualSubspace, n: int) -> List[int]:
 
 
 def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
-    """Coset label of each point x in pts: bit i is <basis[i], x>."""
+    """Coset label of each point x in pts: bit i is <basis[i], x>.
+
+    The labels take pts' integer type when it holds n bits, so int32
+    points keep every array of the labelling int32; int64 otherwise.
+    """
     _check_bound(v.basis, n)
-    return parity_labels(np.array(v.basis, dtype=np.int64), pts)
+    dtype = pts.dtype if n < 8 * pts.dtype.itemsize - 1 else np.int64
+    return parity_labels(np.array(v.basis, dtype=dtype), pts, dtype)
 
 
-def parity_labels(chars: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def parity_labels(chars: np.ndarray, pts: np.ndarray,
+                  dtype=np.int64) -> np.ndarray:
     """Label of each point x in pts: bit i is <chars[..., i], x>.
 
     chars holds integer masks with the characters on its last axis, and its
     other axes broadcast against pts, so each point can carry its own
-    characters.  The labels are int64; they are built in the integer type
-    of pts and chars when it holds that many bits.
+    characters.  The labels are of the integer type dtype, which must hold
+    that many bits; they are built in the integer type of pts and chars
+    when it holds that many bits.
     """
     width = chars.shape[-1]
-    dtype = np.result_type(pts, chars)
-    if width >= 8 * dtype.itemsize - 1:
-        dtype = np.dtype(np.int64)
+    build = np.result_type(pts, chars)
+    if width >= 8 * build.itemsize - 1:
+        build = np.dtype(np.int64)
     labels = None
     for i in range(width):
         bits = np.bitwise_count(pts & chars[..., i])
         bits &= 1
         if labels is None:
-            labels = bits.astype(dtype)
+            labels = bits.astype(build)
         else:
-            labels |= bits.astype(dtype) << i
+            labels |= bits.astype(build) << i
     if labels is None:
         return np.zeros(np.broadcast_shapes(pts.shape, chars.shape[:-1]),
-                        dtype=np.int64)
-    return labels.astype(np.int64, copy=False)
+                        dtype=dtype)
+    return labels.astype(dtype, copy=False)
 
 
 def label_table(chars: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:

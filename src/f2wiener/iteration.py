@@ -20,7 +20,7 @@ import numpy as np
 from .chang import (STRATEGIES, SpectrumRanking, chang_cardinality_bound,
                     gain_floor, level_sets, rank_spectrum, select_level)
 from .dyadic import DyadicScalar, ZERO
-from .fourier import exact_sum, fwht
+from .fourier import fwht
 from .groups import (HARD_DIM_CAP, DualSubspace, coset_index_table,
                      subspace_extend)
 from .setfuncs import PointSet, frac_product, residual_norms
@@ -29,6 +29,7 @@ __all__ = [
     "ZeroResidual",
     "Termination",
     "StepResult",
+    "StepState",
     "IterationTrace",
     "iterate_step",
     "run_iteration",
@@ -65,39 +66,105 @@ class StepResult:
     l_after: DyadicScalar
 
 
+# V's new elements are read this many at a time, so their magnitudes
+# never take a table of V's size.
+_CHUNK = 1 << 16
+
+
+class StepState:
+    """What a run carries from one step to the next for the current V.
+
+    points lists A's points (ascending, int32) and labels[i] is the coset
+    label of points[i] under a basis of V (int64, which np.bincount takes
+    without a copy).  elems lists V's elements (int32, as n <= 30), and
+    mass and square are the exact sums of |hat(chi_A)| and of
+    hat(chi_A)^2 over them, in the ranking's numerator units.  iterate_step
+    moves the state on to the grown subspace, adding only the new cosets'
+    label bits and mass.  Once V is the whole group no coset is counted and
+    no level is cut, so labels and elems are None.
+    """
+
+    __slots__ = ("points", "labels", "elems", "mass", "square")
+
+    def __init__(self, a: PointSet, v: DualSubspace,
+                 ranking: SpectrumRanking):
+        self.points = np.flatnonzero(a.bool_mask()).astype(np.int32)
+        self.labels = np.zeros(self.points.size, dtype=np.int64)
+        self.elems = np.zeros(1, dtype=np.int32)
+        self.mass = int(ranking.magnitudes(self.elems)[0])
+        self.square = self.mass * self.mass
+        self.grow(v, 0, ranking, a)
+
+    def grow(self, w: DualSubspace, dim: int, ranking: SpectrumRanking,
+             a: PointSet) -> None:
+        """Add w's rows, independent of the current V of dimension dim:
+        label bits dim, dim + 1, ..., V's new elements, and their mass."""
+        # Every magnitude is at most |A| <= 2^n, so a mass over at most 2^n
+        # characters stays below 2^60 for n <= 30, and so do the squares:
+        # all 2^n of them sum to |A| * 2^(2 exp - n) <= |A| * 2^n, as
+        # exp <= n.  So int64 accumulators are exact.
+        if dim + w.dim == a.dim.n:
+            # V is now every character: its mass is the whole ranking's.
+            mags = ranking.neg_mags
+            self.labels = self.elems = None
+            self.mass = int(ranking.prefix[-1])
+            self.square = int(np.einsum("i,i->", mags, mags, dtype=np.int64))
+            return
+        # A row at a time, so the scratch is one int32 bit per point.
+        for i, r in enumerate(w.basis):
+            table = coset_index_table(DualSubspace._unchecked((r,)), a.dim.n,
+                                      self.points)
+            table <<= dim + i
+            self.labels |= table
+            del table
+        old = self.elems.size
+        elems = np.empty(old << w.dim, dtype=np.int32)
+        elems[:old] = self.elems
+        self.elems = elems
+        size = old
+        for r in w.basis:
+            np.bitwise_xor(elems[:size], r, out=elems[size:2 * size])
+            size *= 2
+        for lo in range(old, elems.size, _CHUNK):
+            mags = ranking.magnitudes(elems[lo:lo + _CHUNK])
+            self.mass += int(mags.sum(dtype=np.int64))
+            self.square += int(np.einsum("i,i->", mags, mags,
+                                         dtype=np.int64))
+
+
 def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
-                 ranking: SpectrumRanking, labels: np.ndarray) -> StepResult:
+                 ranking: SpectrumRanking, state: StepState) -> StepResult:
     """Grow v by one qualifying level of the residual spectrum.
 
-    ranking is hat(chi_A) ranked by rank_spectrum, and labels holds the
-    coset label of each of A's points (ascending) under some basis of v.
-    Raises ZeroResidual when chi_A is constant on every annihilator coset
+    ranking is hat(chi_A) ranked by rank_spectrum, and state is v's
+    StepState; on return it is the grown subspace's.  Raises ZeroResidual,
+    with state unchanged, when chi_A is constant on every annihilator coset
     of v (then L(v) already equals the full Wiener norm).
     """
-    base, l2sq = residual_norms(np.bincount(labels, minlength=v.order),
-                                a.dim.n)
-    elems = v.element_array()
-    on_v = ranking.magnitudes(elems)
-    # Parseval: ||f_V||_2^2 is |A| / 2^n less the square mass on v.  The
-    # squares of all 2^n numerators sum to |A| * 2^(2 exp - n) <= |A| * 2^n,
-    # as exp <= n, which is at most 2^60 for n <= 30.
-    on_v_sq = DyadicScalar(exact_sum(on_v, on_v, bound=a.size << a.dim.n),
-                           2 * ranking.exp)
+    if v.dim < a.dim.n:
+        base, l2sq = residual_norms(
+            np.bincount(state.labels, minlength=v.order), a.dim.n)
+    else:
+        # V is the whole dual group: every annihilator coset is one point,
+        # so f_V = 0, with no table of 2^n counts.
+        base = l2sq = ZERO
+    # Parseval: ||f_V||_2^2 is |A| / 2^n less the square mass on v.
+    on_v_sq = DyadicScalar(state.square, 2 * ranking.exp)
     if l2sq != a.density() - on_v_sq:
         raise ArithmeticError(f"coset counts contradict Parseval at {v!r}")
     if base.num == 0:
         raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
-    levels = level_sets(ranking, elems, base)
-    level = select_level(levels, strategy)
+    level = select_level(level_sets(ranking, state.elems, base), strategy)
     v_new = subspace_extend(v, level.members)
-    # Masses sum at most |V| numerators of at most |A| <= 2^n each.
-    l_old = DyadicScalar(exact_sum(on_v), ranking.exp)
-    l_new = _mass_over(ranking, v_new)
+    s = level.s
+    del level  # its members, before the state grows
+    l_old = DyadicScalar(state.mass, ranking.exp)
+    state.grow(_complement(v, v_new), v.dim, ranking, a)
+    l_new = DyadicScalar(state.mass, ranking.exp)
     # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.
-    ceiling = chang_cardinality_bound(base, l2sq,
-                                      Fraction(1, 2 ** (level.s + 1)))
+    ceiling = chang_cardinality_bound(base, l2sq, Fraction(1, 2 ** (s + 1)))
     return StepResult(
-        s=level.s,
+        s=s,
         v_new=v_new,
         gain=l_new - l_old,
         dim_before=v.dim,
@@ -105,11 +172,6 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
         chang_ceiling=ceiling,
         l_after=l_new,
     )
-
-
-def _mass_over(ranking: SpectrumRanking, v: DualSubspace) -> DyadicScalar:
-    return DyadicScalar(exact_sum(ranking.magnitudes(v.element_array())),
-                        ranking.exp)
 
 
 def _complement(v: DualSubspace, v_new: DualSubspace) -> DualSubspace:
@@ -149,25 +211,21 @@ def run_iteration(a: PointSet, max_order: int,
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must lie in [1, 2^{HARD_DIM_CAP}]")
-    ranking = rank_spectrum(fwht(a.indicator()))
-    points = np.flatnonzero(a.bool_mask())
+    ranking = rank_spectrum(fwht(a))
     norm = ranking.total()
     v = DualSubspace.trivial()
-    labels = np.zeros(points.size, dtype=np.int64)
-    l_seq = [_mass_over(ranking, v)]
+    state = StepState(a, v, ranking)
+    l_seq = [DyadicScalar(state.mass, ranking.exp)]
     steps: List[StepResult] = []
     termination = Termination.ORDER_CAP
     while v.order <= max_order:
         try:
-            step = iterate_step(a, v, strategy, ranking, labels)
+            step = iterate_step(a, v, strategy, ranking, state)
         except ZeroResidual:
             termination = Termination.RESIDUAL_ZERO
             break
         steps.append(step)
         l_seq.append(step.l_after)
-        # One label bit per added dimension; the old bits stay valid.
-        labels |= coset_index_table(_complement(v, step.v_new), a.dim.n,
-                                    points) << v.dim
         v = step.v_new
     final = l_seq[-1]
     if final > norm:

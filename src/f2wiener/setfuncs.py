@@ -121,7 +121,7 @@ class ResidualRows:
 
 
 def set_a_norm(a: PointSet) -> DyadicScalar:
-    return a_norm(fwht(a.indicator()))
+    return a_norm(fwht(a))
 
 
 def residual_rows(ind: np.ndarray, chars: np.ndarray) -> ResidualRows:
@@ -153,8 +153,8 @@ def residual_norms(counts: np.ndarray,
     """
     d = counts.size.bit_length() - 1
     m = 1 << (n - d)
-    # 2^d terms of at most m * m: at most 2^(2n - d) <= 2^60 for n <= 30.
-    total = exact_sum(counts, m - counts)
+    # sum c(m - c) = m |A| - sum c^2, with no table of m - c.
+    total = m * exact_sum(counts) - exact_sum(counts, counts)
     return (DyadicScalar(2 * total, 2 * n - d),
             DyadicScalar(total, 2 * n - d))
 

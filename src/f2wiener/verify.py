@@ -19,7 +19,6 @@ that of checking the trials one at a time.
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -300,6 +299,8 @@ def run_suite(name: str, trials: int, seed: int, jobs: int = 1) -> SuiteResult:
     chunk = (trials + jobs - 1) // jobs
     spans = [(start, min(chunk, trials - start))
              for start in range(0, trials, chunk)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(pool.map(_run_chunk, [name] * len(spans),
                               [seed] * len(spans),

@@ -11,7 +11,7 @@ built on the package's own types.  reference_iterate_step is the growth
 step by the physical route (residual table, its transform, norms of the
 table), which the spectral step must reproduce exactly; the set maps and
 table helpers there serve only the tests, as do fresh_step (iterate_step
-with its ranking and labels built from scratch), the small accessors the
+with its ranking and step state built from scratch), the small accessors the
 package dropped (span_of, full_subspace, set_points, full_set,
 table_fractions, dyadic_from_fraction) and build_equality_case, the set
 attaining Lemma 1's floor.  reference_level_sets is the banding by a sort
@@ -57,7 +57,8 @@ from f2wiener.fourier import (_LP_MAX_EXP, FunctionTable, Spectrum,
                               exact_sum, fwht, l1_norm, l2_norm_sq)
 from f2wiener.groups import (DualSubspace, GroupDim, coset_index_table,
                              subspace_extend, subspace_insert)
-from f2wiener.iteration import StepResult, ZeroResidual, iterate_step
+from f2wiener.iteration import (StepResult, StepState, ZeroResidual,
+                                iterate_step)
 from f2wiener._streams import _SEED_BLOCK, _generators, _seed_words
 from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap
                                as row_gap, physical_lower_bound
@@ -414,18 +415,18 @@ def _mass_over(chi_hat, v):
 
 def fresh_step(a: PointSet, v: DualSubspace,
                strategy: str = "smallest-s") -> StepResult:
-    """iterate_step from scratch: hat(chi_A) ranked and A's points labelled
-    under v's basis here, as run_iteration hands them over."""
+    """iterate_step from scratch: hat(chi_A) ranked, and v's StepState
+    (A's points labelled under v's basis, v's elements and their mass)
+    built here, as run_iteration hands them over."""
     ranking = rank_spectrum(fwht(a.indicator()))
-    labels = coset_index_table(v, a.dim.n, np.flatnonzero(a.bool_mask()))
-    return iterate_step(a, v, strategy, ranking, labels)
+    return iterate_step(a, v, strategy, ranking, StepState(a, v, ranking))
 
 
-def reference_iterate_step(a, v, strategy, ranking, labels):
+def reference_iterate_step(a, v, strategy, ranking, state):
     """iterate_step by the physical route: build the residual table f_V,
     take its l1 norm two ways, transform it, check the transform vanishes
     on v, and read the levels and ||f_V||_2^2 off the table.  ranking and
-    labels are accepted, as iterate_step takes them, and ignored."""
+    state are accepted, as iterate_step takes them, and ignored."""
     fv = residual(a, v)
     base = residual_l1(fv)
     if base.num == 0:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -384,6 +385,49 @@ def test_explore_bad_parameter_exit_in_child(tmp_path, package_env):
     assert "t0" in out.stderr and "Traceback" not in out.stderr
 
 
+# Standard-library modules no lowerbound or check-cert run uses; each is
+# imported on the one path that needs it.
+DEFERRED_MODULES = ("multiprocessing", "concurrent.futures.process",
+                    "subprocess", "tomllib", "csv")
+
+
+def test_cli_import_defers_unused_modules(package_env):
+    code = ("import sys, f2wiener.cli; "
+            f"print([m for m in {DEFERRED_MODULES!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=package_env, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_deferred_import_paths_in_fresh_processes(tmp_path, package_env):
+    def run(*argv):
+        out = subprocess.run([sys.executable, "-m", "f2wiener", *argv],
+                             capture_output=True, text=True, cwd=tmp_path,
+                             env=package_env)
+        assert out.returncode == 0, (argv, out.stderr)
+        return out.stdout
+
+    # The worker pool: sharded trials print what one process prints.
+    serial = run("verify", "--suite", "tA", "--trials", "8", "--jobs", "1")
+    assert run("verify", "--suite", "tA", "--trials", "8",
+               "--jobs", "2") == serial
+    # tomllib, for --config.
+    (tmp_path / "cfg.toml").write_text("[verify]\ntrials = 7\n")
+    assert "trials=7" in run("--config", "cfg.toml", "verify",
+                             "--suite", "lem1")
+    # csv, for the ledger.
+    run("explore", "--n", "3", "--size", "2", "--ledger", "ledger.csv")
+    assert (tmp_path / "ledger.csv").read_text().splitlines()[0] == (
+        "n,size,method,seed,best_norm_num,best_norm_exp,set_hex,evaluations")
+    # subprocess, for the certificate's tool_commit.
+    run("construct", "--family", "geometric4", "--k", "2", "--n", "4",
+        "--out", "g")
+    run("lowerbound", "g.set", "--max-order", "16")
+    cert = json.loads((tmp_path / "g.set.cert.json").read_text())
+    assert cert["tool_commit"] == "unknown" or re.fullmatch(
+        "[0-9a-f]{40}", cert["tool_commit"])
+
+
 def test_bad_inputs(workdir, capsys):
     assert main(["norm", "missing.set"]) == 2
     (workdir / "junk.set").write_text("n=2\nq\n")
@@ -563,7 +607,8 @@ def test_verify_caps_jobs_and_trials(workdir, capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    # run_suite imports the pool where it starts one, so patch its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     (workdir / "cfg.toml").write_text("jobs = 100000\n")
     for argv in (["verify", "--jobs", "100000"],
                  ["verify", "--trials", str(verify.MAX_TRIALS + 1)],

@@ -283,7 +283,8 @@ def test_tool_commit_spawns_git_once(monkeypatch):
         spawned.append(argv)
         return subprocess.CompletedProcess(argv, 0, stdout="ab" * 20 + "\n")
 
-    monkeypatch.setattr(fileio.subprocess, "run", fake_run)
+    # tool_commit imports subprocess when it runs, so patch its source.
+    monkeypatch.setattr(subprocess, "run", fake_run)
     tool_commit.cache_clear()
     try:
         assert tool_commit() == tool_commit() == "ab" * 20

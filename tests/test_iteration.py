@@ -1,10 +1,12 @@
 import functools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from f2wiener.constructions import build_coset_union, density_family
+from f2wiener.constructions import (DyadicDensity, build_coset_union,
+                                    density_family)
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, subspace_extend
@@ -235,6 +237,62 @@ def test_geometric4_n20_trace_pinned():
         [(0, d, d + 1) for d in range(18)] + [(0, 18, 20)])
     assert trace.termination is Termination.RESIDUAL_ZERO
     assert trace.final_bound == trace.a_norm == DyadicScalar(1864135, 18)
+
+
+def _one_third_set(n: int) -> PointSet:
+    """The coset union at density nearest 1/3: exponents 2, 4, ..., n for
+    even n (geometric4, k = n/2) and 2, 4, ..., n - 1, n for odd n."""
+    if n % 2 == 0:
+        density = density_family("geometric4", n // 2)
+    else:
+        density = DyadicDensity(tuple(range(2, n, 2)) + (n,))
+    return build_coset_union(density, n)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_one_third_set_closed_form(n):
+    # Size (2^n -+ 1)/3 and norm (3n + 4 -+ 2^(2-n))/9, minus for even n,
+    # and at max order 2^n the run ends in ResidualZero at that norm.
+    a = _one_third_set(n)
+    sign = -1 if n % 2 == 0 else 1
+    assert a.size == ((1 << n) + sign) // 3
+    norm = Fraction(3 * n + 4, 9) + sign * Fraction(4, 9 << n)
+    assert set_a_norm(a).as_fraction() == norm
+    trace = run_iteration(a, max_order=1 << n)
+    assert trace.termination is Termination.RESIDUAL_ZERO
+    assert trace.final_bound.as_fraction() == norm
+
+
+@pytest.fixture(scope="module")
+def one_third_n20():
+    return _one_third_set(20)
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees above what is held when fn starts."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_fwht_of_a_set_peaks_at_twice_its_output(one_third_n20):
+    # The indicator goes into the output from the bitmap and the scratch is
+    # one float32 row: 12 MB at n = 20, for an 8 MB int64 output.
+    out = fwht(one_third_n20).nums.nbytes
+    assert _traced_peak(fwht, one_third_n20) <= 2 * out
+
+
+def test_run_iteration_working_memory_n20(one_third_n20):
+    # 27.0 MB measured above the set, with numpy 2.4: the 20 MB ranking
+    # (int32 order, rank and magnitudes, int64 prefix), A's points and
+    # labels, V's elements, and a step's scratch.
+    peak = _traced_peak(run_iteration, one_third_n20, 1 << 20)
+    assert peak <= int(1.1 * 27.0 * 2**20) < 40 * 2**20
 
 
 def test_complement_completes_the_basis():

@@ -18,13 +18,13 @@ def _brute_rows(mat):
 
 
 def _float_calls(monkeypatch):
-    """Count the calls wht_rows makes to its float64 route."""
+    """Count the calls wht_rows makes to its float route."""
     calls = []
     real = _kernels._float_wht
 
-    def counted(work):
+    def counted(work, dtype):
         calls.append(work.shape)
-        real(work)
+        real(work, dtype)
     monkeypatch.setattr(_kernels, "_float_wht", counted)
     return calls
 

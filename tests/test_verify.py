@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import pathlib
 import re
@@ -56,7 +57,8 @@ def test_suite_validation(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+    # run_suite imports the pool where it starts one, so patch its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(ValueError):
         run_suite("nosuch", trials=5, seed=0)
     with pytest.raises(ValueError):
