@@ -1,13 +1,18 @@
-"""The draws of each verify suite's trials.
+"""The draws of each verify suite's trials, as arrays.
 
-Trial i of seed S draws from numpy.random.default_rng([S, i]) (see
-_streams).  Every suite's trials draw only small bounded integers, so
-their draws are decoded as arrays from the words trial_words reads, with
-no Generator calls, and a trial with a word that numpy would reject is
-drawn by its own Generator instead.  A beckner trial draws its characters
-by a loop that stops once k are independent; the loop walks the decoded
-candidates in Python, and a trial that needs more candidates than its
-words hold is drawn by its Generator too.
+Trial i of seed S reads the words of its stream (see _streams) in a fixed
+layout, so each suite's draws are one array computation on a group's
+words, with no loop over trials and no rejection:
+
+    tA, lem1  0: n in [2, 12]; 1: k in [0, n]; 2..n+1: characters in
+              [1, 2^n - 1], the first k spanning V; then A's 2^n bits
+    techlem   0: m in [1, 8]; 2i+1, 2i+2: den_i in [1, 64] and num_i in
+              [0, den_i], the first m pairs used
+    chang     0: n in [2, 10]; 1: exp in [0, 3]; 2: j in [0, 4]; then the
+              2^n numerators in [-8, 8]
+    beckner   0: n in [2, 10]; 1: exp; 2: k in [0, min(n, 4)]; 3: the eta
+              index in [0, 3]; 4+2j, 5+2j: character j's r and s, j <
+              min(n, 4) (see _characters); then the 2^n numerators
 
 set_draws, chang_draws and beckner_draws yield groups (n, trials,
 *fields) of trials that share n, row t of each field belonging to trial
@@ -15,277 +20,128 @@ trials[t]; techlem_draws yields (trials, nums, dens, m).
 """
 from __future__ import annotations
 
-from operator import length_hint
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from ._streams import bounded_draws, trial_words
+from ._streams import bits, bounded, trial_bases, trial_words
 
 __all__ = ["beckner_draws", "chang_draws", "set_draws", "techlem_draws"]
 
-# A techlem trial draws m in [1, 8], then m pairs (den in [1, 64], num in
-# [0, den]): at most 1 + 2 * 8 words of its stream, from 9 raw outputs.
-_TECHLEM_M = 8
-_TECHLEM_DEN = 64
-_TECHLEM_RAWS = 9
+# Trials whose n is drawn at once (128 KB of bases).
+_BLOCK = 1 << 14
+# Techlem trials drawn and checked at once: 17 words and two int64 rows of
+# eight a trial, so a block's arrays stay at tens of KB.
+_TECHLEM_ROWS = 1 << 8
+_BECKNER_K = 4
 
 
-def _draw_techlem(rng: np.random.Generator) -> Tuple[List[int], List[int]]:
-    """A techlem trial's (nums, dens) by Generator calls."""
-    nums, dens = [], []
-    for _ in range(int(rng.integers(1, _TECHLEM_M + 1))):
-        den = int(rng.integers(1, _TECHLEM_DEN + 1))
-        dens.append(den)
-        nums.append(int(rng.integers(0, den + 1)))
-    return nums, dens
+def _group_rows(n: int) -> int:
+    """The most trials of one n in a group: 256 or 2^13 table entries,
+    whichever is fewer, so the words and the int64 working arrays of a
+    group stay at about 64 KB each."""
+    return min(256, max(1, (1 << 13) >> n))
 
 
-def _decode_techlem(seed: int, trials: np.ndarray, words: np.ndarray,
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(nums, dens, m) of the trials from their stream words, as
-    _draw_techlem draws them; the columns after m[t] pad with num 0 over
-    den 1.
-
-    Word 0 gives m, words 1, 3, ... the dens and 2, 4, ... the nums.  A
-    trial with a num that numpy would draw from a later word is drawn by
-    _draw_techlem from its own Generator instead.
-    """
-    m = 1 + bounded_draws(words[:, 0], _TECHLEM_M)[0]
-    dens = 1 + bounded_draws(words[:, 1:2 * _TECHLEM_M:2], _TECHLEM_DEN)[0]
-    nums, redrawn = bounded_draws(words[:, 2:2 * _TECHLEM_M + 1:2], dens + 1)
-    pad = np.arange(_TECHLEM_M) >= m[:, None]
-    nums[pad] = 0
-    dens[pad] = 1
-    for t in np.flatnonzero((redrawn & ~pad).any(axis=1)).tolist():
-        row_nums, row_dens = _draw_techlem(
-            np.random.default_rng([seed, int(trials[t])]))
-        m[t] = len(row_nums)
-        nums[t], dens[t] = 0, 1
-        nums[t, :m[t]] = row_nums
-        dens[t, :m[t]] = row_dens
-    return nums, dens, m
+def _by_n(seed: int, start: int, count: int,
+          ns: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """(n, trials, bases) for the trials start..start+count-1, in groups
+    of one n in [2, 1 + ns] (word 0) and at most _group_rows(n) trials,
+    each group in trial order."""
+    stop = start + count
+    for lo in range(start, stop, _BLOCK):
+        trials, bases = trial_bases(seed, lo, min(lo + _BLOCK, stop))
+        n = 2 + bounded(trial_words(bases, 1)[:, 0], ns)
+        for v in range(2, 2 + ns):
+            rows = np.flatnonzero(n == v)
+            step = _group_rows(v)
+            for part in range(0, len(rows), step):
+                t = rows[part:part + step]
+                yield v, trials[t], bases[t]
 
 
-def _techlem_width(firsts: np.ndarray) -> np.ndarray:
-    return np.full(firsts.shape, _TECHLEM_RAWS)
+def set_draws(seed: int, start: int, count: int) -> Iterator[tuple]:
+    """Groups (n, trials, ind, chars) of the tA or lem1 trials
+    start..start+count-1: A's int8 indicator and V's characters, padded
+    with zeros to n."""
+    for n, trials, bases in _by_n(seed, start, count, 11):
+        words = trial_words(bases, 2 + n + max(1, (1 << n) // 64))
+        draws = bounded(words[:, 1:2 + n], [n + 1] + [(1 << n) - 1] * n)
+        chars = draws[:, 1:] + 1
+        chars[np.arange(n) >= draws[:, :1]] = 0
+        yield n, trials, bits(words[:, 2 + n:], 1 << n), chars
 
 
 def techlem_draws(seed: int, start: int, count: int,
                   ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray,
                                       np.ndarray]]:
-    """(trials, nums, dens, m) for groups of the techlem trials
+    """(trials, nums, dens, m) for blocks of the techlem trials
     start..start+count-1: row t holds trial trials[t]'s m deltas
-    nums[t, i] / dens[t, i] (see _draw_techlem)."""
-    for trials, words in trial_words(seed, start, count, _techlem_width):
-        yield (trials, *_decode_techlem(seed, trials, words))
-
-
-# The tA and lem1 trials draw n in [2, 12], A's indicator on F2^n, k in
-# [0, n] and k characters in [1, 2^n - 1]: words 0, 1..2^n, 2^n + 1 and
-# then up to n more.  The chang trials draw n in [2, 10], 2^n numerators
-# in [-8, 8], exp in [0, 3] and j in [0, 4]: words 0, 1..2^n, 2^n + 1 and
-# 2^n + 2.  The beckner trials draw n in [2, 10], 2^n numerators, exp, k in
-# [0, min(n, 4)], characters in [1, 2^n - 1] until k are independent and
-# the index of one of four etas: words 0, 1..2^n, 2^n + 1, 2^n + 2, then
-# the candidates and the eta index, for which a trial reads min(n, 4) +
-# _BECKNER_SLACK words or one more.  Each width grows with n, so a group
-# of one width shares n.
-_SET_NS = 11
-_CHANG_NS = 9
-_BECKNER_NS = 9
-_BECKNER_K = 4
-_BECKNER_SLACK = 8
-_SET_RAWS = np.array([(3 + (1 << n) + n) // 2
-                      for n in range(2, 2 + _SET_NS)])
-_CHANG_RAWS = np.array([(4 + (1 << n)) // 2 for n in range(2, 2 + _CHANG_NS)])
-_BECKNER_RAWS = np.array([
-    (4 + (1 << n) + min(n, _BECKNER_K) + _BECKNER_SLACK) // 2
-    for n in range(2, 2 + _BECKNER_NS)])
-# Per n, the tA and lem1 words drawn by rejection (n's, k's and the
-# characters') and their ranges.
-_SET_PICKS = tuple((np.r_[0, (1 << n) + 1:(1 << n) + n + 2],
-                    np.array([_SET_NS, n + 1] + [(1 << n) - 1] * n,
-                             dtype=np.uint64))
-                   for n in range(2, 2 + _SET_NS))
-
-
-def _draw_set_and_subspace(rng: np.random.Generator,
-                           ) -> Tuple[int, np.ndarray, np.ndarray]:
-    """A random set A of F2^n, 2 <= n <= 12, and up to n characters
-    spanning V, by Generator calls: (n, A's indicator, the characters
-    padded with zeros to n)."""
-    n = int(rng.integers(2, 2 + _SET_NS))
-    ind = rng.integers(0, 2, size=1 << n)
-    chars = np.zeros(n, dtype=np.int64)
-    k = int(rng.integers(0, n + 1))
-    chars[:k] = rng.integers(1, 1 << n, size=k)
-    return n, ind.astype(np.int8), chars
-
-
-def _draw_chang(rng: np.random.Generator) -> Tuple[int, np.ndarray, int, int]:
-    """A chang trial's table nums / 2^exp on F2^n, 2 <= n <= 10, and the j
-    of its eps = 2^-j, by Generator calls: (n, nums as int8, exp, j).  The
-    trial uses j only when the table is nonzero."""
-    n = int(rng.integers(2, 2 + _CHANG_NS))
-    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
-    exp = int(rng.integers(0, 4))
-    return n, nums.astype(np.int8), exp, int(rng.integers(0, 5))
-
-
-def _independent_chars(candidates: Iterable[int],
-                       count: int) -> Optional[List[int]]:
-    """count linearly independent characters: each candidate in turn is
-    kept when it lies outside the span of those kept so far.  None when
-    the candidates run out first."""
-    span = {0}
-    out: List[int] = []
-    candidates = iter(candidates)
-    while len(out) < count:
-        g = next(candidates, None)
-        if g is None:
-            return None
-        if g not in span:
-            out.append(g)
-            span |= {s ^ g for s in span}
-    return out
-
-
-def _draw_beckner(rng: np.random.Generator,
-                  ) -> Tuple[int, np.ndarray, int, List[int], int]:
-    """A beckner trial by Generator calls: (n, nums as int8, exp, lambdas,
-    eta_idx), a table of integers in [-8, 8] over 2^exp, exp <= 3, on
-    F2^n, 2 <= n <= 10, up to four independent characters, padded with
-    zeros, and the index of one of four etas."""
-    n = int(rng.integers(2, 2 + _BECKNER_NS))
-    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
-    exp = int(rng.integers(0, 4))
-    k = int(rng.integers(0, min(n, _BECKNER_K) + 1))
-    lambdas = _independent_chars(
-        (int(rng.integers(1, 1 << n)) for _ in range(64 * k + 64)), k)
-    if lambdas is None:
-        raise RuntimeError("failed to sample independent characters")
-    return (n, nums.astype(np.int8), exp,
-            lambdas + [0] * (_BECKNER_K - k), int(rng.integers(0, 4)))
-
-
-def _redraw(seed: int, draw, redrawn: np.ndarray, n: int,
-            trials: np.ndarray, *fields: np.ndarray) -> List[tuple]:
-    """The decoded group (n, trials, *fields) less each trial that
-    redrawn flags, then each of those drawn by draw from its own
-    Generator, as a group of one (its n may differ)."""
-    if not redrawn.any():
-        return [(n, trials, *fields)]
-    keep = ~redrawn
-    groups = [(n, trials[keep], *(f[keep] for f in fields))]
-    for i in trials[redrawn].tolist():
-        m, *values = draw(np.random.default_rng([seed, i]))
-        groups.append((m, np.array([i]),
-                       *(np.asarray(v)[None] for v in values)))
-    return groups
-
-
-def _decode_sets(seed: int, trials: np.ndarray,
-                 words: np.ndarray) -> List[tuple]:
-    """Groups (n, trials, ind, chars) of the trials from their stream
-    words, as _draw_set_and_subspace draws them (int8 indicators, int64
-    characters padded with zeros).
-
-    Word 0 gives n, words 1..2^n the indicator (the top bit, as range 2
-    never rejects), word 2^n + 1 k and the n words after it the
-    characters.  A trial with a word that numpy would reject is drawn by
-    _draw_set_and_subspace instead, also where the word is a character
-    word that k leaves unused.
-    """
-    n = 2 + (int(words[0, 0]) * _SET_NS >> 32)
-    cols, high = _SET_PICKS[n - 2]
-    draws, rejected = bounded_draws(words[:, cols], high)
-    chars = draws[:, 2:] + 1
-    chars[np.arange(n) >= draws[:, 1, None]] = 0
-    return _redraw(seed, _draw_set_and_subspace, rejected.any(axis=1), n,
-                   trials, (words[:, 1:1 + (1 << n)] >> 31).astype(np.int8),
-                   chars)
-
-
-def _decode_chang(seed: int, trials: np.ndarray,
-                  words: np.ndarray) -> List[tuple]:
-    """Groups (n, trials, nums, exp, j) of the trials from their stream
-    words, as _draw_chang draws them (int8 nums).  A trial with a word
-    that numpy would reject is drawn by _draw_chang instead."""
-    n = 2 + (int(words[0, 0]) * _CHANG_NS >> 32)
-    size = 1 << n
-    draws, rejected = bounded_draws(
-        words[:, :size + 3],
-        np.repeat((_CHANG_NS, 17, 4, 5), (1, size, 1, 1)))
-    exp, j = draws[:, size + 1:].T.copy()
-    return _redraw(seed, _draw_chang, rejected.any(axis=1), n, trials,
-                   (draws[:, 1:size + 1] - 8).astype(np.int8), exp, j)
-
-
-def _decode_beckner(seed: int, trials: np.ndarray,
-                    words: np.ndarray) -> List[tuple]:
-    """Groups (n, trials, nums, exp, lambdas, eta_idx) of the trials from
-    their stream words, as _draw_beckner draws them.
-
-    Word 0 gives n, words 1..2^n the numerators, 2^n + 1 exp and 2^n + 2
-    k; the candidate characters follow, and the eta index (the top two
-    bits, as range 4 never rejects) is the word after the last candidate
-    the trial's loop takes.  A trial with a word that numpy would reject
-    among those it uses, or that needs a candidate past the next-to-last
-    word, is drawn by _draw_beckner instead.
-    """
-    n = 2 + (int(words[0, 0]) * _BECKNER_NS >> 32)
-    size = 1 << n
-    first = size + 3
-    slots = words.shape[1] - first - 1
-    draws, rejected = bounded_draws(
-        words[:, :first + slots],
-        np.repeat((_BECKNER_NS, 17, 4, min(n, _BECKNER_K) + 1, size - 1),
-                  (1, size, 1, 1, slots)))
-    redrawn = rejected[:, :first].any(axis=1)
-    # A candidate loop can only read up to the first rejected candidate.
-    usable = np.where(rejected[:, first:].any(axis=1),
-                      rejected[:, first:].argmax(axis=1), slots).tolist()
-    taken = np.zeros(len(trials), dtype=np.int64)
-    lambdas = np.zeros((len(trials), _BECKNER_K), dtype=np.int64)
-    for t, (row, k) in enumerate(zip((draws[:, first:] + 1).tolist(),
-                                     draws[:, size + 2].tolist())):
-        candidates = iter(row[:usable[t]])
-        chars = _independent_chars(candidates, k)
-        if chars is None:
-            redrawn[t] = True
-            continue
-        taken[t] = usable[t] - length_hint(candidates)
-        lambdas[t, :k] = chars
-    eta_idx = words[np.arange(len(trials)), first + taken] >> 30
-    return _redraw(seed, _draw_beckner, redrawn, n, trials,
-                   (draws[:, 1:size + 1] - 8).astype(np.int8),
-                   draws[:, size + 1], lambdas, eta_idx.astype(np.int64))
-
-
-def _decoded(seed: int, start: int, count: int, ns: int, raws: np.ndarray,
-             decode) -> Iterator[tuple]:
-    # n is drawn first, from range ns: word 0 gives a trial's width.
-    for trials, words in trial_words(seed, start, count,
-                                     lambda firsts: raws[firsts * ns >> 32]):
-        yield from decode(seed, trials, words)
-
-
-def set_draws(seed: int, start: int, count: int) -> Iterator[tuple]:
-    """Groups (n, trials, ind, chars) of the tA or lem1 trials
-    start..start+count-1 (see _draw_set_and_subspace)."""
-    return _decoded(seed, start, count, _SET_NS, _SET_RAWS, _decode_sets)
+    nums[t, i] / dens[t, i], padded with 0 / 1."""
+    stop = start + count
+    for lo in range(start, stop, _TECHLEM_ROWS):
+        trials, bases = trial_bases(seed, lo,
+                                     min(lo + _TECHLEM_ROWS, stop))
+        words = trial_words(bases, 17)
+        m = 1 + bounded(words[:, 0], 8)
+        dens = 1 + bounded(words[:, 1::2], 64)
+        nums = bounded(words[:, 2::2], dens + 1)
+        pad = np.arange(8) >= m[:, None]
+        nums[pad] = 0
+        dens[pad] = 1
+        yield trials, nums, dens, m
 
 
 def chang_draws(seed: int, start: int, count: int) -> Iterator[tuple]:
     """Groups (n, trials, nums, exp, j) of the chang trials
-    start..start+count-1 (see _draw_chang)."""
-    return _decoded(seed, start, count, _CHANG_NS, _CHANG_RAWS,
-                    _decode_chang)
+    start..start+count-1: the table nums / 2^exp (int8 nums) and eps =
+    2^-j, which a trial uses only when the table is nonzero."""
+    for n, trials, bases in _by_n(seed, start, count, 9):
+        words = trial_words(bases, 3 + (1 << n))
+        exp, j = bounded(words[:, 1:3], [4, 5]).T
+        yield (n, trials, (bounded(words[:, 3:], 17) - 8).astype(np.int8),
+               exp, j)
+
+
+def _characters(n: int, k: np.ndarray, r: np.ndarray,
+                s: np.ndarray) -> np.ndarray:
+    """k[t] independent characters of F2^n in row t, padded with zeros to
+    _BECKNER_K, from column j of r and s for character j.
+
+    Character j is c ^ (the characters t < j whose bit t is set in s), s
+    in [0, 2^j), and c holds the bits of r in [1, 2^(n-j) - 1], low first,
+    in the positions that no earlier character's c took as its lowest set
+    bit.  Those c are a complement of the span so far and s a uniform
+    point of the span, so character j is uniform off the span: the law of
+    drawing characters until j + 1 are independent, with no loop.
+    """
+    pos = np.arange(n)
+    free = np.full(len(k), (1 << n) - 1, dtype=np.int64)
+    lambdas = np.zeros((len(k), _BECKNER_K), dtype=np.int64)
+    for j in range(r.shape[1]):
+        slot = free[:, None] >> pos & 1
+        c = ((r[:, j, None] >> np.cumsum(slot, axis=1) - slot & slot)
+             << pos).sum(axis=1)
+        free ^= c & -c
+        for t in range(j):
+            c ^= lambdas[:, t] * (s[:, j] >> t & 1)
+        lambdas[:, j] = c
+    lambdas[np.arange(_BECKNER_K) >= k[:, None]] = 0
+    return lambdas
 
 
 def beckner_draws(seed: int, start: int, count: int) -> Iterator[tuple]:
     """Groups (n, trials, nums, exp, lambdas, eta_idx) of the beckner
-    trials start..start+count-1 (see _draw_beckner)."""
-    return _decoded(seed, start, count, _BECKNER_NS, _BECKNER_RAWS,
-                    _decode_beckner)
+    trials start..start+count-1: a table nums / 2^exp (int8 nums), up to
+    four independent characters, padded with zeros, and the index of one
+    of four etas."""
+    for n, trials, bases in _by_n(seed, start, count, 9):
+        chars = min(n, _BECKNER_K)
+        words = trial_words(bases, 4 + 2 * chars + (1 << n))
+        draws = bounded(words[:, 1:4 + 2 * chars], [4, chars + 1, 4] + [
+            x for j in range(chars) for x in ((1 << (n - j)) - 1, 1 << j)])
+        lambdas = _characters(n, draws[:, 1], 1 + draws[:, 3::2],
+                              draws[:, 4::2])
+        yield (n, trials,
+               (bounded(words[:, 4 + 2 * chars:], 17) - 8).astype(np.int8),
+               draws[:, 0], lambdas, draws[:, 2])

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .dyadic import DyadicScalar, ONE
-from .fourier import FunctionTable, a_norm, exact_sum, fwht
+from .fourier import _I64_MAX, FunctionTable, a_norm, exact_sum, fwht
 from .groups import GroupDim, as_dim, label_table
 
 __all__ = [
@@ -237,15 +237,30 @@ def frac_quadratic_gap(nums: np.ndarray, dens: np.ndarray, m: np.ndarray,
         raise ValueError(f"delta {nums[r, i]}/{dens[r, i]} outside [0, 1]")
     # Integers over the row's least common denominator L: d_i = a_i / L, so
     # sum(d - d^2) = (L sum a - sum a^2) / L^2 and g = (sum a mod L) / L.
-    # L^2 can pass 2^63, so each row is summed in Python ints.
-    lhs, rhs, squares = [], [], []
-    for num_row, den_row, k in zip(nums.tolist(), dens.tolist(), m.tolist()):
-        den_row = den_row[:k]
-        lcd = math.lcm(*den_row)
-        a = [x * (lcd // d) for x, d in zip(num_row, den_row)]
-        total = sum(a)
-        g = total % lcd
-        lhs.append(lcd * total - sum(map(operator.mul, a, a)))
-        rhs.append(g * (lcd - g))
-        squares.append(lcd * lcd)
+    # Every a_i is at most L, so each sum is at most width * L^2: rows with
+    # width * L^2 < 2^63 (for eight deltas, L < 2^30) are summed as int64
+    # rows, and the rest, whose L^2 can pass 2^63 (eight dens up to 64 give
+    # L up to 2^48), in Python ints.  np.lcm gives a row's L exactly while
+    # the product of its dens stays below 2^62.
+    dens = np.where(used, dens, 1).astype(np.int64)
+    nums = np.where(used, nums, 0).astype(np.int64)
+    fits = dens.prod(axis=1, dtype=np.float64) < 2.0 ** 62
+    lcd = np.lcm.reduce(np.where(fits[:, None], dens, 1), axis=1, initial=1)
+    fits &= lcd <= math.isqrt(_I64_MAX // max(nums.shape[1], 1))
+    lcd[~fits] = 1
+    a = nums * (lcd[:, None] // dens)
+    total = a.sum(axis=1)
+    g = total % lcd
+    lhs = (lcd * total - (a * a).sum(axis=1)).tolist()
+    rhs = (g * (lcd - g)).tolist()
+    squares = (lcd * lcd).tolist()
+    for r in np.flatnonzero(~fits).tolist():
+        den_row = dens[r].tolist()
+        lcd_r = math.lcm(*den_row)
+        a_r = [x * (lcd_r // d) for x, d in zip(nums[r].tolist(), den_row)]
+        total_r = sum(a_r)
+        g_r = total_r % lcd_r
+        lhs[r] = lcd_r * total_r - sum(map(operator.mul, a_r, a_r))
+        rhs[r] = g_r * (lcd_r - g_r)
+        squares[r] = lcd_r * lcd_r
     return lhs, rhs, squares

@@ -1,20 +1,18 @@
 """Seeded randomized checks of the exact inequalities and identities.
 
-Trial i of seed S draws from the stream of numpy.random.default_rng([S, i])
-whatever the number of jobs, so a run is reproducible and can be sharded
-across a worker pool without changing the outcome.  Seeds must be
-non-negative.  A violation message names the trial; theorems being
-theorems, any violation is an implementation bug.
+Trial i of seed S draws from a stream of words that is a pure function of
+(S, i) (see _streams and _draws), whatever the number of jobs, so a run is
+reproducible and can be sharded across a worker pool without changing the
+outcome.
+Seeds must be non-negative.  A violation message names the trial;
+theorems being theorems, any violation is an implementation bug.
 
-Every suite decodes its trials' draws as arrays from their streams' raw
-words, a block of trials at a time, as numpy would draw them (see _draws
-and _streams).  Trials that share n are then evaluated in
-groups, each as one stacked (trials, 2^n) table once it is full (see
-_GROUP_ROWS), and what is left when the trials run out is checked last;
-the techlem trials are checked a block at a time as integer rows.  Each
-trial's outcome depends only on its own draws, and violations are
-reported in trial order, so every stream, message and --jobs result is
-that of checking the trials one at a time.
+Every suite draws its trials as arrays, and the tA, lem1, beckner and
+chang trials come in groups that share n, each evaluated as one stacked
+(trials, 2^n) table; each block of techlem trials is checked as integer
+rows.  Each trial's outcome depends only on its own draws, and violations
+are reported in trial order, so every message and --jobs result is that
+of checking the trials one at a time.
 """
 from __future__ import annotations
 
@@ -49,17 +47,6 @@ _ETAS = tuple(DyadicScalar(k, 2) for k in range(1, 5))
 # at most MAX_JOBS processes and a bounded run.
 MAX_JOBS = 64
 MAX_TRIALS = 1_000_000
-
-# The trials of one n are evaluated _GROUP_ROWS or _GROUP_ENTRIES table
-# entries at a time, whichever is fewer, so the int64 working arrays of a
-# group stay at about 64 KB each.
-_GROUP_ROWS = 256
-_GROUP_ENTRIES = 1 << 13
-
-
-def _group_rows(n: int) -> int:
-    return min(_GROUP_ROWS, max(1, _GROUP_ENTRIES >> n))
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -168,15 +155,15 @@ def _run_techlem(seed: int, start: int, count: int) -> Found:
     found: Found = []
     for trials, nums, dens, m in techlem_draws(seed, start, count):
         lhs, rhs, squares = frac_quadratic_gap(nums, dens, m)
-        for t, (i, left, right, sq) in enumerate(
-                zip(trials.tolist(), lhs, rhs, squares)):
+        for t, (left, right) in enumerate(zip(lhs, rhs)):
             if left < right:
                 k = m[t]
                 deltas = [Fraction(a, d) for a, d in
                           zip(nums[t, :k].tolist(), dens[t, :k].tolist())]
-                found.append((i, (
-                    f"sum(d - d^2) = {Fraction(left, sq)} < "
-                    f"{Fraction(right, sq)} = g(1-g) for deltas {deltas}")))
+                found.append((int(trials[t]), (
+                    f"sum(d - d^2) = {Fraction(left, squares[t])} < "
+                    f"{Fraction(right, squares[t])} = g(1-g) for deltas "
+                    f"{deltas}")))
     return found
 
 
@@ -236,7 +223,7 @@ def _eval_chang(n: int, ids: List[int], nums: np.ndarray, exps: np.ndarray,
 
 
 # Each suite but techlem: (its trials in groups (n, trials, *fields) of
-# one n, evaluate a stack of such fields).
+# one n, evaluate such a group).
 _SUITES = {
     "tA": (set_draws, _eval_ta),
     "lem1": (set_draws, _eval_lem1),
@@ -246,40 +233,15 @@ _SUITES = {
 SUITE_NAMES = ("tA", "lem1", "techlem", "beckner", "chang")
 
 
-def _run_groups(groups, evaluate) -> Found:
-    """Evaluate the groups of trials, copying each n's trials into stacks
-    of _group_rows(n) rows that are evaluated once full; what is left is
-    evaluated last.  Violations in trial order."""
-    held: Dict[int, Tuple[int, List[np.ndarray]]] = {}
-    found: Found = []
-    for n, *fields in groups:
-        cap = _group_rows(n)
-        lo, count = 0, len(fields[0])
-        while lo < count:
-            rows, stack = held.pop(n, None) or (0, [
-                np.empty((cap, *f.shape[1:]), dtype=f.dtype) for f in fields])
-            take = min(cap - rows, count - lo)
-            for part, f in zip(stack, fields):
-                part[rows:rows + take] = f[lo:lo + take]
-            rows += take
-            lo += take
-            if rows < cap:
-                held[n] = (rows, stack)
-            else:
-                found += evaluate(n, stack[0].tolist(), *stack[1:])
-    for n, (rows, stack) in held.items():
-        found += evaluate(n, stack[0][:rows].tolist(),
-                          *(part[:rows] for part in stack[1:]))
-    found.sort(key=lambda hit: hit[0])
-    return found
-
-
 def _run_chunk(name: str, seed: int, start: int, count: int) -> List[str]:
     if name == "techlem":
         found = _run_techlem(seed, start, count)
     else:
-        groups, evaluate = _SUITES[name]
-        found = _run_groups(groups(seed, start, count), evaluate)
+        draws, evaluate = _SUITES[name]
+        found = []
+        for n, trials, *fields in draws(seed, start, count):
+            found += evaluate(n, trials.tolist(), *fields)
+        found.sort(key=lambda hit: hit[0])
     return [f"trial {i}: {msg}" for i, msg in found]
 
 

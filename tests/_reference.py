@@ -26,17 +26,18 @@ reference_beckner is the Beckner check that built its own Riesz product
 from (lambdas, eta), which the one-product check must reproduce bit for
 bit.
 
-The verify section at the end is the per-trial verify code that the
-package replaced by stacked evaluation: the random inputs (drawn with
-the same generator calls), one table's residual l1, Lemma 1's floor, one
-Riesz product, one Beckner check, the table L^p norm, the technical
-lemma's two sides for one list of deltas (the package's row form on one
-row), the span of one table's large spectrum, and the tA, lem1, techlem,
-beckner and chang trials built from them, with trial_rngs, which loads
-each trial's Generator state as the package derives it.  A
-batched suite must give the violations these trials give, also when a
-test patches one of the per-trial functions here as it patches the
-batched one in verify.
+The verify section is the per-trial verify code that the package
+replaced by stacked evaluation: one table's residual l1, Lemma 1's floor,
+one Riesz product, one Beckner check, the table L^p norm, the technical
+lemma's two sides for one list of deltas (by the Python-int sum over their
+common denominator that the package keeps only for rows past int64), the
+span of one table's large spectrum, and the tA, lem1, techlem, beckner and
+chang trials built from them.  A batched suite must give the violations
+these trials give, also when a test patches one of the per-trial
+functions here as it patches the batched one in verify.  Each trial (seed,
+i) draws from TrialStream(seed, i), the last section: the verify stream
+in plain Python ints, one word at a time, and each suite's draws read from
+it in order, apart from the package's arrays.
 """
 from __future__ import annotations
 
@@ -59,9 +60,7 @@ from f2wiener.groups import (DualSubspace, GroupDim, coset_index_table,
                              subspace_extend, subspace_insert)
 from f2wiener.iteration import (StepResult, StepState, ZeroResidual,
                                 iterate_step)
-from f2wiener._streams import _SEED_BLOCK, _generators, _seed_words
-from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap
-                               as row_gap, physical_lower_bound
+from f2wiener.setfuncs import (PointSet, frac_product, physical_lower_bound
                                as row_floors, residual_l1 as row_l1,
                                residual_norms, residual_rows)
 
@@ -710,10 +709,10 @@ def beckner_verify(f: FunctionTable, p: RieszTable) -> Tuple[float, float]:
     return lhs, rhs
 
 
-def trial_ta(rng: np.random.Generator):
-    n = int(rng.integers(2, 13))
-    a = random_point_set(rng, n)
-    v = random_subspace(rng, n)
+def trial_ta(seed: int, i: int):
+    n, ind, chars = draw_set(TrialStream(seed, i))
+    a = PointSet.from_indicator(GroupDim(n), ind)
+    v = span_of(chars)
     fv = residual(a, v)
     try:
         got = residual_l1(fv)
@@ -727,10 +726,10 @@ def trial_ta(rng: np.random.Generator):
     return None
 
 
-def trial_lem1(rng: np.random.Generator):
-    n = int(rng.integers(2, 13))
-    a = random_point_set(rng, n)
-    v = random_subspace(rng, n)
+def trial_lem1(seed: int, i: int):
+    n, ind, chars = draw_set(TrialStream(seed, i))
+    a = PointSet.from_indicator(GroupDim(n), ind)
+    v = span_of(chars)
     got = residual_l1(residual(a, v))
     floor = physical_lower_bound(a.density(), v.order)
     if got < floor:
@@ -739,12 +738,10 @@ def trial_lem1(rng: np.random.Generator):
     return None
 
 
-def trial_beckner(rng: np.random.Generator):
-    n = int(rng.integers(2, 11))
-    f = random_table(rng, n)
-    count = int(rng.integers(0, min(n, 4) + 1))
-    lambdas = random_independent_chars(rng, n, count)
-    eta = ETAS[int(rng.integers(0, 4))]
+def trial_beckner(seed: int, i: int):
+    n, nums, exp, lambdas, eta_idx = draw_beckner(TrialStream(seed, i))
+    f = FunctionTable(GroupDim(n), np.array(nums, dtype=np.int64), exp)
+    eta = ETAS[eta_idx]
     p = riesz_product(n, lambdas, eta)
     mass = l1_norm(p.table)
     if mass != DyadicScalar(1):
@@ -752,28 +749,30 @@ def trial_beckner(rng: np.random.Generator):
     lhs, rhs = beckner_verify(f, p)
     if lhs > rhs * (1.0 + BECKNER_SLACK):
         return (f"smoothing bound violated: {lhs!r} > {rhs!r} "
-                f"(n={n}, eta={float(eta)}, k={count})")
+                f"(n={n}, eta={float(eta)}, k={len(lambdas)})")
     return None
 
 
 def frac_quadratic_gap(deltas) -> Tuple[Fraction, Fraction]:
     """(sum(d - d^2), g(1 - g)) for one list of deltas, each read by
-    Fraction, by the package's row form on a single row."""
+    Fraction, over their least common denominator L in Python ints: d_i =
+    a_i / L, so sum(d - d^2) = (L sum a - sum a^2) / L^2 and g = (sum a
+    mod L) / L."""
     ds = [Fraction(d) for d in deltas]
-    lhs, rhs, squares = row_gap(
-        np.array([[d.numerator for d in ds]], dtype=np.int64).reshape(1, -1),
-        np.array([[d.denominator for d in ds]],
-                 dtype=np.int64).reshape(1, -1),
-        np.array([len(ds)]))
-    return Fraction(lhs[0], squares[0]), Fraction(rhs[0], squares[0])
+    for d in ds:
+        if not 0 <= d <= 1:
+            raise ValueError(f"delta {d} outside [0, 1]")
+    lcd = math.lcm(*(d.denominator for d in ds))
+    a = [d.numerator * (lcd // d.denominator) for d in ds]
+    total = sum(a)
+    g = total % lcd
+    return (Fraction(lcd * total - sum(x * x for x in a), lcd * lcd),
+            Fraction(g * (lcd - g), lcd * lcd))
 
 
-def trial_techlem(rng: np.random.Generator):
-    m = int(rng.integers(1, 9))
-    deltas = []
-    for _ in range(m):
-        den = int(rng.integers(1, 65))
-        deltas.append(Fraction(int(rng.integers(0, den + 1)), den))
+def trial_techlem(seed: int, i: int):
+    deltas = [Fraction(num, den)
+              for num, den in zip(*draw_techlem(TrialStream(seed, i)))]
     lhs, rhs = frac_quadratic_gap(deltas)
     if lhs < rhs:
         return f"sum(d - d^2) = {lhs} < {rhs} = g(1-g) for deltas {deltas}"
@@ -816,14 +815,13 @@ def chang_span(spec: Spectrum, threshold: DyadicScalar) -> DualSubspace:
                            np.flatnonzero(np.abs(spec.nums) >= cut))
 
 
-def trial_chang(rng: np.random.Generator):
-    n = int(rng.integers(2, 11))
-    nums = rng.integers(-8, 9, size=1 << n, dtype=np.int64)
-    f = FunctionTable._adopt(GroupDim(n), nums, int(rng.integers(0, 4)))
+def trial_chang(seed: int, i: int):
+    n, nums, exp, j = draw_chang(TrialStream(seed, i))
+    f = FunctionTable._adopt(GroupDim(n), np.array(nums, dtype=np.int64),
+                             exp)
     base = l1_norm(f)
     if base.num == 0:
         return None
-    j = int(rng.integers(0, 5))
     eps = DyadicScalar(1, j)
     threshold = base * eps
     spec = fwht(f)
@@ -843,17 +841,123 @@ def trial_chang(rng: np.random.Generator):
     return None
 
 
-def trial_rngs(seed: int, start: int,
-               count: int) -> Iterator[Tuple[int, np.random.Generator]]:
-    """(i, rng) for trials start..start+count-1, rng in the state of
-    default_rng([seed, i]): one Generator, loaded with each trial's state
-    from the package's seed words, a block of trials at a time."""
-    stop = start + count
-    for lo in range(start, stop, _SEED_BLOCK):
-        idx = np.arange(lo, min(lo + _SEED_BLOCK, stop), dtype=np.uint64)
-        yield from zip(idx.tolist(), _generators(_seed_words(seed, idx)))
-
-
 REFERENCE_TRIALS = {"tA": trial_ta, "lem1": trial_lem1,
                     "techlem": trial_techlem, "beckner": trial_beckner,
                     "chang": trial_chang}
+
+
+# -- the verify stream, in Python ints ------------------------------------
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def stream_mix(z: int) -> int:
+    """The SplitMix64 finaliser."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def stream_key(seed: int) -> int:
+    """The seed's limb count, then each of its 64-bit limbs, low first,
+    folded by stream_mix."""
+    limbs = [seed & MASK64]
+    while seed >> 64 * len(limbs):
+        limbs.append(seed >> 64 * len(limbs) & MASK64)
+    key = stream_mix(len(limbs) * GAMMA & MASK64)
+    for limb in limbs:
+        key = stream_mix(key ^ limb)
+    return key
+
+
+def stream_word(seed: int, i: int, k: int) -> int:
+    """Word k of trial i of the seed."""
+    base = stream_mix(stream_key(seed) ^ i * GAMMA & MASK64)
+    return stream_mix(base + (k + 1) * GAMMA & MASK64)
+
+
+def mulhi(word: int, r: int) -> int:
+    """A draw in [0, r): the high 64 bits of word * r."""
+    return word * r >> 64
+
+
+class TrialStream:
+    """Trial i's words, read in order: SplitMix64 stepped from the trial's
+    base, each word adding G to the state and mixing it."""
+
+    def __init__(self, seed: int, i: int):
+        self.state = stream_mix(stream_key(seed) ^ i * GAMMA & MASK64)
+
+    def word(self) -> int:
+        self.state = self.state + GAMMA & MASK64
+        return stream_mix(self.state)
+
+    def random_raw(self, count: int) -> List[int]:
+        """The next count words."""
+        return [self.word() for _ in range(count)]
+
+    def below(self, r: int) -> int:
+        return mulhi(self.word(), r)
+
+    def bits(self, size: int) -> List[int]:
+        """size bits, 64 a word, low bit first."""
+        out: List[int] = []
+        while len(out) < size:
+            w = self.word()
+            out += [w >> b & 1 for b in range(64)]
+        return out[:size]
+
+
+def draw_set(s: TrialStream) -> Tuple[int, List[int], List[int]]:
+    """A tA or lem1 trial's (n, A's indicator, V's k characters)."""
+    n = 2 + s.below(11)
+    k = s.below(n + 1)
+    chars = [1 + s.below((1 << n) - 1) for _ in range(n)]
+    return n, s.bits(1 << n), chars[:k]
+
+
+def draw_techlem(s: TrialStream) -> Tuple[List[int], List[int]]:
+    """A techlem trial's (nums, dens)."""
+    m = 1 + s.below(8)
+    nums, dens = [], []
+    for _ in range(8):
+        den = 1 + s.below(64)
+        num = s.below(den + 1)
+        if len(dens) < m:
+            nums.append(num)
+            dens.append(den)
+    return nums, dens
+
+
+def draw_chang(s: TrialStream) -> Tuple[int, List[int], int, int]:
+    """A chang trial's (n, numerators, exp, j)."""
+    n = 2 + s.below(9)
+    exp, j = s.below(4), s.below(5)
+    return n, [s.below(17) - 8 for _ in range(1 << n)], exp, j
+
+
+def draw_beckner(s: TrialStream) -> Tuple[int, List[int], int, List[int],
+                                          int]:
+    """A beckner trial's (n, numerators, exp, its k characters, eta
+    index).  Character j is a nonzero point of the positions that are no
+    earlier character's pivot (r's bits, low first), plus the XOR of the
+    earlier characters that s picks; its lowest set bit is its pivot."""
+    n = 2 + s.below(9)
+    exp = s.below(4)
+    k = s.below(min(n, 4) + 1)
+    eta_idx = s.below(4)
+    pivots: List[int] = []
+    lambdas: List[int] = []
+    for j in range(min(n, 4)):
+        r = 1 + s.below((1 << (n - j)) - 1)
+        pick = s.below(1 << j)
+        free = [b for b in range(n) if b not in pivots]
+        c = sum((r >> t & 1) << b for t, b in enumerate(free))
+        pivots.append((c & -c).bit_length() - 1)
+        for t, lam in enumerate(lambdas):
+            if pick >> t & 1:
+                c ^= lam
+        lambdas.append(c)
+    nums = [s.below(17) - 8 for _ in range(1 << n)]
+    return n, nums, exp, lambdas[:k], eta_idx

@@ -362,6 +362,54 @@ def test_frac_quadratic_gap_rows_match_reference():
     assert frac_quadratic_gap([[1, 3]], [[2, 2]], [1])[1] == [1]
 
 
+def _gap_rows_against_reference(nums, dens, m):
+    lhs, rhs, squares = frac_quadratic_gap(nums, dens, m)
+    for t, k in enumerate(np.asarray(m).tolist()):
+        den_row = np.asarray(dens)[t, :k].tolist()
+        deltas = [Fraction(a, d) for a, d in
+                  zip(np.asarray(nums)[t, :k].tolist(), den_row)]
+        assert squares[t] == math.lcm(*den_row) ** 2
+        assert (Fraction(lhs[t], squares[t]),
+                Fraction(rhs[t], squares[t])) == gap(deltas)
+
+
+def test_frac_quadratic_gap_int64_boundary():
+    # Eight deltas are summed as int64 rows while L < 2^30 and in Python
+    # ints from there: L = 64 * 63 * 61 * 59 * 53 < 2^30, but 47 more
+    # passes it, and so do the eight dens up to 41 (L^2 > 2^63).  Then L =
+    # 2^30 - 1 and 2^30 exactly, and the single-delta edge, where L^2 <
+    # 2^63 allows L up to isqrt(2^63 - 1).
+    primes = [64, 63, 61, 59, 53, 47, 43, 41]
+    dens = np.ones((9, 8), dtype=np.int64)
+    for k in range(1, 9):
+        dens[k, :k] = primes[:k]
+    nums = dens - 1
+    nums[:, ::2] //= 3
+    m = np.full(9, 8)
+    lcds = [math.lcm(*row) for row in dens.tolist()]
+    assert lcds[5] < 1 << 30 < lcds[6]
+    _gap_rows_against_reference(nums, dens, m)
+    for width in (1, 8):
+        # (L - 1) / L and width - 1 ones: L sum a is width L^2 - L, the
+        # largest an int64 row meets.
+        edge = math.isqrt(((1 << 63) - 1) // width)
+        for den in (edge, edge + 1, (1 << 30) - 1, 1 << 30):
+            dens = np.ones((1, width), dtype=np.int64)
+            dens[0, 0] = den
+            nums = dens.copy()
+            nums[0, 0] -= 1
+            _gap_rows_against_reference(nums, dens, [width])
+    # Rows as verify draws them, about 2.5% of them past the boundary.
+    rng = np.random.default_rng(43)
+    dens = rng.integers(1, 65, size=(20_000, 8))
+    nums = rng.integers(0, 1 << 20, size=(20_000, 8)) % (dens + 1)
+    m = rng.integers(1, 9, size=20_000)
+    wide = [math.lcm(*row[:k]) >= 1 << 30
+            for row, k in zip(dens.tolist(), m.tolist())]
+    assert 0.01 < np.mean(wide) < 0.05
+    _gap_rows_against_reference(nums, dens, m)
+
+
 def test_residual_matches_reference():
     # The label table doubled over the unit vectors against
     # coset_index_table over the whole group: every subspace for n <= 4

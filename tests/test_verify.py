@@ -13,21 +13,16 @@ from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
-from f2wiener import _streams
-from f2wiener._draws import (_BECKNER_NS, _BECKNER_RAWS, _CHANG_NS,
-                             _CHANG_RAWS, _SET_NS, _SET_RAWS,
-                             _decode_beckner, _decode_chang, _decode_sets,
-                             _decode_techlem, _draw_beckner, _draw_chang,
-                             _draw_set_and_subspace, _draw_techlem,
-                             _techlem_width, beckner_draws, chang_draws,
-                             set_draws, techlem_draws)
-from f2wiener._streams import (_JUMP_RAWS, _PCG_MULT, _RAW_BUDGET,
-                               _SEED_BLOCK, bounded_draws, trial_words)
+from f2wiener import _draws
+from f2wiener._draws import (beckner_draws, chang_draws, set_draws,
+                             techlem_draws)
+from f2wiener._streams import bounded, trial_bases, trial_words
 from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
-from _reference import (REFERENCE_TRIALS, brute_chang_span,
-                        reference_residual, stack_rows, table_fractions,
-                        trial_rngs)
+from _reference import (REFERENCE_TRIALS, TrialStream, brute_chang_span,
+                        draw_beckner, draw_chang, draw_set, draw_techlem,
+                        mulhi, reference_residual, span_of, stack_rows,
+                        stream_word, table_fractions)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -72,284 +67,208 @@ def test_suite_validation(monkeypatch):
             run_suite("tA", trials=8, seed=seed, jobs=jobs)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
-                                  2**130 + 3])
-def test_trial_rngs_match_default_rng(seed):
-    # shard starts that are not 0, a block boundary, and the last trial
-    spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
-    for start, count in spans:
-        seen = []
-        for i, rng in trial_rngs(seed, start, count):
-            want = np.random.default_rng([seed, i])
-            assert rng.bit_generator.state == want.bit_generator.state, i
-            assert rng.integers(0, 1 << 62) == want.integers(0, 1 << 62)
-            seen.append(i)
-        assert seen == list(range(start, start + count))
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 - 1, 2**64,
+                                  2**64 + 7, 2**130 + 3])
+def test_stream_words_match_reference(seed):
+    # Trials 0, 7 and the last, words 0..3 and a far one, against the
+    # Python-int stream; then a trial's words do not depend on where its
+    # block or shard starts.
+    for i in (0, 7, MAX_TRIALS - 1):
+        trials, bases = trial_bases(seed, i, i + 1)
+        assert trials.tolist() == [i]
+        words = trial_words(bases, 1100)
+        assert [int(words[0, k]) for k in (0, 1, 2, 3, 1099)] == [
+            stream_word(seed, i, k) for k in (0, 1, 2, 3, 1099)]
+    whole = trial_words(trial_bases(seed, 0, 40)[1], 5)
+    for start in (1, 7, 13, 39):
+        assert np.array_equal(trial_words(trial_bases(seed, start, 40)[1], 5),
+                              whole[start:])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
                                   2**130 + 3])
 def test_jump_ahead_outputs_match_random_raw(seed):
-    # Every trial's words against its Generator's random_raw over the spans
-    # of the test above, at widths 1 or 9, and _JUMP_RAWS (by jump-ahead)
-    # or one more (by a loaded Generator), as the first word's low bit
-    # picks, so a block mixes the two routes.
-    spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
-    for pair in ((1, 9), (_JUMP_RAWS, _JUMP_RAWS + 1)):
-        for start, count in spans:
-            seen = []
-            for trials, words in trial_words(
-                    seed, start, count,
-                    lambda firsts: np.asarray(pair)[firsts & 1]):
-                w = pair[int(words[0, 0]) & 1]
-                assert words.shape == (len(trials), 2 * w)
-                for t, i in enumerate(trials.tolist()):
-                    want = np.random.default_rng([seed, i]).bit_generator
-                    assert words[t].tolist() == want.random_raw(w).astype(
-                        "<u8").view("<u4").tolist(), (w, i)
-                    seen.append(i)
-            assert sorted(seen) == list(range(start, start + count))
+    # trial_bases jumps straight to trial lo and trial_words to word k,
+    # (k + 1) G past the base, with no stepping; those words are the
+    # outputs of SplitMix64 stepped one word at a time from the base.
+    for lo, hi in ((0, 3), (4094, 4098), (MAX_TRIALS - 2, MAX_TRIALS)):
+        trials, bases = trial_bases(seed, lo, hi)
+        assert trials.tolist() == list(range(lo, hi))
+        words = trial_words(bases, 300)
+        for t, i in enumerate(range(lo, hi)):
+            assert words[t].tolist() == TrialStream(seed, i).random_raw(300)
 
 
-_DRAWS = {"techlem": (techlem_draws, None, None),
-          "set": (set_draws, _SET_NS, _SET_RAWS),
-          "chang": (chang_draws, _CHANG_NS, _CHANG_RAWS),
-          "beckner": (beckner_draws, _BECKNER_NS, _BECKNER_RAWS)}
+def test_seeds_a_limb_apart_draw_apart():
+    # key(S) folds in the limb count, so S and S + 2^64 (and 2^64 - 1
+    # and 2^128 - 1, whose limbs are all ones) read different streams.
+    for seed, other in ((0, 2**64), (7, 2**64 + 7), (2**64 - 1, 2**128 - 1),
+                        (2**64, 2**128 + 2**64)):
+        a = trial_words(trial_bases(seed, 0, 64)[1], 8)
+        b = trial_words(trial_bases(other, 0, 64)[1], 8)
+        assert not (a == b).any()
+        assert stream_word(seed, 3, 2) == int(a[3, 2])
+        assert stream_word(other, 3, 2) == int(b[3, 2])
 
 
-@pytest.mark.parametrize("kind", sorted(_DRAWS))
-def test_only_wide_trials_load_a_generator(monkeypatch, kind):
-    # Trials of at most _JUMP_RAWS outputs take them by jump-ahead: the
-    # trials loaded into a Generator are the wider ones (a trial's n is its
-    # Generator's first draw, which gives its width), and the decode
-    # fallbacks, which draw from default_rng([seed, i]), load none.
-    seed, count = 3, 3 * _SEED_BLOCK
-    loaded = []
+def test_bounded_is_the_exact_multiply_high():
+    # floor(w r / 2^64) from 32-bit halves against Python ints, for random
+    # words and the extremes, over ranges where the low half's carry
+    # matters (r near 2^32) and where it rarely does.
+    words = trial_words(trial_bases(3, 0, 1)[1], 4000)[0]
+    words[:4] = [0, 1, (1 << 32) - 1, (1 << 64) - 1]
+    for r in (1, 2, 3, 17, 61, 64, 65, 4095, (1 << 32) - 1, 1 << 32):
+        assert bounded(words, r).tolist() == [
+            mulhi(w, r) for w in words.tolist()]
+    ranges = np.arange(1, 4001)
+    assert bounded(words, ranges).tolist() == [
+        mulhi(w, r) for w, r in zip(words.tolist(), ranges.tolist())]
 
-    def generators(words):
-        loaded.append(words.shape[1])
-        return real(words)
 
-    real = _streams._generators
-    monkeypatch.setattr(_streams, "_generators", generators)
-    draws, ns, raws = _DRAWS[kind]
-    assert sum(1 for _ in draws(seed, 0, count))
-    if ns is None:
-        wide = 0
-    else:
-        wide = sum(int(raws[np.random.default_rng([seed, i]).integers(
-            0, ns)]) > _JUMP_RAWS for i in range(count))
-        assert 0 < wide < count
-    assert sum(loaded) == wide
+# Spans of trials that start off 0, cross the blocks of a test that draws n
+# 16 trials at a time (techlem 16 rows at a time), and end at the last.
+_SPANS = [(0, 2), (7, 40), (MAX_TRIALS - 3, 3)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
                                   2**130 + 3])
-def test_decoded_techlem_draws_match_generator(seed):
-    # Every trial's m, dens and nums decoded from its stream words against
-    # the Generator's draws, over the spans of the test above.
-    spans = [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]
-    for start, count in spans:
+def test_decoded_techlem_draws_match_generator(monkeypatch, seed):
+    # Every trial's m, dens and nums against the reference stream's
+    # per-trial draws.
+    monkeypatch.setattr(_draws, "_TECHLEM_ROWS", 16)
+    for start, count in _SPANS:
         seen = []
         for trials, nums, dens, m in techlem_draws(seed, start, count):
             assert len(m) == len(trials)
             for t, (i, k) in enumerate(zip(trials.tolist(), m.tolist())):
-                want = _draw_techlem(np.random.default_rng([seed, i]))
+                want = draw_techlem(TrialStream(seed, i))
                 assert (nums[t, :k].tolist(), dens[t, :k].tolist()) == want
                 assert (nums[t, k:] == 0).all() and (dens[t, k:] == 1).all()
                 seen.append(i)
         assert seen == list(range(start, start + count))
 
 
-_DECODED = {"set": (set_draws, _draw_set_and_subspace),
-            "chang": (chang_draws, _draw_chang),
-            "beckner": (beckner_draws, _draw_beckner)}
+_DECODED = {"set": (set_draws, draw_set),
+            "chang": (chang_draws, draw_chang),
+            "beckner": (beckner_draws, draw_beckner)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 + 7,
                                   2**130 + 3])
 @pytest.mark.parametrize("kind", sorted(_DECODED))
-def test_decoded_set_and_chang_draws_match_generator(kind, seed):
-    # Every trial's decoded draws against its Generator's, over the spans
-    # of test_trial_rngs_match_default_rng; a group shares n and lists its
-    # trials in order.
+def test_decoded_set_and_chang_draws_match_generator(monkeypatch, kind, seed):
+    # Every trial's array draws against the reference stream's per-trial
+    # draws, whose k characters the arrays pad with zeros; a group shares
+    # n, holds at most _group_rows(n) trials and lists them in order.
+    monkeypatch.setattr(_draws, "_BLOCK", 16)
     draws, draw = _DECODED[kind]
-    for start, count in [(0, 2), (7, _SEED_BLOCK + 2), (MAX_TRIALS - 3, 3)]:
+    for start, count in _SPANS:
         seen = []
         for n, trials, *fields in draws(seed, start, count):
             assert trials.tolist() == sorted(trials.tolist())
+            assert len(trials) <= _draws._group_rows(n)
             for t, i in enumerate(trials.tolist()):
-                want_n, *want = draw(np.random.default_rng([seed, i]))
+                want_n, *want = draw(TrialStream(seed, i))
                 assert want_n == n, i
                 for got, value in zip(fields, want):
+                    if isinstance(value, list):
+                        value = value + [0] * (len(got[t]) - len(value))
                     assert np.array_equal(got[t], value), i
                 seen.append(i)
         assert sorted(seen) == list(range(start, start + count))
 
 
-def test_trial_words_groups_hold_their_width_within_budget():
-    # Each group shares one width and lists its trials in order; it is
-    # yielded once it holds _RAW_BUDGET outputs, so it holds fewer before
-    # its last trial.  Every trial of the span comes once.
-    seen = []
-    for trials, words in trial_words(3, 5, 2 * _SEED_BLOCK + 9,
-                                     lambda word: _SET_RAWS[
-                                         word * _SET_NS >> 32]):
-        w = words.shape[1] // 2
-        widths = {_SET_RAWS[int(row[0]) * _SET_NS >> 32] for row in words}
-        assert widths == {w}
-        assert (len(trials) - 1) * w < _RAW_BUDGET
-        assert trials.tolist() == sorted(trials.tolist())
-        seen += trials.tolist()
-    assert sorted(seen) == list(range(5, 5 + 2 * _SEED_BLOCK + 9))
+# Each kind of draws: its suites, its draws and its widest n (None: no n).
+_KINDS = {"set": (("tA", "lem1"), set_draws, 12),
+          "techlem": (("techlem",), techlem_draws, None),
+          "chang": (("chang",), chang_draws, 10),
+          "beckner": (("beckner",), beckner_draws, 10)}
 
 
-def _group_of(n, seed, first, count, ns, raws):
-    """The (trials, words) group of trials with n from the first block of
-    trials first, first + 1, ... as the decoders read them."""
-    for trials, words in trial_words(seed, first, count,
-                                     lambda word: raws[word * ns >> 32]):
-        if 2 + (int(words[0, 0]) * ns >> 32) == n:
-            return trials, words
-    raise AssertionError(f"no trial with n={n}")
+@pytest.mark.parametrize("kind", ["beckner", "chang", "set", "techlem"])
+def test_only_wide_trials_load_a_generator(monkeypatch, kind):
+    # No trial is too wide for the stream words, so none loads a
+    # generator: every draw, the widest n's included, comes from the
+    # stream the package defines, and no numpy Generator, SeedSequence or
+    # bit generator is made while the suites run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy random generator was made")
+
+    for name in ("default_rng", "Generator", "SeedSequence", "PCG64"):
+        monkeypatch.setattr(np.random, name, refuse)
+    suites, draws, widest = _KINDS[kind]
+    if widest is not None:
+        assert max(group[0] for group in draws(4, 0, 300)) == widest
+    for name in suites:
+        assert run_suite(name, 300, 4).ok
 
 
-def _check_redrawn(decode, draw, seed, trials, words, crafted, rows):
-    # The crafted rows come back after the others, each as a group of
-    # one drawn by its own Generator; the rest decode as before.
-    got = decode(seed, trials, crafted)
-    keep = np.setdiff1d(np.arange(len(trials)), rows)
-    want = decode(seed, trials, words)
-    assert len(want) == 1
-    assert got[0][0] == want[0][0]
-    for a, b in zip(got[0][1:], want[0][1:]):
-        assert np.array_equal(a, b[keep])
-    assert [g[1].tolist() for g in got[1:]] == [[int(trials[t])]
-                                                for t in rows]
-    for (n, ids, *fields), t in zip(got[1:], rows):
-        want_n, *values = draw(np.random.default_rng([seed, int(trials[t])]))
-        assert n == want_n
-        for f, v in zip(fields, values):
-            assert np.array_equal(f[0], v)
+def test_trial_words_groups_hold_their_width_within_budget(monkeypatch):
+    # A group of _by_n holds trials of one n (its width), word 0's draw, in
+    # trial order and at most _group_rows(n) of them, so its tables hold
+    # at most 2^13 entries; every trial lands in one group, across blocks.
+    monkeypatch.setattr(_draws, "_BLOCK", 700)
+    for ns in (9, 11):
+        seen = []
+        for n, trials, bases in _draws._by_n(5, 3, 3000, ns):
+            assert 2 <= n < 2 + ns
+            assert 1 <= len(trials) <= _draws._group_rows(n) <= 256
+            assert len(trials) << n <= 1 << 13
+            assert trials.tolist() == sorted(trials.tolist())
+            for t, i in enumerate(trials.tolist()):
+                assert int(bases[t]) == int(trial_bases(5, i, i + 1)[1][0])
+            assert (2 + bounded(trial_words(bases, 1)[:, 0], ns) == n).all()
+            seen += trials.tolist()
+        assert sorted(seen) == list(range(3, 3003))
 
 
-def test_rejected_set_words_drawn_by_their_generator():
-    # n = 4: range 11 for n rejects low halves below 4, k's range 5 below
-    # 1 and a character's range 15 below 1, so a zero word is rejected in
-    # each place; row 1 gets n's, row 2 k's, and the first row from 3 on
-    # with k >= 1 its first character's.
-    seed, n, size = 5, 4, 16
-    trials, words = _group_of(n, seed, 40, _SEED_BLOCK, _SET_NS, _SET_RAWS)
-    k = bounded_draws(words[:, size + 1], n + 1)[0]
-    char_row = 3 + int(np.flatnonzero(k[3:])[0])
-    crafted = words.copy()
-    crafted[1, 0] = 0
-    crafted[2, size + 1] = 0
-    crafted[char_row, size + 2] = 0
-    assert bounded_draws(crafted[1, 0], _SET_NS)[1]
-    assert bounded_draws(crafted[2, size + 1], n + 1)[1]
-    assert bounded_draws(crafted[char_row, size + 2], size - 1)[1]
-    _check_redrawn(_decode_sets, _draw_set_and_subspace, seed, trials,
-                   words, crafted, [1, 2, char_row])
+def test_draws_cover_their_ranges():
+    # One fixed seed: every n, k, m, exp, j and eta index in range occurs,
+    # and every delta and numerator lies in its range and reaches its ends.
+    seed, count = 17, 3000
+    set_ns, set_ks = set(), set()
+    for n, _, ind, chars in set_draws(seed, 0, count):
+        set_ns.add(n)
+        set_ks.update(np.count_nonzero(chars, axis=1).tolist())
+        assert ind.shape[1] == 1 << n and set(np.unique(ind)) <= {0, 1}
+        assert ((chars >= 0) & (chars < 1 << n)).all()
+    assert set_ns == set(range(2, 13)) and set_ks == set(range(13))
+    ms, num_seen, den_seen = set(), set(), set()
+    for _, nums, dens, m in techlem_draws(seed, 0, count):
+        ms.update(m.tolist())
+        used = np.arange(8) < m[:, None]
+        assert ((0 <= nums) & (nums <= dens) & (dens >= 1)
+                & (dens <= 64)).all()
+        num_seen.update(nums[used].tolist())
+        den_seen.update(dens[used].tolist())
+    assert ms == set(range(1, 9)) and den_seen == set(range(1, 65))
+    assert num_seen == set(range(65))
+    for draws in (chang_draws, beckner_draws):
+        ns, vals, exps, lasts = set(), set(), set(), set()
+        for n, _, nums, exp, *rest in draws(seed, 0, count):
+            ns.add(n)
+            vals.update(np.unique(nums).tolist())
+            exps.update(exp.tolist())
+            lasts.update(rest[-1].tolist())
+        assert ns == set(range(2, 11)) and vals == set(range(-8, 9))
+        assert exps == set(range(4))
+        # chang's j in [0, 4], beckner's eta index in [0, 3]
+        assert lasts == set(range(5 if draws is chang_draws else 4))
 
 
-def test_rejected_chang_words_drawn_by_their_generator():
-    # n = 3: range 17 for a numerator rejects a low half of 0, and so does
-    # j's range 5; row 1 gets a zero numerator word, row 2 a zero j word.
-    seed, n, size = 5, 3, 8
-    trials, words = _group_of(n, seed, 40, _SEED_BLOCK, _CHANG_NS,
-                              _CHANG_RAWS)
-    crafted = words.copy()
-    crafted[1, 5] = 0
-    crafted[2, size + 2] = 0
-    assert bounded_draws(crafted[1, 5], 17)[1]
-    assert bounded_draws(crafted[2, size + 2], 5)[1]
-    _check_redrawn(_decode_chang, _draw_chang, seed, trials, words,
-                   crafted, [1, 2])
-
-
-def test_rejected_beckner_words_drawn_by_their_generator():
-    # n = 3: range 17 for a numerator and range 7 for a candidate reject a
-    # zero word.  Row 1 gets a zero numerator word, the first row from 2
-    # on with k >= 1 a zero first candidate, and the next row with k >= 2
-    # candidates that all decode to 1 (word 1: 7 * 1 has low half 7, at
-    # least 2^32 mod 7 = 4), so its loop keeps one character and runs past
-    # the slack.
-    seed, n, size = 5, 3, 8
-    trials, words = _group_of(n, seed, 40, _SEED_BLOCK, _BECKNER_NS,
-                              _BECKNER_RAWS)
-    k = bounded_draws(words[:, size + 2], 4)[0]
-    char_row = 2 + int(np.flatnonzero(k[2:])[0])
-    slack_row = char_row + 1 + int(np.flatnonzero(k[char_row + 1:] >= 2)[0])
-    crafted = words.copy()
-    crafted[1, 5] = 0
-    crafted[char_row, size + 3] = 0
-    crafted[slack_row, size + 3:] = 1
-    assert bounded_draws(crafted[1, 5], 17)[1]
-    assert bounded_draws(crafted[char_row, size + 3], size - 1)[1]
-    assert not bounded_draws(crafted[slack_row, size + 3:], size - 1)[1].any()
-    _check_redrawn(_decode_beckner, _draw_beckner, seed, trials, words,
-                   crafted, [1, char_row, slack_row])
-
-
-def _stream_starting_with(raw0):
-    """A Generator whose first 64-bit output is raw0: PCG64 steps its
-    128-bit state, then outputs the XOR of its halves rotated right by the
-    top six bits, so a state with those bits 0 and halves (1, 1 ^ raw0) is
-    stepped back to the state before it."""
-    inc = 1
-    after = (1 << 64) | (1 ^ raw0)
-    before = (after - inc) * pow(_PCG_MULT, -1, 1 << 128) % (1 << 128)
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": before, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
-
-
-def test_bounded_draws_flag_exactly_the_rejected_words():
-    # A word whose product with high has low half 2^32 mod high - 1 is the
-    # largest that numpy rejects, and one more is accepted: numpy then
-    # draws from the next word, the stream's second.
-    second = 0x9E3779B9
-    for high in (3, 61, 65, (1 << 32) - 1):
-        threshold = (1 << 32) % high
-        for low in (threshold - 1, threshold):
-            word = low * pow(high, -1, 1 << 32) % (1 << 32)
-            rng = _stream_starting_with(word | second << 32)
-            assert rng.bit_generator.random_raw() == word | second << 32
-            rng = _stream_starting_with(word | second << 32)
-            got = int(rng.integers(0, high))
-            draws, redrawn = bounded_draws(
-                np.array([word, second], dtype=np.uint64), high)
-            assert redrawn.tolist() == [low < threshold, False]
-            assert got == draws[1 if low < threshold else 0]
-    # a power of two never rejects
-    words = np.array([0, 1, 1 << 31, (1 << 32) - 1], dtype=np.uint64)
-    for high in (8, 64, 1 << 32):
-        assert not bounded_draws(words, high)[1].any()
-
-
-def test_rejected_techlem_trial_drawn_by_its_generator():
-    # Crafted words: trial 3's first den is 2 (range 3, which rejects low
-    # halves below 1) and its first num word 0, which numpy would reject.
-    # That trial alone comes from its own Generator.
-    seed, first = 5, 40
-    trials, words = next(trial_words(seed, first, 6, _techlem_width))
-    assert trials.tolist() == list(range(first, first + 6))
-    crafted = words.copy()
-    crafted[3, 1:3] = [1 << 26, 0]
-    assert bounded_draws(crafted[3, 1], 64)[0] + 1 == 2
-    assert bounded_draws(crafted[3, 2], 3)[1]
-    got = _decode_techlem(seed, trials, crafted)
-    want = _decode_techlem(seed, trials, words)
-    for a, b in zip(got, want):
-        assert (a == b).all()
-    nums, dens, m = got
-    assert (nums[3, :m[3]].tolist(), dens[3, :m[3]].tolist()) == (
-        _draw_techlem(np.random.default_rng([seed, first + 3])))
-    assert dens[3, 0] != 2 or nums[3, 0] != 0
-
+def test_beckner_characters_independent():
+    # Every beckner trial of a fixed seed draws exactly k nonzero
+    # characters, each outside the span of those before it, with every k
+    # from 0 to min(n, 4) at every n.
+    seen = set()
+    for n, _, _, _, lambdas, _ in beckner_draws(23, 0, 4000):
+        for row in lambdas.tolist():
+            k = np.count_nonzero(row)
+            assert all(0 < g < 1 << n for g in row[:k]) and not any(row[k:])
+            assert span_of(row[:k]).dim == k
+            seen.add((n, k))
+    assert seen == {(n, k) for n in range(2, 11)
+                    for k in range(min(n, 4) + 1)}
 
 def _drop_last_row(original):
     def chang_span(*args):
@@ -466,18 +385,18 @@ def test_suite_catches_mutant(monkeypatch, suite, attr, mutate):
 
 
 def test_techlem_mutant_messages_pinned(monkeypatch):
-    # Trials must draw what default_rng([seed, i]) draws: any drift in the
-    # streams changes these deltas.
+    # Trials must draw what the documented stream of (seed, i) gives: any
+    # drift in the stream or its layout changes these deltas.
     monkeypatch.setattr(verify, "frac_quadratic_gap",
                         _rhs_minus_one(verify.frac_quadratic_gap))
     assert run_suite("techlem", 3, 11).violations == [
-        "trial 0: sum(d - d^2) = -63577/82944 < 19367/82944 = g(1-g) "
-        "for deltas [Fraction(7, 9), Fraction(19, 32)]",
-        "trial 1: sum(d - d^2) = -1625091781/2117840400 < "
-        "492748619/2117840400 = g(1-g) for deltas "
-        "[Fraction(3, 13), Fraction(53, 60), Fraction(15, 59)]",
-        "trial 2: sum(d - d^2) = -661/841 < 180/841 = g(1-g) "
-        "for deltas [Fraction(20, 29), Fraction(1, 1)]",
+        "trial 0: sum(d - d^2) = -190109803/253478241 < "
+        "63368438/253478241 = g(1-g) for deltas [Fraction(0, 1), "
+        "Fraction(7, 61), Fraction(24, 29), Fraction(1, 1), Fraction(5, 9)]",
+        "trial 1: sum(d - d^2) = -21/25 < 4/25 = g(1-g) "
+        "for deltas [Fraction(4, 5)]",
+        "trial 2: sum(d - d^2) = -49/64 < 15/64 = g(1-g) "
+        "for deltas [Fraction(7, 8), Fraction(0, 1), Fraction(1, 2)]",
     ]
 
 
@@ -511,20 +430,21 @@ def test_verify_all_stdout_pinned(capsys, seed, jobs):
 def test_sharding_keeps_violations_under_a_mutant(monkeypatch, suite, attr,
                                                   mutate):
     # 1500 trials over 3 jobs: shards of 500 cut every n-group at their
-    # ends, and the third shard crosses the seed block boundary.
-    assert 1000 < _SEED_BLOCK < 1500
+    # ends; then blocks of 256 trials cut them in-process.
     monkeypatch.setattr(verify, attr, mutate(getattr(verify, attr)))
     serial = run_suite(suite, trials=1500, seed=5, jobs=1).violations
     assert serial
     assert [int(m.split()[1][:-1]) for m in serial] == sorted(
         int(m.split()[1][:-1]) for m in serial)
     assert run_suite(suite, trials=1500, seed=5, jobs=3).violations == serial
+    monkeypatch.setattr(_draws, "_BLOCK", 256)
+    assert run_suite(suite, trials=1500, seed=5, jobs=1).violations == serial
 
 
 def test_sharding_keeps_every_techlem_message(monkeypatch):
     # Under the mutant every trial violates, so all 5000 messages, with
     # their deltas and both sides, are compared; shards of 1667 start off
-    # the seed blocks.
+    # the techlem blocks.
     monkeypatch.setattr(verify, "frac_quadratic_gap",
                         _rhs_minus_one(verify.frac_quadratic_gap))
     serial = run_suite("techlem", 5000, 11, jobs=1).violations
@@ -535,8 +455,8 @@ def test_sharding_keeps_every_techlem_message(monkeypatch):
 def _per_trial(name, seed, count):
     trial = REFERENCE_TRIALS[name]
     out = []
-    for i, rng in trial_rngs(seed, 0, count):
-        msg = trial(rng)
+    for i in range(count):
+        msg = trial(seed, i)
         if msg is not None:
             out.append(f"trial {i}: {msg}")
     return out
