@@ -7,9 +7,11 @@ masses L_s = sum over level s of |hat(chi_A)| satisfy sum_s 2^-s L_s >=
 is decided exactly, with int64 under checked bounds and Fractions.
 |hat(chi_A)| is ranked once per run (rank_spectrum) and every step's
 bands are runs of that ranking, less V's own entries.  Chang's theorem
-caps the dimension of the span of a large-spectrum set; the
-Riesz-product machinery below exercises the hypercontractive inequality
-behind its proof, on stacks of products at once.
+caps the dimension of the span of a large-spectrum set; span_dims reads
+that dimension off one transform of the set's indicator, by counting
+the annihilator's points.  The Riesz-product machinery below exercises
+the hypercontractive inequality behind its proof, on stacks of products
+at once.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from . import _kernels
 from .dyadic import DyadicScalar, floor_log2_ratio
 from .fourier import (Spectrum, _check_bound, _int_minmax,
                       exact_product, lp_norm)
-from .groups import as_dim, label_table
+from .groups import as_dim, kernel_dims, label_table
 
 __all__ = [
     "ZeroMass",
@@ -40,7 +42,7 @@ __all__ = [
     "level_qualifies",
     "STRATEGIES",
     "select_level",
-    "chang_span",
+    "span_dims",
     "chang_cardinality_bound",
     "RieszProduct",
     "riesz_product",
@@ -273,57 +275,31 @@ def chang_cardinality_bound(l1: DyadicScalar, l2sq: DyadicScalar,
     return math.e * float(1 / eps ** 2) * max(log_ratio, 1.0)
 
 
-def chang_span(nums: np.ndarray, exps: Sequence[int],
-               thr_nums: Sequence[int],
-               thr_exps: Sequence[int]) -> np.ndarray:
-    """Span of each row's large spectrum {g : |nums[t, g]| / 2^exps[t] >=
-    thr_nums[t] / 2^thr_exps[t]}, for an int64 (T, 2^n) stack of spectra
-    (every |num| at most 2^63 - 1, as in a table) and positive thresholds.
+def span_dims(nums: np.ndarray, exps: Sequence[int],
+              thr_nums: Sequence[int], thr_exps: Sequence[int]) -> np.ndarray:
+    """Dimension of the span of each row's large spectrum {g : |nums[t, g]|
+    / 2^exps[t] >= thr_nums[t] / 2^thr_exps[t]}, for an int64 (T, 2^n)
+    stack of spectra (every |num| at most 2^63 - 1, as in a table) and
+    positive thresholds, as a (T,) int64 array.
 
-    Row t of the (T, n) int64 result is row t's span as DualSubspace holds
-    it (pivot the lowest set bit, rows sorted by pivot, each pivot cleared
-    from every other row), padded with zeros.  Chang's theorem caps its
+    The x with <g, x> = 0 for every large g are the annihilator of the
+    span, 2^(n - dim) points: exactly the x where the transform of the
+    large set's 0/1 indicator reaches the set's size.  Chang's theorem caps the
     dimension by chang_cardinality_bound at eps = threshold / ||f||_1.
     """
     if min(thr_nums, default=1) <= 0:
         raise ValueError("threshold must be positive")
-    count, size = nums.shape
-    n = size.bit_length() - 1
-    basis = np.zeros((count, n), dtype=np.int64)
+    n = nums.shape[1].bit_length() - 1
     # |num| / 2^e >= threshold  <=>  |num| >= cut, for integer num; every
     # |num| is below 2^63, so a cut past it selects nothing.
     cuts = np.array([min(-((-tn << e) >> te), 1 << 63)
                      for tn, e, te in zip(thr_nums, exps, thr_exps)],
                     dtype=np.uint64)
-    rows, chars = np.nonzero(np.abs(nums).view(np.uint64) >= cuts[:, None])
-    if not rows.size:
-        return basis
-    vecs = _left_aligned(rows, chars, count)
-    everyone = np.arange(count)
-    for p in range(n):
-        # No vector has a bit below p left, so a row's first vector with
-        # bit p is its pivot p: it clears bit p from the row's other
-        # vectors (and itself) and from the rows of the basis.
-        has = (vecs >> p) & 1
-        pivot = vecs[everyone, has.argmax(axis=1)] * has.max(axis=1)
-        vecs ^= has * pivot[:, None]
-        basis ^= ((basis >> p) & 1) * pivot[:, None]
-        basis[:, p] = pivot
-    # Column p holds pivot p or 0: keep the pivots, in order.
-    rows, cols = np.nonzero(basis)
-    return _left_aligned(rows, basis[rows, cols], count, n)
-
-
-def _left_aligned(rows: np.ndarray, values: np.ndarray, count: int,
-                  width: int = 0) -> np.ndarray:
-    """A (count, width) int64 array holding values[i] in row rows[i] (rows
-    ascending), each row's values in order from column 0, then zeros;
-    width 0 fits the longest row."""
-    per_row = np.bincount(rows, minlength=count)
-    out = np.zeros((count, width or int(per_row.max())), dtype=np.int64)
-    out[rows, np.arange(rows.size)
-        - np.repeat(np.cumsum(per_row) - per_row, per_row)] = values
-    return out
+    large = (np.abs(nums).view(np.uint64) >= cuts[:, None]).astype(np.int64)
+    # A 0/1 table has peak 1, so its transform is exact (2^n <= 2^53), and
+    # the transform at x = 0 is the set's size.
+    _kernels.wht_rows(large, 1)
+    return kernel_dims(np.count_nonzero(large == large[:, :1], axis=1), n)
 
 
 @dataclass(frozen=True, eq=False)

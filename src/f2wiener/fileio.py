@@ -24,7 +24,8 @@ from .chang import gain_floor
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
 from .groups import HARD_EXP_CAP
-from .iteration import HypothesisReport, IterationTrace, Termination
+from .iteration import (HypothesisReport, IterationTrace, Termination,
+                        hypothesis_check)
 from .setfuncs import PointSet, set_a_norm
 
 __all__ = [
@@ -268,8 +269,6 @@ def check_certificate(a: PointSet, cert,
     _need(isinstance(hyp, dict), "hypothesis", "an object")
     max_order = hyp.get("max_order")
     _need(_is_int(max_order), "hypothesis.max_order", "an integer")
-    from .iteration import hypothesis_check
-
     # Refuses a max_order outside [1, 2^30], as it does for lowerbound.
     rep = hypothesis_check(a.density(), max_order)
 

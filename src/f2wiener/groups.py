@@ -27,6 +27,7 @@ __all__ = [
     "coset_index_table",
     "parity_labels",
     "label_table",
+    "kernel_dims",
     "subspace_batches",
     "all_subspaces",
     "subspace_count",
@@ -307,9 +308,13 @@ def label_table(chars: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     for j in range(n):
         np.bitwise_xor(labels[:, :1 << j], units[:, j, None],
                        out=labels[:, 1 << j:2 << j])
-    kernel = np.count_nonzero(labels == 0, axis=1)
+    return labels, kernel_dims(np.count_nonzero(labels == 0, axis=1), n)
+
+
+def kernel_dims(kernel: np.ndarray, n: int) -> np.ndarray:
+    """dim V for each annihilator size 2^(n - dim V) in kernel, as int64."""
     # kernel is a power of two, 2^k, and k ones make up kernel - 1.
-    return labels, n - np.bitwise_count(kernel - 1).astype(np.int64)
+    return n - np.bitwise_count(kernel - 1).astype(np.int64)
 
 
 SUBSPACE_BATCH = 256

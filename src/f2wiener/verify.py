@@ -19,16 +19,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import _kernels
 from ._draws import beckner_draws, chang_draws, set_draws, techlem_draws
 from .chang import (RieszProduct, beckner_verify, chang_cardinality_bound,
-                    chang_span, riesz_product)
+                    riesz_product, span_dims)
 from .dyadic import DyadicScalar
-from .fourier import _check_bound
 from .groups import parity_labels
 from .setfuncs import (frac_quadratic_gap, physical_lower_bound, residual_l1,
                        residual_rows)
@@ -180,45 +179,19 @@ def _eval_chang(n: int, ids: List[int], nums: np.ndarray, exps: np.ndarray,
     l2 = (spec * spec).sum(axis=1).tolist()
     _kernels.wht_rows(spec)
     spec_exps = exps + n
-    thr_exps = spec_exps + js
-    basis = chang_span(spec, spec_exps.tolist(), l1.tolist(),
-                       thr_exps.tolist())
-    # |num| / 2^spec_exp >= threshold, compared over the shared denominator
-    # 2^(spec_exp + thr_exp), apart from chang_span's cut.  Here |num| <=
-    # l1 <= 8 * 2^10 and thr_exp <= 3 + 10 + 4, so both sides stay at most
-    # 2^30.
-    _check_bound(int(l1.max()) << int(thr_exps.max()), "shifted magnitude")
-    mags = np.abs(spec, out=spec)
-    mags <<= thr_exps[:, None]
-    rows, chars = np.nonzero(mags >= (l1 << spec_exps)[:, None])
-    # Reduce each large character against its row's basis, as
-    # DualSubspace.reduce_array does; np.nonzero lists a row's characters
-    # in ascending order, so a row's first survivor is its smallest.
-    left = chars.copy()
-    for column in basis.T:
-        rows_r = column[rows]
-        left ^= ((left & (rows_r & -rows_r)) != 0) * rows_r
-    outside = np.flatnonzero(left)
-    smallest: Dict[int, int] = {}
-    for t, g in zip(rows[outside].tolist(), chars[outside].tolist()):
-        smallest.setdefault(t, g)
-    dims = np.count_nonzero(basis, axis=1).tolist()
+    dims = span_dims(spec, spec_exps.tolist(), l1.tolist(),
+                     (spec_exps + js).tolist()).tolist()
     found = []
     for t, (exp, j, norm) in enumerate(zip(exps.tolist(), js.tolist(),
                                            l1.tolist())):
         eps = DyadicScalar(1, j)
-        if t in smallest:
-            msg = (f"large character {smallest[t]} outside the span "
-                   f"(n={n}, eps={eps})")
-        else:
-            bound = chang_cardinality_bound(
-                DyadicScalar(norm, exp + n),
-                DyadicScalar(l2[t], 2 * exp + n), eps.as_fraction())
-            if dims[t] <= bound:
-                continue
-            msg = (f"span dimension {dims[t]} above the Chang bound "
-                   f"{bound!r} (n={n}, eps={eps})")
-        found.append((ids[live[t]], msg))
+        bound = chang_cardinality_bound(
+            DyadicScalar(norm, exp + n),
+            DyadicScalar(l2[t], 2 * exp + n), eps.as_fraction())
+        if dims[t] > bound:
+            found.append((ids[live[t]], (
+                f"span dimension {dims[t]} above the Chang bound "
+                f"{bound!r} (n={n}, eps={eps})")))
     return found
 
 

@@ -826,14 +826,6 @@ def trial_chang(seed: int, i: int):
     threshold = base * eps
     spec = fwht(f)
     w = chang_span(spec, threshold)
-    # |num| / 2^spec.exp >= threshold, compared over the shared
-    # denominator 2^(spec.exp + threshold.exp), apart from chang_span's cut.
-    large = np.flatnonzero(
-        (np.abs(spec.nums) << threshold.exp) >= threshold.num << spec.exp)
-    outside = large[w.reduce_array(large) != 0]
-    if outside.size:
-        g = int(outside.min())
-        return f"large character {g} outside the span (n={n}, eps={eps})"
     bound = chang_cardinality_bound(base, l2_norm_sq(f), eps.as_fraction())
     if w.dim > bound:
         return (f"span dimension {w.dim} above the Chang bound {bound!r} "

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             ZeroMass, beckner_verify, chang_cardinality_bound,
-                            chang_span, level_qualifies, level_sets,
-                            rank_spectrum, riesz_product, select_level)
+                            level_qualifies, level_sets, rank_spectrum,
+                            riesz_product, select_level, span_dims)
 from f2wiener.dyadic import ONE, DyadicScalar
 from f2wiener.fourier import (FunctionTable, Spectrum, fwht, l1_norm,
                               l2_norm_sq)
-from f2wiener.groups import DualSubspace
+from f2wiener.groups import DualSubspace, subspace_extend
 from f2wiener.setfuncs import PointSet
 
 import _reference
@@ -37,11 +38,10 @@ def _cap(f, eps):
     return chang_cardinality_bound(l1_norm(f), l2_norm_sq(f), eps)
 
 
-def _span(spec, thr):
-    # One spectrum through the stacked chang_span, as a DualSubspace (whose
-    # constructor checks the basis is canonical).
-    row = chang_span(spec.nums[None, :], [spec.exp], [thr.num], [thr.exp])[0]
-    return DualSubspace(tuple(row[row != 0].tolist()))
+def _dim(spec, thr):
+    # One spectrum's large-spectrum span dimension through span_dims.
+    return int(span_dims(spec.nums[None, :], [spec.exp], [thr.num],
+                         [thr.exp])[0])
 
 
 def _levels(spec, excluded, base):
@@ -308,34 +308,34 @@ def test_select_level_strategies():
 
 def test_chang_span_zero_function():
     zero = Spectrum(3, [0] * 8, 0)
-    assert _span(zero, DyadicScalar(1, 2)).dim == 0
+    assert _dim(zero, DyadicScalar(1, 2)) == 0
 
 
 def test_chang_span_coset():
     v = span_of([0b001, 0b010])
     a = PointSet.from_points(3, annihilator_points(v.basis, 3))
-    w = _span(fwht(a.indicator()), DyadicScalar(1, 2))
-    assert w == v
+    assert _dim(fwht(a.indicator()), DyadicScalar(1, 2)) == 2
     # eps = (1/4) / ||chi_A||_1 = 1
     bound = _cap(a.indicator(), Fraction(1))
     assert bound == pytest.approx(math.e * 2 * math.log(2), rel=1e-12)
-    assert bound >= w.dim
+    assert bound >= 2
 
 
 def test_chang_span_balanced_halfspace():
     a, r = _halfspace_residual(1)
     spec = fwht(r.table)
-    w = _span(spec, DyadicScalar(1, 1))
-    assert w.dim == 1 and w.contains(1)
+    assert _dim(spec, DyadicScalar(1, 1)) == 1
     # eps = (1/2) / ||f_V||_1 = 1
     assert _cap(r.table, Fraction(1)) == pytest.approx(math.e, rel=1e-12)
     # a threshold above the l1 norm clears nothing
-    assert _span(spec, DyadicScalar(3, 2)).dim == 0
+    assert _dim(spec, DyadicScalar(3, 2)) == 0
     with pytest.raises(ValueError):
-        _span(spec, DyadicScalar(0))
+        _dim(spec, DyadicScalar(0))
 
 
 def test_chang_span_contains_large_spectrum():
+    # The dimension is that of the span of the large characters, found by
+    # one scan, and within Chang's cap.
     rng = np.random.default_rng(41)
     for _ in range(60):
         n = int(rng.integers(2, 9))
@@ -348,17 +348,16 @@ def test_chang_span_contains_large_spectrum():
         thr = DyadicScalar(l1_norm(f).num, l1_norm(f).exp + j)  # l1 * 2^-j
         if thr.num == 0:
             continue
-        w = _span(spec, thr)
-        for g in range(1 << n):
-            if abs(spec[g]) >= thr:
-                assert w.contains(g)
-        assert w.dim <= _cap(f, Fraction(1, 2 ** j))
+        dim = _dim(spec, thr)
+        assert dim == span_of([g for g in range(1 << n)
+                               if abs(spec[g]) >= thr]).dim
+        assert dim <= _cap(f, Fraction(1, 2 ** j))
 
 
 def _check_chang_span(spec, thr, with_cap=True):
     basis, cap = brute_chang_span(table_fractions(spec), thr.as_fraction(),
                                   spec.dim.n)
-    assert _span(spec, thr).basis == basis
+    assert _dim(spec, thr) == len(basis)
     # The reference's cap is 0 when f is zero or eps > 1, which the cap
     # refuses; otherwise it is the cap at eps = threshold / ||f||_1.
     if cap and with_cap:
@@ -382,14 +381,13 @@ def test_chang_span_matches_reference():
             thr = DyadicScalar(int(rng.integers(1, 50)), exp)
             _check_chang_span(spec, thr)
             stacks.setdefault(n, []).append((spec, thr))
-    # The same spectra stacked by n: each row is spanned on its own.
+    # The same spectra stacked by n: each row is counted on its own.
     for n, rows in stacks.items():
-        got = chang_span(np.stack([s.nums for s, _ in rows]),
-                         [s.exp for s, _ in rows], [t.num for _, t in rows],
-                         [t.exp for _, t in rows])
-        assert got.shape == (len(rows), n)
-        for row, (spec, thr) in zip(got.tolist(), rows):
-            assert tuple(g for g in row if g) == _span(spec, thr).basis
+        got = span_dims(np.stack([s.nums for s, _ in rows]),
+                        [s.exp for s, _ in rows], [t.num for _, t in rows],
+                        [t.exp for _, t in rows])
+        assert got.dtype == np.int64 and got.shape == (len(rows),)
+        assert got.tolist() == [_dim(spec, thr) for spec, thr in rows]
     # Spectra near 2^63, thresholds on both sides of the entries and cuts
     # beyond int64; their norms pass int64, so the cap is not compared.
     big = Spectrum(3, np.array([(1 << 62) + 1, -(1 << 56), 3, 0, 1 << 57,
@@ -402,7 +400,34 @@ def test_chang_span_matches_reference():
                 DyadicScalar(1 << 62, 1), DyadicScalar(1 << 63, 2),
                 DyadicScalar(1 << 64)):
         _check_chang_span(edge, thr, with_cap=False)
-    assert _span(edge, DyadicScalar(top, 2)).basis == (1,)
+    assert _dim(edge, DyadicScalar(top, 2)) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_span_dims_match_subspace_extend(data):
+    # A stack of rows at one n, each with its own threshold and large set:
+    # empty, {0}, every character or random masks.  Entries of the large
+    # set sit at or above the row's cut, every other entry below it.
+    n = data.draw(st.integers(1, 10))
+    order = 1 << n
+    sets = data.draw(st.lists(st.one_of(
+        st.just([]), st.just([0]), st.just(list(range(order))),
+        st.lists(st.integers(0, order - 1), max_size=12)),
+        min_size=1, max_size=6))
+    thrs = [data.draw(st.tuples(st.integers(1, 40), st.integers(0, 4),
+                                st.integers(0, 4))) for _ in sets]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    nums = np.zeros((len(sets), order), dtype=np.int64)
+    for row, chars, (tn, e, te) in zip(nums, sets, thrs):
+        cut = -((-tn << e) >> te)
+        row[:] = rng.integers(0, cut, size=order)
+        row[chars] = cut + rng.integers(0, 9, size=len(chars))
+        row *= rng.choice([-1, 1], size=order)
+    got = span_dims(nums, [e for _, e, _ in thrs], [tn for tn, _, _ in thrs],
+                    [te for _, _, te in thrs])
+    assert got.tolist() == [
+        subspace_extend(DualSubspace.trivial(), chars).dim for chars in sets]
 
 
 def test_chang_cardinality_bound_constant():

@@ -270,16 +270,6 @@ def test_beckner_characters_independent():
     assert seen == {(n, k) for n in range(2, 11)
                     for k in range(min(n, 4) + 1)}
 
-def _drop_last_row(original):
-    def chang_span(*args):
-        basis = original(*args).copy()
-        dims = np.count_nonzero(basis, axis=1)
-        rows = np.flatnonzero(dims)
-        basis[rows, dims[rows] - 1] = 0
-        return basis
-    return chang_span
-
-
 def _cap_over_eight(original):
     def chang_cardinality_bound(l1, l2sq, eps):
         return original(l1, l2sq, eps) / 8
@@ -317,12 +307,6 @@ def _floor_one_unit_up(original):
 
 
 # The same mutants on the per-trial forms in tests/_reference.py.
-def _ref_drop_last_row(original):
-    def chang_span(spec, threshold):
-        return DualSubspace(original(spec, threshold).basis[:-1])
-    return chang_span
-
-
 def _ref_one_unit_up(original):
     def residual_l1(fv):
         got = original(fv)
@@ -356,7 +340,6 @@ def _ref_floor_one_unit_up(original):
 
 # What each mutant's violations say: the check that the mutant broke.
 _CAUGHT_BY = {
-    "chang_span": "outside the span",
     "chang_cardinality_bound": r"span dimension \d+ above the Chang bound",
     "residual_l1": "!= coset closed form",
     "frac_quadratic_gap": r"= g\(1-g\)",
@@ -366,7 +349,6 @@ _CAUGHT_BY = {
 
 
 _MUTANTS = [
-    ("chang", "chang_span", _drop_last_row),
     ("chang", "chang_cardinality_bound", _cap_over_eight),
     ("tA", "residual_l1", _one_unit_up),
     ("techlem", "frac_quadratic_gap", _rhs_minus_one),
@@ -468,7 +450,7 @@ _REFERENCE_MUTANTS = {
              _ref_floor_one_unit_up),
     "techlem": ("frac_quadratic_gap", _rhs_minus_one, _ref_rhs_minus_one),
     "beckner": ("riesz_product", _mass_one_unit_off, _ref_mass_one_unit_off),
-    "chang": ("chang_span", _drop_last_row, _ref_drop_last_row),
+    "chang": ("chang_cardinality_bound", _cap_over_eight, _cap_over_eight),
 }
 
 
@@ -560,7 +542,7 @@ def test_stacked_chang_edge_rows(monkeypatch):
     # j = 0 (f = |f| chi_1, so only hat f(1) reaches l1), a full-rank row
     # (a point mass: every |hat f| is l1) and a row with no large
     # character (|hat f| = l1 / 2 everywhere, at j = 0).
-    from f2wiener.chang import chang_span
+    from f2wiener.chang import span_dims
     n = 2
     nums = np.array([[0, 0, 0, 0], [3, -1, 2, -5], [8, 0, 0, 0],
                      [1, 1, 1, -1]], dtype=np.int64)
@@ -577,10 +559,9 @@ def test_stacked_chang_edge_rows(monkeypatch):
     for row in spec:
         row[:] = _reference.fwht(FunctionTable(n, row, 0)).nums
     l1 = np.abs(nums[1:]).sum(axis=1)
-    basis = chang_span(spec, (exps[1:] + n).tolist(), l1.tolist(),
-                       (exps[1:] + n + js[1:]).tolist())
-    assert [tuple(g for g in row if g) for row in basis.tolist()] == [
-        b for b, _ in want]
+    dims = span_dims(spec, (exps[1:] + n).tolist(), l1.tolist(),
+                     (exps[1:] + n + js[1:]).tolist())
+    assert dims.tolist() == [1, 2, 0]
     # No violation, and one Chang cap per nonzero row, the reference's.
     caps = []
 
