@@ -269,10 +269,14 @@ def chang_cardinality_bound(l1: DyadicScalar, l2sq: DyadicScalar,
         raise ValueError("eps must lie in (0, 1]")
     if l1.num == 0:
         raise ZeroMass("Chang bound needs a nonzero function")
-    ratio = l2sq.as_fraction() / (l1.as_fraction() ** 2)
-    # The log of a ratio of big integers, without overflowing float.
-    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
-    return math.e * float(1 / eps ** 2) * max(log_ratio, 1.0)
+    # The ratio in lowest terms, as Fraction reduces it, and its log from
+    # the two big integers, without overflowing float.
+    shift = 2 * l1.exp - l2sq.exp
+    num, den = l2sq.num << max(0, shift), l1.num ** 2 << max(0, -shift)
+    common = math.gcd(num, den)
+    log_ratio = math.log(num // common) - math.log(den // common)
+    inv_sq = eps.denominator ** 2 / eps.numerator ** 2
+    return math.e * inv_sq * max(log_ratio, 1.0)
 
 
 def span_dims(nums: np.ndarray, exps: Sequence[int],

@@ -25,7 +25,6 @@ __all__ = [
     "subspace_extend",
     "annihilator_basis",
     "coset_index_table",
-    "parity_labels",
     "label_table",
     "kernel_dims",
     "subspace_batches",
@@ -254,57 +253,38 @@ def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
     """
     _check_bound(v.basis, n)
     dtype = pts.dtype if n < 8 * pts.dtype.itemsize - 1 else np.int64
-    return parity_labels(np.array(v.basis, dtype=dtype), pts, dtype)
-
-
-def parity_labels(chars: np.ndarray, pts: np.ndarray,
-                  dtype=np.int64) -> np.ndarray:
-    """Label of each point x in pts: bit i is <chars[..., i], x>.
-
-    chars holds integer masks with the characters on its last axis, and its
-    other axes broadcast against pts, so each point can carry its own
-    characters.  The labels are of the integer type dtype, which must hold
-    that many bits; they are built in the integer type of pts and chars
-    when it holds that many bits.
-    """
-    width = chars.shape[-1]
-    build = np.result_type(pts, chars)
-    if width >= 8 * build.itemsize - 1:
-        build = np.dtype(np.int64)
-    labels = None
-    for i in range(width):
-        bits = np.bitwise_count(pts & chars[..., i])
+    labels = None if v.dim else np.zeros(pts.shape, dtype=dtype)
+    for i, g in enumerate(np.array(v.basis, dtype=dtype)):
+        bits = np.bitwise_count(pts & g)
         bits &= 1
         if labels is None:
-            labels = bits.astype(build)
+            labels = bits.astype(dtype)
         else:
-            labels |= bits.astype(build) << i
-    if labels is None:
-        return np.zeros(np.broadcast_shapes(pts.shape, chars.shape[:-1]),
-                        dtype=dtype)
-    return labels.astype(dtype, copy=False)
+            labels |= bits.astype(dtype) << i
+    return labels
 
 
-def label_table(chars: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+def label_table(chars: np.ndarray, n: int,
+                dtype=np.int64) -> Tuple[np.ndarray, np.ndarray]:
     """(labels, dims) for a stack of character lists on F2^n.
 
-    chars is (T, K) int64.  labels is (T, 2^n): bit i of labels[t, x] is
-    <chars[t, i], x>, so x's label names its coset of the annihilator of
-    V_t, the span of row t's characters (a zero character adds a bit that
-    is always 0).  Labels are linear in x, so the label of x + e_j is x's
-    label XOR e_j's, and the table doubles over the n unit vectors; bit i
-    of e_j's label is bit j of chars[t, i].  dims[t] = dim V_t is the F2
-    rank of row t, read off the kernel: the 2^(n - dims[t]) points with
-    label 0.
+    chars is (T, K) int64.  labels is (T, 2^n) in the integer type dtype,
+    which must hold K bits: bit i of labels[t, x] is <chars[t, i], x>, so
+    x's label names its coset of the annihilator of V_t, the span of row
+    t's characters (a zero character adds a bit that is always 0).  Labels
+    are linear in x, so the label of x + e_j is x's label XOR e_j's, and
+    the table doubles over the n unit vectors; bit i of e_j's label is bit
+    j of chars[t, i].  dims[t] = dim V_t is the F2 rank of row t, read off
+    the kernel: the 2^(n - dims[t]) points with label 0.
     """
     if chars.size and chars.min() < 0:
         raise ValueError("character masks are non-negative")
     _check_bound((chars.max(initial=0),), n)
     rows, width = chars.shape
     weights = np.int64(1) << np.arange(width, dtype=np.int64)
-    units = ((chars[:, None, :] >> np.arange(n, dtype=np.int64)[:, None])
-             & 1) @ weights
-    labels = np.zeros((rows, 1 << n), dtype=np.int64)
+    units = (((chars[:, None, :] >> np.arange(n, dtype=np.int64)[:, None])
+              & 1) @ weights).astype(dtype)
+    labels = np.zeros((rows, 1 << n), dtype=dtype)
     for j in range(n):
         np.bitwise_xor(labels[:, :1 << j], units[:, j, None],
                        out=labels[:, 1 << j:2 << j])

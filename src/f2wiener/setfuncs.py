@@ -112,7 +112,8 @@ class ResidualRows:
     """Residuals f_V = chi_A - chi_A * mu_V, one set and subspace per row.
 
     ind is the (T, 2^n) int8 stack of the sets' indicators, dims[t] is
-    dim V_t, and row t of the residual is nums[t] / 2^(n - dims[t]).
+    dim V_t (int64), and row t of the residual is nums[t] / 2^(n - dims[t]),
+    nums being int32 or int64 as residual_rows chooses.
     """
 
     ind: np.ndarray
@@ -128,20 +129,33 @@ def residual_rows(ind: np.ndarray, chars: np.ndarray) -> ResidualRows:
     """chi_A minus its coset averaging, row by row; mean zero on every coset.
 
     ind is a (T, 2^n) int8 stack of indicators and V_t is the span of the
-    characters in row t of the (T, K) int64 array chars.
+    characters in row t of the (T, K) int64 array chars.  Keys (row, coset
+    label, ind) lie below T 2^(K + 1) and numerators at most 2^n in
+    magnitude; both are int32 when those bounds fit it, else int64.
     """
     rows, order = ind.shape
     n = order.bit_length() - 1
-    keys, dims = label_table(chars, n)
-    # One bincount over (row, coset label), labels being below 2^K; then
-    # each point's own count.
     width = chars.shape[1]
-    keys += (np.arange(rows, dtype=np.int64) << width)[:, None]
-    counts = np.bincount(keys[ind != 0], minlength=rows << width)
-    nums = ind.astype(np.int64)
-    nums <<= (n - dims)[:, None]
-    nums -= np.take(counts, keys, out=keys, mode="clip")
-    return ResidualRows(ind, dims, nums)
+    dtype = _index_dtype(max((rows << (width + 1)) - 1, order))
+    keys, dims = label_table(chars, n, dtype)
+    keys += (np.arange(rows, dtype=dtype) << width)[:, None]
+    keys <<= 1
+    keys |= ind
+    # One bincount over (row, coset label, ind), labels being below 2^K:
+    # bin 2k + 1 counts the c points of A in coset k, each with numerator
+    # m - c (m = 2^(n - dim V)), and its other points have -c.
+    counts = np.bincount(keys.ravel(), minlength=rows << (width + 1))
+    counts = counts.reshape(rows, -1, 2)
+    nums = np.empty(counts.shape, dtype=dtype)
+    np.negative(counts[..., 1], out=nums[..., 0])
+    np.subtract((np.int64(1) << (n - dims))[:, None], counts[..., 1],
+                out=nums[..., 1])
+    return ResidualRows(ind, dims, np.take(nums, keys, out=keys, mode="clip"))
+
+
+def _index_dtype(top: int) -> np.dtype:
+    """int32 if it holds every value up to top in magnitude, else int64."""
+    return np.dtype(np.int32 if top < 1 << 31 else np.int64)
 
 
 def residual_norms(counts: np.ndarray,
@@ -181,9 +195,10 @@ def residual_l1(fv: ResidualRows,
     arithmetic, not a bad input.
     """
     n = fv.nums.shape[1].bit_length() - 1
-    # 2^n numerators of magnitude at most 2^n: row sums at most 2^(2n).
-    direct = np.abs(fv.nums).sum(axis=1)
-    doubled = 2 * (fv.nums * fv.ind).sum(axis=1)
+    # 2^n numerators of magnitude at most 2^n: row sums at most 2^(2n),
+    # summed in int64 whatever the type of nums.
+    direct = np.abs(fv.nums).sum(axis=1, dtype=np.int64)
+    doubled = 2 * (fv.nums * fv.ind).sum(axis=1, dtype=np.int64)
     exps = 2 * n - fv.dims
     broken = {
         t: ("l1/inner-product identity violated: "

@@ -28,7 +28,6 @@ from ._draws import beckner_draws, chang_draws, set_draws, techlem_draws
 from .chang import (RieszProduct, beckner_verify, chang_cardinality_bound,
                     riesz_product, span_dims)
 from .dyadic import DyadicScalar
-from .groups import parity_labels
 from .setfuncs import (frac_quadratic_gap, physical_lower_bound, residual_l1,
                        residual_rows)
 
@@ -68,27 +67,39 @@ def _filled(chars: np.ndarray) -> np.ndarray:
     return chars[:, :int(np.count_nonzero(chars, axis=1).max())]
 
 
+def _coset_squares(ind: np.ndarray,
+                   chars: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(|A|, 2^w sum_y c_y^2) for each row of an int8 stack of indicators:
+    c_y counts A in coset y of the annihilator of V, the span of the row's
+    w characters, padding included.  By Parseval on V, sum c^2 =
+    2^-dim V sum_{g in V} S(g)^2, S the transform of A's indicator, and
+    the 2^w subset XORs of the characters cover V 2^(w - dim V) times each.
+    """
+    rows, width = chars.shape
+    spec = _kernels.wht_rows(ind.astype(np.int64), 1)
+    sizes = spec[:, 0].copy()
+    spec *= spec
+    # Row t's subset XORs, offset by t 2^n to index the flat spectrum.
+    combos = np.zeros((rows, 1 << width), dtype=np.int64)
+    combos[:, 0] = np.arange(rows) * ind.shape[1]
+    for i in range(width):
+        np.bitwise_xor(combos[:, :1 << i], chars[:, i, None],
+                       out=combos[:, 1 << i:2 << i])
+    return sizes, np.take(spec, combos, out=combos, mode="clip").sum(axis=1)
+
+
 def _eval_ta(n: int, ids: List[int], ind: np.ndarray,
              chars: np.ndarray) -> Found:
     chars = _filled(chars)
     fv = residual_rows(ind, chars)
     got, got_exp, broken = residual_l1(fv)
-    # Closed form from the coset counts alone, independent of the table:
-    # label A's points by per-character parity (in int16, as masks have
-    # n <= 12 bits) and count each coset.  f_V is 1 - c/m on c points of a
-    # coset of m = 2^(n - dim V) and -c/m on the rest, so ||f_V||_1 =
-    # sum 2c(m - c) / 2^(2n - dim V) = 2(m |A| - sum c^2) / 2^(2n - dim V).
-    width = chars.shape[1]
-    keys = parity_labels(chars[:, None, :].astype(np.int16),
-                         np.arange(1 << n, dtype=np.int16))
-    keys += (np.arange(len(ids), dtype=np.int64) << width)[:, None]
-    counts = np.bincount(keys[ind != 0], minlength=len(ids) << width)
-    counts = counts.reshape(len(ids), -1)
-    sizes = ind.sum(axis=1, dtype=np.int64)
-    m = np.int64(1) << (n - fv.dims)
-    closed = 2 * (m * sizes - (counts * counts).sum(axis=1))
-    # Both at exponent 2n - dim V, got after its canonical shift.
-    exp = 2 * n - fv.dims
+    # Closed form from A's spectrum alone, independent of the table: f_V
+    # is 1 - c/m on the c points of A in a coset of m = 2^(n - dim V) and
+    # -c/m on the rest, so ||f_V||_1 = 2(m |A| - sum c^2) / 2^(2n - dim V).
+    # Both over 2^(2n - dim V + w), got after its canonical shift.
+    sizes, squares = _coset_squares(ind, chars)
+    exp = 2 * n - fv.dims + chars.shape[1]
+    closed = 2 * ((sizes << (exp - n)) - squares)
     bad = (got << (exp - got_exp)) != closed
     bad[list(broken)] = True
     found = []

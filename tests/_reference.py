@@ -13,7 +13,10 @@ table), which the spectral step must reproduce exactly; the set maps and
 table helpers there serve only the tests, as do fresh_step (iterate_step
 with its ranking and step state built from scratch), the small accessors the
 package dropped (span_of, full_subspace, set_points, full_set,
-table_fractions, dyadic_from_fraction) and build_equality_case, the set
+table_fractions, dyadic_from_fraction), parity_labels (per-character
+parity labels of many points under many character lists at once),
+fraction_chang_cap (Chang's cap by Fraction arithmetic, which the integer
+ratio must reproduce bit for bit) and build_equality_case, the set
 attaining Lemma 1's floor.  reference_level_sets is the banding by a sort
 of the residual spectrum's distinct magnitudes, which the ranked banding
 must reproduce.  reference_all_subspaces and
@@ -347,6 +350,27 @@ def dyadic_from_fraction(q: Fraction) -> DyadicScalar:
     if den & (den - 1):
         raise ValueError(f"denominator {den} is not a power of two")
     return DyadicScalar(q.numerator, den.bit_length() - 1)
+
+
+def parity_labels(chars: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Label of each point x in pts: bit i is <chars[..., i], x>, the other
+    axes of chars broadcasting against pts."""
+    labels = np.zeros(np.broadcast_shapes(pts.shape, chars.shape[:-1]),
+                      dtype=np.int64)
+    for i in range(chars.shape[-1]):
+        bits = np.bitwise_count(pts & chars[..., i]).astype(np.int64) & 1
+        labels |= bits << i
+    return labels
+
+
+def fraction_chang_cap(l1: DyadicScalar, l2sq: DyadicScalar,
+                       eps: Fraction) -> float:
+    """Chang's cap e eps^-2 max(ln(l2sq / l1^2), 1) by Fraction arithmetic,
+    as chang_cardinality_bound computed it before it reduced the ratio in
+    Python ints."""
+    ratio = l2sq.as_fraction() / (l1.as_fraction() ** 2)
+    log_ratio = math.log(ratio.numerator) - math.log(ratio.denominator)
+    return math.e * float(1 / eps ** 2) * max(log_ratio, 1.0)
 
 
 class ResolutionError(ValueError):

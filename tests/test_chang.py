@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -442,6 +443,38 @@ def test_chang_cardinality_bound_constant():
         _cap(ones, Fraction(3, 2))
     with pytest.raises(ZeroMass):
         _cap(FunctionTable(3, [0] * 8, 0), Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 2 ** 80), st.integers(0, 300),
+       st.integers(1, 2 ** 160), st.integers(0, 600),
+       st.fractions(0, 1).filter(lambda q: q > 0))
+def test_chang_cap_matches_fraction_formula(a, e, b, f, eps):
+    # The ratio in Python ints gives the float the Fraction route gives,
+    # bit for bit, also where the ratio is far below 1 or past 2^1024.
+    l1, l2sq = DyadicScalar(a, e), DyadicScalar(b, f)
+    assert chang_cardinality_bound(l1, l2sq, eps) == (
+        _reference.fraction_chang_cap(l1, l2sq, eps))
+
+
+def test_chang_cap_matches_fraction_formula_at_extremes():
+    rng = np.random.default_rng(41)
+    nums = [1, 3, (1 << 63) - 1, 1 << 63, (1 << 2000) + 1, 3 ** 1500]
+    exps = [0, 1, 63, 64, 2000, 5000]
+    epss = [Fraction(1), Fraction(1, 2 ** 40), Fraction(3, 7),
+            Fraction(1, 10 ** 30)]
+    for a, e, b, f in itertools.product(nums, exps, nums, exps):
+        l1, l2sq = DyadicScalar(a, e), DyadicScalar(b, f)
+        eps = epss[rng.integers(len(epss))]
+        assert chang_cardinality_bound(l1, l2sq, eps) == (
+            _reference.fraction_chang_cap(l1, l2sq, eps))
+    # A negative l1 squares away; a negative l2sq has no log on either.
+    l1, l2sq, half = DyadicScalar(-5, 3), DyadicScalar(7, 2), Fraction(1, 2)
+    assert chang_cardinality_bound(l1, l2sq, half) == (
+        _reference.fraction_chang_cap(l1, l2sq, half))
+    for cap in (chang_cardinality_bound, _reference.fraction_chang_cap):
+        with pytest.raises(ValueError):
+            cap(DyadicScalar(5, 3), DyadicScalar(-7, 2), half)
 
 
 def _riesz(n, lams, eta):

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from f2wiener.groups import (HARD_DIM_CAP, SUBSPACE_BATCH, DualSubspace,
                              GroupDim, all_subspaces, annihilator_basis,
                              coset_index_table, label_table, parity,
-                             parity_labels, subspace_batches,
-                             subspace_count, subspace_extend,
-                             subspace_insert)
+                             subspace_batches, subspace_count,
+                             subspace_extend, subspace_insert)
 
 from _reference import (annihilator_points, full_subspace,
-                        parity as ref_parity, random_invertible,
-                        random_subspace, reference_all_subspaces,
-                        reference_annihilator_basis, span_of)
+                        parity as ref_parity, parity_labels,
+                        random_invertible, random_subspace,
+                        reference_all_subspaces, reference_annihilator_basis,
+                        span_of)
 
 
 def test_group_dim_validation():
@@ -269,6 +269,9 @@ def test_label_table_matches_coset_index_table():
         labels, dims = label_table(chars, n)
         pts = np.arange(1 << n, dtype=np.int64)
         assert (labels == parity_labels(chars[:, None, :], pts)).all()
+        narrow, narrow_dims = label_table(chars, n, np.int32)
+        assert narrow.dtype == np.int32 and (narrow == labels).all()
+        assert (narrow_dims == dims).all()
         for row, label_row, d in zip(chars.tolist(), labels, dims.tolist()):
             v = span_of([g for g in row if g])
             assert d == v.dim

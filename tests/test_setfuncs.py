@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from f2wiener import setfuncs
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import FunctionTable, fwht
 from f2wiener.groups import DualSubspace, GroupDim, all_subspaces
@@ -436,6 +437,33 @@ def test_residual_matches_reference():
             assert got == want.table, (a, v)
             l1 = _reference.residual_l1(want)
             assert (int(nums[t]), int(exps[t])) == (l1.num, l1.exp)
+
+
+def test_residual_key_types_agree(monkeypatch):
+    # Keys below rows 2^(K + 1) and numerators up to 2^n fit int32 here;
+    # the int64 route, forced, gives the same rows.  The choice flips
+    # exactly past 2^31 - 1, so no stack of 2^31 entries is built.
+    assert setfuncs._index_dtype((1 << 31) - 1) == np.int32
+    assert setfuncs._index_dtype(1 << 31) == np.int64
+    rng = np.random.default_rng(31)
+    for n in (1, 4, 9, 12):
+        rows = [(random_point_set(rng, n), random_subspace(rng, n))
+                for _ in range(5)]
+        rows += [(full_set(n), DualSubspace.trivial()),
+                 (PointSet(GroupDim(n), 0), random_subspace(rng, n))]
+        ind, chars = stack_rows(*zip(*rows))
+        narrow = residual_rows(ind, chars)
+        with monkeypatch.context() as m:
+            m.setattr(setfuncs, "_index_dtype",
+                      lambda top: np.dtype(np.int64))
+            wide = residual_rows(ind, chars)
+        assert (narrow.nums.dtype, wide.nums.dtype) == (np.int32, np.int64)
+        assert narrow.ind is wide.ind
+        assert np.array_equal(narrow.dims, wide.dims)
+        assert np.array_equal(narrow.nums, wide.nums)
+        got, want = residual_l1(narrow), residual_l1(wide)
+        assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
+        assert got[2] == want[2] == {}
 
 
 def test_residual_checks_basis_bound():

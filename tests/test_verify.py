@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _reference
 from f2wiener import cli, verify
@@ -21,8 +22,8 @@ from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
 from _reference import (REFERENCE_TRIALS, TrialStream, brute_chang_span,
                         draw_beckner, draw_chang, draw_set, draw_techlem,
-                        mulhi, reference_residual, span_of, stack_rows,
-                        stream_word, table_fractions)
+                        mulhi, parity_labels, reference_residual, span_of,
+                        stack_rows, stream_word, table_fractions)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -502,6 +503,38 @@ def test_batched_beckner_edge_cases():
             ref = _reference.riesz_product(n, chars, eta)
             assert FunctionTable(n, p.nums[t], int(p.exps[t])) == ref.table
             assert (lhs[t], rhs[t]) == _reference.beckner_verify(f, ref)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_coset_squares_match_coset_counts(data):
+    # tA's spectral sum of c^2 against one bincount per row over the
+    # parity labels of A's points.  Each row has its own k in [0, n]
+    # characters, some repeating or adding up earlier ones, padded with
+    # zeros to the stack's width and up to two columns past it.
+    n = data.draw(st.integers(2, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    width = max(ks) + data.draw(st.integers(0, min(2, 12 - max(ks))))
+    chars = np.zeros((len(ks), width), dtype=np.int64)
+    for row, k in zip(chars, ks):
+        for i in range(k):
+            kind = rng.integers(3) if i else 0
+            if kind == 0:
+                row[i] = rng.integers(1, 1 << n)
+            elif kind == 1:
+                row[i] = row[rng.integers(i)]
+            else:
+                subset = row[:i][rng.integers(2, size=i) == 1]
+                row[i] = np.bitwise_xor.reduce(subset, initial=0)
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    ind = (rng.random((len(ks), 1 << n)) < density).astype(np.int8)
+    sizes, squares = verify._coset_squares(ind, chars)
+    for t in range(len(ks)):
+        labels = parity_labels(chars[t], np.arange(1 << n))
+        counts = np.bincount(labels[ind[t] != 0], minlength=1 << width)
+        assert sizes[t] == ind[t].sum()
+        assert squares[t] == int((counts * counts).sum()) << width
 
 
 def test_batched_residual_edge_cases():
