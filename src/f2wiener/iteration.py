@@ -142,8 +142,11 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
     of v (then L(v) already equals the full Wiener norm).
     """
     if v.dim < a.dim.n:
-        base, l2sq = residual_norms(
-            np.bincount(state.labels, minlength=v.order), a.dim.n)
+        nums, exps = residual_norms(
+            np.bincount(state.labels, minlength=v.order)[None], a.dim.n,
+            [v.dim])
+        base = DyadicScalar(int(nums[0]), int(exps[0]))
+        l2sq = base.mul_pow2(-1)
     else:
         # V is the whole dual group: every annihilator coset is one point,
         # so f_V = 0, with no table of 2^n counts.

@@ -3,28 +3,28 @@
 For a set A and a dual subspace V, the projection chi_A * mu (mu the
 normalized indicator of the annihilator of V) is constant on annihilator
 cosets and equals the density of A inside each coset.  The residual
-f_V = chi_A - chi_A * mu has mean zero on every coset, spectrum supported
-off V, and satisfies the exact identity ||f_V||_1 = 2 <chi_A, f_V>.
-residual_rows, residual_l1 and physical_lower_bound work on stacks: one set
-and one subspace per row, all on the same F2^n.
+f_V = chi_A - chi_A * mu has mean zero on every coset and spectrum
+supported off V, so ||f_V||_1 = 2 <chi_A, f_V> (acceptance criterion 4 in
+tests/test_acceptance.py checks this on residual tables).  No table of
+f_V is built here: residual_norms reads its norms off A's count in each
+coset, for the iteration and verify alike.  residual_l1 and
+physical_lower_bound work on stacks: one set and one subspace per row, all
+on the same F2^n.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dyadic import DyadicScalar, ONE
-from .fourier import _I64_MAX, FunctionTable, a_norm, exact_sum, fwht
+from .fourier import _I64_MAX, FunctionTable, _check_bound, a_norm, fwht
 from .groups import GroupDim, as_dim, label_table
 
 __all__ = [
     "PointSet",
-    "ResidualRows",
-    "residual_rows",
     "residual_l1",
     "residual_norms",
     "frac_product",
@@ -107,50 +107,8 @@ class PointSet:
         return f"PointSet(n={self.dim.n}, size={self.size})"
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualRows:
-    """Residuals f_V = chi_A - chi_A * mu_V, one set and subspace per row.
-
-    ind is the (T, 2^n) int8 stack of the sets' indicators, dims[t] is
-    dim V_t (int64), and row t of the residual is nums[t] / 2^(n - dims[t]),
-    nums being int32 or int64 as residual_rows chooses.
-    """
-
-    ind: np.ndarray
-    dims: np.ndarray
-    nums: np.ndarray
-
-
 def set_a_norm(a: PointSet) -> DyadicScalar:
     return a_norm(fwht(a))
-
-
-def residual_rows(ind: np.ndarray, chars: np.ndarray) -> ResidualRows:
-    """chi_A minus its coset averaging, row by row; mean zero on every coset.
-
-    ind is a (T, 2^n) int8 stack of indicators and V_t is the span of the
-    characters in row t of the (T, K) int64 array chars.  Keys (row, coset
-    label, ind) lie below T 2^(K + 1) and numerators at most 2^n in
-    magnitude; both are int32 when those bounds fit it, else int64.
-    """
-    rows, order = ind.shape
-    n = order.bit_length() - 1
-    width = chars.shape[1]
-    dtype = _index_dtype(max((rows << (width + 1)) - 1, order))
-    keys, dims = label_table(chars, n, dtype)
-    keys += (np.arange(rows, dtype=dtype) << width)[:, None]
-    keys <<= 1
-    keys |= ind
-    # One bincount over (row, coset label, ind), labels being below 2^K:
-    # bin 2k + 1 counts the c points of A in coset k, each with numerator
-    # m - c (m = 2^(n - dim V)), and its other points have -c.
-    counts = np.bincount(keys.ravel(), minlength=rows << (width + 1))
-    counts = counts.reshape(rows, -1, 2)
-    nums = np.empty(counts.shape, dtype=dtype)
-    np.negative(counts[..., 1], out=nums[..., 0])
-    np.subtract((np.int64(1) << (n - dims))[:, None], counts[..., 1],
-                out=nums[..., 1])
-    return ResidualRows(ind, dims, np.take(nums, keys, out=keys, mode="clip"))
 
 
 def _index_dtype(top: int) -> np.dtype:
@@ -158,19 +116,23 @@ def _index_dtype(top: int) -> np.dtype:
     return np.dtype(np.int32 if top < 1 << 31 else np.int64)
 
 
-def residual_norms(counts: np.ndarray,
-                   n: int) -> Tuple[DyadicScalar, DyadicScalar]:
-    """(||f_V||_1, ||f_V||_2^2) from A's count c in each of the 2^d cosets.
+def residual_norms(counts: np.ndarray, n: int,
+                   dims: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """||f_V||_1 of each row as canonical (nums, exps), from A's counts.
 
-    f_V is 1 - c/m on c points of a coset of m = 2^(n - d) and -c/m on the
-    rest, so ||f_V||_1 = sum 2c(m - c) / 2^(2n - d) and ||f_V||_2^2 is half.
+    Row t of the (T, B) int64 array counts holds A's count c in each
+    coset of the annihilator of V_t, dims[t] = dim V_t; labels that no
+    coset takes count 0.  f_V is 1 - c/m on c points of a coset of
+    m = 2^(n - d) and -c/m on the rest, so ||f_V||_1 = sum 2c(m - c) /
+    2^(2n - d) = 2(m |A| - sum c^2) / 2^(2n - d), and ||f_V||_2^2 is half
+    of it.  m |A| and sum c^2 are at most 2^(2n), so int64 is exact for
+    n <= 31 and past that the rows are refused.
     """
-    d = counts.size.bit_length() - 1
-    m = 1 << (n - d)
-    # sum c(m - c) = m |A| - sum c^2, with no table of m - c.
-    total = m * exact_sum(counts) - exact_sum(counts, counts)
-    return (DyadicScalar(2 * total, 2 * n - d),
-            DyadicScalar(total, 2 * n - d))
+    _check_bound(1 << 2 * n, "residual norm", counts)
+    dims = np.asarray(dims, dtype=np.int64)
+    total = (counts.sum(axis=1) << (n - dims)) - np.einsum(
+        "ij,ij->i", counts, counts)
+    return _canonical(2 * total, 2 * n - dims)
 
 
 def _canonical(nums: np.ndarray,
@@ -184,29 +146,29 @@ def _canonical(nums: np.ndarray,
     return nums >> shift, np.where(nums == 0, 0, exps - shift)
 
 
-def residual_l1(fv: ResidualRows,
-                ) -> Tuple[np.ndarray, np.ndarray, Dict[int, str]]:
-    """||f_V||_1 of every row, computed twice: directly, and as
-    2 <chi_A, f_V>.
+def residual_l1(ind: np.ndarray, chars: np.ndarray,
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(nums, exps, dims): ||f_V||_1 of every row as canonical
+    nums / 2^exps, and dims[t] = dim V_t, by residual_norms.
 
-    Returns canonical (nums, exps) from the direct route, and for each row
-    where the two routes differ, the mismatch as a message.  They must
-    agree exactly for every set and subspace; a mismatch means broken
-    arithmetic, not a bad input.
+    ind is a (T, 2^n) int8 stack of indicators and V_t is the span of the
+    characters in row t of the (T, K) int64 array chars.  Keys (row, coset
+    label, ind) lie below T 2^(K + 1); they are int32 when that bound fits
+    it, else int64.
     """
-    n = fv.nums.shape[1].bit_length() - 1
-    # 2^n numerators of magnitude at most 2^n: row sums at most 2^(2n),
-    # summed in int64 whatever the type of nums.
-    direct = np.abs(fv.nums).sum(axis=1, dtype=np.int64)
-    doubled = 2 * (fv.nums * fv.ind).sum(axis=1, dtype=np.int64)
-    exps = 2 * n - fv.dims
-    broken = {
-        t: ("l1/inner-product identity violated: "
-            f"{DyadicScalar(int(direct[t]), int(exps[t]))} != "
-            f"{DyadicScalar(int(doubled[t]), int(exps[t]))} "
-            f"(n={n}, dim V={fv.dims[t]})")
-        for t in np.flatnonzero(direct != doubled).tolist()}
-    return (*_canonical(direct, exps), broken)
+    rows, order = ind.shape
+    n = order.bit_length() - 1
+    width = chars.shape[1]
+    dtype = _index_dtype(max((rows << (width + 1)) - 1, order))
+    keys, dims = label_table(chars, n, dtype)
+    keys += (np.arange(rows, dtype=dtype) << width)[:, None]
+    keys <<= 1
+    keys |= ind
+    # One bincount over (row, coset label, ind), labels being below 2^K:
+    # bin 2k + 1 counts A's points in coset k.
+    counts = np.bincount(keys.ravel(), minlength=rows << (width + 1))
+    return (*residual_norms(counts.reshape(rows, -1, 2)[..., 1], n, dims),
+            dims)
 
 
 def frac_product(alpha: DyadicScalar, d: int,

@@ -28,8 +28,7 @@ from ._draws import beckner_draws, chang_draws, set_draws, techlem_draws
 from .chang import (RieszProduct, beckner_verify, chang_cardinality_bound,
                     riesz_product, span_dims)
 from .dyadic import DyadicScalar
-from .setfuncs import (frac_quadratic_gap, physical_lower_bound, residual_l1,
-                       residual_rows)
+from .setfuncs import frac_quadratic_gap, physical_lower_bound, residual_l1
 
 __all__ = [
     "SUITE_NAMES",
@@ -91,39 +90,29 @@ def _coset_squares(ind: np.ndarray,
 def _eval_ta(n: int, ids: List[int], ind: np.ndarray,
              chars: np.ndarray) -> Found:
     chars = _filled(chars)
-    fv = residual_rows(ind, chars)
-    got, got_exp, broken = residual_l1(fv)
-    # Closed form from A's spectrum alone, independent of the table: f_V
-    # is 1 - c/m on the c points of A in a coset of m = 2^(n - dim V) and
-    # -c/m on the rest, so ||f_V||_1 = 2(m |A| - sum c^2) / 2^(2n - dim V).
-    # Both over 2^(2n - dim V + w), got after its canonical shift.
+    got, got_exp, dims = residual_l1(ind, chars)
+    # Closed form from A's spectrum alone, independent of the coset
+    # labels: f_V is 1 - c/m on the c points of A in a coset of m =
+    # 2^(n - dim V) and -c/m on the rest, so ||f_V||_1 = 2(m |A| - sum
+    # c^2) / 2^(2n - dim V).  Both over 2^(2n - dim V + w), got after its
+    # canonical shift.
     sizes, squares = _coset_squares(ind, chars)
-    exp = 2 * n - fv.dims + chars.shape[1]
+    exp = 2 * n - dims + chars.shape[1]
     closed = 2 * ((sizes << (exp - n)) - squares)
-    bad = (got << (exp - got_exp)) != closed
-    bad[list(broken)] = True
-    found = []
-    for t in np.flatnonzero(bad).tolist():
-        if t in broken:
-            msg = f"{broken[t]} (|A|={sizes[t]})"
-        else:
-            msg = (f"residual_l1 {DyadicScalar(int(got[t]), int(got_exp[t]))}"
-                   " != coset closed form "
-                   f"{DyadicScalar(int(closed[t]), int(exp[t]))} "
-                   f"(n={n}, |A|={sizes[t]}, dimV={fv.dims[t]})")
-        found.append((ids[t], msg))
-    return found
+    return [(ids[t],
+             f"residual_l1 {DyadicScalar(int(got[t]), int(got_exp[t]))}"
+             " != coset closed form "
+             f"{DyadicScalar(int(closed[t]), int(exp[t]))} "
+             f"(n={n}, |A|={sizes[t]}, dimV={dims[t]})")
+            for t in np.flatnonzero(
+                (got << (exp - got_exp)) != closed).tolist()]
 
 
 def _eval_lem1(n: int, ids: List[int], ind: np.ndarray,
                chars: np.ndarray) -> Found:
-    fv = residual_rows(ind, _filled(chars))
-    got, got_exp, broken = residual_l1(fv)
-    if broken:
-        # An invariant violation, raised as the table route raises it.
-        raise ArithmeticError(broken[min(broken)])
+    got, got_exp, dims = residual_l1(ind, _filled(chars))
     sizes = ind.sum(axis=1, dtype=np.int64)
-    floor, floor_exp = physical_lower_bound(sizes, n, fv.dims)
+    floor, floor_exp = physical_lower_bound(sizes, n, dims)
     # Compared over the shared denominator 2^max(exp); every numerator is
     # at most 2^(2n) <= 2^24 and every exponent at most 2n.
     top = np.maximum(got_exp, floor_exp)
@@ -132,7 +121,7 @@ def _eval_lem1(n: int, ids: List[int], ind: np.ndarray,
              f"||f_V||_1 = {DyadicScalar(int(got[t]), int(got_exp[t]))} "
              "below the floor "
              f"{DyadicScalar(int(floor[t]), int(floor_exp[t]))} "
-             f"(n={n}, |A|={sizes[t]}, dimV={fv.dims[t]})")
+             f"(n={n}, |A|={sizes[t]}, dimV={dims[t]})")
             for t in np.flatnonzero(below).tolist()]
 
 

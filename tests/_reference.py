@@ -23,8 +23,9 @@ must reproduce.  reference_all_subspaces and
 reference_annihilator_basis are the one-subspace-at-a-time enumeration and
 bit loop that the batched enumeration must reproduce, order included.
 reference_inverse_fwht is the exact inverse transform the package dropped.
-reference_residual labels the whole group with one coset_index_table call,
-which the residual's doubled label table must reproduce, and
+reference_residual is the residual table f_V itself, the whole group
+labelled by one coset_index_table call: the package builds no such table,
+and its norms from coset counts must equal the table's, and
 reference_beckner is the Beckner check that built its own Riesz product
 from (lambdas, eta), which the one-product check must reproduce bit for
 bit.
@@ -64,8 +65,7 @@ from f2wiener.groups import (DualSubspace, GroupDim, coset_index_table,
 from f2wiener.iteration import (StepResult, StepState, ZeroResidual,
                                 iterate_step)
 from f2wiener.setfuncs import (PointSet, frac_product, physical_lower_bound
-                               as row_floors, residual_l1 as row_l1,
-                               residual_norms, residual_rows)
+                               as row_floors, residual_l1 as row_l1)
 
 
 def parity(a: int, b: int) -> int:
@@ -737,13 +737,8 @@ def trial_ta(seed: int, i: int):
     n, ind, chars = draw_set(TrialStream(seed, i))
     a = PointSet.from_indicator(GroupDim(n), ind)
     v = span_of(chars)
-    fv = residual(a, v)
-    try:
-        got = residual_l1(fv)
-    except ArithmeticError as exc:
-        return f"{exc} (|A|={a.size})"
-    syn = coset_index_table(v, n, np.flatnonzero(a.bool_mask()))
-    closed, _ = residual_norms(np.bincount(syn, minlength=v.order), n)
+    got = residual_l1(residual(a, v))
+    closed = stacked_l1_and_floor(a, v)[0]
     if got != closed:
         return (f"residual_l1 {got} != coset closed form {closed} "
                 f"(n={n}, |A|={a.size}, dimV={v.dim})")
@@ -817,11 +812,9 @@ def stack_rows(sets: Sequence[PointSet], subspaces: Sequence[DualSubspace]):
 
 def stacked_l1_and_floor(a: PointSet, v: DualSubspace):
     """(||f_V||_1, Lemma 1's floor) of one set and subspace by the
-    package's stacked forms, whose two l1 routes must agree."""
-    ind, chars = stack_rows([a], [v])
-    fv = residual_rows(ind, chars)
-    nums, exps, broken = row_l1(fv)
-    assert broken == {}
+    package's stacked forms."""
+    nums, exps, dims = row_l1(*stack_rows([a], [v]))
+    assert dims.tolist() == [v.dim]
     floor, floor_exp = row_floors([a.size], a.dim.n, [v.dim])
     return (DyadicScalar(int(nums[0]), int(exps[0])),
             DyadicScalar(int(floor[0]), int(floor_exp[0])))

@@ -22,8 +22,7 @@ from f2wiener.groups import (annihilator_basis, subspace_batches,
                              subspace_count)
 from f2wiener.iteration import Termination, hypothesis_check, run_iteration
 from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
-                               physical_lower_bound, residual_rows,
-                               set_a_norm)
+                               physical_lower_bound, residual_l1, set_a_norm)
 from f2wiener.verify import BECKNER_SLACK, run_suite
 
 import _reference
@@ -124,7 +123,11 @@ def test_criterion_03_hypothesis_constants():
 
 
 def _ta_lem1_trials():
-    """One shared pass for criteria 4 and 5: same pairs, both lemmas."""
+    """One shared pass for criteria 4 and 5: same pairs, both lemmas.
+
+    The identity ||f_V||_1 = 2 <chi_A, f_V> is checked on each pair's
+    reference table, whose l1 must also be the package's from coset
+    counts; Lemma 1's floor is checked against that l1."""
     start = time.monotonic()
     rng = np.random.default_rng(104)
     identity_bad = []
@@ -134,16 +137,18 @@ def _ta_lem1_trials():
             pairs = [(random_point_set(rng, n), random_subspace(rng, n))
                      for _ in range(100)]
             ind, chars = stack_rows(*zip(*pairs))
-            fv = residual_rows(ind, chars)
+            got, got_exp, dims = residual_l1(ind, chars)
             sizes = ind.sum(axis=1)
-            floor, floor_exp = physical_lower_bound(sizes, n, fv.dims)
+            floor, floor_exp = physical_lower_bound(sizes, n, dims)
             for t, (a, v) in enumerate(pairs):
-                nums = fv.nums[t].tolist()
+                table = _reference.residual(a, v).table
+                nums = table.nums.tolist()
                 direct = sum(abs(x) for x in nums)
                 doubled = 2 * sum(x for x, x_in in zip(nums, ind[t]) if x_in)
-                if direct != doubled:
+                l1 = DyadicScalar(direct, table.exp + n)
+                if direct != doubled or l1 != DyadicScalar(
+                        int(got[t]), int(got_exp[t])):
                     identity_bad.append((n, a.size, v.dim))
-                l1 = DyadicScalar(direct, 2 * n - v.dim)
                 if l1 < DyadicScalar(int(floor[t]), int(floor_exp[t])):
                     floor_bad.append((n, a.size, v.dim))
     return identity_bad, floor_bad, time.monotonic() - start

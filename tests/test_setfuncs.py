@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from f2wiener import setfuncs
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import FunctionTable, fwht
-from f2wiener.groups import DualSubspace, GroupDim, all_subspaces
-from f2wiener.setfuncs import (PointSet, ResidualRows, frac_product,
-                               frac_quadratic_gap, physical_lower_bound,
-                               residual_l1, residual_rows, set_a_norm)
+from f2wiener.fourier import fwht
+from f2wiener.groups import (DualSubspace, GroupDim, all_subspaces,
+                             coset_index_table)
+from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap,
+                               physical_lower_bound, residual_l1,
+                               residual_norms, set_a_norm)
 
 import _reference
 from _reference import (brute_coset_average, brute_frac_quadratic_gap,
@@ -24,9 +25,8 @@ from _reference import frac_quadratic_gap as gap
 
 
 def _residual(a, v):
-    """The batched residual of one set, as a table."""
-    fv = residual_rows(*stack_rows([a], [v]))
-    return FunctionTable(a.dim, fv.nums[0], a.dim.n - int(fv.dims[0]))
+    """The residual of one set, as the reference table."""
+    return reference_residual(a, v).table
 
 
 def _l1(a, v):
@@ -146,28 +146,11 @@ def test_residual_l1_identity():
         if a.size == 0:
             continue
         v = random_subspace(rng, n)
-        l1 = _l1(a, v)  # the two routes must agree
+        l1 = _l1(a, v)  # coset counts against the table's values
         assert l1 >= DyadicScalar(0)
         assert l1.as_fraction() == sum(
             (abs(x) for x in table_fractions(_residual(a, v))),
             Fraction(0)) / (1 << n)
-
-
-def test_residual_l1_reports_a_broken_identity():
-    # A residual row without mean zero on its cosets breaks the identity:
-    # that row, and only that row, is reported, with the message the
-    # per-trial check raised.
-    a = PointSet.from_points(3, [0, 1, 5])
-    v = span_of([0b011])
-    fv = residual_rows(*stack_rows([a, a], [v, v]))
-    nums = fv.nums.copy()
-    nums[1, 0] += 1
-    tampered = ResidualRows(fv.ind, fv.dims, nums)
-    _, _, broken = residual_l1(tampered)
-    want = _reference.ResidualTable(FunctionTable(3, nums[1], 2), v, a)
-    with pytest.raises(ArithmeticError) as exc:
-        _reference.residual_l1(want)
-    assert broken == {1: str(exc.value)}
 
 
 def test_residual_l1_balanced_case():
@@ -412,10 +395,10 @@ def test_frac_quadratic_gap_int64_boundary():
 
 
 def test_residual_matches_reference():
-    # The label table doubled over the unit vectors against
-    # coset_index_table over the whole group: every subspace for n <= 4
-    # with seeded, empty and full sets, then seeded sets and subspaces up
-    # to n = 12; each n is one stack, checked row by row.
+    # The norms from coset counts against the reference table: every
+    # subspace for n <= 4 with seeded, empty and full sets, then seeded
+    # sets and subspaces up to n = 12; each n is one stack, checked row by
+    # row.
     rng = np.random.default_rng(29)
     cases = []
     for n in range(1, 5):
@@ -428,23 +411,27 @@ def test_residual_matches_reference():
     assert len(cases) == 5 * (2 + 5 + 16 + 67) + 8 * 8
     for n in range(1, 13):
         group = [(a, v) for a, v in cases if a.dim.n == n]
-        fv = residual_rows(*stack_rows(*zip(*group)))
-        nums, exps, broken = residual_l1(fv)
-        assert broken == {}
+        nums, exps, dims = residual_l1(*stack_rows(*zip(*group)))
         for t, (a, v) in enumerate(group):
-            want = reference_residual(a, v)
-            got = FunctionTable(n, fv.nums[t], n - int(fv.dims[t]))
-            assert got == want.table, (a, v)
-            l1 = _reference.residual_l1(want)
-            assert (int(nums[t]), int(exps[t])) == (l1.num, l1.exp)
+            assert dims[t] == v.dim
+            l1 = _reference.residual_l1(reference_residual(a, v))
+            assert (int(nums[t]), int(exps[t])) == (l1.num, l1.exp), (a, v)
 
 
 def test_residual_key_types_agree(monkeypatch):
-    # Keys below rows 2^(K + 1) and numerators up to 2^n fit int32 here;
-    # the int64 route, forced, gives the same rows.  The choice flips
-    # exactly past 2^31 - 1, so no stack of 2^31 entries is built.
+    # Keys below rows 2^(K + 1) fit int32 here; the int64 route, forced,
+    # gives the same norms.  The choice flips exactly past 2^31 - 1, so no
+    # stack of 2^31 entries is built.
     assert setfuncs._index_dtype((1 << 31) - 1) == np.int32
     assert setfuncs._index_dtype(1 << 31) == np.int64
+    label_types = []
+    original = setfuncs.label_table
+
+    def label_table(chars, n, dtype):
+        label_types.append(np.dtype(dtype))
+        return original(chars, n, dtype)
+
+    monkeypatch.setattr(setfuncs, "label_table", label_table)
     rng = np.random.default_rng(31)
     for n in (1, 4, 9, 12):
         rows = [(random_point_set(rng, n), random_subspace(rng, n))
@@ -452,22 +439,76 @@ def test_residual_key_types_agree(monkeypatch):
         rows += [(full_set(n), DualSubspace.trivial()),
                  (PointSet(GroupDim(n), 0), random_subspace(rng, n))]
         ind, chars = stack_rows(*zip(*rows))
-        narrow = residual_rows(ind, chars)
+        narrow = residual_l1(ind, chars)
         with monkeypatch.context() as m:
             m.setattr(setfuncs, "_index_dtype",
                       lambda top: np.dtype(np.int64))
-            wide = residual_rows(ind, chars)
-        assert (narrow.nums.dtype, wide.nums.dtype) == (np.int32, np.int64)
-        assert narrow.ind is wide.ind
-        assert np.array_equal(narrow.dims, wide.dims)
-        assert np.array_equal(narrow.nums, wide.nums)
-        got, want = residual_l1(narrow), residual_l1(wide)
-        assert all(np.array_equal(x, y) for x, y in zip(got[:2], want[:2]))
-        assert got[2] == want[2] == {}
+            wide = residual_l1(ind, chars)
+        assert label_types[-2:] == [np.int32, np.int64]
+        assert all(np.array_equal(x, y) for x, y in zip(narrow, wide))
 
 
 def test_residual_checks_basis_bound():
     ind, _ = stack_rows([PointSet.from_points(2, [1])], [])
     with pytest.raises(ValueError,
                        match="basis mask exceeds the group dimension"):
-        residual_rows(ind, np.array([[0b100]]))
+        residual_l1(ind, np.array([[0b100]]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_residual_l1_matches_reference_tables(data):
+    # Rows of k = 0..n characters, some zero, repeated or adding up
+    # earlier ones (so some coset labels take no point), padded with zeros
+    # past the widest row; sets empty, full or at random density.  Each
+    # row's l1 and dim V against the reference table of its span.
+    n = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ks = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    width = max(ks) + data.draw(st.integers(0, 2))
+    chars = np.zeros((len(ks), width), dtype=np.int64)
+    for row, k in zip(chars, ks):
+        for i in range(k):
+            kind = rng.integers(4) if i else rng.integers(2)
+            if kind == 0:
+                row[i] = rng.integers(1, 1 << n)
+            elif kind == 2:
+                row[i] = row[rng.integers(i)]
+            elif kind == 3:
+                subset = row[:i][rng.integers(2, size=i) == 1]
+                row[i] = np.bitwise_xor.reduce(subset, initial=0)
+    density = data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    ind = (rng.random((len(ks), 1 << n)) < density).astype(np.int8)
+    nums, exps, dims = residual_l1(ind, chars)
+    for t, row in enumerate(chars.tolist()):
+        a = PointSet.from_indicator(GroupDim(n), ind[t])
+        v = span_of(row)
+        want = _reference.residual_l1(reference_residual(a, v))
+        assert dims[t] == v.dim
+        assert (int(nums[t]), int(exps[t])) == (want.num, want.exp)
+
+
+def test_residual_norms_one_row_matches_the_step_formula():
+    # One row of coset counts, as iterate_step passes it, against the
+    # formula the step used on its own: ||f_V||_1 = 2(m |A| - sum c^2) /
+    # 2^(2n - d) in Python ints.  Then the int64 bound: 2^(2n) fits up to
+    # n = 31 and is refused past it.
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        a = random_point_set(rng, n)
+        v = random_subspace(rng, n)
+        labels = coset_index_table(v, n, np.flatnonzero(a.bool_mask()))
+        counts = np.bincount(labels, minlength=v.order)
+        nums, exps = residual_norms(counts[None], n, [v.dim])
+        m = 1 << (n - v.dim)
+        total = m * a.size - sum(c * c for c in counts.tolist())
+        assert DyadicScalar(int(nums[0]), int(exps[0])) == DyadicScalar(
+            2 * total, 2 * n - v.dim)
+    counts = np.array([[1 << 30, 1 << 29]])
+    nums, exps = residual_norms(counts, 31, [1])
+    total = (1 << 30) * 3 * (1 << 29) - (1 << 60) - (1 << 58)
+    assert DyadicScalar(int(nums[0]), int(exps[0])) == DyadicScalar(
+        2 * total, 61)
+    with pytest.raises(OverflowError):
+        residual_norms(np.zeros((1, 1), dtype=np.int64), 32, [0])
