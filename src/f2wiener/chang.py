@@ -5,13 +5,13 @@ Level s collects the characters with 2^-s base >= |hat(f_V)(g)| >
 masses L_s = sum over level s of |hat(chi_A)| satisfy sum_s 2^-s L_s >=
 1/2, so some level has L_s >= gain_floor(s) = (1/6)(4/3)^s; all of this
 is decided exactly, with int64 under checked bounds and Fractions.
-|hat(chi_A)| is ranked once per run (rank_spectrum) and every step's
-bands are runs of that ranking, less V's own entries.  Chang's theorem
-caps the dimension of the span of a large-spectrum set; span_dims reads
-that dimension off one transform of the set's indicator, by counting
-the annihilator's points.  The Riesz-product machinery below exercises
-the hypercontractive inequality behind its proof, on stacks of products
-at once.
+rank_spectrum transforms A once per run and ranks |hat(chi_A)|, and
+every step's bands are runs of that ranking, less V's own entries.
+Chang's theorem caps the dimension of the span of a large-spectrum set;
+span_dims reads that dimension off one transform of the set's
+indicator, by counting the annihilator's points.  The Riesz-product
+machinery below exercises the hypercontractive inequality behind its
+proof, on stacks of products at once.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ import numpy as np
 
 from . import _kernels
 from .dyadic import DyadicScalar, floor_log2_ratio
-from .fourier import (Spectrum, _check_bound, _int_minmax,
-                      exact_product, lp_norm)
+from .fourier import _check_bound, _int_minmax, fwht, lp_norm
 from .groups import as_dim, kernel_dims, label_table
+from .setfuncs import PointSet
 
 __all__ = [
     "ZeroMass",
@@ -66,9 +66,8 @@ class DependentSet(ValueError):
 class LevelSet:
     """Characters of one dyadic magnitude band, with their chi_A mass.
 
-    members is a read-only array in rank order, of the ranking's order
-    dtype; it takes no part in equality, which the band index and the
-    exact mass decide.
+    members is a read-only int32 array in rank order; it takes no part
+    in equality, which the band index and the exact mass decide.
     """
 
     s: int
@@ -80,15 +79,14 @@ class LevelSet:
 class SpectrumRanking:
     """A spectrum's magnitudes ranked once, so bands are cut by search.
 
-    order lists the characters by descending |coefficient|, ties by
-    ascending index, and rank (int32) inverts it.  neg_mags[i] is minus
-    the i-th magnitude, so it ascends, as np.searchsorted needs.  order
-    and neg_mags are int32 when every magnitude is below 2^31, as for
-    hat(chi_A) on F2^n, whose peak is |A| <= 2^30; int64 otherwise.
-    prefix[i] is the exact int64 sum of the first i magnitudes, built on
-    first use, so the ranking never holds it beside the spectrum it was
-    ranked from; rank_spectrum refuses a spectrum whose total could pass
-    2^63 - 1.
+    The coefficients are numerators over 2^exp.  order lists the
+    characters by descending |coefficient|, ties by ascending index, and
+    rank inverts it.  neg_mags[i] is minus the i-th magnitude, so it
+    ascends, as np.searchsorted needs.  All three are int32: a set's
+    magnitudes are at most |A| <= 2^30.  prefix[i] is the exact int64 sum
+    of the first i magnitudes, at most |A| * 2^n <= 2^60, built on first
+    use, so the ranking never holds it beside the spectrum it was ranked
+    from.
     """
 
     exp: int
@@ -111,54 +109,47 @@ class SpectrumRanking:
         return DyadicScalar(int(self.prefix[-1]), self.exp)
 
     def magnitudes(self, chars: np.ndarray) -> np.ndarray:
-        """|coefficient| of each character in chars, in neg_mags' dtype."""
+        """|coefficient| of each character in chars, as int32."""
         mags = self.neg_mags[self.rank[chars]]
         return np.negative(mags, out=mags)
 
     def count_above(self, t: int) -> int:
         """How many numerator magnitudes exceed the integer t >= 0."""
-        # Every magnitude fits neg_mags' dtype, and the clamp keeps -t in
-        # it, so searchsorted takes the key without casting the table.
-        kind = self.neg_mags.dtype.type
-        key = kind(-min(t, int(np.iinfo(kind).max)))
+        # Every magnitude fits int32, and the clamp keeps -t in it, so
+        # searchsorted takes the key without casting the table.
+        key = np.int32(-min(t, np.iinfo(np.int32).max))
         return int(np.searchsorted(self.neg_mags, key))
 
 
-def rank_spectrum(spec: Spectrum) -> SpectrumRanking:
-    """Sort spec by magnitude once; the exact prefix sums follow on first
-    use."""
-    # peak * 2^n bounds every prefix sum; for hat(chi_A) on F2^n, n <= 30,
-    # it is at most |A| * 2^n <= 2^60.
-    size = spec.nums.size
-    peak = spec.peak
-    _check_bound(peak * size, "prefix sum")
-    if peak < 1 << 31:
-        # (peak - |x|) * 2^32 + g sorts as the ranking does: by descending
-        # |x|, ties by ascending g.  The keys are distinct, so one in-place
-        # sort of int64 keys stands for a stable argsort, and both halves
-        # of a key fit int32, as a group has at most 2^30 characters.
-        key = np.abs(spec.nums)
-        np.subtract(peak, key, out=key)
-        key <<= 32
-        key |= np.arange(size, dtype=np.int32)
-        key.sort()
-        words = key.view(np.uint32).reshape(size, 2)
-        low = 0 if sys.byteorder == "little" else 1
-        order = words[:, low].astype(np.int32)
-        neg = words[:, 1 - low].astype(np.int32)
-        del key, words
-        neg -= peak
-    else:
-        neg = np.abs(spec.nums)
-        np.negative(neg, out=neg)
-        order = np.argsort(neg, kind="stable")
-        neg = neg[order]
+def rank_spectrum(a: PointSet) -> SpectrumRanking:
+    """Transform a and sort its spectrum by magnitude once; the exact
+    prefix sums follow on first use."""
+    # Every |S(g)| is at most S(0) = |A| <= 2^30, so the peak needs no scan
+    # and every prefix sum is at most |A| * 2^n <= 2^60.
+    key = fwht(a)
+    size = key.size
+    peak = int(key[0])
+    # (peak - |x|) * 2^32 + g sorts as the ranking does: by descending |x|,
+    # ties by ascending g.  The keys are distinct, so one in-place sort of
+    # int64 keys stands for a stable argsort, and both halves of a key fit
+    # int32, as a group has at most 2^30 characters.
+    np.abs(key, out=key)
+    np.subtract(peak, key, out=key)
+    key <<= 32
+    key |= np.arange(size, dtype=np.int32)
+    key.sort()
+    words = key.view(np.uint32).reshape(size, 2)
+    low = 0 if sys.byteorder == "little" else 1
+    order = words[:, low].astype(np.int32)
+    neg = words[:, 1 - low].astype(np.int32)
+    del key, words
+    neg -= peak
     # Every rank fits int32, which halves the rank table and V's lookups.
     rank = np.empty(size, dtype=np.int32)
     rank[order] = np.arange(size, dtype=np.int32)
     for arr in (order, rank, neg):
         arr.setflags(write=False)
-    return SpectrumRanking(spec.exp, order, rank, neg)
+    return SpectrumRanking(a.dim.n, order, rank, neg)
 
 
 def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
@@ -393,7 +384,8 @@ def beckner_verify(nums: np.ndarray, exps,
                               "multiple of 2^n")
     sp >>= n
     peak = _int_minmax(sf) * _int_minmax(sp)
-    prod = exact_product(sf, sp, bound=peak)
+    _check_bound(peak, "product", sf, sp)
+    prod = sf * sp
     _check_bound(peak * peak * (1 << n), "square sum")
     conv_sq = (prod * prod).sum(axis=1)
     # conv_sq / 2^(2e) is ||f * p||_2^2 with e = exps + n + p.exps; scaling

@@ -168,7 +168,7 @@ def min_norm_anneal(dim: Union[GroupDim, int], size: int,
     members = np.sort(perm[:size]).astype(np.int64)
     nonmembers = np.sort(perm[size:]).astype(np.int64)
     start = PointSet.from_points(d, [int(x) for x in members])
-    wht = start.indicator().nums.copy()
+    wht = start.bool_mask().astype(np.int64)
     _kernels.wht_rows(wht.reshape(1, -1))
     pick_out = rng.integers(0, size, params.steps).astype(np.int64)
     pick_in = rng.integers(0, order - size, params.steps).astype(np.int64)

@@ -24,7 +24,6 @@ __all__ = [
     "subspace_insert",
     "subspace_extend",
     "annihilator_basis",
-    "coset_index_table",
     "label_table",
     "kernel_dims",
     "subspace_batches",
@@ -243,25 +242,6 @@ def annihilator_basis(v: DualSubspace, n: int) -> List[int]:
     _check_bound(v.basis, n)
     rows = np.array([v.basis], dtype=np.int64).reshape(1, v.dim)
     return _annihilators(rows, [_pivot(r) for r in v.basis], n)[0].tolist()
-
-
-def coset_index_table(v: DualSubspace, n: int, pts: np.ndarray) -> np.ndarray:
-    """Coset label of each point x in pts: bit i is <basis[i], x>.
-
-    The labels take pts' integer type when it holds n bits, so int32
-    points keep every array of the labelling int32; int64 otherwise.
-    """
-    _check_bound(v.basis, n)
-    dtype = pts.dtype if n < 8 * pts.dtype.itemsize - 1 else np.int64
-    labels = None if v.dim else np.zeros(pts.shape, dtype=dtype)
-    for i, g in enumerate(np.array(v.basis, dtype=dtype)):
-        bits = np.bitwise_count(pts & g)
-        bits &= 1
-        if labels is None:
-            labels = bits.astype(dtype)
-        else:
-            labels |= bits.astype(dtype) << i
-    return labels
 
 
 def label_table(chars: np.ndarray, n: int,

@@ -20,9 +20,7 @@ import numpy as np
 from .chang import (STRATEGIES, SpectrumRanking, chang_cardinality_bound,
                     gain_floor, level_sets, rank_spectrum, select_level)
 from .dyadic import DyadicScalar, ZERO
-from .fourier import fwht
-from .groups import (HARD_DIM_CAP, DualSubspace, coset_index_table,
-                     subspace_extend)
+from .groups import HARD_DIM_CAP, DualSubspace, subspace_extend
 from .setfuncs import PointSet, frac_product, residual_norms
 
 __all__ = [
@@ -101,8 +99,8 @@ class StepState:
         label bits dim, dim + 1, ..., V's new elements, and their mass."""
         # Every magnitude is at most |A| <= 2^n, so a mass over at most 2^n
         # characters stays below 2^60 for n <= 30, and so do the squares:
-        # all 2^n of them sum to |A| * 2^(2 exp - n) <= |A| * 2^n, as
-        # exp <= n.  So int64 accumulators are exact.
+        # all 2^n of them sum to |A| * 2^n, by Parseval.  So int64
+        # accumulators are exact.
         if dim + w.dim == a.dim.n:
             # V is now every character: its mass is the whole ranking's.
             mags = ranking.neg_mags
@@ -110,13 +108,15 @@ class StepState:
             self.mass = int(ranking.prefix[-1])
             self.square = int(np.einsum("i,i->", mags, mags, dtype=np.int64))
             return
-        # A row at a time, so the scratch is one int32 bit per point.
+        # Bit dim + i of a label is <r_i, x>, a row at a time, so the
+        # scratch is one int32 bit per point.
         for i, r in enumerate(w.basis):
-            table = coset_index_table(DualSubspace._unchecked((r,)), a.dim.n,
-                                      self.points)
-            table <<= dim + i
-            self.labels |= table
-            del table
+            bit = np.bitwise_count(self.points & r)
+            bit &= 1
+            bit = bit.astype(np.int32)
+            bit <<= dim + i
+            self.labels |= bit
+            del bit
         old = self.elems.size
         elems = np.empty(old << w.dim, dtype=np.int32)
         elems[:old] = self.elems
@@ -214,7 +214,7 @@ def run_iteration(a: PointSet, max_order: int,
     """
     if not 1 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must lie in [1, 2^{HARD_DIM_CAP}]")
-    ranking = rank_spectrum(fwht(a))
+    ranking = rank_spectrum(a)
     norm = ranking.total()
     v = DualSubspace.trivial()
     state = StepState(a, v, ranking)

@@ -20,7 +20,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .dyadic import DyadicScalar, ONE
-from .fourier import _I64_MAX, FunctionTable, _check_bound, a_norm, fwht
+from .fourier import _I64_MAX, _check_bound, fwht
 from .groups import GroupDim, as_dim, label_table
 
 __all__ = [
@@ -75,9 +75,6 @@ class PointSet:
     def density(self) -> DyadicScalar:
         return DyadicScalar(self.size, self.dim.n)
 
-    def indicator(self) -> FunctionTable:
-        return FunctionTable._adopt(self.dim, self._indicator_array(), 0)
-
     def _indicator_array(self, dtype=np.int64) -> np.ndarray:
         order = self.dim.order
         nbytes = max(1, order // 8)
@@ -108,7 +105,10 @@ class PointSet:
 
 
 def set_a_norm(a: PointSet) -> DyadicScalar:
-    return a_norm(fwht(a))
+    """Wiener norm sum_g |hat(chi_A)(g)|, as sum |S| / 2^n; that sum is at
+    most |A| * 2^n <= 2^60, so int64 holds it exactly."""
+    spec = fwht(a)
+    return DyadicScalar(int(np.abs(spec, out=spec).sum()), a.dim.n)
 
 
 def _index_dtype(top: int) -> np.dtype:

@@ -7,15 +7,20 @@ The search oracles use numpy only to keep whole-spectrum recomputation
 affordable: one candidate or one proposal at a time.
 
 The last section is different: it keeps code the package has dropped,
-built on the package's own types.  reference_iterate_step is the growth
-step by the physical route (residual table, its transform, norms of the
-table), which the spectral step must reproduce exactly; the set maps and
-table helpers there serve only the tests, as do fresh_step (iterate_step
-with its ranking and step state built from scratch), the small accessors the
-package dropped (span_of, full_subspace, set_points, full_set,
-table_fractions, dyadic_from_fraction), parity_labels (per-character
-parity labels of many points under many character lists at once),
-fraction_chang_cap (Chang's cap by Fraction arithmetic, which the integer
+built on the package's own types.  A table there is a (nums, exp) pair,
+the values nums / 2^exp on F2^n, with nums an int64 array of 2^n entries;
+table_l1, table_l2_sq and table_fwht give its norms, in Python ints, and
+its transform.  reference_ranking is rank_spectrum's ranking by a stable
+argsort, for hand-made spectra and as the packed sort's reference.
+reference_iterate_step is the growth step by the physical route
+(residual table, its transform, norms of the table), which the spectral
+step must reproduce exactly; the set maps and table helpers there serve
+only the tests, as do fresh_step (iterate_step with its ranking and step
+state built from scratch), the small accessors the package dropped
+(span_of, full_subspace, set_points, full_set, table_fractions,
+dyadic_from_fraction), parity_labels (per-character parity labels of
+many points under many character lists at once), coset_index_table (its
+one-subspace form, which label_table must match), fraction_chang_cap (Chang's cap by Fraction arithmetic, which the integer
 ratio must reproduce bit for bit) and build_equality_case, the set
 attaining Lemma 1's floor.  reference_level_sets is the banding by a sort
 of the residual spectrum's distinct magnitudes, which the ranked banding
@@ -24,7 +29,7 @@ reference_annihilator_basis are the one-subspace-at-a-time enumeration and
 bit loop that the batched enumeration must reproduce, order included.
 reference_inverse_fwht is the exact inverse transform the package dropped.
 reference_residual is the residual table f_V itself, the whole group
-labelled by one coset_index_table call: the package builds no such table,
+labelled under V's basis at once: the package builds no such table,
 and its norms from coset counts must equal the table's, and
 reference_beckner is the Beckner check that built its own Riesz product
 from (lambdas, eta), which the one-product check must reproduce bit for
@@ -46,22 +51,20 @@ it in order, apart from the package's arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from f2wiener.chang import (DependentSet, LevelSet, ZeroMass,
-                            chang_cardinality_bound, rank_spectrum,
+from f2wiener import _kernels
+from f2wiener.chang import (DependentSet, LevelSet, SpectrumRanking,
+                            ZeroMass, chang_cardinality_bound, rank_spectrum,
                             select_level)
 from f2wiener.dyadic import ONE, ZERO, DyadicScalar, floor_log2_ratio
-from f2wiener.fourier import (_LP_MAX_EXP, FunctionTable, Spectrum,
-                              _check_bound, _sq_sum, exact_product,
-                              exact_sum, fwht, l1_norm, l2_norm_sq)
-from f2wiener.groups import (DualSubspace, GroupDim, coset_index_table,
-                             subspace_extend, subspace_insert)
+from f2wiener.fourier import _LP_MAX_EXP, _check_bound, fwht
+from f2wiener.groups import (DualSubspace, GroupDim, subspace_extend,
+                             subspace_insert)
 from f2wiener.iteration import (StepResult, StepState, ZeroResidual,
                                 iterate_step)
 from f2wiener.setfuncs import (PointSet, frac_product, physical_lower_bound
@@ -340,9 +343,44 @@ def full_set(n: int) -> PointSet:
     return PointSet(n, (1 << (1 << n)) - 1)
 
 
-def table_fractions(t) -> List[Fraction]:
-    den = 1 << t.exp
-    return [Fraction(int(v), den) for v in t.nums]
+def table_fractions(nums, exp: int) -> List[Fraction]:
+    """The values nums[x] / 2^exp of a table."""
+    den = 1 << exp
+    return [Fraction(int(v), den) for v in nums]
+
+
+def table_l1(nums, exp: int) -> DyadicScalar:
+    """Mean of |f| for the table f = nums / 2^exp, in Python ints."""
+    n = len(nums).bit_length() - 1
+    return DyadicScalar(sum(abs(int(v)) for v in nums), exp + n)
+
+
+def table_l2_sq(nums, exp: int) -> DyadicScalar:
+    """Mean of f^2 for the table f = nums / 2^exp, in Python ints."""
+    n = len(nums).bit_length() - 1
+    return DyadicScalar(sum(int(v) ** 2 for v in nums), 2 * exp + n)
+
+
+def table_fwht(nums, exp: int) -> Tuple[np.ndarray, int]:
+    """(S, exp + n): hat(f) = S / 2^(exp + n) for the table f = nums /
+    2^exp, S being the int64 transform by _kernels.wht_rows."""
+    spec = np.array(nums, dtype=np.int64)
+    _kernels.wht_rows(spec.reshape(1, -1))
+    return spec, exp + spec.size.bit_length() - 1
+
+
+def reference_ranking(nums, exp: int) -> SpectrumRanking:
+    """rank_spectrum's ranking of the spectrum nums / 2^exp by a stable
+    argsort of -|nums|, for magnitudes below 2^31."""
+    mags = np.abs(np.asarray(nums, dtype=np.int64))
+    assert mags.max(initial=0) < 1 << 31
+    order = np.argsort(-mags, kind="stable").astype(np.int32)
+    rank = np.empty(order.size, dtype=np.int32)
+    rank[order] = np.arange(order.size, dtype=np.int32)
+    neg = (-mags[order]).astype(np.int32)
+    for arr in (order, rank, neg):
+        arr.setflags(write=False)
+    return SpectrumRanking(exp, order, rank, neg)
 
 
 def dyadic_from_fraction(q: Fraction) -> DyadicScalar:
@@ -400,7 +438,7 @@ def build_equality_case(alpha: DyadicScalar, v: DualSubspace,
         raise ResolutionError(
             f"fractional density {t} needs more than {n - dv} free bits")
     partial = t.num << rem_exp
-    syn = coset_index_table(v, n, np.arange(1 << n, dtype=np.int64))
+    syn = coset_index_table(v, np.arange(1 << n, dtype=np.int64))
     ind = syn < full
     ind[np.flatnonzero(syn == full)[:partial]] = True
     return PointSet.from_indicator(n, ind)
@@ -409,31 +447,31 @@ def build_equality_case(alpha: DyadicScalar, v: DualSubspace,
 def reference_level_sets(fv_hat, chi_hat, base):
     """level_sets as it was before the ranking: band the support of the
     residual spectrum fv_hat by one exact floor_log2_ratio per distinct
-    magnitude and sum |chi_hat| over each band; members ascend."""
+    magnitude and sum |chi_hat| over each band; members ascend.  Each
+    spectrum is a (nums, exp) pair."""
     if base.num <= 0:
         raise ZeroMass("level sets need a positive base norm")
-    support = np.flatnonzero(fv_hat.nums)
-    mags = np.abs(fv_hat.nums[support])
+    fv_nums, fv_exp = fv_hat
+    support = np.flatnonzero(fv_nums)
+    mags = np.abs(fv_nums[support])
     values = np.unique(mags)[::-1].tolist()
-    top = DyadicScalar(values[0] if values else 0, fv_hat.exp)
+    top = DyadicScalar(values[0] if values else 0, fv_exp)
     if top > base:
         raise ArithmeticError(f"coefficient {top} above the l1 base {base}")
     out = []
     for s, run in groupby(
             values,
-            key=lambda v: floor_log2_ratio(base, DyadicScalar(v, fv_hat.exp))):
+            key=lambda v: floor_log2_ratio(base, DyadicScalar(v, fv_exp))):
         run = list(run)
         members = support[(mags >= run[-1]) & (mags <= run[0])]
-        mass = exact_sum(chi_hat.nums[members], absolute=True)
         out.append(LevelSet(s, tuple(members.tolist()),
-                            DyadicScalar(mass, chi_hat.exp)))
+                            _mass_over(chi_hat, members)))
     return out
 
 
-def _mass_over(chi_hat, v):
-    return DyadicScalar(
-        exact_sum(chi_hat.nums[v.element_array()], absolute=True),
-        chi_hat.exp)
+def _mass_over(chi_hat, chars):
+    nums, exp = chi_hat
+    return DyadicScalar(sum(abs(int(x)) for x in nums[chars]), exp)
 
 
 def fresh_step(a: PointSet, v: DualSubspace,
@@ -441,7 +479,7 @@ def fresh_step(a: PointSet, v: DualSubspace,
     """iterate_step from scratch: hat(chi_A) ranked, and v's StepState
     (A's points labelled under v's basis, v's elements and their mass)
     built here, as run_iteration hands them over."""
-    ranking = rank_spectrum(fwht(a.indicator()))
+    ranking = rank_spectrum(a)
     return iterate_step(a, v, strategy, ranking, StepState(a, v, ranking))
 
 
@@ -451,22 +489,22 @@ def reference_iterate_step(a, v, strategy, ranking, state):
     on v, and read the levels and ||f_V||_2^2 off the table.  ranking and
     state are accepted, as iterate_step takes them, and ignored."""
     fv = residual(a, v)
-    base = residual_l1(fv)
+    base = residual_l1(a, v)
     if base.num == 0:
         raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
-    fv_hat = fwht(fv.table)
+    fv_hat = table_fwht(*fv)
     elems = v.element_array()
-    bad = np.flatnonzero(fv_hat.nums[elems])
+    bad = np.flatnonzero(fv_hat[0][elems])
     if bad.size:
         raise ArithmeticError(
             f"residual spectrum nonzero on v at {int(elems[bad[0]])}")
-    chi_hat = fwht(a.indicator())
+    chi_hat = (fwht(a), a.dim.n)
     levels = reference_level_sets(fv_hat, chi_hat, base)
     level = select_level(levels, strategy)
     v_new = subspace_extend(v, level.members)
-    l_old = _mass_over(chi_hat, v)
-    l_new = _mass_over(chi_hat, v_new)
-    ceiling = chang_cardinality_bound(base, l2_norm_sq(fv.table),
+    l_old = _mass_over(chi_hat, v.element_array())
+    l_new = _mass_over(chi_hat, v_new.element_array())
+    ceiling = chang_cardinality_bound(base, table_l2_sq(*fv),
                                       Fraction(1, 2 ** (level.s + 1)))
     return StepResult(s=level.s, v_new=v_new, gain=l_new - l_old,
                       dim_before=v.dim, dim_after=v_new.dim,
@@ -544,61 +582,42 @@ def reference_all_subspaces(n: int) -> Iterator[DualSubspace]:
                 yield DualSubspace(rows)
 
 
-def table_from_values(cls, dim, values):
-    """A FunctionTable or Spectrum from exact values (DyadicScalar, int or
-    dyadic Fraction), with one shared exponent."""
-    scalars = [v if isinstance(v, DyadicScalar)
-               else dyadic_from_fraction(Fraction(v)) for v in values]
-    exp = max((s.exp for s in scalars), default=0)
-    nums = [s.num << (exp - s.exp) for s in scalars]
-    return cls(dim, np.array(nums, dtype=object), exp)
+def coset_index_table(v: DualSubspace, pts: np.ndarray) -> np.ndarray:
+    """Coset label of each point x in pts: bit i is <basis[i], x>, as the
+    package labelled one subspace's points before it kept only the
+    stacked label_table and the iteration's own row-at-a-time labels."""
+    return parity_labels(np.array(v.basis, dtype=np.int64), pts)
 
 
-def table_to_dyadics(t) -> List[DyadicScalar]:
-    return [DyadicScalar(int(v), t.exp) for v in t.nums]
-
-
-@dataclass(frozen=True)
-class ResidualTable:
-    """Residual f_V = chi_A minus its coset averages, with its provenance."""
-
-    table: FunctionTable
-    subspace: DualSubspace
-    source: PointSet
-
-
-def reference_residual(a: PointSet, v: DualSubspace) -> ResidualTable:
-    """residual of one set, with every point of the group labelled by
-    coset_index_table."""
+def reference_residual(a: PointSet, v: DualSubspace) -> Tuple[np.ndarray,
+                                                              int]:
+    """The residual table f_V = nums / 2^exp of one set, as (nums, exp),
+    with every point of the group labelled under v's basis."""
     n = a.dim.n
     d = v.dim
-    syn = coset_index_table(v, n, np.arange(a.dim.order, dtype=np.int64))
+    syn = coset_index_table(v, np.arange(a.dim.order, dtype=np.int64))
     counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
     nums = (a._indicator_array() << (n - d)) - counts[syn]
-    return ResidualTable(FunctionTable(a.dim, nums, n - d), v, a)
+    return nums, n - d
 
 
 residual = reference_residual
 
 
-def reference_inverse_fwht(s: Spectrum) -> FunctionTable:
-    """f(x) = sum_g hat(f)(g) (-1)^<g,x> (no 2^-n factor), exactly."""
-    (nums,) = brute_wht_rows(s.nums.reshape(1, -1))
-    return FunctionTable(s.dim, nums, s.exp)
+def reference_inverse_fwht(nums, exp: int) -> Tuple[np.ndarray, int]:
+    """(F, exp): f = F / 2^exp is the table with f(x) = sum_g hat(f)(g)
+    (-1)^<g,x> (no 2^-n factor) for hat(f) = nums / 2^exp, exactly."""
+    (out,) = brute_wht_rows(np.reshape(nums, (1, -1)))
+    return np.array(out, dtype=np.int64), exp
 
 
-def reference_beckner(f: FunctionTable, lambdas: Sequence[int],
+def reference_beckner(f, lambdas: Sequence[int],
                       eta: float) -> Tuple[float, float]:
     """The Beckner check as it was first: it built p_eta from (lambdas,
-    eta) itself."""
-    p = riesz_product(f.dim, lambdas, dyadic_from_fraction(Fraction(eta)))
-    sf = fwht(f)
-    sp = fwht(p.table)
-    prod = exact_product(sf.nums, sp.nums)
-    conv_sq = spectrum_l2_sq(Spectrum(f.dim, prod, sf.exp + sp.exp))
-    lhs = math.sqrt(float(conv_sq.as_fraction()))
-    rhs = lp_norm(f, 1.0 + eta * eta)
-    return lhs, rhs
+    eta) itself.  f is a (nums, exp) pair."""
+    n = len(f[0]).bit_length() - 1
+    p = riesz_product(n, lambdas, dyadic_from_fraction(Fraction(eta)))
+    return _smoothed_l2(f, p), lp_norm(f, 1.0 + eta * eta)
 
 
 # -- per-trial verify ---------------------------------------------------
@@ -613,9 +632,10 @@ def random_point_set(rng: np.random.Generator, n: int) -> PointSet:
 
 
 def random_table(rng: np.random.Generator, n: int, span: int = 8,
-                 max_exp: int = 3) -> FunctionTable:
+                 max_exp: int = 3) -> Tuple[np.ndarray, int]:
+    """A table f = nums / 2^exp on F2^n, as (nums, exp)."""
     nums = rng.integers(-span, span + 1, size=1 << n, dtype=np.int64)
-    return FunctionTable(GroupDim(n), nums, int(rng.integers(0, max_exp + 1)))
+    return nums, int(rng.integers(0, max_exp + 1))
 
 
 def random_subspace(rng: np.random.Generator, n: int,
@@ -646,19 +666,16 @@ def random_independent_chars(rng: np.random.Generator, n: int,
     return out
 
 
-def residual_l1(fv: ResidualTable) -> DyadicScalar:
-    """||f_V||_1 of one table, directly and as 2 <chi_A, f_V>."""
-    t = fv.table
-    shift = t.exp + t.dim.n
-    bound = t.peak * len(t)
-    direct = DyadicScalar(exact_sum(t.nums, absolute=True, bound=bound),
-                          shift)
-    doubled = DyadicScalar(
-        2 * exact_sum(t.nums[fv.source.bool_mask()], bound=bound), shift)
+def residual_l1(a: PointSet, v: DualSubspace) -> DyadicScalar:
+    """||f_V||_1 of one residual table, directly and as 2 <chi_A, f_V>."""
+    nums, exp = residual(a, v)
+    direct = table_l1(nums, exp)
+    doubled = DyadicScalar(2 * sum(nums[a.bool_mask()].tolist()),
+                           exp + a.dim.n)
     if direct != doubled:
         raise ArithmeticError(
             "l1/inner-product identity violated: "
-            f"{direct} != {doubled} (n={t.dim.n}, dim V={fv.subspace.dim})"
+            f"{direct} != {doubled} (n={a.dim.n}, dim V={v.dim})"
         )
     return direct
 
@@ -671,18 +688,10 @@ def physical_lower_bound(alpha: DyadicScalar, order: int) -> DyadicScalar:
     return (frac_product(alpha, d)[1] * 2).mul_pow2(-d)
 
 
-@dataclass(frozen=True)
-class RieszTable:
-    """prod_i (1 + eta lambda_i) for independent characters lambda_i."""
-
-    table: FunctionTable
-    lambdas: Tuple[int, ...]
-    eta: DyadicScalar
-
-
 def riesz_product(dim, lambdas: Sequence[int],
-                  eta: DyadicScalar) -> RieszTable:
-    """One exact Riesz product, by a fold of its factors."""
+                  eta: DyadicScalar) -> Tuple[np.ndarray, int]:
+    """prod_i (1 + eta lambda_i) for independent characters lambda_i, as
+    the table (nums, exp), by a fold of its factors."""
     d = GroupDim(dim) if isinstance(dim, int) else dim
     if abs(eta) > DyadicScalar(1):
         raise ValueError("|eta| must be at most 1")
@@ -699,45 +708,44 @@ def riesz_product(dim, lambdas: Sequence[int],
     for lam in lambdas:
         odd = np.bitwise_count(pts & np.int64(lam)) & 1
         out *= np.where(odd, one - eta.num, one + eta.num)
-    return RieszTable(FunctionTable(d, out, len(lambdas) * eta.exp),
-                      lambdas, eta)
+    return out, len(lambdas) * eta.exp
 
 
-def spectrum_l2_sq(s: Spectrum) -> DyadicScalar:
-    return DyadicScalar(_sq_sum(s), 2 * s.exp)
+def _smoothed_l2(f, p) -> float:
+    """||f * p||_2 for tables f and p, from the exact square sum of the
+    product of their spectra (Parseval), in Python ints."""
+    (sf, ef), (sp, ep) = table_fwht(*f), table_fwht(*p)
+    square = sum((int(a) * int(b)) ** 2 for a, b in zip(sf, sp))
+    return math.sqrt(float(DyadicScalar(square, 2 * (ef + ep)).as_fraction()))
 
 
-def lp_norm(f: FunctionTable, p: float) -> float:
-    """Float L^p mean norm of one table."""
+def lp_norm(f, p: float) -> float:
+    """Float L^p mean norm of one table f = (nums, exp)."""
     if p < 1:
         raise ValueError("lp_norm requires p >= 1")
-    if f.exp <= _LP_MAX_EXP:
-        vals = np.abs(f.nums.astype(np.float64)) * 2.0 ** -f.exp
+    nums, exp = f
+    if exp <= _LP_MAX_EXP:
+        vals = np.abs(nums.astype(np.float64)) * 2.0 ** -exp
     else:
-        vals = np.array([abs(float(Fraction(int(v), 1 << f.exp)))
-                         for v in f.nums.flat], dtype=np.float64)
+        vals = np.array([abs(float(Fraction(int(v), 1 << exp)))
+                         for v in nums.flat], dtype=np.float64)
     return float(np.mean(vals ** p) ** (1.0 / p))
 
 
-def beckner_verify(f: FunctionTable, p: RieszTable) -> Tuple[float, float]:
-    """(||f * p||_2, ||f||_{1+eta^2}) for one table and one Riesz product."""
-    if p.table.dim != f.dim:
+def beckner_verify(f, p, eta: DyadicScalar) -> Tuple[float, float]:
+    """(||f * p||_2, ||f||_{1+eta^2}) for one table f and the Riesz product
+    p = p_eta, both (nums, exp) pairs."""
+    if len(p[0]) != len(f[0]):
         raise ValueError("f and the Riesz product live on different groups")
-    eta = float(p.eta)
-    sf = fwht(f)
-    sp = fwht(p.table)
-    prod = exact_product(sf.nums, sp.nums, bound=sf.peak * sp.peak)
-    conv_sq = spectrum_l2_sq(Spectrum._adopt(f.dim, prod, sf.exp + sp.exp))
-    lhs = math.sqrt(float(conv_sq.as_fraction()))
-    rhs = lp_norm(f, 1.0 + eta * eta)
-    return lhs, rhs
+    x = float(eta)
+    return _smoothed_l2(f, p), lp_norm(f, 1.0 + x * x)
 
 
 def trial_ta(seed: int, i: int):
     n, ind, chars = draw_set(TrialStream(seed, i))
     a = PointSet.from_indicator(GroupDim(n), ind)
     v = span_of(chars)
-    got = residual_l1(residual(a, v))
+    got = residual_l1(a, v)
     closed = stacked_l1_and_floor(a, v)[0]
     if got != closed:
         return (f"residual_l1 {got} != coset closed form {closed} "
@@ -749,7 +757,7 @@ def trial_lem1(seed: int, i: int):
     n, ind, chars = draw_set(TrialStream(seed, i))
     a = PointSet.from_indicator(GroupDim(n), ind)
     v = span_of(chars)
-    got = residual_l1(residual(a, v))
+    got = residual_l1(a, v)
     floor = physical_lower_bound(a.density(), v.order)
     if got < floor:
         return (f"||f_V||_1 = {got} below the floor {floor} "
@@ -759,13 +767,13 @@ def trial_lem1(seed: int, i: int):
 
 def trial_beckner(seed: int, i: int):
     n, nums, exp, lambdas, eta_idx = draw_beckner(TrialStream(seed, i))
-    f = FunctionTable(GroupDim(n), np.array(nums, dtype=np.int64), exp)
+    f = (np.array(nums, dtype=np.int64), exp)
     eta = ETAS[eta_idx]
     p = riesz_product(n, lambdas, eta)
-    mass = l1_norm(p.table)
+    mass = table_l1(*p)
     if mass != DyadicScalar(1):
         return f"Riesz product mass {mass} != 1 (n={n}, eta={float(eta)})"
-    lhs, rhs = beckner_verify(f, p)
+    lhs, rhs = beckner_verify(f, p, eta)
     if lhs > rhs * (1.0 + BECKNER_SLACK):
         return (f"smoothing bound violated: {lhs!r} > {rhs!r} "
                 f"(n={n}, eta={float(eta)}, k={len(lambdas)})")
@@ -820,30 +828,29 @@ def stacked_l1_and_floor(a: PointSet, v: DualSubspace):
             DyadicScalar(int(floor[0]), int(floor_exp[0])))
 
 
-def chang_span(spec: Spectrum, threshold: DyadicScalar) -> DualSubspace:
+def chang_span(spec, threshold: DyadicScalar) -> DualSubspace:
     """Span of one spectrum's large spectrum {g : |hat(f)(g)| >=
-    threshold}, grown by subspace_extend."""
+    threshold}, grown by subspace_extend; spec is a (nums, exp) pair."""
     if threshold.num <= 0:
         raise ValueError("threshold must be positive")
-    # |num| / 2^spec.exp >= threshold  <=>  |num| >= cut, for integer num.
-    cut = -((-threshold.num << spec.exp) >> threshold.exp)
+    nums, exp = spec
+    # |num| / 2^exp >= threshold  <=>  |num| >= cut, for integer num.
+    cut = -((-threshold.num << exp) >> threshold.exp)
     # numpy >= 2 compares int64 with an out-of-range Python int exactly.
     return subspace_extend(DualSubspace.trivial(),
-                           np.flatnonzero(np.abs(spec.nums) >= cut))
+                           np.flatnonzero(np.abs(nums) >= cut))
 
 
 def trial_chang(seed: int, i: int):
     n, nums, exp, j = draw_chang(TrialStream(seed, i))
-    f = FunctionTable._adopt(GroupDim(n), np.array(nums, dtype=np.int64),
-                             exp)
-    base = l1_norm(f)
+    f = (np.array(nums, dtype=np.int64), exp)
+    base = table_l1(*f)
     if base.num == 0:
         return None
     eps = DyadicScalar(1, j)
     threshold = base * eps
-    spec = fwht(f)
-    w = chang_span(spec, threshold)
-    bound = chang_cardinality_bound(base, l2_norm_sq(f), eps.as_fraction())
+    w = chang_span(table_fwht(*f), threshold)
+    bound = chang_cardinality_bound(base, table_l2_sq(*f), eps.as_fraction())
     if w.dim > bound:
         return (f"span dimension {w.dim} above the Chang bound {bound!r} "
                 f"(n={n}, eps={eps})")

@@ -86,12 +86,12 @@ def test_criterion_02_construction_bounds():
         a, w = build_coset_union(density_family("geometric4", k), 2 * k)
         norm = set_a_norm(a)
         assert DyadicScalar(k, 1) <= norm <= DyadicScalar(k), k
-        spec = fwht(a.indicator())
+        spec = fwht(a)
         prev = frozenset({0})
         for i, lam in enumerate(w.lambdas, start=1):
             cur = frozenset(lam.elements())
             for g in cur - prev:
-                c = spec[g]
+                c = DyadicScalar(int(spec[g]), 2 * k)
                 # |coeff| >= (2/3) 4^-i, cross-multiplied
                 assert 3 * abs(c.num) * (4 ** i) >= 2 * (1 << c.exp), (k, i)
             prev = cur
@@ -141,11 +141,11 @@ def _ta_lem1_trials():
             sizes = ind.sum(axis=1)
             floor, floor_exp = physical_lower_bound(sizes, n, dims)
             for t, (a, v) in enumerate(pairs):
-                table = _reference.residual(a, v).table
-                nums = table.nums.tolist()
+                nums, exp = _reference.residual(a, v)
+                nums = nums.tolist()
                 direct = sum(abs(x) for x in nums)
                 doubled = 2 * sum(x for x, x_in in zip(nums, ind[t]) if x_in)
-                l1 = DyadicScalar(direct, table.exp + n)
+                l1 = DyadicScalar(direct, exp + n)
                 if direct != doubled or l1 != DyadicScalar(
                         int(got[t]), int(got_exp[t])):
                     identity_bad.append((n, a.size, v.dim))
@@ -224,7 +224,7 @@ def test_criterion_07_step_contract():
         a = random_point_set(rng, n)
         v = random_subspace(rng, n, max_dim=n - 1)
         fv = _reference.residual(a, v)
-        base = _reference.residual_l1(fv)
+        base = _reference.residual_l1(a, v)
         if base.num == 0:
             continue
         done += 1
@@ -233,14 +233,13 @@ def test_criterion_07_step_contract():
         assert (6 * (3 ** st.s) * st.gain.num
                 >= (4 ** st.s) * (1 << st.gain.exp))
         # the chosen band avoids v entirely
-        levels = reference_level_sets(fwht(fv.table), fwht(a.indicator()),
-                                      base)
+        levels = reference_level_sets(_reference.table_fwht(*fv),
+                                      (fwht(a), n), base)
         members = next(lv.members for lv in levels if lv.s == st.s)
         velems = set(v.elements())
         assert velems.isdisjoint(members)
         # dimension growth stays under 4e 4^s max(ln(l2^2/l1^2), 1)
-        ratio = (Fraction(int(sum(int(x) * int(x) for x in fv.table.nums.flat)),
-                          (1 << (2 * fv.table.exp + n)))
+        ratio = (_reference.table_l2_sq(*fv).as_fraction()
                  / base.as_fraction() ** 2)
         ceiling = (4 * math.e * (4 ** st.s)
                    * max(math.log(ratio.numerator)

@@ -11,8 +11,7 @@ from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             level_qualifies, level_sets, rank_spectrum,
                             riesz_product, select_level, span_dims)
 from f2wiener.dyadic import ONE, DyadicScalar
-from f2wiener.fourier import (FunctionTable, Spectrum, fwht, l1_norm,
-                              l2_norm_sq)
+from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, subspace_extend
 from f2wiener.setfuncs import PointSet
 
@@ -21,40 +20,49 @@ from _reference import (annihilator_points, brute_chang_span, brute_level_sets,
                         brute_riesz_product, dyadic_from_fraction,
                         random_independent_chars, random_point_set,
                         random_subspace, random_table, reference_beckner,
-                        reference_inverse_fwht, residual, residual_l1,
-                        span_of, table_fractions)
+                        reference_inverse_fwht, reference_ranking, residual,
+                        residual_l1, span_of, table_fractions, table_fwht,
+                        table_l1, table_l2_sq)
 
 
-def _halfspace_residual(n: int):
-    a = PointSet.from_points(n, [x for x in range(1 << n) if x & 1 == 0])
-    r = residual(a, DualSubspace.trivial())
-    return a, r
+def _halfspace(n: int):
+    return PointSet.from_points(n, [x for x in range(1 << n) if x & 1 == 0])
 
 
 NONE = np.zeros(0, dtype=np.int64)
 
 
+def _spec(nums, exp):
+    """A hand-made spectrum nums / 2^exp, as an int64 (nums, exp) pair."""
+    return np.array(nums, dtype=np.int64), exp
+
+
+def _set_spec(a):
+    """hat(chi_A) as the pair (S, n)."""
+    return fwht(a), a.dim.n
+
+
 def _cap(f, eps):
-    # Chang's cap for the table f, from its two norms.
-    return chang_cardinality_bound(l1_norm(f), l2_norm_sq(f), eps)
+    # Chang's cap for the table f = (nums, exp), from its two norms.
+    return chang_cardinality_bound(table_l1(*f), table_l2_sq(*f), eps)
 
 
 def _dim(spec, thr):
     # One spectrum's large-spectrum span dimension through span_dims.
-    return int(span_dims(spec.nums[None, :], [spec.exp], [thr.num],
-                         [thr.exp])[0])
+    nums, exp = spec
+    return int(span_dims(nums[None, :], [exp], [thr.num], [thr.exp])[0])
 
 
 def _levels(spec, excluded, base):
-    return level_sets(rank_spectrum(spec), np.asarray(excluded, np.int64),
-                      base)
+    return level_sets(reference_ranking(*spec),
+                      np.asarray(excluded, np.int64), base)
 
 
 def test_level_sets_halfspace():
-    a, r = _halfspace_residual(3)
-    base = residual_l1(r)
+    a = _halfspace(3)
+    base = residual_l1(a, DualSubspace.trivial())
     assert base == DyadicScalar(1, 1)
-    levels = _levels(fwht(a.indicator()), [0], base)
+    levels = level_sets(rank_spectrum(a), np.zeros(1, np.int64), base)
     assert len(levels) == 1
     lv = levels[0]
     assert lv.s == 0
@@ -69,9 +77,8 @@ def test_level_sets_coset():
         v = span_of(rows)
         d = v.dim
         a = PointSet.from_points(n, annihilator_points(v.basis, n))
-        r = residual(a, DualSubspace.trivial())
-        base = residual_l1(r)
-        levels = _levels(fwht(a.indicator()), [0], base)
+        base = residual_l1(a, DualSubspace.trivial())
+        levels = _levels(_set_spec(a), [0], base)
         assert len(levels) == 1
         lv = levels[0]
         assert lv.s == 0
@@ -81,7 +88,7 @@ def test_level_sets_coset():
 
 def test_level_sets_band_convention():
     # coefficients sitting exactly on 2^-s * base belong to band s
-    fv = Spectrum(2, [0, 2, 1, 4], 3)  # 0, 1/4, 1/8, 1/2
+    fv = _spec([0, 2, 1, 4], 3)  # 0, 1/4, 1/8, 1/2
     base = DyadicScalar(1, 1)
     levels = _levels(fv, NONE, base)
     assert [(lv.s, lv.members.tolist()) for lv in levels] == [
@@ -92,7 +99,7 @@ def test_level_sets_band_convention():
 
 
 def test_level_sets_errors():
-    fv = Spectrum(1, [0, 3], 2)  # coefficient 3/4
+    fv = _spec([0, 3], 2)  # coefficient 3/4
     with pytest.raises(ZeroMass):
         _levels(fv, NONE, DyadicScalar(0))
     with pytest.raises(ArithmeticError):
@@ -108,28 +115,31 @@ def test_level_sets_errors():
         _levels(fv, [-1], DyadicScalar(1))
 
 
-def test_rank_spectrum_order_and_prefix():
-    # Descending magnitude, ties by ascending index; rank inverts order and
-    # prefix holds the exact running sums, also where one magnitude takes
-    # most of the int64 range.
-    rng = np.random.default_rng(46)
-    for big in (False, True):
-        nums = [int(x) for x in rng.integers(-6, 7, size=1 << 10)]
-        if big:
-            nums[3] = 1 << 52
-        spec = Spectrum(10, nums, 3)
-        ranking = rank_spectrum(spec)
-        mags = [abs(int(x)) for x in spec.nums]
-        want = sorted(range(1 << 10), key=lambda g: (-mags[g], g))
-        assert ranking.order.tolist() == want
-        assert [want[r] for r in ranking.rank.tolist()] == list(range(1 << 10))
-        assert [-int(x) for x in ranking.neg_mags] == [mags[g] for g in want]
-        sums = [0]
-        for g in want:
-            sums.append(sums[-1] + mags[g])
-        assert [int(x) for x in ranking.prefix] == sums
-        assert ranking.total() == DyadicScalar(sums[-1], spec.exp)
-        assert ranking.prefix.dtype == np.int64
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), data=st.data())
+def test_rank_spectrum_order_and_prefix(n, data):
+    # Random sets, the empty set and the full set: S(0) = |A| is the
+    # largest |S|, and the packed sort gives the order, ranks and exact
+    # prefix sums of a stable argsort of -|S|.
+    bits = data.draw(st.one_of(st.just(0), st.just((1 << (1 << n)) - 1),
+                               st.integers(0, (1 << (1 << n)) - 1)))
+    a = PointSet(n, bits)
+    spec = fwht(a)
+    assert int(spec[0]) == a.size == int(np.abs(spec).max())
+    ranking = rank_spectrum(a)
+    want = reference_ranking(spec, n)
+    assert ranking.exp == want.exp == n
+    for got, ref in ((ranking.order, want.order), (ranking.rank, want.rank),
+                     (ranking.neg_mags, want.neg_mags)):
+        assert got.dtype == np.int32
+        assert got.tolist() == ref.tolist()
+    mags = [abs(int(x)) for x in spec]
+    sums = [0]
+    for g in want.order.tolist():
+        sums.append(sums[-1] + mags[g])
+    assert ranking.prefix.dtype == np.int64
+    assert ranking.prefix.tolist() == sums
+    assert ranking.total() == DyadicScalar(sums[-1], n)
 
 
 def test_level_set_equality_ignores_member_arrays():
@@ -146,17 +156,16 @@ def _check_against_reference(spec, excluded, base):
     levels = _levels(spec, excluded, base)
     got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
            for lv in levels]
-    coeffs = table_fractions(spec)
+    coeffs = table_fractions(*spec)
     residual_coeffs = list(coeffs)
     for g in excluded.tolist():
         residual_coeffs[g] = Fraction(0)
     want = [(s, list(members), mass) for s, members, mass in
             brute_level_sets(residual_coeffs, coeffs, base.as_fraction())]
     assert got == want
-    # Members share the ranking's order dtype: int32 below a peak of 2^31.
+    # Members share the ranking's order dtype, int32.
     for lv in levels:
-        assert lv.members.dtype == (np.int32 if spec.peak < 1 << 31
-                                    else np.int64)
+        assert lv.members.dtype == np.int32
         assert not lv.members.flags.writeable
 
 
@@ -169,18 +178,17 @@ def test_level_sets_match_reference_on_residuals():
         n = int(rng.integers(1, 11))
         a = random_point_set(rng, n)
         v = random_subspace(rng, n, max_dim=n - 1)
-        r = residual(a, v)
-        base = residual_l1(r)
+        base = residual_l1(a, v)
         if base.num == 0:
             continue
         done += 1
-        chi_hat = fwht(a.indicator())
-        levels = level_sets(rank_spectrum(chi_hat), v.element_array(), base)
+        levels = level_sets(rank_spectrum(a), v.element_array(), base)
         got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
                for lv in levels]
         want = [(s, list(members), mass) for s, members, mass in
-                brute_level_sets(table_fractions(fwht(r.table)),
-                                 table_fractions(chi_hat), base.as_fraction())]
+                brute_level_sets(
+                    table_fractions(*table_fwht(*residual(a, v))),
+                    table_fractions(*_set_spec(a)), base.as_fraction())]
         assert got == want
 
 
@@ -192,70 +200,51 @@ def test_level_sets_match_reference_on_arbitrary_spectra():
         n = int(rng.integers(1, 9))
         nums = rng.integers(-(1 << 20), 1 << 20, size=1 << n)
         nums[rng.random(1 << n) < 0.3] = 0
-        spec = Spectrum(n, nums, int(rng.integers(0, 30)))
+        spec = _spec(nums, int(rng.integers(0, 30)))
         excluded = rng.permutation(1 << n)[:int(rng.integers(0, 1 << n))]
-        kept = np.delete(np.abs(spec.nums), excluded)
+        kept = np.delete(np.abs(spec[0]), excluded)
         top = int(kept.max()) if kept.size else 0
-        base = DyadicScalar(top or 1, spec.exp)
+        base = DyadicScalar(top or 1, spec[1])
         _check_against_reference(spec, excluded,
                                  base.mul_pow2(int(rng.integers(0, 3))))
         _check_against_reference(spec, NONE,
-                                 DyadicScalar(int(np.abs(spec.nums).max())
-                                              or 1, spec.exp))
+                                 DyadicScalar(int(np.abs(spec[0]).max())
+                                              or 1, spec[1]))
 
 
 def test_level_sets_object_dtype_above_int64():
-    # Python-int spectra above int64 are refused as tables, and so is
-    # -2^63, whose magnitude int64 cannot hold.  Spectra up to the ranking's
-    # bound, peak * 2^n <= 2^63 - 1, are banded exactly; one past it is
-    # refused.
-    big = 1 << 70
-    with pytest.raises(OverflowError):
-        Spectrum(3, np.array([0, big, -big, 7, 0, 0, 0, big + 1],
-                             dtype=object), 4)
-    with pytest.raises(OverflowError):
-        Spectrum(2, np.array([0, -(1 << 63), 1 << 62, -1], dtype=np.int64), 0)
-    big = 1 << 59
-    fv = Spectrum(3, np.array([0, big, -big, 3 * (big >> 2), big >> 5, 7,
-                               -(big >> 1), big + 1], dtype=object), 4)
-    assert fv.nums.dtype == np.int64
-    _check_against_reference(fv, NONE, DyadicScalar(big + 1, 4))
+    # Magnitudes at the top of the ranking's int32, 2^31 - 1, and cuts past
+    # it, which count_above clamps, band exactly.
+    top = (1 << 31) - 1
+    fv = _spec([0, top, -top, 3 * (top >> 2), top >> 5, 7, -(top >> 1),
+                top - 1], 4)
+    _check_against_reference(fv, NONE, DyadicScalar(top, 4))
+    _check_against_reference(fv, NONE, DyadicScalar(top, 2))
     with pytest.raises(ArithmeticError):
-        _levels(fv, NONE, DyadicScalar(big, 4))
-    _check_against_reference(fv, [7], DyadicScalar(big, 4))
-    _check_against_reference(fv, [1, 7, 5], DyadicScalar(big, 4))
-    top = (1 << 63) - 1
-    low = Spectrum(1, [top >> 1, -(top >> 1)], 0)
-    _check_against_reference(low, NONE, DyadicScalar(top >> 1))
-    assert rank_spectrum(low).total() == DyadicScalar(top - 1)
-    with pytest.raises(OverflowError):
-        rank_spectrum(Spectrum(2, [0, -(top >> 2) - 1, 1, -1], 0))
+        _levels(fv, NONE, DyadicScalar(top - 1, 4))
+    _check_against_reference(fv, [1, 2], DyadicScalar(top - 1, 4))
+    _check_against_reference(fv, [1, 7, 5], DyadicScalar(top, 4))
+    ranking = reference_ranking(*fv)
+    assert ranking.count_above(1 << 40) == 0
+    assert ranking.count_above(top - 1) == 2
 
 
 def test_level_sets_mass_at_int64_bound():
-    # One band of 7 members; the ranking's bound max|x| * 2^n sits at
-    # 2^63 - 8, where the mass is exact, and one step past it the
-    # spectrum is refused, as an int64 prefix sum could wrap there.
-    n = 3
-    peak = ((1 << 63) - 1) >> n
-    for top in (peak, peak + 1):
-        spec = Spectrum(n, [0] + [top] * 3 + [-top] * 4, 0)
-        assert spec.nums.dtype == np.int64
-        if top != peak:
-            with pytest.raises(OverflowError):
-                rank_spectrum(spec)
-            continue
-        ranking = rank_spectrum(spec)
-        assert ranking.prefix.dtype == np.int64
-        levels = level_sets(ranking, NONE, DyadicScalar(top))
-        assert [sorted(lv.members.tolist()) for lv in levels] == [
-            list(range(1, 8))]
-        assert levels[0].mass == DyadicScalar(7 * top)
-        _check_against_reference(spec, NONE, DyadicScalar(top))
-        # Taking out members takes their mass out of the prefix difference.
-        levels = level_sets(ranking, np.array([2, 6]), DyadicScalar(top))
-        assert levels[0].mass == DyadicScalar(5 * top)
-        _check_against_reference(spec, [2, 6], DyadicScalar(top))
+    # One band of 7 members at the int32 top: the mass, 7 (2^31 - 1), is
+    # past int32 and exact in the int64 prefix sums; taking out members
+    # takes their mass out of the prefix difference.
+    top = (1 << 31) - 1
+    spec = _spec([0] + [top] * 3 + [-top] * 4, 0)
+    ranking = reference_ranking(*spec)
+    assert ranking.prefix.dtype == np.int64
+    levels = level_sets(ranking, NONE, DyadicScalar(top))
+    assert [sorted(lv.members.tolist()) for lv in levels] == [
+        list(range(1, 8))]
+    assert levels[0].mass == DyadicScalar(7 * top)
+    _check_against_reference(spec, NONE, DyadicScalar(top))
+    levels = level_sets(ranking, np.array([2, 6]), DyadicScalar(top))
+    assert levels[0].mass == DyadicScalar(5 * top)
+    _check_against_reference(spec, [2, 6], DyadicScalar(top))
 
 
 def test_level_mass_averaging_identity():
@@ -266,13 +255,11 @@ def test_level_mass_averaging_identity():
         n = int(rng.integers(2, 9))
         a = random_point_set(rng, n)
         v = random_subspace(rng, n, max_dim=n - 1)
-        r = residual(a, v)
-        base = residual_l1(r)
+        base = residual_l1(a, v)
         if base.num == 0:
             continue
         done += 1
-        levels = level_sets(rank_spectrum(fwht(a.indicator())),
-                            v.element_array(), base)
+        levels = level_sets(rank_spectrum(a), v.element_array(), base)
         total = sum((lv.mass.as_fraction() / (1 << lv.s) for lv in levels),
                     Fraction(0))
         assert total >= Fraction(1, 2)
@@ -308,26 +295,26 @@ def test_select_level_strategies():
 
 
 def test_chang_span_zero_function():
-    zero = Spectrum(3, [0] * 8, 0)
+    zero = _spec([0] * 8, 0)
     assert _dim(zero, DyadicScalar(1, 2)) == 0
 
 
 def test_chang_span_coset():
     v = span_of([0b001, 0b010])
     a = PointSet.from_points(3, annihilator_points(v.basis, 3))
-    assert _dim(fwht(a.indicator()), DyadicScalar(1, 2)) == 2
+    assert _dim(_set_spec(a), DyadicScalar(1, 2)) == 2
     # eps = (1/4) / ||chi_A||_1 = 1
-    bound = _cap(a.indicator(), Fraction(1))
+    bound = _cap((a._indicator_array(), 0), Fraction(1))
     assert bound == pytest.approx(math.e * 2 * math.log(2), rel=1e-12)
     assert bound >= 2
 
 
 def test_chang_span_balanced_halfspace():
-    a, r = _halfspace_residual(1)
-    spec = fwht(r.table)
+    fv = residual(_halfspace(1), DualSubspace.trivial())
+    spec = table_fwht(*fv)
     assert _dim(spec, DyadicScalar(1, 1)) == 1
     # eps = (1/2) / ||f_V||_1 = 1
-    assert _cap(r.table, Fraction(1)) == pytest.approx(math.e, rel=1e-12)
+    assert _cap(fv, Fraction(1)) == pytest.approx(math.e, rel=1e-12)
     # a threshold above the l1 norm clears nothing
     assert _dim(spec, DyadicScalar(3, 2)) == 0
     with pytest.raises(ValueError):
@@ -343,27 +330,27 @@ def test_chang_span_contains_large_spectrum():
         a = random_point_set(rng, n)
         if a.size == 0:
             continue
-        spec = fwht(a.indicator())
+        spec = _set_spec(a)
         j = int(rng.integers(0, 5))
-        f = a.indicator()
-        thr = DyadicScalar(l1_norm(f).num, l1_norm(f).exp + j)  # l1 * 2^-j
+        f = (a._indicator_array(), 0)
+        thr = table_l1(*f).mul_pow2(-j)
         if thr.num == 0:
             continue
         dim = _dim(spec, thr)
-        assert dim == span_of([g for g in range(1 << n)
-                               if abs(spec[g]) >= thr]).dim
+        assert dim == span_of([g for g in range(1 << n) if DyadicScalar(
+            abs(int(spec[0][g])), n) >= thr]).dim
         assert dim <= _cap(f, Fraction(1, 2 ** j))
 
 
 def _check_chang_span(spec, thr, with_cap=True):
-    basis, cap = brute_chang_span(table_fractions(spec), thr.as_fraction(),
-                                  spec.dim.n)
+    basis, cap = brute_chang_span(table_fractions(*spec), thr.as_fraction(),
+                                  spec[0].size.bit_length() - 1)
     assert _dim(spec, thr) == len(basis)
     # The reference's cap is 0 when f is zero or eps > 1, which the cap
     # refuses; otherwise it is the cap at eps = threshold / ||f||_1.
     if cap and with_cap:
-        f = reference_inverse_fwht(spec)
-        eps = thr.as_fraction() / l1_norm(f).as_fraction()
+        f = reference_inverse_fwht(*spec)
+        eps = thr.as_fraction() / table_l1(*f).as_fraction()
         assert _cap(f, eps) == pytest.approx(cap, rel=1e-12)
 
 
@@ -373,30 +360,30 @@ def test_chang_span_matches_reference():
     stacks = {}
     for _ in range(80):
         n = int(rng.integers(1, 7))
-        spec = Spectrum(n, rng.integers(-40, 41, size=1 << n), int(
-            rng.integers(0, 6)))
-        if not spec.nums.any():
+        spec = _spec(rng.integers(-40, 41, size=1 << n),
+                     int(rng.integers(0, 6)))
+        if not spec[0].any():
             continue
         # Thresholds with exp above, at and below the spectrum's.
-        for exp in (spec.exp + 3, spec.exp, max(spec.exp - 2, 0)):
+        for exp in (spec[1] + 3, spec[1], max(spec[1] - 2, 0)):
             thr = DyadicScalar(int(rng.integers(1, 50)), exp)
             _check_chang_span(spec, thr)
             stacks.setdefault(n, []).append((spec, thr))
     # The same spectra stacked by n: each row is counted on its own.
     for n, rows in stacks.items():
-        got = span_dims(np.stack([s.nums for s, _ in rows]),
-                        [s.exp for s, _ in rows], [t.num for _, t in rows],
+        got = span_dims(np.stack([s[0] for s, _ in rows]),
+                        [s[1] for s, _ in rows], [t.num for _, t in rows],
                         [t.exp for _, t in rows])
         assert got.dtype == np.int64 and got.shape == (len(rows),)
         assert got.tolist() == [_dim(spec, thr) for spec, thr in rows]
     # Spectra near 2^63, thresholds on both sides of the entries and cuts
     # beyond int64; their norms pass int64, so the cap is not compared.
-    big = Spectrum(3, np.array([(1 << 62) + 1, -(1 << 56), 3, 0, 1 << 57,
-                                -5, -(1 << 62) - 1, 7], dtype=np.int64), 4)
+    big = _spec([(1 << 62) + 1, -(1 << 56), 3, 0, 1 << 57, -5,
+                 -(1 << 62) - 1, 7], 4)
     for thr in (DyadicScalar(1, 1), DyadicScalar(1 << 52), DyadicScalar(1 << 58),
                 DyadicScalar((1 << 62) + 1, 4), DyadicScalar((1 << 62) + 3, 4)):
         _check_chang_span(big, thr, with_cap=False)
-    edge = Spectrum(2, np.array([1, -top, top - 2, -1], dtype=np.int64), 2)
+    edge = _spec([1, -top, top - 2, -1], 2)
     for thr in (DyadicScalar(1 << 61), DyadicScalar(top, 2), DyadicScalar(1, 2),
                 DyadicScalar(1 << 62, 1), DyadicScalar(1 << 63, 2),
                 DyadicScalar(1 << 64)):
@@ -432,7 +419,7 @@ def test_span_dims_match_subspace_extend(data):
 
 
 def test_chang_cardinality_bound_constant():
-    ones = FunctionTable(3, [1] * 8, 0)
+    ones = _spec([1] * 8, 0)
     # ||f||_2^2 = ||f||_1^2, so the cap is e * 4^j at eps = 2^-j.
     for j in range(3):
         assert _cap(ones, Fraction(1, 2 ** j)) == pytest.approx(
@@ -442,7 +429,7 @@ def test_chang_cardinality_bound_constant():
     with pytest.raises(ValueError):
         _cap(ones, Fraction(3, 2))
     with pytest.raises(ZeroMass):
-        _cap(FunctionTable(3, [0] * 8, 0), Fraction(1, 2))
+        _cap(_spec([0] * 8, 0), Fraction(1, 2))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -478,24 +465,25 @@ def test_chang_cap_matches_fraction_formula_at_extremes():
 
 
 def _riesz(n, lams, eta):
-    """One Riesz product, as a table."""
+    """One Riesz product, as a table (nums, exp)."""
     p = riesz_product(n, [lams], [eta])
-    return FunctionTable(n, p.nums[0], int(p.exps[0]))
+    return p.nums[0], int(p.exps[0])
 
 
 def _beckner(f, lams, eta):
-    """beckner_verify on the one-row stack of f and p_eta."""
-    lhs, rhs = beckner_verify(f.nums[None], [f.exp],
-                              riesz_product(f.dim.n, [lams], [eta]))
+    """beckner_verify on the one-row stack of f = (nums, exp) and p_eta."""
+    nums, exp = f
+    lhs, rhs = beckner_verify(nums[None], [exp], riesz_product(
+        nums.size.bit_length() - 1, [lams], [eta]))
     return lhs[0], rhs[0]
 
 
 def test_riesz_product_frozen():
-    p = _riesz(2, [1], DyadicScalar(0))
-    assert list(p.nums) == [1, 1, 1, 1] and p.exp == 0
+    nums, exp = _riesz(2, [1], DyadicScalar(0))
+    assert list(nums) == [1, 1, 1, 1] and exp == 0
     p = _riesz(1, [1], DyadicScalar(1))
-    assert table_fractions(p) == [Fraction(2), Fraction(0)]
-    assert table_fractions(fwht(p)) == [Fraction(1), Fraction(1)]
+    assert table_fractions(*p) == [Fraction(2), Fraction(0)]
+    assert table_fractions(*table_fwht(*p)) == [Fraction(1), Fraction(1)]
 
 
 def test_riesz_product_properties():
@@ -508,9 +496,9 @@ def test_riesz_product_properties():
         lams = random_independent_chars(rng, n, k)
         eta = etas[int(rng.integers(0, len(etas)))]
         p = _riesz(n, lams, eta)
-        assert all(int(v) >= 0 for v in p.nums.flat)
-        assert l1_norm(p) == DyadicScalar(1)
-        spec = fwht(p)
+        assert all(int(v) >= 0 for v in p[0])
+        assert table_l1(*p) == DyadicScalar(1)
+        spec = table_fractions(*table_fwht(*p))
         expected = {0: Fraction(1)}
         for mask in range(1, 1 << k):
             g = 0
@@ -519,7 +507,7 @@ def test_riesz_product_properties():
                     g ^= lams[i]
             expected[g] = eta.as_fraction() ** mask.bit_count()
         for g in range(1 << n):
-            assert spec[g].as_fraction() == expected.get(g, Fraction(0))
+            assert spec[g] == expected.get(g, Fraction(0))
 
 
 def test_riesz_product_rows_match_reference():
@@ -538,9 +526,9 @@ def test_riesz_product_rows_match_reference():
         eta_rows.append(etas[t % len(etas)])
     p = riesz_product(4, rows, eta_rows)
     for t, (lams, eta) in enumerate(zip(lams_rows, eta_rows)):
-        want = _reference.riesz_product(4, lams, eta).table
-        assert FunctionTable(4, p.nums[t], int(p.exps[t])) == want, t
-        assert table_fractions(want) == brute_riesz_product(
+        want = table_fractions(*_reference.riesz_product(4, lams, eta))
+        assert table_fractions(p.nums[t], int(p.exps[t])) == want, t
+        assert want == brute_riesz_product(
             lams, eta.as_fraction(), 4)
 
 
@@ -564,10 +552,10 @@ def test_riesz_product_exact_up_to_int64():
     for eta, lams in ((DyadicScalar(1, 20), [1, 2, 4]),
                       (DyadicScalar(-3, 31), [1, 2])):
         p = _riesz(3, lams, eta)
-        assert all(int(v) >= 0 for v in p.nums)
-        assert table_fractions(p) == brute_riesz_product(
+        assert all(int(v) >= 0 for v in p[0])
+        assert table_fractions(*p) == brute_riesz_product(
             lams, eta.as_fraction(), 3)
-        assert sum(table_fractions(p)) == 8
+        assert sum(table_fractions(*p)) == 8
 
 
 def test_riesz_product_errors():
@@ -586,12 +574,13 @@ def test_riesz_product_errors():
     with pytest.raises(ValueError):
         riesz_product(2, [[1]], [DyadicScalar(1, 1)] * 2)
     # Zero pads a row: [0] is the product of no factors.
-    assert _riesz(2, [0], DyadicScalar(1, 1)) == _riesz(2, [], ONE)
+    assert table_fractions(*_riesz(2, [0], DyadicScalar(1, 1))) == (
+        table_fractions(*_riesz(2, [], ONE)))
 
 
 def test_beckner_examples():
     # eta = 0 smooths f to its mean: lhs = |mean(f)| <= ||f||_1
-    f = FunctionTable(2, [3, -1, 2, 0], 1)
+    f = _spec([3, -1, 2, 0], 1)
     lhs, rhs = _beckner(f, [1], DyadicScalar(0))
     assert lhs == pytest.approx(abs(3 - 1 + 2 + 0) / 8)
     assert lhs <= rhs * (1 + 1e-9)
@@ -616,7 +605,7 @@ def test_beckner_square_sum_fits_int64_at_the_suite_edge():
     # because the Riesz product's transform sheds a factor 2^n.
     nums = np.full(1 << 10, 7, dtype=np.int64)
     nums[::97] = 5
-    f = FunctionTable(10, nums, 3)
+    f = (nums, 3)
     lams = [1, 2, 4, 8]
     for eta in (0.75, -0.75, 1.0):
         got = _beckner(f, lams, dyadic_from_fraction(Fraction(eta)))
@@ -665,7 +654,7 @@ def test_beckner_matches_reference():
                 with pytest.raises(OverflowError):
                     _beckner(f, lams, dyadic_from_fraction(Fraction(0.3)))
         got = beckner_verify(
-            np.stack([f.nums for f in tables]), [f.exp for f in tables],
+            np.stack([f[0] for f in tables]), [f[1] for f in tables],
             riesz_product(n, lams_rows, [dyadic_from_fraction(Fraction(e))
                                          for e in etas]))
         for t, (f, lams, eta) in enumerate(zip(tables, lams_rows, etas)):
@@ -673,5 +662,5 @@ def test_beckner_matches_reference():
             assert [got[0][t].hex(), got[1][t].hex()] == [
                 x.hex() for x in want], (n, eta)
     with pytest.raises(ValueError):
-        beckner_verify(random_table(rng, 3).nums[None], [0],
+        beckner_verify(random_table(rng, 3)[0][None], [0],
                        riesz_product(4, [[1]], [DyadicScalar(1, 1)]))

@@ -109,12 +109,12 @@ def test_norm_bounds_and_shell_floor():
         a, w = build_coset_union(fam, 2 * k)
         norm = set_a_norm(a)
         assert DyadicScalar(k, 1) <= norm <= DyadicScalar(k)
-        spec = fwht(a.indicator())
+        spec = fwht(a)
         prev: frozenset = frozenset({0})
         for i, lam in enumerate(w.lambdas, start=1):
             cur = frozenset(lam.elements())
             for g in sorted(cur - prev):
-                c = spec[g]
+                c = DyadicScalar(int(spec[g]), 2 * k)
                 assert 3 * abs(c.num) * (4 ** i) >= 2 * (1 << c.exp), (k, i, g)
             prev = cur
 

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from f2wiener.groups import (HARD_DIM_CAP, SUBSPACE_BATCH, DualSubspace,
                              GroupDim, all_subspaces, annihilator_basis,
-                             coset_index_table, label_table, parity,
-                             subspace_batches, subspace_count,
-                             subspace_extend, subspace_insert)
+                             label_table, parity, subspace_batches,
+                             subspace_count, subspace_extend, subspace_insert)
 
-from _reference import (annihilator_points, full_subspace,
+from _reference import (annihilator_points, coset_index_table, full_subspace,
                         parity as ref_parity, parity_labels,
                         random_invertible, random_subspace,
                         reference_all_subspaces, reference_annihilator_basis,
@@ -150,14 +149,11 @@ def test_annihilator_duality():
 def test_bound_check_shared():
     v = span_of([0b100])
     for call in (lambda: annihilator_basis(v, 2),
-                 lambda: coset_index_table(v, 2, np.arange(4)),
                  lambda: label_table(np.array([v.basis]), 2)):
         with pytest.raises(ValueError,
                            match="basis mask exceeds the group dimension"):
             call()
     assert annihilator_basis(v, 3) == [1, 2]
-    assert coset_index_table(v, 3, np.arange(8)).tolist() == [
-        0, 0, 0, 0, 1, 1, 1, 1]
     labels, dims = label_table(np.array([v.basis]), 3)
     assert labels.tolist() == [[0, 0, 0, 0, 1, 1, 1, 1]]
     assert dims.tolist() == [1]
@@ -215,11 +211,13 @@ def test_stored_annihilator_is_invisible():
 
 
 def test_coset_index_fibers():
+    # label_table on one subspace's basis: bit i of a label is the parity
+    # under basis row i, and each coset index labels |ann V| points.
     rng = np.random.default_rng(3)
     for _ in range(100):
         n = int(rng.integers(2, 10))
         v = random_subspace(rng, n)
-        table = coset_index_table(v, n, np.arange(1 << n))
+        (table,), _ = label_table(np.array(v.basis, np.int64)[None], n)
         counts = np.bincount(table, minlength=v.order)
         assert (counts == (1 << n) // v.order).all()
         for i, r in enumerate(v.basis):
@@ -277,7 +275,7 @@ def test_label_table_matches_coset_index_table():
             assert d == v.dim
             # Labels of one coset agree: the table is constant on the
             # fibres of coset_index_table under v's own basis.
-            own = coset_index_table(v, n, pts)
+            own = coset_index_table(v, pts)
             assert len(set(zip(own.tolist(), label_row.tolist()))) == v.order
     with pytest.raises(ValueError, match="character masks are non-negative"):
         label_table(np.array([[-1]]), 2)

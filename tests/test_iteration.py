@@ -19,7 +19,7 @@ from _reference import (annihilator_points, fresh_step, full_set,
                         random_invertible, random_point_set, random_subspace,
                         reference_iterate_step, reference_level_sets,
                         residual, residual_l1, set_map_linear, set_points,
-                        set_translate, span_of)
+                        set_translate, span_of, table_fwht)
 
 
 def _halfspace(n: int) -> PointSet:
@@ -91,12 +91,10 @@ def test_step_contract_random():
         n = int(rng.integers(2, 9))
         a = random_point_set(rng, n)
         v = random_subspace(rng, n, max_dim=n - 1)
-        r = residual(a, v)
-        base = residual_l1(r)
+        base = residual_l1(a, v)
         if base.num == 0:
             continue
         done += 1
-        chi_hat = fwht(a.indicator())
         st = fresh_step(a, v)
         assert st.dim_before == v.dim
         assert st.dim_after == st.v_new.dim > v.dim
@@ -105,7 +103,8 @@ def test_step_contract_random():
         assert 6 * (3 ** st.s) * st.gain.num >= (4 ** st.s) * (1 << st.gain.exp)
         assert st.dim_after - st.dim_before <= st.chang_ceiling
         # the chosen band is disjoint from v and drives the gain
-        levels = reference_level_sets(fwht(r.table), chi_hat, base)
+        levels = reference_level_sets(table_fwht(*residual(a, v)),
+                                      (fwht(a), n), base)
         chosen = [lv for lv in levels if lv.s == st.s]
         assert len(chosen) == 1
         members = set(chosen[0].members)
@@ -137,9 +136,8 @@ def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
             except ZeroResidual:
                 continue
             assert len(inserted) == st.dim_after - st.dim_before
-            r = residual(a, v)
-            levels = reference_level_sets(fwht(r.table), fwht(a.indicator()),
-                                          residual_l1(r))
+            levels = reference_level_sets(table_fwht(*residual(a, v)),
+                                          (fwht(a), n), residual_l1(a, v))
             (chosen,) = [lv for lv in levels if lv.s == st.s]
             assert st.v_new == functools.reduce(real_insert, chosen.members, v)
 
@@ -283,7 +281,7 @@ def _traced_peak(fn, *args) -> int:
 def test_fwht_of_a_set_peaks_at_twice_its_output(one_third_n20):
     # The indicator goes into the output from the bitmap and the scratch is
     # one float32 row: 12 MB at n = 20, for an 8 MB int64 output.
-    out = fwht(one_third_n20).nums.nbytes
+    out = fwht(one_third_n20).nbytes
     assert _traced_peak(fwht, one_third_n20) <= 2 * out
 
 
@@ -313,12 +311,14 @@ def test_complement_completes_the_basis():
 def test_parseval_check_catches_dropped_syndrome_row(monkeypatch):
     # Labelling the cosets by all but the last basis row merges cosets in
     # pairs; the counts' ||f_V||_2^2 then disagrees with the spectrum.
-    real = iteration.coset_index_table
+    real = iteration.StepState.grow
 
-    def drop_last_row(v, n, pts):
-        return real(DualSubspace._unchecked(v.basis[:-1]), n, pts)
+    def drop_last_row(state, w, dim, ranking, a):
+        real(state, w, dim, ranking, a)
+        if state.labels is not None and w.dim:
+            state.labels &= ~(1 << (dim + w.dim - 1))
 
-    monkeypatch.setattr(iteration, "coset_index_table", drop_last_row)
+    monkeypatch.setattr(iteration.StepState, "grow", drop_last_row)
     a, _ = build_coset_union(density_family("geometric4", 3), 8)
     with pytest.raises(ArithmeticError, match="coset counts"):
         run_iteration(a, max_order=1 << 8)

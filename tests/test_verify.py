@@ -11,7 +11,6 @@ import _reference
 from f2wiener import cli, verify
 from f2wiener.chang import RieszProduct
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import FunctionTable
 from f2wiener.groups import DualSubspace
 from f2wiener import _draws
 from f2wiener._draws import (beckner_draws, chang_draws, set_draws,
@@ -21,8 +20,8 @@ from f2wiener.verify import MAX_JOBS, MAX_TRIALS, SUITE_NAMES, run_suite
 
 from _reference import (REFERENCE_TRIALS, TrialStream, brute_chang_span,
                         draw_beckner, draw_chang, draw_set, draw_techlem,
-                        mulhi, parity_labels, reference_residual, span_of,
-                        stack_rows, stream_word, table_fractions)
+                        mulhi, parity_labels, span_of, stack_rows,
+                        stream_word, table_fractions, table_fwht, table_l1)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -308,8 +307,8 @@ def _floor_one_unit_up(original):
 
 # The same mutants on the per-trial forms in tests/_reference.py.
 def _ref_one_unit_up(original):
-    def residual_l1(fv):
-        got = original(fv)
+    def residual_l1(a, v):
+        got = original(a, v)
         return DyadicScalar(got.num + 1, got.exp)
     return residual_l1
 
@@ -323,11 +322,10 @@ def _ref_rhs_minus_one(original):
 
 def _ref_mass_one_unit_off(original):
     def riesz_product(dim, lambdas, eta):
-        p = original(dim, lambdas, eta)
-        nums = p.table.nums.copy()
+        nums, exp = original(dim, lambdas, eta)
+        nums = nums.copy()
         nums[0] += 1
-        return _reference.RieszTable(
-            FunctionTable(p.table.dim, nums, p.table.exp), p.lambdas, p.eta)
+        return nums, exp
     return riesz_product
 
 
@@ -496,12 +494,13 @@ def test_batched_beckner_edge_cases():
         for row, chars in enumerate(lams):
             lambdas[row, :len(chars)] = chars
         p = riesz_product(n, lambdas, etas)
-        lhs, rhs = beckner_verify(np.stack([f.nums for f in tables]),
-                                  [f.exp for f in tables], p)
+        lhs, rhs = beckner_verify(np.stack([f[0] for f in tables]),
+                                  [f[1] for f in tables], p)
         for t, (f, chars, eta) in enumerate(zip(tables, lams, etas)):
             ref = _reference.riesz_product(n, chars, eta)
-            assert FunctionTable(n, p.nums[t], int(p.exps[t])) == ref.table
-            assert (lhs[t], rhs[t]) == _reference.beckner_verify(f, ref)
+            assert table_fractions(p.nums[t], int(p.exps[t])) == (
+                table_fractions(*ref))
+            assert (lhs[t], rhs[t]) == _reference.beckner_verify(f, ref, eta)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -556,7 +555,7 @@ def test_batched_residual_edge_cases():
         floor, floor_exp = physical_lower_bound(sizes, n, dims)
         for t, (a, v) in enumerate(rows):
             assert dims[t] == v.dim
-            l1 = _reference.residual_l1(reference_residual(a, v))
+            l1 = _reference.residual_l1(a, v)
             assert (int(nums[t]), int(exps[t])) == (l1.num, l1.exp)
             assert DyadicScalar(int(floor[t]), int(floor_exp[t])) == (
                 _reference.physical_lower_bound(a.density(), v.order))
@@ -576,14 +575,14 @@ def test_stacked_chang_edge_rows(monkeypatch):
     js = np.array([99, 0, 4, 0])
     want = []
     for t in range(1, 4):
-        f = FunctionTable(n, nums[t], int(exps[t]))
-        thr = _reference.l1_norm(f).as_fraction() / 2 ** int(js[t])
-        want.append(brute_chang_span(table_fractions(_reference.fwht(f)),
+        f = (nums[t], int(exps[t]))
+        thr = table_l1(*f).as_fraction() / 2 ** int(js[t])
+        want.append(brute_chang_span(table_fractions(*table_fwht(*f)),
                                      thr, n))
     assert [len(basis) for basis, _ in want] == [1, 2, 0]
     spec = nums[1:].copy()
     for row in spec:
-        row[:] = _reference.fwht(FunctionTable(n, row, 0)).nums
+        row[:] = table_fwht(row, 0)[0]
     l1 = np.abs(nums[1:]).sum(axis=1)
     dims = span_dims(spec, (exps[1:] + n).tolist(), l1.tolist(),
                      (exps[1:] + n + js[1:]).tolist())
