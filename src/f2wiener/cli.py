@@ -5,11 +5,14 @@ defaults); no behavior depends on environment variables, so a recorded
 command line reproduces its output byte for byte, except the tool_commit
 field of certificates and witness files: that is the `git rev-parse HEAD`
 of the checkout holding the package (git as found on PATH), or "unknown".
+Certificates (version 2) hold integers and strings only; check-cert derives
+each step's Chang ceiling from its ||f_V||_1 and refuses version 1.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -23,7 +26,7 @@ from .explore import (AnnealParams, BudgetExceeded, DEFAULT_BUDGET,
                       append_record, min_norm_anneal, min_norm_exhaustive)
 from .fileio import (SetFileError, certificate_payload, check_certificate,
                      load_certificate, read_set_file, witness_payload,
-                     write_certificate, write_set_file, dumps_deterministic)
+                     write_certificate, write_set_file)
 from .groups import HARD_DIM_CAP, HARD_EXP_CAP, as_dim
 from .iteration import hypothesis_check, run_iteration
 from .setfuncs import set_a_norm
@@ -202,7 +205,7 @@ def _cmd_construct(args, cfg, max_n) -> int:
         )
     write_set_file(set_path, a)
     with open(wit_path, "w", encoding="ascii") as fh:
-        fh.write(dumps_deterministic(witness_payload(witness, norm)) + "\n")
+        fh.write(json.dumps(witness_payload(witness, norm)) + "\n")
     print(f"set file: {set_path}")
     print(f"witness: {wit_path}")
     print(f"n = {a.dim.n}")
@@ -221,8 +224,7 @@ def _cmd_lowerbound(args, cfg, max_n) -> int:
     out = args.out or (args.setfile + ".cert.json")
     _check_out_path(out)
     trace = run_iteration(a, args.max_order, strategy)
-    hypothesis = hypothesis_check(a.density(), args.max_order)
-    write_certificate(out, certificate_payload(a, trace, hypothesis))
+    write_certificate(out, certificate_payload(a, trace, args.max_order))
     print(f"n = {a.dim.n}")
     print(_dyadic_line("alpha", a.density()))
     print(_dyadic_line("a_norm", trace.a_norm))

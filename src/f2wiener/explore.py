@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .dyadic import DyadicScalar
+from .fourier import fwht
 from .groups import GroupDim, as_dim
 from .setfuncs import PointSet, set_a_norm
 
@@ -168,8 +169,7 @@ def min_norm_anneal(dim: Union[GroupDim, int], size: int,
     members = np.sort(perm[:size]).astype(np.int64)
     nonmembers = np.sort(perm[size:]).astype(np.int64)
     start = PointSet.from_points(d, [int(x) for x in members])
-    wht = start.bool_mask().astype(np.int64)
-    _kernels.wht_rows(wht.reshape(1, -1))
+    wht = fwht(start)
     pick_out = rng.integers(0, size, params.steps).astype(np.int64)
     pick_in = rng.integers(0, order - size, params.steps).astype(np.int64)
     accept = rng.random(params.steps)

@@ -2,37 +2,32 @@
 
 A set file is line-oriented text: "n=<int>" first, then either one hex
 point mask per line or a single "hexbits=<bitmap>" line.  Certificates
-serialize every exact value as {num, exp} integer pairs; the only float
-is chang_ceiling, written with 17 significant digits.  Emission uses a
-fixed key order and a local serializer so that re-running the tool on
-the same inputs reproduces files byte for byte, except tool_commit in
-certificates and witness files: the `git rev-parse HEAD` of the checkout
-holding the package (git as found on PATH), or "unknown" where that
-fails, so it changes with the commit and the machine.
+and witness files hold integers and strings only, every exact value as a
+{num, exp} pair, and are written by json.dumps in a fixed key order, so
+re-running the tool on the same inputs reproduces them byte for byte,
+except tool_commit: the `git rev-parse HEAD` of the checkout holding the
+package (git as found on PATH), or "unknown" where that fails, so it
+changes with the commit and the machine.
 """
 from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import re
-import sys
 from typing import List, Optional, Tuple
 
 from .chang import gain_floor
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
-from .groups import HARD_EXP_CAP
-from .iteration import (HypothesisReport, IterationTrace, Termination,
-                        hypothesis_check)
-from .setfuncs import PointSet, set_a_norm
+from .groups import HARD_DIM_CAP, HARD_EXP_CAP
+from .iteration import MAX_ORDER, IterationTrace, Termination, step_ceiling
+from .setfuncs import PointSet, physical_lower_bound, set_a_norm
 
 __all__ = [
     "SetFileError",
     "read_set_file",
     "write_set_file",
-    "dumps_deterministic",
     "certificate_payload",
     "write_certificate",
     "load_certificate",
@@ -41,11 +36,11 @@ __all__ = [
     "tool_commit",
 ]
 
-CERT_VERSION = 1
+CERT_VERSION = 2
 # The keys certificate_payload writes; check_certificate wants exactly these.
 _CERT_KEYS = ("version", "n", "alpha", "a_norm", "trace", "final_bound",
-              "termination", "hypothesis", "tool_commit")
-_STEP_KEYS = ("s", "dim_before", "dim_after", "gain", "chang_ceiling")
+              "termination", "max_order", "tool_commit")
+_STEP_KEYS = ("s", "dim_before", "dim_after", "gain", "l1")
 
 _N_RE = re.compile(r"^n=(\d+)$")
 _HEX_RE = re.compile(r"^[0-9a-f]+$", re.IGNORECASE)
@@ -103,63 +98,12 @@ def write_set_file(path: str, a: PointSet) -> None:
         fh.write(f"n={a.dim.n}\nhexbits={a.set_hex()}\n")
 
 
-def _emit(obj, out: List[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps_deterministic(obj) -> str:
-    """JSON with insertion key order and 17-significant-digit floats."""
-    out: List[str] = []
-    _emit(obj, out)
-    return "".join(out)
-
-
 def _pair(x: DyadicScalar) -> dict:
     return {"num": x.num, "exp": x.exp}
 
 
-def _hypothesis_payload(rep: HypothesisReport) -> dict:
-    return {
-        "alpha": _pair(rep.alpha),
-        "max_order": rep.max_order,
-        "per_dim": [
-            {"d": r.d, "product": _pair(r.product), "scaled": _pair(r.scaled)}
-            for r in rep.rows
-        ],
-        "c_plain": _pair(rep.c_plain),
-        "c_scaled": _pair(rep.c_scaled),
-    }
-
-
 def certificate_payload(a: PointSet, trace: IterationTrace,
-                        hypothesis: HypothesisReport) -> dict:
+                        max_order: int) -> dict:
     return {
         "version": CERT_VERSION,
         "n": a.dim.n,
@@ -171,20 +115,20 @@ def certificate_payload(a: PointSet, trace: IterationTrace,
                 "dim_before": st.dim_before,
                 "dim_after": st.dim_after,
                 "gain": _pair(st.gain),
-                "chang_ceiling": st.chang_ceiling,
+                "l1": _pair(st.l1),
             }
             for st in trace.steps
         ],
         "final_bound": _pair(trace.final_bound),
         "termination": trace.termination.value,
-        "hypothesis": _hypothesis_payload(hypothesis),
+        "max_order": max_order,
         "tool_commit": tool_commit(),
     }
 
 
 def write_certificate(path: str, payload: dict) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_deterministic(payload) + "\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_certificate(path: str) -> dict:
@@ -224,20 +168,16 @@ def _pair_in(obj, where: str, n: int) -> DyadicScalar:
 
 
 def _step_in(st, where: str, n: int) -> tuple:
-    """(s, dim_before, dim_after, gain, chang_ceiling), each checked."""
+    """(s, dim_before, dim_after, gain, l1), each checked."""
     # A level index s is at most 2n + 1: nonzero residual coefficients are
     # at least 2^-2n and ||f_V||_1 <= 1.  This keeps 3**s and 4**s small.
     _keys_in(st, _STEP_KEYS, where)
     for key, top in (("s", 2 * n + 1), ("dim_before", n), ("dim_after", n)):
         _need(_is_int(st[key]), f"{where} {key}", "an integer")
         _need(0 <= st[key] <= top, f"{where} {key}", f"in [0, {top}]")
-    gain = _pair_in(st["gain"], f"{where} gain", n)
-    ceiling = st["chang_ceiling"]
-    # Compared exactly, so an int too large for a float is refused too.
-    _need((_is_int(ceiling) or isinstance(ceiling, float))
-          and abs(ceiling) <= sys.float_info.max, f"{where} chang_ceiling",
-          "a finite number")
-    return st["s"], st["dim_before"], st["dim_after"], gain, ceiling
+    return (st["s"], st["dim_before"], st["dim_after"],
+            _pair_in(st["gain"], f"{where} gain", n),
+            _pair_in(st["l1"], f"{where} l1", n))
 
 
 def check_certificate(a: PointSet, cert,
@@ -253,7 +193,9 @@ def check_certificate(a: PointSet, cert,
     _need(isinstance(cert, dict), "top level", "an object")
     version, n = cert.get("version"), cert.get("n")
     if not _is_int(version) or version != CERT_VERSION:
-        return [f"unknown version {version!r}"], None
+        v1 = _is_int(version) and version == 1
+        fix = "; re-run lowerbound to write version 2" if v1 else ""
+        return [f"unsupported version {version!r}{fix}"], None
     if not _is_int(n) or n != a.dim.n:
         return [f"n mismatch: file {a.dim.n}, certificate {n}"], None
     _keys_in(cert, _CERT_KEYS, "top level")
@@ -265,12 +207,9 @@ def check_certificate(a: PointSet, cert,
     steps = [_step_in(st, f"trace step {i}", n) for i, st in enumerate(trace)]
     term = cert["termination"]
     _need(isinstance(term, str), "termination", "a string")
-    hyp = cert["hypothesis"]
-    _need(isinstance(hyp, dict), "hypothesis", "an object")
-    max_order = hyp.get("max_order")
-    _need(_is_int(max_order), "hypothesis.max_order", "an integer")
-    # Refuses a max_order outside [1, 2^30], as it does for lowerbound.
-    rep = hypothesis_check(a.density(), max_order)
+    max_order = cert["max_order"]
+    _need(_is_int(max_order) and 1 <= max_order <= MAX_ORDER, "max_order",
+          f"an integer in [1, 2^{HARD_DIM_CAP}]")
 
     problems: List[str] = []
     if alpha != a.density():
@@ -282,11 +221,13 @@ def check_certificate(a: PointSet, cert,
         problems.append(f"final_bound {final} exceeds a_norm {norm}")
     total = alpha
     dim = 0
-    # A step's ceiling is e 4^(s+1) max(ln(||f_V||_2^2 / ||f_V||_1^2), 1),
-    # and ||f_V||_2^2 = ||f_V||_1 / 2 with 2^-n <= ||f_V||_1 <= 1/2, so the
-    # log lies in [0, (n - 1) ln 2] (1e-12 allows for its rounding).
-    log_top = max((n - 1) * math.log(2), 1.0) * (1 + 1e-12)
-    for i, (s, before, after, gain, ceiling) in enumerate(steps):
+    # ||f_V||_1 = 2 (alpha - sum_V hat(chi_A)^2) = (m|A| - sum c^2) /
+    # 2^(2n - d - 1), over A's coset counts c and m = 2^(n - d).  At V = {0}
+    # it is 2 alpha (1 - alpha); it falls as V grows and meets Lemma 1's floor.
+    prev = (a.density() * (1 - a.density())).mul_pow2(1)
+    floors = physical_lower_bound([a.size] * len(steps), n,
+                                  [st[1] for st in steps])
+    for i, (s, before, after, gain, l1) in enumerate(steps):
         if before != dim:
             problems.append(f"step {i}: dim_before {before} != {dim}")
         if 1 << before > max_order:
@@ -295,12 +236,21 @@ def check_certificate(a: PointSet, cert,
         dim = after
         if dim <= before:
             problems.append(f"step {i}: subspace did not grow")
-        if dim - before > ceiling:
-            problems.append(f"step {i}: growth above the recorded ceiling")
-        low = math.e * float(4 ** (s + 1))
-        if not low <= ceiling <= low * log_top:
-            problems.append(f"step {i}: chang_ceiling {ceiling} outside "
-                            f"[{low}, {low * log_top}]")
+        if i == 0 and l1 != prev:
+            problems.append(f"step 0: l1 {l1} != 2 alpha (1 - alpha) = {prev}")
+        if i and l1 >= prev:
+            problems.append(f"step {i}: l1 {l1} not below step {i - 1}'s")
+        prev = l1
+        floor = DyadicScalar(int(floors[0][i]), int(floors[1][i]))
+        if l1 < floor:
+            problems.append(f"step {i}: l1 {l1} below Lemma 1's floor {floor}")
+        if l1.exp > 2 * n - before - 1:
+            problems.append(f"step {i}: l1 {l1} has a denominator above "
+                            "2^(2n - dim_before - 1)")
+        if l1 <= 0:
+            problems.append(f"step {i}: l1 {l1} is not positive")
+        elif dim - before > step_ceiling(s, l1):
+            problems.append(f"step {i}: growth above the Chang ceiling")
         # A step's gain must meet the floor of the level it was taken at.
         if gain.as_fraction() < gain_floor(s):
             problems.append(f"step {i}: gain {gain} below (1/6)(4/3)^{s}")
@@ -317,16 +267,14 @@ def check_certificate(a: PointSet, cert,
     if expected is Termination.RESIDUAL_ZERO and final != norm:
         problems.append(
             f"ResidualZero must certify the exact norm: {final} != {norm}")
-    # Compared as JSON text, so 1, 1.0 and true are told apart.
-    if json.dumps(_hypothesis_payload(rep)) != json.dumps(hyp):
-        problems.append("hypothesis report does not recompute")
     return problems, final
 
 
 def witness_payload(witness: CosetUnionWitness,
                     norm: DyadicScalar) -> dict:
+    # Witness files are still in their first format.
     return {
-        "version": CERT_VERSION,
+        "version": 1,
         "kind": "coset_union_witness",
         "n": witness.dim.n,
         "exponents": list(witness.density.exponents),

@@ -27,6 +27,7 @@ __all__ = [
     "ZeroResidual",
     "Termination",
     "StepResult",
+    "step_ceiling",
     "StepState",
     "IterationTrace",
     "iterate_step",
@@ -37,8 +38,7 @@ __all__ = [
 ]
 
 
-# No subspace is larger than the largest group, so a bigger max_order would
-# only lengthen the hypothesis report; lowerbound and check-cert share this.
+# No subspace outgrows the largest group; lowerbound and check-cert share it.
 MAX_ORDER = 1 << HARD_DIM_CAP
 
 
@@ -51,16 +51,23 @@ class Termination(str, enum.Enum):
     RESIDUAL_ZERO = "ResidualZero"
 
 
+def step_ceiling(s: int, l1: DyadicScalar) -> float:
+    """Chang's cap on the dimensions a step at level s adds (eps = 2^-(s+1)),
+    from l1 = ||f_V||_1 and ||f_V||_2^2 = l1 / 2."""
+    return chang_cardinality_bound(l1, l1.mul_pow2(-1),
+                                   Fraction(1, 2 ** (s + 1)))
+
+
 @dataclass(frozen=True)
 class StepResult:
-    """One growth step: chosen level, enlarged subspace, exact mass gain."""
+    """One growth step: level, grown subspace, exact mass gain, ||f_V||_1."""
 
     s: int
     v_new: DualSubspace
     gain: DyadicScalar
     dim_before: int
     dim_after: int
-    chang_ceiling: float
+    l1: DyadicScalar
     l_after: DyadicScalar
 
 
@@ -164,15 +171,13 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
     l_old = DyadicScalar(state.mass, ranking.exp)
     state.grow(_complement(v, v_new), v.dim, ranking, a)
     l_new = DyadicScalar(state.mass, ranking.exp)
-    # Chang at eps = 2^-(s+1) caps how many dimensions the step can add.
-    ceiling = chang_cardinality_bound(base, l2sq, Fraction(1, 2 ** (s + 1)))
     return StepResult(
         s=s,
         v_new=v_new,
         gain=l_new - l_old,
         dim_before=v.dim,
         dim_after=v_new.dim,
-        chang_ceiling=ceiling,
+        l1=base,
         l_after=l_new,
     )
 

@@ -485,13 +485,16 @@ def fresh_step(a: PointSet, v: DualSubspace,
 
 def reference_iterate_step(a, v, strategy, ranking, state):
     """iterate_step by the physical route: build the residual table f_V,
-    take its l1 norm two ways, transform it, check the transform vanishes
-    on v, and read the levels and ||f_V||_2^2 off the table.  ranking and
-    state are accepted, as iterate_step takes them, and ignored."""
+    take its l1 norm two ways, check ||f_V||_2^2 = l1 / 2 on the table,
+    transform it, check the transform vanishes on v, and read the levels
+    off it.  ranking and state are accepted, as iterate_step takes them,
+    and ignored."""
     fv = residual(a, v)
     base = residual_l1(a, v)
     if base.num == 0:
         raise ZeroResidual(f"residual of {a!r} against dim {v.dim} is zero")
+    if table_l2_sq(*fv) != base.mul_pow2(-1):
+        raise ArithmeticError(f"||f_V||_2^2 != ||f_V||_1 / 2 at {v!r}")
     fv_hat = table_fwht(*fv)
     elems = v.element_array()
     bad = np.flatnonzero(fv_hat[0][elems])
@@ -504,11 +507,9 @@ def reference_iterate_step(a, v, strategy, ranking, state):
     v_new = subspace_extend(v, level.members)
     l_old = _mass_over(chi_hat, v.element_array())
     l_new = _mass_over(chi_hat, v_new.element_array())
-    ceiling = chang_cardinality_bound(base, table_l2_sq(*fv),
-                                      Fraction(1, 2 ** (level.s + 1)))
     return StepResult(s=level.s, v_new=v_new, gain=l_new - l_old,
-                      dim_before=v.dim, dim_after=v_new.dim,
-                      chang_ceiling=ceiling, l_after=l_new)
+                      dim_before=v.dim, dim_after=v_new.dim, l1=base,
+                      l_after=l_new)
 
 
 def set_complement(a: PointSet) -> PointSet:

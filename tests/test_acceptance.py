@@ -20,7 +20,8 @@ from f2wiener.explore import AnnealParams, min_norm_anneal, min_norm_exhaustive
 from f2wiener.fourier import fwht
 from f2wiener.groups import (annihilator_basis, subspace_batches,
                              subspace_count)
-from f2wiener.iteration import Termination, hypothesis_check, run_iteration
+from f2wiener.iteration import (Termination, hypothesis_check, run_iteration,
+                                step_ceiling)
 from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
                                physical_lower_bound, residual_l1, set_a_norm)
 from f2wiener.verify import BECKNER_SLACK, run_suite
@@ -246,7 +247,7 @@ def test_criterion_07_step_contract():
                          - math.log(ratio.denominator), 1.0))
         growth = st.dim_after - st.dim_before
         assert growth <= ceiling
-        assert st.chang_ceiling == pytest.approx(ceiling, rel=1e-12)
+        assert step_ceiling(st.s, st.l1) == pytest.approx(ceiling, rel=1e-12)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"criterion 7 took {elapsed:.2f}s"
     _report(7)

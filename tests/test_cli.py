@@ -3,13 +3,13 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import pathlib
 import re
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,23 +170,27 @@ MALFORMED = {
     "dim_bool": _put(False, "trace", 0, "dim_before"),
     "dim_above_n": _put(5, "trace", 2, "dim_after"),
     "step_not_object": _put([3], "trace"),
-    "ceiling_nan": _put(float("nan"), "trace", 0, "chang_ceiling"),
-    "ceiling_string": _put("9", "trace", 0, "chang_ceiling"),
-    "ceiling_int_huge": _put(10 ** 400, "trace", 0, "chang_ceiling"),
+    "l1_nan": _put(float("nan"), "trace", 0, "l1"),
+    "l1_string": _put("55/2^7", "trace", 0, "l1"),
+    "l1_num_huge": _put(10 ** 400, "trace", 0, "l1", "num"),
+    "l1_num_float": _put(55.0, "trace", 0, "l1", "num"),
     "num_4000_digits": _put({"num": 10 ** 3999, "exp": 4}, "alpha"),
     "num_above_2_to_exp_plus_n": _put({"num": 1 << 7, "exp": 2}, "a_norm"),
     "exp_huge": _put({"num": 1, "exp": 10 ** 9}, "alpha"),
     "exp_negative": _put({"num": 7, "exp": -2}, "final_bound"),
     "num_string": _put({"num": "7", "exp": 2}, "a_norm"),
     "termination_list": _put(["ResidualZero"], "termination"),
-    "hypothesis_list": _put([], "hypothesis"),
-    "max_order_string": _put("16", "hypothesis", "max_order"),
+    "max_order_list": _put([16], "max_order"),
+    "max_order_string": _put("16", "max_order"),
+    "max_order_float": _put(16.0, "max_order"),
+    "max_order_bool": _put(True, "max_order"),
+    "max_order_zero": _put(0, "max_order"),
     "a_norm_missing": _put(_DROP, "a_norm"),
-    "hypothesis_null": _put(None, "hypothesis"),
+    "max_order_null": _put(None, "max_order"),
     "trace_missing": _put(_DROP, "trace"),
     "extra_top_level_key": _put(1, "comment"),
     "extra_step_key": _put(1, "trace", 0, "comment"),
-    "step_key_missing": _put(_DROP, "trace", 1, "chang_ceiling"),
+    "step_key_missing": _put(_DROP, "trace", 1, "l1"),
 }
 
 
@@ -197,7 +201,7 @@ def test_check_cert_malformed_is_bad_input(workdir, capsys, mutate):
                  "--out", "c.json"]) == 0
     capsys.readouterr()
     cert = json.loads((workdir / "c.json").read_text())
-    assert cert["trace"] and cert["hypothesis"]
+    assert cert["trace"] and cert["max_order"] == 16
     (workdir / "c.json").write_text(json.dumps(mutate(cert)))
     assert main(["check-cert", path, "c.json"]) == 2
     out = capsys.readouterr()
@@ -218,6 +222,65 @@ def test_check_cert_level_at_bound_is_checked(workdir, capsys):
     assert "below (1/6)(4/3)^9" in capsys.readouterr().out
 
 
+# Edits of one step's l1 = ||f_V||_1, with the problem each must report.
+# The set's residual norms are 55/2^7, 15/2^6 and 3/2^5, each equal to
+# Lemma 1's floor at its dimension.
+L1_TAMPERS = {
+    "step_0_not_2_alpha_1_minus_alpha": (
+        0, {"num": 7, "exp": 4},
+        "step 0: l1 7/2^4 != 2 alpha (1 - alpha) = 55/2^7"),
+    "not_below_previous": (
+        1, {"num": 55, "exp": 7}, "step 1: l1 55/2^7 not below step 0's"),
+    "below_floor": (
+        2, {"num": 1, "exp": 4},
+        "step 2: l1 1/2^4 below Lemma 1's floor 3/2^5"),
+    "zero": (2, {"num": 0, "exp": 0}, "step 2: l1 0 is not positive"),
+    # Between its neighbours and above the floor, but no residual at
+    # dimension 2 has a denominator finer than 2^(2n - 2 - 1) = 2^5.
+    "denominator_too_fine": (
+        2, {"num": 7, "exp": 6},
+        "step 2: l1 7/2^6 has a denominator above 2^(2n - dim_before - 1)"),
+}
+
+
+@pytest.mark.parametrize("step, l1, problem", L1_TAMPERS.values(),
+                         ids=L1_TAMPERS.keys())
+def test_check_cert_l1_tampering_fails(workdir, capsys, step, l1, problem):
+    path = _set_file(workdir)
+    assert main(["lowerbound", path, "--max-order", "16",
+                 "--out", "c.json"]) == 0
+    cert = json.loads((workdir / "c.json").read_text())
+    assert [(st["l1"]["num"], st["l1"]["exp"]) for st in cert["trace"]] == [
+        (55, 7), (15, 6), (3, 5)]
+    cert["trace"][step]["l1"] = l1
+    (workdir / "c.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["check-cert", path, "c.json"]) == 1
+    out = capsys.readouterr().out
+    assert f"PROBLEM: {problem}\n" in out
+    assert "certificate FAILED" in out
+
+
+def test_check_cert_refuses_version_1(workdir, capsys):
+    # A version 1 file, with its float ceilings and hypothesis report, is
+    # refused as a whole, not read.
+    path = _set_file(workdir)
+    assert main(["lowerbound", path, "--max-order", "16",
+                 "--out", "c.json"]) == 0
+    cert = json.loads((workdir / "c.json").read_text())
+    cert["version"] = 1
+    for st in cert["trace"]:
+        st["chang_ceiling"] = 21.744 * 4 ** st["s"]
+        del st["l1"]
+    cert["hypothesis"] = {"max_order": cert.pop("max_order")}
+    (workdir / "c.json").write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["check-cert", path, "c.json"]) == 1
+    assert capsys.readouterr().out == (
+        "PROBLEM: unsupported version 1; re-run lowerbound to write "
+        "version 2\ncertificate FAILED 1 checks\n")
+
+
 def test_check_cert_deeply_nested(workdir, capsys):
     path = _set_file(workdir)
     (workdir / "c.json").write_text("[" * 100_000)
@@ -232,11 +295,14 @@ def test_max_order_cap_shared(workdir, capsys):
                  "--out", "c.json"]) == 0
     assert main(["check-cert", path, "c.json"]) == 0
     cert = json.loads((workdir / "c.json").read_text())
-    cert["hypothesis"]["max_order"] = MAX_ORDER + 1
+    assert cert["max_order"] == MAX_ORDER
+    cert["max_order"] = MAX_ORDER + 1
     (workdir / "c.json").write_text(json.dumps(cert))
     capsys.readouterr()
     assert main(["check-cert", path, "c.json"]) == 2
-    assert capsys.readouterr().err.count("max_order must lie in") == 1
+    assert capsys.readouterr().err == (
+        "error: malformed certificate: max_order must be an integer in "
+        "[1, 2^30]\n")
     assert main(["lowerbound", path, "--max-order", str(MAX_ORDER + 1),
                  "--out", "d.json"]) == 2
     assert "max_order must lie in" in capsys.readouterr().err
@@ -248,7 +314,7 @@ def test_lowerbound_flags(workdir, capsys):
     assert main(["lowerbound", path, "--max-order", "16", "--strategy",
                  "best-ratio", "--out", "c2.json"]) == 0
     cert = json.loads((workdir / "c2.json").read_text())
-    assert cert["hypothesis"]["max_order"] == 16
+    assert cert["max_order"] == 16
     assert main(["lowerbound", path, "--max-order", "0"]) == 2
     # One stop rule and one certificate shape: the old switches are gone.
     for flag in ("--step-cap", "--no-hypothesis"):
@@ -741,7 +807,7 @@ def valid_cert(tmp_path_factory):
     assert main(["lowerbound", path, "--max-order", "16",
                  "--out", str(root / "c.json")]) == 0
     cert = json.loads((root / "c.json").read_text())
-    assert len(cert["trace"]) >= 2 and cert["hypothesis"]
+    assert len(cert["trace"]) >= 2 and cert["max_order"] == 16
     paths = [p for p in _paths(cert) if p[0] != "tool_commit"]
     return path, cert, paths, str(root / "m.json")
 
@@ -754,21 +820,43 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
-def _unseen(cert, path, value) -> bool:
-    """Edits check-cert cannot see until it replays the run: a ceiling that
-    stays in its level's range and the last step's dimension, where the
-    rest of the certificate allows them; and a max_order of the same bit
-    length, which describes the same run."""
-    if path == ("hypothesis", "max_order"):
-        return (isinstance(value, int) and not isinstance(value, bool)
-                and value.bit_length() == cert["hypothesis"]["max_order"]
-                .bit_length())
-    if len(path) == 3 and path[0] == "trace" and path[2] == "chang_ceiling":
-        # e 4^(s+1) max(ln(||f_V||_2^2 / ||f_V||_1^2), 1), the log at most
-        # (n - 1) ln 2 = 3 ln 2 here.
-        low = math.e * 4 ** (cert["trace"][path[1]]["s"] + 1)
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and low <= value <= low * 3 * math.log(2) * (1 + 1e-9))
+def _pair_value(obj):
+    """A well-formed {num, exp} pair at n = 4 as a Fraction, else None."""
+    if not (isinstance(obj, dict) and set(obj) == {"num", "exp"}
+            and all(type(obj[k]) is int for k in obj)):
+        return None
+    num, exp = obj["num"], obj["exp"]
+    if not 0 <= exp <= HARD_EXP_CAP or abs(num) > 1 << (exp + 4):
+        return None
+    return Fraction(num, 1 << exp)
+
+
+def _unseen(cert, mutated, path) -> bool:
+    """Edits check-cert cannot see until it replays the run: an l1 after
+    step 0 that stays strictly between its neighbours, at least Lemma 1's
+    floor and with a denominator dividing 2^(2n - dim_before - 1), and the
+    last step's dimension, where the rest of the certificate allows them;
+    and a max_order under which the recorded run is the same run: every
+    step starts at an order at most it, and it stops the run at the final
+    dimension exactly when the run stopped at the order cap."""
+    if path == ("max_order",):
+        value = mutated["max_order"]
+        trace = cert["trace"]
+        capped = cert["termination"] == "OrderCapReached"
+        return (type(value) is int and value <= MAX_ORDER
+                and 1 << trace[-1]["dim_before"] <= value
+                and (value < 1 << trace[-1]["dim_after"]) == capped)
+    if path[0] == "trace" and len(path) >= 3 and path[2] == "l1":
+        i = path[1]
+        l1s = [_pair_value(st["l1"]) for st in mutated["trace"]]
+        # Lemma 1's floor for |A| = 5 at n = 4 and the step's dim_before.
+        dim = cert["trace"][i]["dim_before"]
+        m = 1 << (4 - dim)
+        floor = Fraction(2 * (5 % m) * (m - 5 % m), m * m << dim)
+        return (i >= 1 and l1s[i] is not None and l1s[i] > 0
+                and l1s[i] >= floor and l1s[i] < l1s[i - 1]
+                and l1s[i].denominator <= 1 << (7 - dim)
+                and (i + 1 == len(l1s) or l1s[i + 1] < l1s[i]))
     return path == ("trace", len(cert["trace"]) - 1, "dim_after")
 
 
@@ -799,7 +887,7 @@ def test_check_cert_fuzz_one_field(valid_cert, data):
     elif rc == 1:
         assert err == "" and "certificate FAILED" in out
     else:
-        assert rc == 0 and _unseen(cert, path, value), (path, value)
+        assert rc == 0 and _unseen(cert, mutated, path), (path, value)
 
 
 _SET_LINE = st.one_of(

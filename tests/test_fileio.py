@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import subprocess
 
@@ -9,12 +8,11 @@ from f2wiener import fileio
 from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fileio import (SetFileError, certificate_payload,
-                             check_certificate, dumps_deterministic,
-                             load_certificate, read_set_file, tool_commit,
-                             witness_payload, write_certificate,
-                             write_set_file)
+                             check_certificate, load_certificate,
+                             read_set_file, tool_commit, witness_payload,
+                             write_certificate, write_set_file)
 from f2wiener.cli import DEFAULT_MAX_N
-from f2wiener.iteration import hypothesis_check, run_iteration
+from f2wiener.iteration import run_iteration
 from f2wiener.setfuncs import PointSet, set_a_norm
 
 from _reference import set_points
@@ -100,28 +98,11 @@ def test_set_file_dimension_cap_checked_first(tmp_path):
     assert read_set_file(str(p), cap).dim.n == cap
 
 
-def test_dumps_deterministic():
-    obj = {
-        "b": 1,
-        "a": [1.5, None, True, False, "x\"y"],
-        "nested": {"z": 0, "a": 2},
-    }
-    text = dumps_deterministic(obj)
-    # insertion order survives, no sorting
-    assert text.index('"b"') < text.index('"a"') < text.index('"nested"')
-    assert json.loads(text) == obj
-    assert dumps_deterministic(0.1) == format(0.1, ".17g")
-    assert dumps_deterministic(math.pi) == "3.1415926535897931"
-    with pytest.raises(TypeError):
-        dumps_deterministic({"x": {1, 2}})
-
-
 def _cert_fixture(monkeypatch, max_order=16):
     monkeypatch.setattr(fileio, "tool_commit", lambda: "deadbeef")
     a, _ = build_coset_union(density_family("geometric4", 2), 4)
     trace = run_iteration(a, max_order)
-    hyp = hypothesis_check(a.density(), max_order)
-    return a, certificate_payload(a, trace, hyp)
+    return a, certificate_payload(a, trace, max_order)
 
 
 def test_certificate_roundtrip(tmp_path, monkeypatch):
@@ -129,7 +110,7 @@ def test_certificate_roundtrip(tmp_path, monkeypatch):
     path = tmp_path / "c.json"
     write_certificate(str(path), payload)
     loaded = load_certificate(str(path))
-    assert loaded == json.loads(dumps_deterministic(payload))
+    assert loaded == payload
     assert check_certificate(a, loaded) == ([], set_a_norm(a))
     # byte-identical on re-emission, from the payload and from the loaded file
     first = path.read_bytes()
@@ -140,18 +121,41 @@ def test_certificate_roundtrip(tmp_path, monkeypatch):
     # fixed key order
     keys = list(loaded.keys())
     assert keys == ["version", "n", "alpha", "a_norm", "trace",
-                    "final_bound", "termination", "hypothesis", "tool_commit"]
+                    "final_bound", "termination", "max_order", "tool_commit"]
     assert list(loaded["alpha"].keys()) == ["num", "exp"]
     assert loaded["termination"] == "ResidualZero"
     assert loaded["tool_commit"] == "deadbeef"
+    assert loaded["max_order"] == 16
     for st in loaded["trace"]:
         assert list(st.keys()) == ["s", "dim_before", "dim_after", "gain",
-                                   "chang_ceiling"]
-        assert isinstance(st["chang_ceiling"], float)
+                                   "l1"]
+        assert list(st["l1"].keys()) == ["num", "exp"]
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+def test_certificate_is_json_dumps_without_floats(tmp_path, monkeypatch):
+    # Every value is an int or a string, so json.dumps writes the file and
+    # reading it back gives every number exactly.
+    for max_order in (16, 2):
+        a, payload = _cert_fixture(monkeypatch, max_order)
+        path = tmp_path / "c.json"
+        write_certificate(str(path), payload)
+        assert path.read_text() == json.dumps(payload) + "\n"
+        kinds = {type(x) for x in _leaves(load_certificate(str(path)))}
+        assert kinds == {int, str}
 
 
 def _tampered(payload, mutate):
-    cert = json.loads(dumps_deterministic(payload))
+    cert = json.loads(json.dumps(payload))
     mutate(cert)
     return cert
 
@@ -190,16 +194,6 @@ def test_check_certificate_detects_tampering(monkeypatch):
         c["final_bound"] = {"num": 1, "exp": 1}
         c["a_norm"] = {"num": 1, "exp": 1}
 
-    def bad_hyp(c):
-        c["hypothesis"]["c_plain"]["num"] += 1
-
-    def bad_ceiling(c):
-        c["trace"][0]["chang_ceiling"] = 0.5
-
-    def huge_ceiling(c):
-        # Above e 4^(s+1) (n - 1) ln 2, the most any residual can give.
-        c["trace"][0]["chang_ceiling"] = 1e9
-
     def residual_to_cap(c):
         # The final dimension is 4 and 2^4 <= 16, so the run cannot have
         # stopped at the order cap.
@@ -208,12 +202,6 @@ def test_check_certificate_detects_tampering(monkeypatch):
     def step_cap(c):
         c["termination"] = "StepCap"
 
-    def other_alpha_hyp(c):
-        # Consistent in itself, but for a density the set does not have.
-        rep = hypothesis_check(DyadicScalar(1, 1), 16)
-        c["hypothesis"] = json.loads(dumps_deterministic(
-            fileio._hypothesis_payload(rep)))
-
     def bool_version(c):
         c["version"] = True
 
@@ -221,17 +209,15 @@ def test_check_certificate_detects_tampering(monkeypatch):
         c["n"] = 4.0
 
     for mutate in (overshoot, break_chain, shrink_gain, move_gain, no_growth,
-                   bad_term, bad_version, fake_zero, bad_hyp, bad_ceiling,
-                   huge_ceiling, residual_to_cap, step_cap, other_alpha_hyp,
-                   bool_version, float_n):
+                   bad_term, bad_version, fake_zero, residual_to_cap,
+                   step_cap, bool_version, float_n):
         problems, _ = check_certificate(a, _tampered(payload, mutate))
         assert problems, mutate.__name__
 
     def late_step(c):
         # Consistent but for step 2, which starts at order 2^2 > 3: a run
         # with max_order 3 stops before it.
-        c["hypothesis"] = json.loads(dumps_deterministic(
-            fileio._hypothesis_payload(hypothesis_check(a.density(), 3))))
+        c["max_order"] = 3
         c["termination"] = "OrderCapReached"
 
     problems, _ = check_certificate(a, _tampered(payload, late_step))
@@ -251,11 +237,25 @@ def test_check_certificate_detects_tampering(monkeypatch):
             mutate.__name__)
 
     wrong_set = PointSet.from_points(4, [0, 1])
-    assert check_certificate(wrong_set, json.loads(
-        dumps_deterministic(payload)))[0]
+    assert check_certificate(wrong_set, _tampered(payload, lambda c: None))[0]
+
+    # The Chang ceiling at s = 0 and l1 = 2 alpha (1 - alpha) = 1/2 is
+    # 4e max(ln(1/(2 l1)), 1) = 4e ~ 10.87: a step 0 may add 10 dimensions
+    # at n = 11, not 11.
+    half = PointSet.from_points(11, range(0, 1 << 11, 2))
+    cert = certificate_payload(half, run_iteration(half, 16), 16)
+    assert check_certificate(half, cert)[0] == []
+    assert cert["trace"][0]["s"] == 0
+    assert cert["trace"][0]["l1"] == {"num": 1, "exp": 1}
+    for grown, over in ((10, False), (11, True)):
+        problems, _ = check_certificate(
+            half, _tampered(cert, lambda c: c["trace"][0].update(
+                dim_after=grown)))
+        assert ("step 0: growth above the Chang ceiling" in problems) == over
 
 
-def test_witness_payload():
+def test_witness_payload(monkeypatch):
+    monkeypatch.setattr(fileio, "tool_commit", lambda: "deadbeef")
     a, w = build_coset_union(density_family("double_exp", 2), 3)
     payload = witness_payload(w, set_a_norm(a))
     assert payload["kind"] == "coset_union_witness"
@@ -267,8 +267,13 @@ def test_witness_payload():
     for hx in payload["parts_hex"]:
         covered |= int(hx, 16)
     assert covered == a.bits
-    text = dumps_deterministic(payload)
-    assert json.loads(text) == payload
+    # Witness files keep their first format, version 1, byte for byte.
+    assert json.dumps(payload) == (
+        '{"version": 1, "kind": "coset_union_witness", "n": 3, '
+        '"exponents": [1, 2], "alpha": {"num": 3, "exp": 2}, '
+        '"lambdas": [[1], [1, 2]], "gammas": [1, 2], "offsets": [1], '
+        '"parts_hex": ["55", "22"], "a_norm": {"num": 3, "exp": 1}, '
+        '"part_count": 2, "tool_commit": "deadbeef"}')
 
 
 def test_tool_commit():

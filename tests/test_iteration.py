@@ -96,12 +96,14 @@ def test_step_contract_random():
             continue
         done += 1
         st = fresh_step(a, v)
+        assert st.l1 == base
         assert st.dim_before == v.dim
         assert st.dim_after == st.v_new.dim > v.dim
         assert v.is_subspace_of(st.v_new)
         # gain >= (1/6)(4/3)^s, cross-multiplied
         assert 6 * (3 ** st.s) * st.gain.num >= (4 ** st.s) * (1 << st.gain.exp)
-        assert st.dim_after - st.dim_before <= st.chang_ceiling
+        growth = st.dim_after - st.dim_before
+        assert growth <= iteration.step_ceiling(st.s, st.l1)
         # the chosen band is disjoint from v and drives the gain
         levels = reference_level_sets(table_fwht(*residual(a, v)),
                                       (fwht(a), n), base)
@@ -169,7 +171,7 @@ def _reference_sets():
 def test_spectral_step_matches_residual_route(monkeypatch, strategy):
     # The step that reads the levels off the ranking of hat(chi_A) and the
     # norms off incrementally labelled coset counts reproduces the
-    # residual-table step's whole trace.
+    # residual-table step's whole trace, each step's ||f_V||_1 included.
     calls = []
 
     def counted_reference(*args):
@@ -198,7 +200,7 @@ def test_spectral_step_matches_residual_route(monkeypatch, strategy):
 
 
 def _trace_key(trace):
-    return ([(st.s, st.dim_before, st.dim_after, st.gain, st.chang_ceiling,
+    return ([(st.s, st.dim_before, st.dim_after, st.gain, st.l1,
               st.l_after) for st in trace.steps],
             trace.final_bound, trace.termination, trace.a_norm)
 
@@ -206,7 +208,7 @@ def _trace_key(trace):
 def test_trace_invariant_under_affine_maps():
     # x -> Lx + t permutes |hat(chi_A)| through the dual map of L (t only
     # flips signs), so the bands, the chosen levels, the spans' dimensions,
-    # the gains and the ceilings all carry over exactly.
+    # the gains and the residual norms (so the ceilings) carry over exactly.
     rng = np.random.default_rng(59)
     sets = [random_point_set(rng, n) for n in range(3, 10) for _ in range(4)]
     for family, k, n in (("geometric4", 2, 4), ("geometric4", 3, 6),
