@@ -39,7 +39,6 @@ __all__ = [
     "rank_spectrum",
     "level_sets",
     "gain_floor",
-    "level_qualifies",
     "STRATEGIES",
     "select_level",
     "span_dims",
@@ -215,11 +214,6 @@ def gain_floor(s: int) -> Fraction:
     return Fraction(4 ** s, 6 * 3 ** s)
 
 
-def level_qualifies(level: LevelSet) -> bool:
-    """Exact test of mass >= gain_floor(s)."""
-    return level.mass.as_fraction() >= gain_floor(level.s)
-
-
 STRATEGIES = ("smallest-s", "best-ratio")
 
 
@@ -232,7 +226,8 @@ def select_level(levels: Sequence[LevelSet],
     The averaging identity guarantees a qualifier exists, so an empty
     result is an arithmetic bug, not a data condition.
     """
-    qualifying = [lv for lv in levels if level_qualifies(lv)]
+    qualifying = [lv for lv in levels
+                  if lv.mass.as_fraction() >= gain_floor(lv.s)]
     if not qualifying:
         raise NoQualifyingLevel(
             "no level reaches (1/6)(4/3)^s; the mass bookkeeping is broken"

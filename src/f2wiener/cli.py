@@ -28,7 +28,7 @@ from .fileio import (SetFileError, certificate_payload, check_certificate,
                      load_certificate, read_set_file, witness_payload,
                      write_certificate, write_set_file)
 from .groups import HARD_DIM_CAP, HARD_EXP_CAP, as_dim
-from .iteration import hypothesis_check, run_iteration
+from .iteration import run_iteration
 from .setfuncs import set_a_norm
 from .verify import SUITE_NAMES, run_suite
 
@@ -254,15 +254,18 @@ def _cmd_profile(args, cfg, max_n) -> int:
         raise ValueError("alpha must lie in [0, 1]")
     if not 0 <= args.max_dim <= HARD_DIM_CAP:
         raise ValueError(f"max-dim must lie in [0, {HARD_DIM_CAP}]")
-    max_order = 1 << args.max_dim
-    report = hypothesis_check(alpha, max_order)
     print(_dyadic_line("alpha", alpha))
-    print(f"max_order = {max_order}")
-    for row in report.rows:
-        print(f"d={row.d}  order={1 << row.d}  frac={_frac_str(row.frac)}  "
-              f"product={_frac_str(row.product)}  scaled={_frac_str(row.scaled)}")
-    print(f"c_plain = {_frac_str(report.c_plain)}")
-    print(f"c_scaled = {_frac_str(report.c_scaled)}")
+    print(f"max_order = {1 << args.max_dim}")
+    # Row d: frac {alpha 2^d}, product frac (1 - frac), scaled product 2^d.
+    products, scaled = [], []
+    for d in range(args.max_dim + 1):
+        frac = alpha.mul_pow2(d).frac()
+        products.append(frac * (ONE - frac))
+        scaled.append(products[-1].mul_pow2(d))
+        print(f"d={d}  order={1 << d}  frac={_frac_str(frac)}  product="
+              f"{_frac_str(products[-1])}  scaled={_frac_str(scaled[-1])}")
+    print(f"c_plain = {_frac_str(min(products))}")
+    print(f"c_scaled = {_frac_str(min(scaled))}")
     return EXIT_OK
 
 

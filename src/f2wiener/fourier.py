@@ -8,7 +8,6 @@ fwht returns it unnormalized, as the int64 array S(g) = sum_{x in A}
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, List
 
 import numpy as np
@@ -59,17 +58,15 @@ def fwht(a: PointSet) -> np.ndarray:
 
 def lp_norm(nums: np.ndarray, exps, p: float) -> List[float]:
     """Float L^p mean norm of each row nums[t] / 2^exps[t] of an int64
-    (T, N) stack."""
+    (T, N) stack, for exponents up to _LP_MAX_EXP (ValueError above)."""
     if p < 1:
         raise ValueError("lp_norm requires p >= 1")
     exps = np.asarray(exps, dtype=np.int64)
+    if exps.size and exps.max() > _LP_MAX_EXP:
+        raise ValueError(f"lp_norm takes exponents up to {_LP_MAX_EXP}")
     vals = np.abs(nums.astype(np.float64))
     # Rounding v to float64 and then scaling by the normal power of two
     # 2^-exp is exact, so each entry equals float(Fraction(v, 2^exp)).
-    small = exps <= _LP_MAX_EXP
-    vals *= np.ldexp(1.0, -np.where(small, exps, 0))[:, None]
-    for t in np.flatnonzero(~small).tolist():
-        vals[t] = [abs(float(Fraction(v, 1 << int(exps[t]))))
-                   for v in nums[t].tolist()]
+    vals *= np.ldexp(1.0, -exps)[:, None]
     # Each row's mean is reduced alone, as np.mean reduces a single row.
     return [float(m ** (1.0 / p)) for m in np.mean(vals ** p, axis=1)]

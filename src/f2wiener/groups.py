@@ -3,7 +3,8 @@
 Points and characters are both n-bit integer masks; the pairing is the
 parity of the AND.  Subspaces carry a canonical reduced-row-echelon basis
 (rows sorted by pivot, pivot = lowest set bit), so equal subspaces compare
-equal as tuples.
+equal as tuples.  subspace_extend grows a basis; a subspace does not list
+its members, which the iteration builds as V grows (StepState.grow).
 """
 from __future__ import annotations
 
@@ -18,10 +19,8 @@ __all__ = [
     "HARD_EXP_CAP",
     "GroupDim",
     "as_dim",
-    "parity",
     "char_sign",
     "DualSubspace",
-    "subspace_insert",
     "subspace_extend",
     "annihilator_basis",
     "label_table",
@@ -61,14 +60,10 @@ def as_dim(dim) -> GroupDim:
     return dim if isinstance(dim, GroupDim) else GroupDim(dim)
 
 
-def parity(a: int, b: int) -> int:
-    """Pairing <a, b> in F2: parity of the AND of the two masks."""
-    return (a & b).bit_count() & 1
-
-
 def char_sign(gamma: int, x: int) -> int:
-    """Character value (-1)^<gamma, x> as +-1."""
-    return 1 - 2 * parity(gamma, x)
+    """Character value (-1)^<gamma, x> as +-1: the pairing <gamma, x> is
+    the parity of the AND of the two masks."""
+    return 1 - 2 * ((gamma & x).bit_count() & 1)
 
 
 def _pivot(row: int) -> int:
@@ -127,17 +122,6 @@ class DualSubspace:
     def is_subspace_of(self, other: "DualSubspace") -> bool:
         return all(other.contains(r) for r in self.basis)
 
-    def elements(self) -> List[int]:
-        """All 2**dim members, by doubling over the basis."""
-        return self.element_array().tolist()
-
-    def element_array(self) -> np.ndarray:
-        """elements() as an int64 array, in the same order."""
-        elems = np.zeros(1, dtype=np.int64)
-        for r in self.basis:
-            elems = np.concatenate((elems, elems ^ np.int64(r)))
-        return elems
-
     def reduce_array(self, gammas: np.ndarray) -> np.ndarray:
         """reduce() applied to every entry of an integer array of masks, in
         its own type, which must hold every basis row."""
@@ -157,22 +141,6 @@ def _clear_pivot(gammas: np.ndarray, r: int, pick: np.ndarray) -> None:
     gammas ^= pick
 
 
-def subspace_insert(v: DualSubspace, gamma: int) -> DualSubspace:
-    """Smallest subspace containing v and gamma (v itself if dependent)."""
-    if gamma < 0:
-        raise ValueError("character masks are non-negative")
-    g = v.reduce(gamma)
-    if g == 0:
-        return v
-    p = _pivot(g)
-    # g is reduced against v, so clearing p from every old row keeps the
-    # rows in RREF.
-    rows = [r ^ g if (r >> p) & 1 else r for r in v.basis]
-    rows.append(g)
-    rows.sort(key=_pivot)
-    return DualSubspace._unchecked(tuple(rows))
-
-
 # subspace_extend reduces the masks this many at a time, so its scratch
 # stays small however large the mask array.
 _EXTEND_CHUNK = 1 << 16
@@ -181,11 +149,12 @@ _EXTEND_CHUNK = 1 << 16
 def subspace_extend(v: DualSubspace, masks: Sequence[int]) -> DualSubspace:
     """Smallest subspace containing v and every mask.
 
-    The masks are reduced against the basis a chunk at a time and only a
-    survivor is inserted, so subspace_insert runs once per added
-    dimension.  The basis is canonical, so the result equals inserting the
-    masks one by one.  An int32 array of masks is reduced in int32 while
-    every basis row fits.
+    The masks are reduced against the basis a chunk at a time, and each
+    survivor becomes a new row, so the basis grows once per added
+    dimension; it is canonical, so the result equals adding the masks one
+    by one.  An int32 array of masks is reduced in int32 while every basis
+    row fits.  XOR with non-negative rows never clears a sign bit, so a
+    negative mask survives, and is refused there (ValueError).
     """
     masks = np.asarray(masks)
     for lo in range(0, masks.size, _EXTEND_CHUNK):
@@ -198,9 +167,16 @@ def subspace_extend(v: DualSubspace, masks: Sequence[int]) -> DualSubspace:
             g = int(rest[np.argmax(rest != 0)])
             if not g:
                 break
-            v = subspace_insert(v, g)
-            # g is zero at every old pivot, so clearing its own pivot
-            # leaves rest reduced against the whole new basis.
+            if g < 0:
+                raise ValueError("character masks are non-negative")
+            # g is zero at every old pivot, so clearing its pivot from the
+            # old rows keeps them in RREF, and clearing it from rest leaves
+            # rest reduced against the whole new basis.
+            p = _pivot(g)
+            rows = [r ^ g if (r >> p) & 1 else r for r in v.basis]
+            rows.append(g)
+            rows.sort(key=_pivot)
+            v = DualSubspace._unchecked(tuple(rows))
             _clear_pivot(rest, g, pick)
     return v
 

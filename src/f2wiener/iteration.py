@@ -6,7 +6,8 @@ Its spectrum is hat(chi_A) off V and zero on V; ||f_V||_1 and ||f_V||_2^2
 come from A's coset counts, checked against the spectrum by Parseval.
 The mass L(V) = sum_{g in V} |hat(chi_A)(g)| grows by at least
 (1/6)(4/3)^s per step and never exceeds the Wiener norm, so the final L
-is a certified lower bound.  The loop runs while |V| <= max_order.
+is a certified lower bound.  The loop runs while |V| <= max_order.  The
+density profile {alpha 2^d}(1 - {alpha 2^d}) is the CLI's profile command.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .chang import (STRATEGIES, SpectrumRanking, chang_cardinality_bound,
                     gain_floor, level_sets, rank_spectrum, select_level)
 from .dyadic import DyadicScalar, ZERO
 from .groups import HARD_DIM_CAP, DualSubspace, subspace_extend
-from .setfuncs import PointSet, frac_product, residual_norms
+from .setfuncs import PointSet, residual_norms
 
 __all__ = [
     "ZeroResidual",
@@ -32,9 +33,6 @@ __all__ = [
     "IterationTrace",
     "iterate_step",
     "run_iteration",
-    "HypothesisRow",
-    "HypothesisReport",
-    "hypothesis_check",
 ]
 
 
@@ -244,41 +242,3 @@ def run_iteration(a: PointSet, max_order: int,
     return IterationTrace(tuple(steps), tuple(l_seq), final, termination,
                           norm)
 
-
-@dataclass(frozen=True)
-class HypothesisRow:
-    """Row d: frac = {alpha 2^d} and product = frac (1 - frac)."""
-
-    d: int
-    frac: DyadicScalar
-    product: DyadicScalar
-
-    @property
-    def scaled(self) -> DyadicScalar:
-        return self.product.mul_pow2(self.d)
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Exact {alpha 2^d}(1 - {alpha 2^d}) data for all orders up to M."""
-
-    alpha: DyadicScalar
-    max_order: int
-    rows: Tuple[HypothesisRow, ...]
-    c_plain: DyadicScalar
-    c_scaled: DyadicScalar
-
-
-def hypothesis_check(alpha: DyadicScalar, max_order: int) -> HypothesisReport:
-    """Evaluate the fractional-part products for every 2^d <= max_order.
-
-    c_plain = min_d {alpha 2^d}(1 - {alpha 2^d}) and c_scaled is the same
-    minimum after multiplying row d by 2^d; both exact.
-    """
-    if not 1 <= max_order <= MAX_ORDER:
-        raise ValueError(f"max_order must lie in [1, 2^{HARD_DIM_CAP}]")
-    rows = [HypothesisRow(d, *frac_product(alpha, d))
-            for d in range(max_order.bit_length())]
-    c_plain = min((r.product for r in rows), default=ZERO)
-    c_scaled = min((r.scaled for r in rows), default=ZERO)
-    return HypothesisReport(alpha, max_order, tuple(rows), c_plain, c_scaled)

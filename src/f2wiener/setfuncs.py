@@ -19,7 +19,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dyadic import DyadicScalar, ONE
+from .dyadic import DyadicScalar
 from .fourier import _I64_MAX, _check_bound, fwht
 from .groups import GroupDim, as_dim, label_table
 
@@ -27,7 +27,6 @@ __all__ = [
     "PointSet",
     "residual_l1",
     "residual_norms",
-    "frac_product",
     "physical_lower_bound",
     "frac_quadratic_gap",
     "set_a_norm",
@@ -75,15 +74,12 @@ class PointSet:
     def density(self) -> DyadicScalar:
         return DyadicScalar(self.size, self.dim.n)
 
-    def _indicator_array(self, dtype=np.int64) -> np.ndarray:
+    def bool_mask(self) -> np.ndarray:
         order = self.dim.order
         nbytes = max(1, order // 8)
         raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"),
                             dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[:order].astype(dtype)
-
-    def bool_mask(self) -> np.ndarray:
-        return self._indicator_array(bool)
+        return np.unpackbits(raw, bitorder="little")[:order].astype(bool)
 
     def set_hex(self) -> str:
         width = max(1, self.dim.order // 4)
@@ -169,13 +165,6 @@ def residual_l1(ind: np.ndarray, chars: np.ndarray,
     counts = np.bincount(keys.ravel(), minlength=rows << (width + 1))
     return (*residual_norms(counts.reshape(rows, -1, 2)[..., 1], n, dims),
             dims)
-
-
-def frac_product(alpha: DyadicScalar, d: int,
-                 ) -> Tuple[DyadicScalar, DyadicScalar]:
-    """(t, t(1 - t)) for t = {alpha 2^d}, the fractional part of alpha 2^d."""
-    t = alpha.mul_pow2(d).frac()
-    return t, t * (ONE - t)
 
 
 def physical_lower_bound(sizes: np.ndarray, n: int,

@@ -236,7 +236,7 @@ def run_suite(name: str, trials: int, seed: int, jobs: int = 1) -> SuiteResult:
              for start in range(0, trials, chunk)]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         parts = list(pool.map(_run_chunk, [name] * len(spans),
                               [seed] * len(spans),
                               [s for s, _ in spans],

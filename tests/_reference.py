@@ -17,12 +17,15 @@ reference_iterate_step is the growth step by the physical route
 step must reproduce exactly; the set maps and table helpers there serve
 only the tests, as do fresh_step (iterate_step with its ranking and step
 state built from scratch), the small accessors the package dropped
-(span_of, full_subspace, set_points, full_set, table_fractions,
-dyadic_from_fraction), parity_labels (per-character parity labels of
-many points under many character lists at once), coset_index_table (its
-one-subspace form, which label_table must match), fraction_chang_cap (Chang's cap by Fraction arithmetic, which the integer
-ratio must reproduce bit for bit) and build_equality_case, the set
-attaining Lemma 1's floor.  reference_level_sets is the banding by a sort
+(span_of, subspace_elements, full_subspace, set_points, full_set,
+table_fractions, dyadic_from_fraction), profile_report (the profile
+command's rows and minima, read back from its stdout), parity_labels
+(per-character parity labels of many points under many character
+lists at once), coset_index_table (its one-subspace form, which
+label_table must match), fraction_chang_cap (Chang's cap by Fraction
+arithmetic, which the integer ratio must reproduce bit for bit) and
+build_equality_case, the set attaining Lemma 1's floor.
+reference_level_sets is the banding by a sort
 of the residual spectrum's distinct magnitudes, which the ranked banding
 must reproduce.  reference_all_subspaces and
 reference_annihilator_basis are the one-subspace-at-a-time enumeration and
@@ -50,25 +53,27 @@ it in order, apart from the package's arrays.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import re
 from fractions import Fraction
 from itertools import combinations, groupby, product
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from f2wiener import _kernels
+from f2wiener import _kernels, cli
 from f2wiener.chang import (DependentSet, LevelSet, SpectrumRanking,
                             ZeroMass, chang_cardinality_bound, rank_spectrum,
                             select_level)
 from f2wiener.dyadic import ONE, ZERO, DyadicScalar, floor_log2_ratio
 from f2wiener.fourier import _LP_MAX_EXP, _check_bound, fwht
-from f2wiener.groups import (DualSubspace, GroupDim, subspace_extend,
-                             subspace_insert)
+from f2wiener.groups import DualSubspace, GroupDim, subspace_extend
 from f2wiener.iteration import (StepResult, StepState, ZeroResidual,
                                 iterate_step)
-from f2wiener.setfuncs import (PointSet, frac_product, physical_lower_bound
-                               as row_floors, residual_l1 as row_l1)
+from f2wiener.setfuncs import (PointSet, physical_lower_bound as row_floors,
+                               residual_l1 as row_l1)
 
 
 def parity(a: int, b: int) -> int:
@@ -330,6 +335,43 @@ def span_of(masks: Sequence[int]) -> DualSubspace:
     return subspace_extend(DualSubspace.trivial(), masks)
 
 
+def subspace_elements(v: DualSubspace) -> np.ndarray:
+    """All 2^dim members of v as an int64 array, by doubling over the
+    basis: the members that are sums of the first i rows come first."""
+    elems = np.zeros(1, dtype=np.int64)
+    for r in v.basis:
+        elems = np.concatenate((elems, elems ^ np.int64(r)))
+    return elems
+
+
+_PROFILE_ROW = re.compile(
+    r"d=(\d+)  order=(\d+)  frac=(\S+)  product=(\S+)  scaled=(\S+)$")
+
+
+def profile_report(alpha: DyadicScalar, max_dim: int):
+    """(rows, c_plain, c_scaled) as the profile command prints them for
+    alpha and max_dim: rows[d] is (frac, product, scaled) for d = 0..max_dim,
+    every value a DyadicScalar read back from the printed fraction."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["profile", "--alpha", str(alpha),
+                       "--max-dim", str(max_dim)])
+    if rc != 0:
+        raise ValueError(f"profile exited {rc}")
+    lines = out.getvalue().splitlines()
+    rows = []
+    for d, line in enumerate(lines[2:-2]):
+        m = _PROFILE_ROW.match(line)
+        assert m and int(m[1]) == d and int(m[2]) == 1 << d, line
+        rows.append(tuple(dyadic_from_fraction(Fraction(m[i]))
+                          for i in (3, 4, 5)))
+    assert lines[-2].startswith("c_plain = ")
+    assert lines[-1].startswith("c_scaled = ")
+    c_plain, c_scaled = (dyadic_from_fraction(Fraction(line.split()[-1]))
+                         for line in lines[-2:])
+    return rows, c_plain, c_scaled
+
+
 def full_subspace(n: int) -> DualSubspace:
     return DualSubspace(tuple(1 << i for i in range(n)))
 
@@ -496,7 +538,7 @@ def reference_iterate_step(a, v, strategy, ranking, state):
     if table_l2_sq(*fv) != base.mul_pow2(-1):
         raise ArithmeticError(f"||f_V||_2^2 != ||f_V||_1 / 2 at {v!r}")
     fv_hat = table_fwht(*fv)
-    elems = v.element_array()
+    elems = subspace_elements(v)
     bad = np.flatnonzero(fv_hat[0][elems])
     if bad.size:
         raise ArithmeticError(
@@ -505,8 +547,8 @@ def reference_iterate_step(a, v, strategy, ranking, state):
     levels = reference_level_sets(fv_hat, chi_hat, base)
     level = select_level(levels, strategy)
     v_new = subspace_extend(v, level.members)
-    l_old = _mass_over(chi_hat, v.element_array())
-    l_new = _mass_over(chi_hat, v_new.element_array())
+    l_old = _mass_over(chi_hat, subspace_elements(v))
+    l_new = _mass_over(chi_hat, subspace_elements(v_new))
     return StepResult(s=level.s, v_new=v_new, gain=l_new - l_old,
                       dim_before=v.dim, dim_after=v_new.dim, l1=base,
                       l_after=l_new)
@@ -598,7 +640,7 @@ def reference_residual(a: PointSet, v: DualSubspace) -> Tuple[np.ndarray,
     d = v.dim
     syn = coset_index_table(v, np.arange(a.dim.order, dtype=np.int64))
     counts = np.bincount(syn[a.bool_mask()], minlength=1 << d)
-    nums = (a._indicator_array() << (n - d)) - counts[syn]
+    nums = (a.bool_mask().astype(np.int64) << (n - d)) - counts[syn]
     return nums, n - d
 
 
@@ -643,11 +685,8 @@ def random_subspace(rng: np.random.Generator, n: int,
                     max_dim: int | None = None) -> DualSubspace:
     if max_dim is None:
         max_dim = n
-    v = DualSubspace.trivial()
     k = int(rng.integers(0, max_dim + 1))
-    for g in rng.integers(1, 1 << n, size=k).tolist():
-        v = subspace_insert(v, g)
-    return v
+    return span_of(rng.integers(1, 1 << n, size=k).tolist())
 
 
 def random_independent_chars(rng: np.random.Generator, n: int,
@@ -657,7 +696,7 @@ def random_independent_chars(rng: np.random.Generator, n: int,
     guard = 0
     while len(out) < count:
         g = int(rng.integers(1, 1 << n))
-        w = subspace_insert(v, g)
+        w = subspace_extend(v, [g])
         if w.dim > v.dim:
             out.append(g)
             v = w
@@ -686,7 +725,8 @@ def physical_lower_bound(alpha: DyadicScalar, order: int) -> DyadicScalar:
     if order < 1 or order & (order - 1):
         raise ValueError("order must be a power of two")
     d = order.bit_length() - 1
-    return (frac_product(alpha, d)[1] * 2).mul_pow2(-d)
+    t = alpha.mul_pow2(d).frac()
+    return (t * (ONE - t) * 2).mul_pow2(-d)
 
 
 def riesz_product(dim, lambdas: Sequence[int],
@@ -812,7 +852,7 @@ def stack_rows(sets: Sequence[PointSet], subspaces: Sequence[DualSubspace]):
     (T, 2^n) int8 stack and each subspace's basis as a row of a (T, n)
     int64 array, padded with zeros."""
     n = sets[0].dim.n
-    ind = np.stack([a._indicator_array(np.int8) for a in sets])
+    ind = np.stack([a.bool_mask().astype(np.int8) for a in sets])
     chars = np.zeros((len(sets), n), dtype=np.int64)
     for row, v in enumerate(subspaces):
         chars[row, :v.dim] = v.basis

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             ZeroMass, beckner_verify, chang_cardinality_bound,
-                            level_qualifies, level_sets, rank_spectrum,
-                            riesz_product, select_level, span_dims)
+                            level_sets, rank_spectrum, riesz_product,
+                            select_level, span_dims)
 from f2wiener.dyadic import ONE, DyadicScalar
 from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, subspace_extend
@@ -21,8 +21,17 @@ from _reference import (annihilator_points, brute_chang_span, brute_level_sets,
                         random_independent_chars, random_point_set,
                         random_subspace, random_table, reference_beckner,
                         reference_inverse_fwht, reference_ranking, residual,
-                        residual_l1, span_of, table_fractions, table_fwht,
-                        table_l1, table_l2_sq)
+                        residual_l1, span_of, subspace_elements,
+                        table_fractions, table_fwht, table_l1, table_l2_sq)
+
+
+def _qualifies(level: LevelSet) -> bool:
+    """Whether select_level takes the level when it stands alone: its mass
+    reaches gain_floor(s)."""
+    try:
+        return select_level([level]) is level
+    except NoQualifyingLevel:
+        return False
 
 
 def _halfspace(n: int):
@@ -68,7 +77,7 @@ def test_level_sets_halfspace():
     assert lv.s == 0
     assert lv.members.tolist() == [1]
     assert lv.mass == DyadicScalar(1, 1)
-    assert level_qualifies(lv)
+    assert _qualifies(lv)
 
 
 def test_level_sets_coset():
@@ -82,7 +91,8 @@ def test_level_sets_coset():
         assert len(levels) == 1
         lv = levels[0]
         assert lv.s == 0
-        assert sorted(lv.members.tolist()) == sorted(set(v.elements()) - {0})
+        assert sorted(lv.members.tolist()) == sorted(
+            set(subspace_elements(v).tolist()) - {0})
         assert lv.mass == DyadicScalar((1 << d) - 1, d)
 
 
@@ -182,7 +192,7 @@ def test_level_sets_match_reference_on_residuals():
         if base.num == 0:
             continue
         done += 1
-        levels = level_sets(rank_spectrum(a), v.element_array(), base)
+        levels = level_sets(rank_spectrum(a), subspace_elements(v), base)
         got = [(lv.s, sorted(lv.members.tolist()), lv.mass.as_fraction())
                for lv in levels]
         want = [(s, list(members), mass) for s, members, mass in
@@ -259,23 +269,23 @@ def test_level_mass_averaging_identity():
         if base.num == 0:
             continue
         done += 1
-        levels = level_sets(rank_spectrum(a), v.element_array(), base)
+        levels = level_sets(rank_spectrum(a), subspace_elements(v), base)
         total = sum((lv.mass.as_fraction() / (1 << lv.s) for lv in levels),
                     Fraction(0))
         assert total >= Fraction(1, 2)
-        assert any(level_qualifies(lv) for lv in levels)
+        assert any(_qualifies(lv) for lv in levels)
 
 
 def test_level_qualifies_boundaries():
     def lv(s, num, exp):
         return LevelSet(s, (1,), DyadicScalar(num, exp))
 
-    assert level_qualifies(lv(0, 3, 4))        # 3/16 >= 1/6
-    assert not level_qualifies(lv(0, 1, 3))    # 1/8 < 1/6
-    assert level_qualifies(lv(1, 1, 2))        # 1/4 >= 2/9
-    assert not level_qualifies(lv(1, 7, 5))    # 7/32 < 2/9
-    assert level_qualifies(lv(2, 5, 4))        # 5/16 >= 8/27
-    assert not level_qualifies(lv(2, 9, 5))    # 9/32 < 8/27
+    assert _qualifies(lv(0, 3, 4))        # 3/16 >= 1/6
+    assert not _qualifies(lv(0, 1, 3))    # 1/8 < 1/6
+    assert _qualifies(lv(1, 1, 2))        # 1/4 >= 2/9
+    assert not _qualifies(lv(1, 7, 5))    # 7/32 < 2/9
+    assert _qualifies(lv(2, 5, 4))        # 5/16 >= 8/27
+    assert not _qualifies(lv(2, 9, 5))    # 9/32 < 8/27
 
 
 def test_select_level_strategies():
@@ -304,7 +314,7 @@ def test_chang_span_coset():
     a = PointSet.from_points(3, annihilator_points(v.basis, 3))
     assert _dim(_set_spec(a), DyadicScalar(1, 2)) == 2
     # eps = (1/4) / ||chi_A||_1 = 1
-    bound = _cap((a._indicator_array(), 0), Fraction(1))
+    bound = _cap((a.bool_mask().astype(np.int64), 0), Fraction(1))
     assert bound == pytest.approx(math.e * 2 * math.log(2), rel=1e-12)
     assert bound >= 2
 
@@ -332,7 +342,7 @@ def test_chang_span_contains_large_spectrum():
             continue
         spec = _set_spec(a)
         j = int(rng.integers(0, 5))
-        f = (a._indicator_array(), 0)
+        f = (a.bool_mask().astype(np.int64), 0)
         thr = table_l1(*f).mul_pow2(-j)
         if thr.num == 0:
             continue

@@ -355,6 +355,43 @@ def test_profile_output(workdir, capsys):
                  "--max-dim", "2"]) == 0
 
 
+_ZERO_ROWS = "".join(f"d={d}  order={1 << d}  frac=0  product=0  scaled=0\n"
+                     for d in range(3))
+_TINY = ("d=30  order=1073741824  frac=7/1073741824  "
+         "product=7516192719/1152921504606846976  "
+         "scaled=7516192719/1073741824\n"
+         "c_plain = 8070450532247928783/"
+         "1329227995784915872903807060280344576\n"
+         "c_scaled = 8070450532247928783/"
+         "1329227995784915872903807060280344576\n")
+
+
+@pytest.mark.parametrize("alpha, max_dim, expected", [
+    ("0", 2, "alpha = 0 = 0\nmax_order = 4\n" + _ZERO_ROWS
+     + "c_plain = 0\nc_scaled = 0\n"),
+    ("1", 2, "alpha = 1 = 1\nmax_order = 4\n" + _ZERO_ROWS
+     + "c_plain = 0\nc_scaled = 0\n"),
+    # frac is 0 from d = 2 on, so both minima are 0
+    ("3/2^2", 2, "alpha = 3/2^2 = 0.75\nmax_order = 4\n"
+     "d=0  order=1  frac=3/4  product=3/16  scaled=3/16\n"
+     "d=1  order=2  frac=1/2  product=1/4  scaled=1/2\n"
+     "d=2  order=4  frac=0  product=0  scaled=0\n"
+     "c_plain = 0\nc_scaled = 0\n"),
+    # the smallest alpha step at the largest max-dim: 35 lines, pinned by
+    # their sha256, the last row and both minima (at d = 0) spelled out
+    ("7/2^60", 30,
+     "7af23d94565530f3ce447b47c228798b50b670a169bdeca12151cd0642ae752d"),
+])
+def test_profile_edges(workdir, capsys, alpha, max_dim, expected):
+    assert main(["profile", "--alpha", alpha, "--max-dim", str(max_dim)]) == 0
+    out = capsys.readouterr().out
+    if "\n" in expected:
+        assert out == expected
+    else:
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+        assert out.endswith(_TINY)
+
+
 def test_verify_command(workdir, capsys):
     assert main(["verify", "--suite", "techlem", "--trials", "50",
                  "--seed", "1"]) == 0

@@ -9,12 +9,11 @@ from f2wiener.constructions import (CosetUnionWitness, DyadicDensity,
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace
-from f2wiener.iteration import hypothesis_check
 from f2wiener.setfuncs import set_a_norm
 
 from _reference import (brute_set_a_norm, build_equality_case, ResolutionError,
-                        random_subspace, set_points, span_of,
-                        stacked_l1_and_floor)
+                        profile_report, random_subspace, set_points, span_of,
+                        stacked_l1_and_floor, subspace_elements)
 
 
 def test_density_family_values():
@@ -112,7 +111,7 @@ def test_norm_bounds_and_shell_floor():
         spec = fwht(a)
         prev: frozenset = frozenset({0})
         for i, lam in enumerate(w.lambdas, start=1):
-            cur = frozenset(lam.elements())
+            cur = frozenset(subspace_elements(lam).tolist())
             for g in sorted(cur - prev):
                 c = DyadicScalar(int(spec[g]), 2 * k)
                 assert 3 * abs(c.num) * (4 ** i) >= 2 * (1 << c.exp), (k, i, g)
@@ -161,22 +160,22 @@ def test_equality_case_errors():
 
 
 def test_density_profile_frozen():
-    # Rows d = 0..3: max_order 2^3.
-    rows = hypothesis_check(DyadicScalar(5, 4), 8).rows
-    assert [r.d for r in rows] == [0, 1, 2, 3]
-    assert rows[0].product == DyadicScalar(55, 8)
-    assert rows[1].frac == DyadicScalar(5, 3)
-    assert rows[1].product == DyadicScalar(15, 6)
-    assert rows[2].product == DyadicScalar(3, 4)
-    assert rows[3].product == DyadicScalar(1, 2)
-    assert rows[3].scaled == DyadicScalar(2)
-    half = hypothesis_check(DyadicScalar(1, 1), 16).rows
-    assert half[0].product == DyadicScalar(1, 2)
-    for r in half[1:]:
-        assert r.frac == DyadicScalar(0)
-        assert r.product == DyadicScalar(0)
+    # Rows (frac, product, scaled) for d = 0..3: max_order 2^3.
+    rows, _, _ = profile_report(DyadicScalar(5, 4), 3)
+    assert len(rows) == 4
+    assert rows[0][1] == DyadicScalar(55, 8)
+    assert rows[1][0] == DyadicScalar(5, 3)
+    assert rows[1][1] == DyadicScalar(15, 6)
+    assert rows[2][1] == DyadicScalar(3, 4)
+    assert rows[3][1] == DyadicScalar(1, 2)
+    assert rows[3][2] == DyadicScalar(2)
+    half, _, _ = profile_report(DyadicScalar(1, 1), 4)
+    assert half[0][1] == DyadicScalar(1, 2)
+    for frac, product, _ in half[1:]:
+        assert frac == DyadicScalar(0)
+        assert product == DyadicScalar(0)
     with pytest.raises(ValueError):
-        hypothesis_check(DyadicScalar(1, 2), 0)
+        profile_report(DyadicScalar(1, 2), -1)
 
 
 def test_double_exp_profile_bounds():
@@ -185,15 +184,15 @@ def test_double_exp_profile_bounds():
     for k in (1, 2, 3, 4, 5):
         alpha = density_family("double_exp", k).value()
         top = 1 << (k - 1)
-        rows = hypothesis_check(alpha, 1 << (top - 1)).rows
-        for r in rows:
-            t = r.frac.as_fraction()
-            assert t <= seven_eighths, (k, r.d)
-            assert r.scaled.as_fraction() >= Fraction(1, 8), (k, r.d)
-            if r.d >= 1:
-                assert t >= Fraction(1, 1 << r.d), (k, r.d)
+        rows, _, _ = profile_report(alpha, top - 1)
+        for d, (frac, _, scaled) in enumerate(rows):
+            t = frac.as_fraction()
+            assert t <= seven_eighths, (k, d)
+            assert scaled.as_fraction() >= Fraction(1, 8), (k, d)
+            if d >= 1:
+                assert t >= Fraction(1, 1 << d), (k, d)
         # at d=0 the lower bound degenerates to alpha >= 1, which no set
         # density satisfies; the exact value alpha in [1/2, 7/8] stands in
-        assert rows[0].frac == alpha
+        assert rows[0][0] == alpha
         assert DyadicScalar(1, 1) <= alpha
 

@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 from f2wiener import _kernels
 from f2wiener.chang import level_sets, rank_spectrum
 from f2wiener.dyadic import DyadicScalar
-from f2wiener.fourier import _check_bound, fwht, lp_norm
+from f2wiener.fourier import _LP_MAX_EXP, _check_bound, fwht, lp_norm
 from f2wiener.iteration import StepState
 from f2wiener.setfuncs import PointSet, residual_norms, set_a_norm
 
 from _reference import (annihilator_points, brute_abs_floats, brute_fwht,
                         full_set, random_point_set, random_subspace,
                         random_table, reference_inverse_fwht, set_complement,
-                        span_of, table_fractions, table_l1, table_l2_sq)
+                        span_of, subspace_elements, table_fractions, table_l1,
+                        table_l2_sq)
 
 
 def _lp(f, p):
@@ -92,7 +93,8 @@ def test_parseval_exact():
         n = int(rng.integers(1, 9))
         a = random_point_set(rng, n)
         square = DyadicScalar(sum(int(v) ** 2 for v in fwht(a)), 2 * n)
-        assert square == table_l2_sq(a._indicator_array(), 0) == a.density()
+        ind = a.bool_mask().astype(np.int64)
+        assert square == table_l2_sq(ind, 0) == a.density()
 
 
 def test_linearity():
@@ -127,7 +129,8 @@ def test_linf_equals_density_for_indicators():
         n = int(rng.integers(1, 9))
         a = random_point_set(rng, n)
         linf = DyadicScalar(int(np.abs(fwht(a)).max()), n)
-        assert linf == a.density() == table_l1(a._indicator_array(), 0)
+        ind = a.bool_mask().astype(np.int64)
+        assert linf == a.density() == table_l1(ind, 0)
         assert set_a_norm(a) >= linf
 
 
@@ -165,20 +168,26 @@ def test_lp_norm_matches_reference():
         tables.append((nums, int(rng.integers(0, 61))))
     tables.append(table([-top, top, 1, 0], 60))
     tables.append(table([(1 << 53) + 1, -(1 << 54) - 1, 3, 0], 5))
-    tables.append(table([1, -3], 1100))
-    tables.append(table([-top, 5, 0, 1 << 62], 1100))
+    tables.append(table([1, -3], _LP_MAX_EXP))
+    tables.append(table([-top, 5, 0, 1 << 62], _LP_MAX_EXP))
     tables.append(table([1, 2, 3, 4, 5, 6, 7, 9], 3))
     for f in tables:
         for p in (1.0, 1.0625, 1.5625, 2.0):
             assert _lp(f, p) == _brute_lp(f, p)
     # A stack reduces each row as that row alone: rows of one n with
-    # exponents on both sides of the float route's limit.
+    # exponents from 0 up to the limit.
     for size in (4, 8, 128):
         rows = [f for f in tables if f[0].size == size]
         exps = [exp for _, exp in rows]
         for p in (1.0, 1.0625, 1.5625, 2.0):
             got = lp_norm(np.stack([nums for nums, _ in rows]), exps, p)
             assert got == [_brute_lp(f, p) for f in rows]
+    # Past the limit |v| 2^-exp can leave the normal floats, and a row there
+    # is refused, alone or in a stack.
+    for nums, exps in (([[1, -3]], [_LP_MAX_EXP + 1]),
+                       ([[-top, 5, 0, 1 << 62], [1, 2, 3, 4]], [3, 1100])):
+        with pytest.raises(ValueError, match="exponents up to"):
+            lp_norm(np.array(nums, dtype=np.int64), exps, 2.0)
 
 
 def test_inner_product_exact():
@@ -212,7 +221,10 @@ def test_exact_sums_random():
         assert ranking.prefix.tolist() == sums
         v = random_subspace(rng, n)
         state = StepState(a, v, ranking)
-        elems = v.elements()
+        elems = subspace_elements(v).tolist()
+        # the state lists V's elements in the same doubling order
+        if state.elems is not None:
+            assert state.elems.tolist() == elems
         assert state.mass == sum(mags[g] for g in elems)
         assert state.square == sum(mags[g] ** 2 for g in elems)
 
@@ -309,7 +321,8 @@ def test_table_peak_after_zeros_and_stripping():
     a = PointSet.from_points(4, annihilator_points(v.basis, 4))
     ranking = rank_spectrum(a)
     assert ranking.exp == 4
-    assert sorted(ranking.order[:4].tolist()) == sorted(v.elements())
+    assert sorted(ranking.order[:4].tolist()) == sorted(
+        subspace_elements(v).tolist())
     assert (-ranking.neg_mags[:5]).tolist() == [4, 4, 4, 4, 0]
     assert ranking.total() == set_a_norm(a) == DyadicScalar(1)
     # ||f_V||_1 = 2 (1/4)(3/4) at V = {0}; V's other characters, each

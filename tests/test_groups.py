@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from f2wiener.groups import (HARD_DIM_CAP, SUBSPACE_BATCH, DualSubspace,
                              GroupDim, all_subspaces, annihilator_basis,
-                             label_table, parity, subspace_batches,
-                             subspace_count, subspace_extend, subspace_insert)
+                             char_sign, label_table, subspace_batches,
+                             subspace_count, subspace_extend)
 
 from _reference import (annihilator_points, coset_index_table, full_subspace,
                         parity as ref_parity, parity_labels,
                         random_invertible, random_subspace,
                         reference_all_subspaces, reference_annihilator_basis,
-                        span_of)
+                        sign, span_of, subspace_elements)
 
 
 def test_group_dim_validation():
@@ -32,34 +32,46 @@ def test_parity_matches_reference():
     for _ in range(500):
         a = int(rng.integers(0, 1 << 16))
         b = int(rng.integers(0, 1 << 16))
-        assert parity(a, b) == ref_parity(a, b)
+        assert char_sign(a, b) == sign(a, b)
+
+
+def _insert(v, gamma):
+    return subspace_extend(v, [gamma])
 
 
 def test_insert_reduces_to_rref():
     v = span_of([0b11])
-    w = subspace_insert(v, 0b01)
+    w = _insert(v, 0b01)
     assert w.basis == (0b01, 0b10)
     assert w == span_of([0b01, 0b10])
     # inserting a member changes nothing
-    assert subspace_insert(w, 0b10) == w
-    assert subspace_insert(w, 0) == w
+    assert _insert(w, 0b10) == w
+    assert _insert(w, 0) == w
+    # a negative mask is refused, in int64 and in int32, also after masks
+    # that grow the basis and when the basis clears its low bits
+    for masks in ([-1], [0b01, -2], np.array([3, -4, 1], dtype=np.int32),
+                  [-(1 << 62) | 0b10]):
+        for base in (DualSubspace.trivial(), w):
+            with pytest.raises(ValueError,
+                               match="character masks are non-negative"):
+                subspace_extend(base, masks)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=16))))
 def test_insert_chain_stays_rref(case):
-    # subspace_insert skips the basis check; the checked constructor must
+    # subspace_extend skips the basis check; the checked constructor must
     # accept every basis it builds, and the basis must span the masks.
     masks = case[1]
     w = DualSubspace.trivial()
     for g in masks:
-        w = subspace_insert(w, g)
+        w = _insert(w, g)
         assert DualSubspace(w.basis) == w
     span = {0}
     for g in masks:
         span |= {x ^ g for x in span}
-    assert set(w.elements()) == span
+    assert set(subspace_elements(w).tolist()) == span
 
 
 def test_span_order_insensitive():
@@ -69,11 +81,10 @@ def test_span_order_insensitive():
         masks = [int(rng.integers(1, 1 << n)) for _ in range(4)]
         v = span_of(masks)
         # One insert at a time is the reference for the batched reduction.
-        assert v == functools.reduce(subspace_insert, masks,
-                                     DualSubspace.trivial())
+        assert v == functools.reduce(_insert, masks, DualSubspace.trivial())
         w = random_subspace(rng, n)
         assert subspace_extend(w, masks) == functools.reduce(
-            subspace_insert, masks, w)
+            _insert, masks, w)
         rng.shuffle(masks)
         assert span_of(masks) == v
 
@@ -89,13 +100,13 @@ def test_basis_validation():
 
 def test_elements_and_contains():
     v = span_of([0b011, 0b100])
-    elems = v.elements()
+    elems = subspace_elements(v).tolist()
     assert len(elems) == 4 == v.order
     assert set(elems) == {0, 0b011, 0b100, 0b111}
     for e in elems:
         assert v.contains(e)
     assert not v.contains(0b001)
-    assert DualSubspace.trivial().elements() == [0]
+    assert subspace_elements(DualSubspace.trivial()).tolist() == [0]
 
 
 def test_element_and_reduce_arrays():
@@ -103,12 +114,12 @@ def test_element_and_reduce_arrays():
     for _ in range(40):
         n = int(rng.integers(1, 11))
         v = random_subspace(rng, n)
-        elems = v.element_array()
+        elems = subspace_elements(v)
         assert elems.dtype == np.int64
         doubled = [0]
         for r in v.basis:
             doubled += [e ^ r for e in doubled]
-        assert elems.tolist() == v.elements() == doubled
+        assert elems.tolist() == doubled
         assert sorted(elems.tolist()) == sorted(
             {x for x in range(1 << n) if v.contains(x)})
         gammas = rng.integers(0, 1 << n, size=50)
@@ -141,7 +152,8 @@ def test_annihilator_duality():
         ann = annihilator_basis(v, n)
         w = span_of(ann)
         assert w.dim == n - v.dim  # |V| * |ann| = 2^n
-        assert set(w.elements()) == set(annihilator_points(v.basis, n))
+        assert set(subspace_elements(w).tolist()) == set(
+            annihilator_points(v.basis, n))
         # double annihilator recovers v
         assert span_of(annihilator_basis(w, n)) == v
 
@@ -181,8 +193,8 @@ def test_subspace_batches_match_per_subspace():
                 w = DualSubspace(tuple(basis))
                 assert ann == annihilator_basis(w, n)
                 assert ann == reference_annihilator_basis(w, n)
-                assert sorted(span_of(ann).elements()) == sorted(
-                    annihilator_points(w.basis, n))
+                elems = subspace_elements(span_of(ann)).tolist()
+                assert sorted(elems) == sorted(annihilator_points(w.basis, n))
                 rows_seen.append(w.basis)
         assert rows_seen == [v.basis for v in reference_all_subspaces(n)]
     # the 2^16-subspace pivot pattern at n = 8 comes in bounded batches

@@ -10,16 +10,16 @@ from f2wiener.constructions import (DyadicDensity, build_coset_union,
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.fourier import fwht
 from f2wiener.groups import DualSubspace, subspace_extend
-from f2wiener import groups, iteration
-from f2wiener.iteration import (HypothesisReport, Termination, ZeroResidual,
-                                hypothesis_check, run_iteration)
+from f2wiener import iteration
+from f2wiener.iteration import Termination, ZeroResidual, run_iteration
 from f2wiener.setfuncs import PointSet, set_a_norm
 
 from _reference import (annihilator_points, fresh_step, full_set,
-                        random_invertible, random_point_set, random_subspace,
-                        reference_iterate_step, reference_level_sets,
-                        residual, residual_l1, set_map_linear, set_points,
-                        set_translate, span_of, table_fwht)
+                        profile_report, random_invertible, random_point_set,
+                        random_subspace, reference_iterate_step,
+                        reference_level_sets, residual, residual_l1,
+                        set_map_linear, set_points, set_translate, span_of,
+                        subspace_elements, table_fwht)
 
 
 def _halfspace(n: int) -> PointSet:
@@ -110,38 +110,43 @@ def test_step_contract_random():
         chosen = [lv for lv in levels if lv.s == st.s]
         assert len(chosen) == 1
         members = set(chosen[0].members)
-        assert members.isdisjoint(v.elements())
+        assert members.isdisjoint(subspace_elements(v).tolist())
         assert all(st.v_new.contains(g) for g in members)
         assert st.gain >= chosen[0].mass
 
 
 def test_step_span_growth_inserts_once_per_dimension(monkeypatch):
-    # v_new is the span of v and every chosen member, reached with one
-    # subspace_insert per added dimension.
-    inserted = []
-    real_insert = groups.subspace_insert
+    # v_new is the span of v and every chosen member, reached with one new
+    # basis per added dimension; then the step builds one more, the
+    # complement of v in v_new, whose new elements it adds.
+    built = []
+    real_unchecked = DualSubspace._unchecked.__func__
 
-    def counting_insert(v, gamma):
-        inserted.append(gamma)
-        return real_insert(v, gamma)
+    def counting_unchecked(cls, basis):
+        built.append(len(basis))
+        return real_unchecked(cls, basis)
 
-    monkeypatch.setattr(groups, "subspace_insert", counting_insert)
+    monkeypatch.setattr(DualSubspace, "_unchecked",
+                        classmethod(counting_unchecked))
     rng = np.random.default_rng(53)
     for strategy in ("smallest-s", "best-ratio"):
         for _ in range(30):
             n = int(rng.integers(2, 10))
             a = random_point_set(rng, n)
             v = random_subspace(rng, n, max_dim=n - 1)
-            inserted.clear()
+            built.clear()
             try:
                 st = fresh_step(a, v, strategy)
             except ZeroResidual:
                 continue
-            assert len(inserted) == st.dim_after - st.dim_before
+            grown = st.dim_after - st.dim_before
+            assert built == list(range(v.dim + 1, st.dim_after + 1)) + [grown]
             levels = reference_level_sets(table_fwht(*residual(a, v)),
                                           (fwht(a), n), residual_l1(a, v))
             (chosen,) = [lv for lv in levels if lv.s == st.s]
-            assert st.v_new == functools.reduce(real_insert, chosen.members, v)
+            # one mask at a time, as the reference for the batched growth
+            assert st.v_new == functools.reduce(
+                lambda w, g: subspace_extend(w, [g]), chosen.members, v)
 
 
 def _reference_sets():
@@ -384,34 +389,35 @@ def test_nesting_chain():
 
 
 def test_hypothesis_frozen():
-    rep = hypothesis_check(DyadicScalar(5, 4), 15)
-    assert isinstance(rep, HypothesisReport)
-    assert [r.d for r in rep.rows] == [0, 1, 2, 3]
-    assert [r.product for r in rep.rows] == [
+    # Every order 2^d <= 15: rows d = 0..3.
+    rows, c_plain, c_scaled = profile_report(DyadicScalar(5, 4), 3)
+    assert [product for _, product, _ in rows] == [
         DyadicScalar(55, 8), DyadicScalar(15, 6), DyadicScalar(3, 4),
         DyadicScalar(1, 2)]
-    assert rep.c_plain == DyadicScalar(3, 4)
-    assert rep.c_scaled == DyadicScalar(55, 8)
+    assert c_plain == DyadicScalar(3, 4)
+    assert c_scaled == DyadicScalar(55, 8)
     # at max_order 16 the d=4 row appears, where 5/16 * 16 is integral
-    rep16 = hypothesis_check(DyadicScalar(5, 4), 16)
-    assert rep16.rows[-1].d == 4
-    assert rep16.c_plain == DyadicScalar(0)
+    rows16, c_plain16, _ = profile_report(DyadicScalar(5, 4), 4)
+    assert len(rows16) == 5
+    assert c_plain16 == DyadicScalar(0)
 
 
 def test_hypothesis_families():
+    # Every order 2^d <= M is max-dim M.bit_length() - 1.
     twelfth = Fraction(1, 12)
     for k in (1, 2, 3, 4):
         alpha = density_family("geometric4", k).value()
-        rep = hypothesis_check(alpha, 4 ** k - 1)
-        assert rep.c_plain.as_fraction() >= twelfth, k
+        _, c_plain, _ = profile_report(alpha, (4 ** k - 1).bit_length() - 1)
+        assert c_plain.as_fraction() >= twelfth, k
     eighth = Fraction(1, 8)
     for k in (1, 2, 3, 4, 5):
         alpha = density_family("double_exp", k).value()
-        rep = hypothesis_check(alpha, (1 << (1 << (k - 1))) - 1)
-        assert rep.c_scaled.as_fraction() >= eighth, k
+        m = (1 << (1 << (k - 1))) - 1
+        _, _, c_scaled = profile_report(alpha, m.bit_length() - 1)
+        assert c_scaled.as_fraction() >= eighth, k
     # exact-density collapse: alpha = 1/2 dies at d = 1
-    rep = hypothesis_check(DyadicScalar(1, 1), 2)
-    assert rep.c_plain == DyadicScalar(0)
+    _, c_plain, _ = profile_report(DyadicScalar(1, 1), 1)
+    assert c_plain == DyadicScalar(0)
 
 
 def test_hypothesis_plain_vs_scaled():
@@ -420,8 +426,8 @@ def test_hypothesis_plain_vs_scaled():
         n = int(rng.integers(1, 10))
         alpha = DyadicScalar(int(rng.integers(0, (1 << n) + 1)), n)
         m = int(rng.integers(1, 200))
-        rep = hypothesis_check(alpha, m)
-        assert rep.c_plain <= rep.c_scaled
-        assert len(rep.rows) == m.bit_length()
+        rows, c_plain, c_scaled = profile_report(alpha, m.bit_length() - 1)
+        assert c_plain <= c_scaled
+        assert len(rows) == m.bit_length()
     with pytest.raises(ValueError):
-        hypothesis_check(DyadicScalar(1, 1), 0)
+        profile_report(DyadicScalar(1, 1), -1)

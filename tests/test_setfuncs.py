@@ -8,18 +8,19 @@ from hypothesis import given, settings, strategies as st
 from f2wiener import setfuncs
 from f2wiener.dyadic import DyadicScalar
 from f2wiener.groups import DualSubspace, GroupDim, all_subspaces
-from f2wiener.setfuncs import (PointSet, frac_product, frac_quadratic_gap,
+from f2wiener.setfuncs import (PointSet, frac_quadratic_gap,
                                physical_lower_bound, residual_l1,
                                residual_norms, set_a_norm)
 
 import _reference
 from _reference import (brute_coset_average, brute_frac_quadratic_gap,
                         brute_indicator_bits, brute_set_a_norm,
-                        coset_index_table, full_set, random_invertible,
-                        random_point_set, random_subspace, reference_residual,
-                        set_complement, set_map_linear, set_points,
-                        set_translate, span_of, stack_rows,
-                        stacked_l1_and_floor, table_fractions, table_fwht)
+                        coset_index_table, full_set, profile_report,
+                        random_invertible, random_point_set, random_subspace,
+                        reference_residual, set_complement, set_map_linear,
+                        set_points, set_translate, span_of, stack_rows,
+                        stacked_l1_and_floor, subspace_elements,
+                        table_fractions, table_fwht)
 from _reference import frac_quadratic_gap as gap
 
 
@@ -44,9 +45,11 @@ def test_point_set_basics():
     a = PointSet.from_points(3, [0, 5, 5, 7])
     assert a.size == 3
     assert set_points(a) == [0, 5, 7]
-    assert a._indicator_array().tolist() == [1, 0, 0, 0, 0, 1, 0, 1]
+    ind = a.bool_mask().astype(np.int64)
+    assert ind.tolist() == [1, 0, 0, 0, 0, 1, 0, 1]
+    assert a.bool_mask().dtype == bool
     assert a.density() == DyadicScalar(3, 3)
-    assert PointSet.from_indicator(GroupDim(3), a._indicator_array()) == a
+    assert PointSet.from_indicator(GroupDim(3), ind) == a
     with pytest.raises(ValueError):
         PointSet.from_points(2, [4])
 
@@ -133,7 +136,7 @@ def test_residual_properties():
         assert sum(fr, Fraction(0)) == 0
         assert all(-1 <= x <= 1 for x in fr)
         spec, _ = table_fwht(*r)
-        for g in v.elements():
+        for g in subspace_elements(v).tolist():
             assert spec[g] == 0
 
 
@@ -166,12 +169,13 @@ def test_residual_l1_balanced_case():
 
 
 def test_frac_product_frozen():
-    # t = {alpha 2^d} and t(1 - t) for alpha = 5/16.
-    alpha = DyadicScalar(5, 4)
-    assert frac_product(alpha, 0) == (DyadicScalar(5, 4), DyadicScalar(55, 8))
-    assert frac_product(alpha, 1) == (DyadicScalar(5, 3), DyadicScalar(15, 6))
-    assert frac_product(alpha, 3) == (DyadicScalar(1, 1), DyadicScalar(1, 2))
-    assert frac_product(alpha, 4) == (DyadicScalar(0), DyadicScalar(0))
+    # t = {alpha 2^d} and t(1 - t) for alpha = 5/16: the profile's rows.
+    rows, _, _ = profile_report(DyadicScalar(5, 4), 4)
+    pairs = [(frac, product) for frac, product, _ in rows]
+    assert pairs[0] == (DyadicScalar(5, 4), DyadicScalar(55, 8))
+    assert pairs[1] == (DyadicScalar(5, 3), DyadicScalar(15, 6))
+    assert pairs[3] == (DyadicScalar(1, 1), DyadicScalar(1, 2))
+    assert pairs[4] == (DyadicScalar(0), DyadicScalar(0))
 
 
 def test_physical_lower_bound_frozen():

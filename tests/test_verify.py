@@ -66,6 +66,38 @@ def test_suite_validation(monkeypatch):
             run_suite("tA", trials=8, seed=seed, jobs=jobs)
 
 
+def test_pool_sized_to_its_chunks(monkeypatch):
+    # jobs above the chunk count start no idle worker: the pool is sized
+    # to the chunks it maps.  The stand-in pool maps in this process and
+    # records its size, so no process starts.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    for trials, jobs, chunks in ((4, 64, 4), (4, 3, 2), (10, 4, 4),
+                                 (10, 6, 5), (10, 9, 5), (12, 2, 2)):
+        sizes.clear()
+        got = run_suite("tA", trials=trials, seed=3, jobs=jobs)
+        assert sizes == [chunks], (trials, jobs)
+        assert got == run_suite("tA", trials=trials, seed=3, jobs=1)
+    sizes.clear()
+    run_suite("tA", trials=3, seed=3, jobs=64)
+    assert sizes == []
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32, 2**64 - 1, 2**64,
                                   2**64 + 7, 2**130 + 3])
 def test_stream_words_match_reference(seed):
