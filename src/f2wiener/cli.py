@@ -1,10 +1,11 @@
 """Command-line surface: norms, constructions, certificates, searches.
 
-Everything is driven by flags (with an optional --config TOML file for
-defaults); no behavior depends on environment variables, so a recorded
-command line reproduces its output byte for byte, except the tool_commit
-field of certificates and witness files: that is the `git rev-parse HEAD`
-of the checkout holding the package (git as found on PATH), or "unknown".
+Everything is driven by flags, each with one default; no behavior depends
+on environment variables or files the command line does not name, so a
+recorded command line reproduces its output byte for byte, except the
+tool_commit field of certificates and witness files: that is the `git
+rev-parse HEAD` of the checkout holding the package (git as found on
+PATH), or "unknown".
 Certificates (version 2) hold integers and strings only; check-cert derives
 each step's Chang ceiling from its ||f_V||_1 and refuses version 1.
 """
@@ -39,45 +40,8 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 
-# Set files and --n above this are refused unless a config raises max_n.
+# Set files and --n above this are refused unless --max-n raises the cap.
 DEFAULT_MAX_N = 16
-CONFIG_KEYS = ("max_n", "strategy", "trials", "seed", "jobs", "budget",
-               "anneal_t0", "anneal_cooling", "anneal_steps")
-
-
-def _load_config(path: str) -> dict:
-    """TOML settings, with the keys of every table merged into one level;
-    a key may appear once, at the top level or in one table."""
-    import tomllib
-
-    with open(path, "rb") as fh:
-        raw = tomllib.load(fh)
-    flat = {}
-    for k, v in raw.items():
-        for key, value in (v.items() if isinstance(v, dict) else [(k, v)]):
-            if key in flat:
-                raise ValueError(f"config key {key!r} is set more than once")
-            flat[key] = value
-    for k in flat:
-        if k not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {k!r}")
-    return flat
-
-
-def _setting(flag, cfg: dict, key: str, default, kind: type):
-    """The flag if given, else cfg[key] checked against kind, else default.
-
-    kind is int or float; a float setting also takes an int, and neither
-    takes a bool (TOML `true` is not a count).
-    """
-    if flag is not None:
-        return flag
-    value = cfg.get(key, default)
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        noun = "an integer" if kind is int else "a number"
-        raise ValueError(f"config value {key} must be {noun}, not {value!r}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="f2wiener",
         description="Exact Wiener-norm computations on subsets of F2^n",
     )
-    parser.add_argument("--config", metavar="PATH",
-                        help="TOML file supplying flag defaults")
+    parser.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                        help="largest n a set file or --n may have "
+                             f"(1 to {HARD_DIM_CAP}, default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm", help="print the exact Wiener norm of a set")
@@ -102,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lowerbound", help="emit a certified lower bound")
     p.add_argument("setfile")
     p.add_argument("--max-order", type=int, required=True)
-    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGIES[0])
     p.add_argument("--out", help="certificate path (default SETFILE.cert.json)")
 
     p = sub.add_parser("profile", help="print the density hypothesis profile")
@@ -112,21 +77,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run randomized identity/inequality suites")
     p.add_argument("--suite", default="all",
                    choices=list(SUITE_NAMES) + ["all"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("explore", help="search for minimum-norm sets")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--method", choices=["exhaustive", "anneal"],
                    default="exhaustive")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ledger", help="CSV ledger to append the record to")
-    p.add_argument("--budget", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--cooling", type=float)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--steps", type=int, default=AnnealParams.steps)
+    p.add_argument("--t0", type=float, default=AnnealParams.t0)
+    p.add_argument("--cooling", type=float, default=AnnealParams.cooling)
 
     p = sub.add_parser("check-cert", help="recheck a certificate against a set")
     p.add_argument("setfile")
@@ -159,8 +124,8 @@ def _check_out_path(path: str) -> None:
         raise ValueError(f"output path {path}: no directory {parent}")
 
 
-def _cmd_norm(args, cfg, max_n) -> int:
-    a = read_set_file(args.setfile, max_n)
+def _cmd_norm(args) -> int:
+    a = read_set_file(args.setfile, args.max_n)
     print(f"n = {a.dim.n}")
     print(f"size = {a.size}")
     print(_dyadic_line("alpha", a.density()))
@@ -176,8 +141,8 @@ def _parse_exponents(text: str) -> DyadicDensity:
     return DyadicDensity(exps)
 
 
-def _cmd_construct(args, cfg, max_n) -> int:
-    _check_n(args.n, max_n)
+def _cmd_construct(args) -> int:
+    _check_n(args.n, args.max_n)
     if args.exponents is not None:
         if args.family is not None or args.k is not None:
             raise ValueError("--exponents excludes --family/--k")
@@ -216,14 +181,13 @@ def _cmd_construct(args, cfg, max_n) -> int:
     return EXIT_OK
 
 
-def _cmd_lowerbound(args, cfg, max_n) -> int:
-    a = read_set_file(args.setfile, max_n)
-    strategy = args.strategy or cfg.get("strategy", STRATEGIES[0])
-    if strategy not in STRATEGIES:
-        raise ValueError(f"config value strategy must be in {STRATEGIES}")
+def _cmd_lowerbound(args) -> int:
+    a = read_set_file(args.setfile, args.max_n)
     out = args.out or (args.setfile + ".cert.json")
     _check_out_path(out)
-    trace = run_iteration(a, args.max_order, strategy)
+    if os.path.exists(out) and os.path.samefile(out, args.setfile):
+        raise ValueError(f"output path {out} is the set file")
+    trace = run_iteration(a, args.max_order, args.strategy)
     write_certificate(out, certificate_payload(a, trace, args.max_order))
     print(f"n = {a.dim.n}")
     print(_dyadic_line("alpha", a.density()))
@@ -245,7 +209,7 @@ def _cmd_lowerbound(args, cfg, max_n) -> int:
     return EXIT_OK
 
 
-def _cmd_profile(args, cfg, max_n) -> int:
+def _cmd_profile(args) -> int:
     alpha = DyadicScalar.parse(args.alpha)
     # Bounds the exact decimal, which takes 5^exp.
     if alpha.exp > HARD_EXP_CAP:
@@ -269,14 +233,11 @@ def _cmd_profile(args, cfg, max_n) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg, max_n) -> int:
-    trials = _setting(args.trials, cfg, "trials", 500, int)
-    seed = _setting(args.seed, cfg, "seed", 0, int)
-    jobs = _setting(args.jobs, cfg, "jobs", 1, int)
+def _cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        result = run_suite(name, trials, seed, jobs)
+        result = run_suite(name, args.trials, args.seed, args.jobs)
         status = "PASS" if result.ok else "FAIL"
         print(f"suite {name}: trials={result.trials} "
               f"violations={len(result.violations)} {status}")
@@ -286,23 +247,15 @@ def _cmd_verify(args, cfg, max_n) -> int:
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
-def _cmd_explore(args, cfg, max_n) -> int:
-    _check_n(args.n, max_n)
-    seed = _setting(args.seed, cfg, "seed", 0, int)
+def _cmd_explore(args) -> int:
+    _check_n(args.n, args.max_n)
     if args.ledger:
         _check_out_path(args.ledger)
     if args.method == "exhaustive":
-        budget = _setting(args.budget, cfg, "budget", DEFAULT_BUDGET, int)
-        rec = min_norm_exhaustive(args.n, args.size, budget)
+        rec = min_norm_exhaustive(args.n, args.size, args.budget)
     else:
-        params = AnnealParams(
-            t0=_setting(args.t0, cfg, "anneal_t0", AnnealParams.t0, float),
-            cooling=_setting(args.cooling, cfg, "anneal_cooling",
-                             AnnealParams.cooling, float),
-            steps=_setting(args.steps, cfg, "anneal_steps",
-                           AnnealParams.steps, int),
-        )
-        rec = min_norm_anneal(args.n, args.size, params, seed)
+        params = AnnealParams(args.t0, args.cooling, args.steps)
+        rec = min_norm_anneal(args.n, args.size, params, args.seed)
     if args.ledger:
         append_record(args.ledger, rec)
     print(f"n = {rec.n}")
@@ -314,8 +267,8 @@ def _cmd_explore(args, cfg, max_n) -> int:
     return EXIT_OK
 
 
-def _cmd_check_cert(args, cfg, max_n) -> int:
-    a = read_set_file(args.setfile, max_n)
+def _cmd_check_cert(args) -> int:
+    a = read_set_file(args.setfile, args.max_n)
     cert = load_certificate(args.certificate)
     problems, final = check_certificate(a, cert)
     if problems:
@@ -347,11 +300,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config) if args.config else {}
-        max_n = _setting(None, cfg, "max_n", DEFAULT_MAX_N, int)
-        if not 1 <= max_n <= HARD_DIM_CAP:
+        if not 1 <= args.max_n <= HARD_DIM_CAP:
             raise ValueError(f"dimension cap must lie in [1, {HARD_DIM_CAP}]")
-        return _COMMANDS[args.command](args, cfg, max_n)
+        return _COMMANDS[args.command](args)
     except (BudgetExceeded, ExponentOverflow, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -116,8 +116,7 @@ def test_lowerbound_and_check_cert(workdir, capsys):
 
 def test_certify_at_n18_in_process(workdir, capsys):
     # A scale smoke test above the default dimension cap; no time limit.
-    (workdir / "cfg.toml").write_text("max_n = 18\n")
-    cfg = ["--config", "cfg.toml"]
+    cfg = ["--max-n", "18"]
     assert main(cfg + ["construct", "--family", "geometric4", "--k", "9",
                        "--n", "18", "--out", "g9"]) == 0
     assert main(cfg + ["lowerbound", "g9.set", "--max-order", str(1 << 18),
@@ -455,25 +454,14 @@ def test_explore_anneal_golden(workdir, capsys, n, size, seed, norm, digest):
 
 def test_explore_rejects_bad_parameters(workdir, capsys):
     anneal = ["explore", "--method", "anneal", "--n", "4", "--size", "5"]
-    (workdir / "steps.toml").write_text('anneal_steps = "abc"\n')
-    (workdir / "budget.toml").write_text('budget = "x"\n')
-    (workdir / "seed.toml").write_text('seed = 1.5\n')
-    (workdir / "cap.toml").write_text('max_n = 3.5\n')
     cases = [anneal + ["--t0", "0"], anneal + ["--t0", "nan"],
              anneal + ["--cooling", "-1"], anneal + ["--steps", "-1"],
-             anneal + ["--steps", str(10 ** 12)],
-             ["--config", "steps.toml"] + anneal,
-             ["--config", "seed.toml"] + anneal,
-             ["--config", "cap.toml"] + anneal,
-             ["--config", "budget.toml", "explore", "--n", "3",
-              "--size", "3"]]
+             anneal + ["--steps", str(10 ** 12)]]
     for argv in cases:
         assert main(argv) == 2, argv
         out = capsys.readouterr()
         assert out.out == "", argv
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
-    # A flag wins over a bad config value it replaces.
-    assert main(["--config", "steps.toml"] + anneal + ["--steps", "50"]) == 0
     assert main(anneal + ["--cooling", "0.3", "--steps", "2000"]) == 0
 
 
@@ -491,7 +479,7 @@ def test_explore_bad_parameter_exit_in_child(tmp_path, package_env):
 # Standard-library modules no lowerbound or check-cert run uses; each is
 # imported on the one path that needs it.
 DEFERRED_MODULES = ("multiprocessing", "concurrent.futures.process",
-                    "subprocess", "tomllib", "csv")
+                    "subprocess", "csv")
 
 
 def test_cli_import_defers_unused_modules(package_env):
@@ -514,10 +502,6 @@ def test_deferred_import_paths_in_fresh_processes(tmp_path, package_env):
     serial = run("verify", "--suite", "tA", "--trials", "8", "--jobs", "1")
     assert run("verify", "--suite", "tA", "--trials", "8",
                "--jobs", "2") == serial
-    # tomllib, for --config.
-    (tmp_path / "cfg.toml").write_text("[verify]\ntrials = 7\n")
-    assert "trials=7" in run("--config", "cfg.toml", "verify",
-                             "--suite", "lem1")
     # csv, for the ledger.
     run("explore", "--n", "3", "--size", "2", "--ledger", "ledger.csv")
     assert (tmp_path / "ledger.csv").read_text().splitlines()[0] == (
@@ -547,10 +531,9 @@ def test_bad_inputs(workdir, capsys):
 @pytest.mark.parametrize("argv", [
     ["norm", "d"],
     ["check-cert", "a.set", "d"],
-    ["--config", "d", "norm", "a.set"],
     ["lowerbound", "a.set", "--max-order", "8", "--out", "d"],
     ["explore", "--n", "3", "--size", "2", "--ledger", "d"],
-], ids=["norm", "check-cert", "config", "lowerbound-out", "explore-ledger"])
+], ids=["norm", "check-cert", "lowerbound-out", "explore-ledger"])
 def test_directory_path_is_bad_input(workdir, capsys, argv):
     _set_file(workdir)
     (workdir / "d").mkdir()
@@ -656,54 +639,91 @@ def _one_line_error(capsys):
 
 
 def test_dim_cap_configurable(workdir, capsys):
-    # Each call works out max_n from its own config; none outlives its call.
+    # Each call takes max_n from its own --max-n; none outlives its call.
+    # The cap bounds the set file of norm, lowerbound and check-cert, and
+    # --n of construct and explore.
     big = _set_file(workdir, "big.set", n=DEFAULT_MAX_N + 1, points=(0, 3))
     five = _set_file(workdir, "five.set", n=5, points=(0, 3))
-    (workdir / "up.toml").write_text(f"max_n = {DEFAULT_MAX_N + 1}\n")
-    (workdir / "down.toml").write_text("max_n = 4\n")
-    (workdir / "over.toml").write_text("max_n = 31\n")
+    up = ["--max-n", str(DEFAULT_MAX_N + 1)]
     assert main(["norm", big]) == 2
     assert _one_line_error(capsys)
-    assert main(["--config", "up.toml", "norm", big]) == 0
+    assert main(up + ["norm", big]) == 0
     assert f"n = {DEFAULT_MAX_N + 1}" in capsys.readouterr().out
     assert main(["norm", big]) == 2
     assert _one_line_error(capsys)
-    assert main(["--config", "down.toml", "norm", five]) == 2
-    assert _one_line_error(capsys)
-    assert main(["norm", five]) == 0
-    assert "size = 2" in capsys.readouterr().out
+    assert main(["lowerbound", five, "--max-order", "4",
+                 "--out", "five.cert.json"]) == 0
+    for argv in (["norm", five],
+                 ["lowerbound", five, "--max-order", "4", "--out", "c.json"],
+                 ["check-cert", five, "five.cert.json"]):
+        capsys.readouterr()
+        assert main(["--max-n", "4"] + argv) == 2, argv
+        assert _one_line_error(capsys), argv
+        assert main(argv) == 0, argv
     for argv in (["explore", "--n", "5", "--size", "2"],
                  ["construct", "--family", "geometric4", "--k", "1",
                   "--n", "5"]):
-        assert main(["--config", "down.toml"] + argv) == 2
+        assert main(["--max-n", "4"] + argv) == 2
         out = capsys.readouterr()
         assert out.err == "error: --n 5 is above the dimension cap 4\n"
         assert main(argv) == 0
         capsys.readouterr()
-    assert main(["--config", "over.toml", "norm", five]) == 2
-    assert _one_line_error(capsys)
+    for cap in ("0", "31"):
+        assert main(["--max-n", cap, "norm", five]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "", "error: dimension cap must lie in [1, 30]\n")
 
 
-def test_config_keys_and_strategy_checked(workdir, capsys):
-    # A full set ends before any level is selected, so only the config
-    # check can refuse a bad strategy.
-    full = _set_file(workdir, "full.set", n=2, points=(0, 1, 2, 3))
-    lowerbound = ["lowerbound", full, "--max-order", "4"]
-    (workdir / "typo.toml").write_text("trails = 7\n")
-    (workdir / "nested.toml").write_text("[verify]\n[verify.more]\nseed = 1\n")
-    (workdir / "bogus.toml").write_text('strategy = "bogus"\n')
-    (workdir / "number.toml").write_text("strategy = 3\n")
-    (workdir / "good.toml").write_text('[lowerbound]\nstrategy = "best-ratio"\n')
-    for cfg, argv in (("typo.toml", ["verify", "--suite", "lem1"]),
-                      ("nested.toml", lowerbound),
-                      ("bogus.toml", lowerbound),
-                      ("number.toml", lowerbound)):
-        assert main(["--config", cfg] + argv) == 2, cfg
-        assert _one_line_error(capsys), cfg
-    assert main(["--config", "good.toml"] + lowerbound) == 0
-    # A flag wins over the config value it replaces.
-    assert main(["--config", "bogus.toml"] + lowerbound
-                + ["--strategy", "smallest-s"]) == 0
+def test_config_flag_is_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "x.toml", "verify"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    # The unknown option leaves x.toml where the subcommand goes.
+    assert out.out == "" and out.err.startswith("usage: f2wiener")
+    assert "invalid choice: 'x.toml'" in out.err
+
+
+def test_lowerbound_refuses_out_naming_the_set_file(workdir, capsys):
+    # The certificate would replace the set it certifies; refused before
+    # the run, whether --out names the set file directly or by a link.
+    path = _set_file(workdir)
+    before = (workdir / "a.set").read_bytes()
+    (workdir / "link.set").symlink_to("a.set")
+    for out in (path, "a.set", "./a.set", "link.set"):
+        assert main(["lowerbound", path, "--max-order", "16",
+                     "--out", out]) == 2, out
+        assert capsys.readouterr().err == (
+            f"error: output path {out} is the set file\n")
+        assert (workdir / "a.set").read_bytes() == before
+    assert main(["norm", path]) == 0
+
+
+def test_omitted_flags_print_what_their_defaults_print(workdir, capsys):
+    # Each default has one definition; leaving a flag out is the same
+    # command as giving its default value.
+    path = _set_file(workdir)
+    explore = ["explore", "--n", "4", "--size", "5"]
+    anneal = explore + ["--method", "anneal"]
+    pairs = [
+        (["verify"], ["verify", "--trials", "500", "--seed", "0",
+                      "--jobs", "1"]),
+        (anneal, anneal + ["--t0", "1.0", "--cooling", "0.995",
+                           "--steps", "10000", "--seed", "0"]),
+        (explore, explore + ["--budget", "10000000"]),
+        (["lowerbound", path, "--max-order", "16", "--out", "c.json"],
+         ["lowerbound", path, "--max-order", "16", "--out", "c.json",
+          "--strategy", "smallest-s"]),
+    ]
+    cert = workdir / "c.json"
+    for bare, explicit in pairs:
+        outputs = []
+        for argv in (bare, explicit):
+            assert main(argv) == 0, argv
+            outputs.append((capsys.readouterr().out,
+                            cert.read_bytes() if cert.exists() else None))
+        assert outputs[0] == outputs[1], bare
 
 
 def test_verify_caps_jobs_and_trials(workdir, capsys, monkeypatch):
@@ -712,10 +732,8 @@ def test_verify_caps_jobs_and_trials(workdir, capsys, monkeypatch):
 
     # run_suite imports the pool where it starts one, so patch its source.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    (workdir / "cfg.toml").write_text("jobs = 100000\n")
     for argv in (["verify", "--jobs", "100000"],
                  ["verify", "--trials", str(verify.MAX_TRIALS + 1)],
-                 ["--config", "cfg.toml", "verify"],
                  ["verify", "--seed", "-1"],
                  ["verify", "--jobs", "0"],
                  ["verify", "--jobs", "-3"]):
@@ -723,28 +741,6 @@ def test_verify_caps_jobs_and_trials(workdir, capsys, monkeypatch):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.count("\n") == 1 and out.err.startswith("error: ")
-
-
-def test_config_defaults(workdir, capsys):
-    (workdir / "cfg.toml").write_text(
-        '[verify]\ntrials = 7\nseed = 3\n')
-    assert main(["--config", "cfg.toml", "verify", "--suite", "lem1"]) == 0
-    out = capsys.readouterr().out
-    assert "trials=7" in out
-    assert main(["--config", "nope.toml", "verify", "--suite", "lem1"]) == 2
-
-
-def test_config_key_set_twice_is_bad_input(workdir, capsys):
-    # Tables merge into one namespace, so a key set in two places (two
-    # tables, or the top level and a table) would silently take the last.
-    (workdir / "tables.toml").write_text(
-        "[verify]\ntrials = 3\n[explore]\ntrials = 5\n")
-    (workdir / "top.toml").write_text("trials = 3\n[verify]\ntrials = 5\n")
-    for cfg in ("tables.toml", "top.toml"):
-        assert main(["--config", cfg, "verify", "--suite", "lem1"]) == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == "error: config key 'trials' is set more than once\n"
 
 
 def _readme_transcripts():

@@ -186,10 +186,3 @@ def test_readme_flags_exist():
                                          _readme_without_fences())
              for flag in re.findall(r"--[a-z][a-z0-9-]*", span)}
     assert named and named - options == set()
-
-
-def test_readme_config_keys_match():
-    sentence = re.search(r"the keys are (.*?), and any other key",
-                         _readme_without_fences(), flags=re.S)
-    assert sentence is not None
-    assert tuple(re.findall(r"`(\w+)`", sentence.group(1))) == cli.CONFIG_KEYS
