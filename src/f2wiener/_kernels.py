@@ -25,9 +25,10 @@ The annealing sweep has one implementation.  While two transformed tables
 match the current set, it prices runs of up to _RUN proposals with one
 array call of swap_delta (four lookups each), screens them for the first
 that may be accepted and decides that one with the exact rule.  After an
-accepted move it prices proposals whole from Kronecker sign rows, and it
-rebuilds the tables with one 2-row transform once accepted moves thin
-out.
+accepted move it prices proposals whole: it adds a swap's change, built
+from Kronecker sign rows in preallocated scratch, in place to an int16 or
+int32 copy of the spectrum and takes it back on a rejection.  Once
+accepted moves thin out it rebuilds the tables with one 2-row transform.
 """
 from __future__ import annotations
 
@@ -69,11 +70,11 @@ _SCREEN_SLACK = 2.0 ** -20
 
 # Rejections in a row after which anneal_sweep rebuilds its swap tables.  A
 # rebuild (one 2-row transform on the float route) costs about as much as
-# pricing 4 proposals whole from sign rows at n = 10..12 (timeit ratios
-# 3.9-4.7 on a 2-core Xeon host), and in the hot phase most proposals are
-# accepted, so the tables are rebuilt only once acceptances thin out.  The
-# search benchmark's accept/reject sequences, costed with those timings,
-# change by under 1% for any value from 3 to 6.
+# pricing 3 to 6 proposals whole on the narrow copy at n = 10..12 (timeit
+# ratios 2.8-6.7 on a shared 2-core Xeon host), and in the hot phase most
+# proposals are accepted, so the tables are rebuilt only once acceptances
+# thin out.  Timed passes over the search benchmark's nine anneal shapes
+# moved less than their run-to-run spread for any value from 3 to 8.
 _REBUILD_AFTER = 4
 
 
@@ -215,29 +216,31 @@ def swap_delta(tables: np.ndarray, x_in, x_out):
                               >> 1)
 
 
-def _swap_change(high: np.ndarray, low: np.ndarray, bits: int, x_in: int,
-                 x_out: int) -> np.ndarray:
-    """chi(x_in) - chi(x_out) on the (2^(n - bits), 2^bits) grid view of a
-    spectrum, where g sits at row g >> bits and column g & (2^bits - 1).
+def _add_swap(work, change, spare, rows, cols, x_in, x_out) -> None:
+    """Add chi(x_in) - chi(x_out) in place to work, the (len(rows),
+    len(cols)) grid view of a spectrum, and leave that change in change.
 
-    Splitting g and x the same way, chi_g(x) = high[x_hi, g_hi] *
-    low[x_lo, g_lo] for the Sylvester sign tables high and low, so the
-    change is a difference of two outer products of their rows.
+    g sits at row g // w and column g % w, for w = len(cols).  Splitting x
+    the same way, chi_g(x) = rows[x // w][g // w] * cols[x % w][g % w] for
+    the rows of two Sylvester sign tables (those of rows as columns), so
+    the change is a difference of two outer products; spare is scratch.
     """
-    mask = (1 << bits) - 1
-    return (np.multiply.outer(high[x_in >> bits], low[x_in & mask])
-            - np.multiply.outer(high[x_out >> bits], low[x_out & mask]))
+    w = len(cols)
+    np.multiply(rows[x_in // w], cols[x_in % w], out=change)
+    np.multiply(rows[x_out // w], cols[x_out % w], out=spare)
+    np.subtract(change, spare, out=change)
+    np.add(work, change, out=work)
 
 
 def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
                  t0, cooling, scale, best_members):
     """Single-swap annealing on the unnormalized spectrum of an indicator.
 
-    wht, a C-contiguous int64 array updated through a 2-D view, holds
-    sum_{x in A} (-1)^<g,x> for every character g.  Step t proposes
-    swapping members[pick_out[t]] for nonmembers[pick_in[t]] and accepts when
-    the l1 change delta is <= 0 or accept[t] < exp(-(delta / scale) / temp);
-    temp starts at t0 and is multiplied by cooling after every step.
+    wht, an int64 array, holds sum_{x in A} (-1)^<g,x> for every character
+    g.  Step t proposes swapping members[pick_out[t]] for
+    nonmembers[pick_in[t]] and accepts when the l1 change delta is <= 0 or
+    accept[t] < exp(-(delta / scale) / temp); temp starts at t0 and is
+    multiplied by cooling after every step.
 
     While the swap tables match wht, up to _RUN proposals are priced at
     once by swap_delta on arrays; a screen finds the first that may be
@@ -245,15 +248,18 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
     rechecked against sum |wht| recomputed from scratch.  An acceptance
     leaves the tables stale; the proposals after it are priced whole, in
     O(m) from Kronecker sign rows, until _REBUILD_AFTER rejections in a row
-    pay for rebuilding the tables.
+    pay for rebuilding the tables.  Both paths update an int16 copy of wht
+    in place (int32 above n = 14; |wht| <= |A| < 2^n), written back at the end.
     Mutates wht/members/nonmembers, fills best_members, returns the best
     unnormalized l1 spectrum sum seen (an int).
     """
     n = wht.shape[0].bit_length() - 1
     bits = n // 2
-    low = _sylvester(bits, np.int8)
-    high = _sylvester(n - bits, np.int8)
-    grid = wht.reshape(-1, 1 << bits)
+    flat = wht.astype(np.int16 if n <= 14 else np.int32)
+    rows = list(_sylvester(n - bits, flat.dtype)[:, :, None])
+    cols = list(_sylvester(bits, flat.dtype))
+    work = flat.reshape(-1, 1 << bits)
+    change, spare = np.empty_like(work), np.empty_like(work)
 
     def accepts(delta, temp, u):
         # A temperature that underflows to 0.0 acts as its limit: every
@@ -266,7 +272,7 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
     best_members[:] = members
     mem = members.tolist()
     non = nonmembers.tolist()
-    tables = swap_tables(wht)
+    tables = swap_tables(flat)
     rejected = 0
     temp = t0
     steps = pick_out.shape[0]
@@ -294,15 +300,15 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
             if tables is None:
                 io = outs[t]
                 ii = ins[t]
-                cand = grid + _swap_change(high, low, bits, non[ii], mem[io])
-                delta = int(np.abs(cand).sum()) - cur
+                _add_swap(work, change, spare, rows, cols, non[ii], mem[io])
+                delta = int(np.abs(work, out=spare).sum(dtype=np.int64)) - cur
                 if not accepts(delta, temps[t], draws[t]):
+                    work -= change
                     rejected += 1
                     if rejected == _REBUILD_AFTER:
-                        tables = swap_tables(wht)
+                        tables = swap_tables(flat)
                     t += 1
                     continue
-                grid[...] = cand
                 cur += delta
             else:
                 # Price a run at once; t moves to its first acceptance.
@@ -320,9 +326,9 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
                     continue
                 io = outs[t]
                 ii = ins[t]
-                grid += _swap_change(high, low, bits, non[ii], mem[io])
+                _add_swap(work, change, spare, rows, cols, non[ii], mem[io])
                 cur += delta
-                check = int(np.abs(wht).sum())
+                check = int(np.abs(work, out=spare).sum(dtype=np.int64))
                 if check != cur:
                     raise ArithmeticError(
                         f"swap identity drifted: sum |wht| = {check}, "
@@ -336,4 +342,5 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
             tables = None
             rejected = 0
             t += 1
+    wht[...] = flat
     return best

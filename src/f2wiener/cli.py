@@ -24,7 +24,8 @@ from .constructions import (DyadicDensity, ExponentOverflow,
                             build_coset_union, density_family)
 from .dyadic import DyadicScalar, ONE, ZERO
 from .explore import (AnnealParams, BudgetExceeded, DEFAULT_BUDGET,
-                      append_record, min_norm_anneal, min_norm_exhaustive)
+                      append_record, check_ledger, min_norm_anneal,
+                      min_norm_exhaustive)
 from .fileio import (SetFileError, certificate_payload, check_certificate,
                      load_certificate, read_set_file, witness_payload,
                      write_certificate, write_set_file)
@@ -251,6 +252,7 @@ def _cmd_explore(args) -> int:
     _check_n(args.n, args.max_n)
     if args.ledger:
         _check_out_path(args.ledger)
+        check_ledger(args.ledger)
     if args.method == "exhaustive":
         rec = min_norm_exhaustive(args.n, args.size, args.budget)
     else:

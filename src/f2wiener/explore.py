@@ -3,11 +3,13 @@
 The exhaustive search prunes by affine invariance: the norm is unchanged
 by translations and by invertible linear maps, so for size >= 1 only sets
 containing 0 are scanned, and for size >= 2 only sets containing {0, 1}.
-The exhaustive scan transforms its candidates in chunks of rows and keeps
-the first minimum in enumeration order.  The annealing search keeps the
-unnormalized integer spectrum of the current set and prices each
+The exhaustive scan reads its candidates a chunk at a time straight into
+an index array, with no tuple per candidate, transforms the chunk's rows
+and keeps the first minimum in enumeration order.  The annealing search
+keeps the unnormalized integer spectrum of the current set and prices each
 single-point swap exactly, mostly by four lookups in two transformed tables
-(`_kernels.swap_delta`, applied to a run of proposals at once); all
+(`_kernels.swap_delta`, applied to a run of proposals at once), else by
+adding its change in place to an int16 or int32 copy of the spectrum; all
 randomness is drawn up front, so a seed fixes the result.
 """
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations
 from typing import Optional, Union
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "min_norm_exhaustive",
     "min_norm_anneal",
     "CSV_COLUMNS",
+    "check_ledger",
     "append_record",
 ]
 
@@ -118,33 +121,31 @@ def min_norm_exhaustive(dim: Union[GroupDim, int], size: int,
     if not 0 < size <= order:
         raise ValueError(f"size must lie in [1, {order}]")
     if math.comb(order, size) > budget:
-        raise BudgetExceeded(
-            f"C({order}, {size}) = {math.comb(order, size)} exceeds "
-            f"the budget {budget}"
-        )
-    fixed = [0, 1] if size >= 2 else [0]
-    rest = [x for x in range(order) if x not in fixed]
-    free = size - len(fixed)
-    candidates = combinations(rest, free)
+        raise BudgetExceeded(f"C({order}, {size}) = {math.comb(order, size)} "
+                             f"exceeds the budget {budget}")
+    fixed = 2 if size >= 2 else 1
+    free = size - fixed
+    evaluations = math.comb(order - fixed, free)
+    # Each candidate's free points, read a chunk at a time into an array.
+    points = chain.from_iterable(combinations(range(fixed, order), free))
     buf = np.empty((max(1, _CHUNK_ENTRIES // order), order), dtype=np.int64)
-    best_total = None
-    best_points = None
-    evaluations = 0
-    while chunk := list(islice(candidates, buf.shape[0])):
-        rows = buf[:len(chunk)]
+    row_index = np.arange(len(buf))[:, None]
+    best_total = best_points = None
+    for start in range(0, evaluations, len(buf)):
+        k = min(len(buf), evaluations - start)
+        picks = np.fromiter(points, np.int64, k * free).reshape(k, free)
+        rows = buf[:k]
         rows[:] = 0
-        rows[:, fixed] = 1
-        extra = np.array(chunk, dtype=np.int64).reshape(len(chunk), free)
-        np.put_along_axis(rows, extra, 1, axis=1)
-        _kernels.wht_rows(rows)
+        rows[:, :fixed] = 1
+        rows[row_index[:k], picks] = 1
+        _kernels.wht_rows(rows, peak=1)
         # Each row sum is at most size * order <= 2^(2n), exact in int64.
         totals = np.abs(rows).sum(axis=1)
         i = int(np.argmin(totals))
         # Strict: on a tie the earlier chunk keeps its first minimum.
         if best_total is None or totals[i] < best_total:
             best_total = int(totals[i])
-            best_points = fixed + list(chunk[i])
-        evaluations += len(chunk)
+            best_points = list(range(fixed)) + picks[i].tolist()
     best = PointSet.from_points(d, best_points)
     return _record(d, size, "exhaustive", 0, best, evaluations, best_total)
 
@@ -168,8 +169,7 @@ def min_norm_anneal(dim: Union[GroupDim, int], size: int,
     perm = rng.permutation(order).astype(np.int64)
     members = np.sort(perm[:size]).astype(np.int64)
     nonmembers = np.sort(perm[size:]).astype(np.int64)
-    start = PointSet.from_points(d, [int(x) for x in members])
-    wht = fwht(start)
+    wht = fwht(PointSet.from_points(d, members.tolist()))
     pick_out = rng.integers(0, size, params.steps).astype(np.int64)
     pick_in = rng.integers(0, order - size, params.steps).astype(np.int64)
     accept = rng.random(params.steps)
@@ -185,6 +185,17 @@ def min_norm_anneal(dim: Union[GroupDim, int], size: int,
 
 CSV_COLUMNS = ["n", "size", "method", "seed", "best_norm_num",
                "best_norm_exp", "set_hex", "evaluations"]
+
+
+def check_ledger(path: str) -> None:
+    """Refuse (ValueError) a non-empty file not headed by CSV_COLUMNS."""
+    header = ",".join(CSV_COLUMNS).encode()
+    if os.path.isfile(path) and os.path.getsize(path):
+        with open(path, "rb") as fh:
+            first = fh.readline(len(header) + 2)
+        if first not in (header + b"\r\n", header + b"\n"):
+            raise ValueError(f"{path} is not a search ledger: its first line "
+                             f"is not {header.decode()}")
 
 
 def append_record(path: str, rec: SearchRecord) -> None:

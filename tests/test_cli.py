@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from f2wiener import cli, verify
 from f2wiener.cli import DEFAULT_MAX_N, build_parser, main
 from f2wiener.constructions import density_family
+from f2wiener.explore import CSV_COLUMNS
 from f2wiener.fileio import write_set_file
 from f2wiener.groups import HARD_EXP_CAP
 from f2wiener.iteration import MAX_ORDER
@@ -591,8 +592,13 @@ def test_construct_refuses_bad_output_before_writing(workdir, capsys,
     assert list((workdir / "x.witness.json").iterdir()) == []
 
 
+_LEDGER = (",".join(CSV_COLUMNS)
+           + "\r\n3,2,exhaustive,0,1,0,03,1\r\n").encode()
+
+
 def test_failed_run_leaves_existing_output(workdir, capsys, monkeypatch):
-    # The output path is checked, not opened, before the run.
+    # The output path is checked, not opened, before the run.  explore
+    # appends only to a ledger, so its existing file is one.
     _set_file(workdir)
 
     def fails(*args, **kwargs):
@@ -601,10 +607,43 @@ def test_failed_run_leaves_existing_output(workdir, capsys, monkeypatch):
     for name in ("run_iteration", "min_norm_anneal", "min_norm_exhaustive"):
         monkeypatch.setattr(cli, name, fails)
     for argv in _OUTPUT_RUNS:
-        (workdir / "old.out").write_text("kept\n")
+        kept = _LEDGER if "--ledger" in argv else b"kept\n"
+        (workdir / "old.out").write_bytes(kept)
         assert main(argv + ["old.out"]) == 1, argv
         assert "stopped" in capsys.readouterr().err
-        assert (workdir / "old.out").read_text() == "kept\n", argv
+        assert (workdir / "old.out").read_bytes() == kept, argv
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "anneal"])
+def test_explore_refuses_a_file_that_is_not_a_ledger(workdir, capsys,
+                                                     monkeypatch, method):
+    # A set file named as the ledger is refused before the search, with
+    # exit 2 and one error line, and keeps its bytes.
+    assert main(["construct", "--family", "geometric4", "--k", "2",
+                 "--n", "4", "--out", "a"]) == 0
+    before = (workdir / "a.set").read_bytes()
+    header = ",".join(CSV_COLUMNS)
+    (workdir / "wide.csv").write_text(header + ",extra\n")
+    (workdir / "late.csv").write_text("x\n" + header + "\n")
+    capsys.readouterr()
+    argv = ["explore", "--method", method, "--n", "3", "--size", "2",
+            "--ledger"]
+    with monkeypatch.context() as m:
+        for name in ("min_norm_anneal", "min_norm_exhaustive"):
+            m.setattr(cli, name, None)
+        for name in ("a.set", "wide.csv", "late.csv"):
+            assert main(argv + [name]) == 2, name
+            assert capsys.readouterr().err == (
+                f"error: {name} is not a search ledger: its first line is "
+                f"not {header}\n")
+    assert (workdir / "a.set").read_bytes() == before
+    assert main(["norm", "a.set"]) == 0
+    # A ledger with either line ending, or an empty file, takes the row.
+    (workdir / "lf.csv").write_bytes(_LEDGER.replace(b"\r\n", b"\n"))
+    (workdir / "empty.csv").write_bytes(b"")
+    for name in ("lf.csv", "empty.csv"):
+        assert main(argv + [name]) == 0, name
+        assert (workdir / name).read_text().splitlines()[0] == header
 
 
 @pytest.mark.parametrize("content", [b"NOT_JSON", b'{"trace": [', b"\xff{}"],

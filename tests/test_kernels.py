@@ -217,7 +217,7 @@ def test_anneal_matches_reference(monkeypatch):
     # The default schedule accepts most proposals for its first ~1000
     # steps (hot) and almost only downhill ones after (cold); 1500 steps
     # cover both.  Sizes 1, 2, about m/3 and m - 1 at every n <= 12.
-    calls = {"swap_tables": 0, "swap_delta": 0, "_swap_change": 0}
+    calls = {"swap_tables": 0, "swap_delta": 0, "_add_swap": 0}
     run_sizes = []
     for name in calls:
         real = getattr(_kernels, name)
@@ -243,8 +243,31 @@ def test_anneal_matches_reference(monkeypatch):
     # more changes than that mean some proposals were priced whole.  The
     # tables were rebuilt after runs of rejections.
     assert max(run_sizes) == _kernels._RUN
-    assert calls["_swap_change"] > calls["swap_tables"]
+    assert calls["_add_swap"] > calls["swap_tables"]
     assert calls["swap_tables"] > runs
+
+
+def test_anneal_narrow_work_copy_at_its_edges(monkeypatch):
+    # The sweep prices on an int16 copy of the spectrum up to n = 14 and an
+    # int32 copy above.  At size 2^n - 1, |wht(0)| = 2^n - 1 is the largest
+    # entry either holds; at t0 = 50 with no cooling nearly every proposal
+    # is accepted, so nearly all are priced whole.
+    dtypes = []
+    real = _kernels._add_swap
+
+    def counted(*args):
+        dtypes.append(args[0].dtype)
+        return real(*args)
+    monkeypatch.setattr(_kernels, "_add_swap", counted)
+    for n, size, dtype in ((14, (1 << 14) - 1, np.int16),
+                           (15, (1 << 15) - 1, np.int32),
+                           (15, (1 << 15) // 3, np.int32)):
+        ins = _anneal_inputs(n + size, n, size, 300)
+        assert ins[0][0] == size
+        del dtypes[:]
+        ours, ref = _both_sweeps(ins, size, 50.0, 1.0)
+        _assert_same_sweep(ours, ref, (n, size))
+        assert len(dtypes) > 250 and set(dtypes) == {np.dtype(dtype)}
 
 
 def test_anneal_hot_and_cold_schedules():
