@@ -195,7 +195,10 @@ def swap_tables(wht: np.ndarray) -> np.ndarray:
     value, so int64 is exact.
     """
     tables = np.empty((2, wht.shape[0]), dtype=np.int64)
-    np.clip(wht, -2, 2, out=tables[0])
+    # np.maximum and np.minimum, not np.clip, whose wrapper looks up the
+    # integer limits on every call.
+    np.maximum(wht, -2, out=tables[0])
+    np.minimum(tables[0], 2, out=tables[0])
     np.abs(tables[0], out=tables[1])
     return wht_rows(tables)
 

@@ -2,10 +2,8 @@
 
 Everything is driven by flags, each with one default; no behavior depends
 on environment variables or files the command line does not name, so a
-recorded command line reproduces its output byte for byte, except the
-tool_commit field of certificates and witness files: that is the `git
-rev-parse HEAD` of the checkout holding the package (git as found on
-PATH), or "unknown".
+recorded command line reproduces its output byte for byte; the
+tool_commit field of certificates and witness files is the package version.
 Certificates (version 2) hold integers and strings only; check-cert derives
 each step's Chang ceiling from its ||f_V||_1 and refuses version 1.
 """

@@ -4,19 +4,17 @@ A set file is line-oriented text: "n=<int>" first, then either one hex
 point mask per line or a single "hexbits=<bitmap>" line.  Certificates
 and witness files hold integers and strings only, every exact value as a
 {num, exp} pair, and are written by json.dumps in a fixed key order, so
-re-running the tool on the same inputs reproduces them byte for byte,
-except tool_commit: the `git rev-parse HEAD` of the checkout holding the
-package (git as found on PATH), or "unknown" where that fails, so it
-changes with the commit and the machine.
+re-running the tool on the same inputs reproduces them byte for byte.
+Their last key, tool_commit, holds the package version, so a file depends
+only on its command line and the version that wrote it.
 """
 from __future__ import annotations
 
-import functools
 import json
-import os
 import re
 from typing import List, Optional, Tuple
 
+from . import __version__
 from .chang import gain_floor
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
@@ -289,24 +287,6 @@ def witness_payload(witness: CosetUnionWitness,
     }
 
 
-@functools.cache
 def tool_commit() -> str:
-    """git HEAD of the package checkout, or "unknown"; asked once a process.
-
-    The modules a process has imported cannot change under it, so the
-    first answer stays the right one.
-    """
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=10, check=False,
-        )
-        commit = out.stdout.strip()
-        if out.returncode == 0 and commit:
-            return commit
-    except OSError:
-        pass
-    return "unknown"
+    """The package version, the value of every output's tool_commit key."""
+    return __version__

@@ -66,7 +66,6 @@ class StepResult:
     dim_before: int
     dim_after: int
     l1: DyadicScalar
-    l_after: DyadicScalar
 
 
 # V's new elements are read this many at a time, so their magnitudes
@@ -166,17 +165,15 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
     v_new = subspace_extend(v, level.members)
     s = level.s
     del level  # its members, before the state grows
-    l_old = DyadicScalar(state.mass, ranking.exp)
+    mass_before = state.mass
     state.grow(_complement(v, v_new), v.dim, ranking, a)
-    l_new = DyadicScalar(state.mass, ranking.exp)
     return StepResult(
         s=s,
         v_new=v_new,
-        gain=l_new - l_old,
+        gain=DyadicScalar(state.mass - mass_before, ranking.exp),
         dim_before=v.dim,
         dim_after=v_new.dim,
         l1=base,
-        l_after=l_new,
     )
 
 
@@ -194,10 +191,9 @@ def _complement(v: DualSubspace, v_new: DualSubspace) -> DualSubspace:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Full record of a run: steps, mass trajectory, certified bound."""
+    """Full record of a run: steps, certified bound, norm."""
 
     steps: Tuple[StepResult, ...]
-    l_sequence: Tuple[DyadicScalar, ...]
     final_bound: DyadicScalar
     termination: Termination
     a_norm: DyadicScalar
@@ -221,7 +217,6 @@ def run_iteration(a: PointSet, max_order: int,
     norm = ranking.total()
     v = DualSubspace.trivial()
     state = StepState(a, v, ranking)
-    l_seq = [DyadicScalar(state.mass, ranking.exp)]
     steps: List[StepResult] = []
     termination = Termination.ORDER_CAP
     while v.order <= max_order:
@@ -231,14 +226,12 @@ def run_iteration(a: PointSet, max_order: int,
             termination = Termination.RESIDUAL_ZERO
             break
         steps.append(step)
-        l_seq.append(step.l_after)
         v = step.v_new
-    final = l_seq[-1]
+    final = DyadicScalar(state.mass, ranking.exp)
     if final > norm:
         raise ArithmeticError(f"bound {final} exceeds the norm {norm}")
     if termination is Termination.RESIDUAL_ZERO and final != norm:
         raise ArithmeticError(
             f"zero residual must certify the exact norm: {final} != {norm}")
-    return IterationTrace(tuple(steps), tuple(l_seq), final, termination,
-                          norm)
+    return IterationTrace(tuple(steps), final, termination, norm)
 

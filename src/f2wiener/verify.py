@@ -87,7 +87,7 @@ def _coset_squares(ind: np.ndarray,
     return sizes, np.take(spec, combos, out=combos, mode="clip").sum(axis=1)
 
 
-def _eval_ta(n: int, ids: List[int], ind: np.ndarray,
+def _eval_ta(n: int, ids: np.ndarray, ind: np.ndarray,
              chars: np.ndarray) -> Found:
     chars = _filled(chars)
     got, got_exp, dims = residual_l1(ind, chars)
@@ -99,7 +99,7 @@ def _eval_ta(n: int, ids: List[int], ind: np.ndarray,
     sizes, squares = _coset_squares(ind, chars)
     exp = 2 * n - dims + chars.shape[1]
     closed = 2 * ((sizes << (exp - n)) - squares)
-    return [(ids[t],
+    return [(int(ids[t]),
              f"residual_l1 {DyadicScalar(int(got[t]), int(got_exp[t]))}"
              " != coset closed form "
              f"{DyadicScalar(int(closed[t]), int(exp[t]))} "
@@ -108,7 +108,7 @@ def _eval_ta(n: int, ids: List[int], ind: np.ndarray,
                 (got << (exp - got_exp)) != closed).tolist()]
 
 
-def _eval_lem1(n: int, ids: List[int], ind: np.ndarray,
+def _eval_lem1(n: int, ids: np.ndarray, ind: np.ndarray,
                chars: np.ndarray) -> Found:
     got, got_exp, dims = residual_l1(ind, _filled(chars))
     sizes = ind.sum(axis=1, dtype=np.int64)
@@ -117,7 +117,7 @@ def _eval_lem1(n: int, ids: List[int], ind: np.ndarray,
     # at most 2^(2n) <= 2^24 and every exponent at most 2n.
     top = np.maximum(got_exp, floor_exp)
     below = (got << (top - got_exp)) < (floor << (top - floor_exp))
-    return [(ids[t],
+    return [(int(ids[t]),
              f"||f_V||_1 = {DyadicScalar(int(got[t]), int(got_exp[t]))} "
              "below the floor "
              f"{DyadicScalar(int(floor[t]), int(floor_exp[t]))} "
@@ -125,14 +125,14 @@ def _eval_lem1(n: int, ids: List[int], ind: np.ndarray,
             for t in np.flatnonzero(below).tolist()]
 
 
-def _eval_beckner(n: int, ids: List[int], nums: np.ndarray,
+def _eval_beckner(n: int, ids: np.ndarray, nums: np.ndarray,
                   exps: np.ndarray, lambdas: np.ndarray,
                   eta_idx: np.ndarray) -> Found:
     etas = [_ETAS[j] for j in eta_idx.tolist()]
     p = riesz_product(n, lambdas, etas)
     mass = np.abs(p.nums).sum(axis=1)
     exact = mass == np.int64(1) << (p.exps + n)
-    found = [(ids[t], f"Riesz product mass "
+    found = [(int(ids[t]), f"Riesz product mass "
               f"{DyadicScalar(int(mass[t]), int(p.exps[t]) + n)} != 1 "
               f"(n={n}, eta={float(etas[t])})")
              for t in np.flatnonzero(~exact).tolist()]
@@ -144,29 +144,29 @@ def _eval_beckner(n: int, ids: List[int], nums: np.ndarray,
     ks = np.count_nonzero(lambdas, axis=1)
     for t, left, right in zip(keep.tolist(), lhs, rhs):
         if left > right * (1.0 + BECKNER_SLACK):
-            found.append((ids[t], (
+            found.append((int(ids[t]), (
                 f"smoothing bound violated: {left!r} > {right!r} "
                 f"(n={n}, eta={float(etas[t])}, k={ks[t]})")))
     return found
 
 
-def _run_techlem(seed: int, start: int, count: int) -> Found:
-    found: Found = []
-    for trials, nums, dens, m in techlem_draws(seed, start, count):
-        lhs, rhs, squares = frac_quadratic_gap(nums, dens, m)
-        for t, (left, right) in enumerate(zip(lhs, rhs)):
-            if left < right:
-                k = m[t]
-                deltas = [Fraction(a, d) for a, d in
-                          zip(nums[t, :k].tolist(), dens[t, :k].tolist())]
-                found.append((int(trials[t]), (
-                    f"sum(d - d^2) = {Fraction(left, squares[t])} < "
-                    f"{Fraction(right, squares[t])} = g(1-g) for deltas "
-                    f"{deltas}")))
+def _eval_techlem(ids: np.ndarray, nums: np.ndarray, dens: np.ndarray,
+                  m: np.ndarray) -> Found:
+    lhs, rhs, squares = frac_quadratic_gap(nums, dens, m)
+    found = []
+    for t, (left, right) in enumerate(zip(lhs, rhs)):
+        if left < right:
+            k = m[t]
+            deltas = [Fraction(a, d) for a, d in
+                      zip(nums[t, :k].tolist(), dens[t, :k].tolist())]
+            found.append((int(ids[t]), (
+                f"sum(d - d^2) = {Fraction(left, squares[t])} < "
+                f"{Fraction(right, squares[t])} = g(1-g) for deltas "
+                f"{deltas}")))
     return found
 
 
-def _eval_chang(n: int, ids: List[int], nums: np.ndarray, exps: np.ndarray,
+def _eval_chang(n: int, ids: np.ndarray, nums: np.ndarray, exps: np.ndarray,
                 js: np.ndarray) -> Found:
     # f = nums / 2^exp has ||f||_1 = l1 / 2^(exp + n), and a zero table
     # draws no eps; eps = 2^-j makes the threshold l1 / 2^(exp + n + j).
@@ -189,32 +189,30 @@ def _eval_chang(n: int, ids: List[int], nums: np.ndarray, exps: np.ndarray,
             DyadicScalar(norm, exp + n),
             DyadicScalar(l2[t], 2 * exp + n), eps.as_fraction())
         if dims[t] > bound:
-            found.append((ids[live[t]], (
+            found.append((int(ids[live[t]]), (
                 f"span dimension {dims[t]} above the Chang bound "
                 f"{bound!r} (n={n}, eps={eps})")))
     return found
 
 
-# Each suite but techlem: (its trials in groups (n, trials, *fields) of
-# one n, evaluate such a group).
+# Each suite: (its trials in groups, evaluate such a group).  A group is
+# (n, trials, *fields) for trials of one n, techlem's (trials, *fields).
 _SUITES = {
     "tA": (set_draws, _eval_ta),
     "lem1": (set_draws, _eval_lem1),
+    "techlem": (techlem_draws, _eval_techlem),
     "beckner": (beckner_draws, _eval_beckner),
     "chang": (chang_draws, _eval_chang),
 }
-SUITE_NAMES = ("tA", "lem1", "techlem", "beckner", "chang")
+SUITE_NAMES = tuple(_SUITES)
 
 
 def _run_chunk(name: str, seed: int, start: int, count: int) -> List[str]:
-    if name == "techlem":
-        found = _run_techlem(seed, start, count)
-    else:
-        draws, evaluate = _SUITES[name]
-        found = []
-        for n, trials, *fields in draws(seed, start, count):
-            found += evaluate(n, trials.tolist(), *fields)
-        found.sort(key=lambda hit: hit[0])
+    draws, evaluate = _SUITES[name]
+    found: Found = []
+    for group in draws(seed, start, count):
+        found += evaluate(*group)
+    found.sort(key=lambda hit: hit[0])
     return [f"trial {i}: {msg}" for i, msg in found]
 
 

@@ -529,8 +529,9 @@ def reference_iterate_step(a, v, strategy, ranking, state):
     """iterate_step by the physical route: build the residual table f_V,
     take its l1 norm two ways, check ||f_V||_2^2 = l1 / 2 on the table,
     transform it, check the transform vanishes on v, and read the levels
-    off it.  ranking and state are accepted, as iterate_step takes them,
-    and ignored."""
+    off it.  Of ranking and state, which iterate_step takes, only the
+    state's mass is touched: it is set to the grown subspace's, in the
+    ranking's units, since run_iteration reads its final bound there."""
     fv = residual(a, v)
     base = residual_l1(a, v)
     if base.num == 0:
@@ -549,9 +550,9 @@ def reference_iterate_step(a, v, strategy, ranking, state):
     v_new = subspace_extend(v, level.members)
     l_old = _mass_over(chi_hat, subspace_elements(v))
     l_new = _mass_over(chi_hat, subspace_elements(v_new))
+    state.mass = int(l_new.as_fraction() * (1 << ranking.exp))
     return StepResult(s=level.s, v_new=v_new, gain=l_new - l_old,
-                      dim_before=v.dim, dim_after=v_new.dim, l1=base,
-                      l_after=l_new)
+                      dim_before=v.dim, dim_after=v_new.dim, l1=base)
 
 
 def set_complement(a: PointSet) -> PointSet:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2wiener import cli, verify
+from f2wiener import __version__, cli, verify
 from f2wiener.cli import DEFAULT_MAX_N, build_parser, main
 from f2wiener.constructions import density_family
 from f2wiener.explore import CSV_COLUMNS
@@ -113,6 +113,32 @@ def test_lowerbound_and_check_cert(workdir, capsys):
     assert (workdir / "a.set.cert.json").read_bytes() == first
     assert main(["check-cert", path, cert_path]) == 0
     assert "certificate OK" in capsys.readouterr().out
+
+
+# sha256 of whole output files, tool_commit included: every byte is a
+# function of the command line and the package version.
+CERT_SHA256 = {
+    16: "511f37f476e5535eb1d306f8e61a23cc3a80c8f4885b5949d7b53abc189585fe",
+    256: "1abf42bc3884dd7dc822da8ffa7d40d053ce9d399da4c624909955c79f49a3d4",
+}
+WITNESS_SHA256 = (
+    "cbafc820c6fb4c3b745cd68fa8321261645fb105bea2dcae616dca2dd4a3fcbe")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("strategy", ["smallest-s", "best-ratio"])
+@pytest.mark.parametrize("max_order", sorted(CERT_SHA256))
+def test_output_files_are_pinned_byte_for_byte(workdir, capsys, strategy,
+                                               max_order):
+    assert main(["construct", "--family", "geometric4", "--k", "4",
+                 "--n", "8", "--out", "g"]) == 0
+    assert _sha256("g.witness.json") == WITNESS_SHA256
+    assert main(["lowerbound", "g.set", "--max-order", str(max_order),
+                 "--strategy", strategy, "--out", "c.json"]) == 0
+    assert _sha256("c.json") == CERT_SHA256[max_order]
 
 
 def test_certify_at_n18_in_process(workdir, capsys):
@@ -478,7 +504,7 @@ def test_explore_bad_parameter_exit_in_child(tmp_path, package_env):
 
 
 # Standard-library modules no lowerbound or check-cert run uses; each is
-# imported on the one path that needs it.
+# imported, if at all, on the one path that needs it.
 DEFERRED_MODULES = ("multiprocessing", "concurrent.futures.process",
                     "subprocess", "csv")
 
@@ -507,13 +533,12 @@ def test_deferred_import_paths_in_fresh_processes(tmp_path, package_env):
     run("explore", "--n", "3", "--size", "2", "--ledger", "ledger.csv")
     assert (tmp_path / "ledger.csv").read_text().splitlines()[0] == (
         "n,size,method,seed,best_norm_num,best_norm_exp,set_hex,evaluations")
-    # subprocess, for the certificate's tool_commit.
+    # The certificate's tool_commit is the package version.
     run("construct", "--family", "geometric4", "--k", "2", "--n", "4",
         "--out", "g")
     run("lowerbound", "g.set", "--max-order", "16")
     cert = json.loads((tmp_path / "g.set.cert.json").read_text())
-    assert cert["tool_commit"] == "unknown" or re.fullmatch(
-        "[0-9a-f]{40}", cert["tool_commit"])
+    assert cert["tool_commit"] == __version__
 
 
 def test_bad_inputs(workdir, capsys):

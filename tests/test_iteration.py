@@ -26,6 +26,15 @@ def _halfspace(n: int) -> PointSet:
     return PointSet.from_points(n, [x for x in range(1 << n) if x & 1 == 0])
 
 
+def _mass_sequence(a: PointSet, trace) -> list:
+    """The mass on V before the first step and after each: alpha plus the
+    running sum of the gains."""
+    seq = [a.density()]
+    for st in trace.steps:
+        seq.append(seq[-1] + st.gain)
+    return seq
+
+
 def test_halfspace_run_n1():
     trace = run_iteration(_halfspace(1), max_order=2)
     assert trace.termination is Termination.RESIDUAL_ZERO
@@ -34,7 +43,8 @@ def test_halfspace_run_n1():
     assert st.s == 0
     assert st.dim_before == 0 and st.dim_after == 1
     assert st.gain == DyadicScalar(1, 1)
-    assert trace.l_sequence == (DyadicScalar(1, 1), DyadicScalar(1))
+    assert _mass_sequence(_halfspace(1), trace) == [DyadicScalar(1, 1),
+                                                     DyadicScalar(1)]
     assert trace.final_bound == trace.a_norm == DyadicScalar(1)
 
 
@@ -64,9 +74,11 @@ def test_coset_union_run():
     trace = run_iteration(a, max_order=16)
     assert trace.termination is Termination.RESIDUAL_ZERO
     assert trace.final_bound == trace.a_norm == DyadicScalar(7, 2)
-    assert trace.l_sequence[0] == DyadicScalar(5, 4)
-    for before, after in zip(trace.l_sequence, trace.l_sequence[1:]):
+    seq = _mass_sequence(a, trace)
+    assert seq[0] == DyadicScalar(5, 4)
+    for before, after in zip(seq, seq[1:]):
         assert after > before
+    assert seq[-1] == trace.final_bound
 
 
 def test_full_group_zero_steps():
@@ -205,8 +217,8 @@ def test_spectral_step_matches_residual_route(monkeypatch, strategy):
 
 
 def _trace_key(trace):
-    return ([(st.s, st.dim_before, st.dim_after, st.gain, st.l1,
-              st.l_after) for st in trace.steps],
+    return ([(st.s, st.dim_before, st.dim_after, st.gain, st.l1)
+             for st in trace.steps],
             trace.final_bound, trace.termination, trace.a_norm)
 
 
@@ -368,13 +380,11 @@ def test_soundness_random():
             continue
         trace = run_iteration(a, max_order=1 << n)
         assert trace.final_bound <= trace.a_norm == set_a_norm(a)
-        assert trace.l_sequence[0] == a.density()
+        seq = _mass_sequence(a, trace)
         # certified growth: the trace's own floor never overshoots
-        gained = (trace.final_bound.as_fraction()
-                  - trace.l_sequence[0].as_fraction())
+        gained = trace.final_bound.as_fraction() - seq[0].as_fraction()
         assert gained >= trace.gain_floor()
-        for st, l_after in zip(trace.steps, trace.l_sequence[1:]):
-            assert st.l_after == l_after
+        assert seq[-1] == trace.final_bound
 
 
 def test_nesting_chain():

@@ -5,11 +5,12 @@ import importlib.util
 import pathlib
 import pkgutil
 import re
+import tomllib
 
 import pytest
 
 import f2wiener
-from f2wiener import cli
+from f2wiener import cli, fileio
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(f2wiener.__path__)
                  if m.name != "__main__")
@@ -166,6 +167,39 @@ def test_no_module_reads_the_environment():
     for path in sorted(pathlib.Path(f2wiener.__path__[0]).glob("*.py")):
         found = re.findall(r"\b(?:environ|getenv)\b", path.read_text())
         assert found == [], path.name
+
+
+def _subprocess_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "subprocess" for name in names):
+            yield node.lineno
+
+
+def test_no_module_imports_subprocess():
+    # Every output is a function of its command line and the package
+    # version, so the package runs no other program: no module, __main__
+    # included, imports subprocess, at top level or inside a function.
+    probe = ast.parse("import subprocess as sp\n"
+                      "def f():\n    from subprocess import run\n")
+    assert len(list(_subprocess_imports(probe))) == 2
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found = list(_subprocess_imports(ast.parse(path.read_text())))
+        assert found == [], f"{path.name}: lines {found}"
+
+
+def test_version_is_the_one_in_pyproject():
+    # Certificates and witness files record the package version as their
+    # tool_commit, so it is the version pyproject.toml declares.
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert declared == f2wiener.__version__ == fileio.tool_commit()
 
 
 def _readme_without_fences() -> str:
