@@ -252,13 +252,15 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
     leaves the tables stale; the proposals after it are priced whole, in
     O(m) from Kronecker sign rows, until _REBUILD_AFTER rejections in a row
     pay for rebuilding the tables.  Both paths update an int16 copy of wht
-    in place (int32 above n = 14; |wht| <= |A| < 2^n), written back at the end.
+    in place (int32 above n = 14; |wht| <= |A| < 2^n), written back at the end;
+    its magnitudes are summed in int32 while 2^n |A| < 2^31, in int64 above.
     Mutates wht/members/nonmembers, fills best_members, returns the best
     unnormalized l1 spectrum sum seen (an int).
     """
     n = wht.shape[0].bit_length() - 1
     bits = n // 2
     flat = wht.astype(np.int16 if n <= 14 else np.int32)
+    acc = np.int32 if members.size << n < 1 << 31 else np.int64
     rows = list(_sylvester(n - bits, flat.dtype)[:, :, None])
     cols = list(_sylvester(bits, flat.dtype))
     work = flat.reshape(-1, 1 << bits)
@@ -304,7 +306,7 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
                 io = outs[t]
                 ii = ins[t]
                 _add_swap(work, change, spare, rows, cols, non[ii], mem[io])
-                delta = int(np.abs(work, out=spare).sum(dtype=np.int64)) - cur
+                delta = int(np.abs(work, out=spare).sum(dtype=acc)) - cur
                 if not accepts(delta, temps[t], draws[t]):
                     work -= change
                     rejected += 1
@@ -331,7 +333,7 @@ def anneal_sweep(wht, members, nonmembers, pick_out, pick_in, accept,
                 ii = ins[t]
                 _add_swap(work, change, spare, rows, cols, non[ii], mem[io])
                 cur += delta
-                check = int(np.abs(work, out=spare).sum(dtype=np.int64))
+                check = int(np.abs(work, out=spare).sum(dtype=acc))
                 if check != cur:
                     raise ArithmeticError(
                         f"swap identity drifted: sum |wht| = {check}, "

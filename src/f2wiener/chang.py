@@ -4,9 +4,10 @@ Level s collects the characters with 2^-s base >= |hat(f_V)(g)| >
 2^-(s+1) base, where base = ||f_V||_1 (closed above, open below).  The
 masses L_s = sum over level s of |hat(chi_A)| satisfy sum_s 2^-s L_s >=
 1/2, so some level has L_s >= gain_floor(s) = (1/6)(4/3)^s; all of this
-is decided exactly, with int64 under checked bounds and Fractions.
-rank_spectrum transforms A once per run and ranks |hat(chi_A)|, and
-every step's bands are runs of that ranking, less V's own entries.
+is decided exactly, with int64 under checked bounds and Python ints.
+rank_spectrum transforms A once per run and ranks |hat(chi_A)|; every
+step's bands are runs of that ranking, less V's own entries, and one
+search of the ranking finds every band edge of a step at once.
 Chang's theorem caps the dimension of the span of a large-spectrum set;
 span_dims reads that dimension off one transform of the set's
 indicator, by counting the annihilator's points.  The Riesz-product
@@ -25,7 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .dyadic import DyadicScalar, floor_log2_ratio
+from .dyadic import DyadicScalar
 from .fourier import _check_bound, _int_minmax, fwht, lp_norm
 from .groups import as_dim, kernel_dims, label_table
 from .setfuncs import PointSet
@@ -39,6 +40,7 @@ __all__ = [
     "rank_spectrum",
     "level_sets",
     "gain_floor",
+    "meets_gain_floor",
     "STRATEGIES",
     "select_level",
     "span_dims",
@@ -112,12 +114,11 @@ class SpectrumRanking:
         mags = self.neg_mags[self.rank[chars]]
         return np.negative(mags, out=mags)
 
-    def count_above(self, t: int) -> int:
-        """How many numerator magnitudes exceed the integer t >= 0."""
-        # Every magnitude fits int32, and the clamp keeps -t in it, so
-        # searchsorted takes the key without casting the table.
-        key = np.int32(-min(t, np.iinfo(np.int32).max))
-        return int(np.searchsorted(self.neg_mags, key))
+    def count_above(self, ts: Sequence[int]) -> np.ndarray:
+        """How many numerator magnitudes exceed each integer t >= 0 in ts."""
+        # The clamp keeps each key in int32, so the table is not cast.
+        keys = np.array([-min(t, (1 << 31) - 1) for t in ts], dtype=np.int32)
+        return np.searchsorted(self.neg_mags, keys)
 
 
 def rank_spectrum(a: PointSet) -> SpectrumRanking:
@@ -159,8 +160,8 @@ def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
     and its mass sums |hat(f)| over them.  For the residual f_V, hat(f) is
     hat(chi_A), excluded lists V's elements (distinct) and base is
     ||f_V||_1, which bounds every coefficient off V, so s >= 0.  Each band
-    is a run of the ranking, found by binary search; the excluded entries
-    are taken out of it through their ranks.
+    is a run of the ranking, and one binary search finds every band's
+    edges; the excluded entries are taken out of it through their ranks.
     """
     if excluded.size and not (0 <= excluded.min()
                               and excluded.max() < ranking.order.size):
@@ -168,43 +169,33 @@ def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
     if base.num <= 0:
         raise ZeroMass("level sets need a positive base norm")
     shift = ranking.exp - base.exp
-
-    def cut(s: int) -> int:
-        # floor(base / 2^(s+1)) in numerator units: band s is the
-        # magnitudes in (cut(s), cut(s - 1)].
-        k = shift - s - 1
-        return base.num << k if k >= 0 else base.num >> -k
-
-    # edges[i]:edges[i+1] is the i-th band's run of ranks.
-    edges = [ranking.count_above(cut(-1))]
-    bands: List[int] = []
-    end = ranking.count_above(0)
-    while edges[-1] < end:
-        top = DyadicScalar(int(-ranking.neg_mags[edges[-1]]), ranking.exp)
-        bands.append(floor_log2_ratio(base, top))
-        edges.append(ranking.count_above(cut(bands[-1])))
-    # cuts[i] counts the excluded entries ranked above edges[i]; the
-    # excluded ranks are sorted, so band i's are one run of them.
+    top = base.num << shift if shift >= 0 else base.num >> -shift
+    # Band s is the magnitudes in (floor(top / 2^(s+1)), floor(top / 2^s)]
+    # in numerator units, ranks edges[s]:edges[s + 1]; the last cut is 0.
+    edges = ranking.count_above([top >> j
+                                 for j in range(top.bit_length() + 1)])
+    # cuts[s] counts the excluded entries ranked above edges[s]; the
+    # excluded ranks are sorted, so band s's are one run of them.
     ex_ranks = ranking.rank[excluded]
     ex_ranks.sort()
-    cuts = np.searchsorted(ex_ranks, np.array(edges, dtype=ex_ranks.dtype))
-    cuts = cuts.tolist()
+    cuts = np.searchsorted(ex_ranks, edges.astype(ex_ranks.dtype))
     if cuts[0] != edges[0]:
         raise ArithmeticError(
             f"{edges[0] - cuts[0]} coefficient(s) off the excluded set "
             f"above the l1 base {base}")
+    kept = np.flatnonzero(edges[1:] - cuts[1:] != edges[:-1] - cuts[:-1])
+    sums = ranking.prefix[edges].tolist()
+    edges, cuts = edges.tolist(), cuts.tolist()
     out = []
-    for i, s in enumerate(bands):
-        lo, hi = edges[i], edges[i + 1]
-        inside = ex_ranks[cuts[i]:cuts[i + 1]]
-        if inside.size == hi - lo:
-            continue
+    for s in kept.tolist():
+        lo, hi = edges[s], edges[s + 1]
+        mass = sums[s + 1] - sums[s]
         members = ranking.order[lo:hi]
-        if inside.size:
+        if cuts[s] < cuts[s + 1]:
+            inside = ex_ranks[cuts[s]:cuts[s + 1]]
             members = np.delete(members, inside - lo)
             members.setflags(write=False)
-        ex_mass = -int(ranking.neg_mags[inside].sum(dtype=np.int64))
-        mass = int(ranking.prefix[hi] - ranking.prefix[lo]) - ex_mass
+            mass += int(ranking.neg_mags[inside].sum(dtype=np.int64))
         out.append(LevelSet(s, members, DyadicScalar(mass, ranking.exp)))
     return out
 
@@ -212,6 +203,11 @@ def level_sets(ranking: SpectrumRanking, excluded: np.ndarray,
 def gain_floor(s: int) -> Fraction:
     """(1/6)(4/3)^s, the mass some level s is guaranteed to reach."""
     return Fraction(4 ** s, 6 * 3 ** s)
+
+
+def meets_gain_floor(mass: DyadicScalar, s: int) -> bool:
+    """mass >= gain_floor(s) in integers: num 6 3^s >= 2^(2s + exp)."""
+    return mass.num * 6 * 3 ** s >= 1 << (2 * s + mass.exp)
 
 
 STRATEGIES = ("smallest-s", "best-ratio")
@@ -226,19 +222,19 @@ def select_level(levels: Sequence[LevelSet],
     The averaging identity guarantees a qualifier exists, so an empty
     result is an arithmetic bug, not a data condition.
     """
-    qualifying = [lv for lv in levels
-                  if lv.mass.as_fraction() >= gain_floor(lv.s)]
-    if not qualifying:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # sorted is stable: a tie in s, or in mass / 4^s, goes to the earlier.
+    qualifying = (lv for lv in sorted(levels, key=lambda lv: lv.s)
+                  if meets_gain_floor(lv.mass, lv.s))
+    found = (next(qualifying, None) if strategy == "smallest-s" else
+             max(qualifying, key=lambda lv: lv.mass.mul_pow2(-2 * lv.s),
+                 default=None))
+    if found is None:
         raise NoQualifyingLevel(
             "no level reaches (1/6)(4/3)^s; the mass bookkeeping is broken"
         )
-    if strategy == "smallest-s":
-        return min(qualifying, key=lambda lv: lv.s)
-    if strategy == "best-ratio":
-        # max keeps the first of equal keys, so ties go to the smaller s.
-        return max(qualifying,
-                   key=lambda lv: lv.mass.as_fraction() / 4 ** lv.s)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return found
 
 
 def chang_cardinality_bound(l1: DyadicScalar, l2sq: DyadicScalar,

@@ -14,16 +14,11 @@ __all__ = [
     "DyadicScalar",
     "ZERO",
     "ONE",
-    "floor_log2_ratio",
 ]
 
 _PARSE_RE = re.compile(r"^(-?\d+)(?:/2\^(\d+))?$")
 
 DyadicLike = Union["DyadicScalar", int]
-
-
-def _trailing_zeros(num: int) -> int:
-    return (num & -num).bit_length() - 1
 
 
 class DyadicScalar:
@@ -37,7 +32,8 @@ class DyadicScalar:
         if num == 0:
             exp = 0
         elif exp > 0:
-            shift = min(exp, _trailing_zeros(num))
+            # num & -num is num's lowest set bit: 2^(trailing zeros).
+            shift = min(exp, (num & -num).bit_length() - 1)
             num >>= shift
             exp -= shift
         object.__setattr__(self, "num", num)
@@ -186,14 +182,3 @@ class DyadicScalar:
 ZERO = DyadicScalar(0)
 ONE = DyadicScalar(1)
 
-
-def floor_log2_ratio(a: DyadicScalar, b: DyadicScalar) -> int:
-    """floor(log2(a / b)) for positive a, b, computed with integer shifts."""
-    if a.num <= 0 or b.num <= 0:
-        raise ValueError("floor_log2_ratio needs positive arguments")
-    p = a.num << b.exp
-    q = b.num << a.exp
-    e = p.bit_length() - q.bit_length()
-    if e >= 0:
-        return e if (q << e) <= p else e - 1
-    return e if q <= (p << -e) else e - 1

@@ -15,7 +15,7 @@ import re
 from typing import List, Optional, Tuple
 
 from . import __version__
-from .chang import gain_floor
+from .chang import meets_gain_floor
 from .constructions import CosetUnionWitness
 from .dyadic import DyadicScalar
 from .groups import HARD_DIM_CAP, HARD_EXP_CAP
@@ -41,52 +41,69 @@ _CERT_KEYS = ("version", "n", "alpha", "a_norm", "trace", "final_bound",
 _STEP_KEYS = ("s", "dim_before", "dim_after", "gain", "l1")
 
 _N_RE = re.compile(r"^n=(\d+)$")
-_HEX_RE = re.compile(r"^[0-9a-f]+$", re.IGNORECASE)
-_BITS_RE = re.compile(r"^hexbits=([0-9a-f]+)$", re.IGNORECASE)
+# Case-sensitive classes: far faster than IGNORECASE on a long line.
+_HEX_RE = re.compile(r"[0-9a-fA-F]+")
+_BITS_RE = re.compile(r"(?i:hexbits)=([0-9a-fA-F]+)")
 
 
 class SetFileError(ValueError):
     """Malformed set file."""
 
 
+def _clip(text: str) -> str:
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def _bad_line(kind: str, line: str, start: int) -> SetFileError:
+    """Names the first column from start on that holds no hex digit."""
+    m = _HEX_RE.match(line, start)
+    col = m.end() if m else start
+    return SetFileError(f"bad {kind} line {_clip(line)!r}: no hex digit at "
+                        f"column {col + 1}")
+
+
 def read_set_file(path: str, max_n: int) -> PointSet:
     """The set in a set file, refusing any n above max_n."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError:
+        raise SetFileError(f"set file {path} is not ASCII text") from None
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise SetFileError("empty set file")
     m = _N_RE.match(lines[0])
     if not m:
-        raise SetFileError(f"first line must be n=<int>, got {lines[0]!r}")
+        raise SetFileError(
+            f"first line must be n=<int>, got {_clip(lines[0])!r}")
     digits = m.group(1).lstrip("0") or "0"
     # Check the cap before anything is sized by n (1 << n below).
     if len(digits) > len(str(max_n)) or int(digits) > max_n:
-        shown = digits if len(digits) <= 20 else digits[:20] + "..."
-        raise SetFileError(f"n={shown} is above the dimension cap {max_n}")
+        raise SetFileError(
+            f"n={_clip(digits)} is above the dimension cap {max_n}")
     n = int(digits)
     if n < 1:
         raise SetFileError("n must be >= 1")
     body = lines[1:]
-    if body and body[0].lower().startswith("hexbits="):
+    if body and body[0][:8].lower() == "hexbits=":
         if len(body) > 1:
             raise SetFileError("a hexbits line must be the only line after n=")
-        bm = _BITS_RE.match(body[0])
+        bm = _BITS_RE.fullmatch(body[0])
         if not bm:
-            raise SetFileError(f"bad hexbits line {body[0]!r}")
+            raise _bad_line("hexbits", body[0], 8)
         bits = int(bm.group(1), 16)
         if bits.bit_length() > (1 << n):
             raise SetFileError("bitmap has points outside the group")
         return PointSet(n, bits)
     seen = set()
     for ln in body:
-        if not _HEX_RE.match(ln):
-            raise SetFileError(f"bad point line {ln!r}")
+        if not _HEX_RE.fullmatch(ln):
+            raise _bad_line("point", ln, 0)
         x = int(ln, 16)
         if x >= (1 << n):
-            raise SetFileError(f"point {ln} outside the group")
+            raise SetFileError(f"point {_clip(ln)} outside the group")
         if x in seen:
-            raise SetFileError(f"duplicate point {ln}")
+            raise SetFileError(f"duplicate point {_clip(ln)}")
         seen.add(x)
     return PointSet.from_points(n, seen)
 
@@ -250,7 +267,7 @@ def check_certificate(a: PointSet, cert,
         elif dim - before > step_ceiling(s, l1):
             problems.append(f"step {i}: growth above the Chang ceiling")
         # A step's gain must meet the floor of the level it was taken at.
-        if gain.as_fraction() < gain_floor(s):
+        if not meets_gain_floor(gain, s):
             problems.append(f"step {i}: gain {gain} below (1/6)(4/3)^{s}")
         total = total + gain
     if total != final:

@@ -26,8 +26,8 @@ label_table must match), fraction_chang_cap (Chang's cap by Fraction
 arithmetic, which the integer ratio must reproduce bit for bit) and
 build_equality_case, the set attaining Lemma 1's floor.
 reference_level_sets is the banding by a sort
-of the residual spectrum's distinct magnitudes, which the ranked banding
-must reproduce.  reference_all_subspaces and
+of the residual spectrum's distinct magnitudes, one floor_log2_ratio per
+magnitude, which the ranked banding must reproduce.  reference_all_subspaces and
 reference_annihilator_basis are the one-subspace-at-a-time enumeration and
 bit loop that the batched enumeration must reproduce, order included.
 reference_inverse_fwht is the exact inverse transform the package dropped.
@@ -67,7 +67,7 @@ from f2wiener import _kernels, cli
 from f2wiener.chang import (DependentSet, LevelSet, SpectrumRanking,
                             ZeroMass, chang_cardinality_bound, rank_spectrum,
                             select_level)
-from f2wiener.dyadic import ONE, ZERO, DyadicScalar, floor_log2_ratio
+from f2wiener.dyadic import ONE, ZERO, DyadicScalar
 from f2wiener.fourier import _LP_MAX_EXP, _check_bound, fwht
 from f2wiener.groups import DualSubspace, GroupDim, subspace_extend
 from f2wiener.iteration import (StepResult, StepState, ZeroResidual,
@@ -484,6 +484,19 @@ def build_equality_case(alpha: DyadicScalar, v: DualSubspace,
     ind = syn < full
     ind[np.flatnonzero(syn == full)[:partial]] = True
     return PointSet.from_indicator(n, ind)
+
+
+def floor_log2_ratio(a: DyadicScalar, b: DyadicScalar) -> int:
+    """floor(log2(a / b)) for positive a, b, computed with integer shifts:
+    the band index of b under the base a."""
+    if a.num <= 0 or b.num <= 0:
+        raise ValueError("floor_log2_ratio needs positive arguments")
+    p = a.num << b.exp
+    q = b.num << a.exp
+    e = p.bit_length() - q.bit_length()
+    if e >= 0:
+        return e if (q << e) <= p else e - 1
+    return e if q <= (p << -e) else e - 1
 
 
 def reference_level_sets(fv_hat, chi_hat, base):

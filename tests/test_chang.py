@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from f2wiener.chang import (DependentSet, LevelSet, NoQualifyingLevel,
                             ZeroMass, beckner_verify, chang_cardinality_bound,
-                            level_sets, rank_spectrum, riesz_product,
-                            select_level, span_dims)
+                            gain_floor, level_sets, meets_gain_floor,
+                            rank_spectrum, riesz_product, select_level,
+                            span_dims)
 from f2wiener.dyadic import ONE, DyadicScalar
 from f2wiener.fourier import fwht
-from f2wiener.groups import DualSubspace, subspace_extend
+from f2wiener.groups import HARD_EXP_CAP, DualSubspace, subspace_extend
 from f2wiener.setfuncs import PointSet
 
 import _reference
@@ -235,8 +236,7 @@ def test_level_sets_object_dtype_above_int64():
     _check_against_reference(fv, [1, 2], DyadicScalar(top - 1, 4))
     _check_against_reference(fv, [1, 7, 5], DyadicScalar(top, 4))
     ranking = reference_ranking(*fv)
-    assert ranking.count_above(1 << 40) == 0
-    assert ranking.count_above(top - 1) == 2
+    assert ranking.count_above([1 << 40, top - 1]).tolist() == [0, 2]
 
 
 def test_level_sets_mass_at_int64_bound():
@@ -255,6 +255,69 @@ def test_level_sets_mass_at_int64_bound():
     levels = level_sets(ranking, np.array([2, 6]), DyadicScalar(top))
     assert levels[0].mass == DyadicScalar(5 * top)
     _check_against_reference(spec, [2, 6], DyadicScalar(top))
+
+
+def test_level_sets_empty_bands_and_wide_bases():
+    # Bands 0, 1, 8 and 9 are full and 2..7 empty between them; one entry
+    # sits on each of the edges top / 2 and top / 2^9.  Doubling the base
+    # 2^k times moves every band down k places, and at k >= 12 the first
+    # cuts, top 2^(k - j) for small j, pass int32 and are clamped.
+    top = 1 << 20
+    fv = _spec([0, top, -(top >> 1), (top >> 1) + 1, top >> 9, 3 << 10,
+                (top >> 10) + 1, -top], 4)
+    levels = _levels(fv, NONE, DyadicScalar(top, 4))
+    assert [(lv.s, sorted(lv.members.tolist())) for lv in levels] == [
+        (0, [1, 3, 7]), (1, [2]), (8, [5]), (9, [4, 6])]
+    for k in (0, 3, 12, 20):
+        _check_against_reference(fv, NONE, DyadicScalar(top << k, 4))
+        # V's entries on either side of an edge, in three bands.
+        _check_against_reference(fv, [2, 3, 4], DyadicScalar(top << k, 4))
+        _check_against_reference(fv, [1, 6, 7], DyadicScalar(top << k, 4))
+    assert [lv.s for lv in _levels(fv, [4, 6], DyadicScalar(top << 12, 4))
+            ] == [12, 13, 20]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_level_sets_on_band_edges(data):
+    # Magnitudes on, just above and just below the edges floor(top / 2^j),
+    # which leaves bands empty between full ones; bases up to 2^24 times
+    # the top, whose first cuts pass int32; and excluded sets that take
+    # entries on either side of an edge.
+    n = data.draw(st.integers(1, 6))
+    top = data.draw(st.integers(1, (1 << 31) - 1))
+    cut = st.builds(lambda j, d: max(0, min(top, (top >> j) + d)),
+                    st.integers(0, top.bit_length()), st.integers(-1, 1))
+    nums = [c * data.draw(st.sampled_from([1, -1]))
+            for c in data.draw(st.lists(cut, min_size=1 << n,
+                                        max_size=1 << n))]
+    excluded = data.draw(st.lists(st.integers(0, (1 << n) - 1),
+                                  unique=True))
+    exp = data.draw(st.integers(0, 40))
+    base = DyadicScalar(top, exp).mul_pow2(data.draw(st.integers(0, 24)))
+    _check_against_reference(_spec(nums, exp), excluded, base)
+
+
+def test_gain_floor_predicate_is_exact():
+    # At floor(4^s 2^e / (6 3^s)) and one above it, over every level index
+    # and exponent a certificate may hold, the integer predicate is the
+    # Fraction comparison it replaces.
+    for s in range(62):
+        for e in range(HARD_EXP_CAP + 1):
+            edge = (4 ** s << e) // (6 * 3 ** s)
+            for num in (edge, edge + 1):
+                mass = DyadicScalar(num, e)
+                assert meets_gain_floor(mass, s) == (
+                    mass.as_fraction() >= gain_floor(s)), (s, e, num)
+            assert meets_gain_floor(DyadicScalar(edge + 1, e), s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(s=st.integers(0, 61), e=st.integers(0, HARD_EXP_CAP),
+       num=st.integers(-(1 << 200), 1 << 200))
+def test_gain_floor_predicate_on_any_mass(s, e, num):
+    mass = DyadicScalar(num, e)
+    assert meets_gain_floor(mass, s) == (mass.as_fraction() >= gain_floor(s))
 
 
 def test_level_mass_averaging_identity():

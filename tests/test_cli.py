@@ -552,6 +552,10 @@ def test_bad_inputs(workdir, capsys):
     assert main(["norm", "hex.set"]) == 2
     assert capsys.readouterr().err == (
         "error: a hexbits line must be the only line after n=\n")
+    (workdir / "bin.set").write_bytes(b"n=3\nhexbits=0f\xff\n")
+    assert main(["norm", "bin.set"]) == 2
+    assert capsys.readouterr().err == (
+        "error: set file bin.set is not ASCII text\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f2wiener.dyadic import DyadicScalar, ONE, ZERO, floor_log2_ratio
+from f2wiener.dyadic import DyadicScalar, ONE, ZERO
+
+from _reference import floor_log2_ratio
 
 
 def test_canonical_form():

@@ -96,6 +96,54 @@ def test_set_file_dimension_cap_checked_first(tmp_path):
     assert read_set_file(str(p), cap).dim.n == cap
 
 
+def test_set_file_hex_digits_any_case(tmp_path):
+    # The hexbits key and the digits may take either case.
+    path = tmp_path / "u.set"
+    a = PointSet.from_points(4, [0, 2, 4, 8, 12, 15])
+    for text in ("n=4\nHEXBITS=9115\n", "n=4\nHexBits=9115\n",
+                 "n=4\nhexbits=9115\n", "n=4\n0\n2\n4\n8\nC\nf\n"):
+        path.write_text(text)
+        assert read_set_file(str(path), 4) == a
+
+
+def test_set_file_refuses_other_number_syntax(tmp_path):
+    # int(x, 16) would take 0x, underscores, a sign and surrounding space;
+    # a set file takes bare hex digits only.
+    path = tmp_path / "x.set"
+    for body in ("hexbits=0x1f", "hexbits=1_f", "hexbits=+1f", "hexbits=1 f",
+                 "hexbits =1f", "0x3", "1_0", "+3", "-3", "1 0", "3\t1"):
+        path.write_text(f"n=5\n{body}\n")
+        with pytest.raises(SetFileError, match="no hex digit at column"):
+            read_set_file(str(path), 5)
+
+
+def test_set_file_bad_line_is_clipped_with_its_column(tmp_path):
+    # A bad line is echoed to 40 characters at most, with the column of
+    # its first character that is no hex digit, whatever its length.
+    path = tmp_path / "w.set"
+    digits = "0" * 5000
+    for body, column in ((f"hexbits={digits}g", 5009),
+                         (f"hexbits=z{digits}", 9), ("hexbits=", 9),
+                         (f"{digits}x1", 5001), ("12q", 3)):
+        path.write_text(f"n=16\n{body}\n")
+        with pytest.raises(SetFileError) as exc:
+            read_set_file(str(path), 16)
+        message = str(exc.value)
+        assert message.endswith(f": no hex digit at column {column}")
+        assert repr(body[:40] + ("..." if len(body) > 40 else "")) in message
+        assert len(message) < 100
+
+
+def test_set_file_not_ascii_names_the_file(tmp_path):
+    path = tmp_path / "u.set"
+    for raw in (b"\xff\n", b"n=3\nhexbits=0f\n\xc3\xa9\n",
+                "n=3\n\u0661\n".encode("utf-8")):
+        path.write_bytes(raw)
+        with pytest.raises(SetFileError) as exc:
+            read_set_file(str(path), 3)
+        assert str(exc.value) == f"set file {path} is not ASCII text"
+
+
 def _cert_fixture(monkeypatch, max_order=16):
     monkeypatch.setattr(fileio, "tool_commit", lambda: "deadbeef")
     a, _ = build_coset_union(density_family("geometric4", 2), 4)
