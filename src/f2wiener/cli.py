@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -168,8 +167,7 @@ def _cmd_construct(args) -> int:
             f"construction norm {norm} exceeds the part count {density.k}"
         )
     write_set_file(set_path, a)
-    with open(wit_path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(witness_payload(witness, norm)) + "\n")
+    write_certificate(wit_path, witness_payload(witness, norm))
     print(f"set file: {set_path}")
     print(f"witness: {wit_path}")
     print(f"n = {a.dim.n}")
@@ -305,6 +303,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (BudgetExceeded, ExponentOverflow, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: out of memory in {args.command}: {exc}".rstrip(": "),
+              file=sys.stderr)
         return EXIT_RESOURCE
     except (NoQualifyingLevel, ZeroMass, ArithmeticError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ A = union_i (x_1 + ... + x_{i-1} + ann(L_i)) over the nested dual spaces
 L_i spanned by the first d_i coordinates has Wiener norm at most k, while
 every coset-averaging residual of A stays small.  The shifts x_i flip the
 sign of exactly one witness character each, which is what keeps the
-spectrum summable.
+spectrum summable.  A CosetUnionWitness records a construction by these
+generators alone (the d_i, L_i, gamma_i and x_i); its union() builds A.
 """
 from __future__ import annotations
 
@@ -65,29 +66,33 @@ def density_family(kind: str, k: int) -> DyadicDensity:
     raise ValueError(f"unknown density family {kind!r}")
 
 
+def _coordinate_span(d: int) -> DualSubspace:
+    """span(e_0..e_{d-1}), whose annihilator is the multiples of 2^d."""
+    return DualSubspace._unchecked(tuple(1 << j for j in range(d)))
+
+
 @dataclass(frozen=True)
 class CosetUnionWitness:
-    """Everything needed to re-check a coset-union construction."""
+    """The generators of a coset-union construction, which fix its set."""
 
     dim: GroupDim
     density: DyadicDensity
     lambdas: Tuple[DualSubspace, ...]
     gammas: Tuple[int, ...]
     offsets: Tuple[int, ...]
-    parts: Tuple[PointSet, ...]
 
     def validate(self) -> None:
         exps = self.density.exponents
         k = len(exps)
-        n = self.dim.n
         if len(self.lambdas) != k or len(self.gammas) != k:
             raise ValueError("witness arity mismatch")
         if len(self.offsets) != max(0, k - 1):
             raise ValueError("need one offset per part after the first")
         prev = DualSubspace.trivial()
         for i, (lam, d) in enumerate(zip(self.lambdas, exps)):
-            if lam.dim != d:
-                raise ValueError(f"lambda_{i} has dimension {lam.dim} != {d}")
+            # union() reads ann(lambda_i) as the multiples of 2^d.
+            if lam != _coordinate_span(d):
+                raise ValueError(f"lambda_{i} is not span(e_0..e_{d - 1})")
             if not prev.is_subspace_of(lam):
                 raise ValueError("lambdas are not nested")
             g = self.gammas[i]
@@ -100,21 +105,21 @@ class CosetUnionWitness:
                 want = -1 if j == i - 1 else 1
                 if char_sign(g, x) != want:
                     raise ValueError(
-                        f"offset x_{i} pairs wrongly with gamma_{j}"
-                    )
-        seen = 0
-        for i, (part, d) in enumerate(zip(self.parts, exps)):
-            if part.size != 1 << (n - d):
-                raise ValueError(f"part {i} has wrong cardinality")
-            if seen & part.bits:
-                raise ValueError("parts are not disjoint")
-            seen |= part.bits
+                        f"offset x_{i} pairs wrongly with gamma_{j}")
 
     def union(self) -> PointSet:
-        bits = 0
-        for p in self.parts:
-            bits |= p.bits
-        return PointSet(self.dim, bits)
+        """The set: part i (from 0) is ann(lambda_i) + x_1 + ... + x_i,
+        every 2^d_i-th point from (x_1 ^ ... ^ x_i) mod 2^d_i on."""
+        exps = self.density.exponents
+        ind = np.zeros(self.dim.order, dtype=bool)
+        shift = 0
+        for d, x in zip(exps, self.offsets + (0,)):
+            ind[shift & ((1 << d) - 1)::1 << d] = True
+            shift ^= x
+        # The union has the parts' total size exactly when they are disjoint.
+        if np.count_nonzero(ind) != sum(1 << (self.dim.n - d) for d in exps):
+            raise ValueError("parts are not disjoint")
+        return PointSet.from_indicator(self.dim, ind)
 
 
 def build_coset_union(density: DyadicDensity,
@@ -127,25 +132,13 @@ def build_coset_union(density: DyadicDensity,
     points).  Deterministic: same input, same set.
     """
     d = as_dim(dim)
-    n = d.n
     exps = density.exponents
-    if exps[-1] > n:
-        raise ExponentOverflow(
-            f"exponent {exps[-1]} exceeds the dimension {n}"
-        )
-    lambdas = tuple(
-        DualSubspace(tuple(1 << j for j in range(e))) for e in exps
-    )
-    gammas = tuple(1 << (e - 1) for e in exps)
-    offsets = tuple(1 << (e - 1) for e in exps[:-1])
-    parts = []
-    for i, e in enumerate(exps):
-        # Part i is ann(L_i) + x_1 + ... + x_i; the offsets are distinct bits
-        # below e, so it is every 2^e-th point from their sum on.
-        ind = np.zeros(d.order, dtype=bool)
-        ind[sum(offsets[:i])::1 << e] = True
-        parts.append(PointSet.from_indicator(d, ind))
-    witness = CosetUnionWitness(d, density, lambdas, gammas, offsets,
-                                tuple(parts))
+    if exps[-1] > d.n:
+        raise ExponentOverflow(f"exponent {exps[-1]} exceeds the dimension "
+                               f"{d.n}")
+    witness = CosetUnionWitness(
+        d, density, tuple(_coordinate_span(e) for e in exps),
+        tuple(1 << (e - 1) for e in exps),
+        tuple(1 << (e - 1) for e in exps[:-1]))
     witness.validate()
     return witness.union(), witness

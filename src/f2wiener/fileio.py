@@ -1,12 +1,14 @@
 """Set files, witness JSON, and lower-bound certificates.
 
 A set file is line-oriented text: "n=<int>" first, then either one hex
-point mask per line or a single "hexbits=<bitmap>" line.  Certificates
-and witness files hold integers and strings only, every exact value as a
-{num, exp} pair, and are written by json.dumps in a fixed key order, so
-re-running the tool on the same inputs reproduces them byte for byte.
-Their last key, tool_commit, holds the package version, so a file depends
-only on its command line and the version that wrote it.
+point mask per line or a single "hexbits=<bitmap>" line.  A witness file
+(version 2) records a construction by its generators (exponents, lambdas,
+gammas, offsets), which fix every part; version 1 also held each part's
+bitmap.  Certificates and witness files hold integers and strings only,
+every exact value as a {num, exp} pair, and are written by json.dumps in a
+fixed key order, so re-running the tool on the same inputs reproduces them
+byte for byte.  Their last key, tool_commit, holds the package version, so
+a file depends only on its command line and the version that wrote it.
 """
 from __future__ import annotations
 
@@ -142,6 +144,7 @@ def certificate_payload(a: PointSet, trace: IterationTrace,
 
 
 def write_certificate(path: str, payload: dict) -> None:
+    """The one JSON writer, for certificates and witness files alike."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(json.dumps(payload) + "\n")
 
@@ -287,9 +290,8 @@ def check_certificate(a: PointSet, cert,
 
 def witness_payload(witness: CosetUnionWitness,
                     norm: DyadicScalar) -> dict:
-    # Witness files are still in their first format.
     return {
-        "version": 1,
+        "version": 2,
         "kind": "coset_union_witness",
         "n": witness.dim.n,
         "exponents": list(witness.density.exponents),
@@ -297,7 +299,6 @@ def witness_payload(witness: CosetUnionWitness,
         "lambdas": [list(lam.basis) for lam in witness.lambdas],
         "gammas": list(witness.gammas),
         "offsets": list(witness.offsets),
-        "parts_hex": [p.set_hex() for p in witness.parts],
         "a_norm": _pair(norm),
         "part_count": witness.density.k,
         "tool_commit": tool_commit(),

@@ -22,7 +22,7 @@ from .chang import (STRATEGIES, SpectrumRanking, chang_cardinality_bound,
                     gain_floor, level_sets, rank_spectrum, select_level)
 from .dyadic import DyadicScalar, ZERO
 from .groups import HARD_DIM_CAP, DualSubspace, subspace_extend
-from .setfuncs import PointSet, residual_norms
+from .setfuncs import PointSet
 
 __all__ = [
     "ZeroResidual",
@@ -146,10 +146,11 @@ def iterate_step(a: PointSet, v: DualSubspace, strategy: str,
     of v (then L(v) already equals the full Wiener norm).
     """
     if v.dim < a.dim.n:
-        nums, exps = residual_norms(
-            np.bincount(state.labels, minlength=v.order)[None], a.dim.n,
-            [v.dim])
-        base = DyadicScalar(int(nums[0]), int(exps[0]))
+        # ||f_V||_1 = 2(m |A| - sum c^2) / 2^(2n - d) over A's coset counts
+        # c, m = 2^(n - d); both terms are at most 2^(2n - d) <= 2^60.
+        c = np.bincount(state.labels)
+        base = DyadicScalar(2 * ((state.points.size << (a.dim.n - v.dim))
+                                 - int(np.dot(c, c))), 2 * a.dim.n - v.dim)
         l2sq = base.mul_pow2(-1)
     else:
         # V is the whole dual group: every annihilator coset is one point,

@@ -7,9 +7,9 @@ f_V = chi_A - chi_A * mu has mean zero on every coset and spectrum
 supported off V, so ||f_V||_1 = 2 <chi_A, f_V> (acceptance criterion 4 in
 tests/test_acceptance.py checks this on residual tables).  No table of
 f_V is built here: residual_norms reads its norms off A's count in each
-coset, for the iteration and verify alike.  residual_l1 and
-physical_lower_bound work on stacks: one set and one subspace per row, all
-on the same F2^n.
+coset for verify, and the iteration takes its ||f_V||_1 the same way.
+residual_l1 and physical_lower_bound work on stacks: one set and one
+subspace per row, all on the same F2^n.
 """
 from __future__ import annotations
 

@@ -4,7 +4,9 @@ Everything here is written the slow, obvious way (double loops, explicit
 set scans) so the fast implementations have something honest to be
 checked against.  No code is shared with the package's numeric paths.
 The search oracles use numpy only to keep whole-spectrum recomputation
-affordable: one candidate or one proposal at a time.
+affordable: one candidate or one proposal at a time.  witness_problems
+rechecks a witness file from its JSON alone, as a reader without the
+package would.
 
 The last section is different: it keeps code the package has dropped,
 built on the package's own types.  A table there is a (nums, exp) pair,
@@ -145,6 +147,52 @@ def brute_coset_average(points: Sequence[int], basis: Sequence[int],
         coset = {x ^ w for w in ann}
         out.append(Fraction(len(coset & members), len(coset)))
     return out
+
+
+def witness_problems(wit: dict, set_bits: int) -> List[str]:
+    """Recheck a version 2 witness file, from its JSON alone.
+
+    Part i is rebuilt by brute force as every x with <lam, x> =
+    <lam, x_1 ^ ... ^ x_i> for each row lam of Lambda_i; the parts must be
+    disjoint, part i must have 2^(n - d_i) points, and their union must be
+    the set file's bitmap set_bits.  alpha, exponents and part_count must
+    agree with each other and with the set.
+    """
+    keys = ["version", "kind", "n", "exponents", "alpha", "lambdas",
+            "gammas", "offsets", "a_norm", "part_count", "tool_commit"]
+    if list(wit) != keys or wit["version"] != 2:
+        return [f"not a version 2 witness: {list(wit)}"]
+    n, exps = wit["n"], wit["exponents"]
+    problems = []
+    k = len(exps)
+    if wit["part_count"] != k:
+        problems.append(f"part_count {wit['part_count']} != {k} exponents")
+    if any(b <= a for a, b in zip(exps, exps[1:])) or exps[0] < 1:
+        problems.append(f"exponents {exps} not strictly increasing from 1")
+    if (len(wit["lambdas"]), len(wit["gammas"]), len(wit["offsets"])) != (
+            k, k, k - 1):
+        return problems + ["generator counts do not match the exponents"]
+    alpha = sum((Fraction(1, 1 << d) for d in exps), Fraction(0))
+    if Fraction(wit["alpha"]["num"], 1 << wit["alpha"]["exp"]) != alpha:
+        problems.append(f"alpha {wit['alpha']} != sum 2^-d_i = {alpha}")
+    if Fraction(bin(set_bits).count("1"), 1 << n) != alpha:
+        problems.append(f"the set's density is not alpha = {alpha}")
+    union, shift = 0, 0
+    for i, (d, rows) in enumerate(zip(exps, wit["lambdas"])):
+        if i:
+            shift ^= wit["offsets"][i - 1]
+        part = [x for x in range(1 << n)
+                if all(parity(lam, x) == parity(lam, shift) for lam in rows)]
+        if len(part) != 1 << (n - d):
+            problems.append(f"part {i} has {len(part)} points, not "
+                            f"2^(n - {d})")
+        bits = sum(1 << x for x in part)
+        if union & bits:
+            problems.append(f"part {i} meets an earlier part")
+        union |= bits
+    if union != set_bits:
+        problems.append("the parts' union is not the set file")
+    return problems
 
 
 def brute_min_norm(n: int, size: int) -> Tuple[Fraction, List[Tuple[int, ...]]]:

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -16,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 
 from f2wiener import __version__, cli, verify
 from f2wiener.cli import DEFAULT_MAX_N, build_parser, main
-from f2wiener.constructions import density_family
+from f2wiener.constructions import build_coset_union, density_family
 from f2wiener.explore import CSV_COLUMNS
 from f2wiener.fileio import write_set_file
 from f2wiener.groups import HARD_EXP_CAP
 from f2wiener.iteration import MAX_ORDER
 from f2wiener.setfuncs import PointSet
+
+from _reference import witness_problems
 
 
 @pytest.fixture()
@@ -70,6 +73,42 @@ def test_construct_flag_conflicts(workdir, capsys):
                  "--k", "2", "--n", "4"]) == 2
     assert main(["construct", "--n", "4"]) == 2
     assert main(["construct", "--exponents", "1,x", "--n", "4"]) == 2
+
+
+def _written(base):
+    """(set bitmap, witness JSON) of a construct run, read by hand."""
+    text = pathlib.Path(base + ".set").read_text()
+    bits = int(text.split("hexbits=")[1], 16)
+    return bits, json.loads(pathlib.Path(base + ".witness.json").read_text())
+
+
+@pytest.mark.parametrize("family", ["geometric4", "double_exp"])
+def test_construct_witness_rechecks_from_json(workdir, capsys, family):
+    # A reader without the package rebuilds every part from the witness's
+    # generators alone, at every k whose exponents fit in n <= 12.
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            if density_family(family, k).exponents[-1] > n:
+                break
+            assert main(["construct", "--family", family, "--k", str(k),
+                         "--n", str(n), "--out", "w"]) == 0
+            bits, wit = _written("w")
+            assert witness_problems(wit, bits) == [], (n, k)
+    capsys.readouterr()
+
+
+def test_construct_custom_witness_rechecks_from_json(workdir, capsys):
+    assert main(["construct", "--exponents", "1,3", "--n", "5",
+                 "--out", "c"]) == 0
+    capsys.readouterr()
+    bits, wit = _written("c")
+    assert (wit["exponents"], wit["offsets"]) == ([1, 3], [1])
+    assert witness_problems(wit, bits) == []
+    # The reader refuses a witness that does not rebuild its set.
+    for key, value in (("offsets", [0]), ("part_count", 3),
+                       ("alpha", {"num": 3, "exp": 3}),
+                       ("lambdas", [[1], [1, 2, 8]])):
+        assert witness_problems(dict(wit, **{key: value}), bits), key
 
 
 def test_construct_overflow_is_resource_exit(workdir, capsys):
@@ -122,7 +161,7 @@ CERT_SHA256 = {
     256: "1abf42bc3884dd7dc822da8ffa7d40d053ce9d399da4c624909955c79f49a3d4",
 }
 WITNESS_SHA256 = (
-    "cbafc820c6fb4c3b745cd68fa8321261645fb105bea2dcae616dca2dd4a3fcbe")
+    "1861fa80a986dd53f54c4b22bbbce70ed11b3666ac6da079a38e403e58fe032a")
 
 
 def _sha256(path) -> str:
@@ -501,6 +540,45 @@ def test_explore_bad_parameter_exit_in_child(tmp_path, package_env):
     assert out.stdout == ""
     assert out.stderr.count("\n") == 1
     assert "t0" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 32.0 MiB", "out of memory in lowerbound: Unable to "
+                                    "allocate 32.0 MiB"),
+    ("", "out of memory in lowerbound")], ids=["message", "bare"])
+def test_out_of_memory_is_resource_exit(workdir, capsys, monkeypatch,
+                                        message, line):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_iteration", exhausted)
+    assert main(["lowerbound", _set_file(workdir), "--max-order", "16"]) == 3
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not (workdir / "a.set.cert.json").exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS bounds allocations on Linux")
+def test_out_of_memory_in_child_is_resource_exit(workdir, package_env):
+    # lowerbound on the n = 22 one-third set peaks near 250 MB; the child,
+    # and only the child, may map 200 MB.
+    import resource
+
+    a, _ = build_coset_union(density_family("geometric4", 11), 22)
+    write_set_file("third22.set", a)
+    limit = 200 << 20
+    out = subprocess.run(
+        [sys.executable, "-m", "f2wiener", "--max-n", "22", "lowerbound",
+         "third22.set", "--max-order", str(1 << 22)],
+        capture_output=True, text=True,
+        env=dict(package_env, OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                              (limit, limit)))
+    assert out.returncode == 3, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: out of memory in lowerbound")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+    assert not os.path.exists("third22.set.cert.json")
 
 
 # Standard-library modules no lowerbound or check-cert run uses; each is

@@ -64,8 +64,10 @@ def test_geometric4_k2_frozen():
     assert norm.as_fraction() == brute_set_a_norm(set_points(a), 4)
     w.validate()
     assert w.union() == a
-    # parts partition A
-    assert sum(p.size for p in w.parts) == a.size
+    # Part 0 is the multiples of 4 and part 1 the point x_1 = 2: 4 + 1.
+    assert [lam.basis for lam in w.lambdas] == [(1, 2), (1, 2, 4, 8)]
+    assert (w.gammas, w.offsets) == ((2, 8), (2,))
+    assert a.size == 4 + 1
 
 
 def test_double_exp_k3_frozen():
@@ -86,17 +88,22 @@ def test_custom_exponents():
 def test_witness_tamper_detection():
     a, w = build_coset_union(density_family("geometric4", 2), 4)
     bad = CosetUnionWitness(w.dim, w.density, w.lambdas,
-                            (w.gammas[0], w.gammas[0]), w.offsets, w.parts)
+                            (w.gammas[0], w.gammas[0]), w.offsets)
     with pytest.raises(ValueError):
         bad.validate()
-    bad = CosetUnionWitness(w.dim, w.density, w.lambdas, w.gammas,
-                            (0,), w.parts)
-    with pytest.raises(ValueError):
+    # Lambda_0 = span(0101, 1010) holds gamma_0 = 1010, which pairs to 1
+    # with x_1 = 2, and lies in Lambda_1: only the coordinate check fails.
+    bad = CosetUnionWitness(w.dim, w.density,
+                            (DualSubspace((0b0101, 0b1010)), w.lambdas[1]),
+                            (0b1010, w.gammas[1]), w.offsets)
+    with pytest.raises(ValueError, match=r"lambda_0 is not span"):
         bad.validate()
-    bad = CosetUnionWitness(w.dim, w.density, w.lambdas, w.gammas,
-                            w.offsets, (w.parts[0], w.parts[0]))
-    with pytest.raises(ValueError):
+    # x_1 = 0 puts part 1, the point 0, inside part 0.
+    bad = CosetUnionWitness(w.dim, w.density, w.lambdas, w.gammas, (0,))
+    with pytest.raises(ValueError, match="pairs wrongly"):
         bad.validate()
+    with pytest.raises(ValueError, match="parts are not disjoint"):
+        bad.union()
 
 
 def test_norm_bounds_and_shell_floor():

@@ -13,7 +13,7 @@ from f2wiener.cli import DEFAULT_MAX_N
 from f2wiener.iteration import run_iteration
 from f2wiener.setfuncs import PointSet, set_a_norm
 
-from _reference import set_points
+from _reference import set_points, witness_problems
 
 
 def test_set_file_roundtrip(tmp_path):
@@ -308,18 +308,14 @@ def test_witness_payload(monkeypatch):
     assert payload["n"] == 3
     assert payload["exponents"] == [1, 2]
     assert payload["part_count"] == 2
-    assert len(payload["parts_hex"]) == 2
-    covered = 0
-    for hx in payload["parts_hex"]:
-        covered |= int(hx, 16)
-    assert covered == a.bits
-    # Witness files keep their first format, version 1, byte for byte.
+    assert witness_problems(payload, a.bits) == []
+    # Version 2 records the generators only, byte for byte.
     assert json.dumps(payload) == (
-        '{"version": 1, "kind": "coset_union_witness", "n": 3, '
+        '{"version": 2, "kind": "coset_union_witness", "n": 3, '
         '"exponents": [1, 2], "alpha": {"num": 3, "exp": 2}, '
         '"lambdas": [[1], [1, 2]], "gammas": [1, 2], "offsets": [1], '
-        '"parts_hex": ["55", "22"], "a_norm": {"num": 3, "exp": 1}, '
-        '"part_count": 2, "tool_commit": "deadbeef"}')
+        '"a_norm": {"num": 3, "exp": 1}, "part_count": 2, '
+        '"tool_commit": "deadbeef"}')
 
 
 def test_tool_commit():
